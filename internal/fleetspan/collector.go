@@ -163,12 +163,19 @@ func (c *Collector) spanID(round, targetIndex int) string {
 	return fmt.Sprintf("%s/r%d/u%d", c.cfg.Token, round, targetIndex)
 }
 
+// Each lifecycle hook below is a nil-check wrapper small enough to inline
+// plus an outlined body, so a disabled (nil) collector costs a compare and
+// branch at the call site instead of a call.
+
 // UnitQueued records a unit entering the pending queue (first enqueue or a
 // campaign-driver re-add; requeues are recorded by UnitRequeued).
 func (c *Collector) UnitQueued(unitID string, round, targetIndex int, target string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.unitQueued(unitID, round, targetIndex, target)
 	}
+}
+
+func (c *Collector) unitQueued(unitID string, round, targetIndex int, target string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.units[unitID]; ok {
@@ -180,9 +187,12 @@ func (c *Collector) UnitQueued(unitID string, round, targetIndex int, target str
 
 // UnitLeased opens a new lease attempt for the unit.
 func (c *Collector) UnitLeased(unitID, worker string, epoch int64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.unitLeased(unitID, worker, epoch)
 	}
+}
+
+func (c *Collector) unitLeased(unitID, worker string, epoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	meta, ok := c.units[unitID]
@@ -213,9 +223,12 @@ func (c *Collector) UnitLeased(unitID, worker string, epoch int64) {
 // unit's active attempt. sentUnixNs is the worker's local send time; zero
 // (an untraced worker) still counts the heartbeat but teaches no offset.
 func (c *Collector) Heartbeat(worker, unitID string, sentUnixNs int64) {
-	if c == nil {
-		return
+	if c != nil {
+		c.heartbeat(worker, unitID, sentUnixNs)
 	}
+}
+
+func (c *Collector) heartbeat(worker, unitID string, sentUnixNs int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sentUnixNs != 0 {
@@ -230,9 +243,12 @@ func (c *Collector) Heartbeat(worker, unitID string, sentUnixNs int64) {
 // UnitRequeued closes the unit's active attempt as requeued (lease expiry)
 // and re-stamps its queue-entry time.
 func (c *Collector) UnitRequeued(unitID string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.unitRequeued(unitID)
 	}
+}
+
+func (c *Collector) unitRequeued(unitID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.nowRel()
@@ -258,9 +274,12 @@ func (c *Collector) UnitRequeued(unitID string) {
 // clock; a rejected one is recorded as a dropped attempt so wasted work is
 // visible in the trail.
 func (c *Collector) UnitResult(unitID, worker string, epoch int64, accepted bool, reason string, spans *WorkerSpans) {
-	if c == nil {
-		return
+	if c != nil {
+		c.unitResult(unitID, worker, epoch, accepted, reason, spans)
 	}
+}
+
+func (c *Collector) unitResult(unitID, worker string, epoch int64, accepted bool, reason string, spans *WorkerSpans) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.nowRel()
@@ -301,9 +320,12 @@ func (c *Collector) UnitResult(unitID, worker string, epoch int64, accepted bool
 // authoritative corpus happened. Exec-duration books for straggler detection
 // and the worker sparkline are fed here.
 func (c *Collector) UnitIngested(unitID string) {
-	if c == nil {
-		return
+	if c != nil {
+		c.unitIngested(unitID)
 	}
+}
+
+func (c *Collector) unitIngested(unitID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	at, ok := c.active[unitID]
