@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/rng"
@@ -33,7 +32,7 @@ type DeadlockDirectedPolicy struct {
 	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge).
 	MaxPostponeAge int
 
-	postponed map[event.ThreadID]int
+	postponed postponedSet
 }
 
 // NewDeadlockDirectedPolicy returns an unfocused deadlock-directed policy.
@@ -53,47 +52,31 @@ func (p *DeadlockDirectedPolicy) isTargetLock(l event.LockID) bool {
 
 // Step implements sched.Policy.
 func (p *DeadlockDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	if p.postponed == nil {
-		p.postponed = make(map[event.ThreadID]int)
-	}
-	maxAge := p.MaxPostponeAge
-	if maxAge == 0 {
-		maxAge = DefaultMaxPostponeAge
-	}
-	keys := make([]event.ThreadID, 0, len(p.postponed))
-	for tid := range p.postponed {
-		keys = append(keys, tid)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, tid := range keys {
+	maxAge := postponeBound(p.MaxPostponeAge)
+	for _, tid := range p.postponed.sorted() {
 		// Postponed threads that became disabled are already contributing to
 		// a forming cycle; leave them alone. Age out long-stuck enabled ones.
-		if v.Step-p.postponed[tid] > maxAge {
-			delete(p.postponed, tid)
+		if v.Step-p.postponed.at[tid] > maxAge {
+			p.postponed.del(tid)
 			v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
 				Loc: event.NoLoc, Lock: event.NoLock})
 		}
 	}
 
-	cand := make([]event.ThreadID, 0, len(v.Enabled))
-	for _, tid := range v.Enabled {
-		if _, pp := p.postponed[tid]; !pp {
-			cand = append(cand, tid)
-		}
-	}
+	cand := p.postponed.candidates(v.Enabled)
 	if len(cand) == 0 {
-		keys = keys[:0]
-		for tid := range p.postponed {
+		keys := p.postponed.sorted()
+		enabled := keys[:0]
+		for _, tid := range keys {
 			if v.IsEnabled(tid) {
-				keys = append(keys, tid)
+				enabled = append(enabled, tid)
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		if len(keys) == 0 {
+		if len(enabled) == 0 {
 			return sched.Decision{}
 		}
-		evicted := keys[r.Intn(len(keys))]
-		delete(p.postponed, evicted)
+		evicted := enabled[r.Intn(len(enabled))]
+		p.postponed.del(evicted)
 		v.Act(sched.ActionRecord{Kind: sched.ActResume, Step: v.Step, Thread: evicted,
 			Loc: event.NoLoc, Lock: event.NoLock})
 		return sched.Decision{}
@@ -102,7 +85,7 @@ func (p *DeadlockDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision
 	op := v.Op(t)
 	if op.Kind == sched.OpLock && p.isTargetLock(op.Lock) && len(v.HeldLocks(t)) > 0 {
 		// Nested acquisition: hold it back so a partner can form the cycle.
-		p.postponed[t] = v.Step
+		p.postponed.add(t, v.Step)
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Loc: event.NoLoc, Lock: op.Lock})
 		return sched.Decision{}
@@ -161,7 +144,7 @@ type AtomicityDirectedPolicy struct {
 	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge).
 	MaxPostponeAge int
 
-	postponed  map[event.ThreadID]int
+	postponed  postponedSet
 	violations []AtomicityViolation
 }
 
@@ -178,38 +161,24 @@ func (p *AtomicityDirectedPolicy) Violations() []AtomicityViolation { return p.v
 
 // Step implements sched.Policy.
 func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	if p.postponed == nil {
-		p.postponed = make(map[event.ThreadID]int)
-	}
-	maxAge := p.MaxPostponeAge
-	if maxAge == 0 {
-		maxAge = DefaultMaxPostponeAge
-	}
-	keys := make([]event.ThreadID, 0, len(p.postponed))
-	for tid := range p.postponed {
-		keys = append(keys, tid)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	maxAge := postponeBound(p.MaxPostponeAge)
+	// The eviction below draws from this pre-aging snapshot, aged-out included.
+	keys := p.postponed.sorted()
 	for _, tid := range keys {
-		if v.Step-p.postponed[tid] > maxAge {
-			delete(p.postponed, tid)
+		if v.Step-p.postponed.at[tid] > maxAge {
+			p.postponed.del(tid)
 			v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
 				Loc: event.NoLoc, Lock: event.NoLock})
 		}
 	}
 
-	cand := make([]event.ThreadID, 0, len(v.Enabled))
-	for _, tid := range v.Enabled {
-		if _, pp := p.postponed[tid]; !pp {
-			cand = append(cand, tid)
-		}
-	}
+	cand := p.postponed.candidates(v.Enabled)
 	if len(cand) == 0 {
 		if len(keys) == 0 {
 			return sched.Decision{}
 		}
 		evicted := keys[r.Intn(len(keys))]
-		delete(p.postponed, evicted)
+		p.postponed.del(evicted)
 		v.Act(sched.ActionRecord{Kind: sched.ActResume, Step: v.Step, Thread: evicted,
 			Loc: event.NoLoc, Lock: event.NoLock})
 		return sched.Decision{}
@@ -237,7 +206,7 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 			p.violations = append(p.violations, AtomicityViolation{
 				Target: p.Target, Victim: t, Interferer: hit, Loc: op.Loc, Step: v.Step,
 			})
-			delete(p.postponed, t)
+			p.postponed.del(t)
 			v.Act(sched.ActionRecord{Kind: sched.ActViolation, Step: v.Step, Thread: t,
 				Others: []event.ThreadID{hit}, Stmt: p.Target.Second, OtherStmt: v.Op(hit).Stmt,
 				Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
@@ -245,7 +214,7 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 			// let the victim observe the damage.
 			return sched.Decision{Grants: []event.ThreadID{hit, t}}
 		}
-		p.postponed[t] = v.Step
+		p.postponed.add(t, v.Step)
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
 		return sched.Decision{}
@@ -256,14 +225,14 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 		// a victim is already parked at Second; this candidate interferes
 		// with it. Schedule the interferer inside the block, then release
 		// the victim.
-		for _, tid := range p.sortedPostponedKeys() {
+		for _, tid := range p.postponed.sorted() {
 			vop := v.Op(tid)
 			if v.IsAlive(tid) && vop.IsMem() && vop.Stmt == p.Target.Second &&
 				vop.Loc == op.Loc && (vop.IsWrite() || op.IsWrite()) {
 				p.violations = append(p.violations, AtomicityViolation{
 					Target: p.Target, Victim: tid, Interferer: t, Loc: op.Loc, Step: v.Step,
 				})
-				delete(p.postponed, tid)
+				p.postponed.del(tid)
 				v.Act(sched.ActionRecord{Kind: sched.ActViolation, Step: v.Step, Thread: tid,
 					Others: []event.ThreadID{t}, Stmt: p.Target.Second, OtherStmt: op.Stmt,
 					Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
@@ -273,21 +242,10 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 		// No victim is in its block yet: hold the interferer back the way
 		// Algorithm 1 postpones both sides of the racing pair, so it is
 		// still pending when a victim reaches Second.
-		p.postponed[t] = v.Step
+		p.postponed.add(t, v.Step)
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
 		return sched.Decision{}
 	}
 	return v.Grant(t)
-}
-
-// sortedPostponedKeys returns the postponed set in thread order for
-// deterministic iteration.
-func (p *AtomicityDirectedPolicy) sortedPostponedKeys() []event.ThreadID {
-	out := make([]event.ThreadID, 0, len(p.postponed))
-	for tid := range p.postponed {
-		out = append(out, tid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

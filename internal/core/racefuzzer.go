@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
@@ -101,12 +100,12 @@ type RaceFuzzerPolicy struct {
 	// nil check per event.
 	Metrics *obs.RunMetrics
 
-	postponed map[event.ThreadID]int // thread → step at which it was postponed
+	postponed postponedSet // thread → step at which it was postponed
 	// justReleased marks threads evicted from postponed (line 26 or the
 	// livelock monitor): their next selection executes unconditionally —
 	// evicting without running would just re-postpone them forever, which is
 	// why the paper's implementation pairs eviction with progress (§4).
-	justReleased map[event.ThreadID]bool
+	justReleased []bool // indexed by ThreadID
 	races        []RealRace
 	released     int // threads released by the postponed==enabled rule (line 26)
 	aged         int // threads released by the livelock monitor
@@ -166,10 +165,10 @@ func (p *RaceFuzzerPolicy) RaceCreated() bool { return len(p.races) > 0 }
 // livelock-monitor releases), used by ablation benchmarks.
 func (p *RaceFuzzerPolicy) Stats() (released, aged int) { return p.released, p.aged }
 
-// PostponedThreads implements sched.PostponedReporter: the current
+// PostponedThreads implements sched.PostponedReporter: a fresh copy of the
 // postponed set in ascending thread order, surfaced by live scheduler
 // introspection (/debug/sched). Called on the controller goroutine only.
-func (p *RaceFuzzerPolicy) PostponedThreads() []event.ThreadID { return p.sortedPostponed() }
+func (p *RaceFuzzerPolicy) PostponedThreads() []event.ThreadID { return p.postponed.appendSorted(nil) }
 
 // Tracked returns the number of target-statement encounters — the accesses
 // RaceFuzzer actually had to reason about. The paper's low-overhead claim
@@ -177,32 +176,82 @@ func (p *RaceFuzzerPolicy) PostponedThreads() []event.ThreadID { return p.sorted
 // detector must track; the harness reports both side by side.
 func (p *RaceFuzzerPolicy) Tracked() int { return p.tracked }
 
-// sortedPostponed returns the postponed set in ascending thread order so
-// random selections over it are seed-deterministic.
-func (p *RaceFuzzerPolicy) sortedPostponed() []event.ThreadID {
-	out := make([]event.ThreadID, 0, len(p.postponed))
-	for tid := range p.postponed {
-		out = append(out, tid)
+// postponedSet is the postponed set of the directed policies: a
+// ThreadID-indexed table of postpone steps (-1 = absent) plus reused scratch
+// buffers. Index order is ascending thread order — the order the policies
+// got by sorting a map's keys — so every random draw over it is unchanged.
+type postponedSet struct {
+	at   []int
+	keys []event.ThreadID // returned by sorted
+	cand []event.ThreadID // returned by candidates
+}
+
+func (s *postponedSet) has(t event.ThreadID) bool { return int(t) < len(s.at) && s.at[t] >= 0 }
+
+func (s *postponedSet) add(t event.ThreadID, step int) {
+	for int(t) >= len(s.at) {
+		s.at = append(s.at, -1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.at[t] = step
+}
+
+func (s *postponedSet) del(t event.ThreadID) {
+	if s.has(t) {
+		s.at[t] = -1
+	}
+}
+
+// appendSorted appends the members to dst in ascending thread order.
+func (s *postponedSet) appendSorted(dst []event.ThreadID) []event.ThreadID {
+	for tid, step := range s.at {
+		if step >= 0 {
+			dst = append(dst, event.ThreadID(tid))
+		}
+	}
+	return dst
+}
+
+// candidates returns enabled minus the set, in scratch the next call reuses.
+func (s *postponedSet) candidates(enabled []event.ThreadID) []event.ThreadID {
+	s.cand = s.cand[:0]
+	for _, tid := range enabled {
+		if !s.has(tid) {
+			s.cand = append(s.cand, tid)
+		}
+	}
+	return s.cand
+}
+
+// sorted returns the members in ascending thread order in a scratch buffer
+// that the next call overwrites; deleting members does not disturb it.
+func (s *postponedSet) sorted() []event.ThreadID {
+	s.keys = s.appendSorted(s.keys[:0])
+	return s.keys
+}
+
+// postponeBound resolves a MaxPostponeAge setting (0 = the default).
+func postponeBound(maxAge int) int {
+	if maxAge == 0 {
+		return DefaultMaxPostponeAge
+	}
+	return maxAge
+}
+
+// release evicts tid from the postponed set; its next selection runs.
+func (p *RaceFuzzerPolicy) release(tid event.ThreadID) {
+	p.postponed.del(tid)
+	for int(tid) >= len(p.justReleased) {
+		p.justReleased = append(p.justReleased, false)
+	}
+	p.justReleased[tid] = true
 }
 
 // Step implements sched.Policy; it is one iteration of Algorithm 1's loop.
 func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	if p.postponed == nil {
-		p.postponed = make(map[event.ThreadID]int)
-		p.justReleased = make(map[event.ThreadID]bool)
-	}
-	maxAge := p.MaxPostponeAge
-	if maxAge == 0 {
-		maxAge = DefaultMaxPostponeAge
-	}
-	if maxAge > 0 {
-		for _, tid := range p.sortedPostponed() {
-			if v.Step-p.postponed[tid] > maxAge {
-				delete(p.postponed, tid)
-				p.justReleased[tid] = true
+	if maxAge := postponeBound(p.MaxPostponeAge); maxAge > 0 {
+		for _, tid := range p.postponed.sorted() {
+			if v.Step-p.postponed.at[tid] > maxAge {
+				p.release(tid)
 				p.aged++
 				p.Metrics.LivelockBreak()
 				v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
@@ -212,21 +261,15 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	}
 
 	// t := a random thread in Enabled(s) \ postponed   (line 5)
-	cand := make([]event.ThreadID, 0, len(v.Enabled))
-	for _, tid := range v.Enabled {
-		if _, pp := p.postponed[tid]; !pp {
-			cand = append(cand, tid)
-		}
-	}
+	cand := p.postponed.candidates(v.Enabled)
 	if len(cand) == 0 {
 		// postponed ⊇ Enabled(s): remove a random element (lines 26–28).
-		keys := p.sortedPostponed()
+		keys := p.postponed.sorted()
 		if len(keys) == 0 {
 			return sched.Decision{} // no live threads to manage; let the scheduler proceed
 		}
 		evicted := keys[r.Intn(len(keys))]
-		delete(p.postponed, evicted)
-		p.justReleased[evicted] = true
+		p.release(evicted)
 		p.released++
 		p.Metrics.Resume()
 		v.Act(sched.ActionRecord{Kind: sched.ActResume, Step: v.Step, Thread: evicted,
@@ -238,9 +281,9 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 
 	p.steps++
 	p.Metrics.Decision()
-	if p.justReleased[t] {
+	if int(t) < len(p.justReleased) && p.justReleased[t] {
 		// An evicted thread executes its pending statement unconditionally.
-		delete(p.justReleased, t)
+		p.justReleased[t] = false
 		if op.IsMem() && p.inRaceSet(op.Stmt) {
 			p.tracked++
 		}
@@ -250,7 +293,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	if op.IsMem() && p.inRaceSet(op.Stmt) {
 		// R := Racing(s, t, postponed)   (line 7, Algorithm 2)
 		var races []event.ThreadID
-		for _, tid := range p.sortedPostponed() {
+		for _, tid := range p.postponed.sorted() {
 			if v.IsAlive(tid) && v.Op(tid).ConflictsWith(op) {
 				races = append(races, tid)
 			}
@@ -282,25 +325,24 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 				Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock,
 				CandidateFirst: candidateFirst,
 			})
+			rec.CandidateFirst = candidateFirst
+			p.races = append(p.races, rec)
 			if candidateFirst {
-				rec.CandidateFirst = true
-				p.races = append(p.races, rec)
 				p.tracked++
 				return v.Grant(t) // line 12
 			}
-			p.races = append(p.races, rec)
-			p.postponed[t] = v.Step // line 14
+			p.postponed.add(t, v.Step) // line 14
 			p.Metrics.Postpone()
 			v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 				Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
 			for _, tid := range races {
-				delete(p.postponed, tid) // line 17
+				p.postponed.del(tid) // line 17
 			}
 			p.tracked += len(races)
 			return sched.Decision{Grants: races} // line 16
 		}
 		// Wait for a race to happen (line 21).
-		p.postponed[t] = v.Step
+		p.postponed.add(t, v.Step)
 		p.Metrics.Postpone()
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})

@@ -128,7 +128,9 @@ func CallerStmt(skip int) Stmt {
 	// the same file:line — so the formatted, interned label can be cached by
 	// pc. Fork/Join/Interrupt call this on every execution of a model
 	// program; the cache (and using Callers rather than the allocating
-	// runtime.Caller) makes repeat visits allocation-free.
+	// runtime.Caller) makes repeat visits allocation-free. pcbuf must stay on
+	// the stack: handing pcbuf[:] to CallersFrames would move it to the heap
+	// on every call, so the miss path builds its own one-element slice.
 	var pcbuf [1]uintptr
 	if runtime.Callers(skip+2, pcbuf[:]) == 0 {
 		return NoStmt
@@ -140,7 +142,7 @@ func CallerStmt(skip int) Stmt {
 	if hit {
 		return s
 	}
-	frames := runtime.CallersFrames(pcbuf[:])
+	frames := runtime.CallersFrames([]uintptr{pc})
 	frame, _ := frames.Next()
 	file := frame.File
 	// Keep the trailing two path segments: enough to be unique and stable,

@@ -37,8 +37,10 @@ func (v *View) Threads() int { return len(v.sched.threads) }
 // deadlock-directed guidance extension.
 func (v *View) LockHolder(l event.LockID) event.ThreadID { return v.sched.locks[l].holder }
 
-// HeldLocks returns the locks thread t currently holds.
-func (v *View) HeldLocks(t event.ThreadID) []event.LockID { return v.sched.threads[t].held.Slice() }
+// HeldLocks returns the locks thread t currently holds, in ascending order.
+// The slice is the lock set's own storage, handed out without a copy so a
+// policy's per-round query stays allocation-free: treat it as read-only.
+func (v *View) HeldLocks(t event.ThreadID) []event.LockID { return v.sched.threads[t].held.Members() }
 
 // LocName returns the debug name of a memory location (for findings).
 func (v *View) LocName(loc event.MemLoc) string { return v.sched.LocName(loc) }
