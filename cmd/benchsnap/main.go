@@ -26,6 +26,7 @@ import (
 )
 
 func main() {
+	defaults := benchsnap.DefaultCheckOptions()
 	var (
 		suite     = flag.String("suite", "sched", "suite to run: sched or parallel")
 		out       = flag.String("out", "", "snapshot output path (default BENCH_<suite>.json; \"-\" = stdout only)")
@@ -33,9 +34,9 @@ func main() {
 		baseline  = flag.String("baseline", "", "baseline snapshot for -check (default BENCH_<suite>.json)")
 		benchtime = flag.Duration("benchtime", 200*time.Millisecond, "minimum timed span per measurement")
 		seed      = flag.Int64("seed", 12345, "base seed for measured executions")
-		nsTol     = flag.Float64("tolerance", 0.5, "fractional ns/op growth that warns")
-		allocTol  = flag.Float64("alloc-tolerance", 0.1, "fractional allocs/op growth that hard-fails")
-		allocSlk  = flag.Float64("alloc-slack", 64, "absolute allocs/op grace on top of -alloc-tolerance")
+		nsTol     = flag.Float64("tolerance", defaults.NsTolerance, "fractional ns/op growth that warns")
+		allocTol  = flag.Float64("alloc-tolerance", defaults.AllocTolerance, "fractional allocs/op growth that hard-fails")
+		allocSlk  = flag.Float64("alloc-slack", defaults.AllocSlack, "absolute allocs/op grace on top of -alloc-tolerance")
 		perfdir   = flag.String("perfdir", "", "export a sample profiled trial as Perfetto JSON into this directory (sched suite)")
 		note      = flag.String("note", "", "free-form note recorded in the snapshot")
 	)

@@ -77,7 +77,7 @@ func base() *Snapshot {
 
 func TestCompareClean(t *testing.T) {
 	cur := base()
-	warns, fails := Compare(cur, base(), CheckOptions{})
+	warns, fails := Compare(cur, base(), DefaultCheckOptions())
 	if len(warns) != 0 || len(fails) != 0 {
 		t.Fatalf("identical snapshots flagged: warns=%v fails=%v", warns, fails)
 	}
@@ -86,27 +86,47 @@ func TestCompareClean(t *testing.T) {
 func TestCompareAllocRegressionIsHardFailure(t *testing.T) {
 	cur := base()
 	cur.Results[1].AllocsPerOp = 1200 // +20% > 10% tolerance + 64 slack
-	warns, fails := Compare(cur, base(), CheckOptions{})
+	warns, fails := Compare(cur, base(), DefaultCheckOptions())
 	if len(fails) != 1 || !strings.Contains(fails[0], "b: allocs/op 1200") {
 		t.Fatalf("alloc regression not a failure: warns=%v fails=%v", warns, fails)
 	}
 	// Within tolerance+slack passes.
 	cur.Results[1].AllocsPerOp = 1100
-	if _, fails := Compare(cur, base(), CheckOptions{}); len(fails) != 0 {
+	if _, fails := Compare(cur, base(), DefaultCheckOptions()); len(fails) != 0 {
 		t.Fatalf("in-tolerance allocs failed: %v", fails)
 	}
 	// Slack protects near-zero baselines from off-by-a-few noise.
 	cur = base()
 	cur.Results[0].AllocsPerOp = 130
-	if _, fails := Compare(cur, base(), CheckOptions{}); len(fails) != 0 {
+	if _, fails := Compare(cur, base(), DefaultCheckOptions()); len(fails) != 0 {
 		t.Fatalf("slack did not absorb small absolute growth: %v", fails)
+	}
+}
+
+// TestCompareZeroThresholdsAreHonoured: an explicit zero is a real setting,
+// not "use the default" — a slack of 0 must catch one extra allocation on a
+// zero-alloc baseline that the default slack of 64 would absorb.
+func TestCompareZeroThresholdsAreHonoured(t *testing.T) {
+	b := &Snapshot{Schema: SchemaVersion, Suite: "sched", Results: []Result{{Name: "z", NsPerOp: 100, AllocsPerOp: 0}}}
+	cur := &Snapshot{Schema: SchemaVersion, Suite: "sched", Results: []Result{{Name: "z", NsPerOp: 101, AllocsPerOp: 1}}}
+	if _, fails := Compare(cur, b, DefaultCheckOptions()); len(fails) != 0 {
+		t.Fatalf("default slack should absorb one allocation: %v", fails)
+	}
+	strict := DefaultCheckOptions()
+	strict.AllocSlack = 0
+	if _, fails := Compare(cur, b, strict); len(fails) != 1 || !strings.Contains(fails[0], "z: allocs/op 1") {
+		t.Fatalf("slack 0 let a 0→1 allocs/op growth through: %v", fails)
+	}
+	strict.NsTolerance = 0
+	if warns, _ := Compare(cur, b, strict); len(warns) != 1 || !strings.Contains(warns[0], "z: ns/op 101") {
+		t.Fatalf("tolerance 0 did not warn on 1%% ns/op drift: %v", warns)
 	}
 }
 
 func TestCompareNsDriftOnlyWarns(t *testing.T) {
 	cur := base()
 	cur.Results[0].NsPerOp = 10000 // 10x
-	warns, fails := Compare(cur, base(), CheckOptions{})
+	warns, fails := Compare(cur, base(), DefaultCheckOptions())
 	if len(fails) != 0 {
 		t.Fatalf("wall-clock drift hard-failed: %v", fails)
 	}
@@ -119,7 +139,7 @@ func TestCompareMissingAndNewBenchmarks(t *testing.T) {
 	cur := base()
 	cur.Results = cur.Results[:1]
 	cur.Results = append(cur.Results, Result{Name: "c", NsPerOp: 1, AllocsPerOp: 1})
-	warns, fails := Compare(cur, base(), CheckOptions{})
+	warns, fails := Compare(cur, base(), DefaultCheckOptions())
 	if len(fails) != 1 || !strings.Contains(fails[0], `"b" in baseline but not measured`) {
 		t.Fatalf("disappeared benchmark not a failure: %v", fails)
 	}
@@ -132,13 +152,13 @@ func TestCompareSchemaMismatchFails(t *testing.T) {
 	cur := base()
 	b := base()
 	b.Schema = SchemaVersion + 1
-	_, fails := Compare(cur, b, CheckOptions{})
+	_, fails := Compare(cur, b, DefaultCheckOptions())
 	if len(fails) != 1 || !strings.Contains(fails[0], "schema mismatch") {
 		t.Fatalf("schema mismatch not failed: %v", fails)
 	}
 	b = base()
 	b.Suite = "parallel"
-	if _, fails := Compare(cur, b, CheckOptions{}); len(fails) != 1 {
+	if _, fails := Compare(cur, b, DefaultCheckOptions()); len(fails) != 1 {
 		t.Fatalf("suite mismatch not failed: %v", fails)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 )
 
-// CheckOptions tunes Compare's regression thresholds.
+// CheckOptions tunes Compare's regression thresholds. Every field is taken
+// as given — zero means no tolerance at all — so start from
+// DefaultCheckOptions and override what you need.
 type CheckOptions struct {
 	// NsTolerance is the fractional ns/op growth that triggers a warning
 	// (default 0.5 — wall clock on shared CI machines is noisy, so this only
@@ -20,17 +22,9 @@ type CheckOptions struct {
 	AllocSlack float64
 }
 
-func (o CheckOptions) withDefaults() CheckOptions {
-	if o.NsTolerance <= 0 {
-		o.NsTolerance = 0.5
-	}
-	if o.AllocTolerance <= 0 {
-		o.AllocTolerance = 0.1
-	}
-	if o.AllocSlack <= 0 {
-		o.AllocSlack = 64
-	}
-	return o
+// DefaultCheckOptions returns the thresholds documented on CheckOptions.
+func DefaultCheckOptions() CheckOptions {
+	return CheckOptions{NsTolerance: 0.5, AllocTolerance: 0.1, AllocSlack: 64}
 }
 
 // Compare holds cur against base. Failures are regressions CI must reject:
@@ -38,7 +32,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 // beyond tolerance. Warnings are signals worth reading but too noisy to
 // gate on: ns/op drift and benchmarks the baseline doesn't know yet.
 func Compare(cur, base *Snapshot, o CheckOptions) (warnings, failures []string) {
-	o = o.withDefaults()
 	if base.Schema != cur.Schema {
 		failures = append(failures, fmt.Sprintf(
 			"schema mismatch: baseline v%d vs current v%d — regenerate the baseline with this benchsnap",

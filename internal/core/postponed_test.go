@@ -1,0 +1,237 @@
+package core
+
+import (
+	"sort"
+	"testing"
+
+	"racefuzzer/internal/event"
+	"racefuzzer/internal/rng"
+	"racefuzzer/internal/sched"
+)
+
+// TestPostponedSetMatchesSortedMap drives postponedSet and the map+sort
+// model it replaced through random add/del/sorted/candidates sequences: the
+// ascending order is what keeps every policy's random draws, and so every
+// seed's schedule, unchanged.
+func TestPostponedSetMatchesSortedMap(t *testing.T) {
+	r := rng.New(1)
+	for trial := 0; trial < 200; trial++ {
+		var set postponedSet
+		ref := map[event.ThreadID]int{}
+		threads := 1 + r.Intn(12)
+		for op := 0; op < 300; op++ {
+			tid := event.ThreadID(r.Intn(threads))
+			switch r.Intn(4) {
+			case 0:
+				set.add(tid, op)
+				ref[tid] = op
+			case 1:
+				set.del(tid)
+				delete(ref, tid)
+			case 2:
+				want := make([]event.ThreadID, 0, len(ref))
+				for k := range ref {
+					want = append(want, k)
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+				got := set.sorted()
+				if !equalThreads(got, want) {
+					t.Fatalf("trial %d op %d: sorted %v, want %v", trial, op, got, want)
+				}
+				for _, k := range got {
+					if set.at[k] != ref[k] {
+						t.Fatalf("trial %d op %d: thread %s step %d, want %d", trial, op, k, set.at[k], ref[k])
+					}
+				}
+			case 3:
+				var enabled, want []event.ThreadID
+				for k := 0; k < threads+2; k++ {
+					if r.Bool() {
+						enabled = append(enabled, event.ThreadID(k))
+						if _, pp := ref[event.ThreadID(k)]; !pp {
+							want = append(want, event.ThreadID(k))
+						}
+					}
+				}
+				if got := set.candidates(enabled); !equalThreads(got, want) {
+					t.Fatalf("trial %d op %d: candidates(%v) = %v, want %v", trial, op, enabled, got, want)
+				}
+			}
+			if _, in := ref[tid]; set.has(tid) != in {
+				t.Fatalf("trial %d op %d: has(%s) = %v, want %v", trial, op, tid, !in, in)
+			}
+		}
+	}
+}
+
+func equalThreads(a, b []event.ThreadID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPostponedThreadsIsAFreshCopy pins that introspection's snapshot does
+// not alias the policy's scratch: later Steps must not rewrite it.
+func TestPostponedThreadsIsAFreshCopy(t *testing.T) {
+	p := NewRaceFuzzerPolicy(event.MakeStmtPair(event.StmtFor("pt:a"), event.StmtFor("pt:b")))
+	for _, tid := range []event.ThreadID{1, 3, 4} {
+		p.postponed.add(tid, 0)
+	}
+	snap := p.PostponedThreads()
+	p.postponed.del(3)
+	p.postponed.add(2, 1)
+	p.postponed.sorted()
+	p.postponed.candidates([]event.ThreadID{0, 5, 6})
+	if want := []event.ThreadID{1, 3, 4}; !equalThreads(snap, want) {
+		t.Fatalf("snapshot changed under later set traffic: %v, want %v", snap, want)
+	}
+	if len(snap) > 0 && (&snap[0] == &p.postponed.keys[0] || &snap[0] == &p.postponed.cand[0]) {
+		t.Fatal("PostponedThreads returned policy scratch")
+	}
+}
+
+// allocProbe wraps a directed policy. At the first round where ready holds,
+// it measures the inner Step on that frozen view with testing.AllocsPerRun,
+// then lets the run continue. The view stays valid for the whole probe: all
+// model threads are parked at the quiescent point. Each measured call
+// advances the view's step so the livelock monitor's aging path runs too.
+type allocProbe struct {
+	inner  sched.Policy
+	ready  func(v *sched.View) bool
+	allocs float64
+	probed bool
+}
+
+func (a *allocProbe) Name() string { return a.inner.Name() }
+
+func (a *allocProbe) Step(v *sched.View, r *rng.Rand) sched.Decision {
+	if !a.probed && a.ready(v) {
+		a.probed = true
+		step := v.Step
+		a.allocs = testing.AllocsPerRun(500, func() {
+			v.Step++
+			a.inner.Step(v, r)
+		})
+		v.Step = step
+	}
+	return a.inner.Step(v, r)
+}
+
+// pendingKinds counts the enabled threads whose pending op satisfies match.
+func pendingKinds(v *sched.View, match func(sched.Op) bool) int {
+	n := 0
+	for _, tid := range v.Enabled {
+		if match(v.Op(tid)) {
+			n++
+		}
+	}
+	return n
+}
+
+func runAllocProbe(t *testing.T, prog Program, probe *allocProbe) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("allocation probe runs whole executions")
+	}
+	res := sched.Run(prog, sched.Config{Seed: 7, Policy: probe})
+	if res.Deadlock != nil || res.Aborted {
+		t.Fatalf("probe run did not terminate cleanly: %+v", res)
+	}
+	if !probe.probed {
+		t.Fatal("the probed state never occurred")
+	}
+	if probe.allocs != 0 {
+		t.Fatalf("steady-state %s Step allocates %.2f times per call, want 0", probe.Name(), probe.allocs)
+	}
+}
+
+// TestRaceFuzzerStepDoesNotAllocate: three threads wait at a target
+// statement on distinct locations, so no race can be confirmed and the
+// frozen view cycles Algorithm 1 through postpone, line-26 eviction, the
+// just-released grant and livelock aging.
+func TestRaceFuzzerStepDoesNotAllocate(t *testing.T) {
+	target := event.StmtFor("alloc:rf-target")
+	prog := func(mt *sched.Thread) {
+		s := mt.Scheduler()
+		var kids []*sched.Thread
+		for i := 0; i < 3; i++ {
+			loc := s.NewLoc("own")
+			kids = append(kids, mt.Fork("w", func(c *sched.Thread) { c.MemWrite(loc, target) }))
+		}
+		spin := s.NewLoc("spin")
+		kids = append(kids, mt.Fork("spin", func(c *sched.Thread) { c.MemWrite(spin, event.StmtFor("alloc:rf-spin")) }))
+		for _, k := range kids {
+			mt.Join(k)
+		}
+	}
+	pol := &RaceFuzzerPolicy{Target: event.MakeStmtPair(target, target), MaxPostponeAge: 3}
+	runAllocProbe(t, prog, &allocProbe{inner: pol, ready: func(v *sched.View) bool {
+		return pendingKinds(v, func(op sched.Op) bool { return op.IsMem() && op.Stmt == target }) == 3
+	}})
+	if len(pol.Races()) != 0 {
+		t.Fatalf("distinct locations cannot race: %v", pol.Races())
+	}
+	if released, aged := pol.Stats(); released == 0 || aged == 0 {
+		t.Fatalf("probe missed a relief valve: released %d, aged %d", released, aged)
+	}
+}
+
+// TestDeadlockDirectedStepDoesNotAllocate: three threads each hold a lock
+// and are about to take a second, free one, so every selection is a nested
+// acquisition the policy postpones until it must evict one.
+func TestDeadlockDirectedStepDoesNotAllocate(t *testing.T) {
+	prog := func(mt *sched.Thread) {
+		s := mt.Scheduler()
+		var kids []*sched.Thread
+		for i := 0; i < 3; i++ {
+			outer, inner := s.NewLock("outer"), s.NewLock("inner")
+			kids = append(kids, mt.Fork("n", func(c *sched.Thread) {
+				c.LockAcquire(outer, event.StmtFor("alloc:dl-outer"))
+				c.LockAcquire(inner, event.StmtFor("alloc:dl-inner"))
+				c.LockRelease(inner, event.StmtFor("alloc:dl-rel-inner"))
+				c.LockRelease(outer, event.StmtFor("alloc:dl-rel-outer"))
+			}))
+		}
+		for _, k := range kids {
+			mt.Join(k)
+		}
+	}
+	inner := event.StmtFor("alloc:dl-inner")
+	runAllocProbe(t, prog, &allocProbe{inner: &DeadlockDirectedPolicy{MaxPostponeAge: 3},
+		ready: func(v *sched.View) bool {
+			return pendingKinds(v, func(op sched.Op) bool { return op.Kind == sched.OpLock && op.Stmt == inner }) == 3
+		}})
+}
+
+// TestAtomicityDirectedStepDoesNotAllocate: a victim waits at Second while
+// the interferer waits on a different location, so no violation can be
+// confirmed and both sides cycle through postponement and eviction.
+func TestAtomicityDirectedStepDoesNotAllocate(t *testing.T) {
+	first, second := event.StmtFor("alloc:at-first"), event.StmtFor("alloc:at-second")
+	inter := event.StmtFor("alloc:at-inter")
+	prog := func(mt *sched.Thread) {
+		s := mt.Scheduler()
+		block, other := s.NewLoc("block"), s.NewLoc("other")
+		victim := mt.Fork("victim", func(c *sched.Thread) {
+			c.MemRead(block, first)
+			c.MemWrite(block, second)
+		})
+		interferer := mt.Fork("interferer", func(c *sched.Thread) { c.MemWrite(other, inter) })
+		mt.Join(victim)
+		mt.Join(interferer)
+	}
+	pol := &AtomicityDirectedPolicy{MaxPostponeAge: 3,
+		Target: AtomicityTarget{First: first, Second: second, Interferers: []event.Stmt{inter}}}
+	runAllocProbe(t, prog, &allocProbe{inner: pol, ready: func(v *sched.View) bool {
+		return pendingKinds(v, func(op sched.Op) bool { return op.Stmt == second || op.Stmt == inter }) == 2
+	}})
+	if len(pol.Violations()) != 0 {
+		t.Fatalf("distinct locations cannot violate the block: %v", pol.Violations())
+	}
+}

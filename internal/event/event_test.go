@@ -36,6 +36,21 @@ func TestCallerStmt(t *testing.T) {
 	}
 }
 
+// TestCallerStmtHitPathDoesNotAllocate: once a call site is memoized, the
+// lookup must not heap-allocate — model programs label every Fork, Join and
+// Interrupt this way on every execution.
+func TestCallerStmtHitPathDoesNotAllocate(t *testing.T) {
+	var s Stmt
+	label := func() { s = CallerStmt(0) }
+	label() // miss: resolve and memoize the site
+	if n := testing.AllocsPerRun(200, label); n != 0 {
+		t.Fatalf("memoized CallerStmt allocates %.2f times per call, want 0", n)
+	}
+	if !strings.Contains(s.Name(), "event_test.go") {
+		t.Fatalf("CallerStmt = %q, want this file", s.Name())
+	}
+}
+
 func TestStmtPairNormalization(t *testing.T) {
 	a, b := StmtFor("pair:a"), StmtFor("pair:b")
 	p1 := MakeStmtPair(a, b)

@@ -19,6 +19,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -40,6 +41,13 @@ const DefaultLeaseTTL = 10 * time.Second
 // defaultRetryMillis is the wait the coordinator suggests when no unit is
 // pending.
 const defaultRetryMillis = 200
+
+// maxRequestBytes caps every control-plane request body. The largest
+// legitimate body is a unit result with its run records and witness
+// payloads; the cap matches what workers accept in a response, and keeps a
+// broken or hostile client from making the coordinator read without bound.
+// Oversize requests are answered 413.
+const maxRequestBytes = 64 << 20
 
 // CoordinatorConfig parameterizes NewCoordinator.
 type CoordinatorConfig struct {
@@ -84,6 +92,8 @@ type Coordinator struct {
 	clock Clock
 	table *leaseTable
 	gen   string
+	// maxBody is the request-body cap (maxRequestBytes; tests shrink it).
+	maxBody int64
 
 	mu       sync.Mutex
 	workers  map[string]*workerInfo
@@ -122,6 +132,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		clock:    clock,
 		table:    newLeaseTable(clock, cfg.LeaseTTL, cfg.Spans),
 		gen:      fmt.Sprintf("g-%d-%d", os.Getpid(), time.Now().UnixNano()),
+		maxBody:  maxRequestBytes,
 		workers:  make(map[string]*workerInfo),
 		notified: make(map[string]bool),
 		ctx:      ctx,
@@ -345,7 +356,7 @@ func (c *Coordinator) touchWorker(w http.ResponseWriter, workerID, generation st
 // handleRegister admits a worker into the pool.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !readJSON(w, r, &req) {
+	if !c.readJSON(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
@@ -372,7 +383,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 // once the campaign is finished — releases it.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !readJSON(w, r, &req) {
+	if !c.readJSON(w, r, &req) {
 		return
 	}
 	if !c.touchWorker(w, req.WorkerID, req.Generation) {
@@ -405,7 +416,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // handleHeartbeat extends a held lease.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
+	if !c.readJSON(w, r, &req) {
 		return
 	}
 	if !c.touchWorker(w, req.WorkerID, req.Generation) {
@@ -421,7 +432,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // stale-epoch submissions are dropped, not merged twice).
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
-	if !readJSON(w, r, &req) {
+	if !c.readJSON(w, r, &req) {
 		return
 	}
 	if !c.touchWorker(w, req.WorkerID, req.Generation) {
@@ -529,10 +540,16 @@ func (c *Coordinator) publishGauges() {
 	}
 }
 
-// readJSON decodes a request body, answering 400 on malformed input.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSONStatus(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
+// readJSON decodes a request body of at most c.maxBody bytes, answering 413
+// on an oversize body and 400 on malformed input.
+func (c *Coordinator) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.maxBody)).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSONStatus(w, status, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
 		return false
 	}
 	return true
