@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"racefuzzer/internal/bench"
+	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
@@ -212,6 +213,56 @@ func TestEngineGoldenMixed(t *testing.T) {
 			dumpResult(&b, res)
 			goldenCheck(t, "result_mixed_"+tc.name+".txt", b.Bytes())
 			goldenCheck(t, "trace_mixed_"+tc.name+".jsonl", recordingBytes(t, rec.Recording()))
+		})
+	}
+}
+
+// TestEngineGoldenPipelineRunLogs pins the three pipelines' JSONL run logs with every phase-2 attachment on (Sink, Corpus, TraceDir,
+// PerfDir): the finding verdicts, coverage cells, witness and perf paths
+// (temp-dir prefix replaced by $DIR), race counts and steps-to-hit, plus the
+// archived witness file names and bytes. Perf timelines hold wall-clock
+// samples, so only their file names are pinned.
+func TestEngineGoldenPipelineRunLogs(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(Program, Options)
+		prog Program
+		seed int64
+	}{
+		{"race_figure1_s7_capture", func(p Program, o Options) { Analyze(p, o) }, Program(bench.Figure1()), 7},
+		{"deadlock_abba_s5", func(p Program, o Options) { AnalyzeDeadlocks(p, o) }, goldenAbba(), 5},
+		{"atom_lostupdate_s8", func(p Program, o Options) { AnalyzeAtomicity(p, o) }, goldenLostUpdate(), 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var log bytes.Buffer
+			sink := obs.NewJSONLSink(&log)
+			tc.run(tc.prog, Options{
+				Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20,
+				Label: "golden-" + tc.name, Sink: sink, Corpus: corpus.NewStore(),
+				TraceDir: filepath.Join(dir, "traces"), PerfDir: filepath.Join(dir, "perf"),
+			})
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			goldenCheck(t, "runlog_"+tc.name+".jsonl", bytes.ReplaceAll(log.Bytes(), []byte(dir), []byte("$DIR")))
+
+			var w bytes.Buffer
+			for _, sub := range []string{"traces", "perf"} {
+				entries, _ := os.ReadDir(filepath.Join(dir, sub))
+				for _, e := range entries {
+					fmt.Fprintf(&w, "== %s/%s\n", sub, e.Name())
+					if sub == "traces" {
+						data, err := os.ReadFile(filepath.Join(dir, sub, e.Name()))
+						if err != nil {
+							t.Fatal(err)
+						}
+						w.Write(data)
+					}
+				}
+			}
+			goldenCheck(t, "witnesses_"+tc.name+".txt", w.Bytes())
 		})
 	}
 }
