@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"racefuzzer/internal/atomizer"
+	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
 )
@@ -16,49 +18,64 @@ import (
 // DetectAtomicityTargets is the atomicity phase 1: observe Phase1Trials
 // random executions and union the inferred candidates.
 func DetectAtomicityTargets(prog Program, o Options) []AtomicityTarget {
-	o = o.withDefaults()
-	seen := make(map[string]bool)
+	seen := make(map[[2]event.Stmt]bool)
 	var out []AtomicityTarget
-	type obsRun struct {
-		cands []atomizer.Candidate
-		res   *sched.Result
-	}
-	runOrdered(o.workerCount(), o.Phase1Trials,
-		func(i int) obsRun {
-			det := atomizer.New()
-			var rm *obs.RunMetrics
-			if o.observing() {
-				rm = obs.NewRunMetrics()
+	observe(prog, o, "atomicity", nil, atomizer.New, (*atomizer.Detector).Candidates, func(cands []atomizer.Candidate) {
+		for _, c := range cands {
+			if k := [2]event.Stmt{c.First, c.Second}; !seen[k] {
+				seen[k] = true
+				out = append(out, AtomicityTarget{First: c.First, Second: c.Second, Interferers: c.Interferers})
 			}
-			tr := o.Prof.StartTrial(o.Label, o.Seed+int64(i))
-			res := sched.Run(prog, sched.Config{
-				Seed:       o.Seed + int64(i),
-				Policy:     sched.NewRandomPolicy(),
-				Observers:  []sched.Observer{det},
-				MaxSteps:   o.MaxSteps,
-				Metrics:    rm,
-				Introspect: o.Introspect,
-				Prof:       tr,
-			})
-			o.Prof.FinishTrial(tr)
-			return obsRun{cands: det.Candidates(), res: res}
-		},
-		func(i int, r obsRun) {
-			if o.observing() {
-				o.emit(o.phase1Record("atomicity", i, o.Seed+int64(i), r.res))
-			}
-			for _, c := range r.cands {
-				key := fmt.Sprintf("%d/%d", c.First, c.Second)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				out = append(out, AtomicityTarget{
-					First: c.First, Second: c.Second, Interferers: c.Interferers,
-				})
-			}
-		})
+		}
+	})
 	return out
+}
+
+// atomicBlock is the atomicity pipeline's Target: an intended-atomic block
+// and its potential interferers.
+type atomicBlock struct {
+	block AtomicityTarget
+	str   string
+}
+
+func newAtomicBlock(b AtomicityTarget) *atomicBlock {
+	return &atomicBlock{block: b, str: fmt.Sprintf("(%s, %s)", b.First, b.Second)}
+}
+
+func (t *atomicBlock) Kind() string       { return "atomicity" }
+func (t *atomicBlock) String() string     { return t.str }
+func (t *atomicBlock) seedOffset() int    { return 9_000_000 }
+func (t *atomicBlock) configName() string { return "" }
+
+func (t *atomicBlock) policy(o Options, _ *obs.RunMetrics) sched.Policy {
+	pol := NewAtomicityDirectedPolicy(t.block)
+	pol.MaxPostponeAge = o.MaxPostponeAge
+	return pol
+}
+
+// outcome branches on whether the violating run threw.
+func (t *atomicBlock) outcome(pol sched.Policy, res *sched.Result) outcome {
+	v := pol.(*AtomicityDirectedPolicy).Violations()
+	if len(v) == 0 {
+		return outcome{}
+	}
+	branch := "clean"
+	if len(res.Exceptions) > 0 {
+		branch = "threw"
+	}
+	return outcome{hits: len(v), step: v[0].Step, branch: branch}
+}
+
+func (t *atomicBlock) signature() corpus.Signature {
+	return corpus.MakeSignature("atomicity", t.block.First.Name(), t.block.Second.Name(), "violation")
+}
+
+// report narrows the target's tally to its AtomicityReport.
+func (t *atomicBlock) report(p PairReport) AtomicityReport {
+	return AtomicityReport{Target: t.block, Trials: p.Trials, ViolationRuns: p.RaceRuns,
+		Probability: p.Probability, IsReal: p.IsReal, ExceptionRuns: p.ExceptionRuns,
+		FirstTrial: p.FirstRaceTrial, FirstSeed: p.FirstRaceSeed,
+		TracePath: p.TracePath, TraceErr: p.TraceErr, PerfPath: p.PerfPath, PerfErr: p.PerfErr, Known: p.Known}
 }
 
 // AtomicityReport is the phase-2 verdict for one target.
@@ -108,146 +125,19 @@ func (a AtomicityReport) String() string {
 }
 
 // ConfirmAtomicity is the atomicity phase 2. Trials run on the campaign
-// executor and are merged in trial order (see parallel.go).
+// executor and are merged in trial order (see confirm).
 func ConfirmAtomicity(prog Program, target AtomicityTarget, targetIndex int, o Options) AtomicityReport {
-	o = o.withDefaults()
-	agg := newAtomicityAgg(prog, target, targetIndex, o)
-	runOrdered(o.workerCount(), o.Phase2Trials,
-		func(i int) atomicityTrialResult { return atomicityTrial(prog, target, targetIndex, i, o) },
-		agg.add)
-	return agg.finish()
+	t := newAtomicBlock(target)
+	return t.report(confirm(prog, []Target{t}, targetIndex, o)[0])
 }
 
-// atomicityTrialResult is one directed execution's outcome: the scheduler
-// result plus the policy's recorded violations (the policy itself stays
-// worker-local).
-type atomicityTrialResult struct {
-	res        *sched.Result
-	violations []AtomicityViolation
-}
-
-func atomicityTrial(prog Program, target AtomicityTarget, targetIndex, i int, o Options) atomicityTrialResult {
-	seed := pairSeed(o.Seed, targetIndex+9_000_000, i)
-	pol := NewAtomicityDirectedPolicy(target)
-	pol.MaxPostponeAge = o.MaxPostponeAge
-	var rm *obs.RunMetrics
-	if o.observing() {
-		rm = obs.NewRunMetrics()
-	}
-	tr := o.Prof.StartTrial(o.Label, seed)
-	res := sched.Run(prog, sched.Config{
-		Seed: seed, Policy: pol, MaxSteps: o.MaxSteps,
-		Metrics: rm, Introspect: o.Introspect, Prof: tr,
-	})
-	o.Prof.FinishTrial(tr)
-	return atomicityTrialResult{res: res, violations: pol.Violations()}
-}
-
-// atomicityAgg folds ConfirmAtomicity trial results in trial order.
-type atomicityAgg struct {
-	prog        Program
-	targetIndex int
-	o           Options
-	rep         AtomicityReport
-}
-
-func newAtomicityAgg(prog Program, target AtomicityTarget, targetIndex int, o Options) *atomicityAgg {
-	return &atomicityAgg{
-		prog: prog, targetIndex: targetIndex, o: o,
-		rep: AtomicityReport{Target: target, Trials: o.Phase2Trials, FirstTrial: -1},
-	}
-}
-
-func (a *atomicityAgg) add(i int, r atomicityTrialResult) {
-	rep, o := &a.rep, a.o
-	seed := pairSeed(o.Seed, a.targetIndex+9_000_000, i)
-	tracePath := ""
-	perfPath := ""
-	finding := ""
-	newCells := 0
-	if len(r.violations) > 0 {
-		rep.ViolationRuns++
-		if o.Corpus != nil {
-			branch := "clean"
-			if len(r.res.Exceptions) > 0 {
-				branch = "threw"
-			}
-			if o.Corpus.Observe(atomicitySignature(rep.Target), branch) {
-				newCells++
-			}
-		}
-		if rep.FirstTrial < 0 {
-			rep.FirstTrial = i
-			rep.FirstSeed = seed
-			sig := atomicitySignature(rep.Target)
-			pairStr := fmt.Sprintf("(%s, %s)", rep.Target.First, rep.Target.Second)
-			finding = o.reportFinding(sig, pairStr, a.targetIndex, i, seed, runExceptionKinds(r.res))
-			rep.Known = finding == "known"
-			if o.wantWitness(finding) {
-				_, _, witness := RecordAtomicityRun(a.prog, rep.Target, seed, o)
-				tracePath, rep.TraceErr = capture(witness, o.witnessPath("atomicity", a.targetIndex, i))
-				rep.TracePath = tracePath
-				if tracePath != "" {
-					o.Corpus.AttachWitness(sig, tracePath)
-				}
-			}
-			if o.PerfDir != "" {
-				_, tl := ProfileAtomicityRun(a.prog, rep.Target, seed, o)
-				perfPath, rep.PerfErr = savePerf(tl, o.perfPath("atomicity", a.targetIndex, i))
-				rep.PerfPath = perfPath
-			}
-		}
-		if len(r.res.Exceptions) > 0 {
-			rep.ExceptionRuns++
-		}
-	}
-	if o.observing() {
-		rec := o.runRecord("atomicity", a.targetIndex, i, seed, r.res)
-		rec.Pair = fmt.Sprintf("(%s, %s)", rep.Target.First, rep.Target.Second)
-		rec.RaceCreated = len(r.violations) > 0
-		rec.Races = len(r.violations)
-		if len(r.violations) > 0 {
-			rec.StepsToRace = r.violations[0].Step
-		}
-		rec.Trace = tracePath
-		rec.Perf = perfPath
-		rec.Finding = finding
-		rec.NewCells = newCells
-		o.emit(rec)
-	}
-}
-
-func (a *atomicityAgg) finish() AtomicityReport {
-	a.rep.IsReal = a.rep.ViolationRuns > 0
-	a.rep.Probability = float64(a.rep.ViolationRuns) / float64(a.rep.Trials)
-	return a.rep
-}
-
-// AnalyzeAtomicity runs the full atomicity pipeline. Like Analyze, phase 2
-// fans the whole (targetIndex, trial) grid across the campaign executor and
-// merges per target in trial order.
+// AnalyzeAtomicity runs the full atomicity pipeline over one (targetIndex,
+// trial) grid (see confirm).
 func AnalyzeAtomicity(prog Program, o Options) []AtomicityReport {
-	o = o.withDefaults()
-	targets := DetectAtomicityTargets(prog, o)
-	if len(targets) == 0 {
-		return []AtomicityReport{}
-	}
-	trials := o.Phase2Trials
-	aggs := make([]*atomicityAgg, len(targets))
-	for ti, tg := range targets {
-		aggs[ti] = newAtomicityAgg(prog, tg, ti, o)
-	}
-	runOrdered(o.workerCount(), len(targets)*trials,
-		func(k int) atomicityTrialResult {
-			ti, i := k/trials, k%trials
-			return atomicityTrial(prog, targets[ti], ti, i, o)
-		},
-		func(k int, r atomicityTrialResult) {
-			aggs[k/trials].add(k%trials, r)
-		})
+	targets := DetectTargets("atomicity", prog, o)
 	out := make([]AtomicityReport, 0, len(targets))
-	for _, a := range aggs {
-		out = append(out, a.finish())
+	for i, p := range confirm(prog, targets, 0, o) {
+		out = append(out, targets[i].(*atomicBlock).report(p))
 	}
 	return out
 }

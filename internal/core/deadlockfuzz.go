@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
+	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/deadlock"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
@@ -23,67 +26,84 @@ func DetectPotentialDeadlocks(prog Program, o Options) []deadlock.Cycle {
 }
 
 // DetectPotentialDeadlocksWithPolicy is DetectPotentialDeadlocks under an
-// explicit observation policy (nil = random). The graph analysis is
-// predictive: cycles are found even in executions that never deadlock.
-//
-// An explicit policy instance is stateful and shared across the trials, so
-// in that case the trials run sequentially regardless of Options.Workers;
-// with the default (nil) policy each trial builds its own and the trials
-// fan out across the campaign executor.
+// explicit observation policy (nil = random), which makes the trials run
+// sequentially (see observe). The graph analysis is predictive: cycles are
+// found even in executions that never deadlock.
 func DetectPotentialDeadlocksWithPolicy(prog Program, o Options, pol sched.Policy) []deadlock.Cycle {
-	o = o.withDefaults()
-	type key struct{ a, b event.LockID }
-	union := make(map[key]deadlock.Cycle)
-	var order []key
-	workers := o.workerCount()
-	if pol != nil {
-		workers = 1
-	}
-	type obsRun struct {
-		cycles []deadlock.Cycle
-		res    *sched.Result
-	}
-	runOrdered(workers, o.Phase1Trials,
-		func(i int) obsRun {
-			det := deadlock.New()
-			p := pol
-			if p == nil {
-				p = sched.NewRandomPolicy()
+	seen := make(map[[2]event.LockID]bool)
+	var out []deadlock.Cycle
+	observe(prog, o, "deadlock", pol, deadlock.New, (*deadlock.Detector).Cycles, func(cycles []deadlock.Cycle) {
+		for _, c := range cycles {
+			if !seen[c.Locks] {
+				seen[c.Locks] = true
+				out = append(out, c)
 			}
-			var rm *obs.RunMetrics
-			if o.observing() {
-				rm = obs.NewRunMetrics()
-			}
-			tr := o.Prof.StartTrial(o.Label, o.Seed+int64(i))
-			res := sched.Run(prog, sched.Config{
-				Seed:       o.Seed + int64(i),
-				Policy:     p,
-				Observers:  []sched.Observer{det},
-				MaxSteps:   o.MaxSteps,
-				Metrics:    rm,
-				Introspect: o.Introspect,
-				Prof:       tr,
-			})
-			o.Prof.FinishTrial(tr)
-			return obsRun{cycles: det.Cycles(), res: res}
-		},
-		func(i int, r obsRun) {
-			if o.observing() {
-				o.emit(o.phase1Record("deadlock", i, o.Seed+int64(i), r.res))
-			}
-			for _, c := range r.cycles {
-				k := key{c.Locks[0], c.Locks[1]}
-				if _, ok := union[k]; !ok {
-					union[k] = c
-					order = append(order, k)
-				}
-			}
-		})
-	out := make([]deadlock.Cycle, 0, len(order))
-	for _, k := range order {
-		out = append(out, union[k])
-	}
+		}
+	})
 	return out
+}
+
+// lockCycle is the deadlock pipeline's Target: a potential lock-order cycle,
+// confirmed by a deadlock that blocks a thread on one of its locks (so an
+// unrelated deadlock elsewhere in the program does not confirm it).
+type lockCycle struct {
+	cycle deadlock.Cycle
+	str   string
+}
+
+func newLockCycle(c deadlock.Cycle) *lockCycle {
+	return &lockCycle{cycle: c, str: fmt.Sprintf("(%s, %s)", c.Locks[0], c.Locks[1])}
+}
+
+func (t *lockCycle) Kind() string       { return "deadlock" }
+func (t *lockCycle) String() string     { return t.str }
+func (t *lockCycle) seedOffset() int    { return 7_000_000 }
+func (t *lockCycle) configName() string { return "" }
+
+func (t *lockCycle) policy(o Options, _ *obs.RunMetrics) sched.Policy {
+	return &DeadlockDirectedPolicy{TargetLocks: &t.cycle.Locks, MaxPostponeAge: o.MaxPostponeAge}
+}
+
+func (t *lockCycle) outcome(_ sched.Policy, res *sched.Result) outcome {
+	if d := res.Deadlock; d != nil {
+		for _, b := range d.Blocked {
+			if b.Lock == t.cycle.Locks[0] || b.Lock == t.cycle.Locks[1] {
+				return outcome{hits: 1, step: d.Step, branch: "deadlock"}
+			}
+		}
+	}
+	return outcome{}
+}
+
+// signature is the sorted acquisition-statement labels of the cycle.
+func (t *lockCycle) signature() corpus.Signature {
+	names := make([]string, 0, len(t.cycle.Stmts))
+	seen := make(map[string]bool, len(t.cycle.Stmts))
+	for _, s := range t.cycle.Stmts {
+		n := s.Name()
+		if !seen[n] {
+			seen[n] = true
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	// A cycle can involve more than two acquisition sites: the tail is
+	// folded into the second location slot rather than dropped.
+	var a, b string
+	if len(names) > 0 {
+		a, b = names[0], strings.Join(names[1:], "+")
+	}
+	if len(names) == 1 {
+		b = a
+	}
+	return corpus.MakeSignature("deadlock", a, b, "deadlock")
+}
+
+// report narrows the target's tally to its DeadlockReport.
+func (t *lockCycle) report(p PairReport) DeadlockReport {
+	return DeadlockReport{Cycle: t.cycle, Trials: p.Trials, DeadlockRuns: p.RaceRuns,
+		Probability: p.Probability, IsReal: p.IsReal, FirstTrial: p.FirstRaceTrial, FirstSeed: p.FirstRaceSeed,
+		TracePath: p.TracePath, TraceErr: p.TraceErr, PerfPath: p.PerfPath, PerfErr: p.PerfErr, Known: p.Known}
 }
 
 // DeadlockReport is the phase-2 verdict for one potential cycle.
@@ -132,146 +152,19 @@ func (d DeadlockReport) String() string {
 
 // ConfirmDeadlock is the deadlock phase 2: Phase2Trials executions under a
 // DeadlockDirectedPolicy focused on the cycle's lock pair. Trials run on the
-// campaign executor and are merged in trial order (see parallel.go).
+// campaign executor and are merged in trial order (see confirm).
 func ConfirmDeadlock(prog Program, cycle deadlock.Cycle, cycleIndex int, o Options) DeadlockReport {
-	o = o.withDefaults()
-	agg := newDeadlockAgg(prog, cycle, cycleIndex, o)
-	runOrdered(o.workerCount(), o.Phase2Trials,
-		func(i int) *sched.Result { return deadlockTrial(prog, agg.target, cycleIndex, i, o) },
-		agg.add)
-	return agg.finish()
+	t := newLockCycle(cycle)
+	return t.report(confirm(prog, []Target{t}, cycleIndex, o)[0])
 }
 
-// deadlockTrial is one directed execution of the deadlock phase 2.
-func deadlockTrial(prog Program, target [2]event.LockID, cycleIndex, i int, o Options) *sched.Result {
-	pol := NewDeadlockDirectedPolicy()
-	pol.TargetLocks = &target
-	pol.MaxPostponeAge = o.MaxPostponeAge
-	var rm *obs.RunMetrics
-	if o.observing() {
-		rm = obs.NewRunMetrics()
-	}
-	seed := pairSeed(o.Seed, cycleIndex+7_000_000, i)
-	tr := o.Prof.StartTrial(o.Label, seed)
-	res := sched.Run(prog, sched.Config{
-		Seed: seed, Policy: pol, MaxSteps: o.MaxSteps,
-		Metrics: rm, Introspect: o.Introspect, Prof: tr,
-	})
-	o.Prof.FinishTrial(tr)
-	return res
-}
-
-// deadlockAgg folds ConfirmDeadlock trial results in trial order.
-type deadlockAgg struct {
-	prog       Program
-	cycleIndex int
-	o          Options
-	target     [2]event.LockID
-	rep        DeadlockReport
-}
-
-func newDeadlockAgg(prog Program, cycle deadlock.Cycle, cycleIndex int, o Options) *deadlockAgg {
-	return &deadlockAgg{
-		prog: prog, cycleIndex: cycleIndex, o: o,
-		target: [2]event.LockID{cycle.Locks[0], cycle.Locks[1]},
-		rep:    DeadlockReport{Cycle: cycle, Trials: o.Phase2Trials, FirstTrial: -1},
-	}
-}
-
-func (a *deadlockAgg) add(i int, res *sched.Result) {
-	rep, o := &a.rep, a.o
-	seed := pairSeed(o.Seed, a.cycleIndex+7_000_000, i)
-	hit := res.Deadlock != nil && deadlockInvolves(res.Deadlock, a.target)
-	tracePath := ""
-	perfPath := ""
-	finding := ""
-	newCells := 0
-	if hit {
-		rep.DeadlockRuns++
-		if o.Corpus != nil && o.Corpus.Observe(deadlockSignature(rep.Cycle), "deadlock") {
-			newCells++
-		}
-		if rep.FirstTrial < 0 {
-			rep.FirstTrial = i
-			rep.FirstSeed = seed
-			sig := deadlockSignature(rep.Cycle)
-			pairStr := fmt.Sprintf("(%s, %s)", rep.Cycle.Locks[0], rep.Cycle.Locks[1])
-			finding = o.reportFinding(sig, pairStr, a.cycleIndex, i, seed, runExceptionKinds(res))
-			rep.Known = finding == "known"
-			if o.wantWitness(finding) {
-				_, witness := RecordDeadlockRun(a.prog, a.target, seed, o)
-				tracePath, rep.TraceErr = capture(witness, o.witnessPath("deadlock", a.cycleIndex, i))
-				rep.TracePath = tracePath
-				if tracePath != "" {
-					o.Corpus.AttachWitness(sig, tracePath)
-				}
-			}
-			if o.PerfDir != "" {
-				_, tl := ProfileDeadlockRun(a.prog, a.target, seed, o)
-				perfPath, rep.PerfErr = savePerf(tl, o.perfPath("deadlock", a.cycleIndex, i))
-				rep.PerfPath = perfPath
-			}
-		}
-	}
-	if o.observing() {
-		rec := o.runRecord("deadlock", a.cycleIndex, i, seed, res)
-		rec.Pair = fmt.Sprintf("(%s, %s)", rep.Cycle.Locks[0], rep.Cycle.Locks[1])
-		rec.RaceCreated = hit
-		if hit {
-			rec.Races = 1
-			rec.StepsToRace = res.Deadlock.Step
-		}
-		rec.Trace = tracePath
-		rec.Perf = perfPath
-		rec.Finding = finding
-		rec.NewCells = newCells
-		o.emit(rec)
-	}
-}
-
-func (a *deadlockAgg) finish() DeadlockReport {
-	a.rep.IsReal = a.rep.DeadlockRuns > 0
-	a.rep.Probability = float64(a.rep.DeadlockRuns) / float64(a.rep.Trials)
-	return a.rep
-}
-
-// deadlockInvolves reports whether a detected deadlock includes a thread
-// blocked on either target lock (so an unrelated deadlock elsewhere in the
-// program does not confirm this cycle).
-func deadlockInvolves(d *sched.DeadlockInfo, target [2]event.LockID) bool {
-	for _, b := range d.Blocked {
-		if b.Lock == target[0] || b.Lock == target[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// AnalyzeDeadlocks runs the full deadlock pipeline. Like Analyze, phase 2
-// fans the whole (cycleIndex, trial) grid across the campaign executor and
-// merges per cycle in trial order.
+// AnalyzeDeadlocks runs the full deadlock pipeline over one (cycleIndex,
+// trial) grid (see confirm).
 func AnalyzeDeadlocks(prog Program, o Options) []DeadlockReport {
-	o = o.withDefaults()
-	cycles := DetectPotentialDeadlocks(prog, o)
-	if len(cycles) == 0 {
-		return []DeadlockReport{}
-	}
-	trials := o.Phase2Trials
-	aggs := make([]*deadlockAgg, len(cycles))
-	for ci, c := range cycles {
-		aggs[ci] = newDeadlockAgg(prog, c, ci, o)
-	}
-	runOrdered(o.workerCount(), len(cycles)*trials,
-		func(k int) *sched.Result {
-			ci, i := k/trials, k%trials
-			return deadlockTrial(prog, aggs[ci].target, ci, i, o)
-		},
-		func(k int, res *sched.Result) {
-			aggs[k/trials].add(k%trials, res)
-		})
-	out := make([]DeadlockReport, 0, len(cycles))
-	for _, a := range aggs {
-		out = append(out, a.finish())
+	targets := DetectTargets("deadlock", prog, o)
+	out := make([]DeadlockReport, 0, len(targets))
+	for i, p := range confirm(prog, targets, 0, o) {
+		out = append(out, targets[i].(*lockCycle).report(p))
 	}
 	return out
 }

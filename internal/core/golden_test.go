@@ -24,6 +24,7 @@ import (
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/deadlock"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
@@ -128,11 +129,11 @@ func TestEngineGoldenRace(t *testing.T) {
 // recorded runs (the same Save bytes witness auto-capture archives).
 func TestEngineGoldenRaceTraces(t *testing.T) {
 	for _, seed := range []int64{7, 999, 12345} {
-		rr, rec := RecordRace(Program(bench.Figure1()), bench.Fig1PairZ, seed,
+		res, races, rec := Record(Program(bench.Figure1()), newRaceTarget(bench.Fig1PairZ), seed,
 			Options{Label: "golden-trace"}.withDefaults())
 		var b bytes.Buffer
-		fmt.Fprintf(&b, "raceCreated=%v races=%d\n", rr.RaceCreated, len(rr.Races))
-		dumpResult(&b, rr.Result)
+		fmt.Fprintf(&b, "raceCreated=%v races=%d\n", races > 0, races)
+		dumpResult(&b, res)
 		goldenCheck(t, fmt.Sprintf("result_race_figure1_s%d.txt", seed), b.Bytes())
 		goldenCheck(t, fmt.Sprintf("trace_race_figure1_s%d.jsonl", seed), recordingBytes(t, rec))
 	}
@@ -143,7 +144,7 @@ func TestEngineGoldenRaceTraces(t *testing.T) {
 // AnalyzeDeadlocks report.
 func TestEngineGoldenDeadlock(t *testing.T) {
 	prog := goldenAbba()
-	res, rec := RecordDeadlockRun(prog, [2]event.LockID{0, 1}, 5,
+	res, _, rec := Record(prog, newLockCycle(deadlock.Cycle{Locks: [2]event.LockID{0, 1}}), 5,
 		Options{Label: "golden-abba"}.withDefaults())
 	var b bytes.Buffer
 	dumpResult(&b, res)
@@ -169,9 +170,9 @@ func TestEngineGoldenAtomicity(t *testing.T) {
 		fmt.Fprintf(&b, "target %s..%s interferers=%d\n", tg.First, tg.Second, len(tg.Interferers))
 	}
 	if len(targets) > 0 {
-		res, viols, rec := RecordAtomicityRun(prog, targets[0], 8,
+		res, viols, rec := Record(prog, newAtomicBlock(targets[0]), 8,
 			Options{Label: "golden-atom"}.withDefaults())
-		fmt.Fprintf(&b, "violations=%d\n", len(viols))
+		fmt.Fprintf(&b, "violations=%d\n", viols)
 		dumpResult(&b, res)
 		goldenCheck(t, "trace_atom_lostupdate_s8.jsonl", recordingBytes(t, rec))
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"racefuzzer/internal/corpus"
@@ -108,52 +107,23 @@ func (o Options) emit(rec obs.RunRecord) {
 	obs.Emit(o.Sink, rec)
 }
 
-// phase1Record assembles the record of one phase-1 detector observation.
-func (o Options) phase1Record(kind string, trial int, seed int64, res *sched.Result) obs.RunRecord {
+// runRecord assembles the common fields of a run record from a scheduler
+// result. Phase-1 records (pairIndex -1) carry no exception kinds.
+func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result) obs.RunRecord {
 	rec := obs.RunRecord{
-		Phase: 1, Kind: kind, PairIndex: -1, Trial: trial, Round: o.Round,
-		Seed: seed, StepsToRace: -1,
-		Deadlock: res.Deadlock != nil, Aborted: res.Aborted,
+		Phase: phase, Kind: kind, PairIndex: pairIndex, Trial: trial, Round: o.Round,
+		Seed: seed, StepsToRace: -1, Deadlock: res.Deadlock != nil, Aborted: res.Aborted,
 		Steps: res.Steps, Stats: res.Stats,
 	}
-	o.stampTiming(&rec, res)
-	return rec
-}
-
-// runRecord assembles the common fields of a phase-2 record from a
-// scheduler result.
-func (o Options) runRecord(kind string, pairIndex, trial int, seed int64, res *sched.Result) obs.RunRecord {
-	rec := obs.RunRecord{
-		Phase:       2,
-		Kind:        kind,
-		PairIndex:   pairIndex,
-		Trial:       trial,
-		Round:       o.Round,
-		Seed:        seed,
-		StepsToRace: -1,
-		Deadlock:    res.Deadlock != nil,
-		Aborted:     res.Aborted,
-		Steps:       res.Steps,
-		Stats:       res.Stats,
+	if phase == 2 {
+		rec.Exceptions = runExceptionKinds(res)
 	}
-	seen := make(map[string]bool)
-	for _, ex := range res.Exceptions {
-		k := exceptionKind(ex)
-		if !seen[k] {
-			seen[k] = true
-			rec.Exceptions = append(rec.Exceptions, k)
-		}
-	}
-	o.stampTiming(&rec, res)
-	return rec
-}
-
-// stampTiming copies the run's wall clock onto the record when the campaign
-// opted into -timing (zeroed otherwise — see RunRecord.DurationNs).
-func (o Options) stampTiming(rec *obs.RunRecord, res *sched.Result) {
+	// Wall time only when the campaign opted into -timing (zeroed otherwise
+	// — see RunRecord.DurationNs).
 	if o.Timing && res.Stats != nil {
 		rec.DurationNs = res.Stats.Wall.Nanoseconds()
 	}
+	return rec
 }
 
 func (o Options) withDefaults() Options {
@@ -175,46 +145,58 @@ func pairSeed(base int64, pi, i int) int64 {
 // scheduler with the hybrid detector attached and union the potentially
 // racing statement pairs over the trials.
 func DetectPotentialRaces(prog Program, o Options) []event.StmtPair {
-	o = o.withDefaults()
 	union := make(map[event.StmtPair]bool)
-	type obsRun struct {
-		pairs []event.StmtPair
-		res   *sched.Result
-	}
-	runOrdered(o.workerCount(), o.Phase1Trials,
-		func(i int) obsRun {
-			det := hybrid.New()
-			var rm *obs.RunMetrics
-			if o.observing() {
-				rm = obs.NewRunMetrics()
-			}
-			tr := o.Prof.StartTrial(o.Label, o.Seed+int64(i))
-			res := sched.Run(prog, sched.Config{
-				Seed:       o.Seed + int64(i),
-				Policy:     sched.NewRandomPolicy(),
-				Observers:  []sched.Observer{det},
-				MaxSteps:   o.MaxSteps,
-				Metrics:    rm,
-				Introspect: o.Introspect,
-				Prof:       tr,
-			})
-			o.Prof.FinishTrial(tr)
-			return obsRun{pairs: det.Pairs(), res: res}
-		},
-		func(i int, r obsRun) {
-			for _, p := range r.pairs {
-				union[p] = true
-			}
-			if o.observing() {
-				o.emit(o.phase1Record("race", i, o.Seed+int64(i), r.res))
-			}
-		})
+	observe(prog, o, "race", nil, hybrid.New, (*hybrid.Detector).Pairs, func(pairs []event.StmtPair) {
+		for _, p := range pairs {
+			union[p] = true
+		}
+	})
 	out := make([]event.StmtPair, 0, len(union))
 	for p := range union {
 		out = append(out, p)
 	}
 	event.SortStmtPairs(out)
 	return out
+}
+
+// raceTarget is the race pipeline's Target: a potentially racing statement
+// pair, or (set non-nil) FuzzSet's union RaceSet.
+type raceTarget struct {
+	pair            event.StmtPair
+	set             []event.StmtPair
+	kind, str, name string
+	offset          int
+}
+
+func newRaceTarget(pair event.StmtPair) *raceTarget {
+	str := pair.String()
+	return &raceTarget{pair: pair, kind: "race", str: str, name: "racefuzzer" + str}
+}
+
+func (t *raceTarget) Kind() string       { return t.kind }
+func (t *raceTarget) String() string     { return t.str }
+func (t *raceTarget) seedOffset() int    { return t.offset }
+func (t *raceTarget) configName() string { return t.name }
+
+func (t *raceTarget) policy(o Options, rm *obs.RunMetrics) sched.Policy {
+	return &RaceFuzzerPolicy{Target: t.pair, Targets: t.set, MaxPostponeAge: o.MaxPostponeAge, Metrics: rm}
+}
+
+func (t *raceTarget) outcome(pol sched.Policy, _ *sched.Result) outcome {
+	races := pol.(*RaceFuzzerPolicy).Races()
+	if len(races) == 0 {
+		return outcome{}
+	}
+	// The branch is the §3 coin flip that resolved the race.
+	branch := "postponed-first"
+	if races[0].CandidateFirst {
+		branch = "candidate-first"
+	}
+	return outcome{hits: len(races), step: races[0].Step, branch: branch}
+}
+
+func (t *raceTarget) signature() corpus.Signature {
+	return corpus.MakeSignature("race", t.pair.A.Name(), t.pair.B.Name(), "race")
 }
 
 // RunReport is the outcome of one phase-2 execution.
@@ -229,22 +211,9 @@ type RunReport struct {
 // pair with the given seed. Re-invoking with the same arguments replays the
 // identical execution — the paper's lightweight replay.
 func FuzzRun(prog Program, pair event.StmtPair, seed int64, o Options) *RunReport {
-	pol := &RaceFuzzerPolicy{Target: pair, MaxPostponeAge: o.MaxPostponeAge}
-	var rm *obs.RunMetrics
-	if o.observing() {
-		rm = obs.NewRunMetrics()
-		pol.Metrics = rm
-	}
-	tr := o.Prof.StartTrial(o.Label, seed)
-	res := sched.Run(prog, sched.Config{
-		Seed: seed, Policy: pol, MaxSteps: o.MaxSteps,
-		Name:       fmt.Sprintf("racefuzzer%v", pair),
-		Metrics:    rm,
-		Introspect: o.Introspect,
-		Prof:       tr,
-	})
-	o.Prof.FinishTrial(tr)
-	return &RunReport{Seed: seed, Result: res, Races: pol.Races(), RaceCreated: pol.RaceCreated()}
+	res, pol := o.trial(prog, newRaceTarget(pair), seed)
+	rf := pol.(*RaceFuzzerPolicy)
+	return &RunReport{Seed: seed, Result: res, Races: rf.Races(), RaceCreated: rf.RaceCreated()}
 }
 
 // Replay re-executes a prior FuzzRun from its seed. It is literally FuzzRun
@@ -335,124 +304,9 @@ func (p PairReport) String() string {
 // (Options.Workers); results are folded in trial order, so the report is
 // identical at any worker count.
 func FuzzPair(prog Program, pair event.StmtPair, pairIndex int, o Options) PairReport {
-	o = o.withDefaults()
-	agg := newPairAgg(prog, pair, pairIndex, o)
-	runOrdered(o.workerCount(), o.Phase2Trials,
-		func(i int) *RunReport {
-			return FuzzRun(prog, pair, pairSeed(o.Seed, pairIndex, i), o)
-		},
-		agg.add)
-	return agg.finish()
-}
-
-// pairAgg folds one pair's phase-2 trial results into a PairReport. add must
-// be called in strictly increasing trial order — the executor guarantees it —
-// so first-trial fields, histogram contents and record emission are the
-// sequential loop's, whatever order trials actually executed in.
-type pairAgg struct {
-	prog        Program
-	pairIndex   int
-	o           Options
-	rep         PairReport
-	kinds       map[string]bool
-	stepsToRace *obs.Histogram
-}
-
-func newPairAgg(prog Program, pair event.StmtPair, pairIndex int, o Options) *pairAgg {
-	a := &pairAgg{
-		prog: prog, pairIndex: pairIndex, o: o,
-		rep:   PairReport{Pair: pair, Trials: o.Phase2Trials, FirstRaceTrial: -1, FirstExceptionTrial: -1},
-		kinds: make(map[string]bool),
-	}
-	if o.observing() {
-		a.stepsToRace = obs.NewStepsToRaceHistogram()
-	}
-	return a
-}
-
-// add folds trial i. The witness-capture re-run for the first confirming
-// trial happens here, on the consuming goroutine: under a parallel executor
-// it is an ordinary extra task that never blocks the trial pool, and because
-// add observes trials in order it records the deterministic first confirming
-// trial, not the first to finish.
-func (a *pairAgg) add(i int, run *RunReport) {
-	rep, o, seed := &a.rep, a.o, run.Seed
-	rep.TotalSteps += int64(run.Result.Steps)
-	firstRaceStep := -1
-	tracePath := ""
-	perfPath := ""
-	finding := ""
-	newCells := 0
-	if run.RaceCreated {
-		firstRaceStep = run.Races[0].Step
-		a.stepsToRace.Observe(float64(firstRaceStep))
-		rep.RaceRuns++
-		if o.Corpus != nil && o.Corpus.Observe(raceSignature(rep.Pair), raceBranch(run.Races[0])) {
-			newCells++
-		}
-		if rep.FirstRaceTrial < 0 {
-			rep.FirstRaceTrial = i
-			rep.FirstRaceSeed = seed
-			sig := raceSignature(rep.Pair)
-			finding = o.reportFinding(sig, rep.Pair.String(), a.pairIndex, i, seed, runExceptionKinds(run.Result))
-			rep.Known = finding == "known"
-			if o.wantWitness(finding) {
-				_, witness := RecordRace(a.prog, rep.Pair, seed, o)
-				tracePath, rep.TraceErr = capture(witness, o.witnessPath("race", a.pairIndex, i))
-				rep.TracePath = tracePath
-				if tracePath != "" {
-					o.Corpus.AttachWitness(sig, tracePath)
-				}
-			}
-			if o.PerfDir != "" {
-				_, tl := ProfileRace(a.prog, rep.Pair, seed, o)
-				perfPath, rep.PerfErr = savePerf(tl, o.perfPath("race", a.pairIndex, i))
-				rep.PerfPath = perfPath
-			}
-		}
-		if len(run.Result.Exceptions) > 0 {
-			rep.ExceptionRuns++
-			if rep.FirstExceptionTrial < 0 {
-				rep.FirstExceptionTrial = i
-				rep.FirstExceptionSeed = seed
-			}
-			for _, ex := range run.Result.Exceptions {
-				a.kinds[exceptionKind(ex)] = true
-			}
-		}
-	}
-	if run.Result.Deadlock != nil {
-		rep.DeadlockRuns++
-	}
-	if stats := run.Result.Stats; stats != nil {
-		rep.TotalSwitches += int64(stats.Switches)
-		rep.TotalDecisions += int64(stats.Decisions)
-		rep.TotalPostpones += int64(stats.Postpones)
-	}
-	if o.observing() {
-		rec := o.runRecord("race", a.pairIndex, i, seed, run.Result)
-		rec.Pair = rep.Pair.String()
-		rec.RaceCreated = run.RaceCreated
-		rec.Races = len(run.Races)
-		rec.StepsToRace = firstRaceStep
-		rec.Trace = tracePath
-		rec.Perf = perfPath
-		rec.Finding = finding
-		rec.NewCells = newCells
-		o.emit(rec)
-	}
-}
-
-func (a *pairAgg) finish() PairReport {
-	rep := &a.rep
-	rep.StepsToRace = a.stepsToRace.Snapshot()
-	rep.IsReal = rep.RaceRuns > 0
-	rep.Probability = float64(rep.RaceRuns) / float64(rep.Trials)
-	for k := range a.kinds {
-		rep.ExceptionKinds = append(rep.ExceptionKinds, k)
-	}
-	sort.Strings(rep.ExceptionKinds)
-	return a.rep
+	rep := confirm(prog, []Target{newRaceTarget(pair)}, pairIndex, o)[0]
+	rep.Pair = pair
+	return rep
 }
 
 // exceptionKind reduces an exception to its class-like prefix, so distinct
@@ -497,28 +351,15 @@ func (s SetReport) Confirmed() []event.StmtPair {
 func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 	o = o.withDefaults()
 	rep := SetReport{Pairs: pairs, Trials: o.Phase2Trials, ConfirmedRuns: make(map[event.StmtPair]int)}
+	set := &raceTarget{set: pairs, kind: "race-set", offset: 3_000_000}
 	type setRun struct {
-		res     *sched.Result
-		races   []RealRace
-		created bool
+		res   *sched.Result
+		races []RealRace
 	}
 	runOrdered(o.workerCount(), o.Phase2Trials,
 		func(i int) setRun {
-			seed := pairSeed(o.Seed, 3_000_000, i)
-			pol := NewRaceFuzzerSetPolicy(pairs)
-			pol.MaxPostponeAge = o.MaxPostponeAge
-			var rm *obs.RunMetrics
-			if o.observing() {
-				rm = obs.NewRunMetrics()
-				pol.Metrics = rm
-			}
-			tr := o.Prof.StartTrial(o.Label, seed)
-			res := sched.Run(prog, sched.Config{
-				Seed: seed, Policy: pol, MaxSteps: o.MaxSteps,
-				Metrics: rm, Introspect: o.Introspect, Prof: tr,
-			})
-			o.Prof.FinishTrial(tr)
-			return setRun{res: res, races: pol.Races(), created: pol.RaceCreated()}
+			res, pol := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
+			return setRun{res: res, races: pol.(*RaceFuzzerPolicy).Races()}
 		},
 		func(i int, r setRun) {
 			seen := make(map[event.StmtPair]bool)
@@ -528,14 +369,14 @@ func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 					rep.ConfirmedRuns[rr.Target]++
 				}
 			}
-			if r.created && len(r.res.Exceptions) > 0 {
+			created := len(r.races) > 0
+			if created && len(r.res.Exceptions) > 0 {
 				rep.ExceptionRuns++
 			}
 			if o.observing() {
-				rec := o.runRecord("race-set", -1, i, pairSeed(o.Seed, 3_000_000, i), r.res)
-				rec.RaceCreated = r.created
-				rec.Races = len(r.races)
-				if len(r.races) > 0 {
+				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res)
+				rec.RaceCreated, rec.Races = created, len(r.races)
+				if created {
 					rec.StepsToRace = r.races[0].Step
 				}
 				o.emit(rec)
@@ -611,33 +452,18 @@ func (r *Report) TotalDecisions() int64 {
 }
 
 // Analyze runs the complete pipeline: phase 1, then phase 2 for every
-// reported pair. Phase 2 fans the whole (pairIndex, trial) grid across the
-// campaign executor rather than parallelizing pair-by-pair, so a pair with a
-// straggling trial never idles the pool; per-pair aggregation still happens
-// in (pairIndex, trial) order, keeping the report bit-identical at any
-// worker count.
+// reported pair over one (pairIndex, trial) grid (see confirm), so the
+// report is bit-identical at any worker count.
 func Analyze(prog Program, o Options) *Report {
 	o = o.withDefaults()
 	rep := &Report{Potential: DetectPotentialRaces(prog, o)}
-	npairs := len(rep.Potential)
-	if npairs == 0 {
-		return rep
+	targets := make([]Target, len(rep.Potential))
+	for i, p := range rep.Potential {
+		targets[i] = newRaceTarget(p)
 	}
-	trials := o.Phase2Trials
-	aggs := make([]*pairAgg, npairs)
-	for pi, pair := range rep.Potential {
-		aggs[pi] = newPairAgg(prog, pair, pi, o)
-	}
-	runOrdered(o.workerCount(), npairs*trials,
-		func(k int) *RunReport {
-			pi, i := k/trials, k%trials
-			return FuzzRun(prog, rep.Potential[pi], pairSeed(o.Seed, pi, i), o)
-		},
-		func(k int, run *RunReport) {
-			aggs[k/trials].add(k%trials, run)
-		})
-	for _, a := range aggs {
-		rep.Pairs = append(rep.Pairs, a.finish())
+	for i, pr := range confirm(prog, targets, 0, o) {
+		pr.Pair = rep.Potential[i]
+		rep.Pairs = append(rep.Pairs, pr)
 	}
 	return rep
 }

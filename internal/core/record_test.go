@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"racefuzzer/internal/bench"
-	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
 )
@@ -31,51 +30,35 @@ func TestRecordedReplayByteIdentical(t *testing.T) {
 	seeds := []int64{3, 47, 901, -12}
 	o := Options{Label: "determinism"}
 
-	t.Run("race", func(t *testing.T) {
+	check := func(t *testing.T, prog func() Program, tg Target) {
+		t.Helper()
 		for _, seed := range seeds {
-			if d := VerifyRaceReplay(bench.Figure2(20), bench.Fig2Pair, seed, o); d != nil {
+			if d := VerifyReplay(prog(), tg, seed, o); d != nil {
 				t.Fatalf("seed %d: %v", seed, d)
 			}
-			_, a := RecordRace(bench.Figure2(20), bench.Fig2Pair, seed, o)
-			_, b := RecordRace(bench.Figure2(20), bench.Fig2Pair, seed, o)
+			_, _, a := Record(prog(), tg, seed, o)
+			_, _, b := Record(prog(), tg, seed, o)
 			if !bytes.Equal(recordingBytes(t, a), recordingBytes(t, b)) {
 				t.Fatalf("seed %d: serialized recordings differ", seed)
 			}
 		}
+	}
+	t.Run("race", func(t *testing.T) {
+		check(t, func() Program { return bench.Figure2(20) }, newRaceTarget(bench.Fig2Pair))
 	})
 	t.Run("deadlock", func(t *testing.T) {
-		cycles := DetectPotentialDeadlocks(abbaProgram(), Options{Seed: 5, Phase1Trials: 6})
-		if len(cycles) != 1 {
-			t.Fatalf("cycles = %v", cycles)
+		targets := DetectTargets("deadlock", abbaProgram(), Options{Seed: 5, Phase1Trials: 6})
+		if len(targets) != 1 {
+			t.Fatalf("cycles = %v", targets)
 		}
-		target := [2]event.LockID{cycles[0].Locks[0], cycles[0].Locks[1]}
-		for _, seed := range seeds {
-			if d := VerifyDeadlockReplay(abbaProgram(), target, seed, o); d != nil {
-				t.Fatalf("seed %d: %v", seed, d)
-			}
-			_, a := RecordDeadlockRun(abbaProgram(), target, seed, o)
-			_, b := RecordDeadlockRun(abbaProgram(), target, seed, o)
-			if !bytes.Equal(recordingBytes(t, a), recordingBytes(t, b)) {
-				t.Fatalf("seed %d: serialized recordings differ", seed)
-			}
-		}
+		check(t, abbaProgram, targets[0])
 	})
 	t.Run("atomicity", func(t *testing.T) {
-		targets := DetectAtomicityTargets(lostUpdateProgram(nil), Options{Seed: 8, Phase1Trials: 6})
+		targets := DetectTargets("atomicity", lostUpdateProgram(nil), Options{Seed: 8, Phase1Trials: 6})
 		if len(targets) == 0 {
 			t.Fatal("no atomicity targets inferred")
 		}
-		tg := targets[0]
-		for _, seed := range seeds {
-			if d := VerifyAtomicityReplay(lostUpdateProgram(nil), tg, seed, o); d != nil {
-				t.Fatalf("seed %d: %v", seed, d)
-			}
-			_, _, a := RecordAtomicityRun(lostUpdateProgram(nil), tg, seed, o)
-			_, _, b := RecordAtomicityRun(lostUpdateProgram(nil), tg, seed, o)
-			if !bytes.Equal(recordingBytes(t, a), recordingBytes(t, b)) {
-				t.Fatalf("seed %d: serialized recordings differ", seed)
-			}
-		}
+		check(t, func() Program { return lostUpdateProgram(nil) }, targets[0])
 	})
 }
 
@@ -83,7 +66,7 @@ func TestRecordedReplayByteIdentical(t *testing.T) {
 // and checks the detector names exactly that record index — the "fails
 // loudly with the first divergent step" contract.
 func TestDivergeReportsExactPerturbedRecord(t *testing.T) {
-	_, want := RecordRace(bench.Figure2(10), bench.Fig2Pair, 7, Options{})
+	_, _, want := Record(bench.Figure2(10), newRaceTarget(bench.Fig2Pair), 7, Options{})
 	if len(want.Records) < 10 {
 		t.Fatalf("recording too short: %d records", len(want.Records))
 	}
@@ -200,7 +183,7 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	if loaded.Header.Seed != rep.FirstRaceSeed || loaded.Header.Kind != "race" {
 		t.Fatalf("witness header = %+v", loaded.Header)
 	}
-	_, fresh := RecordRace(bench.Figure2(20), bench.Fig2Pair, rep.FirstRaceSeed, o)
+	_, _, fresh := Record(bench.Figure2(20), newRaceTarget(bench.Fig2Pair), rep.FirstRaceSeed, o)
 	if d := flightrec.Diverge(fresh, loaded); d != nil {
 		t.Fatalf("witness does not replay: %v", d)
 	}

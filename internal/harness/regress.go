@@ -3,11 +3,11 @@ package harness
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
 )
 
@@ -19,7 +19,7 @@ import (
 //
 //  1. the target is still reported by phase 1 (no silent signature churn);
 //  2. the witness seed still confirms the finding, and replaying it twice
-//     produces identical recordings (the Verify*Replay determinism check);
+//     produces identical recordings (core.VerifyReplay's determinism check);
 //  3. when a witness trace was archived, the fresh recording is record-for-
 //     record identical to the stored one — any change to seed derivation,
 //     policy decisions or the event stream fails loudly with the first
@@ -65,28 +65,17 @@ type regressKey struct {
 
 // regressCtx caches re-derived phase-1 target lists across findings.
 type regressCtx struct {
-	store *corpus.Store
-	races map[regressKey][]event.StmtPair
-	dls   map[regressKey][]dlTarget
-	ats   map[regressKey][]core.AtomicityTarget
-}
-
-// dlTarget pairs a re-derived cycle's lock pair with its rendered form (the
-// form findings store in Finding.Pair).
-type dlTarget struct {
-	locks [2]event.LockID
-	str   string
+	store   *corpus.Store
+	targets map[regressKey][]core.Target
+	// lookup resolves a finding's benchmark (bench.ByName; tests swap in
+	// programs that are not registered).
+	lookup func(string) (bench.Benchmark, bool)
 }
 
 // Regress replays every stored finding and returns the per-finding verdicts
 // plus an overall pass flag.
 func Regress(store *corpus.Store) ([]RegressResult, bool) {
-	ctx := &regressCtx{
-		store: store,
-		races: make(map[regressKey][]event.StmtPair),
-		dls:   make(map[regressKey][]dlTarget),
-		ats:   make(map[regressKey][]core.AtomicityTarget),
-	}
+	ctx := &regressCtx{store: store, targets: make(map[regressKey][]core.Target), lookup: bench.ByName}
 	findings := store.Findings()
 	results := make([]RegressResult, 0, len(findings))
 	ok := true
@@ -102,7 +91,7 @@ func Regress(store *corpus.Store) ([]RegressResult, bool) {
 
 func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 	out := RegressResult{Finding: f, Status: RegressOK}
-	b, found := bench.ByName(f.Bench)
+	b, found := ctx.lookup(f.Bench)
 	if !found {
 		out.Status = RegressBenchMissing
 		out.Detail = fmt.Sprintf("benchmark %q not registered", f.Bench)
@@ -115,112 +104,27 @@ func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 		Label:        f.Bench,
 	}
 	key := regressKey{f.Bench, f.Sig.Kind, f.FirstSeenSeed, f.Phase1Trials, f.MaxSteps}
-
-	var fresh *flightrec.Recording
-	switch f.Sig.Kind {
-	case "race":
-		pairs, cached := ctx.races[key]
-		if !cached {
-			pairs = core.DetectPotentialRaces(b.New(), opts)
-			ctx.races[key] = pairs
-		}
-		idx := -1
-		for i, p := range pairs {
-			if p.String() == f.Pair {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			out.Status = RegressTargetMissing
-			out.Detail = fmt.Sprintf("phase 1 no longer reports %s", f.Pair)
-			return out
-		}
-		run, rec := core.RecordRace(b.New(), pairs[idx], f.WitnessSeed, opts)
-		_, rec2 := core.RecordRace(b.New(), pairs[idx], f.WitnessSeed, opts)
-		if div := flightrec.Diverge(rec2, rec); div != nil {
-			out.Status = RegressDiverged
-			out.Detail = "replay nondeterministic: " + div.String()
-			return out
-		}
-		if !run.RaceCreated {
-			out.Status = RegressNotReproduced
-			out.Detail = fmt.Sprintf("seed %d no longer creates the race", f.WitnessSeed)
-			return out
-		}
-		fresh = rec
-	case "deadlock":
-		targets, cached := ctx.dls[key]
-		if !cached {
-			cycles := core.DetectPotentialDeadlocks(b.New(), opts)
-			targets = make([]dlTarget, len(cycles))
-			for i, c := range cycles {
-				targets[i] = dlTarget{
-					locks: [2]event.LockID{c.Locks[0], c.Locks[1]},
-					str:   fmt.Sprintf("(%s, %s)", c.Locks[0], c.Locks[1]),
-				}
-			}
-			ctx.dls[key] = targets
-		}
-		idx := -1
-		for i, t := range targets {
-			if t.str == f.Pair {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			out.Status = RegressTargetMissing
-			out.Detail = fmt.Sprintf("phase 1 no longer reports cycle %s", f.Pair)
-			return out
-		}
-		res, rec := core.RecordDeadlockRun(b.New(), targets[idx].locks, f.WitnessSeed, opts)
-		_, rec2 := core.RecordDeadlockRun(b.New(), targets[idx].locks, f.WitnessSeed, opts)
-		if div := flightrec.Diverge(rec2, rec); div != nil {
-			out.Status = RegressDiverged
-			out.Detail = "replay nondeterministic: " + div.String()
-			return out
-		}
-		if res.Deadlock == nil {
-			out.Status = RegressNotReproduced
-			out.Detail = fmt.Sprintf("seed %d no longer deadlocks", f.WitnessSeed)
-			return out
-		}
-		fresh = rec
-	case "atomicity":
-		targets, cached := ctx.ats[key]
-		if !cached {
-			targets = core.DetectAtomicityTargets(b.New(), opts)
-			ctx.ats[key] = targets
-		}
-		idx := -1
-		for i, tg := range targets {
-			if fmt.Sprintf("(%s, %s)", tg.First, tg.Second) == f.Pair {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			out.Status = RegressTargetMissing
-			out.Detail = fmt.Sprintf("phase 1 no longer infers block %s", f.Pair)
-			return out
-		}
-		_, violations, rec := core.RecordAtomicityRun(b.New(), targets[idx], f.WitnessSeed, opts)
-		_, _, rec2 := core.RecordAtomicityRun(b.New(), targets[idx], f.WitnessSeed, opts)
-		if div := flightrec.Diverge(rec2, rec); div != nil {
-			out.Status = RegressDiverged
-			out.Detail = "replay nondeterministic: " + div.String()
-			return out
-		}
-		if len(violations) == 0 {
-			out.Status = RegressNotReproduced
-			out.Detail = fmt.Sprintf("seed %d no longer violates the block", f.WitnessSeed)
-			return out
-		}
-		fresh = rec
-	default:
+	targets, cached := ctx.targets[key]
+	if !cached {
+		targets = core.DetectTargets(f.Sig.Kind, b.New(), opts)
+		ctx.targets[key] = targets
+	}
+	idx := slices.IndexFunc(targets, func(t core.Target) bool { return t.String() == f.Pair })
+	if idx < 0 {
 		out.Status = RegressTargetMissing
-		out.Detail = fmt.Sprintf("unknown finding kind %q", f.Sig.Kind)
+		out.Detail = fmt.Sprintf("phase 1 no longer reports %s target %s", f.Sig.Kind, f.Pair)
+		return out
+	}
+	_, hits, fresh := core.Record(b.New(), targets[idx], f.WitnessSeed, opts)
+	_, _, again := core.Record(b.New(), targets[idx], f.WitnessSeed, opts)
+	if div := flightrec.Diverge(again, fresh); div != nil {
+		out.Status = RegressDiverged
+		out.Detail = "replay nondeterministic: " + div.String()
+		return out
+	}
+	if hits == 0 {
+		out.Status = RegressNotReproduced
+		out.Detail = fmt.Sprintf("seed %d no longer confirms the %s", f.WitnessSeed, f.Sig.Kind)
 		return out
 	}
 
