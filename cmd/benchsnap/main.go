@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"racefuzzer/internal/benchsnap"
@@ -28,7 +29,7 @@ import (
 func main() {
 	defaults := benchsnap.DefaultCheckOptions()
 	var (
-		suite     = flag.String("suite", "sched", "suite to run: sched or parallel")
+		suite     = flag.String("suite", "sched", "suite to run: "+strings.Join(benchsnap.Suites(), ", "))
 		out       = flag.String("out", "", "snapshot output path (default BENCH_<suite>.json; \"-\" = stdout only)")
 		check     = flag.Bool("check", false, "compare against -baseline instead of overwriting it; exit 1 on hard regressions")
 		baseline  = flag.String("baseline", "", "baseline snapshot for -check (default BENCH_<suite>.json)")

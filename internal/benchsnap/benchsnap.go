@@ -14,6 +14,7 @@ package benchsnap
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -114,15 +115,36 @@ func (s *Snapshot) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// maxSnapshotBytes caps what Load reads. Checked-in snapshots are a few
+// KiB; anything past the cap is refused rather than read whole.
+const maxSnapshotBytes = 1 << 20
+
 // Load reads a snapshot written by Save.
 func Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	s, err := decode(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// decode parses one snapshot, reading at most maxSnapshotBytes of r.
+func decode(r io.Reader) (*Snapshot, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxSnapshotBytes {
+		return nil, fmt.Errorf("snapshot larger than %d bytes", maxSnapshotBytes)
+	}
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }

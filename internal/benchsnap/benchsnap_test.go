@@ -1,6 +1,7 @@
 package benchsnap
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -66,6 +67,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		got.SpeedupVsWidth["workers=2"] != 1.5 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
+}
+
+func TestLoadRejectsOversizedSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_big.json")
+	// Valid JSON, so only the size cap can refuse it.
+	big := `{"suite":"x"` + strings.Repeat(" ", maxSnapshotBytes) + `}`
+	if err := os.WriteFile(path, []byte(big), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "larger than") {
+		t.Fatalf("Load of a %d-byte snapshot: err = %v, want the size-cap error", len(big), err)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the snapshot decoder: it must return a
+// snapshot or an error, never panic, and a decoded snapshot must re-encode.
+func FuzzLoad(f *testing.F) {
+	for _, name := range []string{"BENCH_sched.json", "BENCH_parallel.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":1,"results":[{"name":"a","nsPerOp":1e400}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(s); err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+	})
 }
 
 func base() *Snapshot {
