@@ -108,7 +108,7 @@ func (o Options) emit(rec obs.RunRecord) {
 }
 
 // runRecord assembles the common fields of a run record from a scheduler
-// result. Phase-1 records (pairIndex -1) carry no exception kinds.
+// result. Phase-1 records carry no exception kinds.
 func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result) obs.RunRecord {
 	rec := obs.RunRecord{
 		Phase: phase, Kind: kind, PairIndex: pairIndex, Trial: trial, Round: o.Round,

@@ -311,7 +311,7 @@ func (a *tally) finish() PairReport {
 
 // reportFinding records a target's first confirming trial in the campaign
 // corpus and returns the dedup verdict for telemetry: "" (no corpus
-// attached), "new" or "known". Aggregators call it from the ordered merge
+// attached), "new" or "known". The tally calls it from the ordered merge
 // goroutine, so verdicts are bit-identical at any worker count.
 func (o Options) reportFinding(sig corpus.Signature, pairStr string, targetIndex, trial int, witnessSeed int64, exceptions []string) string {
 	if o.Corpus == nil {

@@ -100,15 +100,6 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		t.Fatalf("/events Content-Type = %q", ct)
 	}
 	frames := make(chan sseEvent, 4096)
-	var collected []sseEvent
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ev := range frames {
-			collected = append(collected, ev)
-		}
-	}()
 	go readSSE(resp.Body, frames)
 
 	// The opening frame must be a metrics snapshot.
@@ -127,6 +118,17 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no opening snapshot frame")
 	}
+	// Only now start draining the rest: a collector started earlier would
+	// compete with the select above for the opening frame.
+	var collected []sseEvent
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ev := range frames {
+			collected = append(collected, ev)
+		}
+	}()
 
 	// Run the campaign against the server's wiring accessors, exactly as the
 	// binaries do — parallel executor, corpus dedup, live introspection.
