@@ -305,26 +305,28 @@ func BenchmarkHybridDetector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := hybrid.New()
-		d.MaxHistoryPerLoc = 64
 		for _, e := range evs {
 			d.OnEvent(e)
 		}
 	}
 }
 
-// BenchmarkVClock measures vector-clock join/compare throughput.
+// BenchmarkVClock measures the vector-clock message path: copy a sender's
+// clock, join it into a receiver's, tick.
 func BenchmarkVClock(b *testing.B) {
 	a := vclock.New()
 	c := vclock.New()
 	for i := 0; i < 16; i++ {
-		a.Set(event.ThreadID(i), int32(i))
-		c.Set(event.ThreadID(15-i), int32(i))
+		for j := 0; j < i; j++ {
+			a.Tick(event.ThreadID(i))
+			c.Tick(event.ThreadID(15 - i))
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := a.Copy()
 		x.Join(c)
-		_ = x.LessEq(a)
+		x.Tick(0)
 	}
 }
 

@@ -108,6 +108,14 @@ func TestLoadRejectsUnknownRecordKind(t *testing.T) {
 	}
 }
 
+func TestLoadRejectsOutOfRangeEvent(t *testing.T) {
+	in := `{"v":1,"seed":1}` + "\n" + `{"rec":"ev","k":0,"t":-1,"m":0}` + "\n"
+	if _, err := Load(strings.NewReader(in)); err == nil ||
+		!strings.Contains(err.Error(), "line 2: thread ID -1") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestLoadRejectsEmptyInput(t *testing.T) {
 	if _, err := Load(strings.NewReader("")); err == nil {
 		t.Fatal("empty input accepted")

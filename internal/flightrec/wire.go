@@ -158,7 +158,9 @@ func Load(r io.Reader) (*Recording, error) {
 			err = json.Unmarshal(raw, out.Act)
 		case "ev":
 			out.Ev = &trace.WireEvent{}
-			err = json.Unmarshal(raw, out.Ev)
+			if err = json.Unmarshal(raw, out.Ev); err == nil {
+				err = out.Ev.Check()
+			}
 		case "end":
 			out.End = &Summary{}
 			err = json.Unmarshal(raw, out.End)

@@ -13,12 +13,14 @@ import (
 	"racefuzzer/internal/vclock"
 )
 
-// access is one remembered MEM event for a location.
+// access is one remembered MEM event for a location. Its epoch — the
+// accessing thread's own clock component at the access — is all the
+// ordering test reads, so no clock snapshot is kept.
 type access struct {
 	thread event.ThreadID
 	stmt   event.Stmt
 	write  bool
-	vc     *vclock.VC
+	epoch  int32
 }
 
 // Detector is a sched.Observer implementing precise happens-before race
@@ -81,8 +83,7 @@ func (d *Detector) OnEvent(e event.Event) {
 
 	case event.KindMem:
 		vc := d.clock(e.Thread)
-		vc.Tick(e.Thread)
-		snap := vc.Copy()
+		epoch := vc.Tick(e.Thread)
 		h := d.hist[e.Loc]
 		for i := range h {
 			p := &h[i]
@@ -92,13 +93,13 @@ func (d *Detector) OnEvent(e event.Event) {
 			if !p.write && e.Access != event.Write {
 				continue
 			}
-			if p.vc.Get(p.thread) <= snap.Get(p.thread) {
+			if p.epoch <= vc.Get(p.thread) {
 				continue // ordered: p happens-before e
 			}
 			d.races[event.MakeStmtPair(p.stmt, e.Stmt)]++
 		}
 		d.hist[e.Loc] = append(h, access{
-			thread: e.Thread, stmt: e.Stmt, write: e.Access == event.Write, vc: snap,
+			thread: e.Thread, stmt: e.Stmt, write: e.Access == event.Write, epoch: epoch,
 		})
 	}
 }

@@ -128,6 +128,19 @@ func (s Set) Slice() []event.LockID {
 // the scheduler's event emission uses (one per MEM/LOCK event otherwise).
 func (s Set) Members() []event.LockID { return s.ids }
 
+// FromMembers is the inverse of Members: it returns the set of ids, sharing
+// ids' storage when ids is strictly ascending — as every slice Members hands
+// out is — so the caller must not mutate it afterwards. Any other slice
+// (replayed or hand-built events) falls back to Of, which copies.
+func FromMembers(ids []event.LockID) Set {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return Of(ids...)
+		}
+	}
+	return Set{ids: ids}
+}
+
 // Equal reports set equality.
 func (s Set) Equal(o Set) bool {
 	if len(s.ids) != len(o.ids) {

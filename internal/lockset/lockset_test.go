@@ -146,3 +146,23 @@ func TestQuickSignatureFaithful(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: FromMembers denotes the same set as Of for any input, and
+// round-trips a set's own Members without copying.
+func TestQuickFromMembers(t *testing.T) {
+	f := func(xs []uint8) bool {
+		ids := make([]event.LockID, len(xs))
+		for i, x := range xs {
+			ids[i] = event.LockID(x % 16)
+		}
+		if !FromMembers(ids).Equal(Of(ids...)) {
+			return false
+		}
+		m := fromInts(xs).Members()
+		back := FromMembers(m).Members()
+		return len(m) == 0 || &back[0] == &m[0]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

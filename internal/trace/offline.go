@@ -41,6 +41,36 @@ type WireEvent struct {
 	Step   int            `json:"n"`
 }
 
+// MaxThreads bounds the thread IDs a loaded trace may carry: they lie in
+// [0, MaxThreads). The detectors index clocks by thread, so an unchecked ID
+// from outside bytes could make them allocate without bound. The scheduler
+// numbers threads consecutively from 0, far below this.
+const MaxThreads = 1 << 12
+
+// Check reports whether w is an event the detectors can take: a known kind,
+// a thread ID in [0, MaxThreads), no negative held lock, and a non-negative
+// location on MEM and lock on LOCK/UNLOCK events. Loc and Lock are not
+// checked on kinds that ignore them, where older traces carry -1 sentinels.
+func (w WireEvent) Check() error {
+	k := event.Kind(w.Kind)
+	switch {
+	case k < 0 || k >= event.KindCount:
+		return fmt.Errorf("unknown event kind %d", w.Kind)
+	case w.Thread < 0 || w.Thread >= MaxThreads:
+		return fmt.Errorf("thread ID %d outside [0, %d)", w.Thread, MaxThreads)
+	case k == event.KindMem && w.Loc < 0:
+		return fmt.Errorf("negative location ID %d", w.Loc)
+	case (k == event.KindLock || k == event.KindUnlock) && w.Lock < 0:
+		return fmt.Errorf("negative lock ID %d", w.Lock)
+	}
+	for _, l := range w.Locks {
+		if l < 0 {
+			return fmt.Errorf("negative held lock ID %d", int(l))
+		}
+	}
+	return nil
+}
+
 // ToWire converts an event to its serialized form.
 func ToWire(e event.Event) WireEvent {
 	return WireEvent{
@@ -86,7 +116,8 @@ func (r *Recorder) Save(w io.Writer) error {
 
 // Load reads a JSON-lines recording. Traces carry a {"v":N} header line;
 // an unsupported version is a graceful error. Headerless streams (written
-// before versioning) are accepted as version 1.
+// before versioning) are accepted as version 1. An event that fails Check is
+// an error, so every stream Load returns can be fed to the detectors.
 func Load(r io.Reader) ([]event.Event, error) {
 	dec := json.NewDecoder(r)
 	var out []event.Event
@@ -112,6 +143,9 @@ func Load(r io.Reader) ([]event.Event, error) {
 			continue
 		}
 		first = false
+		if err := j.WireEvent.Check(); err != nil {
+			return nil, fmt.Errorf("trace: load: event %d: %w", len(out), err)
+		}
 		out = append(out, FromWire(j.WireEvent))
 	}
 }

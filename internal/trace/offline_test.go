@@ -132,3 +132,40 @@ func TestSaveEmptyRecording(t *testing.T) {
 		t.Fatalf("events=%v err=%v", events, err)
 	}
 }
+
+func TestLoadRejectsOutOfRangeIDs(t *testing.T) {
+	for _, line := range []string{
+		`{"k":0,"t":-1,"m":0}`,
+		`{"k":1,"t":4096,"g":1}`,
+		`{"k":0,"t":0,"m":-2}`,
+		`{"k":3,"t":0,"l":-1}`,
+		`{"k":0,"t":0,"m":1,"L":[2,-3]}`,
+		`{"k":9,"t":0}`,
+	} {
+		if evs, err := Load(strings.NewReader(`{"v":1}` + "\n" + line + "\n")); err == nil {
+			t.Errorf("%s accepted as %v", line, evs)
+		}
+	}
+}
+
+// FuzzLoad: Load reads outside bytes, so it must return events or an error
+// and never panic, and every stream it accepts must be safe to feed to the
+// detectors, unsorted held-lock lists included.
+func FuzzLoad(f *testing.F) {
+	rec := New(0)
+	sched.Run(bench.Figure1(), sched.Config{Seed: 5, Observers: []sched.Observer{rec}})
+	var buf bytes.Buffer
+	if err := rec.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"k":0,"t":1,"s":"fz:a","m":2,"a":1,"L":[3,1,3]}` + "\n" +
+		`{"k":0,"t":2,"s":"fz:b","m":2,"a":0,"L":[2]}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		Feed(events, hybrid.New(), hb.New())
+	})
+}

@@ -8,15 +8,13 @@
 //   - SND(g,t1) ≼ RCV(g,t2) is realized by shipping the sender's clock with
 //     the message and joining it into the receiver's clock,
 //   - transitivity is inherited from the component-wise order.
+//
+// The detectors compare an earlier event to a later point by epoch, as
+// FastTrack does: an event thread t performed when its own component was k
+// happens-before a later point with clock C iff k ≤ C.Get(t).
 package vclock
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"racefuzzer/internal/event"
-)
+import "racefuzzer/internal/event"
 
 // VC is a vector clock. It is represented densely: index i holds thread i's
 // component. Thread IDs are small consecutive integers assigned by the
@@ -35,12 +33,6 @@ func (v *VC) Get(t event.ThreadID) int32 {
 		return 0
 	}
 	return v.c[t]
-}
-
-// Set assigns t's component, growing the vector as needed.
-func (v *VC) Set(t event.ThreadID, n int32) {
-	v.grow(int(t) + 1)
-	v.c[t] = n
 }
 
 // Tick increments t's component and returns the new value. A thread ticks
@@ -71,57 +63,10 @@ func (v *VC) Join(o *VC) {
 	}
 }
 
-// Copy returns an independent copy of v. Snapshots taken at MEM events are
-// what the hybrid detector stores in its per-location histories.
+// Copy returns an independent copy of v. The detectors ship a copy of the
+// sender's clock with each SND (and, in internal/hb, each lock release).
 func (v *VC) Copy() *VC {
 	nc := make([]int32, len(v.c))
 	copy(nc, v.c)
 	return &VC{c: nc}
-}
-
-// LessEq reports whether v ≤ o component-wise, i.e. whether everything v
-// knows about has also been seen by o.
-func (v *VC) LessEq(o *VC) bool {
-	for i, x := range v.c {
-		var y int32
-		if i < len(o.c) {
-			y = o.c[i]
-		}
-		if x > y {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports component-wise equality (missing components are zero).
-func (v *VC) Equal(o *VC) bool { return v.LessEq(o) && o.LessEq(v) }
-
-// Concurrent reports whether neither v ≤ o nor o ≤ v: the two snapshots are
-// causally unordered. This is the ¬(e_i ≼ e_j) ∧ ¬(e_j ≼ e_i) conjunct of
-// the hybrid race condition.
-func (v *VC) Concurrent(o *VC) bool { return !v.LessEq(o) && !o.LessEq(v) }
-
-// HappenedBefore reports whether an event performed by thread t with clock
-// snapshot v happens-before a later point whose clock is o. Because v was
-// snapshotted when t performed the event, it suffices to compare t's own
-// component: the event is visible at o iff o has seen at least that many of
-// t's ticks.
-func HappenedBefore(v *VC, t event.ThreadID, o *VC) bool {
-	return v.Get(t) <= o.Get(t) && v.Get(t) > 0 || v.Get(t) == 0 && v.LessEq(o)
-}
-
-// Len returns the number of tracked components.
-func (v *VC) Len() int { return len(v.c) }
-
-// String renders the clock as {T0:3 T2:1} omitting zero components.
-func (v *VC) String() string {
-	var parts []string
-	for i, x := range v.c {
-		if x != 0 {
-			parts = append(parts, fmt.Sprintf("T%d:%d", i, x))
-		}
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, " ") + "}"
 }

@@ -9,15 +9,27 @@ import (
 
 // fromSlice builds a clock from components (test helper).
 func fromSlice(xs []int32) *VC {
-	v := New()
+	c := make([]int32, len(xs))
 	for i, x := range xs {
 		if x < 0 {
 			x = -x
 		}
-		v.Set(event.ThreadID(i), x%100)
+		c[i] = x % 100
 	}
-	return v
+	return &VC{c: c}
 }
+
+// leq reports a ≤ b component-wise, missing components being zero.
+func leq(a, b *VC) bool {
+	for i := range a.c {
+		if a.Get(event.ThreadID(i)) > b.Get(event.ThreadID(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+func equal(a, b *VC) bool { return leq(a, b) && leq(b, a) }
 
 func TestBasicOps(t *testing.T) {
 	v := New()
@@ -28,15 +40,12 @@ func TestBasicOps(t *testing.T) {
 	v.Tick(2)
 	v.Tick(0)
 	if v.Get(2) != 2 || v.Get(0) != 1 || v.Get(1) != 0 {
-		t.Fatalf("clock = %v", v)
+		t.Fatalf("clock = %v", v.c)
 	}
 	c := v.Copy()
 	c.Tick(2)
 	if v.Get(2) != 2 {
 		t.Fatal("Copy is not independent")
-	}
-	if v.String() == "" {
-		t.Fatal("empty String")
 	}
 }
 
@@ -52,61 +61,6 @@ func TestJoinIsComponentwiseMax(t *testing.T) {
 	}
 }
 
-func TestLessEqAndConcurrent(t *testing.T) {
-	a := fromSlice([]int32{1, 2})
-	b := fromSlice([]int32{2, 2})
-	if !a.LessEq(b) || b.LessEq(a) {
-		t.Fatal("LessEq wrong on ordered clocks")
-	}
-	c := fromSlice([]int32{0, 3})
-	if !a.Concurrent(c) || !c.Concurrent(a) {
-		t.Fatal("Concurrent wrong on incomparable clocks")
-	}
-	if a.Concurrent(a.Copy()) {
-		t.Fatal("clock concurrent with itself")
-	}
-	if !a.Equal(a.Copy()) {
-		t.Fatal("Equal wrong")
-	}
-	// Missing components are zero: {1,2} vs {1,2,0,0}.
-	d := fromSlice([]int32{1, 2, 0, 0})
-	if !a.Equal(d) {
-		t.Fatal("trailing zeros must not affect equality")
-	}
-}
-
-// Property: LessEq is a partial order — reflexive, antisymmetric (up to
-// Equal), transitive.
-func TestQuickPartialOrder(t *testing.T) {
-	reflexive := func(xs []int32) bool {
-		v := fromSlice(xs)
-		return v.LessEq(v)
-	}
-	if err := quick.Check(reflexive, nil); err != nil {
-		t.Error(err)
-	}
-	antisym := func(xs, ys []int32) bool {
-		a, b := fromSlice(xs), fromSlice(ys)
-		if a.LessEq(b) && b.LessEq(a) {
-			return a.Equal(b)
-		}
-		return true
-	}
-	if err := quick.Check(antisym, nil); err != nil {
-		t.Error(err)
-	}
-	trans := func(xs, ys, zs []int32) bool {
-		a, b, c := fromSlice(xs), fromSlice(ys), fromSlice(zs)
-		// Force a ≤ b ≤ c by joining.
-		b.Join(a)
-		c.Join(b)
-		return a.LessEq(c)
-	}
-	if err := quick.Check(trans, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Join is the least upper bound — both operands ≤ join, and join
 // is ≤ any other upper bound.
 func TestQuickJoinIsLUB(t *testing.T) {
@@ -114,14 +68,14 @@ func TestQuickJoinIsLUB(t *testing.T) {
 		a, b := fromSlice(xs), fromSlice(ys)
 		j := a.Copy()
 		j.Join(b)
-		if !a.LessEq(j) || !b.LessEq(j) {
+		if !leq(a, j) || !leq(b, j) {
 			return false
 		}
 		// Any other upper bound u ≥ j.
 		u := a.Copy()
 		u.Join(b)
 		u.Tick(0)
-		return j.LessEq(u)
+		return leq(j, u)
 	}
 	if err := quick.Check(lub, nil); err != nil {
 		t.Error(err)
@@ -135,7 +89,7 @@ func TestQuickJoinAlgebra(t *testing.T) {
 		a1.Join(b1)
 		b2, a2 := fromSlice(ys), fromSlice(xs)
 		b2.Join(a2)
-		return a1.Equal(b2)
+		return equal(a1, b2)
 	}
 	if err := quick.Check(comm, nil); err != nil {
 		t.Error(err)
@@ -144,7 +98,7 @@ func TestQuickJoinAlgebra(t *testing.T) {
 		a := fromSlice(xs)
 		b := a.Copy()
 		a.Join(b)
-		return a.Equal(b)
+		return equal(a, b)
 	}
 	if err := quick.Check(idem, nil); err != nil {
 		t.Error(err)
@@ -157,7 +111,7 @@ func TestQuickJoinAlgebra(t *testing.T) {
 		r := fromSlice(xs)
 		r.Join(fromSlice(ys))
 		r.Join(fromSlice(zs)) // (a ⊔ b) ⊔ c
-		return l.Equal(r)
+		return equal(l, r)
 	}
 	if err := quick.Check(assoc, nil); err != nil {
 		t.Error(err)
@@ -170,36 +124,24 @@ func TestQuickTickIncreases(t *testing.T) {
 		a := fromSlice(xs)
 		before := a.Copy()
 		a.Tick(event.ThreadID(tid % 8))
-		return before.LessEq(a) && !a.LessEq(before)
+		return leq(before, a) && !leq(a, before)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestHappenedBefore(t *testing.T) {
-	// Thread 0 performs an event at snapshot s0; thread 1 later joins it.
-	s := New()
-	s.Tick(0)
-	snap := s.Copy()
-	o := New()
-	o.Tick(1)
-	if HappenedBefore(snap, 0, o) {
-		t.Fatal("unrelated clock claimed ordered")
-	}
-	o.Join(snap)
-	if !HappenedBefore(snap, 0, o) {
-		t.Fatal("joined clock must be ordered after the event")
-	}
-}
-
 func TestLenAndGrowth(t *testing.T) {
 	v := New()
-	if v.Len() != 0 {
+	if len(v.c) != 0 || v.Get(-1) != 0 {
 		t.Fatal("fresh length")
 	}
-	v.Set(9, 4)
-	if v.Len() != 10 || v.Get(9) != 4 || v.Get(5) != 0 {
-		t.Fatalf("growth wrong: len=%d", v.Len())
+	v.Tick(9)
+	if len(v.c) != 10 || v.Get(9) != 1 || v.Get(5) != 0 {
+		t.Fatalf("growth wrong: len=%d", len(v.c))
+	}
+	v.Join(fromSlice([]int32{1, 2}))
+	if len(v.c) != 10 || v.Get(1) != 2 || v.Get(9) != 1 {
+		t.Fatalf("join of a shorter clock: %v", v.c)
 	}
 }
