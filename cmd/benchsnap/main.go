@@ -4,7 +4,7 @@
 //	benchsnap -suite sched                    # measure, write BENCH_sched.json
 //	benchsnap -suite sched -out /tmp/s.json   # measure, write elsewhere
 //	benchsnap -suite sched -check             # measure, compare to BENCH_sched.json
-//	benchsnap -suite parallel -benchtime 2s   # slower, steadier numbers
+//	benchsnap -suite sched -benchtime 2s      # slower, steadier numbers
 //	benchsnap -suite sched -check -perfdir a  # also export a Perfetto sample trace
 //
 // With -check the tool exits 1 on hard regressions (allocs/op growth beyond

@@ -82,7 +82,7 @@ func New() *Detector {
 func (d *Detector) OnEvent(e event.Event) {
 	switch e.Kind {
 	case event.KindMem:
-		ls := lockset.Of(e.Locks...)
+		ls := lockset.FromMembers(e.Locks)
 		tr := d.lastRead[e.Thread]
 		if tr == nil {
 			tr = make(map[event.MemLoc]struct {

@@ -1,9 +1,9 @@
 // Package benchsnap produces and checks schema-versioned benchmark
 // snapshots (the checked-in BENCH_*.json artifacts). A snapshot records what
 // a suite of measurements cost on a described host — ns/op, allocs/op,
-// scheduler latency quantiles, parallel speedups — so CI can hold the
-// current tree against the committed baseline and the repository's perf
-// history stays reviewable in ordinary diffs.
+// scheduler latency quantiles — so CI can hold the current tree against the
+// committed baseline and the repository's perf history stays reviewable in
+// ordinary diffs.
 //
 // The regression policy is split by signal quality (see Compare): wall-clock
 // ns/op is machine- and load-dependent, so drift only warns; allocs/op is a
@@ -93,10 +93,7 @@ type Snapshot struct {
 	// (wait/service quantiles), measured by a schedprof.Collector attached to
 	// a profiled campaign.
 	SchedSummary *schedprof.Summary `json:"sched_summary,omitempty"`
-	// SpeedupVsWidth is the parallel suite's wall-clock ratio of the
-	// sequential run to each wider executor configuration (>1 = faster).
-	SpeedupVsWidth map[string]float64 `json:"speedup_vs_width,omitempty"`
-	Note           string             `json:"note,omitempty"`
+	Note         string             `json:"note,omitempty"`
 }
 
 // Stamp fills in the environment-dependent header fields (date, host) that

@@ -42,7 +42,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Schema: SchemaVersion, Suite: "x", Description: "d", Benchtime: "1ms",
 		Results: []Result{{Name: "a", Iters: 3, NsPerOp: 10, AllocsPerOp: 2,
 			Metrics: map[string]float64{"m": 1}}},
-		SpeedupVsWidth: map[string]float64{"workers=2": 1.5},
 	}
 	s.Stamp(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if s.Date != "2026-08-08" {
@@ -63,8 +62,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Suite != "x" || len(got.Results) != 1 || got.Results[0].Metrics["m"] != 1 ||
-		got.SpeedupVsWidth["workers=2"] != 1.5 {
+	if got.Suite != "x" || len(got.Results) != 1 || got.Results[0].Metrics["m"] != 1 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
@@ -84,7 +82,7 @@ func TestLoadRejectsOversizedSnapshot(t *testing.T) {
 // FuzzLoad feeds arbitrary bytes to the snapshot decoder: it must return a
 // snapshot or an error, never panic, and a decoded snapshot must re-encode.
 func FuzzLoad(f *testing.F) {
-	for _, name := range []string{"BENCH_sched.json", "BENCH_parallel.json"} {
+	for _, name := range []string{"BENCH_sched.json"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			f.Fatal(err)

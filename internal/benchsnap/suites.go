@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"racefuzzer/internal/bench"
-	"racefuzzer/internal/core"
 	"racefuzzer/internal/sched"
 	"racefuzzer/internal/schedprof"
 )
@@ -32,7 +31,7 @@ func (o SuiteOptions) withDefaults() SuiteOptions {
 }
 
 // Suites names the suites cmd/benchsnap can run.
-func Suites() []string { return []string{"sched", "parallel", "fleetspan"} }
+func Suites() []string { return []string{"sched", "fleetspan"} }
 
 // RunSuite dispatches by suite name. The returned timeline (may be nil) is
 // a Perfetto-exportable sample trial for CI failure artifacts.
@@ -41,8 +40,6 @@ func RunSuite(suite string, o SuiteOptions) (*Snapshot, *schedprof.Timeline, err
 	case "sched":
 		s, tl := SchedSuite(o)
 		return s, tl, nil
-	case "parallel":
-		return ParallelSuite(o), nil, nil
 	case "fleetspan":
 		return FleetspanSuite(o), nil, nil
 	default:
@@ -163,59 +160,4 @@ func SchedSuite(o SuiteOptions) (*Snapshot, *schedprof.Timeline) {
 	sum := lat.Summary()
 	snap.SchedSummary = &sum
 	return snap, timeline
-}
-
-// ParallelSuite measures the full two-phase pipeline on jigsaw (the
-// registry's widest phase-2 grid) at increasing campaign-executor widths —
-// the benchsnap form of BenchmarkAnalyzeParallel, with allocs/op tracked.
-// Reports are bit-identical at every width; only wall-clock and the pool's
-// allocation overhead change.
-func ParallelSuite(o SuiteOptions) *Snapshot {
-	o = o.withDefaults()
-	bm := bench.MustByName("jigsaw")
-	snap := &Snapshot{
-		Schema: SchemaVersion,
-		Suite:  "parallel",
-		Description: "Full two-phase pipeline on the jigsaw model (phase-2 grid x 50 trials) " +
-			"at increasing campaign-executor widths. Reports are bit-identical at every " +
-			"width (TestParallelDeterminismRace); only wall-clock may change.",
-		Benchtime:      o.Benchtime.String(),
-		Note:           o.Note,
-		SpeedupVsWidth: map[string]float64{},
-	}
-	widths := []struct {
-		name string
-		w    int
-	}{{"workers=1", 1}, {"workers=2", 2}, {"workers=numcpu", -1}}
-	var seqNs float64
-	for _, cfg := range widths {
-		cfg := cfg
-		real := 0
-		res := Measure(cfg.name, o.Benchtime, func() {
-			rep := core.Analyze(bm.New(), core.Options{
-				Seed:         o.Seed,
-				Phase1Trials: bm.Phase1Trials,
-				Phase2Trials: 50,
-				MaxSteps:     bm.MaxSteps,
-				Workers:      cfg.w,
-			})
-			real = rep.RealCount()
-		})
-		res.Metrics = map[string]float64{"real_races": float64(real)}
-		snap.Results = append(snap.Results, res)
-		if cfg.w == 1 {
-			seqNs = res.NsPerOp
-		} else if res.NsPerOp > 0 {
-			snap.SpeedupVsWidth[cfg.name] = roundTo(seqNs/res.NsPerOp, 2)
-		}
-	}
-	return snap
-}
-
-func roundTo(v float64, digits int) float64 {
-	scale := 1.0
-	for i := 0; i < digits; i++ {
-		scale *= 10
-	}
-	return float64(int64(v*scale+0.5)) / scale
 }

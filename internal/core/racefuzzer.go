@@ -167,7 +167,7 @@ func (p *RaceFuzzerPolicy) Stats() (released, aged int) { return p.released, p.a
 
 // PostponedThreads implements sched.PostponedReporter: a fresh copy of the
 // postponed set in ascending thread order, surfaced by live scheduler
-// introspection (/debug/sched). Called on the controller goroutine only.
+// introspection (/debug/sched). Called under the scheduler lock only.
 func (p *RaceFuzzerPolicy) PostponedThreads() []event.ThreadID { return p.postponed.appendSorted(nil) }
 
 // Tracked returns the number of target-statement encounters — the accesses

@@ -66,7 +66,7 @@ func (d *Detector) OnEvent(e event.Event) {
 	if e.Kind != event.KindLock {
 		return
 	}
-	heldAfter := lockset.Of(e.Locks...)
+	heldAfter := lockset.FromMembers(e.Locks)
 	heldBefore := heldAfter.Remove(e.Lock)
 	if heldBefore.Len() == 0 {
 		return

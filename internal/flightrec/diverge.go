@@ -11,7 +11,7 @@ import (
 // claim record by record — decisions (including RNG draw positions),
 // policy actions, events, and the end summary — and reports the first
 // mismatch instead of a vague "results differ". A divergence means
-// nondeterminism leaked into the controller (map iteration, wall-clock
+// nondeterminism leaked into the scheduler (map iteration, wall-clock
 // coupling, shared mutable state across runs), which is precisely the class
 // of bug that silently invalidates every probability the pipelines report.
 

@@ -19,7 +19,7 @@
 //   - Campaign auto-capture (core.Options.TraceDir): pipelines archive a
 //     replayable witness trace for the first confirmed hit of each target.
 //
-// Decisions are recorded controller-side (see internal/sched's flight hook)
+// Decisions are recorded scheduler-side (see internal/sched's flight hook)
 // so every policy is covered and force-grants are visible. Recording is
 // strictly passive: the recorder observes deterministic points only, so a
 // run records identically with or without it.

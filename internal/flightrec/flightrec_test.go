@@ -13,7 +13,7 @@ import (
 
 // record runs a benchmark program under the random policy with a Recorder
 // attached and returns the finished recording.
-func record(t *testing.T, seed int64) *Recording {
+func record(t testing.TB, seed int64) *Recording {
 	t.Helper()
 	r := NewRecorder(Header{Label: "figure1", Policy: "random", Seed: seed})
 	res := sched.Run(bench.Figure1(), sched.Config{
@@ -227,4 +227,38 @@ func TestLoadToleratesCRLF(t *testing.T) {
 	if d := Diverge(loaded, rec); d != nil {
 		t.Fatalf("CRLF recording diverged from the LF original: %v", d)
 	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the recording decoder: every input must
+// load or return an error, and an accepted recording must save and reload
+// to the same bytes.
+func FuzzLoad(f *testing.F) {
+	var buf bytes.Buffer
+	if err := record(f, 3).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"v":1,"seed":2}` + "\n" + `{"rec":"dec","i":0,"n":0,"en":[0],"g":[0],"d":1}` +
+		"\n" + `{"rec":"end","steps":`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := rec.Save(&saved); err != nil {
+			t.Fatalf("accepted recording does not save: %v", err)
+		}
+		again, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("saved recording does not reload: %v\n%s", err, saved.Bytes())
+		}
+		var resaved bytes.Buffer
+		if err := again.Save(&resaved); err != nil {
+			t.Fatalf("reloaded recording does not save: %v", err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatalf("save/load/save changed the bytes:\n%s\n--- then:\n%s", saved.Bytes(), resaved.Bytes())
+		}
+	})
 }

@@ -12,7 +12,7 @@
 //     nil check the method itself performs. With no metrics attached, the
 //     hot paths are byte-for-byte the pre-instrumentation ones.
 //   - Probes never perturb the schedule. All recording happens synchronously
-//     on the controller goroutine at already-deterministic points; nothing
+//     under the scheduler's lock at already-deterministic points; nothing
 //     here draws randomness, blocks, or communicates. A campaign run with
 //     metrics on and off therefore replays the identical schedules.
 package obs

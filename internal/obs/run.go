@@ -19,8 +19,8 @@ var enabledBounds = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}
 // Every method is safe on a nil receiver, so instrumented code calls probes
 // unconditionally: a nil *RunMetrics is the off switch.
 //
-// RunMetrics is written from the controller goroutine only and must not be
-// shared across concurrent executions.
+// RunMetrics is written only under its execution's scheduler lock and must
+// not be shared across concurrent executions.
 type RunMetrics struct {
 	steps     int
 	switches  int

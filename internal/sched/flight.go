@@ -16,12 +16,12 @@ import (
 // JSONL trace and diffs two recordings to check the paper's seed-replay
 // guarantee step by step.
 //
-// Decisions are recorded controller-side, not policy-side, for two reasons:
+// Decisions are recorded scheduler-side, not policy-side, for two reasons:
 // every policy (including the baselines) is covered without instrumentation,
 // and the record captures what the scheduler actually did — including
 // force-grants past a stalled policy — rather than what the policy asked for.
 
-// DecisionRecord describes one scheduling round from the controller's view.
+// DecisionRecord describes one scheduling round from the scheduler's view.
 type DecisionRecord struct {
 	// Round is the 0-based index of the policy round within the execution.
 	Round int
@@ -157,7 +157,7 @@ func (a ActionRecord) String() string {
 
 // FlightObserver receives the scheduling decisions and policy actions of one
 // execution, interleaved with the event stream in causal order. Like
-// Observers, flight observers run synchronously on the controller goroutine
+// Observers, flight observers run synchronously under the scheduler lock
 // and must not block or perturb anything. A FlightObserver that also
 // implements Observer is automatically subscribed to the event stream by
 // Run; do not list it in Config.Observers as well.

@@ -2,9 +2,9 @@ package sched
 
 // Tests for the channel-free grant engine: handoff storms that hammer the
 // mutex/condvar protocol (meant to run under -race), a fuzz-style
-// determinism check over generated programs, and regressions for the
-// force-release order of a dying thread's locks and for round counting
-// without a flight recorder.
+// determinism check over generated programs, scripted multi-grant
+// decisions, and regressions for the force-release order of a dying
+// thread's locks and for round counting without a flight recorder.
 
 import (
 	"errors"
@@ -96,8 +96,8 @@ func stormProgram(w int) func(*Thread) {
 }
 
 // TestHandoffStorm runs the storm at widths 1, 4 and 8 across seeds. Under
-// -race this exercises the spin fast path, the condvar slow path, the inline
-// trampoline and controller handoff adoption concurrently.
+// -race this exercises the spin fast path, the condvar slow path, self
+// grants and direct thread-to-thread handoffs concurrently.
 func TestHandoffStorm(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		w := w
@@ -331,5 +331,156 @@ func TestRoundsCountedWithoutRecorder(t *testing.T) {
 	}
 	if plain.Steps != recorded.Steps {
 		t.Fatalf("recorder perturbed the schedule: steps %d vs %d", plain.Steps, recorded.Steps)
+	}
+}
+
+// batchPolicy grants batch, once, in the first round trigger accepts, and
+// otherwise the lowest enabled thread not about to take a lock (so lock
+// acquisitions wait for the scripted batch). No randomness is drawn.
+type batchPolicy struct {
+	trigger func(v *View) bool
+	batch   []event.ThreadID
+	fired   bool
+}
+
+func (*batchPolicy) Name() string { return "batch" }
+
+func (p *batchPolicy) Step(v *View, r *rng.Rand) Decision {
+	if !p.fired && p.trigger(v) {
+		p.fired = true
+		return Decision{Grants: append([]event.ThreadID(nil), p.batch...)}
+	}
+	for _, t := range v.Enabled {
+		if v.Op(t).Kind != OpLock {
+			return v.Grant(t)
+		}
+	}
+	return v.Grant(v.Enabled[0])
+}
+
+// TestBatchDecisions drives multi-grant decisions through the scheduler:
+// members are granted in order without a new round in between, a member
+// disabled by an earlier grant is skipped, and the round after the batch
+// is decided from the state the batch left, whichever goroutine parked
+// last. Each case pins the decision that follows the batch and must
+// replay identically on every run.
+func TestBatchDecisions(t *testing.T) {
+	sOp := stmt("batch:op")
+	nops := func(n int) func(*Thread) {
+		return func(c *Thread) {
+			for i := 0; i < n; i++ {
+				c.Nop(sOp)
+			}
+		}
+	}
+	pending := func(kind OpKind, tids ...event.ThreadID) func(v *View) bool {
+		return func(v *View) bool {
+			for _, tid := range tids {
+				if int(tid) >= v.Threads() || !v.IsEnabled(tid) || v.Op(tid).Kind != kind {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	cases := []struct {
+		name    string
+		prog    func(*Thread)
+		trigger func(v *View) bool
+		batch   []event.ThreadID
+		// want is the decision right after the batch, rounds and draws
+		// elided: "step N: enabled=[...] grants=[...]".
+		want string
+	}{
+		{
+			// T1's lock grant disables T2, which is pending on the same
+			// lock: T2 is skipped and the next decision is a new round at
+			// the very next step, with T2 no longer enabled.
+			name: "skip-disabled-member",
+			prog: func(mt *Thread) {
+				l := mt.Scheduler().NewLock("L")
+				body := func(c *Thread) {
+					c.LockAcquire(l, sOp)
+					c.Nop(sOp)
+					c.LockRelease(l, sOp)
+				}
+				t1 := mt.Fork("t1", body)
+				t2 := mt.Fork("t2", body)
+				mt.Join(t1)
+				mt.Join(t2)
+			},
+			trigger: pending(OpLock, 1, 2),
+			batch:   []event.ThreadID{1, 2},
+			want:    "step 6: enabled=[T1] grants=[T1]",
+		},
+		{
+			// T0's fork unblocks T0 and the new T2 together; whichever
+			// parks last grants T1 from the batch before any new round,
+			// which then sees T2 parked at Begin.
+			name: "fork-in-batch",
+			prog: func(mt *Thread) {
+				t1 := mt.Fork("t1", nops(1))
+				t2 := mt.Fork("t2", nops(1))
+				mt.Join(t1)
+				mt.Join(t2)
+			},
+			trigger: func(v *View) bool { return pending(OpFork, 0)(v) && pending(OpBegin, 1)(v) },
+			batch:   []event.ThreadID{0, 1},
+			want:    "step 4: enabled=[T1 T2] grants=[T1]",
+		},
+		{
+			// The batch's last grant is T1's last op: T1 exits with every
+			// other thread parked, so its exitPark decides the next round,
+			// in which T0's join of T1 is enabled.
+			name: "exit-drives-next-round",
+			prog: func(mt *Thread) {
+				t1 := mt.Fork("t1", nops(1))
+				t2 := mt.Fork("t2", nops(1))
+				mt.Join(t1)
+				mt.Join(t2)
+			},
+			trigger: func(v *View) bool { return pending(OpNop, 1)(v) && pending(OpBegin, 2)(v) },
+			batch:   []event.ThreadID{2, 1},
+			want:    "step 6: enabled=[T0 T2] grants=[T0]",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var first []string
+			for run := 0; run < 20; run++ {
+				fl := &flightLog{}
+				pol := &batchPolicy{trigger: tc.trigger, batch: tc.batch}
+				res := Run(tc.prog, Config{Seed: 1, Policy: pol, Flight: fl})
+				if res.Deadlock != nil || res.Aborted || len(res.Exceptions) != 0 {
+					t.Fatalf("run %d: deadlock=%v aborted=%v exceptions=%v",
+						run, res.Deadlock, res.Aborted, res.Exceptions)
+				}
+				if !pol.fired {
+					t.Fatalf("trigger never matched:\n%s", strings.Join(fl.lines, "\n"))
+				}
+				if run == 0 {
+					first = fl.lines
+					continue
+				}
+				if got, want := strings.Join(fl.lines, "\n"), strings.Join(first, "\n"); got != want {
+					t.Fatalf("run %d diverged:\n%s\n--- first run:\n%s", run, got, want)
+				}
+			}
+			batch := "grants=" + threadList(tc.batch)
+			for i, l := range first {
+				if !strings.Contains(l, batch) {
+					continue
+				}
+				if i+1 == len(first) {
+					t.Fatalf("no decision after the batch:\n%s", strings.Join(first, "\n"))
+				}
+				next := first[i+1]
+				if got := next[strings.Index(next, "step"):strings.Index(next, " draws")]; got != tc.want {
+					t.Fatalf("decision after the batch = %q, want %q\n%s", got, tc.want, strings.Join(first, "\n"))
+				}
+				return
+			}
+			t.Fatalf("batch %s never decided:\n%s", batch, strings.Join(first, "\n"))
+		})
 	}
 }

@@ -12,20 +12,20 @@ import (
 // the observatory's /debug/sched endpoint.
 //
 // The scheduler's state (thread statuses, lock tables, the policy's
-// postponed set) is owned by the controller goroutine and is never safe to
-// read concurrently. Instead of locking the hot path, introspection is
-// request-driven: an Introspector slot carries one atomic "wanted" flag per
-// live run, the controller checks it once per scheduling round (a single
-// atomic load — and with no Introspector attached, a single nil check, the
-// same no-op probe guarantee obs metrics give), and when set it builds an
-// immutable RunSnapshot and publishes it through an atomic pointer. Readers
-// never see partial state, the controller never blocks, and schedules are
+// postponed set) is guarded by the scheduler's mutex, which the hot path
+// must not share with readers. Instead, introspection is request-driven: an
+// Introspector slot carries one atomic "wanted" flag per live run, the
+// scheduler checks it once per scheduling round (a single atomic load — and
+// with no Introspector attached, a single nil check, the same no-op probe
+// guarantee obs metrics give), and when set it builds an immutable
+// RunSnapshot and publishes it through an atomic pointer. Readers never see
+// partial state, the scheduler never blocks, and schedules are
 // unperturbed: snapshot construction draws no randomness and happens at an
 // already-deterministic point.
 
 // PostponedReporter is implemented by policies that maintain a postponed
 // set (the RaceFuzzer family); the introspector includes their view in
-// snapshots. Called on the controller goroutine only.
+// snapshots. Called under the scheduler mutex only.
 type PostponedReporter interface {
 	PostponedThreads() []event.ThreadID
 }
@@ -163,7 +163,7 @@ type SchedSnapshot struct {
 }
 
 // Snapshot requests a fresh snapshot from every live run and collects the
-// results, waiting up to timeout (default 100ms) for controllers to publish.
+// results, waiting up to timeout (default 100ms) for schedulers to publish.
 // Runs that do not publish in time contribute their previous snapshot if
 // one exists. Safe on a nil receiver (returns an empty snapshot).
 func (in *Introspector) Snapshot(timeout time.Duration) SchedSnapshot {
@@ -217,7 +217,7 @@ func (in *Introspector) Snapshot(timeout time.Duration) SchedSnapshot {
 	return out
 }
 
-// pollIntrospect is the controller-side probe: one nil check when
+// pollIntrospect is the per-round probe: one nil check when
 // introspection is off, one atomic load per round when on, a snapshot build
 // only when a reader asked for one.
 func (s *Scheduler) pollIntrospect() {
@@ -228,7 +228,7 @@ func (s *Scheduler) pollIntrospect() {
 	s.inspSlot.want.Store(false)
 }
 
-// finalizeIntrospect captures the run's final snapshot at loop exit, while
+// finalizeIntrospect captures the run's final snapshot in finish, while
 // the thread and lock tables still reflect the execution's end state —
 // shutdown unwinds blocked threads, which would erase the wait-for graph a
 // deadlock snapshot exists to show.
@@ -240,7 +240,7 @@ func (s *Scheduler) finalizeIntrospect() {
 }
 
 // buildSnapshot assembles an immutable view of the scheduler's state. Runs
-// on the controller goroutine only.
+// under the scheduler mutex at quiescence (or after Run's teardown).
 func (s *Scheduler) buildSnapshot(done bool) *RunSnapshot {
 	snap := &RunSnapshot{
 		Name:   s.cfg.Name,

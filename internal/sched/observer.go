@@ -5,7 +5,8 @@ import "racefuzzer/internal/event"
 // Observer receives the execution's event stream: MEM accesses with their
 // held-lock snapshots, SND/RCV messages for fork/join/notify edges, and
 // LOCK/UNLOCK for detectors that model release→acquire edges. Observers run
-// synchronously on the controller goroutine; they must not block.
+// synchronously under the scheduler lock, one call at a time; they must not
+// block.
 type Observer interface {
 	OnEvent(e event.Event)
 }

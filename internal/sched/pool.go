@@ -17,7 +17,8 @@ import (
 //
 // Reuse is safe because a Scheduler leaves Run fully quiescent: every model
 // goroutine has terminated, and a dying goroutine touches no Thread or
-// Scheduler state after its final unlock in exitPark.
+// Scheduler state after its final unlock in exitPark (it may schedule the
+// next step, or signal Run's goroutine, only before that unlock).
 
 // defaultPolicy is the shared stateless fallback for Config.Policy == nil.
 var defaultPolicy = &RandomPolicy{}
@@ -64,7 +65,7 @@ func (s *Scheduler) reset(cfg Config) {
 	}
 	if s.metrics != nil {
 		// Telemetry rides the observer stream for events-by-kind; the
-		// remaining probes are explicit calls on the controller path.
+		// remaining probes are explicit calls in schedule and Run.
 		s.observers = append(s.observers, s.metrics)
 	}
 
@@ -88,9 +89,9 @@ func (s *Scheduler) reset(cfg Config) {
 	s.abortedRun = false
 
 	s.view = View{sched: s}
+	s.batch = nil
 	s.emptyRounds = 0
-	s.batchLeft = 0
-	s.handoffGrants = nil
+	s.finished = false
 }
 
 // release scrubs references a pooled Scheduler must not carry between runs.
@@ -107,7 +108,7 @@ func (s *Scheduler) release() {
 	s.finalSnap = nil
 	s.exceptions = nil
 	s.deadlock = nil
-	s.handoffGrants = nil
+	s.batch = nil // may alias policy scratch
 	s.view = View{}
 	// Scrub the whole backing array, not just the last run's prefix: threads
 	// beyond len carry state from an even earlier, longer run.

@@ -34,7 +34,7 @@ func (h *profHarness) probeRound(i int) {
 // TestProfDisabledOverhead asserts the tentpole invariant: with no trial
 // attached, the schedprof probe sites add at most 1% to the measured cost
 // of a real scheduler step. The step cost is measured from an actual
-// workload run (two channel handoffs per grant dominate it); the probe cost
+// workload run (thread-to-thread handoffs dominate it); the probe cost
 // is the nil-guarded sites in isolation, mirroring obs's TestNoopOverhead.
 func TestProfDisabledOverhead(t *testing.T) {
 	if testing.Short() {

@@ -1,7 +1,7 @@
 // Package sched implements the deterministic cooperative scheduler that is
 // this reproduction's substitute for the paper's JVM-level thread control
 // (see DESIGN.md, "Substitutions"). Model threads run as goroutines, but
-// every instrumented operation parks the thread until the controller grants
+// every instrumented operation parks the thread until the scheduler grants
 // it; exactly one model thread executes at a time, so a run is a function of
 // the program and one RNG seed. That seed-determinism is what makes the
 // paper's lightweight replay (§2.2) work: re-running with the same seed
@@ -15,12 +15,13 @@
 //   - Observer receives the event stream (MEM/SND/RCV/LOCK/UNLOCK) used by
 //     the hybrid and happens-before race detectors (phase 1).
 //
-// The grant engine is allocation-free in steady state: the controller hands
-// steps to threads over a mutex/condvar protocol with a spin fast path
-// (thread.go), a single-runnable thread runs consecutive rounds inline
-// without any goroutine switch (fastpath.go), per-round scratch (enabled
-// set, View, grant buffer) lives on the Scheduler, and whole Scheduler/
-// Thread trees are recycled through a sync.Pool across runs (pool.go).
+// The grant engine is allocation-free in steady state: the goroutine whose
+// park makes the run quiescent decides the next step itself (schedule) and
+// hands it over a mutex/condvar protocol with a spin fast path (thread.go),
+// so a thread granted again just keeps running on its own stack; per-round
+// scratch (enabled set, View, grant buffer) lives on the Scheduler, and
+// whole Scheduler/Thread trees are recycled through a sync.Pool across runs
+// (pool.go).
 package sched
 
 import (
@@ -50,7 +51,7 @@ var ErrInterruptedWait = errors.New("InterruptedException")
 // Aborted. Generous enough for every model in this repository.
 const DefaultMaxSteps = 2_000_000
 
-// lockState is the controller-side state of one monitor lock.
+// lockState is the scheduler-side state of one monitor lock.
 type lockState struct {
 	name   string
 	holder event.ThreadID
@@ -83,7 +84,7 @@ type Config struct {
 	// per round.
 	Flight FlightObserver
 	// Introspect, when non-nil, registers the execution for live read-only
-	// state snapshots (the observatory's /debug/sched): the controller
+	// state snapshots (the observatory's /debug/sched): the scheduler
 	// checks one atomic flag per round and publishes an immutable
 	// RunSnapshot only when a reader requested one. Nil costs a single nil
 	// check per round and never perturbs the schedule.
@@ -170,11 +171,12 @@ type Scheduler struct {
 	observers []Observer
 	maxSteps  int
 
-	// mu serializes all scheduler state. The controller goroutine and model
-	// threads hand execution to one another under it: ctrlCond is where the
-	// controller awaits quiescence (inFlight == 0); each Thread carries its
-	// own grant condvar sharing mu (see Thread.awaitGrant for the spin fast
-	// path that usually skips the condvar entirely).
+	// mu serializes all scheduler state. Model threads hand execution to
+	// one another under it (schedule); ctrlCond is where Run's goroutine
+	// awaits the end of the run and, during shutdown, quiescence
+	// (inFlight == 0); each Thread carries its own grant condvar sharing mu
+	// (see Thread.awaitGrant for the spin fast path that usually skips the
+	// condvar entirely).
 	mu       sync.Mutex
 	ctrlCond sync.Cond
 
@@ -190,7 +192,7 @@ type Scheduler struct {
 	prof      *schedprof.Trial
 	rounds    int
 	inspSlot  *runSlot
-	finalSnap *RunSnapshot // captured at loop exit, before teardown
+	finalSnap *RunSnapshot // captured by finish, before teardown
 
 	steps       int
 	inFlight    int
@@ -212,18 +214,13 @@ type Scheduler struct {
 	aliveBuf   []*Thread // aliveThreads result
 	view       View
 
-	// Inline fast-path state (fastpath.go). emptyRounds is the consecutive
-	// empty-decision counter (shared by the controller loop and the inline
-	// trampoline so the forced-progress grace period is path-independent).
-	// batchLeft is how many grants of the controller's current decision
-	// remain after the grant in progress: the trampoline only runs when it
-	// is zero, i.e. the controller is between decisions. handoffGrants is a
-	// decision made inline that the inline thread could not apply itself;
-	// the controller adopts it verbatim (no re-decide, no re-record).
-	emptyRounds   int
-	batchLeft     int
-	handoffGrants []event.ThreadID
-	handoffBuf    []event.ThreadID
+	// Round state (schedule). batch holds the current decision's grants not
+	// yet applied; emptyRounds counts consecutive empty decisions toward
+	// the forced-progress grace period; finished marks a terminal state,
+	// after which Run's goroutine owns the run.
+	batch       []event.ThreadID
+	emptyRounds int
+	finished    bool
 }
 
 // Run executes main as the body of thread T0 under cfg and returns the
@@ -240,7 +237,7 @@ func Run(main func(*Thread), cfg Config) *Result {
 	if cfg.Introspect != nil {
 		s.inspSlot = cfg.Introspect.register()
 		defer func() {
-			// Prefer the snapshot captured at loop exit: shutdown has since
+			// Prefer the snapshot captured by finish: shutdown has since
 			// unwound any blocked threads.
 			final := s.finalSnap
 			if final == nil {
@@ -254,7 +251,10 @@ func Run(main func(*Thread), cfg Config) *Result {
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopEnter)
 	}
-	s.loop()
+	for !s.finished {
+		s.ctrlCond.Wait()
+	}
+	s.finish()
 	s.mu.Unlock()
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopExit)
@@ -315,8 +315,8 @@ func (s *Scheduler) Seed() int64 { return s.cfg.Seed }
 func (s *Scheduler) Step() int { return s.steps }
 
 // startThread creates (or recycles) the thread with the next index and
-// launches its goroutine. Called with mu held (fork grants) or before the
-// controller loop starts (T0).
+// launches its goroutine. Called with mu held (fork grants, and T0 from
+// Run).
 func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	var t *Thread
@@ -366,38 +366,40 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	return t
 }
 
-// loop is the controller: wait for quiescence, ask the policy, grant,
-// repeat. Runs with mu held; waiting releases it. When the single-runnable
-// trampoline (fastpath.go) has been driving rounds inline, the controller
-// either keeps sleeping (nothing to do) or wakes to adopt a handed-off
-// decision it applies without re-deciding.
-func (s *Scheduler) loop() {
-	s.awaitQuiescence()
-	for {
-		if g := s.handoffGrants; g != nil {
-			// A decision made by the inline trampoline that the parking
-			// thread could not apply itself. Already recorded; apply as-is.
-			s.handoffGrants = nil
-			s.applyGrants(g)
-			continue
+// schedule runs the next step. It is called with mu held by whichever
+// goroutine brings inFlight to zero: the parking thread (self) or a dying
+// one (self == nil). At most one goroutine is unblocked at a time and state
+// changes only at grants, so any goroutine holding mu at quiescence decides
+// the same next step from the same state: every round is decided once, by
+// this code, and replays byte-identically.
+//
+// It grants the next still-enabled member of the current decision (s.batch),
+// deciding a new round once the batch is spent. It returns true when the
+// grantee is self — park then returns into the thread's own stack without
+// blocking — and otherwise wakes the grantee directly. On a terminal state
+// (Enabled(s) empty or the step limit) it marks the run finished, before
+// drawing any randomness, and hands control back to Run's goroutine, which
+// takes every later quiescence too (the shutdown unwind).
+func (s *Scheduler) schedule(self *Thread) bool {
+	for !s.finished {
+		if len(s.batch) > 0 {
+			t := s.threads[s.batch[0]]
+			s.batch = s.batch[1:]
+			if !s.isEnabled(t.id) {
+				continue
+			}
+			s.applyGrant(t)
+			if t == self {
+				return true
+			}
+			s.wake(t)
+			return false
 		}
 		s.pollIntrospect()
 		enabled := s.enabledThreads()
-		if len(enabled) == 0 {
-			// Capture the final introspection snapshot before shutdown: the
-			// teardown unwinds blocked threads, which would erase the very
-			// wait-for graph a deadlock snapshot exists to show.
-			s.finalizeIntrospect()
-			if alive := s.aliveThreads(); len(alive) > 0 {
-				s.recordDeadlock(alive)
-				s.shutdown()
-			}
-			return
-		}
-		if s.steps >= s.maxSteps {
-			s.finalizeIntrospect()
-			s.shutdown()
-			return
+		if len(enabled) == 0 || s.steps >= s.maxSteps {
+			s.finished = true
+			break
 		}
 		if s.metrics != nil {
 			s.metrics.ObserveEnabled(len(enabled))
@@ -409,41 +411,48 @@ func (s *Scheduler) loop() {
 		if s.prof != nil {
 			s.prof.Round(len(enabled), len(dec.Grants))
 		}
-		if len(dec.Grants) == 0 {
-			s.emptyRounds++
-			// A policy may legitimately return no grants for a round while it
-			// adjusts internal state (e.g. RaceFuzzer postponing a thread),
-			// but never indefinitely: force progress after a grace period.
-			if s.emptyRounds > 2*len(s.threads)+16 {
-				s.stalls++
-				s.grantBuf[0] = enabled[s.rng.Intn(len(enabled))]
-				forced := s.grantBuf[:1]
-				s.recordDecision(enabled, forced, true)
-				if s.prof != nil {
-					s.prof.ForcedGrant()
-				}
-				s.applyGrants(forced)
-				s.emptyRounds = 0
-			}
+		// The batch may alias policy scratch or s.grantBuf: both are only
+		// rewritten by the next policy.Step, which runs once it is spent.
+		s.batch = dec.Grants
+		if len(dec.Grants) > 0 {
+			s.emptyRounds = 0
 			continue
 		}
-		s.emptyRounds = 0
-		s.applyGrants(dec.Grants)
-	}
-}
-
-// applyGrants grants each enabled thread of one decision in order. During
-// the final grant's quiescence wait batchLeft is zero, so the trampoline
-// may take over (and may overwrite decision scratch buffers — safe, because
-// the remaining iterations only test enabledness of already-read IDs).
-func (s *Scheduler) applyGrants(g []event.ThreadID) {
-	for i, tid := range g {
-		if s.isEnabled(tid) {
-			s.batchLeft = len(g) - i - 1
-			s.grant(tid)
+		s.emptyRounds++
+		// A policy may legitimately return no grants for a round while it
+		// adjusts internal state (e.g. RaceFuzzer postponing a thread), but
+		// never indefinitely: force progress after a grace period.
+		if s.emptyRounds > 2*len(s.threads)+16 {
+			s.stalls++
+			s.grantBuf[0] = enabled[s.rng.Intn(len(enabled))]
+			s.batch = s.grantBuf[:1]
+			s.recordDecision(enabled, s.batch, true)
+			if s.prof != nil {
+				s.prof.ForcedGrant()
+			}
+			s.emptyRounds = 0
 		}
 	}
-	s.batchLeft = 0
+	s.ctrlCond.Signal()
+	return false
+}
+
+// finish ends a finished run on Run's goroutine, with mu held at
+// quiescence: record a deadlock if live threads remain with none enabled,
+// or abort at the step limit.
+func (s *Scheduler) finish() {
+	// Capture the final introspection snapshot before shutdown: the teardown
+	// unwinds blocked threads, which would erase the very wait-for graph a
+	// deadlock snapshot exists to show.
+	s.finalizeIntrospect()
+	if len(s.enabledThreads()) == 0 {
+		if alive := s.aliveThreads(); len(alive) > 0 {
+			s.recordDeadlock(alive)
+			s.shutdown()
+		}
+		return
+	}
+	s.shutdown()
 }
 
 // recordDecision counts one scheduling round and delivers its
@@ -467,16 +476,6 @@ func (s *Scheduler) recordDecision(enabled, grants []event.ThreadID, forced bool
 	})
 }
 
-// grant lets thread tid perform its pending op from the controller: apply
-// the op's effect, wake the goroutine, and wait until every unblocked
-// goroutine has parked again.
-func (s *Scheduler) grant(tid event.ThreadID) {
-	t := s.threads[tid]
-	s.applyGrant(t)
-	s.wake(t)
-	s.awaitQuiescence()
-}
-
 // wake hands the step to a granted (or shutdown-unwound) thread: the atomic
 // store is the release the spin fast path synchronizes on, the Signal
 // covers the condvar slow path. Callers hold mu.
@@ -485,8 +484,8 @@ func (s *Scheduler) wake(t *Thread) {
 	t.grantCond.Signal()
 }
 
-// awaitQuiescence blocks the controller until no model goroutine is
-// unblocked. Parking threads signal ctrlCond when inFlight hits zero.
+// awaitQuiescence blocks Run's goroutine, during shutdown, until no model
+// goroutine is unblocked; schedule signals ctrlCond when inFlight hits zero.
 func (s *Scheduler) awaitQuiescence() {
 	for s.inFlight > 0 {
 		s.ctrlCond.Wait()
@@ -494,9 +493,9 @@ func (s *Scheduler) awaitQuiescence() {
 }
 
 // applyGrant applies thread t's pending op to the synchronization state,
-// emits its events, and marks t running. It does not wake t: the controller
-// path follows with wake, the inline fast path simply returns into the
-// thread's own call stack. Callers hold mu.
+// emits its events, and marks t running. It does not wake t: schedule
+// follows with wake, or returns into t's own call stack when t is the
+// parking thread. Callers hold mu.
 func (s *Scheduler) applyGrant(t *Thread) {
 	tid := t.id
 	op := t.pending

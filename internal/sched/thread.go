@@ -12,7 +12,7 @@ import (
 	"racefuzzer/internal/rng"
 )
 
-// threadStatus is the controller-side lifecycle state of a model thread.
+// threadStatus is the scheduler-side lifecycle state of a model thread.
 type threadStatus int
 
 const (
@@ -87,8 +87,8 @@ type Thread struct {
 	// before parking, read under the scheduler mutex afterwards.
 	pending Op
 
-	// Controller-owned scheduling state (everything below is accessed under
-	// the scheduler mutex, or by the thread itself while it owns the step).
+	// Scheduling state (everything below is accessed under the scheduler
+	// mutex, or by the thread itself while it owns the step).
 	status     threadStatus
 	held       lockset.Set
 	savedDepth int  // recursion depth saved across a monitor wait
@@ -131,7 +131,7 @@ type Thread struct {
 	// Interrupt machinery (Java Thread.interrupt semantics). intrLoc is the
 	// thread's interrupt-status memory location (accesses to it are
 	// instrumented, so interrupt races are detectable); the booleans are
-	// controller-owned.
+	// accessed under the scheduler mutex.
 	intrLoc         event.MemLoc
 	interruptedFlag bool
 	wokenByIntr     bool
@@ -172,34 +172,31 @@ func (t *Thread) yield(op Op) {
 }
 
 // park hands the step back to the scheduler and blocks until granted again.
-// When this park makes the system quiescent the thread first tries to drive
-// the next scheduling round itself (the single-runnable fast path): if the
-// policy grants this same thread, park returns without any goroutine switch
-// or controller involvement.
+// When this park makes the system quiescent the thread schedules the next
+// step itself: if that grants this same thread, park returns without any
+// goroutine switch.
 func (t *Thread) park() {
 	s := t.s
 	s.mu.Lock()
 	s.handlePark(t)
-	if s.inFlight == 0 {
-		if s.tryInline(t) {
-			s.mu.Unlock()
-			return
-		}
-		s.ctrlCond.Signal()
+	if s.inFlight == 0 && s.schedule(t) {
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
 	t.awaitGrant()
 }
 
 // exitPark is the dying goroutine's final park: no grant will follow, so it
-// only delivers the exit to the scheduler. After the unlock the goroutine
-// touches nothing — required for pool reuse of the Thread struct.
+// delivers the exit and, if that makes the system quiescent, schedules the
+// next step for some other thread. After the unlock the goroutine touches
+// nothing — required for pool reuse of the Thread struct.
 func (t *Thread) exitPark() {
 	s := t.s
 	s.mu.Lock()
 	s.handlePark(t)
 	if s.inFlight == 0 {
-		s.ctrlCond.Signal()
+		s.schedule(nil)
 	}
 	s.mu.Unlock()
 }

@@ -11,8 +11,8 @@
 //     is byte-for-byte the unprofiled one. Every Trial method is also
 //     nil-safe, so call sites outside the scheduler need no guards.
 //   - Probes never perturb the schedule. Recording reads the monotonic
-//     clock and writes into preallocated fixed-size arrays on the
-//     controller goroutine; nothing draws randomness, blocks, allocates,
+//     clock and writes into preallocated fixed-size arrays under the
+//     scheduler's lock; nothing draws randomness, blocks, allocates,
 //     or communicates. A trial profiled and unprofiled replays the
 //     identical schedule.
 //
@@ -78,7 +78,7 @@ const enabledCap = 64
 // Span is one granted op on the timeline. Times are nanoseconds relative to
 // the trial's start.
 type Span struct {
-	// StartNs is the grant time (controller decided to run the op).
+	// StartNs is the grant time (the scheduler decided to run the op).
 	StartNs int64 `json:"startNs"`
 	// WaitNs is how long the thread was parked before this grant
 	// (park -> grant; for blocked ops this includes the blocked time).
@@ -96,8 +96,8 @@ type Span struct {
 }
 
 // Trial is the per-execution profile: a fixed-size span ring plus exact
-// per-kind totals, written only by the controller goroutine of the run it
-// is attached to (sched.Config.Prof). Obtain one from Collector.StartTrial
+// per-kind totals, written only under the scheduler lock of the run it is
+// attached to (sched.Config.Prof). Obtain one from Collector.StartTrial
 // (pooled, aggregated on FinishTrial) or NewTrial (standalone, for timeline
 // export). All methods are nil-safe.
 type Trial struct {
