@@ -1,8 +1,6 @@
 package collections
 
 import (
-	"fmt"
-
 	"racefuzzer/internal/conc"
 )
 
@@ -20,6 +18,7 @@ type HashMap struct {
 	buckets  *conc.Array[*hmNode]
 	size     *conc.IntVar
 	modCount *conc.IntVar
+	nodeBase string // name + ".entry"; entries are named on demand
 	nodeSeq  int
 }
 
@@ -30,6 +29,7 @@ func NewHashMap(t *conc.Thread, name string) *HashMap {
 		buckets:  conc.NewArray[*hmNode](t, name+".table", hsBuckets),
 		size:     conc.NewIntVar(t, name+".size", 0),
 		modCount: conc.NewIntVar(t, name+".modCount", 0),
+		nodeBase: name + ".entry",
 	}
 }
 
@@ -44,11 +44,11 @@ func (m *HashMap) Put(t *conc.Thread, key, val int) (int, bool) {
 		}
 	}
 	m.nodeSeq++
-	base := fmt.Sprintf("%s.entry%d", m.name, m.nodeSeq)
+	base, seq := m.nodeBase, m.nodeSeq
 	n := &hmNode{
 		key:  key,
-		val:  conc.NewVar(t, base+".value", val),
-		next: conc.NewVar[*hmNode](t, base+".next", nil),
+		val:  conc.NewIndexedVar(t, base, seq, ".value", val),
+		next: conc.NewIndexedVar[*hmNode](t, base, seq, ".next", nil),
 	}
 	n.next.Set(t, m.buckets.Get(t, b))
 	m.buckets.Set(t, b, n)

@@ -1,8 +1,6 @@
 package collections
 
 import (
-	"fmt"
-
 	"racefuzzer/internal/conc"
 )
 
@@ -22,6 +20,7 @@ type HashSet struct {
 	buckets  *conc.Array[*hsNode]
 	size     *conc.IntVar
 	modCount *conc.IntVar
+	nodeBase string // name + ".entry"; nodes are named on demand
 	nodeSeq  int
 }
 
@@ -32,6 +31,7 @@ func NewHashSet(t *conc.Thread, name string) *HashSet {
 		buckets:  conc.NewArray[*hsNode](t, name+".table", hsBuckets),
 		size:     conc.NewIntVar(t, name+".size", 0),
 		modCount: conc.NewIntVar(t, name+".modCount", 0),
+		nodeBase: name + ".entry",
 	}
 }
 
@@ -52,7 +52,7 @@ func (s *HashSet) Add(t *conc.Thread, v int) bool {
 		}
 	}
 	s.nodeSeq++
-	n := &hsNode{key: v, next: conc.NewVar[*hsNode](t, fmt.Sprintf("%s.entry%d.next", s.name, s.nodeSeq), nil)}
+	n := &hsNode{key: v, next: conc.NewIndexedVar[*hsNode](t, s.nodeBase, s.nodeSeq, ".next", nil)}
 	n.next.Set(t, s.buckets.Get(t, b))
 	s.buckets.Set(t, b, n)
 	s.size.Add(t, 1)

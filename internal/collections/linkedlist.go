@@ -15,12 +15,10 @@ type llNode struct {
 	prev *conc.Var[*llNode]
 }
 
-func newLLNode(t *conc.Thread, name string, v int) *llNode {
-	return &llNode{
-		val:  v,
-		next: conc.NewVar[*llNode](t, name+".next", nil),
-		prev: conc.NewVar[*llNode](t, name+".prev", nil),
-	}
+func newLLNode(t *conc.Thread, base string, seq, v int) *llNode {
+	next := conc.NewIndexedVar[*llNode](t, base, seq, ".next", nil)
+	prev := conc.NewIndexedVar[*llNode](t, base, seq, ".prev", nil)
+	return &llNode{val: v, next: next, prev: prev}
 }
 
 // LinkedList models java.util.LinkedList (JDK 1.4.2): a doubly-linked list
@@ -31,6 +29,7 @@ type LinkedList struct {
 	header   *llNode
 	size     *conc.IntVar
 	modCount *conc.IntVar
+	nodeBase string // name + ".node"; nodes are named on demand
 	nodeSeq  int
 }
 
@@ -38,9 +37,10 @@ type LinkedList struct {
 func NewLinkedList(t *conc.Thread, name string) *LinkedList {
 	l := &LinkedList{
 		name:     name,
-		header:   newLLNode(t, name+".header", 0),
+		header:   newLLHeader(t, name),
 		size:     conc.NewIntVar(t, name+".size", 0),
 		modCount: conc.NewIntVar(t, name+".modCount", 0),
+		nodeBase: name + ".node",
 	}
 	l.header.next.Set(t, l.header)
 	l.header.prev.Set(t, l.header)
@@ -49,7 +49,7 @@ func NewLinkedList(t *conc.Thread, name string) *LinkedList {
 
 func (l *LinkedList) newNode(t *conc.Thread, v int) *llNode {
 	l.nodeSeq++
-	return newLLNode(t, fmt.Sprintf("%s.node%d", l.name, l.nodeSeq), v)
+	return newLLNode(t, l.nodeBase, l.nodeSeq, v)
 }
 
 // Add appends v before the header (at the tail).
@@ -226,4 +226,14 @@ func (l *LinkedList) RemoveLast(t *conc.Thread) int {
 	}
 	l.unlink(t, last)
 	return last.val
+}
+
+// newLLHeader allocates the header sentinel, named name.header.next and
+// name.header.prev. It sits at the end of the file because the lines above
+// are statement labels (file:line): code inserted above them renames them.
+func newLLHeader(t *conc.Thread, name string) *llNode {
+	return &llNode{
+		next: conc.NewVar[*llNode](t, name+".header.next", nil),
+		prev: conc.NewVar[*llNode](t, name+".header.prev", nil),
+	}
 }

@@ -1,8 +1,6 @@
 package collections
 
 import (
-	"fmt"
-
 	"racefuzzer/internal/conc"
 )
 
@@ -21,6 +19,7 @@ type TreeSet struct {
 	root     *conc.Var[*tsNode]
 	size     *conc.IntVar
 	modCount *conc.IntVar
+	nodeBase string // name + ".node"; nodes are named on demand
 	nodeSeq  int
 }
 
@@ -31,16 +30,17 @@ func NewTreeSet(t *conc.Thread, name string) *TreeSet {
 		root:     conc.NewVar[*tsNode](t, name+".root", nil),
 		size:     conc.NewIntVar(t, name+".size", 0),
 		modCount: conc.NewIntVar(t, name+".modCount", 0),
+		nodeBase: name + ".node",
 	}
 }
 
 func (s *TreeSet) newNode(t *conc.Thread, v int) *tsNode {
 	s.nodeSeq++
-	base := fmt.Sprintf("%s.node%d", s.name, s.nodeSeq)
+	base, seq := s.nodeBase, s.nodeSeq
 	return &tsNode{
 		key:   v,
-		left:  conc.NewVar[*tsNode](t, base+".left", nil),
-		right: conc.NewVar[*tsNode](t, base+".right", nil),
+		left:  conc.NewIndexedVar[*tsNode](t, base, seq, ".left", nil),
+		right: conc.NewIndexedVar[*tsNode](t, base, seq, ".right", nil),
 	}
 }
 

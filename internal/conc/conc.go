@@ -24,21 +24,31 @@ type Thread = sched.Thread
 // from different threads can be detected — and, by RaceFuzzer, actively
 // scheduled — to race.
 type Var[T any] struct {
-	loc  event.MemLoc
-	name string
-	val  T
+	loc event.MemLoc
+	s   *sched.Scheduler
+	val T
 }
 
 // NewVar allocates a shared variable with a debug name and initial value.
 func NewVar[T any](t *Thread, name string, init T) *Var[T] {
-	return &Var[T]{loc: t.Scheduler().NewLoc(name), name: name, val: init}
+	s := t.Scheduler()
+	return &Var[T]{loc: s.NewLoc(name), s: s, val: init}
+}
+
+// NewIndexedVar is NewVar for a variable named base, then i in decimal,
+// then suffix (a node's field, such as "list.node" 3 ".next"). The name is
+// built only if something reads it.
+func NewIndexedVar[T any](t *Thread, base string, i int, suffix string, init T) *Var[T] {
+	s := t.Scheduler()
+	return &Var[T]{loc: s.NewLocIndexed(base, i, suffix), s: s, val: init}
 }
 
 // Loc returns the variable's dynamic memory location.
 func (v *Var[T]) Loc() event.MemLoc { return v.loc }
 
-// Name returns the variable's debug name.
-func (v *Var[T]) Name() string { return v.name }
+// Name returns the variable's debug name. Like Loc, it is meaningful only
+// during the run that allocated v.
+func (v *Var[T]) Name() string { return v.s.LocName(v.loc) }
 
 // Get reads the variable; the statement label is the caller's file:line.
 func (v *Var[T]) Get(t *Thread) T {
@@ -73,7 +83,8 @@ type IntVar struct{ Var[int] }
 
 // NewIntVar allocates a shared integer.
 func NewIntVar(t *Thread, name string, init int) *IntVar {
-	return &IntVar{Var[int]{loc: t.Scheduler().NewLoc(name), name: name, val: init}}
+	s := t.Scheduler()
+	return &IntVar{Var[int]{loc: s.NewLoc(name), s: s, val: init}}
 }
 
 // Add performs v += d as Java compiles it: a read event followed by a write
@@ -102,21 +113,13 @@ func (v *IntVar) AddAt(t *Thread, stmt event.Stmt, d int) int {
 // postponing on).
 type Array[T any] struct {
 	base event.MemLoc
-	name string
 	vals []T
 }
 
-// NewArray allocates an n-element shared array.
+// NewArray allocates an n-element shared array; element i's location is
+// named name[i].
 func NewArray[T any](t *Thread, name string, n int) *Array[T] {
-	s := t.Scheduler()
-	a := &Array[T]{name: name, vals: make([]T, n)}
-	for i := 0; i < n; i++ {
-		loc := s.NewLoc(name + "[" + itoa(i) + "]")
-		if i == 0 {
-			a.base = loc
-		}
-	}
-	return a
+	return &Array[T]{base: t.Scheduler().NewLocRange(name, n), vals: make([]T, n)}
 }
 
 // Len returns the array length.

@@ -216,3 +216,37 @@ func TestVarNamesInLocations(t *testing.T) {
 		}
 	})
 }
+
+// TestNewArrayAllocsIndependentOfLength: element names are rendered on
+// demand, so allocating a 4096-element array costs what a 1-element one
+// does (the array header and its value slice).
+func TestNewArrayAllocsIndependentOfLength(t *testing.T) {
+	var small, large float64
+	runProg(t, 1, func(mt *Thread) {
+		small = testing.AllocsPerRun(50, func() { NewArray[int](mt, "a", 1) })
+		large = testing.AllocsPerRun(50, func() { NewArray[int](mt, "a", 4096) })
+	})
+	if small != large || large > 2 {
+		t.Fatalf("NewArray allocates %.0f times at n=1 and %.0f at n=4096, want the same (at most 2)", small, large)
+	}
+}
+
+// TestIndexedVarNames: an indexed variable is named base, index, suffix —
+// the same bytes the collections formatted per node with fmt.Sprintf.
+func TestIndexedVarNames(t *testing.T) {
+	runProg(t, 1, func(mt *Thread) {
+		v := NewIndexedVar[*int](mt, "set.node", 12, ".left", nil)
+		if want := fmt.Sprintf("%s.node%d", "set", 12) + ".left"; v.Name() != want {
+			mt.Throwf("indexed var name = %q, want %q", v.Name(), want)
+		}
+		if got := mt.Scheduler().LocName(v.Loc()); got != v.Name() {
+			mt.Throwf("LocName = %q, Name = %q", got, v.Name())
+		}
+		a := NewArray[int](mt, "buf", 3)
+		for i := 0; i < a.Len(); i++ {
+			if got, want := mt.Scheduler().LocName(a.LocOf(i)), fmt.Sprintf("buf[%d]", i); got != want {
+				mt.Throwf("element %d named %q, want %q", i, got, want)
+			}
+		}
+	})
+}

@@ -209,14 +209,14 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 			p.postponed.del(t)
 			v.Act(sched.ActionRecord{Kind: sched.ActViolation, Step: v.Step, Thread: t,
 				Others: []event.ThreadID{hit}, Stmt: p.Target.Second, OtherStmt: v.Op(hit).Stmt,
-				Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+				Loc: op.Loc, Lock: event.NoLock})
 			// Deliberately schedule the interferer inside the block, then
 			// let the victim observe the damage.
 			return sched.Decision{Grants: []event.ThreadID{hit, t}}
 		}
 		p.postponed.add(t, v.Step)
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
-			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+			Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 		return sched.Decision{}
 	}
 
@@ -235,7 +235,7 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 				p.postponed.del(tid)
 				v.Act(sched.ActionRecord{Kind: sched.ActViolation, Step: v.Step, Thread: tid,
 					Others: []event.ThreadID{t}, Stmt: p.Target.Second, OtherStmt: op.Stmt,
-					Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+					Loc: op.Loc, Lock: event.NoLock})
 				return sched.Decision{Grants: []event.ThreadID{t, tid}}
 			}
 		}
@@ -244,7 +244,7 @@ func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decisio
 		// still pending when a victim reaches Second.
 		p.postponed.add(t, v.Step)
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
-			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+			Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 		return sched.Decision{}
 	}
 	return v.Grant(t)

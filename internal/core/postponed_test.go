@@ -101,6 +101,8 @@ func TestPostponedThreadsIsAFreshCopy(t *testing.T) {
 // then lets the run continue. The view stays valid for the whole probe: all
 // model threads are parked at the quiescent point. Each measured call
 // advances the view's step so the livelock monitor's aging path runs too.
+// A measured call runs probeBatch Steps: AllocsPerRun floors the mean, so
+// one allocation every few Steps would read as zero per single Step.
 type allocProbe struct {
 	inner  sched.Policy
 	ready  func(v *sched.View) bool
@@ -108,15 +110,19 @@ type allocProbe struct {
 	probed bool
 }
 
+const probeBatch = 8
+
 func (a *allocProbe) Name() string { return a.inner.Name() }
 
 func (a *allocProbe) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	if !a.probed && a.ready(v) {
 		a.probed = true
 		step := v.Step
-		a.allocs = testing.AllocsPerRun(500, func() {
-			v.Step++
-			a.inner.Step(v, r)
+		a.allocs = testing.AllocsPerRun(100, func() {
+			for i := 0; i < probeBatch; i++ {
+				v.Step++
+				a.inner.Step(v, r)
+			}
 		})
 		v.Step = step
 	}
@@ -147,7 +153,7 @@ func runAllocProbe(t *testing.T, prog Program, probe *allocProbe) {
 		t.Fatal("the probed state never occurred")
 	}
 	if probe.allocs != 0 {
-		t.Fatalf("steady-state %s Step allocates %.2f times per call, want 0", probe.Name(), probe.allocs)
+		t.Fatalf("steady-state %s Step allocates %.2f times per %d calls, want 0", probe.Name(), probe.allocs, probeBatch)
 	}
 }
 

@@ -105,7 +105,8 @@ type RaceFuzzerPolicy struct {
 	// livelock monitor): their next selection executes unconditionally —
 	// evicting without running would just re-postpone them forever, which is
 	// why the paper's implementation pairs eviction with progress (§4).
-	justReleased []bool // indexed by ThreadID
+	justReleased []bool           // indexed by ThreadID
+	racing       []event.ThreadID // Racing(s, t, postponed) scratch, reused
 	races        []RealRace
 	released     int // threads released by the postponed==enabled rule (line 26)
 	aged         int // threads released by the livelock monitor
@@ -292,23 +293,25 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	// if NextStmt(s, t) ∈ RaceSet   (line 6)
 	if op.IsMem() && p.inRaceSet(op.Stmt) {
 		// R := Racing(s, t, postponed)   (line 7, Algorithm 2)
-		var races []event.ThreadID
+		races := p.racing[:0]
 		for _, tid := range p.postponed.sorted() {
 			if v.IsAlive(tid) && v.Op(tid).ConflictsWith(op) {
 				races = append(races, tid)
 			}
 		}
+		p.racing = races
 		if len(races) > 0 {
 			// Actual race detected (lines 8–9); resolve randomly (10–19).
 			// The raced statement pair is (op.Stmt, first postponed stmt) —
 			// all members of R access the same location, and their statements
-			// are in Target by the postponement invariant.
+			// are in Target by the postponement invariant. The finding and
+			// the flight record share one owned copy of R; the decision may
+			// return the scratch itself (read before the next Step).
 			raced := event.MakeStmtPair(op.Stmt, v.Op(races[0]).Stmt)
+			owned := append([]event.ThreadID(nil), races...)
 			rec := RealRace{
 				Target: p.targetOf(op.Stmt, v.Op(races[0]).Stmt), Pair: raced, Loc: op.Loc,
-				LocName: v.LocName(op.Loc), Candidate: t,
-				Postponed: append([]event.ThreadID(nil), races...),
-				Step:      v.Step,
+				LocName: v.LocName(op.Loc), Candidate: t, Postponed: owned, Step: v.Step,
 			}
 			candidateFirst := r.Bool() // line 11: the coin is always drawn,
 			// keeping the random stream aligned across resolution modes.
@@ -319,10 +322,9 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 				candidateFirst = false
 			}
 			v.Act(sched.ActionRecord{
-				Kind: sched.ActRace, Step: v.Step, Thread: t,
-				Others: append([]event.ThreadID(nil), races...),
-				Stmt:   op.Stmt, OtherStmt: v.Op(races[0]).Stmt,
-				Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock,
+				Kind: sched.ActRace, Step: v.Step, Thread: t, Others: owned,
+				Stmt: op.Stmt, OtherStmt: v.Op(races[0]).Stmt,
+				Loc: op.Loc, Lock: event.NoLock,
 				CandidateFirst: candidateFirst,
 			})
 			rec.CandidateFirst = candidateFirst
@@ -334,7 +336,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 			p.postponed.add(t, v.Step) // line 14
 			p.Metrics.Postpone()
 			v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
-				Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+				Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 			for _, tid := range races {
 				p.postponed.del(tid) // line 17
 			}
@@ -345,7 +347,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 		p.postponed.add(t, v.Step)
 		p.Metrics.Postpone()
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
-			Stmt: op.Stmt, Loc: op.Loc, LocName: v.LocName(op.Loc), Lock: event.NoLock})
+			Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 		return sched.Decision{}
 	}
 	// Trivial case: execute the next statement (line 24).

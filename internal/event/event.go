@@ -79,7 +79,7 @@ type Stmt int
 const NoStmt Stmt = 0
 
 var stmtTab = struct {
-	sync.Mutex
+	sync.RWMutex
 	byName map[string]Stmt
 	names  []string
 }{
@@ -89,13 +89,21 @@ var stmtTab = struct {
 
 // StmtFor interns name and returns its statement label. Interning is global
 // and append-only so labels are stable across executions in one process.
+// Lookups of known names share a read lock, so executors labelling in
+// parallel do not serialize on it.
 func StmtFor(name string) Stmt {
+	stmtTab.RLock()
+	s, ok := stmtTab.byName[name]
+	stmtTab.RUnlock()
+	if ok {
+		return s
+	}
 	stmtTab.Lock()
 	defer stmtTab.Unlock()
 	if s, ok := stmtTab.byName[name]; ok {
-		return s
+		return s // interned by another goroutine since the read
 	}
-	s := Stmt(len(stmtTab.names))
+	s = Stmt(len(stmtTab.names))
 	stmtTab.byName[name] = s
 	stmtTab.names = append(stmtTab.names, name)
 	return s
@@ -103,8 +111,8 @@ func StmtFor(name string) Stmt {
 
 // Name returns the interned name of s ("" for NoStmt).
 func (s Stmt) Name() string {
-	stmtTab.Lock()
-	defer stmtTab.Unlock()
+	stmtTab.RLock()
+	defer stmtTab.RUnlock()
 	if int(s) < 0 || int(s) >= len(stmtTab.names) {
 		return fmt.Sprintf("stmt#%d", int(s))
 	}

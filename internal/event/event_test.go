@@ -1,7 +1,9 @@
 package event
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +23,50 @@ func TestStmtInterning(t *testing.T) {
 	}
 	if NoStmt.Name() != "" || NoStmt.String() != "<unlabeled>" {
 		t.Fatal("NoStmt rendering wrong")
+	}
+}
+
+// stmtForRuns gives each TestStmtForConcurrent run (-count=N) fresh names.
+var stmtForRuns int
+
+// TestStmtForConcurrent interns one set of new labels from several
+// goroutines at once, each in its own order (run it under -race): all
+// must agree on one Stmt per name, each name must round-trip through
+// Name, and IDs must stay dense — a racing miss must never intern a name
+// twice.
+func TestStmtForConcurrent(t *testing.T) {
+	const workers, names = 8, 200
+	stmtForRuns++
+	label := func(i int) string { return fmt.Sprintf("concurrent%d:%d", stmtForRuns, i) }
+	before := StmtFor(label(-1))
+	got := make([][]Stmt, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]Stmt, names)
+			for k := 0; k < names; k++ {
+				i := (k + w*names/workers) % names
+				ids[i] = StmtFor(label(i))
+				if n := ids[i].Name(); n != label(i) {
+					t.Errorf("Name = %q for %s", n, label(i))
+				}
+			}
+			got[w] = ids
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < names; i++ {
+		for w := 1; w < workers; w++ {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("%s interned as %d and %d", label(i), got[0][i], got[w][i])
+			}
+		}
+	}
+	if after := StmtFor(label(names)); after != before+names+1 {
+		t.Fatalf("%d new names took IDs %d..%d: a name was interned twice", names, before+1, after-1)
 	}
 }
 

@@ -79,6 +79,12 @@ type Program struct {
 	Cfg     Config
 	Seed    int64
 	scripts [][]scriptOp
+	// labels[t][i] is the statement label of scripts[t][i]; lockNames and
+	// threadNames name the locks and workers. Generate builds every string
+	// once, so running the program formats nothing.
+	labels      [][]string
+	lockNames   []string
+	threadNames []string
 
 	// CounterIncrements is the total number of opCount instructions: after
 	// any complete (non-deadlocked, non-aborted) execution, the shared
@@ -142,6 +148,18 @@ func Generate(seed int64, cfg Config) *Program {
 		}
 		p.scripts = append(p.scripts, script)
 	}
+	kinds := [...]string{"read", "write", "nop", "lock", "unlock", "count"}
+	for t, script := range p.scripts {
+		labels := make([]string, len(script))
+		for i, op := range script {
+			labels[i] = fmt.Sprintf("gen%d:t%d.%d.%s", p.Seed, t, i, kinds[op.kind])
+		}
+		p.labels = append(p.labels, labels)
+		p.threadNames = append(p.threadNames, fmt.Sprintf("gen-%d", t))
+	}
+	for i := 0; i < cfg.Locks; i++ {
+		p.lockNames = append(p.lockNames, fmt.Sprintf("l%d", i))
+	}
 	return p
 }
 
@@ -154,13 +172,6 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// stmtFor labels script positions so detectors see stable statement
-// identities: thread index + position + op kind.
-func (p *Program) stmtFor(thread, pos int, k opKind) event.Stmt {
-	kinds := [...]string{"read", "write", "nop", "lock", "unlock", "count"}
-	return event.StmtFor(fmt.Sprintf("gen%d:t%d.%d.%s", p.Seed, thread, pos, kinds[k]))
-}
-
 // Body returns the program as a runnable main-thread body. FinalCounter
 // receives the counter's value at termination (valid only for complete runs).
 func (p *Program) Body(finalCounter *int) func(*sched.Thread) {
@@ -169,11 +180,11 @@ func (p *Program) Body(finalCounter *int) func(*sched.Thread) {
 		s := mt.Scheduler()
 		vars := make([]event.MemLoc, cfg.Vars)
 		for i := range vars {
-			vars[i] = s.NewLoc(fmt.Sprintf("v%d", i))
+			vars[i] = s.NewLocIndexed("v", i, "")
 		}
 		locks := make([]event.LockID, cfg.Locks)
 		for i := range locks {
-			locks[i] = s.NewLock(fmt.Sprintf("l%d", i))
+			locks[i] = s.NewLock(p.lockNames[i])
 		}
 		counterLock := s.NewLock("counterLock")
 		counterLoc := s.NewLoc("counter")
@@ -182,9 +193,11 @@ func (p *Program) Body(finalCounter *int) func(*sched.Thread) {
 		kids := make([]*sched.Thread, len(p.scripts))
 		for ti := range p.scripts {
 			ti := ti
-			kids[ti] = mt.Fork(fmt.Sprintf("gen-%d", ti), func(c *sched.Thread) {
+			kids[ti] = mt.Fork(p.threadNames[ti], func(c *sched.Thread) {
 				for pi, op := range p.scripts[ti] {
-					stmt := p.stmtFor(ti, pi, op.kind)
+					// Interned as the op runs, not in Generate: statement
+					// IDs are numbered in first-execution order.
+					stmt := event.StmtFor(p.labels[ti][pi])
 					switch op.kind {
 					case opRead:
 						c.MemRead(vars[op.arg], stmt)

@@ -123,8 +123,8 @@ type ActionRecord struct {
 	Stmt      event.Stmt
 	OtherStmt event.Stmt
 	Loc       event.MemLoc
-	// LocName is Loc's debug name (View.LocName), carried so a recording
-	// explains itself across processes.
+	// LocName is Loc's debug name, carried so a recording explains itself
+	// across processes. View.Act fills it; policies leave it empty.
 	LocName string
 	Lock    event.LockID
 	// CandidateFirst records the race resolution (ActRace only).

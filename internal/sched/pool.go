@@ -71,8 +71,8 @@ func (s *Scheduler) reset(cfg Config) {
 
 	s.threads = s.threads[:0]
 	s.locks = s.locks[:0]
-	s.locNames = s.locNames[:0]
-	s.locOwner = s.locOwner[:0]
+	s.locs = s.locs[:0]
+	s.nextLoc = 0
 
 	s.rounds = 0
 	s.inspSlot = nil

@@ -180,13 +180,13 @@ type Scheduler struct {
 	mu       sync.Mutex
 	ctrlCond sync.Cond
 
-	threads  []*Thread
-	locks    []lockState
-	locNames []string
-	// locOwner parallels locNames: -1 for ordinary locations, else the
-	// owning thread index of a lazily named interrupt-status location (the
-	// name is formatted in LocName on demand instead of per-thread per-run).
-	locOwner []int32
+	threads []*Thread
+	locks   []lockState
+	// locs names the memory locations: one entry per NewLoc, NewLocRange,
+	// NewLocIndexed or interrupt-status location, in allocation order, so
+	// entries' first locations ascend. nextLoc is the next free location.
+	locs    []locEntry
+	nextLoc event.MemLoc
 
 	flight    FlightObserver
 	prof      *schedprof.Trial
@@ -269,36 +269,6 @@ func Run(main func(*Thread), cfg Config) *Result {
 		s.prof.Mark(schedprof.PhaseDone)
 	}
 	return res
-}
-
-// NewLoc allocates a fresh shared-memory location. Called by the conc
-// package from model-thread context; execution is serialized, so a plain
-// counter is deterministic.
-func (s *Scheduler) NewLoc(name string) event.MemLoc {
-	loc := event.MemLoc(len(s.locNames))
-	s.locNames = append(s.locNames, name)
-	s.locOwner = append(s.locOwner, -1)
-	return loc
-}
-
-// newIntrLoc reserves thread tidx's interrupt-status location without
-// formatting its debug name; LocName renders it on demand.
-func (s *Scheduler) newIntrLoc(tidx int) event.MemLoc {
-	loc := event.MemLoc(len(s.locNames))
-	s.locNames = append(s.locNames, "")
-	s.locOwner = append(s.locOwner, int32(tidx))
-	return loc
-}
-
-// LocName returns the debug name of loc.
-func (s *Scheduler) LocName(loc event.MemLoc) string {
-	if int(loc) < 0 || int(loc) >= len(s.locNames) {
-		return loc.String()
-	}
-	if ti := s.locOwner[loc]; ti >= 0 {
-		return fmt.Sprintf("%s(T%d).interrupt", s.threads[ti].name, ti)
-	}
-	return s.locNames[loc]
 }
 
 // NewLock allocates a fresh monitor lock.
@@ -852,7 +822,7 @@ func (s *Scheduler) result() *Result {
 		Steps:        s.steps,
 		Threads:      len(s.threads),
 		Locks:        len(s.locks),
-		Locations:    len(s.locNames),
+		Locations:    int(s.nextLoc),
 		Exceptions:   s.exceptions,
 		Deadlock:     s.deadlock,
 		Aborted:      s.abortedRun,
