@@ -28,7 +28,6 @@ import (
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/hybrid"
 	"racefuzzer/internal/lockset"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
 	"racefuzzer/internal/vclock"
 )
@@ -256,36 +255,6 @@ func BenchmarkScheduler(b *testing.B) {
 				mt.Join(k)
 			}
 		}, sched.Config{Seed: int64(i)})
-		steps += res.Steps
-	}
-	b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
-}
-
-// BenchmarkSchedulerMetrics is BenchmarkScheduler with a RunMetrics attached
-// to every execution — compare the two to see the cost of the observability
-// on-switch (the off-switch cost is asserted near zero by the obs package's
-// TestNoopOverhead).
-func BenchmarkSchedulerMetrics(b *testing.B) {
-	steps := 0
-	for i := 0; i < b.N; i++ {
-		res := sched.Run(func(mt *racefuzzer.Thread) {
-			s := mt.Scheduler()
-			lk := s.NewLock("L")
-			loc := s.NewLoc("x")
-			kids := []*racefuzzer.Thread{}
-			for w := 0; w < 4; w++ {
-				kids = append(kids, mt.Fork("w", func(c *racefuzzer.Thread) {
-					for j := 0; j < 50; j++ {
-						c.LockAcquire(lk, event.StmtFor("bs:acq"))
-						c.MemWrite(loc, event.StmtFor("bs:w"))
-						c.LockRelease(lk, event.StmtFor("bs:rel"))
-					}
-				}))
-			}
-			for _, k := range kids {
-				mt.Join(k)
-			}
-		}, sched.Config{Seed: int64(i), Metrics: obs.NewRunMetrics()})
 		steps += res.Steps
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/run")

@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
@@ -139,9 +140,12 @@ func main() {
 	if s := obsv.Sink(); s != nil {
 		sinks = append(sinks, s)
 	}
-	var sink obs.Sink
+	probes := core.Probes{
+		TraceDir: *trDir, PerfDir: *pfDir, Timing: *timing,
+		Metrics: obsv.Campaign(), Introspect: obsv.Introspector(), Prof: obsv.Prof(),
+	}
 	if len(sinks) > 0 {
-		sink = sinks
+		probes.Sink = sinks
 	}
 
 	saveCorpus := func() {
@@ -158,16 +162,12 @@ func main() {
 	}
 
 	if *budget > 0 {
-		traceDir := *trDir
-		if traceDir == "" && store != nil {
-			traceDir = store.WitnessDir()
+		if probes.TraceDir == "" && store != nil {
+			probes.TraceDir = store.WitnessDir()
 		}
 		rows := harness.RunAdaptiveCampaign(list, harness.CampaignOptions{
 			Seed: *seed, Budget: *budget, Rounds: *rounds, Workers: *workers,
-			Corpus: store, TraceDir: traceDir, PerfDir: *pfDir,
-			Metrics: obsv.Campaign(), Sink: sink,
-			Gauges: obsv.Registry(), Introspect: obsv.Introspector(),
-			Prof: obsv.Prof(), Timing: *timing,
+			Corpus: store, Gauges: obsv.Registry(), Probes: probes,
 		})
 		fmt.Println(harness.RenderCampaign(rows))
 		saveCorpus()
@@ -177,9 +177,7 @@ func main() {
 	if !*only {
 		rows := harness.RunTable1(list, harness.Options{
 			Seed: *seed, Phase2Trials: *trials, BaselineTrials: *trials, TimingRuns: *timingRuns,
-			TraceDir: *trDir, PerfDir: *pfDir, Workers: *workers, Corpus: store,
-			Metrics: obsv.Campaign(), Sink: sink, Introspect: obsv.Introspector(),
-			Prof: obsv.Prof(), Timing: *timing,
+			Workers: *workers, Corpus: store, Probes: probes,
 		})
 		if *csv {
 			fmt.Print(harness.CSVTable1(rows))

@@ -142,6 +142,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -explain requires -replay (e.g. -bench figure2 -pair 0 -replay 12345 -explain), or use -explaintrace on a saved recording")
 		os.Exit(2)
 	}
+	// -replay replays one race-pipeline run; the deadlock, atomicity and
+	// budget modes would return before reaching it.
+	if replaySet && (*dlMode || *atMode || *budget > 0) {
+		fmt.Fprintln(os.Stderr, "racefuzzer: -replay cannot be combined with -deadlocks, -atomicity or -budget (it replays one race-pipeline run)")
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, b := range bench.All() {
@@ -257,11 +263,11 @@ func main() {
 		Phase2Trials: *trials,
 		MaxSteps:     b.MaxSteps,
 		Label:        b.Name,
-		TraceDir:     traceDir,
-		PerfDir:      *pfDir,
 		Workers:      *workers,
 		Corpus:       store,
-		Timing:       *timing,
+		// The observability chain below fills in the rest of the probe
+		// set; the pipeline and -budget paths share it.
+		Probes: core.Probes{TraceDir: traceDir, PerfDir: *pfDir, Timing: *timing},
 	}
 	if opts.Phase1Trials == 0 {
 		opts.Phase1Trials = b.Phase1Trials
@@ -452,19 +458,13 @@ func main() {
 			names = []string{*name}
 		}
 		copt := harness.CampaignOptions{
-			Seed:       *seed,
-			Budget:     *budget,
-			Rounds:     *rounds,
-			Workers:    *workers,
-			Corpus:     store,
-			TraceDir:   traceDir,
-			PerfDir:    *pfDir,
-			Metrics:    campaign,
-			Sink:       opts.Sink,
-			Gauges:     obsv.Registry(),
-			Introspect: obsv.Introspector(),
-			Prof:       obsv.Prof(),
-			Timing:     *timing,
+			Seed:    *seed,
+			Budget:  *budget,
+			Rounds:  *rounds,
+			Workers: *workers,
+			Corpus:  store,
+			Gauges:  obsv.Registry(),
+			Probes:  opts.Probes,
 		}
 		var rows []harness.CampaignRow
 		if coord != nil {
@@ -555,18 +555,17 @@ func main() {
 			observers = append(observers, rec)
 		}
 		pol := core.NewRaceFuzzerPolicy(pair)
-		cfg := sched.Config{
-			Seed: *replay, Policy: pol, MaxSteps: b.MaxSteps, Observers: observers,
-		}
 		var flight *flightrec.Recorder
 		if *explain {
 			flight = flightrec.NewRecorder(flightrec.Header{
 				Label: b.Name, Policy: pol.Name(), Kind: "race",
 				Seed: *replay, Pair: pair.String(), MaxSteps: b.MaxSteps,
 			})
-			cfg.Flight = flight
+			observers = append(observers, flight)
 		}
-		res := sched.Run(b.New(), cfg)
+		res := sched.Run(b.New(), sched.Config{
+			Seed: *replay, Policy: pol, MaxSteps: b.MaxSteps, Observers: observers,
+		})
 		for _, rr := range pol.Races() {
 			fmt.Printf("  %v\n", rr)
 		}
@@ -612,7 +611,6 @@ func main() {
 	finishObservers()
 }
 
-// portOf extracts the port of a host:port listen address (for the join hint
 // saveFleetTrail persists the flight recorder's artifacts next to the
 // corpus findings: the schema-validatable fleetspans.jsonl trail and a
 // Perfetto-loadable trace. Without -corpusdir they land in the working
@@ -633,6 +631,7 @@ func saveFleetTrail(spans *fleetspan.Collector, corpusDir string) {
 		len(trails), trailPath, perfettoPath)
 }
 
+// portOf extracts the port of a host:port listen address (for the join hint
 // printed at coordinator startup).
 func portOf(addr string) string {
 	if _, port, err := net.SplitHostPort(addr); err == nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
@@ -34,7 +35,7 @@ func writeCampaign(t *testing.T, dir string, seed int64) {
 	store.SetProvenance(prov)
 	harness.RunAdaptiveCampaign([]string{"figure2", "figure1"}, harness.CampaignOptions{
 		Seed: seed, Budget: 40, Rounds: 2, Corpus: store,
-		TraceDir: store.WitnessDir(), Sink: sink,
+		Probes: core.Probes{TraceDir: store.WitnessDir(), Sink: sink},
 	})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"racefuzzer/internal/atomizer"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/event"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
 )
 
@@ -47,7 +46,7 @@ func (t *atomicBlock) String() string     { return t.str }
 func (t *atomicBlock) seedOffset() int    { return 9_000_000 }
 func (t *atomicBlock) configName() string { return "" }
 
-func (t *atomicBlock) policy(o Options, _ *obs.RunMetrics) sched.Policy {
+func (t *atomicBlock) policy(o Options) sched.Policy {
 	pol := NewAtomicityDirectedPolicy(t.block)
 	pol.MaxPostponeAge = o.MaxPostponeAge
 	return pol

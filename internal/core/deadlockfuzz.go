@@ -8,7 +8,6 @@ import (
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/deadlock"
 	"racefuzzer/internal/event"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
 )
 
@@ -60,7 +59,7 @@ func (t *lockCycle) String() string     { return t.str }
 func (t *lockCycle) seedOffset() int    { return 7_000_000 }
 func (t *lockCycle) configName() string { return "" }
 
-func (t *lockCycle) policy(o Options, _ *obs.RunMetrics) sched.Policy {
+func (t *lockCycle) policy(o Options) sched.Policy {
 	return &DeadlockDirectedPolicy{TargetLocks: &t.cycle.Locks, MaxPostponeAge: o.MaxPostponeAge}
 }
 

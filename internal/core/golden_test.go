@@ -114,7 +114,8 @@ func TestEngineGoldenRace(t *testing.T) {
 			sink := obs.NewJSONLSink(&log)
 			rep := Analyze(tc.prog, Options{
 				Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20,
-				Label: "golden-" + tc.name, Sink: sink,
+				Label:  "golden-" + tc.name,
+				Probes: Probes{Sink: sink},
 			})
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
@@ -207,7 +208,7 @@ func TestEngineGoldenMixed(t *testing.T) {
 				Label: "golden-mixed", Policy: tc.policy.Name(), Kind: "golden", Seed: tc.seed,
 			})
 			res := sched.Run(goldenMixed(), sched.Config{
-				Seed: tc.seed, Policy: tc.policy, Name: "golden-mixed", Flight: rec,
+				Seed: tc.seed, Policy: tc.policy, Name: "golden-mixed", Observers: []sched.Observer{rec},
 			})
 			rec.Finish(res)
 			var b bytes.Buffer
@@ -241,8 +242,8 @@ func TestEngineGoldenPipelineRunLogs(t *testing.T) {
 			sink := obs.NewJSONLSink(&log)
 			tc.run(tc.prog, Options{
 				Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20,
-				Label: "golden-" + tc.name, Sink: sink, Corpus: corpus.NewStore(),
-				TraceDir: filepath.Join(dir, "traces"), PerfDir: filepath.Join(dir, "perf"),
+				Label: "golden-" + tc.name, Corpus: corpus.NewStore(),
+				Probes: Probes{Sink: sink, TraceDir: filepath.Join(dir, "traces"), PerfDir: filepath.Join(dir, "perf")},
 			})
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)

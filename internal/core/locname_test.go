@@ -71,7 +71,7 @@ func TestRecordedActionsCarryLocNames(t *testing.T) {
 		names := map[event.MemLoc]string{}
 		pol := NewRaceFuzzerPolicy(event.MakeStmtPair(stmt, stmt))
 		rec := flightrec.NewRecorder(flightrec.Header{Seed: seed})
-		res := sched.Run(namedLocsProgram(stmt, names), sched.Config{Seed: seed, Policy: pol, Flight: rec})
+		res := sched.Run(namedLocsProgram(stmt, names), sched.Config{Seed: seed, Policy: pol, Observers: []sched.Observer{rec}})
 		rec.Finish(res)
 		named += checkActionNames(t, seed, rec.Recording().Actions(), names)
 		for _, rr := range pol.Races() {
@@ -102,7 +102,7 @@ func TestRecordedActionsCarryLocNames(t *testing.T) {
 		}
 		pol := &AtomicityDirectedPolicy{Target: AtomicityTarget{First: first, Second: second, Interferers: []event.Stmt{inter}}}
 		rec := flightrec.NewRecorder(flightrec.Header{Seed: seed})
-		res := sched.Run(prog, sched.Config{Seed: seed, Policy: pol, Flight: rec})
+		res := sched.Run(prog, sched.Config{Seed: seed, Policy: pol, Observers: []sched.Observer{rec}})
 		rec.Finish(res)
 		checkActionNames(t, seed, rec.Recording().Actions(), names)
 		violations += len(pol.Violations())

@@ -124,7 +124,8 @@ func TestJSONLBitIdenticalWithoutTiming(t *testing.T) {
 		jsonl := obs.NewJSONLSink(&buf)
 		Analyze(bm.New(), Options{
 			Seed: 9, Phase1Trials: bm.Phase1Trials, Phase2Trials: 10,
-			MaxSteps: bm.MaxSteps, Label: bm.Name, Sink: jsonl, Timing: timing,
+			MaxSteps: bm.MaxSteps, Label: bm.Name,
+			Probes: Probes{Sink: jsonl, Timing: timing},
 		})
 		if err := jsonl.Close(); err != nil {
 			t.Fatal(err)
@@ -194,9 +195,8 @@ func analyzeOnce(t *testing.T, bm bench.Benchmark, workers int) (*Report, []obs.
 		Phase2Trials: 25,
 		MaxSteps:     bm.MaxSteps,
 		Label:        bm.Name,
-		Metrics:      metrics,
-		Sink:         jsonl,
 		Workers:      workers,
+		Probes:       Probes{Metrics: metrics, Sink: jsonl},
 	})
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,8 @@ func TestParallelDeterminismDeadlock(t *testing.T) {
 		var buf bytes.Buffer
 		jsonl := obs.NewJSONLSink(&buf)
 		reps := AnalyzeDeadlocks(abbaProgram(), Options{
-			Seed: 3, Phase1Trials: 4, Phase2Trials: 20, Sink: jsonl, Workers: workers,
+			Seed: 3, Phase1Trials: 4, Phase2Trials: 20, Workers: workers,
+			Probes: Probes{Sink: jsonl},
 		})
 		if err := jsonl.Close(); err != nil {
 			t.Fatal(err)
@@ -275,8 +276,8 @@ func TestParallelDeterminismAtomicity(t *testing.T) {
 		var buf bytes.Buffer
 		jsonl := obs.NewJSONLSink(&buf)
 		reps := AnalyzeAtomicity(bm.New(), Options{
-			Seed: 5, Phase1Trials: 3, Phase2Trials: 15, MaxSteps: bm.MaxSteps,
-			Sink: jsonl, Workers: workers,
+			Seed: 5, Phase1Trials: 3, Phase2Trials: 15, MaxSteps: bm.MaxSteps, Workers: workers,
+			Probes: Probes{Sink: jsonl},
 		})
 		if err := jsonl.Close(); err != nil {
 			t.Fatal(err)
@@ -325,7 +326,8 @@ func TestParallelWitnessCaptureDeterministic(t *testing.T) {
 		dir := t.TempDir()
 		rep := Analyze(bm.New(), Options{
 			Seed: 7, Phase1Trials: bm.Phase1Trials, Phase2Trials: 20,
-			MaxSteps: bm.MaxSteps, Label: bm.Name, TraceDir: dir, Workers: workers,
+			MaxSteps: bm.MaxSteps, Label: bm.Name, Workers: workers,
+			Probes: Probes{TraceDir: dir},
 		})
 		files := make(map[string][]byte)
 		entries, err := os.ReadDir(dir)

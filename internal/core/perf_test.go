@@ -22,8 +22,8 @@ func (c *collectPerfSink) Emit(rec obs.RunRecord) {
 func TestPerfDirExportsTimeline(t *testing.T) {
 	dir := t.TempDir()
 	sink := &collectPerfSink{}
-	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", PerfDir: dir,
-		Metrics: obs.NewCampaignMetrics(), Sink: sink}
+	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2",
+		Probes: Probes{PerfDir: dir, Metrics: obs.NewCampaignMetrics(), Sink: sink}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
 	if !rep.IsReal {
 		t.Fatalf("race not confirmed: %v", rep)
@@ -69,7 +69,7 @@ func TestPerfDirExportsTimeline(t *testing.T) {
 func TestPerfExportDoesNotChangeVerdicts(t *testing.T) {
 	plain := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, Options{Seed: 11, Phase2Trials: 20})
 	profiled := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0,
-		Options{Seed: 11, Phase2Trials: 20, PerfDir: t.TempDir(), Prof: schedprof.NewCollector()})
+		Options{Seed: 11, Phase2Trials: 20, Probes: Probes{PerfDir: t.TempDir(), Prof: schedprof.NewCollector()}})
 	if plain.RaceRuns != profiled.RaceRuns ||
 		plain.FirstRaceTrial != profiled.FirstRaceTrial ||
 		plain.FirstRaceSeed != profiled.FirstRaceSeed ||
@@ -85,7 +85,7 @@ func TestProfCollectorAggregatesCampaign(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prof := schedprof.NewCollector()
 		rep := Analyze(bench.Figure2(20),
-			Options{Seed: 3, Phase1Trials: 2, Phase2Trials: 10, Workers: workers, Prof: prof})
+			Options{Seed: 3, Phase1Trials: 2, Phase2Trials: 10, Workers: workers, Probes: Probes{Prof: prof}})
 		s := prof.Summary()
 		wantTrials := int64(2 + len(rep.Potential)*10)
 		if s.Trials != wantTrials {
@@ -109,7 +109,7 @@ func TestProfCollectorAggregatesCampaign(t *testing.T) {
 // timelines for their first confirming trials.
 func TestDeadlockAndAtomicityPerfExport(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Seed: 5, Phase1Trials: 6, Phase2Trials: 20, Label: "dl", PerfDir: dir}
+	o := Options{Seed: 5, Phase1Trials: 6, Phase2Trials: 20, Label: "dl", Probes: Probes{PerfDir: dir}}
 	cycles := DetectPotentialDeadlocks(abbaProgram(), o)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
@@ -119,7 +119,7 @@ func TestDeadlockAndAtomicityPerfExport(t *testing.T) {
 		t.Fatalf("deadlock perf timeline not exported: %+v", dlRep)
 	}
 
-	ao := Options{Seed: 8, Phase1Trials: 6, Phase2Trials: 40, Label: "lu", PerfDir: dir}
+	ao := Options{Seed: 8, Phase1Trials: 6, Phase2Trials: 40, Label: "lu", Probes: Probes{PerfDir: dir}}
 	targets := DetectAtomicityTargets(lostUpdateProgram(nil), ao)
 	exported := false
 	for i, tg := range targets {

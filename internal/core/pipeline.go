@@ -40,12 +40,6 @@ type Options struct {
 	// Programs must allocate their state per invocation (as every registry
 	// model does) so independent trials can execute concurrently.
 	Workers int
-	// Timing opts into per-run wall-clock timing on emitted records
-	// (RunRecord.DurationNs). Off by default: wall time is the one
-	// nondeterministic column, and leaving it zeroed keeps JSONL run logs
-	// bit-identical across repeat runs — the invariant CI's golden report
-	// test and the analytics determinism contract rely on.
-	Timing bool
 	// Round stamps emitted records with the adaptive campaign's 1-based
 	// allocation round (0 = not a budgeted campaign). See RunRecord.Round.
 	Round int
@@ -53,19 +47,6 @@ type Options struct {
 	// Label annotates telemetry records with the campaign's name (usually
 	// the benchmark under test).
 	Label string
-	// TraceDir, when non-empty, enables witness auto-capture: the first
-	// trial of each target that confirms its goal (real race, real deadlock,
-	// real violation) is re-run with a flight recorder — determinism makes
-	// the re-run the same execution — and archived there as a replayable
-	// *.trace.jsonl recording. The path is surfaced on the run's record
-	// (RunRecord.Trace) and the target's report.
-	TraceDir string
-	// Metrics, when non-nil, aggregates per-run telemetry across the whole
-	// campaign (phase 1 and phase 2).
-	Metrics *obs.CampaignMetrics
-	// Sink, when non-nil, receives one structured record per execution —
-	// the JSONL run log and/or progress reporting.
-	Sink obs.Sink
 	// Corpus, when non-nil, deduplicates confirmed findings against the
 	// persistent race corpus (internal/corpus): each target's first
 	// confirming run is reported under its canonical signature and marked
@@ -76,6 +57,43 @@ type Options struct {
 	// calls happen on the ordered merge goroutine, so verdicts are
 	// bit-identical at any Workers setting.
 	Corpus *corpus.Store
+	// Probes is the campaign's observation set.
+	Probes
+}
+
+// Probes is everything a campaign can attach to observe itself: captures,
+// telemetry, live introspection and profiling. Every probe is passive —
+// attaching any of them never changes a schedule, a verdict or a report —
+// and the zero value observes nothing. The harness and the CLI build one
+// Probes and hand it down whole.
+type Probes struct {
+	// TraceDir, when non-empty, enables witness auto-capture: the first
+	// trial of each target that confirms its goal (real race, real deadlock,
+	// real violation) is re-run with a flight recorder — determinism makes
+	// the re-run the same execution — and archived there as a replayable
+	// *.trace.jsonl recording. The path is surfaced on the run's record
+	// (RunRecord.Trace) and the target's report.
+	TraceDir string
+	// PerfDir, when non-empty, exports a performance timeline for the first
+	// confirming trial of each target: the trial is re-run with a
+	// standalone schedprof trial attached — determinism makes the re-run
+	// the same execution — and saved there as a Chrome trace-event
+	// *.perf.json file, loadable in Perfetto or chrome://tracing. The path
+	// is surfaced on the run's record (RunRecord.Perf) and the target's
+	// report.
+	PerfDir string
+	// Timing opts into per-run wall-clock timing on emitted records
+	// (RunRecord.DurationNs). Off by default: wall time is the one
+	// nondeterministic column, and leaving it zeroed keeps JSONL run logs
+	// bit-identical across repeat runs — the invariant CI's golden report
+	// test and the analytics determinism contract rely on.
+	Timing bool
+	// Metrics, when non-nil, aggregates per-run telemetry across the whole
+	// campaign (phase 1 and phase 2).
+	Metrics *obs.CampaignMetrics
+	// Sink, when non-nil, receives one structured record per execution —
+	// the JSONL run log and/or progress reporting.
+	Sink obs.Sink
 	// Introspect, when non-nil, registers every execution with the live
 	// scheduler-state introspector (the observatory's /debug/sched). Costs
 	// one atomic load per scheduling round when attached, one nil check
@@ -87,14 +105,6 @@ type Options struct {
 	// observatory's /debug/perf). Costs one nil check per probe site when
 	// absent and never perturbs schedules.
 	Prof *schedprof.Collector
-	// PerfDir, when non-empty, exports a performance timeline for the first
-	// confirming trial of each target: the trial is re-run with a
-	// standalone schedprof trial attached — determinism makes the re-run
-	// the same execution — and saved there as a Chrome trace-event
-	// *.perf.json file, loadable in Perfetto or chrome://tracing. The path
-	// is surfaced on the run's record (RunRecord.Perf) and the target's
-	// report.
-	PerfDir string
 }
 
 // observing reports whether per-run telemetry should be collected at all.
@@ -108,20 +118,20 @@ func (o Options) emit(rec obs.RunRecord) {
 }
 
 // runRecord assembles the common fields of a run record from a scheduler
-// result. Phase-1 records carry no exception kinds.
-func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result) obs.RunRecord {
+// result and the run's telemetry. Phase-1 records carry no exception kinds.
+func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result, stats *obs.RunStats) obs.RunRecord {
 	rec := obs.RunRecord{
 		Phase: phase, Kind: kind, PairIndex: pairIndex, Trial: trial, Round: o.Round,
 		Seed: seed, StepsToRace: -1, Deadlock: res.Deadlock != nil, Aborted: res.Aborted,
-		Steps: res.Steps, Stats: res.Stats,
+		Steps: res.Steps, Stats: stats,
 	}
 	if phase == 2 {
 		rec.Exceptions = runExceptionKinds(res)
 	}
 	// Wall time only when the campaign opted into -timing (zeroed otherwise
 	// — see RunRecord.DurationNs).
-	if o.Timing && res.Stats != nil {
-		rec.DurationNs = res.Stats.Wall.Nanoseconds()
+	if o.Timing && stats != nil {
+		rec.DurationNs = stats.Wall.Nanoseconds()
 	}
 	return rec
 }
@@ -178,8 +188,8 @@ func (t *raceTarget) String() string     { return t.str }
 func (t *raceTarget) seedOffset() int    { return t.offset }
 func (t *raceTarget) configName() string { return t.name }
 
-func (t *raceTarget) policy(o Options, rm *obs.RunMetrics) sched.Policy {
-	return &RaceFuzzerPolicy{Target: t.pair, Targets: t.set, MaxPostponeAge: o.MaxPostponeAge, Metrics: rm}
+func (t *raceTarget) policy(o Options) sched.Policy {
+	return &RaceFuzzerPolicy{Target: t.pair, Targets: t.set, MaxPostponeAge: o.MaxPostponeAge}
 }
 
 func (t *raceTarget) outcome(pol sched.Policy, _ *sched.Result) outcome {
@@ -211,7 +221,7 @@ type RunReport struct {
 // pair with the given seed. Re-invoking with the same arguments replays the
 // identical execution — the paper's lightweight replay.
 func FuzzRun(prog Program, pair event.StmtPair, seed int64, o Options) *RunReport {
-	res, pol := o.trial(prog, newRaceTarget(pair), seed)
+	res, pol, _ := o.trial(prog, newRaceTarget(pair), seed)
 	rf := pol.(*RaceFuzzerPolicy)
 	return &RunReport{Seed: seed, Result: res, Races: rf.Races(), RaceCreated: rf.RaceCreated()}
 }
@@ -254,16 +264,9 @@ type PairReport struct {
 	// index is >= 0.
 	FirstRaceSeed      int64
 	FirstExceptionSeed int64
-	// Telemetry aggregated over the trials. TotalSteps is always collected;
-	// the remaining fields need Options metrics/sink observation enabled
-	// (they come from the per-run RunStats) and are zero otherwise.
-	TotalSteps     int64
-	TotalSwitches  int64
-	TotalDecisions int64
-	TotalPostpones int64
-	// StepsToRace is the distribution of the scheduler step at which the
-	// race was created, over race-creating trials (empty unless observing).
-	StepsToRace obs.HistogramSnapshot
+	// TotalSteps sums the scheduler steps over the trials. The campaign
+	// telemetry (Options.Metrics) carries the finer counters.
+	TotalSteps int64
 	// TracePath is the auto-captured witness recording of the first
 	// race-creating trial ("" unless Options.TraceDir was set and a race was
 	// created); TraceErr reports a failed capture attempt.
@@ -354,12 +357,13 @@ func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 	set := &raceTarget{set: pairs, kind: "race-set", offset: 3_000_000}
 	type setRun struct {
 		res   *sched.Result
+		stats *obs.RunStats
 		races []RealRace
 	}
 	runOrdered(o.workerCount(), o.Phase2Trials,
 		func(i int) setRun {
-			res, pol := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
-			return setRun{res: res, races: pol.(*RaceFuzzerPolicy).Races()}
+			res, pol, stats := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
+			return setRun{res: res, stats: stats, races: pol.(*RaceFuzzerPolicy).Races()}
 		},
 		func(i int, r setRun) {
 			seen := make(map[event.StmtPair]bool)
@@ -374,7 +378,7 @@ func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 				rep.ExceptionRuns++
 			}
 			if o.observing() {
-				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res)
+				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res, r.stats)
 				rec.RaceCreated, rec.Races = created, len(r.races)
 				if created {
 					rec.StepsToRace = r.races[0].Step
@@ -437,16 +441,6 @@ func (r *Report) TotalSteps() int64 {
 	var n int64
 	for _, p := range r.Pairs {
 		n += p.TotalSteps
-	}
-	return n
-}
-
-// TotalDecisions sums the race-directed policy's scheduling decisions over
-// all pairs (zero unless the campaign ran with observation enabled).
-func (r *Report) TotalDecisions() int64 {
-	var n int64
-	for _, p := range r.Pairs {
-		n += p.TotalDecisions
 	}
 	return n
 }

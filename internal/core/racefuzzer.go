@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"racefuzzer/internal/event"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/rng"
 	"racefuzzer/internal/sched"
 )
@@ -95,10 +94,6 @@ type RaceFuzzerPolicy struct {
 	// Resolution selects the race-resolution strategy (ablation knob;
 	// the zero value is the paper's random resolution).
 	Resolution ResolutionMode
-	// Metrics, when non-nil, receives postpone/resume/livelock-breaker and
-	// decision counts. Probe calls are nil-safe, so the off path costs one
-	// nil check per event.
-	Metrics *obs.RunMetrics
 
 	postponed postponedSet // thread → step at which it was postponed
 	// justReleased marks threads evicted from postponed (line 26 or the
@@ -110,8 +105,9 @@ type RaceFuzzerPolicy struct {
 	races        []RealRace
 	released     int // threads released by the postponed==enabled rule (line 26)
 	aged         int // threads released by the livelock monitor
+	postpones    int // threads entering the postponed set (lines 14 and 21)
 	tracked      int // executed target-statement accesses (RaceFuzzer's tracked work)
-	steps        int // scheduling rounds taken
+	steps        int // scheduling decisions taken
 }
 
 // NewRaceFuzzerPolicy returns a policy targeting pair.
@@ -254,7 +250,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 			if v.Step-p.postponed.at[tid] > maxAge {
 				p.release(tid)
 				p.aged++
-				p.Metrics.LivelockBreak()
 				v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
 					Loc: event.NoLoc, Lock: event.NoLock})
 			}
@@ -272,7 +267,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 		evicted := keys[r.Intn(len(keys))]
 		p.release(evicted)
 		p.released++
-		p.Metrics.Resume()
 		v.Act(sched.ActionRecord{Kind: sched.ActResume, Step: v.Step, Thread: evicted,
 			Loc: event.NoLoc, Lock: event.NoLock})
 		return sched.Decision{}
@@ -281,7 +275,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	op := v.Op(t)
 
 	p.steps++
-	p.Metrics.Decision()
 	if int(t) < len(p.justReleased) && p.justReleased[t] {
 		// An evicted thread executes its pending statement unconditionally.
 		p.justReleased[t] = false
@@ -334,7 +327,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 				return v.Grant(t) // line 12
 			}
 			p.postponed.add(t, v.Step) // line 14
-			p.Metrics.Postpone()
+			p.postpones++
 			v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 				Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 			for _, tid := range races {
@@ -345,7 +338,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 		}
 		// Wait for a race to happen (line 21).
 		p.postponed.add(t, v.Step)
-		p.Metrics.Postpone()
+		p.postpones++
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 		return sched.Decision{}

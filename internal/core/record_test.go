@@ -149,7 +149,7 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	dir := witnessDir(t)
 	metrics := obs.NewCampaignMetrics()
 	sink := &collectTraceSink{}
-	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", TraceDir: dir, Metrics: metrics, Sink: sink}
+	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", Probes: Probes{TraceDir: dir, Metrics: metrics, Sink: sink}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
 	if !rep.IsReal {
 		t.Fatalf("race not confirmed: %v", rep)
@@ -199,7 +199,7 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 
 func TestTraceDirCapturesDeadlockAndAtomicityWitnesses(t *testing.T) {
 	dir := witnessDir(t)
-	o := Options{Seed: 5, Phase1Trials: 6, Phase2Trials: 20, Label: "dl", TraceDir: dir}
+	o := Options{Seed: 5, Phase1Trials: 6, Phase2Trials: 20, Label: "dl", Probes: Probes{TraceDir: dir}}
 	cycles := DetectPotentialDeadlocks(abbaProgram(), o)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
@@ -219,7 +219,7 @@ func TestTraceDirCapturesDeadlockAndAtomicityWitnesses(t *testing.T) {
 		t.Fatalf("deadlock explanation:\n%s", loaded.Explain())
 	}
 
-	ao := Options{Seed: 8, Phase1Trials: 6, Phase2Trials: 40, Label: "lu", TraceDir: dir}
+	ao := Options{Seed: 8, Phase1Trials: 6, Phase2Trials: 40, Label: "lu", Probes: Probes{TraceDir: dir}}
 	targets := DetectAtomicityTargets(lostUpdateProgram(nil), ao)
 	var confirmed *AtomicityReport
 	for i, tg := range targets {
@@ -264,7 +264,7 @@ func TestTraceDirCapturesDeadlockAndAtomicityWitnesses(t *testing.T) {
 func TestCaptureDoesNotChangeVerdicts(t *testing.T) {
 	plain := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, Options{Seed: 11, Phase2Trials: 20})
 	captured := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0,
-		Options{Seed: 11, Phase2Trials: 20, TraceDir: witnessDir(t)})
+		Options{Seed: 11, Phase2Trials: 20, Probes: Probes{TraceDir: witnessDir(t)}})
 	if plain.RaceRuns != captured.RaceRuns ||
 		plain.FirstRaceTrial != captured.FirstRaceTrial ||
 		plain.FirstRaceSeed != captured.FirstRaceSeed ||

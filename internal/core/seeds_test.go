@@ -84,19 +84,19 @@ func checkSeeds(t *testing.T, recs []obs.RunRecord, base int64, salt int) {
 
 func TestRacePipelineSeedDerivationGolden(t *testing.T) {
 	sink := &seedSink{}
-	Analyze(bench.Figure1(), Options{Seed: 42, Phase1Trials: 3, Phase2Trials: 4, Sink: sink})
+	Analyze(bench.Figure1(), Options{Seed: 42, Phase1Trials: 3, Phase2Trials: 4, Probes: Probes{Sink: sink}})
 	checkSeeds(t, sink.recs, 42, 0)
 }
 
 func TestDeadlockPipelineSeedDerivationGolden(t *testing.T) {
 	sink := &seedSink{}
-	AnalyzeDeadlocks(abbaProgram(), Options{Seed: 21, Phase1Trials: 3, Phase2Trials: 4, Sink: sink})
+	AnalyzeDeadlocks(abbaProgram(), Options{Seed: 21, Phase1Trials: 3, Phase2Trials: 4, Probes: Probes{Sink: sink}})
 	checkSeeds(t, sink.recs, 21, 7_000_000)
 }
 
 func TestAtomicityPipelineSeedDerivationGolden(t *testing.T) {
 	sink := &seedSink{}
-	AnalyzeAtomicity(lostUpdateProgram(nil), Options{Seed: 17, Phase1Trials: 3, Phase2Trials: 4, Sink: sink})
+	AnalyzeAtomicity(lostUpdateProgram(nil), Options{Seed: 17, Phase1Trials: 3, Phase2Trials: 4, Probes: Probes{Sink: sink}})
 	checkSeeds(t, sink.recs, 17, 9_000_000)
 }
 
@@ -106,7 +106,7 @@ func TestFuzzSetSeedDerivationGolden(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("no potential pairs")
 	}
-	FuzzSet(bench.Figure1(), pairs, Options{Seed: 13, Phase2Trials: 4, Sink: sink})
+	FuzzSet(bench.Figure1(), pairs, Options{Seed: 13, Phase2Trials: 4, Probes: Probes{Sink: sink}})
 	if len(sink.recs) == 0 {
 		t.Fatal("no records emitted")
 	}

@@ -5,8 +5,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
@@ -17,8 +19,9 @@ import (
 // active-testing loop aimed at different targets, and this file is that
 // loop. A Target holds only the facts that differ by kind (policy, hit
 // outcome, signature, rendered pair, seed offset, Config.Name); phase 1
-// (observe), the trial (runTrial), the ordered aggregate (tally) and the
-// (target, trial) grid (confirm) are shared by all three pipelines.
+// (observe), the trial (trialConfig, Options.run), the ordered aggregate
+// (tally) and the (target, trial) grid (confirm) are shared by all three
+// pipelines.
 
 // Target is one phase-2 goal: a racing statement pair, a lock-order cycle
 // or an intended-atomic block. Targets come from DetectTargets; the
@@ -33,9 +36,8 @@ type Target interface {
 	seedOffset() int
 	// configName is the trial's sched.Config.Name.
 	configName() string
-	// policy builds a fresh directed policy for one trial; rm, when
-	// non-nil, is the trial's RunMetrics.
-	policy(o Options, rm *obs.RunMetrics) sched.Policy
+	// policy builds a fresh directed policy for one trial.
+	policy(o Options) sched.Policy
 	// outcome reads what a finished trial did to the target.
 	outcome(pol sched.Policy, res *sched.Result) outcome
 	// signature is the target's canonical corpus identity. It is built
@@ -91,6 +93,7 @@ func observe[D sched.Observer, T any](prog Program, o Options, kind string, pol 
 	type obsRun struct {
 		found T
 		res   *sched.Result
+		stats *obs.RunStats
 	}
 	runOrdered(workers, o.Phase1Trials,
 		func(i int) obsRun {
@@ -99,48 +102,98 @@ func observe[D sched.Observer, T any](prog Program, o Options, kind string, pol 
 			if p == nil {
 				p = sched.NewRandomPolicy()
 			}
-			var rm *obs.RunMetrics
-			if o.observing() {
-				rm = obs.NewRunMetrics()
-			}
-			tr := o.Prof.StartTrial(o.Label, o.Seed+int64(i))
-			res := sched.Run(prog, sched.Config{
-				Seed: o.Seed + int64(i), Policy: p, Observers: []sched.Observer{det},
-				MaxSteps: o.MaxSteps, Metrics: rm, Introspect: o.Introspect, Prof: tr,
-			})
-			o.Prof.FinishTrial(tr)
-			return obsRun{found: query(det), res: res}
+			// Phase-1 stats carry no policy counters, whatever the policy.
+			res, stats := o.run(prog, sched.Config{
+				Seed: o.Seed + int64(i), Policy: p, MaxSteps: o.MaxSteps,
+				Observers: []sched.Observer{det},
+			}, nil)
+			return obsRun{found: query(det), res: res, stats: stats}
 		},
 		func(i int, r obsRun) {
 			if o.observing() {
-				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res))
+				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res, r.stats))
 			}
 			fold(r.found)
 		})
 }
 
-// runTrial runs one directed trial of t under pol, with the given probes
-// (Metrics, Flight, Introspect, Prof) attached. Plain trials, witness
-// recordings and perf timelines all build their sched.Config here: a run
-// is a pure function of (program, policy, seed) and every probe is
+// trialConfig is the sched.Config of one directed trial of t under pol.
+// Plain trials, witness recordings and perf timelines all start from it: a
+// run is a pure function of (program, policy, seed) and every probe is
 // passive, so a capture re-run is the same execution as the trial it
 // captures.
-func runTrial(prog Program, t Target, pol sched.Policy, seed int64, o Options, probes sched.Config) *sched.Result {
-	probes.Seed, probes.Policy, probes.MaxSteps, probes.Name = seed, pol, o.MaxSteps, t.configName()
-	return sched.Run(prog, probes)
+func trialConfig(t Target, pol sched.Policy, seed int64, o Options) sched.Config {
+	return sched.Config{Seed: seed, Policy: pol, MaxSteps: o.MaxSteps, Name: t.configName()}
 }
 
-// trial is one phase-2 execution with the campaign's probes attached.
-func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy) {
-	var rm *obs.RunMetrics
+// trial is one phase-2 execution with the campaign's probes attached. The
+// stats are nil unless the campaign observes.
+func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, *obs.RunStats) {
+	pol := t.policy(o)
+	res, stats := o.run(prog, trialConfig(t, pol, seed, o), pol)
+	return res, pol, stats
+}
+
+// run executes one campaign run under cfg with the campaign's probes
+// attached: introspection, a profiling trial and, when the campaign
+// observes, a runProbe whose stats read pol's counters.
+func (o Options) run(prog Program, cfg sched.Config, pol sched.Policy) (*sched.Result, *obs.RunStats) {
+	var probe *runProbe
 	if o.observing() {
-		rm = obs.NewRunMetrics()
+		probe = &runProbe{enabled: obs.NewEnabledHistogram()}
+		cfg.Observers = append(cfg.Observers, probe)
 	}
-	pol := t.policy(o, rm)
-	tr := o.Prof.StartTrial(o.Label, seed)
-	res := runTrial(prog, t, pol, seed, o, sched.Config{Metrics: rm, Introspect: o.Introspect, Prof: tr})
-	o.Prof.FinishTrial(tr)
-	return res, pol
+	cfg.Introspect = o.Introspect
+	cfg.Prof = o.Prof.StartTrial(o.Label, cfg.Seed)
+	var start time.Time
+	if probe != nil {
+		start = time.Now()
+	}
+	res := sched.Run(prog, cfg)
+	var stats *obs.RunStats
+	if probe != nil {
+		stats = probe.finish(res, pol, time.Since(start))
+	}
+	o.Prof.FinishTrial(cfg.Prof)
+	return res, stats
+}
+
+// runProbe is the per-run telemetry probe: a scheduler observer that tallies
+// events by kind and the enabled-set size of every policy round, then
+// builds the run's obs.RunStats from them, the Result and the policy's own
+// counters.
+type runProbe struct {
+	stats   obs.RunStats
+	enabled *obs.Histogram
+}
+
+// OnEvent implements sched.Observer.
+func (p *runProbe) OnEvent(e event.Event) {
+	if e.Kind >= 0 && e.Kind < event.KindCount {
+		p.stats.Events[e.Kind]++
+	}
+}
+
+// OnDecision counts the enabled set of every round the policy decided;
+// forced grants are the scheduler's, not the policy's.
+func (p *runProbe) OnDecision(d sched.DecisionRecord) {
+	if !d.Forced {
+		p.enabled.Observe(float64(len(d.Enabled)))
+	}
+}
+
+// finish completes the stats of a finished run. Only the race-directed
+// policy keeps postponed-set counters; every other policy reports zero.
+// The stats outlive the run in sinks, so the probe lets go of the live
+// histogram once it is snapshotted.
+func (p *runProbe) finish(res *sched.Result, pol sched.Policy, wall time.Duration) *obs.RunStats {
+	s := &p.stats
+	s.Steps, s.Switches, s.Wall = res.Steps, res.Switches, wall
+	s.Enabled, p.enabled = p.enabled.Snapshot(), nil
+	if rf, ok := pol.(*RaceFuzzerPolicy); ok {
+		s.Decisions, s.Postpones, s.Resumes, s.LivelockBreaks = rf.steps, rf.postpones, rf.released, rf.aged
+	}
+	return s
 }
 
 // Record is one phase-2 trial of t with a flight recorder attached: it
@@ -149,12 +202,14 @@ func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched
 // confirmed) and the complete causal recording. Witness auto-capture
 // archives exactly these recordings.
 func Record(prog Program, t Target, seed int64, o Options) (*sched.Result, int, *flightrec.Recording) {
-	pol := t.policy(o, nil)
+	pol := t.policy(o)
 	rec := flightrec.NewRecorder(flightrec.Header{
 		Label: o.Label, Policy: pol.Name(), Kind: t.Kind(),
 		Seed: seed, Pair: t.String(), MaxSteps: o.MaxSteps,
 	})
-	res := runTrial(prog, t, pol, seed, o, sched.Config{Flight: rec, Introspect: o.Introspect})
+	cfg := trialConfig(t, pol, seed, o)
+	cfg.Observers, cfg.Introspect = []sched.Observer{rec}, o.Introspect
+	res := sched.Run(prog, cfg)
 	rec.Finish(res)
 	return res, t.outcome(pol, res).hits, rec.Recording()
 }
@@ -171,15 +226,16 @@ func VerifyReplay(prog Program, t Target, seed int64, o Options) *flightrec.Dive
 // profile is one phase-2 trial of t with a standalone schedprof trial
 // attached; it returns the trial's timeline for Perfetto export.
 func profile(prog Program, t Target, seed int64, o Options) *schedprof.Timeline {
-	tr := schedprof.NewTrial(o.Label, seed, 0)
-	runTrial(prog, t, t.policy(o, nil), seed, o, sched.Config{Prof: tr})
-	return tr.Timeline()
+	cfg := trialConfig(t, t.policy(o), seed, o)
+	cfg.Prof = schedprof.NewTrial(o.Label, seed, 0)
+	sched.Run(prog, cfg)
+	return cfg.Prof.Timeline()
 }
 
 // trialResult is one grid trial as the tally receives it.
 type trialResult struct {
-	seed int64
-	res  *sched.Result
+	res   *sched.Result
+	stats *obs.RunStats
 	outcome
 }
 
@@ -195,16 +251,12 @@ func confirm(prog Program, targets []Target, first int, o Options) []PairReport 
 	for j, t := range targets {
 		tallies[j] = tally{prog: prog, t: t, index: first + j, o: o,
 			rep: PairReport{Trials: n, FirstRaceTrial: -1, FirstExceptionTrial: -1}}
-		if o.observing() {
-			tallies[j].stepsToHit = obs.NewStepsToRaceHistogram()
-		}
 	}
 	runOrdered(o.workerCount(), len(targets)*n,
 		func(k int) trialResult {
 			t := targets[k/n]
-			seed := pairSeed(o.Seed, first+k/n+t.seedOffset(), k%n)
-			res, pol := o.trial(prog, t, seed)
-			return trialResult{seed: seed, res: res, outcome: t.outcome(pol, res)}
+			res, pol, stats := o.trial(prog, t, tallies[k/n].seed(k%n))
+			return trialResult{res: res, stats: stats, outcome: t.outcome(pol, res)}
 		},
 		func(k int, r trialResult) { tallies[k/n].add(k%n, r) })
 	out := make([]PairReport, len(tallies))
@@ -222,29 +274,25 @@ func confirm(prog Program, targets []Target, first int, o Options) []PairReport 
 // task that never blocks the trial pool, and it captures the deterministic
 // first hitting trial, not the first to finish.
 type tally struct {
-	prog       Program
-	t          Target
-	index      int
-	o          Options
-	rep        PairReport
-	kinds      map[string]bool
-	stepsToHit *obs.Histogram
+	prog  Program
+	t     Target
+	index int
+	o     Options
+	rep   PairReport
+	kinds map[string]bool
 }
 
+// seed is the derived seed of the target's trial i.
+func (a *tally) seed(i int) int64 { return pairSeed(a.o.Seed, a.index+a.t.seedOffset(), i) }
+
 func (a *tally) add(i int, r trialResult) {
-	rep, o, res := &a.rep, a.o, r.res
+	rep, o, res, seed := &a.rep, a.o, r.res, a.seed(i)
 	rep.TotalSteps += int64(res.Steps)
-	if stats := res.Stats; stats != nil {
-		rep.TotalSwitches += int64(stats.Switches)
-		rep.TotalDecisions += int64(stats.Decisions)
-		rep.TotalPostpones += int64(stats.Postpones)
-	}
 	if res.Deadlock != nil {
 		rep.DeadlockRuns++
 	}
 	tracePath, perfPath, finding, newCells := "", "", "", 0
 	if r.hits > 0 {
-		a.stepsToHit.Observe(float64(r.step))
 		rep.RaceRuns++
 		var sig corpus.Signature
 		if o.Corpus != nil {
@@ -254,19 +302,19 @@ func (a *tally) add(i int, r trialResult) {
 			}
 		}
 		if rep.FirstRaceTrial < 0 {
-			rep.FirstRaceTrial, rep.FirstRaceSeed = i, r.seed
-			finding = o.reportFinding(sig, a.t.String(), a.index, i, r.seed, runExceptionKinds(res))
+			rep.FirstRaceTrial, rep.FirstRaceSeed = i, seed
+			finding = o.reportFinding(sig, a.t.String(), a.index, i, seed, runExceptionKinds(res))
 			rep.Known = finding == "known"
 			// With a corpus attached only new signatures record witnesses:
 			// known ones already have a regression baseline on disk.
 			if o.TraceDir != "" && finding != "known" {
-				_, _, witness := Record(a.prog, a.t, r.seed, o)
+				_, _, witness := Record(a.prog, a.t, seed, o)
 				tracePath, rep.TraceErr = save(witness, o.capturePath(o.TraceDir, a.t.Kind(), a.index, i, ".trace.jsonl"))
 				rep.TracePath = tracePath
 				o.Corpus.AttachWitness(sig, tracePath)
 			}
 			if o.PerfDir != "" {
-				tl := profile(a.prog, a.t, r.seed, o)
+				tl := profile(a.prog, a.t, seed, o)
 				perfPath, rep.PerfErr = save(tl, o.capturePath(o.PerfDir, a.t.Kind(), a.index, i, ".perf.json"))
 				rep.PerfPath = perfPath
 			}
@@ -274,7 +322,7 @@ func (a *tally) add(i int, r trialResult) {
 		if len(res.Exceptions) > 0 {
 			rep.ExceptionRuns++
 			if rep.FirstExceptionTrial < 0 {
-				rep.FirstExceptionTrial, rep.FirstExceptionSeed = i, r.seed
+				rep.FirstExceptionTrial, rep.FirstExceptionSeed = i, seed
 			}
 			if a.kinds == nil {
 				a.kinds = make(map[string]bool)
@@ -285,7 +333,7 @@ func (a *tally) add(i int, r trialResult) {
 		}
 	}
 	if o.observing() {
-		rec := o.runRecord(2, a.t.Kind(), a.index, i, r.seed, res)
+		rec := o.runRecord(2, a.t.Kind(), a.index, i, seed, res, r.stats)
 		rec.Pair = a.t.String()
 		rec.RaceCreated = r.hits > 0
 		rec.Races = r.hits
@@ -299,7 +347,6 @@ func (a *tally) add(i int, r trialResult) {
 
 func (a *tally) finish() PairReport {
 	rep := a.rep
-	rep.StepsToRace = a.stepsToHit.Snapshot()
 	rep.IsReal = rep.RaceRuns > 0
 	rep.Probability = float64(rep.RaceRuns) / float64(rep.Trials)
 	for k := range a.kinds {

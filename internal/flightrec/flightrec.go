@@ -166,10 +166,10 @@ func (rec *Recording) Actions() []Action {
 	return out
 }
 
-// Recorder captures one execution. Attach it as sched.Config.Flight — it
-// implements both sched.FlightObserver and sched.Observer, and the
-// scheduler auto-subscribes it to the event stream — then call Finish with
-// the run's Result and take the Recording. A Recorder is single-use.
+// Recorder captures one execution. List it in sched.Config.Observers — it
+// receives events, decisions and actions, in causal order — then call
+// Finish with the run's Result and take the Recording. A Recorder is
+// single-use.
 type Recorder struct {
 	h    Header
 	recs []Record
@@ -188,7 +188,8 @@ func (r *Recorder) OnEvent(e event.Event) {
 	r.recs = append(r.recs, Record{Ev: &w})
 }
 
-// OnDecision implements sched.FlightObserver.
+// OnDecision records one scheduling decision. Its thread slices are the
+// scheduler's scratch, so they are copied.
 func (r *Recorder) OnDecision(d sched.DecisionRecord) {
 	r.recs = append(r.recs, Record{Dec: &Decision{
 		Round:   d.Round,
@@ -200,7 +201,7 @@ func (r *Recorder) OnDecision(d sched.DecisionRecord) {
 	}})
 }
 
-// OnAction implements sched.FlightObserver.
+// OnAction records one policy action.
 func (r *Recorder) OnAction(a sched.ActionRecord) {
 	r.recs = append(r.recs, Record{Act: &Action{
 		Kind:           a.Kind.String(),
@@ -254,7 +255,6 @@ func threadsToInts(ts []event.ThreadID) []int {
 	return out
 }
 
-var _ sched.FlightObserver = (*Recorder)(nil)
 var _ sched.Observer = (*Recorder)(nil)
 
 // threadName renders a wire thread id.

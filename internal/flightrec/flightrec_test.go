@@ -17,7 +17,7 @@ func record(t testing.TB, seed int64) *Recording {
 	t.Helper()
 	r := NewRecorder(Header{Label: "figure1", Policy: "random", Seed: seed})
 	res := sched.Run(bench.Figure1(), sched.Config{
-		Seed: seed, Policy: sched.NewRandomPolicy(), Flight: r,
+		Seed: seed, Policy: sched.NewRandomPolicy(), Observers: []sched.Observer{r},
 	})
 	r.Finish(res)
 	return r.Recording()

@@ -8,8 +8,6 @@ import (
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/report"
-	"racefuzzer/internal/sched"
-	"racefuzzer/internal/schedprof"
 )
 
 // The adaptive budget campaign: instead of giving every registry target the
@@ -39,28 +37,13 @@ type CampaignOptions struct {
 	// the reallocation; nil runs with a fresh in-memory store (adaptive
 	// within this campaign, nothing persisted).
 	Corpus *corpus.Store
-	// TraceDir enables witness auto-capture for new signatures.
-	TraceDir string
-	// Metrics and Sink observe every pipeline execution, as in Options.
-	Metrics *obs.CampaignMetrics
-	Sink    obs.Sink
 	// Gauges, when non-nil, receives live campaign-progress gauges
 	// (campaign.round, campaign.round_budget, campaign.targets) for the
 	// observatory's /metrics endpoint.
 	Gauges *obs.Registry
-	// Introspect, when non-nil, exposes live scheduler state to the
-	// observatory's /debug/sched (see core.Options.Introspect).
-	Introspect *sched.Introspector
-	// Prof, when non-nil, profiles every pipeline execution into the
-	// observatory's /debug/perf collector (see core.Options.Prof).
-	Prof *schedprof.Collector
-	// PerfDir, when non-empty, exports a Perfetto timeline of each target's
-	// first confirming trial there (see core.Options.PerfDir).
-	PerfDir string
-	// Timing stamps per-run wall clock onto emitted records (see
-	// core.Options.Timing). Off by default so run logs stay byte-identical
-	// across repeat campaigns.
-	Timing bool
+	// Probes observe every pipeline execution (core.Options.Probes); with
+	// TraceDir set, witnesses are captured for new signatures.
+	core.Probes
 	// Executor, when non-nil, runs each allocation round's units somewhere
 	// other than this process — the fleet coordinator implements it by
 	// leasing units to a worker pool and merging their result batches back
@@ -264,16 +247,10 @@ func RunUnit(u RoundUnit, store *corpus.Store, o CampaignOptions) UnitOutcome {
 		Phase1Trials: b.Phase1Trials,
 		MaxSteps:     b.MaxSteps,
 		Workers:      o.Workers,
-		Label:        b.Name,
-		TraceDir:     o.TraceDir,
-		Metrics:      o.Metrics,
-		Sink:         o.Sink,
-		Corpus:       store,
-		Introspect:   o.Introspect,
-		Prof:         o.Prof,
-		PerfDir:      o.PerfDir,
-		Timing:       o.Timing,
 		Round:        u.Round,
+		Label:        b.Name,
+		Corpus:       store,
+		Probes:       o.Probes,
 	}
 	if opts.Phase1Trials <= 0 {
 		opts.Phase1Trials = 3

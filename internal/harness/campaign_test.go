@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 )
 
@@ -92,7 +93,8 @@ func TestRegressCleanOnFreshCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	RunAdaptiveCampaign(campaignBenches, CampaignOptions{
-		Seed: 7, Budget: 40, Rounds: 2, Corpus: store, TraceDir: store.WitnessDir(),
+		Seed: 7, Budget: 40, Rounds: 2, Corpus: store,
+		Probes: core.Probes{TraceDir: store.WitnessDir()},
 	})
 	if store.Len() == 0 {
 		t.Fatal("campaign produced no findings to regress")

@@ -18,7 +18,6 @@ import (
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/report"
 	"racefuzzer/internal/sched"
-	"racefuzzer/internal/schedprof"
 )
 
 // Options parameterizes a Table-1 regeneration run.
@@ -33,37 +32,17 @@ type Options struct {
 	BaselineTrials int
 	// TimingRuns is the number of runs averaged per runtime column. Default 5.
 	TimingRuns int
-	// TraceDir, when non-empty, auto-captures a flight recording of each
-	// target's first confirming run there (core.Options.TraceDir).
-	TraceDir string
 	// Workers sets the pipeline's trial executor width (core.Options.Workers):
 	// 0 or 1 = sequential, N > 1 = pool of N, negative = GOMAXPROCS. Measured
 	// counts and reports are identical at any setting; only the timing columns
 	// reflect the parallelism.
 	Workers int
-	// Metrics, when non-nil, aggregates pipeline telemetry across every
-	// benchmark measured by this harness invocation.
-	Metrics *obs.CampaignMetrics
-	// Sink, when non-nil, receives one structured record per pipeline
-	// execution (JSONL run logs, progress reporting).
-	Sink obs.Sink
 	// Corpus, when non-nil, receives every confirmed finding for dedup
 	// against prior campaigns (core.Options.Corpus).
 	Corpus *corpus.Store
-	// Introspect, when non-nil, exposes live scheduler state to the
-	// observatory's /debug/sched (core.Options.Introspect).
-	Introspect *sched.Introspector
-	// Prof, when non-nil, attaches a scheduler performance trial to every
-	// pipeline execution (core.Options.Prof) — the collector behind the
-	// observatory's /debug/perf.
-	Prof *schedprof.Collector
-	// PerfDir, when non-empty, exports a Perfetto timeline of each target's
-	// first confirming trial there (core.Options.PerfDir).
-	PerfDir string
-	// Timing stamps per-run wall clock onto emitted records
-	// (core.Options.Timing). Off by default to keep run logs byte-identical
-	// across repeat invocations.
-	Timing bool
+	// Probes observe every pipeline execution (core.Options.Probes). Metrics
+	// aggregates across every benchmark this harness invocation measures.
+	core.Probes
 }
 
 func (o Options) withDefaults() Options {
@@ -171,15 +150,11 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 		Phase2Trials: o.Phase2Trials,
 		MaxSteps:     b.MaxSteps,
 		Label:        b.Name,
-		TraceDir:     o.TraceDir,
-		Metrics:      perBench,
 		Workers:      o.Workers,
 		Corpus:       o.Corpus,
-		Introspect:   o.Introspect,
-		Prof:         o.Prof,
-		PerfDir:      o.PerfDir,
-		Timing:       o.Timing,
+		Probes:       o.Probes,
 	}
+	opts.Metrics = perBench
 	var sinks obs.MultiSink
 	if o.Metrics != nil {
 		sinks = append(sinks, o.Metrics)

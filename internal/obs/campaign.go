@@ -43,11 +43,6 @@ type CampaignMetrics struct {
 	enabled     *Histogram
 }
 
-// NewStepsToRaceHistogram returns a histogram with the standard
-// steps-to-race buckets, so per-pair and campaign-level distributions are
-// directly comparable.
-func NewStepsToRaceHistogram() *Histogram { return NewHistogram(stepsToRaceBounds...) }
-
 // NewCampaignMetrics returns an empty aggregator.
 func NewCampaignMetrics() *CampaignMetrics {
 	return &CampaignMetrics{

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"racefuzzer/internal/event"
 )
 
 func TestCounterGaugeNilSafety(t *testing.T) {
@@ -137,38 +135,13 @@ func TestSnapshotJSONAndTable(t *testing.T) {
 	}
 }
 
-// memEvent is a representative hot-path event.
-var memEvent = event.Event{Kind: event.KindMem, Thread: 1, Stmt: 2, Loc: 3, Access: event.Write}
-
 // sinkCount prevents the compiler from eliminating the benchmark loops.
 var sinkCount int64
 
-// BenchmarkNilRunMetricsEvent measures the observability off switch: the
-// per-event cost of calling a probe on a nil *RunMetrics. This is the cost
-// the scheduler pays when no metrics are attached (beyond its own nil check
-// that skips attaching the observer at all).
-func BenchmarkNilRunMetricsEvent(b *testing.B) {
-	var m *RunMetrics
-	for i := 0; i < b.N; i++ {
-		m.OnEvent(memEvent)
-		sinkCount++
-	}
-}
-
-// BenchmarkLiveRunMetricsEvent is the on-switch per-event cost, for the
-// overhead table in README.
-func BenchmarkLiveRunMetricsEvent(b *testing.B) {
-	m := NewRunMetrics()
-	for i := 0; i < b.N; i++ {
-		m.OnEvent(memEvent)
-		sinkCount++
-	}
-}
-
-// TestNoopOverhead asserts the contract the scheduler relies on: the no-op
-// (nil-receiver) metrics path costs no more than a few nanoseconds per
-// event relative to an empty loop, so leaving probes compiled into the hot
-// path is free when observability is off.
+// TestNoopOverhead asserts the nil-receiver contract of the metric
+// primitives: a probe on a nil *Histogram or *Counter costs no more than a
+// few nanoseconds relative to an empty loop, so callers leave probes in
+// place and switch observability off by passing nil.
 func TestNoopOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -182,16 +155,17 @@ func TestNoopOverhead(t *testing.T) {
 		}
 	})
 	nilPath := testing.Benchmark(func(b *testing.B) {
-		var m *RunMetrics
+		var h *Histogram
+		var c *Counter
 		for i := 0; i < b.N; i++ {
-			m.OnEvent(memEvent)
-			m.Postpone()
+			h.Observe(1)
+			c.Inc()
 			sinkCount++
 		}
 	})
 	delta := float64(nilPath.NsPerOp()) - float64(baseline.NsPerOp())
-	// "A few ns/event": the two probe calls above are nil checks that
-	// should each cost well under 5ns even on slow CI hardware.
+	// "A few ns": the two probe calls above are nil checks that should
+	// each cost well under 5ns even on slow CI hardware.
 	if delta > 10 {
 		t.Fatalf("no-op metrics path adds %.1f ns/event (baseline %d ns, nil-path %d ns)",
 			delta, baseline.NsPerOp(), nilPath.NsPerOp())

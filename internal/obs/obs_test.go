@@ -67,13 +67,12 @@ func TestCampaignMetricsAggregation(t *testing.T) {
 		Stats: &RunStats{Steps: 10, Switches: 2, Decisions: 11}})
 	c.Emit(RunRecord{Phase: 2, Steps: 20, StepsToRace: -1, Aborted: true,
 		Stats: &RunStats{Steps: 20, Switches: 5, Decisions: 21, Postpones: 3}})
-	st := NewRunMetrics()
-	st.OnEvent(event.Event{Kind: event.KindMem})
-	st.OnEvent(event.Event{Kind: event.KindMem})
-	st.ObserveEnabled(2)
-	st.SetWall(500 * time.Millisecond)
+	enabled := NewEnabledHistogram()
+	enabled.Observe(2)
+	st := &RunStats{Enabled: enabled.Snapshot(), Wall: 500 * time.Millisecond}
+	st.Events[event.KindMem] = 2
 	c.Emit(RunRecord{Phase: 2, Steps: 30, RaceCreated: true, StepsToRace: 120,
-		Races: 1, Exceptions: []string{"NPE"}, Stats: st.Stats()})
+		Races: 1, Exceptions: []string{"NPE"}, Stats: st})
 
 	s := c.Snapshot()
 	counters := map[string]int64{}
@@ -156,49 +155,5 @@ func TestProgress(t *testing.T) {
 	NewProgress(&quiet, 0).Finish()
 	if quiet.Len() != 0 {
 		t.Fatalf("empty finish printed: %q", quiet.String())
-	}
-}
-
-func TestRunMetricsStats(t *testing.T) {
-	var nilM *RunMetrics
-	nilM.OnEvent(event.Event{Kind: event.KindMem})
-	nilM.ObserveEnabled(1)
-	nilM.SetSteps(1)
-	nilM.SetSwitches(1)
-	nilM.SetWall(time.Second)
-	nilM.Decision()
-	nilM.Postpone()
-	nilM.Resume()
-	nilM.LivelockBreak()
-	if nilM.Stats() != nil {
-		t.Fatal("nil metrics produced stats")
-	}
-	var nilS *RunStats
-	if nilS.EventCount(event.KindMem) != 0 {
-		t.Fatal("nil stats counted")
-	}
-
-	m := NewRunMetrics()
-	m.OnEvent(event.Event{Kind: event.KindLock})
-	m.OnEvent(event.Event{Kind: event.KindLock})
-	m.OnEvent(event.Event{Kind: event.Kind(-1)}) // out of range: ignored
-	m.ObserveEnabled(3)
-	m.SetSteps(12)
-	m.SetSwitches(4)
-	m.SetWall(3 * time.Millisecond)
-	m.Decision()
-	m.Postpone()
-	m.Resume()
-	m.LivelockBreak()
-	s := m.Stats()
-	if s.Steps != 12 || s.Switches != 4 || s.Decisions != 1 ||
-		s.Postpones != 1 || s.Resumes != 1 || s.LivelockBreaks != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.EventCount(event.KindLock) != 2 || s.EventCount(event.Kind(-1)) != 0 {
-		t.Fatalf("event counts = %v", s.Events)
-	}
-	if s.Enabled.Count != 1 || s.Wall != 3*time.Millisecond {
-		t.Fatalf("enabled/wall = %+v %v", s.Enabled, s.Wall)
 	}
 }

@@ -139,11 +139,10 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		Phase2Trials: 20,
 		Workers:      4,
 		Label:        b.Name,
-		Metrics:      s.Campaign(),
-		Sink:         s.Sink(),
 		Corpus:       corpus.NewStore(),
-		Introspect:   s.Introspector(),
-		Prof:         s.Prof(),
+		Probes: core.Probes{
+			Metrics: s.Campaign(), Sink: s.Sink(), Introspect: s.Introspector(), Prof: s.Prof(),
+		},
 	}
 	rep := core.Analyze(b.New(), opts)
 	if len(rep.Potential) == 0 {
@@ -370,7 +369,7 @@ func TestObservatoryNilServerIsInert(t *testing.T) {
 	prog := bench.MustByName("figure2")
 	core.DetectPotentialRaces(prog.New(), core.Options{
 		Seed: 1, Phase1Trials: 1,
-		Metrics: s.Campaign(), Sink: s.Sink(), Introspect: s.Introspector(),
+		Probes: core.Probes{Metrics: s.Campaign(), Sink: s.Sink(), Introspect: s.Introspector()},
 	})
 }
 

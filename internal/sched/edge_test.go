@@ -105,6 +105,11 @@ func TestResultCounters(t *testing.T) {
 	if res.Steps == 0 {
 		t.Fatal("no steps counted")
 	}
+	// Three workers entering one after another switch at least twice, and
+	// never more than once per step.
+	if res.Switches < 2 || res.Switches >= res.Steps {
+		t.Fatalf("switches = %d (steps %d)", res.Switches, res.Steps)
+	}
 }
 
 func TestViewAccessors(t *testing.T) {

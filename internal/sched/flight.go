@@ -7,14 +7,14 @@ import (
 	"racefuzzer/internal/event"
 )
 
-// Flight-recorder hook: in addition to the event stream (Observer), the
-// scheduler can surface its *decisions* — which thread was chosen out of
-// which enabled set, and how much randomness had been consumed at that
-// point — and the policy's *actions* (postpone/resume/livelock-break and
-// race-check outcomes). Together with the events these form the full causal
-// record of one execution; internal/flightrec persists them as a versioned
-// JSONL trace and diffs two recordings to check the paper's seed-replay
-// guarantee step by step.
+// Flight-recorder records: besides the event stream, the scheduler hands
+// observers that ask for them (see Observer) its *decisions* — which thread
+// was chosen out of which enabled set, and how much randomness had been
+// consumed at that point — and the policy's *actions* (postpone/resume/
+// livelock-break and race-check outcomes). Together with the events these
+// form the full causal record of one execution; internal/flightrec persists
+// them as a versioned JSONL trace and diffs two recordings to check the
+// paper's seed-replay guarantee step by step.
 //
 // Decisions are recorded scheduler-side, not policy-side, for two reasons:
 // every policy (including the baselines) is covered without instrumentation,
@@ -22,6 +22,8 @@ import (
 // force-grants past a stalled policy — rather than what the policy asked for.
 
 // DecisionRecord describes one scheduling round from the scheduler's view.
+// Enabled and Grants are the scheduler's own scratch, valid only during the
+// OnDecision call; an observer that keeps them copies them.
 type DecisionRecord struct {
 	// Round is the 0-based index of the policy round within the execution.
 	Round int
@@ -153,17 +155,6 @@ func (a ActionRecord) String() string {
 		return fmt.Sprintf("postpone %s at step %d%s", a.Thread, a.Step, at)
 	}
 	return fmt.Sprintf("%s %s at step %d", a.Kind, a.Thread, a.Step)
-}
-
-// FlightObserver receives the scheduling decisions and policy actions of one
-// execution, interleaved with the event stream in causal order. Like
-// Observers, flight observers run synchronously under the scheduler lock
-// and must not block or perturb anything. A FlightObserver that also
-// implements Observer is automatically subscribed to the event stream by
-// Run; do not list it in Config.Observers as well.
-type FlightObserver interface {
-	OnDecision(d DecisionRecord)
-	OnAction(a ActionRecord)
 }
 
 func threadList(ts []event.ThreadID) string {

@@ -16,13 +16,14 @@ import (
 	"racefuzzer/internal/rng"
 )
 
-// flightLog is a test FlightObserver that renders every decision and action
-// to strings, giving a comparable full causal trace without importing
-// flightrec (which depends on this package).
+// flightLog is a test observer that renders every decision and action to
+// strings, giving a comparable full causal trace without importing flightrec
+// (which depends on this package).
 type flightLog struct {
 	lines []string
 }
 
+func (f *flightLog) OnEvent(event.Event)         {}
 func (f *flightLog) OnDecision(d DecisionRecord) { f.lines = append(f.lines, d.String()) }
 func (f *flightLog) OnAction(a ActionRecord)     { f.lines = append(f.lines, a.String()) }
 
@@ -235,7 +236,7 @@ func traceRun(genSeed, schedSeed int64) string {
 	rec := &recorder{}
 	fl := &flightLog{}
 	res := Run(genProgram(genSeed), Config{
-		Seed: schedSeed, Observers: []Observer{rec}, Flight: fl, Name: "gen",
+		Seed: schedSeed, Observers: []Observer{rec, fl}, Name: "gen",
 	})
 	var b strings.Builder
 	for _, l := range rec.lines {
@@ -312,13 +313,14 @@ func TestThreadDeathReleasesLocksInOrder(t *testing.T) {
 }
 
 // TestRoundsCountedWithoutRecorder pins the decision-round counter fix: the
-// counter must advance identically whether or not a flight observer is
-// attached (it used to advance only inside the recorder delivery path).
+// counter must advance identically whether or not a decision observer is
+// attached (it used to advance only inside the recorder delivery path), and
+// a decision-only observer sees exactly one decision per round.
 func TestRoundsCountedWithoutRecorder(t *testing.T) {
 	var final int
 	plain := Run(counterProgram(3, 10, &final), Config{Seed: 9})
-	fl := &flightLog{}
-	recorded := Run(counterProgram(3, 10, &final), Config{Seed: 9, Flight: fl})
+	dc := &decisionCounter{}
+	recorded := Run(counterProgram(3, 10, &final), Config{Seed: 9, Observers: []Observer{dc}})
 	if plain.Rounds == 0 {
 		t.Fatal("Rounds not counted without a recorder")
 	}
@@ -326,11 +328,17 @@ func TestRoundsCountedWithoutRecorder(t *testing.T) {
 		t.Fatalf("Rounds depends on observer wiring: %d without recorder, %d with",
 			plain.Rounds, recorded.Rounds)
 	}
-	if got := len(fl.lines); got != recorded.Rounds {
-		t.Fatalf("recorder saw %d decisions, Result.Rounds = %d", got, recorded.Rounds)
+	if dc.decisions != recorded.Rounds {
+		t.Fatalf("observer saw %d decisions, Result.Rounds = %d", dc.decisions, recorded.Rounds)
 	}
 	if plain.Steps != recorded.Steps {
-		t.Fatalf("recorder perturbed the schedule: steps %d vs %d", plain.Steps, recorded.Steps)
+		t.Fatalf("observer perturbed the schedule: steps %d vs %d", plain.Steps, recorded.Steps)
+	}
+	// Forced grants past a stalled policy are rounds too.
+	dc = &decisionCounter{}
+	stalled := Run(counterProgram(2, 3, &final), Config{Seed: 1, Policy: alwaysEmptyPolicy{}, Observers: []Observer{dc}})
+	if stalled.PolicyStalls == 0 || dc.decisions != stalled.Rounds {
+		t.Fatalf("stalled run: %d decisions, %d rounds, %d stalls", dc.decisions, stalled.Rounds, stalled.PolicyStalls)
 	}
 }
 
@@ -450,7 +458,7 @@ func TestBatchDecisions(t *testing.T) {
 			for run := 0; run < 20; run++ {
 				fl := &flightLog{}
 				pol := &batchPolicy{trigger: tc.trigger, batch: tc.batch}
-				res := Run(tc.prog, Config{Seed: 1, Policy: pol, Flight: fl})
+				res := Run(tc.prog, Config{Seed: 1, Policy: pol, Observers: []Observer{fl}})
 				if res.Deadlock != nil || res.Aborted || len(res.Exceptions) != 0 {
 					t.Fatalf("run %d: deadlock=%v aborted=%v exceptions=%v",
 						run, res.Deadlock, res.Aborted, res.Exceptions)

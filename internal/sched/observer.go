@@ -4,11 +4,26 @@ import "racefuzzer/internal/event"
 
 // Observer receives the execution's event stream: MEM accesses with their
 // held-lock snapshots, SND/RCV messages for fork/join/notify edges, and
-// LOCK/UNLOCK for detectors that model release→acquire edges. Observers run
+// LOCK/UNLOCK for detectors that model release→acquire edges. An observer
+// that also has an OnDecision(DecisionRecord) method receives every
+// scheduling decision, and one with an OnAction(ActionRecord) method every
+// policy action, interleaved with the events in causal order — how the
+// flight recorder (internal/flightrec) captures a whole execution. Run sorts
+// Config.Observers by these methods once per execution. Observers run
 // synchronously under the scheduler lock, one call at a time; they must not
-// block.
+// block or perturb anything.
 type Observer interface {
 	OnEvent(e event.Event)
+}
+
+// decisionObserver is an Observer that also receives scheduling decisions.
+type decisionObserver interface {
+	OnDecision(d DecisionRecord)
+}
+
+// actionObserver is an Observer that also receives policy actions.
+type actionObserver interface {
+	OnAction(a ActionRecord)
 }
 
 // ObserverFunc adapts a function to the Observer interface.
@@ -16,16 +31,6 @@ type ObserverFunc func(e event.Event)
 
 // OnEvent implements Observer.
 func (f ObserverFunc) OnEvent(e event.Event) { f(e) }
-
-// MultiObserver fans one event stream out to several observers.
-type MultiObserver []Observer
-
-// OnEvent implements Observer.
-func (m MultiObserver) OnEvent(e event.Event) {
-	for _, o := range m {
-		o.OnEvent(e)
-	}
-}
 
 // CountingObserver tallies events by kind; used in tests and overhead
 // benchmarks.

@@ -46,18 +46,22 @@ func (v *View) HeldLocks(t event.ThreadID) []event.LockID { return v.sched.threa
 func (v *View) LocName(loc event.MemLoc) string { return v.sched.LocName(loc) }
 
 // Act reports one policy action (postpone/resume/livelock-break, race or
-// violation hit) to the execution's flight recorder, if one is attached.
-// Policies call it unconditionally alongside their Metrics probes; without a
-// recorder it is a nil check. Act fills LocName from Loc (unless Loc is
-// NoLoc) for the recorder, so policies never build names a run does not
-// record. Actions must be emitted at deterministic points only — they
-// become part of the replay-compared record.
+// violation hit) to the execution's action observers, if any. Policies call
+// it unconditionally; without an action observer it is a length check. Act
+// fills LocName from Loc (unless Loc is NoLoc) for the observers, so
+// policies never build names a run does not record. Actions must be emitted
+// at deterministic points only — they become part of the replay-compared
+// record.
 func (v *View) Act(a ActionRecord) {
-	if f := v.sched.flight; f != nil {
-		if a.Loc != event.NoLoc {
-			a.LocName = v.sched.LocName(a.Loc)
-		}
-		f.OnAction(a)
+	s := v.sched
+	if len(s.actors) == 0 {
+		return
+	}
+	if a.Loc != event.NoLoc {
+		a.LocName = s.LocName(a.Loc)
+	}
+	for _, o := range s.actors {
+		o.OnAction(a)
 	}
 }
 

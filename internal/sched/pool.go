@@ -57,17 +57,16 @@ func (s *Scheduler) reset(cfg Config) {
 		s.maxSteps = DefaultMaxSteps
 	}
 	s.observers = append(s.observers[:0], cfg.Observers...)
-	s.flight = cfg.Flight
+	s.deciders, s.actors = s.deciders[:0], s.actors[:0]
+	for _, o := range cfg.Observers {
+		if d, ok := o.(decisionObserver); ok {
+			s.deciders = append(s.deciders, d)
+		}
+		if a, ok := o.(actionObserver); ok {
+			s.actors = append(s.actors, a)
+		}
+	}
 	s.prof = cfg.Prof
-	s.metrics = cfg.Metrics
-	if o, ok := cfg.Flight.(Observer); ok {
-		s.observers = append(s.observers, o)
-	}
-	if s.metrics != nil {
-		// Telemetry rides the observer stream for events-by-kind; the
-		// remaining probes are explicit calls in schedule and Run.
-		s.observers = append(s.observers, s.metrics)
-	}
 
 	s.threads = s.threads[:0]
 	s.locks = s.locks[:0]
@@ -100,10 +99,8 @@ func (s *Scheduler) reset(cfg Config) {
 func (s *Scheduler) release() {
 	s.cfg = Config{}
 	s.policy = nil
-	s.observers = s.observers[:0]
-	s.flight = nil
+	s.observers, s.deciders, s.actors = s.observers[:0], s.deciders[:0], s.actors[:0]
 	s.prof = nil
-	s.metrics = nil
 	s.inspSlot = nil
 	s.finalSnap = nil
 	s.exceptions = nil

@@ -13,7 +13,9 @@
 //     execute next. The paper's RaceFuzzer algorithm is a Policy
 //     (internal/core); uniform random scheduling is the baseline.
 //   - Observer receives the event stream (MEM/SND/RCV/LOCK/UNLOCK) used by
-//     the hybrid and happens-before race detectors (phase 1).
+//     the hybrid and happens-before race detectors (phase 1), and, when it
+//     asks for them, the scheduling decisions and policy actions (the
+//     flight recorder). Config.Observers is the scheduler's one probe list.
 //
 // The grant engine is allocation-free in steady state: the goroutine whose
 // park makes the run quiescent decides the next step itself (schedule) and
@@ -30,11 +32,9 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/lockset"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/rng"
 	"racefuzzer/internal/schedprof"
 )
@@ -65,24 +65,13 @@ type Config struct {
 	Seed int64
 	// Policy picks who runs next; nil means uniform random (RandomPolicy).
 	Policy Policy
-	// Observers receive the event stream.
+	// Observers receive the event stream and, by method, the scheduling
+	// decisions and policy actions (see Observer).
 	Observers []Observer
 	// MaxSteps bounds the execution; 0 means DefaultMaxSteps.
 	MaxSteps int
 	// Name labels the execution in reports.
 	Name string
-	// Metrics, when non-nil, collects per-run telemetry: steps, context
-	// switches, events by kind (it joins the observer stream), the
-	// enabled-thread histogram and wall time. The resulting snapshot is
-	// surfaced as Result.Stats. Nil disables all recording at no cost.
-	Metrics *obs.RunMetrics
-	// Flight, when non-nil, receives every scheduling decision and policy
-	// action — the flight-recorder hook (internal/flightrec). If it also
-	// implements Observer it is subscribed to the event stream automatically,
-	// so the recording interleaves decisions, actions and events in causal
-	// order. Nil disables decision recording at the cost of one nil check
-	// per round.
-	Flight FlightObserver
 	// Introspect, when non-nil, registers the execution for live read-only
 	// state snapshots (the observatory's /debug/sched): the scheduler
 	// checks one atomic flag per round and publishes an immutable
@@ -94,7 +83,7 @@ type Config struct {
 	// phase marks (internal/schedprof). Recording is clock reads plus
 	// writes into the trial's preallocated rings on the granting
 	// goroutine, so it never perturbs the schedule; nil costs one nil check
-	// per probe site, mirroring Metrics/Flight/Introspect.
+	// per probe site, mirroring Introspect.
 	Prof *schedprof.Trial
 }
 
@@ -151,11 +140,11 @@ type Result struct {
 	PolicyStalls int  // times the scheduler force-granted past an empty policy decision
 	// Rounds counts scheduling rounds (policy consultations, including
 	// forced re-decisions). Unlike Steps it advances on empty decisions too,
-	// and it is counted whether or not a flight recorder is attached.
+	// and it is counted whether or not a decision observer is attached.
 	Rounds int
-	// Stats carries the run's telemetry snapshot; nil unless Config.Metrics
-	// was attached.
-	Stats *obs.RunStats
+	// Switches counts grants whose thread differed from the previous grant:
+	// the execution's context switches.
+	Switches int
 }
 
 // Scheduler drives one execution. Create with Run; a Scheduler must not be
@@ -169,6 +158,8 @@ type Scheduler struct {
 	workRand  *rng.Rand
 	policy    Policy
 	observers []Observer
+	deciders  []decisionObserver // observers with OnDecision
+	actors    []actionObserver   // observers with OnAction
 	maxSteps  int
 
 	// mu serializes all scheduler state. Model threads hand execution to
@@ -188,7 +179,6 @@ type Scheduler struct {
 	locs    []locEntry
 	nextLoc event.MemLoc
 
-	flight    FlightObserver
 	prof      *schedprof.Trial
 	rounds    int
 	inspSlot  *runSlot
@@ -197,7 +187,6 @@ type Scheduler struct {
 	steps       int
 	inFlight    int
 	aborted     atomic.Bool
-	metrics     *obs.RunMetrics
 	lastGranted event.ThreadID
 	switches    int
 
@@ -230,10 +219,6 @@ func Run(main func(*Thread), cfg Config) *Result {
 	s := getScheduler()
 	defer putScheduler(s)
 	s.reset(cfg)
-	var start time.Time
-	if s.metrics != nil {
-		start = time.Now()
-	}
 	if cfg.Introspect != nil {
 		s.inspSlot = cfg.Introspect.register()
 		defer func() {
@@ -258,11 +243,6 @@ func Run(main func(*Thread), cfg Config) *Result {
 	s.mu.Unlock()
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopExit)
-	}
-	if s.metrics != nil {
-		s.metrics.SetWall(time.Since(start))
-		s.metrics.SetSteps(s.steps)
-		s.metrics.SetSwitches(s.switches)
 	}
 	res := s.result()
 	if s.prof != nil {
@@ -371,9 +351,6 @@ func (s *Scheduler) schedule(self *Thread) bool {
 			s.finished = true
 			break
 		}
-		if s.metrics != nil {
-			s.metrics.ObserveEnabled(len(enabled))
-		}
 		s.view.Step = s.steps
 		s.view.Enabled = enabled
 		dec := s.policy.Step(&s.view, s.rng)
@@ -426,24 +403,22 @@ func (s *Scheduler) finish() {
 }
 
 // recordDecision counts one scheduling round and delivers its
-// DecisionRecord to the flight observer, if any. The round counter advances
-// unconditionally — round numbering must not depend on which observers are
-// wired. The enabled set is copied: the caller's slice is scheduler scratch,
-// but a recorder keeps records beyond the round.
+// DecisionRecord to the decision observers. The round counter advances
+// unconditionally: round numbering must not depend on which observers are
+// attached.
 func (s *Scheduler) recordDecision(enabled, grants []event.ThreadID, forced bool) {
 	round := s.rounds
 	s.rounds++
-	if s.flight == nil {
+	if len(s.deciders) == 0 {
 		return
 	}
-	s.flight.OnDecision(DecisionRecord{
-		Round:   round,
-		Step:    s.steps,
-		Enabled: append([]event.ThreadID(nil), enabled...),
-		Grants:  append([]event.ThreadID(nil), grants...),
-		Draws:   s.rng.Draws(),
-		Forced:  forced,
-	})
+	d := DecisionRecord{
+		Round: round, Step: s.steps, Enabled: enabled, Grants: grants,
+		Draws: s.rng.Draws(), Forced: forced,
+	}
+	for _, o := range s.deciders {
+		o.OnDecision(d)
+	}
 }
 
 // wake hands the step to a granted (or shutdown-unwound) thread: the atomic
@@ -828,6 +803,6 @@ func (s *Scheduler) result() *Result {
 		Aborted:      s.abortedRun,
 		PolicyStalls: s.stalls,
 		Rounds:       s.rounds,
-		Stats:        s.metrics.Stats(),
+		Switches:     s.switches,
 	}
 }
