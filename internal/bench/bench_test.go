@@ -134,7 +134,7 @@ func TestReplayAcrossBenchmarks(t *testing.T) {
 				if !pr.IsReal {
 					continue
 				}
-				run := core.Replay(b.New(), pair, pr.FirstRaceSeed, opts)
+				run := core.FuzzRun(b.New(), pair, pr.FirstRaceSeed, opts)
 				if !run.RaceCreated {
 					t.Fatalf("replay of %v seed %d did not recreate the race", pair, pr.FirstRaceSeed)
 				}

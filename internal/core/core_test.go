@@ -109,8 +109,8 @@ func TestFigure2ReplayIsExact(t *testing.T) {
 	if seed < 0 {
 		t.Fatal("no throwing seed found in 50 tries")
 	}
-	a := Replay(bench.Figure2(30), bench.Fig2Pair, seed, o)
-	b := Replay(bench.Figure2(30), bench.Fig2Pair, seed, o)
+	a := FuzzRun(bench.Figure2(30), bench.Fig2Pair, seed, o)
+	b := FuzzRun(bench.Figure2(30), bench.Fig2Pair, seed, o)
 	if len(a.Result.Exceptions) != 1 || len(b.Result.Exceptions) != 1 {
 		t.Fatalf("replays differ in exceptions: %v vs %v", a.Result.Exceptions, b.Result.Exceptions)
 	}

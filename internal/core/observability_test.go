@@ -28,7 +28,7 @@ func TestFirstRaceSeedZeroIsUsable(t *testing.T) {
 		t.Fatalf("FirstRaceSeed = %d, want 0", rep.FirstRaceSeed)
 	}
 	// The seed-0 run must replay to the same outcome.
-	run := Replay(bench.Figure2(5), bench.Fig2Pair, 0, Options{})
+	run := FuzzRun(bench.Figure2(5), bench.Fig2Pair, 0, Options{})
 	if !run.RaceCreated {
 		t.Fatal("seed-0 replay did not recreate the race")
 	}

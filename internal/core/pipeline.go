@@ -178,6 +178,11 @@ type raceTarget struct {
 	offset          int
 }
 
+// NewRaceTarget returns the race pipeline's Target for one potentially
+// racing statement pair: the target DetectTargets("race", …) reports for
+// it, usable with Record and VerifyReplay.
+func NewRaceTarget(pair event.StmtPair) Target { return newRaceTarget(pair) }
+
 func newRaceTarget(pair event.StmtPair) *raceTarget {
 	str := pair.String()
 	return &raceTarget{pair: pair, kind: "race", str: str, name: "racefuzzer" + str}
@@ -224,12 +229,6 @@ func FuzzRun(prog Program, pair event.StmtPair, seed int64, o Options) *RunRepor
 	res, pol, _ := o.trial(prog, newRaceTarget(pair), seed)
 	rf := pol.(*RaceFuzzerPolicy)
 	return &RunReport{Seed: seed, Result: res, Races: rf.Races(), RaceCreated: rf.RaceCreated()}
-}
-
-// Replay re-executes a prior FuzzRun from its seed. It is literally FuzzRun
-// — the function exists to make the replay feature explicit in the API.
-func Replay(prog Program, pair event.StmtPair, seed int64, o Options) *RunReport {
-	return FuzzRun(prog, pair, seed, o)
 }
 
 // PairReport aggregates the phase-2 trials for one potential pair: whether

@@ -33,7 +33,7 @@ func TestRecordedReplayByteIdentical(t *testing.T) {
 	check := func(t *testing.T, prog func() Program, tg Target) {
 		t.Helper()
 		for _, seed := range seeds {
-			if d := VerifyReplay(prog(), tg, seed, o); d != nil {
+			if _, _, d := VerifyReplay(prog(), tg, seed, o); d != nil {
 				t.Fatalf("seed %d: %v", seed, d)
 			}
 			_, _, a := Record(prog(), tg, seed, o)

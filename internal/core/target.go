@@ -215,12 +215,13 @@ func Record(prog Program, t Target, seed int64, o Options) (*sched.Result, int, 
 }
 
 // VerifyReplay records the same (target, seed) twice and returns the first
-// divergence between the two recordings, or nil when the replay is exact —
-// the paper's §2.2 determinism claim as a checkable invariant.
-func VerifyReplay(prog Program, t Target, seed int64, o Options) *flightrec.Divergence {
-	_, _, a := Record(prog, t, seed, o)
+// recording, its hit count (as Record) and the first divergence between the
+// two recordings, or a nil divergence when the replay is exact — the
+// paper's §2.2 determinism claim as a checkable invariant.
+func VerifyReplay(prog Program, t Target, seed int64, o Options) (*flightrec.Recording, int, *flightrec.Divergence) {
+	_, hits, a := Record(prog, t, seed, o)
 	_, _, b := Record(prog, t, seed, o)
-	return flightrec.Diverge(b, a)
+	return a, hits, flightrec.Diverge(b, a)
 }
 
 // profile is one phase-2 trial of t with a standalone schedprof trial

@@ -33,7 +33,7 @@ import (
 )
 
 // FormatVersion is the corpus directory format version. Loading a corpus
-// written by a newer version fails gracefully, like trace.CheckVersion.
+// written by a newer version fails gracefully, like flightrec.Load.
 const FormatVersion = 1
 
 // Signature is the canonical identity of a finding: the kind of program

@@ -5,17 +5,17 @@ import (
 	"strings"
 
 	"racefuzzer/internal/event"
+	"racefuzzer/internal/report"
 	"racefuzzer/internal/sched"
-	"racefuzzer/internal/trace"
 )
 
 // Race explanation: a confirmed race is only actionable with its causal
 // narrative — why the scheduler held a thread back, where the second access
 // arrived, and what each side was holding when they met. Explain renders
 // that narrative from a recording: header lines describing the race and the
-// postpone decisions that staged it, then a per-thread timeline
-// (trace.Explain) of the window around the meeting point, with the policy's
-// actions pinned in as annotations.
+// postpone decisions that staged it, then a per-thread timeline of the
+// window around the meeting point (each thread a column, time flowing
+// downward), with the policy's actions pinned in as annotations.
 
 // DefaultExplainRadius is the number of scheduler steps shown on each side
 // of the focus point.
@@ -83,16 +83,16 @@ func (rec *Recording) ExplainWindow(radius int) string {
 	hi := focus + radius
 
 	// Pin the policy's actions into the timeline as per-thread marks.
-	var marks []trace.Mark
+	var marks []mark
 	for _, a := range actions {
 		if a.Step < lo || a.Step > hi {
 			continue
 		}
-		marks = append(marks, trace.Mark{Step: a.Step, Thread: event.ThreadID(a.Thread), Text: markText(a)})
+		marks = append(marks, mark{Step: a.Step, Thread: event.ThreadID(a.Thread), Text: markText(a)})
 	}
 
 	b.WriteByte('\n')
-	b.WriteString(trace.Explain(rec.Events(), lo, hi, marks))
+	b.WriteString(timeline(rec.Events(), lo, hi, marks))
 
 	if len(end.Exceptions) > 0 {
 		b.WriteString("\nexceptions:\n")
@@ -218,4 +218,113 @@ func threadNames(ts []int) string {
 		parts[i] = threadName(t)
 	}
 	return strings.Join(parts, "+")
+}
+
+// mark is an annotation pinned into a timeline: scheduler-side context (a
+// postpone decision, a race confirmation) that is not itself an event.
+// Marks at step N render after the events of step N and before those of
+// N+1; Thread selects the column (NoThread renders in the first column).
+type mark struct {
+	Step   int
+	Thread event.ThreadID
+	Text   string
+}
+
+// eventCell renders one event compactly for a timeline cell:
+// "write m3 @file.go:12 {L0 L1}". Lock/unlock and message events render
+// their operands; the step is carried by the row, not the cell.
+func eventCell(e event.Event) string {
+	switch e.Kind {
+	case event.KindMem:
+		held := "{}"
+		if len(e.Locks) > 0 {
+			parts := make([]string, len(e.Locks))
+			for i, l := range e.Locks {
+				parts[i] = l.String()
+			}
+			held = "{" + strings.Join(parts, " ") + "}"
+		}
+		access := "read"
+		if e.Access == event.Write {
+			access = "write"
+		}
+		return fmt.Sprintf("%s %s @%s %s", access, e.Loc, e.Stmt, held)
+	case event.KindLock:
+		return fmt.Sprintf("lock %s @%s", e.Lock, e.Stmt)
+	case event.KindUnlock:
+		return fmt.Sprintf("unlock %s @%s", e.Lock, e.Stmt)
+	case event.KindSnd:
+		return fmt.Sprintf("snd g%d", int(e.Msg))
+	case event.KindRcv:
+		return fmt.Sprintf("rcv g%d", int(e.Msg))
+	}
+	return e.String()
+}
+
+// timeline renders a per-thread ASCII timeline of the events with steps in
+// [lo, hi], one column per thread, annotated with marks. Threads are the
+// union of those appearing in the window's events and marks, so postponed
+// threads (which execute nothing while parked) still get their column.
+func timeline(events []event.Event, lo, hi int, marks []mark) string {
+	maxT := event.NoThread
+	var window []event.Event
+	for _, e := range events {
+		if e.Step < lo || e.Step > hi {
+			continue
+		}
+		window = append(window, e)
+		if e.Thread > maxT {
+			maxT = e.Thread
+		}
+	}
+	for _, m := range marks {
+		if m.Thread > maxT {
+			maxT = m.Thread
+		}
+	}
+	if maxT == event.NoThread {
+		return "(no events in window)\n"
+	}
+	headers := []string{"step"}
+	for t := event.ThreadID(0); t <= maxT; t++ {
+		headers = append(headers, t.String())
+	}
+	tbl := report.NewTable(fmt.Sprintf("timeline (steps %d..%d, one column per thread)", lo, hi), headers...)
+
+	addMark := func(m mark) {
+		row := make([]any, 1+int(maxT)+1)
+		for i := range row {
+			row[i] = ""
+		}
+		row[0] = fmt.Sprintf("%d*", m.Step)
+		col := 1 // NoThread: annotate in the first thread column
+		if m.Thread != event.NoThread {
+			col = 1 + int(m.Thread)
+		}
+		row[col] = m.Text
+		tbl.AddRow(row...)
+	}
+
+	mi := 0
+	for mi < len(marks) && marks[mi].Step < lo {
+		mi++
+	}
+	for _, e := range window {
+		for mi < len(marks) && marks[mi].Step < e.Step {
+			addMark(marks[mi])
+			mi++
+		}
+		row := make([]any, 1+int(maxT)+1)
+		for i := range row {
+			row[i] = ""
+		}
+		row[0] = fmt.Sprintf("%d", e.Step)
+		row[1+int(e.Thread)] = eventCell(e)
+		tbl.AddRow(row...)
+	}
+	for mi < len(marks) && marks[mi].Step <= hi {
+		addMark(marks[mi])
+		mi++
+	}
+	return tbl.Render()
 }

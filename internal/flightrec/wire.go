@@ -9,15 +9,91 @@ import (
 	"os"
 	"path/filepath"
 
-	"racefuzzer/internal/trace"
+	"racefuzzer/internal/event"
 )
 
 // Serialization: one JSON object per line. The first line is the header
 // (distinguished by its "v" version field); every later line carries a
 // "rec" discriminator: "dec" (scheduling decision), "act" (policy action),
-// "ev" (event, internal/trace's wire encoding), "end" (run summary).
-// Loading a recording written by a newer format version fails with the same
-// graceful "unsupported trace version" error as plain traces.
+// "ev" (event, WireEvent's encoding), "end" (run summary). Loading a
+// recording written by a newer format version fails with a graceful
+// "unsupported trace version" error instead of misparsing it.
+
+// FormatVersion is the current recording format version. Save stamps it in
+// the header's "v" field; Load rejects any other version.
+const FormatVersion = 1
+
+// checkVersion validates a loaded header's version against FormatVersion.
+func checkVersion(v int) error {
+	if v != FormatVersion {
+		return fmt.Errorf("flightrec: unsupported trace version %d (this build reads version %d)", v, FormatVersion)
+	}
+	return nil
+}
+
+// WireEvent is the serialized form of one event. Statement labels are
+// serialized by name so a recording is valid across processes.
+type WireEvent struct {
+	Kind   int            `json:"k"`
+	Thread int            `json:"t"`
+	Stmt   string         `json:"s,omitempty"`
+	Loc    int            `json:"m"`
+	Access int            `json:"a"`
+	Lock   int            `json:"l"`
+	Msg    int            `json:"g"`
+	Locks  []event.LockID `json:"L,omitempty"`
+	Step   int            `json:"n"`
+}
+
+// MaxThreads bounds the thread IDs a loaded recording may carry: they lie
+// in [0, MaxThreads). The detectors index clocks by thread, so an unchecked
+// ID from outside bytes could make them allocate without bound. The
+// scheduler numbers threads consecutively from 0, far below this.
+const MaxThreads = 1 << 12
+
+// Check reports whether w is an event the detectors can take: a known kind,
+// a thread ID in [0, MaxThreads), no negative held lock, and a non-negative
+// location on MEM and lock on LOCK/UNLOCK events. Loc and Lock are not
+// checked on kinds that ignore them, where recordings carry -1 sentinels.
+func (w WireEvent) Check() error {
+	k := event.Kind(w.Kind)
+	switch {
+	case k < 0 || k >= event.KindCount:
+		return fmt.Errorf("unknown event kind %d", w.Kind)
+	case w.Thread < 0 || w.Thread >= MaxThreads:
+		return fmt.Errorf("thread ID %d outside [0, %d)", w.Thread, MaxThreads)
+	case k == event.KindMem && w.Loc < 0:
+		return fmt.Errorf("negative location ID %d", w.Loc)
+	case (k == event.KindLock || k == event.KindUnlock) && w.Lock < 0:
+		return fmt.Errorf("negative lock ID %d", w.Lock)
+	}
+	for _, l := range w.Locks {
+		if l < 0 {
+			return fmt.Errorf("negative held lock ID %d", int(l))
+		}
+	}
+	return nil
+}
+
+// toWire converts an event to its serialized form.
+func toWire(e event.Event) WireEvent {
+	return WireEvent{
+		Kind: int(e.Kind), Thread: int(e.Thread), Stmt: e.Stmt.Name(),
+		Loc: int(e.Loc), Access: int(e.Access), Lock: int(e.Lock),
+		Msg: int(e.Msg), Locks: e.Locks, Step: e.Step,
+	}
+}
+
+// fromWire converts a serialized event back, re-interning its statement
+// label in this process.
+func fromWire(w WireEvent) event.Event {
+	return event.Event{
+		Kind: event.Kind(w.Kind), Thread: event.ThreadID(w.Thread),
+		Stmt: event.StmtFor(w.Stmt), Loc: event.MemLoc(w.Loc),
+		Access: event.AccessKind(w.Access), Lock: event.LockID(w.Lock),
+		Msg: event.MsgID(w.Msg), Locks: w.Locks, Step: w.Step,
+	}
+}
 
 type decLine struct {
 	Rec string `json:"rec"`
@@ -31,7 +107,7 @@ type actLine struct {
 
 type evLine struct {
 	Rec string `json:"rec"`
-	*trace.WireEvent
+	*WireEvent
 }
 
 type endLine struct {
@@ -70,7 +146,7 @@ func (rec *Recording) Save(w io.Writer) error {
 	enc := json.NewEncoder(bw)
 	h := rec.Header
 	if h.V == 0 {
-		h.V = trace.FormatVersion
+		h.V = FormatVersion
 	}
 	if err := enc.Encode(h); err != nil {
 		return fmt.Errorf("flightrec: save: %w", err)
@@ -111,7 +187,9 @@ func (rec *Recording) SaveFile(path string) error {
 
 // Load reads a recording written by Save. An unsupported format version is
 // reported gracefully; unknown record kinds within a supported version are
-// an error (they would silently corrupt divergence checking). A partial
+// an error (they would silently corrupt divergence checking), and so are
+// events failing WireEvent.Check and actions by a thread outside
+// [0, MaxThreads). A partial
 // FINAL line — the footprint of a crash mid-write — is skipped and flagged
 // via Recording.Truncated rather than failing the whole load: every record
 // before it was written and synced whole, so the prefix is trustworthy.
@@ -124,7 +202,7 @@ func Load(r io.Reader) (*Recording, error) {
 		}
 		return nil, fmt.Errorf("flightrec: load: header: %w", err)
 	}
-	if err := trace.CheckVersion(h.V); err != nil {
+	if err := checkVersion(h.V); err != nil {
 		return nil, err
 	}
 	rec := &Recording{Header: h}
@@ -155,9 +233,12 @@ func Load(r io.Reader) (*Recording, error) {
 			err = json.Unmarshal(raw, out.Dec)
 		case "act":
 			out.Act = &Action{}
-			err = json.Unmarshal(raw, out.Act)
+			if err = json.Unmarshal(raw, out.Act); err == nil && (out.Act.Thread < 0 || out.Act.Thread >= MaxThreads) {
+				// Explain gives the acting thread a timeline column.
+				err = fmt.Errorf("action thread ID %d outside [0, %d)", out.Act.Thread, MaxThreads)
+			}
 		case "ev":
-			out.Ev = &trace.WireEvent{}
+			out.Ev = &WireEvent{}
 			if err = json.Unmarshal(raw, out.Ev); err == nil {
 				err = out.Ev.Check()
 			}

@@ -19,7 +19,7 @@ import (
 //
 //  1. the target is still reported by phase 1 (no silent signature churn);
 //  2. the witness seed still confirms the finding, and replaying it twice
-//     produces identical recordings (core.VerifyReplay's determinism check);
+//     produces identical recordings (core.VerifyReplay);
 //  3. when a witness trace was archived, the fresh recording is record-for-
 //     record identical to the stored one — any change to seed derivation,
 //     policy decisions or the event stream fails loudly with the first
@@ -115,9 +115,8 @@ func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 		out.Detail = fmt.Sprintf("phase 1 no longer reports %s target %s", f.Sig.Kind, f.Pair)
 		return out
 	}
-	_, hits, fresh := core.Record(b.New(), targets[idx], f.WitnessSeed, opts)
-	_, _, again := core.Record(b.New(), targets[idx], f.WitnessSeed, opts)
-	if div := flightrec.Diverge(again, fresh); div != nil {
+	fresh, hits, div := core.VerifyReplay(b.New(), targets[idx], f.WitnessSeed, opts)
+	if div != nil {
 		out.Status = RegressDiverged
 		out.Detail = "replay nondeterministic: " + div.String()
 		return out

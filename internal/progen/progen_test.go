@@ -154,7 +154,7 @@ func TestRaceFuzzerOnGeneratedPrograms(t *testing.T) {
 		for _, pr := range rep.Pairs {
 			if pr.IsReal {
 				confirmed++
-				run := core.Replay(prog, pr.Pair, pr.FirstRaceSeed, opts)
+				run := core.FuzzRun(prog, pr.Pair, pr.FirstRaceSeed, opts)
 				if !run.RaceCreated {
 					t.Fatalf("gen %d: replay of %v seed %d lost the race", gseed, pr.Pair, pr.FirstRaceSeed)
 				}

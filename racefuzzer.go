@@ -107,7 +107,7 @@ func FuzzRun(prog Program, pair StmtPair, seed int64, o Options) *RunReport {
 // Replay re-executes a prior run from its seed — the paper's lightweight
 // deterministic replay.
 func Replay(prog Program, pair StmtPair, seed int64, o Options) *RunReport {
-	return core.Replay(prog, pair, seed, o)
+	return core.FuzzRun(prog, pair, seed, o)
 }
 
 // StmtFor interns a statement label, for model programs that label their
