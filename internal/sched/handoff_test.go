@@ -1,16 +1,19 @@
 package sched
 
-// Tests for the channel-free grant engine: handoff storms that hammer the
-// mutex/condvar protocol (meant to run under -race), a fuzz-style
-// determinism check over generated programs, scripted multi-grant
-// decisions, and regressions for the force-release order of a dying
-// thread's locks and for round counting without a flight recorder.
+// Tests for the grant engine: handoff storms that hammer the per-thread
+// grant channels (meant to run under -race), a fuzz-style determinism check
+// over generated programs, scripted multi-grant decisions, shutdown of
+// never-started threads, scheduler-side panics, and regressions for the
+// force-release order of a dying thread's locks and for round counting
+// without a flight recorder.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/rng"
@@ -97,8 +100,8 @@ func stormProgram(w int) func(*Thread) {
 }
 
 // TestHandoffStorm runs the storm at widths 1, 4 and 8 across seeds. Under
-// -race this exercises the spin fast path, the condvar slow path, self
-// grants and direct thread-to-thread handoffs concurrently.
+// -race this exercises self grants, direct thread-to-thread handoffs and
+// first grants that start a forked thread's goroutine.
 func TestHandoffStorm(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		w := w
@@ -369,8 +372,8 @@ func (p *batchPolicy) Step(v *View, r *rng.Rand) Decision {
 // TestBatchDecisions drives multi-grant decisions through the scheduler:
 // members are granted in order without a new round in between, a member
 // disabled by an earlier grant is skipped, and the round after the batch
-// is decided from the state the batch left, whichever goroutine parked
-// last. Each case pins the decision that follows the batch and must
+// is decided from the state the batch left, whichever goroutine decides
+// it. Each case pins the decision that follows the batch and must
 // replay identically on every run.
 func TestBatchDecisions(t *testing.T) {
 	sOp := stmt("batch:op")
@@ -422,9 +425,9 @@ func TestBatchDecisions(t *testing.T) {
 			want:    "step 6: enabled=[T1] grants=[T1]",
 		},
 		{
-			// T0's fork unblocks T0 and the new T2 together; whichever
-			// parks last grants T1 from the batch before any new round,
-			// which then sees T2 parked at Begin.
+			// T0's fork creates T2 parked at Begin; T0's next park grants
+			// T1 from the batch before any new round, which then sees T2
+			// still at Begin.
 			name: "fork-in-batch",
 			prog: func(mt *Thread) {
 				t1 := mt.Fork("t1", nops(1))
@@ -438,8 +441,8 @@ func TestBatchDecisions(t *testing.T) {
 		},
 		{
 			// The batch's last grant is T1's last op: T1 exits with every
-			// other thread parked, so its exitPark decides the next round,
-			// in which T0's join of T1 is enabled.
+			// other thread parked, so its exit handoff decides the next
+			// round, in which T0's join of T1 is enabled.
 			name: "exit-drives-next-round",
 			prog: func(mt *Thread) {
 				t1 := mt.Fork("t1", nops(1))
@@ -489,6 +492,190 @@ func TestBatchDecisions(t *testing.T) {
 				return
 			}
 			t.Fatalf("batch %s never decided:\n%s", batch, strings.Join(first, "\n"))
+		})
+	}
+}
+
+// awaitGoroutines polls until the goroutine count is back to before: a
+// dying goroutine's final send can reach Run's goroutine before the dying
+// one has returned.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutines leaked: before=%d after=%d", before, g)
+	}
+}
+
+// firstEnabledPolicy grants the lowest enabled thread, drawing no
+// randomness: a forking main thread keeps the step, so its children stay
+// unstarted until it blocks.
+func firstEnabledPolicy() Policy {
+	return policyFunc(func(v *View, _ *rng.Rand) Decision { return v.Grant(v.Enabled[0]) })
+}
+
+// TestUnstartedChildrenShutdown forks children and hits MaxSteps before
+// any of them is granted: shutdown must unwind threads whose goroutine
+// never started. Every child counts in Result.Threads, no exception is
+// recorded, no child body runs, and no goroutine outlives Run.
+func TestUnstartedChildrenShutdown(t *testing.T) {
+	const k = 6
+	for maxSteps := 1; maxSteps <= k; maxSteps++ {
+		before := runtime.NumGoroutine()
+		forks, ran := 0, 0
+		prog := func(mt *Thread) {
+			kids := make([]*Thread, k)
+			for i := range kids {
+				kids[i] = mt.Fork(fmt.Sprintf("kid%d", i), func(c *Thread) {
+					ran++
+					c.Nop(stmt("kid"))
+				})
+				forks++
+			}
+			for _, kid := range kids {
+				mt.Join(kid)
+			}
+		}
+		rec := &recorder{}
+		res := Run(prog, Config{Seed: 1, MaxSteps: maxSteps, Policy: firstEnabledPolicy(), Observers: []Observer{rec}})
+		if !res.Aborted || res.Steps != maxSteps {
+			t.Fatalf("MaxSteps %d: aborted=%v steps=%d", maxSteps, res.Aborted, res.Steps)
+		}
+		// T0's Begin takes step 1, each later step forks one child.
+		if forks != maxSteps-1 || res.Threads != 1+forks {
+			t.Fatalf("MaxSteps %d: %d forks, Result.Threads = %d", maxSteps, forks, res.Threads)
+		}
+		if ran != 0 || len(res.Exceptions) != 0 {
+			t.Fatalf("MaxSteps %d: %d child bodies ran, exceptions %v", maxSteps, ran, res.Exceptions)
+		}
+		// Each unwound thread, started or not, delivers its exit message.
+		exits := 0
+		for _, l := range rec.lines {
+			if strings.HasPrefix(l, "SND") {
+				exits++
+			}
+		}
+		if want := 2*forks + 1; exits != want {
+			t.Fatalf("MaxSteps %d: %d SND events, want %d (one per fork, one per exit):\n%s",
+				maxSteps, exits, want, strings.Join(rec.lines, "\n"))
+		}
+		awaitGoroutines(t, before)
+	}
+}
+
+// crashValue is a panic value only the scheduler-panic test throws, so the
+// re-panic can be matched by identity.
+type crashValue struct{ where string }
+
+// panicObserver panics with val on an event or decision once the matching
+// predicate holds (nil: never).
+type panicObserver struct {
+	val             *crashValue
+	event, decision func() bool
+}
+
+func (p *panicObserver) OnEvent(event.Event) {
+	if p.event != nil && p.event() {
+		panic(p.val)
+	}
+}
+
+func (p *panicObserver) OnDecision(DecisionRecord) {
+	if p.decision != nil && p.decision() {
+		panic(p.val)
+	}
+}
+
+// fromCall returns a predicate that holds from its nth call on.
+func fromCall(n int) func() bool {
+	calls := 0
+	return func() bool { calls++; return calls >= n }
+}
+
+// TestSchedulerPanicEndsRun is the regression for a panicking Policy.Step
+// or observer, which used to hang Run forever: the panic must end the run,
+// unwind every model goroutine, and re-panic out of Run with the original
+// value on the caller's goroutine, never as a model exception. Each case
+// runs under a timeout, and afterwards a clean run on the recycled
+// scheduler must record no exception.
+func TestSchedulerPanicEndsRun(t *testing.T) {
+	randomUntil := func(panics func() bool, val *crashValue) Policy {
+		return policyFunc(func(v *View, r *rng.Rand) Decision {
+			if panics() {
+				panic(val)
+			}
+			return v.Grant(v.Enabled[r.Intn(len(v.Enabled))])
+		})
+	}
+	cases := []struct {
+		name string
+		// cfg builds the faulty config; s is the run's scheduler once
+		// the main thread has started.
+		cfg func(val *crashValue, s **Scheduler) Config
+	}{
+		{"policy-first-round", func(val *crashValue, _ **Scheduler) Config {
+			return Config{Policy: randomUntil(fromCall(1), val)}
+		}},
+		{"policy-fifth-round", func(val *crashValue, _ **Scheduler) Config {
+			return Config{Policy: randomUntil(fromCall(5), val)}
+		}},
+		{"policy-late-round", func(val *crashValue, _ **Scheduler) Config {
+			return Config{Policy: randomUntil(fromCall(40), val)}
+		}},
+		{"observer-event", func(val *crashValue, _ **Scheduler) Config {
+			return Config{Observers: []Observer{&panicObserver{val: val, event: fromCall(7)}}}
+		}},
+		{"observer-decision", func(val *crashValue, _ **Scheduler) Config {
+			return Config{Observers: []Observer{&panicObserver{val: val, decision: fromCall(9)}}}
+		}},
+		{"observer-during-shutdown", func(val *crashValue, s **Scheduler) Config {
+			// The step limit ends the run; the observer panics on every
+			// event of the shutdown unwind, first on a thread's exit.
+			inShutdown := func() bool { return *s != nil && (*s).aborted }
+			return Config{MaxSteps: 12, Observers: []Observer{&panicObserver{val: val, event: inShutdown}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				before := runtime.NumGoroutine()
+				val := &crashValue{where: tc.name}
+				var s *Scheduler
+				cfg := tc.cfg(val, &s)
+				cfg.Seed = seed
+				storm := stormProgram(4)
+				prog := func(mt *Thread) {
+					s = mt.Scheduler()
+					storm(mt)
+				}
+				var (
+					got  any
+					res  *Result
+					done = make(chan struct{})
+				)
+				go func() {
+					defer close(done)
+					defer func() { got = recover() }()
+					res = Run(prog, cfg)
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("seed %d: Run did not return after a scheduler-side panic", seed)
+				}
+				if got != val {
+					t.Fatalf("seed %d: Run re-panicked with %v (result %+v), want the original %v", seed, got, res, val)
+				}
+				awaitGoroutines(t, before)
+				clean := Run(stormProgram(4), Config{Seed: seed})
+				if len(clean.Exceptions) != 0 || clean.Aborted || clean.Deadlock != nil {
+					t.Fatalf("seed %d: run after the panic: exceptions %v aborted %v deadlock %v",
+						seed, clean.Exceptions, clean.Aborted, clean.Deadlock)
+				}
+			}
 		})
 	}
 }

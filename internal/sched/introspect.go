@@ -12,8 +12,8 @@ import (
 // the observatory's /debug/sched endpoint.
 //
 // The scheduler's state (thread statuses, lock tables, the policy's
-// postponed set) is guarded by the scheduler's mutex, which the hot path
-// must not share with readers. Instead, introspection is request-driven: an
+// postponed set) is touched only by the goroutine holding the step, with no
+// lock a reader could take. Instead, introspection is request-driven: an
 // Introspector slot carries one atomic "wanted" flag per live run, the
 // scheduler checks it once per scheduling round (a single atomic load — and
 // with no Introspector attached, a single nil check, the same no-op probe
@@ -25,7 +25,7 @@ import (
 
 // PostponedReporter is implemented by policies that maintain a postponed
 // set (the RaceFuzzer family); the introspector includes their view in
-// snapshots. Called under the scheduler mutex only.
+// snapshots. Called only on the goroutine holding the step.
 type PostponedReporter interface {
 	PostponedThreads() []event.ThreadID
 }
@@ -240,7 +240,7 @@ func (s *Scheduler) finalizeIntrospect() {
 }
 
 // buildSnapshot assembles an immutable view of the scheduler's state. Runs
-// under the scheduler mutex at quiescence (or after Run's teardown).
+// on the goroutine holding the step (or after Run's teardown).
 func (s *Scheduler) buildSnapshot(done bool) *RunSnapshot {
 	snap := &RunSnapshot{
 		Name:   s.cfg.Name,

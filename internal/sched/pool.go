@@ -17,17 +17,17 @@ import (
 //
 // Reuse is safe because a Scheduler leaves Run fully quiescent: every model
 // goroutine has terminated, and a dying goroutine touches no Thread or
-// Scheduler state after its final unlock in exitPark (it may schedule the
-// next step, or signal Run's goroutine, only before that unlock).
+// Scheduler state after its final send (the handoff that ends its run
+// schedules the next step and wakes its grantee, or Run's goroutine, last).
+// The grant and done channels are empty between runs: every send has been
+// received.
 
 // defaultPolicy is the shared stateless fallback for Config.Policy == nil.
 var defaultPolicy = &RandomPolicy{}
 
 var schedulerPool = sync.Pool{
 	New: func() any {
-		s := &Scheduler{}
-		s.ctrlCond.L = &s.mu
-		return s
+		return &Scheduler{done: make(chan struct{}, 1)}
 	},
 }
 
@@ -77,8 +77,7 @@ func (s *Scheduler) reset(cfg Config) {
 	s.inspSlot = nil
 	s.finalSnap = nil
 	s.steps = 0
-	s.inFlight = 0
-	s.aborted.Store(false)
+	s.aborted = false
 	s.lastGranted = event.NoThread
 	s.switches = 0
 	s.nextMsg = 0
@@ -86,6 +85,7 @@ func (s *Scheduler) reset(cfg Config) {
 	s.stalls = 0
 	s.deadlock = nil
 	s.abortedRun = false
+	s.crash = nil
 
 	s.view = View{sched: s}
 	s.batch = nil
@@ -105,6 +105,7 @@ func (s *Scheduler) release() {
 	s.finalSnap = nil
 	s.exceptions = nil
 	s.deadlock = nil
+	s.crash = nil
 	s.batch = nil // may alias policy scratch
 	s.view = View{}
 	// Scrub the whole backing array, not just the last run's prefix: threads
@@ -114,6 +115,7 @@ func (s *Scheduler) release() {
 		if t == nil {
 			continue
 		}
+		t.body = nil
 		t.pending = Op{} // drops fork-body closures
 		t.poison = nil
 		t.forkResult = nil

@@ -17,21 +17,21 @@
 //     asks for them, the scheduling decisions and policy actions (the
 //     flight recorder). Config.Observers is the scheduler's one probe list.
 //
-// The grant engine is allocation-free in steady state: the goroutine whose
-// park makes the run quiescent decides the next step itself (schedule) and
-// hands it over a mutex/condvar protocol with a spin fast path (thread.go),
-// so a thread granted again just keeps running on its own stack; per-round
-// scratch (enabled set, View, grant buffer) lives on the Scheduler, and
-// whole Scheduler/Thread trees are recycled through a sync.Pool across runs
-// (pool.go).
+// The grant engine is allocation-free in steady state: exactly one
+// goroutine holds the step at a time. The thread that parks decides the
+// next step itself (schedule) and hands it over with a send on the
+// grantee's own buffered channel, so a thread granted again just keeps
+// running on its own stack and no lock guards scheduler state: the send and
+// receive are the happens-before edge. A forked thread's goroutine starts
+// at its first grant. Per-round scratch (enabled set, View, grant buffer)
+// lives on the Scheduler, and whole Scheduler/Thread trees are recycled
+// through a sync.Pool across runs (pool.go).
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/lockset"
@@ -162,14 +162,10 @@ type Scheduler struct {
 	actors    []actionObserver   // observers with OnAction
 	maxSteps  int
 
-	// mu serializes all scheduler state. Model threads hand execution to
-	// one another under it (schedule); ctrlCond is where Run's goroutine
-	// awaits the end of the run and, during shutdown, quiescence
-	// (inFlight == 0); each Thread carries its own grant condvar sharing mu
-	// (see Thread.awaitGrant for the spin fast path that usually skips the
-	// condvar entirely).
-	mu       sync.Mutex
-	ctrlCond sync.Cond
+	// done hands the step back to Run's goroutine: at the end of the run,
+	// and after each thread shutdown unwinds. Capacity 1, made once per
+	// Scheduler lifetime.
+	done chan struct{}
 
 	threads []*Thread
 	locks   []lockState
@@ -185,8 +181,7 @@ type Scheduler struct {
 	finalSnap *RunSnapshot // captured by finish, before teardown
 
 	steps       int
-	inFlight    int
-	aborted     atomic.Bool
+	aborted     bool // shutdown: every thread unwinds at its next grant
 	lastGranted event.ThreadID
 	switches    int
 
@@ -195,6 +190,11 @@ type Scheduler struct {
 	stalls     int
 	deadlock   *DeadlockInfo
 	abortedRun bool
+
+	// crash is the first panic out of the policy or an observer (never nil
+	// once set: recover turns panic(nil) into a *runtime.PanicNilError);
+	// Run re-panics with it once every thread has unwound.
+	crash any
 
 	// Per-round scratch, reused so steady-state rounds allocate nothing.
 	enabledBuf []event.ThreadID // enabledThreads result
@@ -231,16 +231,16 @@ func Run(main func(*Thread), cfg Config) *Result {
 			cfg.Introspect.unregister(s.inspSlot, final)
 		}()
 	}
-	s.mu.Lock()
 	s.startThread("main", main)
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopEnter)
 	}
-	for !s.finished {
-		s.ctrlCond.Wait()
-	}
+	s.handoff(nil)
+	<-s.done
 	s.finish()
-	s.mu.Unlock()
+	if s.crash != nil {
+		panic(s.crash)
+	}
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopExit)
 	}
@@ -264,9 +264,9 @@ func (s *Scheduler) Seed() int64 { return s.cfg.Seed }
 // Step returns the current step count.
 func (s *Scheduler) Step() int { return s.steps }
 
-// startThread creates (or recycles) the thread with the next index and
-// launches its goroutine. Called with mu held (fork grants, and T0 from
-// Run).
+// startThread creates (or recycles) the thread with the next index, parked
+// at OpBegin; wake launches its goroutine at its first grant. Called by fork
+// grants, and for T0 by Run.
 func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	var t *Thread
@@ -277,7 +277,7 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 		t = s.threads[idx]
 	}
 	if t == nil {
-		t = &Thread{}
+		t = &Thread{grant: make(chan struct{}, 1)}
 		if idx < len(s.threads) {
 			s.threads[idx] = t
 		} else {
@@ -287,8 +287,10 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	t.id = event.ThreadID(idx)
 	t.name = name
 	t.s = s
-	t.pending = Op{}
-	t.status = tsRunning
+	t.body = body
+	t.started = false
+	t.pending = Op{Kind: OpBegin}
+	t.status = tsParked
 	t.held = lockset.Empty()
 	t.savedDepth = 0
 	t.notified = false
@@ -299,37 +301,62 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	t.panicStack = ""
 	t.lastStmt = event.NoStmt
 	t.parkedNs = 0
+	if s.prof != nil {
+		t.parkedNs = s.prof.Clock()
+	}
 	t.openGrant = false
 	t.interruptedFlag = false
 	t.wokenByIntr = false
 	t.exitMsg = 0
-	if t.grantCond.L == nil {
-		t.grantCond.L = &s.mu
-	}
-	atomic.StoreUint32(&t.grantFlag, 0)
 	t.intrLoc = s.newIntrLoc(idx)
 	if s.prof != nil {
 		s.prof.ThreadName(idx, name)
 	}
-	s.inFlight++
-	go t.run(body)
 	return t
 }
 
-// schedule runs the next step. It is called with mu held by whichever
-// goroutine brings inFlight to zero: the parking thread (self) or a dying
-// one (self == nil). At most one goroutine is unblocked at a time and state
-// changes only at grants, so any goroutine holding mu at quiescence decides
-// the same next step from the same state: every round is decided once, by
-// this code, and replays byte-identically.
+// handoff ends a turn on the goroutine holding the step: it processes t's
+// park (or exit, when t is dying; t is nil for Run's first round) and
+// schedules the next step, returning true when that step is t's own. A
+// panic out of the policy or an observer ends the run instead: catch keeps
+// it for Run and hands the step to Run's goroutine.
+func (s *Scheduler) handoff(t *Thread) bool {
+	defer s.catch()
+	if t != nil {
+		s.handlePark(t)
+	}
+	return s.schedule(t)
+}
+
+// catch recovers a scheduler-side panic in handoff. Only the first value is
+// kept: shutdown's unwinding threads may hit the same faulty observer.
+func (s *Scheduler) catch() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if s.crash == nil {
+		s.crash = r
+	}
+	s.finished = true
+	s.done <- struct{}{}
+}
+
+// schedule runs the next step. It is called by the goroutine that holds
+// the step as it gives it up: the parking thread (self), a dying one, or
+// Run's goroutine for the first round. Only one goroutine runs at a time
+// and state changes only at grants, so every round is decided once, by
+// this code, from the state the last grant left, and replays
+// byte-identically whichever goroutine decides it.
 //
 // It grants the next still-enabled member of the current decision (s.batch),
 // deciding a new round once the batch is spent. It returns true when the
 // grantee is self — park then returns into the thread's own stack without
 // blocking — and otherwise wakes the grantee directly. On a terminal state
 // (Enabled(s) empty or the step limit) it marks the run finished, before
-// drawing any randomness, and hands control back to Run's goroutine, which
-// takes every later quiescence too (the shutdown unwind).
+// drawing any randomness, and hands the step back to Run's goroutine,
+// which keeps it through the shutdown unwind. Each path ends in exactly one
+// send (or goroutine start), and nothing follows it.
 func (s *Scheduler) schedule(self *Thread) bool {
 	for !s.finished {
 		if len(s.batch) > 0 {
@@ -380,13 +407,13 @@ func (s *Scheduler) schedule(self *Thread) bool {
 			s.emptyRounds = 0
 		}
 	}
-	s.ctrlCond.Signal()
+	s.done <- struct{}{}
 	return false
 }
 
-// finish ends a finished run on Run's goroutine, with mu held at
-// quiescence: record a deadlock if live threads remain with none enabled,
-// or abort at the step limit.
+// finish ends a finished run on Run's goroutine, which holds the step:
+// record a deadlock if live threads remain with none enabled, or abort at
+// the step limit.
 func (s *Scheduler) finish() {
 	// Capture the final introspection snapshot before shutdown: the teardown
 	// unwinds blocked threads, which would erase the very wait-for graph a
@@ -421,26 +448,22 @@ func (s *Scheduler) recordDecision(enabled, grants []event.ThreadID, forced bool
 	}
 }
 
-// wake hands the step to a granted (or shutdown-unwound) thread: the atomic
-// store is the release the spin fast path synchronizes on, the Signal
-// covers the condvar slow path. Callers hold mu.
+// wake hands the step to a granted (or shutdown-unwound) thread: a send on
+// its grant channel, or, at its first grant, the start of its goroutine.
+// The caller touches nothing afterwards.
 func (s *Scheduler) wake(t *Thread) {
-	atomic.StoreUint32(&t.grantFlag, 1)
-	t.grantCond.Signal()
-}
-
-// awaitQuiescence blocks Run's goroutine, during shutdown, until no model
-// goroutine is unblocked; schedule signals ctrlCond when inFlight hits zero.
-func (s *Scheduler) awaitQuiescence() {
-	for s.inFlight > 0 {
-		s.ctrlCond.Wait()
+	if t.started {
+		t.grant <- struct{}{}
+		return
 	}
+	t.started = true
+	go t.run()
 }
 
 // applyGrant applies thread t's pending op to the synchronization state,
 // emits its events, and marks t running. It does not wake t: schedule
 // follows with wake, or returns into t's own call stack when t is the
-// parking thread. Callers hold mu.
+// parking thread.
 func (s *Scheduler) applyGrant(t *Thread) {
 	tid := t.id
 	op := t.pending
@@ -585,7 +608,6 @@ func (s *Scheduler) applyGrant(t *Thread) {
 	}
 
 	t.status = tsRunning
-	s.inFlight++
 	if s.prof != nil {
 		// Open the grant's latency record; the thread's next park closes it
 		// (handlePark). Wait is park->grant; service is grant->next park
@@ -601,9 +623,8 @@ func (s *Scheduler) applyGrant(t *Thread) {
 }
 
 // handlePark processes one park (or exit) notification. Runs on the parking
-// thread's goroutine with mu held.
+// thread's goroutine.
 func (s *Scheduler) handlePark(t *Thread) {
-	s.inFlight--
 	if s.prof != nil {
 		now := s.prof.Clock()
 		t.parkedNs = now
@@ -754,27 +775,19 @@ func (s *Scheduler) recordDeadlock(alive []*Thread) {
 	s.deadlock = info
 }
 
-// shutdown aborts every live model goroutine so Run never leaks. Threads
-// blocked in yield observe the abort flag when woken and unwind via the
-// abort sentinel. Runs with mu held.
+// shutdown aborts every live model goroutine so Run never leaks. It wakes
+// one thread at a time, in thread order, and waits on done for it to die:
+// a thread blocked in yield observes the abort flag when woken, a
+// never-started one at the top of run, and unwinds via the abort sentinel;
+// its exit hands the step back. Runs on Run's goroutine.
 func (s *Scheduler) shutdown() {
-	s.aborted.Store(true)
+	s.aborted = true
 	s.abortedRun = true
-	for {
-		s.awaitQuiescence()
-		var next *Thread
-		for _, t := range s.threads {
-			if t.status != tsDead && t.status != tsRunning {
-				next = t
-				break
-			}
+	for _, t := range s.threads {
+		if t.status != tsDead {
+			s.wake(t)
+			<-s.done
 		}
-		if next == nil {
-			return
-		}
-		next.status = tsRunning
-		s.inFlight++
-		s.wake(next)
 	}
 }
 

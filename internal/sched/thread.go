@@ -2,10 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/lockset"
@@ -16,11 +13,11 @@ import (
 type threadStatus int
 
 const (
-	// tsRunning: the thread's goroutine is unblocked (it was just granted an
-	// op, or just forked and has not parked yet).
+	// tsRunning: the thread holds the step (it was just granted an op).
 	tsRunning threadStatus = iota
-	// tsParked: blocked in yield with a pending op, available for scheduling
-	// subject to enabledness.
+	// tsParked: blocked in yield with a pending op, or forked and not yet
+	// started (pending OpBegin), available for scheduling subject to
+	// enabledness.
 	tsParked
 	// tsWaiting: parked with a pending OpWaitResume and not yet notified —
 	// disabled (Java wait-set membership).
@@ -61,13 +58,6 @@ type modelPanic struct{ err error }
 
 func (m modelPanic) String() string { return m.err.Error() }
 
-// spinEnabled gates the grant fast path's busy-wait: spinning for a flag
-// only helps when the granting goroutine can make progress on another CPU.
-var spinEnabled = runtime.NumCPU() > 1
-
-// grantSpins bounds the busy-wait before falling back to the condvar.
-const grantSpins = 128
-
 // Thread is a model thread: the unit the scheduler grants steps to and the
 // handle model programs use to perform instrumented operations. All methods
 // must be called from the thread's own body function.
@@ -76,19 +66,20 @@ type Thread struct {
 	name string
 	s    *Scheduler
 
-	// grantFlag is the handoff token: the granter sets it (atomically, under
-	// the scheduler mutex) and the parked thread consumes it, either by
-	// spinning on the atomic or by waiting on grantCond. grantCond shares the
-	// scheduler's mutex; it is initialized once per Thread lifetime.
-	grantFlag uint32
-	grantCond sync.Cond
+	// grant carries the step to the parked thread: the granter sends, the
+	// thread receives in park. Capacity 1, so the granter never blocks; made
+	// once per Thread lifetime.
+	grant chan struct{}
+	// body is the thread's function; its goroutine starts at its first
+	// grant (wake), not at the fork.
+	body    func(*Thread)
+	started bool
 
-	// pending is the op the thread will perform next. Written by the thread
-	// before parking, read under the scheduler mutex afterwards.
+	// pending is the op the thread will perform next.
 	pending Op
 
-	// Scheduling state (everything below is accessed under the scheduler
-	// mutex, or by the thread itself while it owns the step).
+	// Scheduling state. Everything here is touched only by the goroutine
+	// holding the step; the grant send and receive order the accesses.
 	status     threadStatus
 	held       lockset.Set
 	savedDepth int  // recursion depth saved across a monitor wait
@@ -104,7 +95,7 @@ type Thread struct {
 	forkResult *Thread
 
 	// Exit bookkeeping, written by the thread's goroutine before its final
-	// park and read under the mutex afterwards.
+	// park.
 	exitedFlag bool
 	panicVal   any
 	panicStack string
@@ -130,8 +121,7 @@ type Thread struct {
 
 	// Interrupt machinery (Java Thread.interrupt semantics). intrLoc is the
 	// thread's interrupt-status memory location (accesses to it are
-	// instrumented, so interrupt races are detectable); the booleans are
-	// accessed under the scheduler mutex.
+	// instrumented, so interrupt races are detectable).
 	intrLoc         event.MemLoc
 	interruptedFlag bool
 	wokenByIntr     bool
@@ -156,12 +146,27 @@ func (t *Thread) Rand() *rng.Rand { return t.s.workRand }
 // scheduler grants it. On return the thread owns the step: it performs the
 // op's data effect and runs uninstrumented code until the next yield.
 func (t *Thread) yield(op Op) {
-	if t.s.aborted.Load() {
+	if t.s.aborted {
 		panic(abortSentinel{})
 	}
 	t.pending = op
 	t.park()
-	if t.s.aborted.Load() {
+	t.resume()
+}
+
+// park hands the step back to the scheduler and blocks until granted again.
+// The parking thread schedules the next step itself: if that grants this
+// same thread, park returns without any goroutine switch.
+func (t *Thread) park() {
+	if !t.s.handoff(t) {
+		<-t.grant
+	}
+}
+
+// resume takes a granted step: it unwinds the thread when the grant was
+// shutdown's, and throws the model exception the granted op poisoned.
+func (t *Thread) resume() {
+	if t.s.aborted {
 		panic(abortSentinel{})
 	}
 	if t.poison != nil {
@@ -169,59 +174,6 @@ func (t *Thread) yield(op Op) {
 		t.poison = nil
 		panic(modelPanic{err})
 	}
-}
-
-// park hands the step back to the scheduler and blocks until granted again.
-// When this park makes the system quiescent the thread schedules the next
-// step itself: if that grants this same thread, park returns without any
-// goroutine switch.
-func (t *Thread) park() {
-	s := t.s
-	s.mu.Lock()
-	s.handlePark(t)
-	if s.inFlight == 0 && s.schedule(t) {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	t.awaitGrant()
-}
-
-// exitPark is the dying goroutine's final park: no grant will follow, so it
-// delivers the exit and, if that makes the system quiescent, schedules the
-// next step for some other thread. After the unlock the goroutine touches
-// nothing — required for pool reuse of the Thread struct.
-func (t *Thread) exitPark() {
-	s := t.s
-	s.mu.Lock()
-	s.handlePark(t)
-	if s.inFlight == 0 {
-		s.schedule(nil)
-	}
-	s.mu.Unlock()
-}
-
-// awaitGrant blocks until the thread's grant flag is set, then consumes it.
-// The fast path spins briefly on the atomic (the granter stores it before
-// signaling, so an in-progress handoff is usually visible within a few
-// iterations); the slow path takes the mutex and sleeps on the condvar.
-func (t *Thread) awaitGrant() {
-	if spinEnabled {
-		for i := 0; i < grantSpins; i++ {
-			if atomic.LoadUint32(&t.grantFlag) != 0 {
-				atomic.StoreUint32(&t.grantFlag, 0)
-				return
-			}
-			runtime.Gosched()
-		}
-	}
-	s := t.s
-	s.mu.Lock()
-	for atomic.LoadUint32(&t.grantFlag) == 0 {
-		t.grantCond.Wait()
-	}
-	atomic.StoreUint32(&t.grantFlag, 0)
-	s.mu.Unlock()
 }
 
 // MemRead performs an instrumented read of loc at statement stmt. The caller
@@ -268,9 +220,9 @@ func (t *Thread) MonitorNotifyAll(l event.LockID, stmt event.Stmt) {
 	t.yield(Op{Kind: OpNotifyAll, Stmt: stmt, Lock: l})
 }
 
-// Fork creates and starts a child thread running body and returns its
-// handle. The child parks before running any user code, so the scheduler
-// fully controls the interleaving.
+// Fork creates a child thread running body and returns its handle. The
+// child starts parked at OpBegin and runs no user code until the scheduler
+// grants it, so the scheduler fully controls the interleaving.
 func (t *Thread) Fork(name string, body func(*Thread)) *Thread {
 	t.forkResult = nil
 	t.yield(Op{Kind: OpFork, Stmt: event.CallerStmt(1), forkBody: body, forkName: name})
@@ -325,8 +277,11 @@ func (t *Thread) Throwf(format string, args ...any) {
 	t.Throw(fmt.Errorf(format, args...))
 }
 
-// run is the goroutine body hosting a model thread.
-func (t *Thread) run(body func(*Thread)) {
+// run is the goroutine body hosting a model thread, started by the grant of
+// its OpBegin (or by shutdown, which unwinds it at once). Its deferred exit
+// ends in the goroutine's final send: the handoff to whoever runs next.
+// After it the goroutine touches nothing, so the pool may reuse the Thread.
+func (t *Thread) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isAbort := r.(abortSentinel); !isAbort {
@@ -339,10 +294,10 @@ func (t *Thread) run(body func(*Thread)) {
 			}
 		}
 		t.exitedFlag = true
-		t.exitPark()
+		t.s.handoff(t)
 	}()
-	t.yield(Op{Kind: OpBegin})
-	if body != nil {
-		body(t)
+	t.resume()
+	if t.body != nil {
+		t.body(t)
 	}
 }
