@@ -31,27 +31,27 @@ func listDriver(mk func(t *conc.Thread, name string) collections.List) Program {
 			seed.Add(t, i)
 		}
 		workers := []*conc.Thread{
-			t.Fork("containsAll", func(c *conc.Thread) {
+			t.ForkAt("containsAll", func(c *conc.Thread) {
 				l1.ContainsAll(c, l2) // iterates l2 under l1's lock only
-			}),
-			t.Fork("removeAll", func(c *conc.Thread) {
+			}, siteCollections34.Stmt()),
+			t.ForkAt("removeAll", func(c *conc.Thread) {
 				// Application work precedes the bulk mutation, so undirected
 				// schedules rarely overlap it with a live iteration.
 				for i := 0; i < 140; i++ {
 					c.Nop(workStmt)
 				}
 				l2.RemoveAll(c, seed) // mutates l2 under l2's lock
-			}),
-			t.Fork("adder", func(c *conc.Thread) {
+			}, siteCollections37.Stmt()),
+			t.ForkAt("adder", func(c *conc.Thread) {
 				for i := 0; i < 100; i++ {
 					c.Nop(workStmt)
 				}
 				l2.Add(c, 10)
 				l2.Add(c, 11)
-			}),
-			t.Fork("equals", func(c *conc.Thread) {
+			}, siteCollections45.Stmt()),
+			t.ForkAt("equals", func(c *conc.Thread) {
 				l1.Equals(c, l2) // iterates both; l2 unsynchronized again
-			}),
+			}, siteCollections52.Stmt()),
 		}
 		conc.JoinAll(t, workers)
 	}
@@ -70,26 +70,26 @@ func setDriver(mk func(t *conc.Thread, name string) collections.Set) Program {
 			extra.Add(t, i+20)
 		}
 		workers := []*conc.Thread{
-			t.Fork("containsAll", func(c *conc.Thread) {
+			t.ForkAt("containsAll", func(c *conc.Thread) {
 				s1.ContainsAll(c, s2) // iterates s2 under s1's lock only
-			}),
-			t.Fork("addAll", func(c *conc.Thread) {
+			}, siteCollections73.Stmt()),
+			t.ForkAt("addAll", func(c *conc.Thread) {
 				s1.AddAll(c, s2) // same unsynchronized iteration of s2
-			}),
-			t.Fork("mutator", func(c *conc.Thread) {
+			}, siteCollections76.Stmt()),
+			t.ForkAt("mutator", func(c *conc.Thread) {
 				for i := 0; i < 140; i++ {
 					c.Nop(workStmt)
 				}
 				s2.Add(c, 30)
 				s2.Remove(c, 1)
 				s2.Add(c, 31)
-			}),
-			t.Fork("grower", func(c *conc.Thread) {
+			}, siteCollections79.Stmt()),
+			t.ForkAt("grower", func(c *conc.Thread) {
 				for i := 0; i < 100; i++ {
 					c.Nop(workStmt)
 				}
 				s2.AddAll(c, extra)
-			}),
+			}, siteCollections87.Stmt()),
 		}
 		conc.JoinAll(t, workers)
 	}
@@ -108,31 +108,31 @@ func vectorDriver() Program {
 			v2.AddElement(t, i*2)
 		}
 		workers := []*conc.Thread{
-			t.Fork("enumerator", func(c *conc.Thread) {
+			t.ForkAt("enumerator", func(c *conc.Thread) {
 				e := v1.Elements(c)
 				sum := 0
 				for e.HasNext(c) {
 					sum += e.Next(c)
 				}
 				_ = sum
-			}),
-			t.Fork("adder", func(c *conc.Thread) {
+			}, siteCollections111.Stmt()),
+			t.ForkAt("adder", func(c *conc.Thread) {
 				v1.AddElement(c, 100)
 				v1.AddElement(c, 101)
 				v1.AddElement(c, 102)
-			}),
-			t.Fork("reader", func(c *conc.Thread) {
+			}, siteCollections119.Stmt()),
+			t.ForkAt("reader", func(c *conc.Thread) {
 				v1.Contains(c, 2)
 				_ = v1.Size(c)
 				v1.ElementAt(c, 0)
-			}),
-			t.Fork("other", func(c *conc.Thread) {
+			}, siteCollections124.Stmt()),
+			t.ForkAt("other", func(c *conc.Thread) {
 				v2.RemoveElement(c, 2)
 				e := v2.Elements(c)
 				for e.HasNext(c) {
 					e.Next(c)
 				}
-			}),
+			}, siteCollections129.Stmt()),
 		}
 		conc.JoinAll(t, workers)
 	}

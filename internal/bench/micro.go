@@ -28,12 +28,12 @@ var (
 // set — the measured cost is park/grant channel turnaround itself.
 func GrantSerial(ops int) Program {
 	return func(t *conc.Thread) {
-		w := t.Fork("serial", func(c *conc.Thread) {
+		w := t.ForkAt("serial", func(c *conc.Thread) {
 			for i := 0; i < ops; i++ {
 				c.Nop(microStmtWork)
 			}
-		})
-		t.Join(w)
+		}, siteMicro31.Stmt())
+		t.JoinAt(w, siteMicro36.Stmt())
 	}
 }
 
@@ -48,15 +48,15 @@ func GrantPing(rounds int) Program {
 		l := conc.NewMutex(t, "ping")
 		body := func(c *conc.Thread) {
 			for i := 0; i < rounds; i++ {
-				l.Lock(c)
+				l.LockAt(c, siteMicro51.Stmt())
 				n.AddAt(c, microStmtHit, 1)
-				l.Unlock(c)
+				l.UnlockAt(c, siteMicro53.Stmt())
 			}
 		}
-		a := t.Fork("ping0", body)
-		b := t.Fork("ping1", body)
-		t.Join(a)
-		t.Join(b)
+		a := t.ForkAt("ping0", body, siteMicro56.Stmt())
+		b := t.ForkAt("ping1", body, siteMicro57.Stmt())
+		t.JoinAt(a, siteMicro58.Stmt())
+		t.JoinAt(b, siteMicro59.Stmt())
 	}
 }
 
@@ -72,9 +72,9 @@ func GrantFanout(threads, ops int) Program {
 		kids := conc.ForkN(t, "fan", threads, func(c *conc.Thread, i int) {
 			for j := 0; j < ops; j++ {
 				c.Nop(microStmtWork)
-				l.Lock(c)
+				l.LockAt(c, siteMicro75.Stmt())
 				sum.AddAt(c, microStmtHit, 1)
-				l.Unlock(c)
+				l.UnlockAt(c, siteMicro77.Stmt())
 			}
 		})
 		conc.JoinAll(t, kids)

@@ -30,30 +30,30 @@ func NewArrayList(t *conc.Thread, name string) *ArrayList {
 
 // Add appends v (always returns true, like java.util.List).
 func (l *ArrayList) Add(t *conc.Thread, v int) bool {
-	l.modCount.Add(t, 1) // ensureCapacity bumps modCount first in the JDK
-	n := l.size.Get(t)
+	l.modCount.AddAt(t, siteArraylist33.Stmt(), 1) // ensureCapacity bumps modCount first in the JDK
+	n := l.size.GetAt(t, siteArraylist34.Stmt())
 	if n >= l.data.Len() {
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, l.name))
 	}
-	l.data.Set(t, n, v)
-	l.size.Set(t, n+1)
+	l.data.SetAt(t, siteArraylist38.Stmt(), n, v)
+	l.size.SetAt(t, siteArraylist39.Stmt(), n+1)
 	return true
 }
 
 // Get returns the element at index i.
 func (l *ArrayList) Get(t *conc.Thread, i int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist45.Stmt())
 	if i < 0 || i >= n {
 		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
 	}
-	return l.data.Get(t, i)
+	return l.data.GetAt(t, siteArraylist49.Stmt(), i)
 }
 
 // indexOf scans for v, returning -1 when absent.
 func (l *ArrayList) indexOf(t *conc.Thread, v int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist54.Stmt())
 	for i := 0; i < n; i++ {
-		if l.data.Get(t, i) == v {
+		if l.data.GetAt(t, siteArraylist56.Stmt(), i) == v {
 			return i
 		}
 	}
@@ -65,16 +65,16 @@ func (l *ArrayList) Contains(t *conc.Thread, v int) bool { return l.indexOf(t, v
 
 // RemoveAt deletes the element at index i, shifting the tail left.
 func (l *ArrayList) RemoveAt(t *conc.Thread, i int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist68.Stmt())
 	if i < 0 || i >= n {
 		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
 	}
-	l.modCount.Add(t, 1)
-	old := l.data.Get(t, i)
+	l.modCount.AddAt(t, siteArraylist72.Stmt(), 1)
+	old := l.data.GetAt(t, siteArraylist73.Stmt(), i)
 	for j := i; j < n-1; j++ {
-		l.data.Set(t, j, l.data.Get(t, j+1))
+		l.data.SetAt(t, siteArraylist75.Stmt(), j, l.data.GetAt(t, siteArraylist75.Stmt(), j+1))
 	}
-	l.size.Set(t, n-1)
+	l.size.SetAt(t, siteArraylist77.Stmt(), n-1)
 	return old
 }
 
@@ -89,17 +89,17 @@ func (l *ArrayList) Remove(t *conc.Thread, v int) bool {
 }
 
 // Size returns the element count.
-func (l *ArrayList) Size(t *conc.Thread) int { return l.size.Get(t) }
+func (l *ArrayList) Size(t *conc.Thread) int { return l.size.GetAt(t, siteArraylist92.Stmt()) }
 
 // Clear removes every element.
 func (l *ArrayList) Clear(t *conc.Thread) {
-	l.modCount.Add(t, 1)
-	l.size.Set(t, 0)
+	l.modCount.AddAt(t, siteArraylist96.Stmt(), 1)
+	l.size.SetAt(t, siteArraylist97.Stmt(), 0)
 }
 
 // Iterator returns a fail-fast iterator (java.util.AbstractList.Itr).
 func (l *ArrayList) Iterator(t *conc.Thread) Iterator {
-	return &arrayListIter{list: l, expected: l.modCount.Get(t), lastRet: -1}
+	return &arrayListIter{list: l, expected: l.modCount.GetAt(t, siteArraylist102.Stmt()), lastRet: -1}
 }
 
 // ContainsAll, AddAll, RemoveAll, Equals inherit the AbstractCollection /
@@ -128,24 +128,24 @@ type arrayListIter struct {
 }
 
 func (it *arrayListIter) checkComod(t *conc.Thread) {
-	if it.list.modCount.Get(t) != it.expected {
+	if it.list.modCount.GetAt(t, siteArraylist131.Stmt()) != it.expected {
 		throwCME(t, it.list.name)
 	}
 }
 
 // HasNext implements Iterator.
 func (it *arrayListIter) HasNext(t *conc.Thread) bool {
-	return it.cursor < it.list.size.Get(t)
+	return it.cursor < it.list.size.GetAt(t, siteArraylist138.Stmt())
 }
 
 // Next implements Iterator.
 func (it *arrayListIter) Next(t *conc.Thread) int {
 	it.checkComod(t)
-	n := it.list.size.Get(t)
+	n := it.list.size.GetAt(t, siteArraylist144.Stmt())
 	if it.cursor >= n {
 		throwNSE(t, it.list.name)
 	}
-	v := it.list.data.Get(t, it.cursor)
+	v := it.list.data.GetAt(t, siteArraylist148.Stmt(), it.cursor)
 	it.lastRet = it.cursor
 	it.cursor++
 	return v
@@ -160,7 +160,7 @@ func (it *arrayListIter) Remove(t *conc.Thread) {
 	it.list.RemoveAt(t, it.lastRet)
 	it.cursor = it.lastRet
 	it.lastRet = -1
-	it.expected = it.list.modCount.Get(t)
+	it.expected = it.list.modCount.GetAt(t, siteArraylist163.Stmt())
 }
 
 // IndexOf returns the first index of v, or -1 (java.util.List.indexOf).
@@ -168,9 +168,9 @@ func (l *ArrayList) IndexOf(t *conc.Thread, v int) int { return l.indexOf(t, v) 
 
 // LastIndexOf returns the last index of v, or -1.
 func (l *ArrayList) LastIndexOf(t *conc.Thread, v int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist171.Stmt())
 	for i := n - 1; i >= 0; i-- {
-		if l.data.Get(t, i) == v {
+		if l.data.GetAt(t, siteArraylist173.Stmt(), i) == v {
 			return i
 		}
 	}
@@ -179,28 +179,28 @@ func (l *ArrayList) LastIndexOf(t *conc.Thread, v int) int {
 
 // Set replaces the element at index i, returning the old value.
 func (l *ArrayList) Set(t *conc.Thread, i, v int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist182.Stmt())
 	if i < 0 || i >= n {
 		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
 	}
-	old := l.data.Get(t, i)
-	l.data.Set(t, i, v)
+	old := l.data.GetAt(t, siteArraylist186.Stmt(), i)
+	l.data.SetAt(t, siteArraylist187.Stmt(), i, v)
 	return old
 }
 
 // AddAt inserts v at index i, shifting the tail right.
 func (l *ArrayList) AddAt(t *conc.Thread, i, v int) {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteArraylist193.Stmt())
 	if i < 0 || i > n {
 		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
 	}
 	if n >= l.data.Len() {
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, l.name))
 	}
-	l.modCount.Add(t, 1)
+	l.modCount.AddAt(t, siteArraylist200.Stmt(), 1)
 	for j := n; j > i; j-- {
-		l.data.Set(t, j, l.data.Get(t, j-1))
+		l.data.SetAt(t, siteArraylist202.Stmt(), j, l.data.GetAt(t, siteArraylist202.Stmt(), j-1))
 	}
-	l.data.Set(t, i, v)
-	l.size.Set(t, n+1)
+	l.data.SetAt(t, siteArraylist204.Stmt(), i, v)
+	l.size.SetAt(t, siteArraylist205.Stmt(), n+1)
 }

@@ -36,10 +36,10 @@ func NewHashMap(t *conc.Thread, name string) *HashMap {
 // Put maps key to val, returning the previous value and whether one existed.
 func (m *HashMap) Put(t *conc.Thread, key, val int) (int, bool) {
 	b := hashOf(key)
-	for e := m.buckets.Get(t, b); e != nil; e = e.next.Get(t) {
+	for e := m.buckets.GetAt(t, siteHashmap39.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashmap39.Stmt()) {
 		if e.key == key {
-			old := e.val.Get(t)
-			e.val.Set(t, val)
+			old := e.val.GetAt(t, siteHashmap41.Stmt())
+			e.val.SetAt(t, siteHashmap42.Stmt(), val)
 			return old, true
 		}
 	}
@@ -50,18 +50,18 @@ func (m *HashMap) Put(t *conc.Thread, key, val int) (int, bool) {
 		val:  conc.NewIndexedVar(t, base, seq, ".value", val),
 		next: conc.NewIndexedVar[*hmNode](t, base, seq, ".next", nil),
 	}
-	n.next.Set(t, m.buckets.Get(t, b))
-	m.buckets.Set(t, b, n)
-	m.size.Add(t, 1)
-	m.modCount.Add(t, 1)
+	n.next.SetAt(t, siteHashmap53.Stmt(), m.buckets.GetAt(t, siteHashmap53.Stmt(), b))
+	m.buckets.SetAt(t, siteHashmap54.Stmt(), b, n)
+	m.size.AddAt(t, siteHashmap55.Stmt(), 1)
+	m.modCount.AddAt(t, siteHashmap56.Stmt(), 1)
 	return 0, false
 }
 
 // Get returns the value mapped to key and whether it exists.
 func (m *HashMap) Get(t *conc.Thread, key int) (int, bool) {
-	for e := m.buckets.Get(t, hashOf(key)); e != nil; e = e.next.Get(t) {
+	for e := m.buckets.GetAt(t, siteHashmap62.Stmt(), hashOf(key)); e != nil; e = e.next.GetAt(t, siteHashmap62.Stmt()) {
 		if e.key == key {
-			return e.val.Get(t), true
+			return e.val.GetAt(t, siteHashmap64.Stmt()), true
 		}
 	}
 	return 0, false
@@ -77,16 +77,16 @@ func (m *HashMap) ContainsKey(t *conc.Thread, key int) bool {
 func (m *HashMap) Remove(t *conc.Thread, key int) (int, bool) {
 	b := hashOf(key)
 	var prev *hmNode
-	for e := m.buckets.Get(t, b); e != nil; e = e.next.Get(t) {
+	for e := m.buckets.GetAt(t, siteHashmap80.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashmap80.Stmt()) {
 		if e.key == key {
-			v := e.val.Get(t)
+			v := e.val.GetAt(t, siteHashmap82.Stmt())
 			if prev == nil {
-				m.buckets.Set(t, b, e.next.Get(t))
+				m.buckets.SetAt(t, siteHashmap84.Stmt(), b, e.next.GetAt(t, siteHashmap84.Stmt()))
 			} else {
-				prev.next.Set(t, e.next.Get(t))
+				prev.next.SetAt(t, siteHashmap86.Stmt(), e.next.GetAt(t, siteHashmap86.Stmt()))
 			}
-			m.size.Add(t, -1)
-			m.modCount.Add(t, 1)
+			m.size.AddAt(t, siteHashmap88.Stmt(), -1)
+			m.modCount.AddAt(t, siteHashmap89.Stmt(), 1)
 			return v, true
 		}
 		prev = e
@@ -95,15 +95,15 @@ func (m *HashMap) Remove(t *conc.Thread, key int) (int, bool) {
 }
 
 // Size returns the number of mappings.
-func (m *HashMap) Size(t *conc.Thread) int { return m.size.Get(t) }
+func (m *HashMap) Size(t *conc.Thread) int { return m.size.GetAt(t, siteHashmap98.Stmt()) }
 
 // Clear removes every mapping.
 func (m *HashMap) Clear(t *conc.Thread) {
 	for b := 0; b < hsBuckets; b++ {
-		m.buckets.Set(t, b, nil)
+		m.buckets.SetAt(t, siteHashmap103.Stmt(), b, nil)
 	}
-	m.size.Set(t, 0)
-	m.modCount.Add(t, 1)
+	m.size.SetAt(t, siteHashmap105.Stmt(), 0)
+	m.modCount.AddAt(t, siteHashmap106.Stmt(), 1)
 }
 
 // Entry is one key/value snapshot produced by iteration.
@@ -112,14 +112,14 @@ type Entry struct{ Key, Val int }
 // Entries iterates the map fail-fast, returning entry snapshots; it throws
 // ConcurrentModificationException when the map changes underneath it.
 func (m *HashMap) Entries(t *conc.Thread) []Entry {
-	expected := m.modCount.Get(t)
+	expected := m.modCount.GetAt(t, siteHashmap115.Stmt())
 	var out []Entry
 	for b := 0; b < hsBuckets; b++ {
-		for e := m.buckets.Get(t, b); e != nil; e = e.next.Get(t) {
-			if m.modCount.Get(t) != expected {
+		for e := m.buckets.GetAt(t, siteHashmap118.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashmap118.Stmt()) {
+			if m.modCount.GetAt(t, siteHashmap119.Stmt()) != expected {
 				throwCME(t, m.name)
 			}
-			out = append(out, Entry{Key: e.key, Val: e.val.Get(t)})
+			out = append(out, Entry{Key: e.key, Val: e.val.GetAt(t, siteHashmap122.Stmt())})
 		}
 	}
 	return out
@@ -142,41 +142,41 @@ func NewHashtable(t *conc.Thread, name string) *Hashtable {
 
 // Put maps key to val (synchronized).
 func (h *Hashtable) Put(t *conc.Thread, key, val int) (int, bool) {
-	h.mon.Lock(t)
+	h.mon.LockAt(t, siteHashmap145.Stmt())
 	old, ok := h.inner.Put(t, key, val)
-	h.mon.Unlock(t)
+	h.mon.UnlockAt(t, siteHashmap147.Stmt())
 	return old, ok
 }
 
 // Get returns key's value (synchronized).
 func (h *Hashtable) Get(t *conc.Thread, key int) (int, bool) {
-	h.mon.Lock(t)
+	h.mon.LockAt(t, siteHashmap153.Stmt())
 	v, ok := h.inner.Get(t, key)
-	h.mon.Unlock(t)
+	h.mon.UnlockAt(t, siteHashmap155.Stmt())
 	return v, ok
 }
 
 // Remove unmaps key (synchronized).
 func (h *Hashtable) Remove(t *conc.Thread, key int) (int, bool) {
-	h.mon.Lock(t)
+	h.mon.LockAt(t, siteHashmap161.Stmt())
 	v, ok := h.inner.Remove(t, key)
-	h.mon.Unlock(t)
+	h.mon.UnlockAt(t, siteHashmap163.Stmt())
 	return v, ok
 }
 
 // Size returns the mapping count (synchronized).
 func (h *Hashtable) Size(t *conc.Thread) int {
-	h.mon.Lock(t)
+	h.mon.LockAt(t, siteHashmap169.Stmt())
 	n := h.inner.Size(t)
-	h.mon.Unlock(t)
+	h.mon.UnlockAt(t, siteHashmap171.Stmt())
 	return n
 }
 
 // Entries snapshots the table (synchronized — unlike Vector's Enumeration,
 // Hashtable's synchronized methods cover whole-table iteration here).
 func (h *Hashtable) Entries(t *conc.Thread) []Entry {
-	h.mon.Lock(t)
+	h.mon.LockAt(t, siteHashmap178.Stmt())
 	out := h.inner.Entries(t)
-	h.mon.Unlock(t)
+	h.mon.UnlockAt(t, siteHashmap180.Stmt())
 	return out
 }

@@ -46,23 +46,23 @@ func hashOf(v int) int {
 // Add inserts v, returning false if already present.
 func (s *HashSet) Add(t *conc.Thread, v int) bool {
 	b := hashOf(v)
-	for e := s.buckets.Get(t, b); e != nil; e = e.next.Get(t) {
+	for e := s.buckets.GetAt(t, siteHashset49.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashset49.Stmt()) {
 		if e.key == v {
 			return false
 		}
 	}
 	s.nodeSeq++
 	n := &hsNode{key: v, next: conc.NewIndexedVar[*hsNode](t, s.nodeBase, s.nodeSeq, ".next", nil)}
-	n.next.Set(t, s.buckets.Get(t, b))
-	s.buckets.Set(t, b, n)
-	s.size.Add(t, 1)
-	s.modCount.Add(t, 1)
+	n.next.SetAt(t, siteHashset56.Stmt(), s.buckets.GetAt(t, siteHashset56.Stmt(), b))
+	s.buckets.SetAt(t, siteHashset57.Stmt(), b, n)
+	s.size.AddAt(t, siteHashset58.Stmt(), 1)
+	s.modCount.AddAt(t, siteHashset59.Stmt(), 1)
 	return true
 }
 
 // Contains reports membership.
 func (s *HashSet) Contains(t *conc.Thread, v int) bool {
-	for e := s.buckets.Get(t, hashOf(v)); e != nil; e = e.next.Get(t) {
+	for e := s.buckets.GetAt(t, siteHashset65.Stmt(), hashOf(v)); e != nil; e = e.next.GetAt(t, siteHashset65.Stmt()) {
 		if e.key == v {
 			return true
 		}
@@ -74,15 +74,15 @@ func (s *HashSet) Contains(t *conc.Thread, v int) bool {
 func (s *HashSet) Remove(t *conc.Thread, v int) bool {
 	b := hashOf(v)
 	var prev *hsNode
-	for e := s.buckets.Get(t, b); e != nil; e = e.next.Get(t) {
+	for e := s.buckets.GetAt(t, siteHashset77.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashset77.Stmt()) {
 		if e.key == v {
 			if prev == nil {
-				s.buckets.Set(t, b, e.next.Get(t))
+				s.buckets.SetAt(t, siteHashset80.Stmt(), b, e.next.GetAt(t, siteHashset80.Stmt()))
 			} else {
-				prev.next.Set(t, e.next.Get(t))
+				prev.next.SetAt(t, siteHashset82.Stmt(), e.next.GetAt(t, siteHashset82.Stmt()))
 			}
-			s.size.Add(t, -1)
-			s.modCount.Add(t, 1)
+			s.size.AddAt(t, siteHashset84.Stmt(), -1)
+			s.modCount.AddAt(t, siteHashset85.Stmt(), 1)
 			return true
 		}
 		prev = e
@@ -91,20 +91,20 @@ func (s *HashSet) Remove(t *conc.Thread, v int) bool {
 }
 
 // Size returns the element count.
-func (s *HashSet) Size(t *conc.Thread) int { return s.size.Get(t) }
+func (s *HashSet) Size(t *conc.Thread) int { return s.size.GetAt(t, siteHashset94.Stmt()) }
 
 // Clear empties the set.
 func (s *HashSet) Clear(t *conc.Thread) {
 	for b := 0; b < hsBuckets; b++ {
-		s.buckets.Set(t, b, nil)
+		s.buckets.SetAt(t, siteHashset99.Stmt(), b, nil)
 	}
-	s.size.Set(t, 0)
-	s.modCount.Add(t, 1)
+	s.size.SetAt(t, siteHashset101.Stmt(), 0)
+	s.modCount.AddAt(t, siteHashset102.Stmt(), 1)
 }
 
 // Iterator returns a fail-fast iterator (java.util.HashMap.HashIterator).
 func (s *HashSet) Iterator(t *conc.Thread) Iterator {
-	it := &hashSetIter{set: s, bucket: -1, expected: s.modCount.Get(t)}
+	it := &hashSetIter{set: s, bucket: -1, expected: s.modCount.GetAt(t, siteHashset107.Stmt())}
 	it.advance(t)
 	return it
 }
@@ -132,16 +132,16 @@ type hashSetIter struct {
 // advance moves to the next non-empty position starting after the current.
 func (it *hashSetIter) advance(t *conc.Thread) {
 	if it.node != nil {
-		it.node = it.node.next.Get(t)
+		it.node = it.node.next.GetAt(t, siteHashset135.Stmt())
 	}
 	for it.node == nil && it.bucket < hsBuckets-1 {
 		it.bucket++
-		it.node = it.set.buckets.Get(t, it.bucket)
+		it.node = it.set.buckets.GetAt(t, siteHashset139.Stmt(), it.bucket)
 	}
 }
 
 func (it *hashSetIter) checkComod(t *conc.Thread) {
-	if it.set.modCount.Get(t) != it.expected {
+	if it.set.modCount.GetAt(t, siteHashset144.Stmt()) != it.expected {
 		throwCME(t, it.set.name)
 	}
 }
@@ -169,5 +169,5 @@ func (it *hashSetIter) Remove(t *conc.Thread) {
 	it.checkComod(t)
 	it.set.Remove(t, it.lastRet.key)
 	it.lastRet = nil
-	it.expected = it.set.modCount.Get(t)
+	it.expected = it.set.modCount.GetAt(t, siteHashset172.Stmt())
 }

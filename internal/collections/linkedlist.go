@@ -42,8 +42,8 @@ func NewLinkedList(t *conc.Thread, name string) *LinkedList {
 		modCount: conc.NewIntVar(t, name+".modCount", 0),
 		nodeBase: name + ".node",
 	}
-	l.header.next.Set(t, l.header)
-	l.header.prev.Set(t, l.header)
+	l.header.next.SetAt(t, siteLinkedlist45.Stmt(), l.header)
+	l.header.prev.SetAt(t, siteLinkedlist46.Stmt(), l.header)
 	return l
 }
 
@@ -55,32 +55,32 @@ func (l *LinkedList) newNode(t *conc.Thread, v int) *llNode {
 // Add appends v before the header (at the tail).
 func (l *LinkedList) Add(t *conc.Thread, v int) bool {
 	n := l.newNode(t, v)
-	tail := l.header.prev.Get(t)
-	n.prev.Set(t, tail)
-	n.next.Set(t, l.header)
-	tail.next.Set(t, n)
-	l.header.prev.Set(t, n)
-	l.size.Add(t, 1)
-	l.modCount.Add(t, 1)
+	tail := l.header.prev.GetAt(t, siteLinkedlist58.Stmt())
+	n.prev.SetAt(t, siteLinkedlist59.Stmt(), tail)
+	n.next.SetAt(t, siteLinkedlist60.Stmt(), l.header)
+	tail.next.SetAt(t, siteLinkedlist61.Stmt(), n)
+	l.header.prev.SetAt(t, siteLinkedlist62.Stmt(), n)
+	l.size.AddAt(t, siteLinkedlist63.Stmt(), 1)
+	l.modCount.AddAt(t, siteLinkedlist64.Stmt(), 1)
 	return true
 }
 
 // Get returns the element at index i by walking from the header.
 func (l *LinkedList) Get(t *conc.Thread, i int) int {
-	n := l.size.Get(t)
+	n := l.size.GetAt(t, siteLinkedlist70.Stmt())
 	if i < 0 || i >= n {
 		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
 	}
-	e := l.header.next.Get(t)
+	e := l.header.next.GetAt(t, siteLinkedlist74.Stmt())
 	for j := 0; j < i; j++ {
-		e = e.next.Get(t)
+		e = e.next.GetAt(t, siteLinkedlist76.Stmt())
 	}
 	return e.val
 }
 
 // Contains walks the list looking for v.
 func (l *LinkedList) Contains(t *conc.Thread, v int) bool {
-	for e := l.header.next.Get(t); e != l.header; e = e.next.Get(t) {
+	for e := l.header.next.GetAt(t, siteLinkedlist83.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist83.Stmt()) {
 		if e.val == v {
 			return true
 		}
@@ -90,17 +90,17 @@ func (l *LinkedList) Contains(t *conc.Thread, v int) bool {
 
 // unlink removes node e from the chain.
 func (l *LinkedList) unlink(t *conc.Thread, e *llNode) {
-	p := e.prev.Get(t)
-	n := e.next.Get(t)
-	p.next.Set(t, n)
-	n.prev.Set(t, p)
-	l.size.Add(t, -1)
-	l.modCount.Add(t, 1)
+	p := e.prev.GetAt(t, siteLinkedlist93.Stmt())
+	n := e.next.GetAt(t, siteLinkedlist94.Stmt())
+	p.next.SetAt(t, siteLinkedlist95.Stmt(), n)
+	n.prev.SetAt(t, siteLinkedlist96.Stmt(), p)
+	l.size.AddAt(t, siteLinkedlist97.Stmt(), -1)
+	l.modCount.AddAt(t, siteLinkedlist98.Stmt(), 1)
 }
 
 // Remove deletes one occurrence of v.
 func (l *LinkedList) Remove(t *conc.Thread, v int) bool {
-	for e := l.header.next.Get(t); e != l.header; e = e.next.Get(t) {
+	for e := l.header.next.GetAt(t, siteLinkedlist103.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist103.Stmt()) {
 		if e.val == v {
 			l.unlink(t, e)
 			return true
@@ -110,20 +110,20 @@ func (l *LinkedList) Remove(t *conc.Thread, v int) bool {
 }
 
 // Size returns the element count.
-func (l *LinkedList) Size(t *conc.Thread) int { return l.size.Get(t) }
+func (l *LinkedList) Size(t *conc.Thread) int { return l.size.GetAt(t, siteLinkedlist113.Stmt()) }
 
 // Clear empties the list.
 func (l *LinkedList) Clear(t *conc.Thread) {
-	l.header.next.Set(t, l.header)
-	l.header.prev.Set(t, l.header)
-	l.size.Set(t, 0)
-	l.modCount.Add(t, 1)
+	l.header.next.SetAt(t, siteLinkedlist117.Stmt(), l.header)
+	l.header.prev.SetAt(t, siteLinkedlist118.Stmt(), l.header)
+	l.size.SetAt(t, siteLinkedlist119.Stmt(), 0)
+	l.modCount.AddAt(t, siteLinkedlist120.Stmt(), 1)
 }
 
 // Iterator returns a fail-fast iterator (java.util.LinkedList.ListItr).
 func (l *LinkedList) Iterator(t *conc.Thread) Iterator {
 	return &linkedListIter{
-		list: l, next: l.header.next.Get(t), expected: l.modCount.Get(t),
+		list: l, next: l.header.next.GetAt(t, siteLinkedlist126.Stmt()), expected: l.modCount.GetAt(t, siteLinkedlist126.Stmt()),
 	}
 }
 
@@ -150,7 +150,7 @@ type linkedListIter struct {
 }
 
 func (it *linkedListIter) checkComod(t *conc.Thread) {
-	if it.list.modCount.Get(t) != it.expected {
+	if it.list.modCount.GetAt(t, siteLinkedlist153.Stmt()) != it.expected {
 		throwCME(t, it.list.name)
 	}
 }
@@ -167,7 +167,7 @@ func (it *linkedListIter) Next(t *conc.Thread) int {
 		throwNSE(t, it.list.name)
 	}
 	it.lastRet = it.next
-	it.next = it.next.next.Get(t)
+	it.next = it.next.next.GetAt(t, siteLinkedlist170.Stmt())
 	return it.lastRet.val
 }
 
@@ -179,13 +179,13 @@ func (it *linkedListIter) Remove(t *conc.Thread) {
 	it.checkComod(t)
 	it.list.unlink(t, it.lastRet)
 	it.lastRet = nil
-	it.expected = it.list.modCount.Get(t)
+	it.expected = it.list.modCount.GetAt(t, siteLinkedlist182.Stmt())
 }
 
 // IndexOf returns the first index of v, or -1.
 func (l *LinkedList) IndexOf(t *conc.Thread, v int) int {
 	i := 0
-	for e := l.header.next.Get(t); e != l.header; e = e.next.Get(t) {
+	for e := l.header.next.GetAt(t, siteLinkedlist188.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist188.Stmt()) {
 		if e.val == v {
 			return i
 		}
@@ -197,19 +197,19 @@ func (l *LinkedList) IndexOf(t *conc.Thread, v int) int {
 // AddFirst prepends v (java.util.LinkedList.addFirst).
 func (l *LinkedList) AddFirst(t *conc.Thread, v int) {
 	n := l.newNode(t, v)
-	first := l.header.next.Get(t)
-	n.prev.Set(t, l.header)
-	n.next.Set(t, first)
-	l.header.next.Set(t, n)
-	first.prev.Set(t, n)
-	l.size.Add(t, 1)
-	l.modCount.Add(t, 1)
+	first := l.header.next.GetAt(t, siteLinkedlist200.Stmt())
+	n.prev.SetAt(t, siteLinkedlist201.Stmt(), l.header)
+	n.next.SetAt(t, siteLinkedlist202.Stmt(), first)
+	l.header.next.SetAt(t, siteLinkedlist203.Stmt(), n)
+	first.prev.SetAt(t, siteLinkedlist204.Stmt(), n)
+	l.size.AddAt(t, siteLinkedlist205.Stmt(), 1)
+	l.modCount.AddAt(t, siteLinkedlist206.Stmt(), 1)
 }
 
 // RemoveFirst removes and returns the head (NoSuchElementException when
 // empty).
 func (l *LinkedList) RemoveFirst(t *conc.Thread) int {
-	first := l.header.next.Get(t)
+	first := l.header.next.GetAt(t, siteLinkedlist212.Stmt())
 	if first == l.header {
 		throwNSE(t, l.name)
 	}
@@ -220,7 +220,7 @@ func (l *LinkedList) RemoveFirst(t *conc.Thread) int {
 // RemoveLast removes and returns the tail (NoSuchElementException when
 // empty).
 func (l *LinkedList) RemoveLast(t *conc.Thread) int {
-	last := l.header.prev.Get(t)
+	last := l.header.prev.GetAt(t, siteLinkedlist223.Stmt())
 	if last == l.header {
 		throwNSE(t, l.name)
 	}

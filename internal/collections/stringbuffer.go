@@ -35,50 +35,50 @@ func NewStringBuffer(t *conc.Thread, name string) *StringBuffer {
 
 // Length returns the character count (synchronized).
 func (s *StringBuffer) Length(t *conc.Thread) int {
-	s.mon.Lock(t)
-	n := s.len.Get(t)
-	s.mon.Unlock(t)
+	s.mon.LockAt(t, siteStringbuffer38.Stmt())
+	n := s.len.GetAt(t, siteStringbuffer39.Stmt())
+	s.mon.UnlockAt(t, siteStringbuffer40.Stmt())
 	return n
 }
 
 // AppendChar appends one character (synchronized).
 func (s *StringBuffer) AppendChar(t *conc.Thread, ch int) {
-	s.mon.Lock(t)
-	n := s.len.Get(t)
+	s.mon.LockAt(t, siteStringbuffer46.Stmt())
+	n := s.len.GetAt(t, siteStringbuffer47.Stmt())
 	if n >= s.data.Len() {
-		s.mon.Unlock(t)
+		s.mon.UnlockAt(t, siteStringbuffer49.Stmt())
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, s.name))
 	}
-	s.data.Set(t, n, ch)
-	s.len.Set(t, n+1)
-	s.mon.Unlock(t)
+	s.data.SetAt(t, siteStringbuffer52.Stmt(), n, ch)
+	s.len.SetAt(t, siteStringbuffer53.Stmt(), n+1)
+	s.mon.UnlockAt(t, siteStringbuffer54.Stmt())
 }
 
 // SetLength truncates or zero-extends the buffer (synchronized).
 func (s *StringBuffer) SetLength(t *conc.Thread, n int) {
-	s.mon.Lock(t)
+	s.mon.LockAt(t, siteStringbuffer59.Stmt())
 	if n < 0 || n > s.data.Len() {
-		s.mon.Unlock(t)
+		s.mon.UnlockAt(t, siteStringbuffer61.Stmt())
 		t.Throw(fmt.Errorf("%w: setLength(%d)", ErrIndexOutOfBounds, n))
 	}
-	cur := s.len.Get(t)
+	cur := s.len.GetAt(t, siteStringbuffer64.Stmt())
 	for i := cur; i < n; i++ {
-		s.data.Set(t, i, 0)
+		s.data.SetAt(t, siteStringbuffer66.Stmt(), i, 0)
 	}
-	s.len.Set(t, n)
-	s.mon.Unlock(t)
+	s.len.SetAt(t, siteStringbuffer68.Stmt(), n)
+	s.mon.UnlockAt(t, siteStringbuffer69.Stmt())
 }
 
 // CharAt returns the character at index i (synchronized).
 func (s *StringBuffer) CharAt(t *conc.Thread, i int) int {
-	s.mon.Lock(t)
-	n := s.len.Get(t)
+	s.mon.LockAt(t, siteStringbuffer74.Stmt())
+	n := s.len.GetAt(t, siteStringbuffer75.Stmt())
 	if i < 0 || i >= n {
-		s.mon.Unlock(t)
+		s.mon.UnlockAt(t, siteStringbuffer77.Stmt())
 		t.Throw(fmt.Errorf("%w: charAt(%d), length %d", ErrIndexOutOfBounds, i, n))
 	}
-	ch := s.data.Get(t, i)
-	s.mon.Unlock(t)
+	ch := s.data.GetAt(t, siteStringbuffer80.Stmt(), i)
+	s.mon.UnlockAt(t, siteStringbuffer81.Stmt())
 	return ch
 }
 
@@ -88,37 +88,37 @@ func (s *StringBuffer) CharAt(t *conc.Thread, i int) int {
 // SetLength/AppendChar on other can make the copy read stale cells or
 // throw IndexOutOfBounds.
 func (s *StringBuffer) Append(t *conc.Thread, other *StringBuffer) {
-	s.mon.Lock(t)
-	n := other.len.Get(t) // ← unsynchronized read of the argument's count
-	dst := s.len.Get(t)
+	s.mon.LockAt(t, siteStringbuffer91.Stmt())
+	n := other.len.GetAt(t, siteStringbuffer92.Stmt()) // ← unsynchronized read of the argument's count
+	dst := s.len.GetAt(t, siteStringbuffer93.Stmt())
 	if dst+n > s.data.Len() {
-		s.mon.Unlock(t)
+		s.mon.UnlockAt(t, siteStringbuffer95.Stmt())
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, s.name))
 	}
 	for i := 0; i < n; i++ {
 		// ← unsynchronized reads of the argument's characters; the argument
 		// may have been truncated since the length read.
-		cur := other.len.Get(t)
+		cur := other.len.GetAt(t, siteStringbuffer101.Stmt())
 		if i >= cur {
-			s.mon.Unlock(t)
+			s.mon.UnlockAt(t, siteStringbuffer103.Stmt())
 			t.Throw(fmt.Errorf("%w: append saw %s shrink from %d to %d",
 				ErrIndexOutOfBounds, other.name, n, cur))
 		}
-		s.data.Set(t, dst+i, other.data.Get(t, i))
+		s.data.SetAt(t, siteStringbuffer107.Stmt(), dst+i, other.data.GetAt(t, siteStringbuffer107.Stmt(), i))
 	}
-	s.len.Set(t, dst+n)
-	s.mon.Unlock(t)
+	s.len.SetAt(t, siteStringbuffer109.Stmt(), dst+n)
+	s.mon.UnlockAt(t, siteStringbuffer110.Stmt())
 }
 
 // String snapshots the contents (synchronized; characters rendered as
 // letters for readable assertions).
 func (s *StringBuffer) String(t *conc.Thread) string {
-	s.mon.Lock(t)
-	n := s.len.Get(t)
+	s.mon.LockAt(t, siteStringbuffer116.Stmt())
+	n := s.len.GetAt(t, siteStringbuffer117.Stmt())
 	buf := make([]byte, n)
 	for i := 0; i < n; i++ {
-		buf[i] = byte('a' + s.data.Get(t, i)%26)
+		buf[i] = byte('a' + s.data.GetAt(t, siteStringbuffer120.Stmt(), i)%26)
 	}
-	s.mon.Unlock(t)
+	s.mon.UnlockAt(t, siteStringbuffer122.Stmt())
 	return string(buf)
 }

@@ -31,49 +31,49 @@ func (s *SynchronizedList) Mutex() *conc.Mutex { return s.mu }
 
 // Add appends v under the wrapper lock.
 func (s *SynchronizedList) Add(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized34.Stmt())
 	r := s.inner.Add(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized36.Stmt())
 	return r
 }
 
 // Remove deletes one occurrence of v under the wrapper lock.
 func (s *SynchronizedList) Remove(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized42.Stmt())
 	r := s.inner.Remove(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized44.Stmt())
 	return r
 }
 
 // Contains probes membership under the wrapper lock.
 func (s *SynchronizedList) Contains(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized50.Stmt())
 	r := s.inner.Contains(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized52.Stmt())
 	return r
 }
 
 // Size returns the element count under the wrapper lock.
 func (s *SynchronizedList) Size(t *conc.Thread) int {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized58.Stmt())
 	r := s.inner.Size(t)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized60.Stmt())
 	return r
 }
 
 // Get returns the i-th element under the wrapper lock.
 func (s *SynchronizedList) Get(t *conc.Thread, i int) int {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized66.Stmt())
 	r := s.inner.Get(t, i)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized68.Stmt())
 	return r
 }
 
 // Clear empties the list under the wrapper lock.
 func (s *SynchronizedList) Clear(t *conc.Thread) {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized74.Stmt())
 	s.inner.Clear(t)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized76.Stmt())
 }
 
 // Iterator returns the backing iterator with NO locking (JDK-faithful).
@@ -84,17 +84,17 @@ func (s *SynchronizedList) Iterator(t *conc.Thread) Iterator {
 // ContainsAll locks this wrapper only, then iterates c unsynchronized —
 // the exact bug of §5.3.
 func (s *SynchronizedList) ContainsAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized87.Stmt())
 	r := AbstractContainsAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized89.Stmt())
 	return r
 }
 
 // AddAll locks this wrapper only, then iterates c unsynchronized.
 func (s *SynchronizedList) AddAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized95.Stmt())
 	r := AbstractAddAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized97.Stmt())
 	return r
 }
 
@@ -103,18 +103,18 @@ func (s *SynchronizedList) AddAll(t *conc.Thread, c Collection) bool {
 // takes c's own lock briefly — no race on c, but the paper's removeAll role
 // is the mutator whose writes race with a concurrent containsAll iteration.
 func (s *SynchronizedList) RemoveAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized106.Stmt())
 	r := AbstractRemoveAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized108.Stmt())
 	return r
 }
 
 // Equals locks this wrapper only, then pairwise-iterates both lists — the
 // argument's iterator again runs without the argument's lock.
 func (s *SynchronizedList) Equals(t *conc.Thread, c List) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized115.Stmt())
 	r := AbstractListEquals(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized117.Stmt())
 	return r
 }
 
@@ -135,41 +135,41 @@ func (s *SynchronizedSet) Mutex() *conc.Mutex { return s.mu }
 
 // Add inserts v under the wrapper lock.
 func (s *SynchronizedSet) Add(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized138.Stmt())
 	r := s.inner.Add(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized140.Stmt())
 	return r
 }
 
 // Remove deletes v under the wrapper lock.
 func (s *SynchronizedSet) Remove(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized146.Stmt())
 	r := s.inner.Remove(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized148.Stmt())
 	return r
 }
 
 // Contains probes membership under the wrapper lock.
 func (s *SynchronizedSet) Contains(t *conc.Thread, v int) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized154.Stmt())
 	r := s.inner.Contains(t, v)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized156.Stmt())
 	return r
 }
 
 // Size returns the element count under the wrapper lock.
 func (s *SynchronizedSet) Size(t *conc.Thread) int {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized162.Stmt())
 	r := s.inner.Size(t)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized164.Stmt())
 	return r
 }
 
 // Clear empties the set under the wrapper lock.
 func (s *SynchronizedSet) Clear(t *conc.Thread) {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized170.Stmt())
 	s.inner.Clear(t)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized172.Stmt())
 }
 
 // Iterator returns the backing iterator with NO locking (JDK-faithful).
@@ -179,26 +179,26 @@ func (s *SynchronizedSet) Iterator(t *conc.Thread) Iterator {
 
 // ContainsAll locks this wrapper only, then iterates c unsynchronized.
 func (s *SynchronizedSet) ContainsAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized182.Stmt())
 	r := AbstractContainsAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized184.Stmt())
 	return r
 }
 
 // AddAll locks this wrapper only, then iterates c unsynchronized — the
 // paper's HashSet/TreeSet addAll bug.
 func (s *SynchronizedSet) AddAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized191.Stmt())
 	r := AbstractAddAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized193.Stmt())
 	return r
 }
 
 // RemoveAll locks this wrapper only.
 func (s *SynchronizedSet) RemoveAll(t *conc.Thread, c Collection) bool {
-	s.mu.Lock(t)
+	s.mu.LockAt(t, siteSynchronized199.Stmt())
 	r := AbstractRemoveAll(t, s.inner, c)
-	s.mu.Unlock(t)
+	s.mu.UnlockAt(t, siteSynchronized201.Stmt())
 	return r
 }
 

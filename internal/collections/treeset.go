@@ -2,6 +2,7 @@ package collections
 
 import (
 	"racefuzzer/internal/conc"
+	"racefuzzer/internal/event"
 )
 
 // tsNode is a binary-search-tree node; child pointers are instrumented.
@@ -11,9 +12,8 @@ type tsNode struct {
 	right *conc.Var[*tsNode]
 }
 
-// TreeSet models java.util.TreeSet: an ordered set backed by a binary search
-// tree (unbalanced here — balancing is irrelevant to the races) with size,
-// modCount, and a fail-fast in-order iterator.
+// TreeSet models java.util.TreeSet: an ordered set on an unbalanced binary search
+// tree (balance is irrelevant to the races), size, modCount and a fail-fast iterator.
 type TreeSet struct {
 	name     string
 	root     *conc.Var[*tsNode]
@@ -46,11 +46,11 @@ func (s *TreeSet) newNode(t *conc.Thread, v int) *tsNode {
 
 // Add inserts v, returning false if already present.
 func (s *TreeSet) Add(t *conc.Thread, v int) bool {
-	cur := s.root.Get(t)
+	cur := s.root.GetAt(t, siteTreeset49.Stmt())
 	if cur == nil {
-		s.root.Set(t, s.newNode(t, v))
-		s.size.Add(t, 1)
-		s.modCount.Add(t, 1)
+		s.root.SetAt(t, siteTreeset51.Stmt(), s.newNode(t, v))
+		s.size.AddAt(t, siteTreeset52.Stmt(), 1)
+		s.modCount.AddAt(t, siteTreeset53.Stmt(), 1)
 		return true
 	}
 	for {
@@ -58,20 +58,20 @@ func (s *TreeSet) Add(t *conc.Thread, v int) bool {
 		case v == cur.key:
 			return false
 		case v < cur.key:
-			l := cur.left.Get(t)
+			l := cur.left.GetAt(t, siteTreeset61.Stmt())
 			if l == nil {
-				cur.left.Set(t, s.newNode(t, v))
-				s.size.Add(t, 1)
-				s.modCount.Add(t, 1)
+				cur.left.SetAt(t, siteTreeset63.Stmt(), s.newNode(t, v))
+				s.size.AddAt(t, siteTreeset64.Stmt(), 1)
+				s.modCount.AddAt(t, siteTreeset65.Stmt(), 1)
 				return true
 			}
 			cur = l
 		default:
-			r := cur.right.Get(t)
+			r := cur.right.GetAt(t, siteTreeset70.Stmt())
 			if r == nil {
-				cur.right.Set(t, s.newNode(t, v))
-				s.size.Add(t, 1)
-				s.modCount.Add(t, 1)
+				cur.right.SetAt(t, siteTreeset72.Stmt(), s.newNode(t, v))
+				s.size.AddAt(t, siteTreeset73.Stmt(), 1)
+				s.modCount.AddAt(t, siteTreeset74.Stmt(), 1)
 				return true
 			}
 			cur = r
@@ -81,15 +81,15 @@ func (s *TreeSet) Add(t *conc.Thread, v int) bool {
 
 // Contains reports membership.
 func (s *TreeSet) Contains(t *conc.Thread, v int) bool {
-	cur := s.root.Get(t)
+	cur := s.root.GetAt(t, siteTreeset84.Stmt())
 	for cur != nil {
 		switch {
 		case v == cur.key:
 			return true
 		case v < cur.key:
-			cur = cur.left.Get(t)
+			cur = cur.left.GetAt(t, siteTreeset90.Stmt())
 		default:
-			cur = cur.right.Get(t)
+			cur = cur.right.GetAt(t, siteTreeset92.Stmt())
 		}
 	}
 	return false
@@ -98,69 +98,69 @@ func (s *TreeSet) Contains(t *conc.Thread, v int) bool {
 // Remove deletes v if present (standard BST deletion).
 func (s *TreeSet) Remove(t *conc.Thread, v int) bool {
 	type slot struct {
-		get func(*conc.Thread) *tsNode
-		set func(*conc.Thread, *tsNode)
+		get func(*conc.Thread) *tsNode // the root only
+		set func(*conc.Thread, *event.Site, *tsNode)
 	}
 	rootSlot := slot{
-		get: func(tt *conc.Thread) *tsNode { return s.root.Get(tt) },
-		set: func(tt *conc.Thread, n *tsNode) { s.root.Set(tt, n) },
+		get: func(tt *conc.Thread) *tsNode { return s.root.GetAt(tt, siteTreeset105.Stmt()) },
+		set: func(tt *conc.Thread, _ *event.Site, n *tsNode) { s.root.SetAt(tt, siteTreeset106.Stmt(), n) },
 	}
 	cur := rootSlot.get(t)
 	curSlot := rootSlot
 	for cur != nil && cur.key != v {
 		if v < cur.key {
-			curSlot = slot{get: cur.left.Get, set: cur.left.Set}
-			cur = cur.left.Get(t)
+			curSlot = slot{set: childSet(cur.left)}
+			cur = cur.left.GetAt(t, siteTreeset113.Stmt())
 		} else {
-			curSlot = slot{get: cur.right.Get, set: cur.right.Set}
-			cur = cur.right.Get(t)
+			curSlot = slot{set: childSet(cur.right)}
+			cur = cur.right.GetAt(t, siteTreeset116.Stmt())
 		}
 	}
 	if cur == nil {
 		return false
 	}
-	l, r := cur.left.Get(t), cur.right.Get(t)
+	l, r := cur.left.GetAt(t, siteTreeset122.Stmt()), cur.right.GetAt(t, siteTreeset122.Stmt())
 	switch {
 	case l == nil:
-		curSlot.set(t, r)
+		curSlot.set(t, &siteTreeset125, r)
 	case r == nil:
-		curSlot.set(t, l)
+		curSlot.set(t, &siteTreeset127, l)
 	default:
 		// Replace with in-order successor (min of right subtree).
-		succSlot := slot{get: cur.right.Get, set: cur.right.Set}
+		succSlot := slot{set: childSet(cur.right)}
 		succ := r
 		for {
-			sl := succ.left.Get(t)
+			sl := succ.left.GetAt(t, siteTreeset133.Stmt())
 			if sl == nil {
 				break
 			}
-			succSlot = slot{get: succ.left.Get, set: succ.left.Set}
+			succSlot = slot{set: childSet(succ.left)}
 			succ = sl
 		}
-		succSlot.set(t, succ.right.Get(t))
-		succ.left.Set(t, cur.left.Get(t))
-		succ.right.Set(t, cur.right.Get(t))
-		curSlot.set(t, succ)
+		succSlot.set(t, &siteTreeset140, succ.right.GetAt(t, siteTreeset140.Stmt()))
+		succ.left.SetAt(t, siteTreeset141.Stmt(), cur.left.GetAt(t, siteTreeset141.Stmt()))
+		succ.right.SetAt(t, siteTreeset142.Stmt(), cur.right.GetAt(t, siteTreeset142.Stmt()))
+		curSlot.set(t, &siteTreeset143, succ)
 	}
-	s.size.Add(t, -1)
-	s.modCount.Add(t, 1)
+	s.size.AddAt(t, siteTreeset145.Stmt(), -1)
+	s.modCount.AddAt(t, siteTreeset146.Stmt(), 1)
 	return true
 }
 
 // Size returns the element count.
-func (s *TreeSet) Size(t *conc.Thread) int { return s.size.Get(t) }
+func (s *TreeSet) Size(t *conc.Thread) int { return s.size.GetAt(t, siteTreeset151.Stmt()) }
 
 // Clear empties the set.
 func (s *TreeSet) Clear(t *conc.Thread) {
-	s.root.Set(t, nil)
-	s.size.Set(t, 0)
-	s.modCount.Add(t, 1)
+	s.root.SetAt(t, siteTreeset155.Stmt(), nil)
+	s.size.SetAt(t, siteTreeset156.Stmt(), 0)
+	s.modCount.AddAt(t, siteTreeset157.Stmt(), 1)
 }
 
 // Iterator returns a fail-fast in-order iterator.
 func (s *TreeSet) Iterator(t *conc.Thread) Iterator {
-	it := &treeSetIter{set: s, expected: s.modCount.Get(t)}
-	it.pushLefts(t, s.root.Get(t))
+	it := &treeSetIter{set: s, expected: s.modCount.GetAt(t, siteTreeset162.Stmt())}
+	it.pushLefts(t, s.root.GetAt(t, siteTreeset163.Stmt()))
 	return it
 }
 
@@ -186,12 +186,12 @@ type treeSetIter struct {
 func (it *treeSetIter) pushLefts(t *conc.Thread, n *tsNode) {
 	for n != nil {
 		it.stack = append(it.stack, n)
-		n = n.left.Get(t)
+		n = n.left.GetAt(t, siteTreeset189.Stmt())
 	}
 }
 
 func (it *treeSetIter) checkComod(t *conc.Thread) {
-	if it.set.modCount.Get(t) != it.expected {
+	if it.set.modCount.GetAt(t, siteTreeset194.Stmt()) != it.expected {
 		throwCME(t, it.set.name)
 	}
 }
@@ -207,7 +207,7 @@ func (it *treeSetIter) Next(t *conc.Thread) int {
 	}
 	n := it.stack[len(it.stack)-1]
 	it.stack = it.stack[:len(it.stack)-1]
-	it.pushLefts(t, n.right.Get(t))
+	it.pushLefts(t, n.right.GetAt(t, siteTreeset210.Stmt()))
 	it.lastRet = n
 	return n.key
 }
@@ -220,5 +220,12 @@ func (it *treeSetIter) Remove(t *conc.Thread) {
 	it.checkComod(t)
 	it.set.Remove(t, it.lastRet.key)
 	it.lastRet = nil
-	it.expected = it.set.modCount.Get(t)
+	it.expected = it.set.modCount.GetAt(t, siteTreeset223.Stmt())
+}
+
+// childSet returns the setter of a node's child pointer for Remove's slots.
+// The write carries the statement of the call through the slot, as a call
+// of the Var's Set method value would; the root's setter keeps its own.
+func childSet(v *conc.Var[*tsNode]) func(*conc.Thread, *event.Site, *tsNode) {
+	return func(t *conc.Thread, at *event.Site, n *tsNode) { v.SetAt(t, at.Stmt(), n) }
 }

@@ -32,15 +32,15 @@ func NewVector(t *conc.Thread, name string) *Vector {
 
 // AddElement appends v (synchronized).
 func (v *Vector) AddElement(t *conc.Thread, e int) {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector35.Stmt())
+	n := v.elementCount.GetAt(t, siteVector36.Stmt())
 	if n >= v.elementData.Len() {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector38.Stmt())
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, v.name))
 	}
-	v.elementData.Set(t, n, e)
-	v.elementCount.Set(t, n+1)
-	v.mon.Unlock(t)
+	v.elementData.SetAt(t, siteVector41.Stmt(), n, e)
+	v.elementCount.SetAt(t, siteVector42.Stmt(), n+1)
+	v.mon.UnlockAt(t, siteVector43.Stmt())
 }
 
 // Add implements Collection.
@@ -51,19 +51,19 @@ func (v *Vector) Add(t *conc.Thread, e int) bool {
 
 // RemoveElement deletes one occurrence of e (synchronized).
 func (v *Vector) RemoveElement(t *conc.Thread, e int) bool {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector54.Stmt())
+	n := v.elementCount.GetAt(t, siteVector55.Stmt())
 	for i := 0; i < n; i++ {
-		if v.elementData.Get(t, i) == e {
+		if v.elementData.GetAt(t, siteVector57.Stmt(), i) == e {
 			for j := i; j < n-1; j++ {
-				v.elementData.Set(t, j, v.elementData.Get(t, j+1))
+				v.elementData.SetAt(t, siteVector59.Stmt(), j, v.elementData.GetAt(t, siteVector59.Stmt(), j+1))
 			}
-			v.elementCount.Set(t, n-1)
-			v.mon.Unlock(t)
+			v.elementCount.SetAt(t, siteVector61.Stmt(), n-1)
+			v.mon.UnlockAt(t, siteVector62.Stmt())
 			return true
 		}
 	}
-	v.mon.Unlock(t)
+	v.mon.UnlockAt(t, siteVector66.Stmt())
 	return false
 }
 
@@ -72,44 +72,44 @@ func (v *Vector) Remove(t *conc.Thread, e int) bool { return v.RemoveElement(t, 
 
 // Contains reports membership (synchronized).
 func (v *Vector) Contains(t *conc.Thread, e int) bool {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector75.Stmt())
+	n := v.elementCount.GetAt(t, siteVector76.Stmt())
 	found := false
 	for i := 0; i < n && !found; i++ {
-		if v.elementData.Get(t, i) == e {
+		if v.elementData.GetAt(t, siteVector79.Stmt(), i) == e {
 			found = true
 		}
 	}
-	v.mon.Unlock(t)
+	v.mon.UnlockAt(t, siteVector83.Stmt())
 	return found
 }
 
 // ElementAt returns the element at index i (synchronized).
 func (v *Vector) ElementAt(t *conc.Thread, i int) int {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector89.Stmt())
+	n := v.elementCount.GetAt(t, siteVector90.Stmt())
 	if i < 0 || i >= n {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector92.Stmt())
 		t.Throw(fmt.Errorf("%w: index %d, count %d", ErrIndexOutOfBounds, i, n))
 	}
-	e := v.elementData.Get(t, i)
-	v.mon.Unlock(t)
+	e := v.elementData.GetAt(t, siteVector95.Stmt(), i)
+	v.mon.UnlockAt(t, siteVector96.Stmt())
 	return e
 }
 
 // Size returns the element count (synchronized).
 func (v *Vector) Size(t *conc.Thread) int {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
-	v.mon.Unlock(t)
+	v.mon.LockAt(t, siteVector102.Stmt())
+	n := v.elementCount.GetAt(t, siteVector103.Stmt())
+	v.mon.UnlockAt(t, siteVector104.Stmt())
 	return n
 }
 
 // Clear empties the vector (synchronized).
 func (v *Vector) Clear(t *conc.Thread) {
-	v.mon.Lock(t)
-	v.elementCount.Set(t, 0)
-	v.mon.Unlock(t)
+	v.mon.LockAt(t, siteVector110.Stmt())
+	v.elementCount.SetAt(t, siteVector111.Stmt(), 0)
+	v.mon.UnlockAt(t, siteVector112.Stmt())
 }
 
 // Iterator implements Collection by returning the unsynchronized
@@ -133,16 +133,16 @@ type VectorEnumeration struct {
 
 // HasNext (hasMoreElements) reads elementCount unsynchronized.
 func (e *VectorEnumeration) HasNext(t *conc.Thread) bool {
-	return e.cursor < e.vec.elementCount.Get(t)
+	return e.cursor < e.vec.elementCount.GetAt(t, siteVector136.Stmt())
 }
 
 // Next (nextElement) reads elementCount and elementData unsynchronized.
 func (e *VectorEnumeration) Next(t *conc.Thread) int {
-	n := e.vec.elementCount.Get(t)
+	n := e.vec.elementCount.GetAt(t, siteVector141.Stmt())
 	if e.cursor >= n {
 		throwNSE(t, e.vec.name)
 	}
-	v := e.vec.elementData.Get(t, e.cursor)
+	v := e.vec.elementData.GetAt(t, siteVector145.Stmt(), e.cursor)
 	e.cursor++
 	return v
 }
@@ -154,57 +154,57 @@ func (e *VectorEnumeration) Remove(t *conc.Thread) {
 
 // FirstElement returns element 0 (NoSuchElementException when empty).
 func (v *Vector) FirstElement(t *conc.Thread) int {
-	v.mon.Lock(t)
-	if v.elementCount.Get(t) == 0 {
-		v.mon.Unlock(t)
+	v.mon.LockAt(t, siteVector157.Stmt())
+	if v.elementCount.GetAt(t, siteVector158.Stmt()) == 0 {
+		v.mon.UnlockAt(t, siteVector159.Stmt())
 		throwNSE(t, v.name)
 	}
-	e := v.elementData.Get(t, 0)
-	v.mon.Unlock(t)
+	e := v.elementData.GetAt(t, siteVector162.Stmt(), 0)
+	v.mon.UnlockAt(t, siteVector163.Stmt())
 	return e
 }
 
 // LastElement returns the last element (NoSuchElementException when empty).
 func (v *Vector) LastElement(t *conc.Thread) int {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector169.Stmt())
+	n := v.elementCount.GetAt(t, siteVector170.Stmt())
 	if n == 0 {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector172.Stmt())
 		throwNSE(t, v.name)
 	}
-	e := v.elementData.Get(t, n-1)
-	v.mon.Unlock(t)
+	e := v.elementData.GetAt(t, siteVector175.Stmt(), n-1)
+	v.mon.UnlockAt(t, siteVector176.Stmt())
 	return e
 }
 
 // SetElementAt replaces element i (synchronized).
 func (v *Vector) SetElementAt(t *conc.Thread, e, i int) {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector182.Stmt())
+	n := v.elementCount.GetAt(t, siteVector183.Stmt())
 	if i < 0 || i >= n {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector185.Stmt())
 		t.Throw(fmt.Errorf("%w: setElementAt(%d), count %d", ErrIndexOutOfBounds, i, n))
 	}
-	v.elementData.Set(t, i, e)
-	v.mon.Unlock(t)
+	v.elementData.SetAt(t, siteVector188.Stmt(), i, e)
+	v.mon.UnlockAt(t, siteVector189.Stmt())
 }
 
 // InsertElementAt inserts e at index i, shifting the tail (synchronized).
 func (v *Vector) InsertElementAt(t *conc.Thread, e, i int) {
-	v.mon.Lock(t)
-	n := v.elementCount.Get(t)
+	v.mon.LockAt(t, siteVector194.Stmt())
+	n := v.elementCount.GetAt(t, siteVector195.Stmt())
 	if i < 0 || i > n {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector197.Stmt())
 		t.Throw(fmt.Errorf("%w: insertElementAt(%d), count %d", ErrIndexOutOfBounds, i, n))
 	}
 	if n >= v.elementData.Len() {
-		v.mon.Unlock(t)
+		v.mon.UnlockAt(t, siteVector201.Stmt())
 		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, v.name))
 	}
 	for j := n; j > i; j-- {
-		v.elementData.Set(t, j, v.elementData.Get(t, j-1))
+		v.elementData.SetAt(t, siteVector205.Stmt(), j, v.elementData.GetAt(t, siteVector205.Stmt(), j-1))
 	}
-	v.elementData.Set(t, i, e)
-	v.elementCount.Set(t, n+1)
-	v.mon.Unlock(t)
+	v.elementData.SetAt(t, siteVector207.Stmt(), i, e)
+	v.elementCount.SetAt(t, siteVector208.Stmt(), n+1)
+	v.mon.UnlockAt(t, siteVector209.Stmt())
 }

@@ -51,10 +51,7 @@ func (v *Var[T]) Loc() event.MemLoc { return v.loc }
 func (v *Var[T]) Name() string { return v.s.LocName(v.loc) }
 
 // Get reads the variable; the statement label is the caller's file:line.
-func (v *Var[T]) Get(t *Thread) T {
-	t.MemRead(v.loc, event.CallerStmt(1))
-	return v.val
-}
+func (v *Var[T]) Get(t *Thread) T { return v.GetAt(t, event.CallerStmt(1)) }
 
 // GetAt reads the variable at an explicit statement label.
 func (v *Var[T]) GetAt(t *Thread, stmt event.Stmt) T {
@@ -63,10 +60,7 @@ func (v *Var[T]) GetAt(t *Thread, stmt event.Stmt) T {
 }
 
 // Set writes the variable; the statement label is the caller's file:line.
-func (v *Var[T]) Set(t *Thread, val T) {
-	t.MemWrite(v.loc, event.CallerStmt(1))
-	v.val = val
-}
+func (v *Var[T]) Set(t *Thread, val T) { v.SetAt(t, event.CallerStmt(1), val) }
 
 // SetAt writes the variable at an explicit statement label.
 func (v *Var[T]) SetAt(t *Thread, stmt event.Stmt, val T) {
@@ -89,14 +83,7 @@ func NewIntVar(t *Thread, name string, init int) *IntVar {
 
 // Add performs v += d as Java compiles it: a read event followed by a write
 // event at the same statement — the classic lost-update racing pattern.
-func (v *IntVar) Add(t *Thread, d int) int {
-	stmt := event.CallerStmt(1)
-	t.MemRead(v.loc, stmt)
-	x := v.val
-	t.MemWrite(v.loc, stmt)
-	v.val = x + d
-	return x + d
-}
+func (v *IntVar) Add(t *Thread, d int) int { return v.AddAt(t, event.CallerStmt(1), d) }
 
 // AddAt is Add with an explicit statement label.
 func (v *IntVar) AddAt(t *Thread, stmt event.Stmt, d int) int {
@@ -129,27 +116,33 @@ func (a *Array[T]) Len() int { return len(a.vals) }
 func (a *Array[T]) LocOf(i int) event.MemLoc { return a.base + event.MemLoc(i) }
 
 // Get reads element i.
-func (a *Array[T]) Get(t *Thread, i int) T {
-	t.MemRead(a.LocOf(i), event.CallerStmt(1))
-	return a.vals[i]
-}
+func (a *Array[T]) Get(t *Thread, i int) T { return a.GetAt(t, event.CallerStmt(1), i) }
 
 // GetAt reads element i at an explicit statement label.
 func (a *Array[T]) GetAt(t *Thread, stmt event.Stmt, i int) T {
+	a.check(t, i)
 	t.MemRead(a.LocOf(i), stmt)
 	return a.vals[i]
 }
 
 // Set writes element i.
-func (a *Array[T]) Set(t *Thread, i int, val T) {
-	t.MemWrite(a.LocOf(i), event.CallerStmt(1))
-	a.vals[i] = val
-}
+func (a *Array[T]) Set(t *Thread, i int, val T) { a.SetAt(t, event.CallerStmt(1), i, val) }
 
 // SetAt writes element i at an explicit statement label.
 func (a *Array[T]) SetAt(t *Thread, stmt event.Stmt, i int, val T) {
+	a.check(t, i)
 	t.MemWrite(a.LocOf(i), stmt)
 	a.vals[i] = val
+}
+
+// check throws ArrayIndexOutOfBoundsException for a bad index before the
+// access reaches the scheduler: base+i would name a neighbouring
+// variable's location, and phase 1 or the RaceFuzzer policy would see an
+// access to it.
+func (a *Array[T]) check(t *Thread, i int) {
+	if uint(i) >= uint(len(a.vals)) {
+		t.Throwf("ArrayIndexOutOfBoundsException: index %d, length %d", i, len(a.vals))
+	}
 }
 
 // Peek returns element i without instrumentation (harness assertions only).

@@ -28,39 +28,39 @@ func NewRWLock(t *Thread, name string) *RWLock {
 
 // RLock acquires shared (read) access.
 func (l *RWLock) RLock(t *Thread) {
-	l.m.Lock(t)
-	for l.writer.Get(t) {
-		l.m.Wait(t)
+	l.m.LockAt(t, siteExtras31.Stmt())
+	for l.writer.GetAt(t, siteExtras32.Stmt()) {
+		l.m.WaitAt(t, siteExtras33.Stmt())
 	}
-	l.readers.Add(t, 1)
-	l.m.Unlock(t)
+	l.readers.AddAt(t, siteExtras35.Stmt(), 1)
+	l.m.UnlockAt(t, siteExtras36.Stmt())
 }
 
 // RUnlock releases shared access.
 func (l *RWLock) RUnlock(t *Thread) {
-	l.m.Lock(t)
-	if l.readers.Add(t, -1) == 0 {
-		l.m.NotifyAll(t)
+	l.m.LockAt(t, siteExtras41.Stmt())
+	if l.readers.AddAt(t, siteExtras42.Stmt(), -1) == 0 {
+		l.m.NotifyAllAt(t, siteExtras43.Stmt())
 	}
-	l.m.Unlock(t)
+	l.m.UnlockAt(t, siteExtras45.Stmt())
 }
 
 // Lock acquires exclusive (write) access.
 func (l *RWLock) Lock(t *Thread) {
-	l.m.Lock(t)
-	for l.writer.Get(t) || l.readers.Get(t) > 0 {
-		l.m.Wait(t)
+	l.m.LockAt(t, siteExtras50.Stmt())
+	for l.writer.GetAt(t, siteExtras51.Stmt()) || l.readers.GetAt(t, siteExtras51.Stmt()) > 0 {
+		l.m.WaitAt(t, siteExtras52.Stmt())
 	}
-	l.writer.Set(t, true)
-	l.m.Unlock(t)
+	l.writer.SetAt(t, siteExtras54.Stmt(), true)
+	l.m.UnlockAt(t, siteExtras55.Stmt())
 }
 
 // Unlock releases exclusive access.
 func (l *RWLock) Unlock(t *Thread) {
-	l.m.Lock(t)
-	l.writer.Set(t, false)
-	l.m.NotifyAll(t)
-	l.m.Unlock(t)
+	l.m.LockAt(t, siteExtras60.Stmt())
+	l.writer.SetAt(t, siteExtras61.Stmt(), false)
+	l.m.NotifyAllAt(t, siteExtras62.Stmt())
+	l.m.UnlockAt(t, siteExtras63.Stmt())
 }
 
 // Semaphore is a counting semaphore (java.util.concurrent.Semaphore).
@@ -79,37 +79,37 @@ func NewSemaphore(t *Thread, name string, permits int) *Semaphore {
 
 // Acquire takes one permit, blocking while none are available.
 func (s *Semaphore) Acquire(t *Thread) {
-	s.m.Lock(t)
-	for s.permits.Get(t) <= 0 {
-		s.m.Wait(t)
+	s.m.LockAt(t, siteExtras82.Stmt())
+	for s.permits.GetAt(t, siteExtras83.Stmt()) <= 0 {
+		s.m.WaitAt(t, siteExtras84.Stmt())
 	}
-	s.permits.Add(t, -1)
-	s.m.Unlock(t)
+	s.permits.AddAt(t, siteExtras86.Stmt(), -1)
+	s.m.UnlockAt(t, siteExtras87.Stmt())
 }
 
 // TryAcquire takes a permit if one is available, without blocking.
 func (s *Semaphore) TryAcquire(t *Thread) bool {
-	s.m.Lock(t)
-	ok := s.permits.Get(t) > 0
+	s.m.LockAt(t, siteExtras92.Stmt())
+	ok := s.permits.GetAt(t, siteExtras93.Stmt()) > 0
 	if ok {
-		s.permits.Add(t, -1)
+		s.permits.AddAt(t, siteExtras95.Stmt(), -1)
 	}
-	s.m.Unlock(t)
+	s.m.UnlockAt(t, siteExtras97.Stmt())
 	return ok
 }
 
 // Release returns one permit, waking a blocked acquirer.
 func (s *Semaphore) Release(t *Thread) {
-	s.m.Lock(t)
-	s.permits.Add(t, 1)
-	s.m.Notify(t)
-	s.m.Unlock(t)
+	s.m.LockAt(t, siteExtras103.Stmt())
+	s.permits.AddAt(t, siteExtras104.Stmt(), 1)
+	s.m.NotifyAt(t, siteExtras105.Stmt())
+	s.m.UnlockAt(t, siteExtras106.Stmt())
 }
 
 // Available returns the current permit count (racy by nature, like Java's
 // availablePermits — for monitoring only).
 func (s *Semaphore) Available(t *Thread) int {
-	return s.permits.Get(t)
+	return s.permits.GetAt(t, siteExtras112.Stmt())
 }
 
 // BoundedQueue is a fixed-capacity FIFO of ints with blocking Put/Take — the
@@ -140,37 +140,37 @@ func NewBoundedQueue(t *Thread, name string, capacity int) *BoundedQueue {
 
 // Put appends v, blocking while the queue is full.
 func (q *BoundedQueue) Put(t *Thread, v int) {
-	q.m.Lock(t)
-	for q.size.Get(t) == q.cap {
-		q.m.Wait(t)
+	q.m.LockAt(t, siteExtras143.Stmt())
+	for q.size.GetAt(t, siteExtras144.Stmt()) == q.cap {
+		q.m.WaitAt(t, siteExtras145.Stmt())
 	}
-	h := q.head.Get(t)
-	n := q.size.Get(t)
+	h := q.head.GetAt(t, siteExtras147.Stmt())
+	n := q.size.GetAt(t, siteExtras148.Stmt())
 	q.buf.SetAt(t, q.stmtP, (h+n)%q.cap, v)
-	q.size.Set(t, n+1)
-	q.m.NotifyAll(t)
-	q.m.Unlock(t)
+	q.size.SetAt(t, siteExtras150.Stmt(), n+1)
+	q.m.NotifyAllAt(t, siteExtras151.Stmt())
+	q.m.UnlockAt(t, siteExtras152.Stmt())
 }
 
 // Take removes and returns the oldest element, blocking while empty.
 func (q *BoundedQueue) Take(t *Thread) int {
-	q.m.Lock(t)
-	for q.size.Get(t) == 0 {
-		q.m.Wait(t)
+	q.m.LockAt(t, siteExtras157.Stmt())
+	for q.size.GetAt(t, siteExtras158.Stmt()) == 0 {
+		q.m.WaitAt(t, siteExtras159.Stmt())
 	}
-	h := q.head.Get(t)
+	h := q.head.GetAt(t, siteExtras161.Stmt())
 	v := q.buf.GetAt(t, q.stmtT, h)
-	q.head.Set(t, (h+1)%q.cap)
-	q.size.Add(t, -1)
-	q.m.NotifyAll(t)
-	q.m.Unlock(t)
+	q.head.SetAt(t, siteExtras163.Stmt(), (h+1)%q.cap)
+	q.size.AddAt(t, siteExtras164.Stmt(), -1)
+	q.m.NotifyAllAt(t, siteExtras165.Stmt())
+	q.m.UnlockAt(t, siteExtras166.Stmt())
 	return v
 }
 
 // Size returns the current element count (under the queue's lock).
 func (q *BoundedQueue) Size(t *Thread) int {
-	q.m.Lock(t)
-	n := q.size.Get(t)
-	q.m.Unlock(t)
+	q.m.LockAt(t, siteExtras172.Stmt())
+	n := q.size.GetAt(t, siteExtras173.Stmt())
+	q.m.UnlockAt(t, siteExtras174.Stmt())
 	return n
 }

@@ -5,9 +5,11 @@
 //
 // All identities are small integers assigned by deterministic counters, so a
 // given (program, seed) pair always produces the same identities. Statement
-// labels are interned strings; by default they are captured automatically
-// from the caller's file:line, mirroring the paper's use of program
-// statements as the unit that phase 1 reports and phase 2 targets.
+// labels are interned strings naming a model call site by its file:line,
+// mirroring the paper's use of program statements as the unit that phase 1
+// reports and phase 2 targets. Model packages carry those names as
+// generated Sites, like the paper's statement IDs fixed at instrumentation
+// time; CallerStmt derives them from the stack for everything else.
 package event
 
 import (
@@ -16,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ThreadID identifies a model thread within one execution. The main thread
@@ -127,15 +130,44 @@ func (s Stmt) String() string {
 	return n
 }
 
+// Site is a static statement label: a call site whose name is fixed before
+// the program runs, the analogue of the paper's bytecode statement IDs.
+// Stmt interns Name on first use and caches the ID, so IDs keep the
+// first-execution numbering CallerStmt gives, and every later use is one
+// atomic load. A Site must not be copied after first use.
+type Site struct {
+	Name string
+	id   atomic.Int32
+}
+
+// Stmt returns the site's statement label, interning Name on first use.
+func (s *Site) Stmt() Stmt {
+	if id := s.id.Load(); id != 0 {
+		return Stmt(id)
+	}
+	return s.intern()
+}
+
+// intern is Stmt's first-use path, kept out of line so Stmt inlines.
+// Racing first uses all intern the same name, so they store the same ID.
+func (s *Site) intern() Stmt {
+	id := StmtFor(s.Name)
+	s.id.Store(int32(id))
+	return id
+}
+
 // CallerStmt returns a statement label derived from the caller's source
-// position, skip frames above the caller of CallerStmt itself. It is the
+// position, skip frames above the caller of CallerStmt itself: the last two
+// path segments of the file, a colon and the line. It is the dynamic
 // analogue of the paper's bytecode-level statement identity: two textual
-// occurrences of an access in the model program get distinct labels.
+// occurrences of an access in the model program get distinct labels. The
+// model packages label their call sites with generated Sites of the same
+// names instead (internal/conc/stmtgen_test.go); CallerStmt remains for
+// tests, examples and code outside them, at the price of a stack walk.
 func CallerStmt(skip int) Stmt {
 	// A program counter identifies one call site, which always resolves to
 	// the same file:line — so the formatted, interned label can be cached by
-	// pc. Fork/Join/Interrupt call this on every execution of a model
-	// program; the cache (and using Callers rather than the allocating
+	// pc. The cache (and using Callers rather than the allocating
 	// runtime.Caller) makes repeat visits allocation-free. pcbuf must stay on
 	// the stack: handing pcbuf[:] to CallersFrames would move it to the heap
 	// on every call, so the miss path builds its own one-element slice.

@@ -97,6 +97,57 @@ func TestCallerStmtHitPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// siteRuns gives each TestSite run (-count=N) fresh names.
+var siteRuns int
+
+// TestSite: a Site interns its name on first use and then hands out the
+// cached ID. Racing first uses agree on one ID, Sites of one name share it,
+// the first Stmt call (not declaration order) decides the number, and the
+// warm path does not allocate.
+func TestSite(t *testing.T) {
+	siteRuns++
+	name := func(s string) string { return fmt.Sprintf("site%d:%s", siteRuns, s) }
+
+	racy := &Site{Name: name("racy")}
+	const workers = 8
+	got := make([]Stmt, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = racy.Stmt()
+		}()
+	}
+	wg.Wait()
+	for w, s := range got {
+		if s != got[0] || s.Name() != racy.Name {
+			t.Fatalf("worker %d got %d (%q), worker 0 got %d", w, s, s.Name(), got[0])
+		}
+	}
+
+	a, b := &Site{Name: name("shared")}, &Site{Name: name("shared")}
+	if a.Stmt() != b.Stmt() || a.Stmt() != StmtFor(a.Name) {
+		t.Fatalf("same-name sites got %d and %d", a.Stmt(), b.Stmt())
+	}
+
+	declaredFirst, usedFirst := &Site{Name: name("declared first")}, &Site{Name: name("used first")}
+	u := usedFirst.Stmt()
+	d := declaredFirst.Stmt()
+	if u >= d {
+		t.Fatalf("first-used site got %d, later-used site %d: want first use to number first", u, d)
+	}
+
+	var warm Stmt
+	if n := testing.AllocsPerRun(200, func() { warm = a.Stmt() }); n != 0 {
+		t.Fatalf("warm Site.Stmt allocates %.2f times per call, want 0", n)
+	}
+	if warm != StmtFor(a.Name) {
+		t.Fatalf("warm Stmt = %d, want %d", warm, StmtFor(a.Name))
+	}
+}
+
 func TestStmtPairNormalization(t *testing.T) {
 	a, b := StmtFor("pair:a"), StmtFor("pair:b")
 	p1 := MakeStmtPair(a, b)

@@ -222,18 +222,27 @@ func (t *Thread) MonitorNotifyAll(l event.LockID, stmt event.Stmt) {
 
 // Fork creates a child thread running body and returns its handle. The
 // child starts parked at OpBegin and runs no user code until the scheduler
-// grants it, so the scheduler fully controls the interleaving.
+// grants it, so the scheduler fully controls the interleaving. The
+// statement label is the caller's file:line.
 func (t *Thread) Fork(name string, body func(*Thread)) *Thread {
+	return t.ForkAt(name, body, event.CallerStmt(1))
+}
+
+// ForkAt is Fork at an explicit statement label.
+func (t *Thread) ForkAt(name string, body func(*Thread), stmt event.Stmt) *Thread {
 	t.forkResult = nil
-	t.yield(Op{Kind: OpFork, Stmt: event.CallerStmt(1), forkBody: body, forkName: name})
+	t.yield(Op{Kind: OpFork, Stmt: stmt, forkBody: body, forkName: name})
 	child := t.forkResult
 	t.forkResult = nil
 	return child
 }
 
 // Join blocks until child has terminated.
-func (t *Thread) Join(child *Thread) {
-	t.yield(Op{Kind: OpJoin, Stmt: event.CallerStmt(1), Target: child.id})
+func (t *Thread) Join(child *Thread) { t.JoinAt(child, event.CallerStmt(1)) }
+
+// JoinAt is Join at an explicit statement label.
+func (t *Thread) JoinAt(child *Thread, stmt event.Stmt) {
+	t.yield(Op{Kind: OpJoin, Stmt: stmt, Target: child.id})
 }
 
 // Nop is an explicit scheduling point with no effect, representing an
@@ -246,21 +255,30 @@ func (t *Thread) Nop(stmt event.Stmt) {
 // is blocked in a monitor wait it is woken and its wait throws
 // InterruptedException after reacquiring the monitor; otherwise the flag is
 // simply set and observable via IsInterrupted.
-func (t *Thread) Interrupt(other *Thread) {
-	t.yield(Op{Kind: OpInterrupt, Stmt: event.CallerStmt(1), Target: other.id})
+func (t *Thread) Interrupt(other *Thread) { t.InterruptAt(other, event.CallerStmt(1)) }
+
+// InterruptAt is Interrupt at an explicit statement label.
+func (t *Thread) InterruptAt(other *Thread, stmt event.Stmt) {
+	t.yield(Op{Kind: OpInterrupt, Stmt: stmt, Target: other.id})
 }
 
 // IsInterrupted reads the thread's own interrupt status (an instrumented
 // read: interrupt-status races are first-class memory races).
-func (t *Thread) IsInterrupted() bool {
-	t.MemRead(t.intrLoc, event.CallerStmt(1))
+func (t *Thread) IsInterrupted() bool { return t.IsInterruptedAt(event.CallerStmt(1)) }
+
+// IsInterruptedAt is IsInterrupted at an explicit statement label.
+func (t *Thread) IsInterruptedAt(stmt event.Stmt) bool {
+	t.MemRead(t.intrLoc, stmt)
 	return t.interruptedFlag
 }
 
 // ClearInterrupt clears the thread's own interrupt status (the flag-clearing
 // half of Java's Thread.interrupted()).
-func (t *Thread) ClearInterrupt() {
-	t.MemWrite(t.intrLoc, event.CallerStmt(1))
+func (t *Thread) ClearInterrupt() { t.ClearInterruptAt(event.CallerStmt(1)) }
+
+// ClearInterruptAt is ClearInterrupt at an explicit statement label.
+func (t *Thread) ClearInterruptAt(stmt event.Stmt) {
+	t.MemWrite(t.intrLoc, stmt)
 	t.interruptedFlag = false
 }
 
