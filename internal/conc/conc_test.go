@@ -2,6 +2,7 @@ package conc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"racefuzzer/internal/event"
@@ -79,6 +80,43 @@ func TestArrayPerElementLocations(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestArrayOutOfRangeTouchesNoNeighbour: an out-of-range index throws
+// before the access reaches the scheduler. Element i's location is base+i,
+// so a late bounds check would show phase 1 and the RaceFuzzer policy an
+// access to the neighbouring array's location.
+func TestArrayOutOfRangeTouchesNoNeighbour(t *testing.T) {
+	ops := map[string]func(mt *Thread, a *Array[int]){
+		"Get past the end":   func(mt *Thread, a *Array[int]) { a.Get(mt, a.Len()) },
+		"Set past the end":   func(mt *Thread, a *Array[int]) { a.Set(mt, a.Len(), 1) },
+		"GetAt before start": func(mt *Thread, a *Array[int]) { a.GetAt(mt, stmt("oob:get"), -1) },
+		"SetAt past the end": func(mt *Thread, a *Array[int]) { a.SetAt(mt, stmt("oob:set"), a.Len(), 1) },
+	}
+	for name, op := range ops {
+		var before, after *Array[int]
+		var mems []event.Event
+		res := sched.Run(func(mt *Thread) {
+			before = NewArray[int](mt, "before", 2)
+			a := NewArray[int](mt, "a", 2)
+			after = NewArray[int](mt, "after", 2)
+			op(mt, a)
+		}, sched.Config{Seed: 1, Observers: []sched.Observer{sched.ObserverFunc(func(e event.Event) {
+			if e.Kind == event.KindMem {
+				mems = append(mems, e)
+			}
+		})}})
+		if len(res.Exceptions) != 1 || !strings.Contains(res.Exceptions[0].Err.Error(), "ArrayIndexOutOfBoundsException") {
+			t.Errorf("%s: exceptions %v, want one ArrayIndexOutOfBoundsException", name, res.Exceptions)
+		}
+		for _, e := range mems {
+			for _, n := range []*Array[int]{before, after} {
+				if e.Loc >= n.LocOf(0) && e.Loc < n.LocOf(n.Len()) {
+					t.Errorf("%s: event %v on a neighbouring array's location", name, e)
+				}
+			}
+		}
+	}
 }
 
 func TestMutexSyncRunsBody(t *testing.T) {
