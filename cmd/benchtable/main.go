@@ -49,7 +49,7 @@ func main() {
 		corpusDir = flag.String("corpusdir", "", "persist confirmed findings (dedup, coverage, witnesses) in this corpus directory")
 		budget    = flag.Int("budget", 0, "run the adaptive campaign instead of Table 1: split this global phase-2 trial budget across the benchmarks")
 		rounds    = flag.Int("rounds", 3, "with -budget: number of adaptive allocation rounds")
-		httpAddr  = flag.String("http", "", "serve the live campaign observatory (dashboard, /metrics, /events, /debug/sched) on this address, e.g. :8080")
+		httpAddr  = flag.String("http", "", "serve the live campaign observatory (dashboard, /events, /debug/sched, /debug/perf, /debug/coverage) on this address, e.g. :8080")
 
 		jsonLog   = flag.String("json", "", "write a structured JSONL run log to this file (one record per execution), analyzable with cmd/campaignreport")
 		jsonFlush = flag.Int("jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
@@ -167,7 +167,7 @@ func main() {
 		}
 		rows := harness.RunAdaptiveCampaign(list, harness.CampaignOptions{
 			Seed: *seed, Budget: *budget, Rounds: *rounds, Workers: *workers,
-			Corpus: store, Gauges: obsv.Registry(), Probes: probes,
+			Corpus: store, Probes: probes,
 		})
 		fmt.Println(harness.RenderCampaign(rows))
 		saveCorpus()

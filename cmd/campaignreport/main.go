@@ -3,9 +3,10 @@
 // directory (-corpusdir) a racefuzzer/benchtable campaign wrote:
 //
 //	campaignreport -dir campaign/                      # markdown to stdout
-//	campaignreport -dir campaign/ -html report.html    # self-contained HTML
+//	campaignreport -dir campaign/ -md report.md -csv report.csv
 //	campaignreport -log run.jsonl -corpusdir corpus -csv report.csv
 //	campaignreport -diff old-campaign/ new-campaign/   # per-metric deltas
+//	campaignreport -checkspans corpus/fleetspans.jsonl # validate a span trail
 //
 // The report covers discovery curves (new signatures / coverage cells vs
 // trials), trials-to-first-confirm distributions, per-round dedup trends, a
@@ -27,10 +28,9 @@ import (
 
 func main() {
 	var (
-		dir       = flag.String("dir", "", "campaign directory holding the run log (run.jsonl or first *.jsonl) and/or the corpus (MANIFEST.json, or a corpus/ subdirectory)")
+		dir       = flag.String("dir", "", "campaign directory holding the run log (run.jsonl, else the first *.jsonl that is not a corpus or span-trail file) and/or the corpus (MANIFEST.json, or a corpus/ subdirectory)")
 		log       = flag.String("log", "", "JSONL run log to analyze (alternative to -dir)")
 		corpusDir = flag.String("corpusdir", "", "corpus directory to analyze (alternative to -dir)")
-		htmlOut   = flag.String("html", "", "write the self-contained HTML report to this file")
 		csvOut    = flag.String("csv", "", "write the multi-section CSV tables to this file")
 		mdOut     = flag.String("md", "", "write the markdown report to this file (default: stdout when no other output is chosen)")
 		diff      = flag.Bool("diff", false, "compare two campaigns: campaignreport -diff <dirA> <dirB> prints per-metric deltas (B-A) as markdown")
@@ -83,14 +83,6 @@ func main() {
 	}
 
 	wrote := false
-	if *htmlOut != "" {
-		page, err := analytics.HTML(r)
-		if err != nil {
-			fatal(err)
-		}
-		writeFile(*htmlOut, page)
-		wrote = true
-	}
 	if *csvOut != "" {
 		writeFile(*csvOut, []byte(analytics.CSV(r)))
 		wrote = true

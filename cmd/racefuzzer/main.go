@@ -29,9 +29,9 @@
 // (JSONL, -jsonflush makes it tail-able), -progress emits periodic campaign
 // progress lines to stderr, and -cpuprofile/-memprofile write pprof
 // profiles of the campaign. -http serves the live campaign observatory (see
-// README "Live monitoring"): an embedded dashboard, Prometheus /metrics,
-// an SSE /events stream, /debug/sched scheduler-state snapshots, and
-// /debug/perf scheduler latency aggregates. -perfdir exports a Perfetto
+// README "Live monitoring"): an embedded dashboard, an SSE /events
+// stream, /debug/sched scheduler-state snapshots, and /debug/perf
+// scheduler latency aggregates. -perfdir exports a Perfetto
 // timeline (Chrome trace-event JSON, open in https://ui.perfetto.dev) of
 // each target's first confirming trial.
 //
@@ -101,17 +101,17 @@ func main() {
 		regress   = flag.Bool("regress", false, "with -corpusdir: replay every stored finding and fail on divergence or signature churn")
 
 		timing     = flag.Bool("timing", false, "record per-run wall-clock durations (durationNs) in emitted records; off by default so run logs stay byte-identical across repeat runs")
-		reportDir  = flag.String("report", "", "analyze a campaign directory (run log and/or corpus) offline and print a markdown report, then exit (see cmd/campaignreport for HTML/CSV)")
+		reportDir  = flag.String("report", "", "analyze a campaign directory (run log and/or corpus) offline and print a markdown report, then exit (see cmd/campaignreport for CSV)")
 		metrics    = flag.Bool("metrics", false, "print the campaign metrics table after the run")
 		jsonLog    = flag.String("json", "", "write a structured JSONL run log to this file (one record per execution)")
 		jsonFlush  = flag.Int("jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
 		progress   = flag.Bool("progress", false, "print periodic campaign progress lines to stderr")
-		httpAddr   = flag.String("http", "", "serve the live campaign observatory (dashboard, /metrics, /events, /debug/sched) on this address, e.g. :8080")
+		httpAddr   = flag.String("http", "", "serve the live campaign observatory (dashboard, /events, /debug/sched, /debug/perf, /debug/coverage) on this address, e.g. :8080")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
 		coordAddr  = flag.String("coordinate", "", "with -budget: serve a fleet coordinator on this address (e.g. :7070) and run the campaign on remote -worker processes instead of in-process")
-		fleetTrace = flag.Bool("fleettrace", false, "with -coordinate: record the fleet flight recorder — per-unit lifecycle spans stitched across worker clocks, served live on /fleet/health and persisted as fleetspans.jsonl + a Perfetto trace next to the corpus")
+		fleetTrace = flag.Bool("fleettrace", false, "with -coordinate: record the fleet flight recorder — per-unit lifecycle spans stitched across worker clocks, saved as fleetspans.jsonl + a Perfetto trace next to the corpus")
 		workerURL  = flag.String("worker", "", "run as a fleet worker: pull leased trial batches from the coordinator at this base URL (e.g. http://host:7070) until its campaign completes")
 		version    = flag.Bool("version", false, "print the tool's build provenance (version, commit, toolchain) and exit")
 	)
@@ -160,16 +160,16 @@ func main() {
 	if *workerURL != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		workerMetrics := obs.NewRegistry()
+		var rejects obs.Counter
 		err := fleet.RunWorker(ctx, fleet.WorkerOptions{
-			Coordinator: *workerURL,
-			Provenance:  obs.CollectProvenance("racefuzzer", "worker", nil),
-			Metrics:     workerMetrics,
+			Coordinator:      *workerURL,
+			Provenance:       obs.CollectProvenance("racefuzzer", "worker", nil),
+			PermanentRejects: &rejects,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "racefuzzer: "+format+"\n", args...)
 			},
 		})
-		if n := workerMetrics.Counter("results.permanent_reject").Value(); n > 0 {
+		if n := rejects.Value(); n > 0 {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -worker: %d result batch(es) permanently rejected (requeued elsewhere; no work lost)\n", n)
 		}
 		if err != nil && ctx.Err() == nil {
@@ -364,8 +364,7 @@ func main() {
 		opts.Sink = sinks
 	}
 	// Fleet coordinator: created before the observatory starts so its
-	// /fleet/status endpoint rides the observatory mux, and its gauges land
-	// in the same registry /metrics renders.
+	// /fleet/status endpoint rides the observatory mux.
 	var coord *fleet.Coordinator
 	var spans *fleetspan.Collector
 	fleetStore := store
@@ -388,7 +387,6 @@ func main() {
 			Workers:    *workers,
 			Metrics:    campaign,
 			Sink:       opts.Sink,
-			Gauges:     obsv.Registry(),
 			Provenance: prov,
 			Spans:      spans,
 			Logf: func(format string, args ...any) {
@@ -396,7 +394,6 @@ func main() {
 			},
 		})
 		obsv.Handle("/fleet/status", coord.StatusHandler())
-		obsv.Handle("/fleet/health", coord.HealthHandler())
 	} else if *fleetTrace {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -fleettrace requires -coordinate (the flight recorder traces fleet campaigns)")
 		os.Exit(2)
@@ -462,7 +459,6 @@ func main() {
 			Rounds:  *rounds,
 			Workers: *workers,
 			Corpus:  store,
-			Gauges:  obsv.Registry(),
 			Probes:  opts.Probes,
 		}
 		var rows []harness.CampaignRow

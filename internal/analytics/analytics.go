@@ -18,7 +18,7 @@
 //     surfaced instead of silently absorbed.
 //
 // The whole analysis is deterministic: byte-identical inputs produce a
-// byte-identical HTML/markdown/CSV report (no timestamps, no map-order
+// byte-identical markdown/CSV report (no timestamps, no map-order
 // dependence, paths reduced to basenames), which is what lets CI golden-test
 // report bytes across repeat runs.
 package analytics
@@ -123,17 +123,31 @@ func Load(src Source) (*Campaign, error) {
 	return c, nil
 }
 
+// notRunLogs are the JSONL files a corpus directory holds that are not run
+// logs: the corpus's findings and coverage, and the fleet span trail.
+var notRunLogs = map[string]bool{
+	"findings.jsonl":    true,
+	"coverage.jsonl":    true,
+	fleetspan.TrailFile: true,
+}
+
 // LoadDir ingests a campaign directory: the run log is <dir>/run.jsonl or,
-// failing that, the lexically first *.jsonl file in dir; the corpus is dir
-// itself when it holds a MANIFEST.json, else <dir>/corpus if that does.
-// Either artifact may be absent, but not both.
+// failing that, the lexically first other *.jsonl file in dir that is not a
+// corpus or span-trail file; the corpus is dir itself when it holds a
+// MANIFEST.json, else <dir>/corpus if that does. Either artifact may be
+// absent, but not both.
 func LoadDir(dir string) (*Campaign, error) {
 	src := Source{}
 	if _, err := os.Stat(filepath.Join(dir, "run.jsonl")); err == nil {
 		src.Log = filepath.Join(dir, "run.jsonl")
 	} else if names, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(names) > 0 {
 		sort.Strings(names)
-		src.Log = names[0]
+		for _, n := range names {
+			if !notRunLogs[filepath.Base(n)] {
+				src.Log = n
+				break
+			}
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err == nil {
 		src.CorpusDir = dir

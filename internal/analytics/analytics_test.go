@@ -1,7 +1,6 @@
 package analytics
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
@@ -73,7 +73,11 @@ func TestEndToEndReconciliation(t *testing.T) {
 		}
 	}
 	// The discovery curve's final point carries the same totals.
-	if f := r.Global.Final(); f.Sigs != r.Totals.NewSigs || f.Cells != r.Totals.NewCells {
+	pts := r.Global.Points
+	if len(pts) == 0 {
+		t.Fatal("empty discovery curve")
+	}
+	if f := pts[len(pts)-1]; f.Sigs != r.Totals.NewSigs || f.Cells != r.Totals.NewCells {
 		t.Fatalf("curve final %+v != totals new sigs %d cells %d", f, r.Totals.NewSigs, r.Totals.NewCells)
 	}
 	// Adaptive campaigns stamp rounds 1..Rounds.
@@ -104,44 +108,74 @@ func TestEndToEndReconciliation(t *testing.T) {
 	}
 }
 
+// TestLoadDirSkipsCorpusFiles: a corpus directory holds JSONL files that are
+// not run logs. LoadDir must never take them for one: with no run log the
+// report is corpus-only, and a run log under another name is still found.
+func TestLoadDirSkipsCorpusFiles(t *testing.T) {
+	dir := t.TempDir()
+	writeCampaign(t, dir, 7)
+	corpusDir := filepath.Join(dir, "corpus")
+	if err := os.WriteFile(filepath.Join(corpusDir, fleetspan.TrailFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.LogName != "" || len(c.Records) != 0 {
+		t.Fatalf("corpus-only dir loaded %q as the run log (%d records)", c.LogName, len(c.Records))
+	}
+	if c.CorpusName != "corpus" || len(c.Findings) == 0 {
+		t.Fatalf("corpus not loaded: name %q, %d findings", c.CorpusName, len(c.Findings))
+	}
+
+	log, err := os.ReadFile(filepath.Join(dir, "run.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corpusDir, "runs.jsonl"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.LogName != "runs.jsonl" {
+		t.Fatalf("run log = %q, want runs.jsonl", c.LogName)
+	}
+	for _, ck := range Analyze(c).Checks {
+		if !ck.Match() {
+			t.Errorf("reconciliation failed: %s: log=%d corpus=%d", ck.Name, ck.Log, ck.Corpus)
+		}
+	}
+}
+
 // TestReportBytesDeterministic is the contract CI's report-smoke job builds
 // on: two identical campaigns, written into different directories, loaded
-// separately, must render byte-identical HTML, markdown and CSV.
+// separately, must render byte-identical markdown and CSV.
 func TestReportBytesDeterministic(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	writeCampaign(t, dirA, 7)
 	writeCampaign(t, dirB, 7)
-	render := func(dir string) ([]byte, string, string) {
+	render := func(dir string) (string, string) {
 		c, err := LoadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := Analyze(c)
-		html, err := HTML(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return html, Markdown(r), CSV(r)
+		return Markdown(r), CSV(r)
 	}
-	htmlA, mdA, csvA := render(dirA)
-	htmlB, mdB, csvB := render(dirB)
-	if !bytes.Equal(htmlA, htmlB) {
-		t.Error("HTML bytes differ across identical campaigns")
-	}
+	mdA, csvA := render(dirA)
+	mdB, csvB := render(dirB)
 	if mdA != mdB {
 		t.Error("markdown bytes differ across identical campaigns")
 	}
 	if csvA != csvB {
 		t.Error("CSV bytes differ across identical campaigns")
 	}
-	// And rendering the same load twice is trivially stable.
-	htmlA2, _, _ := render(dirA)
-	if !bytes.Equal(htmlA, htmlA2) {
-		t.Error("HTML bytes differ across repeat renders")
-	}
 	for _, want := range []string{"Discovery curve", "Bandit audit", "Coverage frontier", "Reconciliation"} {
-		if !bytes.Contains(htmlA, []byte(want)) {
-			t.Errorf("HTML report missing %q section", want)
+		if !strings.Contains(mdA, want) {
+			t.Errorf("markdown report missing %q section", want)
 		}
 	}
 	if !strings.Contains(csvA, "# discovery_curve") || !strings.Contains(csvA, "# audit") {

@@ -7,7 +7,7 @@ import (
 	"racefuzzer/internal/obs"
 )
 
-// Report is the computed analysis of one campaign — everything the HTML,
+// Report is the computed analysis of one campaign — everything the
 // markdown and CSV renderers draw from. All slices are in deterministic
 // (sorted or first-appearance) order.
 type Report struct {
@@ -91,14 +91,6 @@ type CurvePoint struct {
 	Trials int
 	Sigs   int
 	Cells  int
-}
-
-// Final returns the curve's last point (zero when the curve is empty).
-func (c DiscoveryCurve) Final() CurvePoint {
-	if len(c.Points) == 0 {
-		return CurvePoint{}
-	}
-	return c.Points[len(c.Points)-1]
 }
 
 // TTFCStats is the trials-to-first-confirm distribution: for every phase-2

@@ -64,14 +64,10 @@ type CoordinatorConfig struct {
 	// stream back, re-emitted in deterministic unit order.
 	Metrics *obs.CampaignMetrics
 	Sink    obs.Sink
-	// Gauges, when non-nil, receives the fleet-wide gauges (workers live,
-	// leases in flight, requeues, per-target discovery) the observatory
-	// renders on /metrics.
-	Gauges *obs.Registry
 	// Spans, when non-nil, turns on distributed unit-lifecycle tracing: the
-	// collector records every queued→leased→result→ingested transition,
-	// stitches worker sub-spans, and feeds /fleet/health. Nil is the
-	// zero-overhead untraced default.
+	// collector records every queued→leased→result→ingested transition and
+	// stitches worker sub-spans into the trail saved as fleetspans.jsonl.
+	// Nil is the zero-overhead untraced default.
 	Spans *fleetspan.Collector
 	// LeaseTTL overrides DefaultLeaseTTL.
 	LeaseTTL time.Duration
@@ -100,7 +96,7 @@ type Coordinator struct {
 	nextID   int
 	done     bool
 	notified map[string]bool // workers that have been told the campaign is done
-	targets  []string        // campaign name list, for per-target gauges
+	targets  []string        // campaign name list, for /fleet/status
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -160,7 +156,6 @@ func (c *Coordinator) Mux() *http.ServeMux {
 	mux.HandleFunc("/fleet/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("/fleet/result", c.handleResult)
 	mux.Handle("/fleet/status", c.StatusHandler())
-	mux.Handle("/fleet/health", c.HealthHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -199,7 +194,6 @@ func (c *Coordinator) sweepLoop() {
 			return
 		case <-tick.C:
 			c.table.sweep()
-			c.publishGauges()
 		}
 	}
 }
@@ -219,7 +213,6 @@ func (c *Coordinator) Finish() {
 	c.mu.Lock()
 	c.done = true
 	c.mu.Unlock()
-	c.publishGauges()
 }
 
 // Drained reports whether every live worker has been told the campaign is
@@ -239,8 +232,7 @@ func (c *Coordinator) Drained() bool {
 	return true
 }
 
-// SetTargets records the campaign's name list for per-target discovery
-// gauges and /fleet/status.
+// SetTargets records the campaign's name list for /fleet/status.
 func (c *Coordinator) SetTargets(names []string) {
 	c.mu.Lock()
 	c.targets = append([]string(nil), names...)
@@ -265,7 +257,6 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 		ids[i] = wus[i].ID
 	}
 	c.table.add(wus)
-	c.publishGauges()
 	if err := c.table.awaitDone(c.ctx, ids); err != nil {
 		return fmt.Errorf("fleet: round barrier: %w", err)
 	}
@@ -279,7 +270,6 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 		c.cfg.Spans.UnitIngested(ids[i])
 		done(i, harness.UnitOutcome{Trials: res.Trials, Potential: res.Potential})
 	}
-	c.publishGauges()
 	return nil
 }
 
@@ -369,7 +359,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.logf("fleet: warning: worker %s build differs from coordinator (worker %s/%s, coordinator %s/%s) — trial determinism is only guaranteed across identical builds",
 			id, req.Provenance.Commit, req.Provenance.Go, c.cfg.Provenance.Commit, c.cfg.Provenance.Go)
 	}
-	c.publishGauges()
 	writeJSON(w, RegisterResponse{
 		WorkerID:       id,
 		Generation:     c.gen,
@@ -409,7 +398,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		info.leased++
 	}
 	c.mu.Unlock()
-	c.publishGauges()
 	writeJSON(w, LeaseResponse{Unit: &unit, Epoch: epoch})
 }
 
@@ -445,7 +433,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// be accepted, so answer 410 and let the worker count it rather than
 		// retry it.
 		c.logf("fleet: dropped result for %s from %s: %s", req.UnitID, req.WorkerID, reason)
-		c.publishGauges()
 		writeJSONStatus(w, http.StatusGone, errorBody{Error: reason, Code: codeRejected})
 		return
 	}
@@ -454,7 +441,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		info.results++
 	}
 	c.mu.Unlock()
-	c.publishGauges()
 	writeJSON(w, ResultResponse{Accepted: true})
 }
 
@@ -463,19 +449,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.status())
-	})
-}
-
-// HealthHandler serves the /fleet/health flight-deck snapshot: campaign
-// score, live anomalies, per-worker vitals. 404 when tracing is off, so the
-// dashboard's probe can tell "no flight deck" from "unhealthy fleet".
-func (c *Coordinator) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if !c.cfg.Spans.Enabled() {
-			writeJSONStatus(w, http.StatusNotFound, errorBody{Error: "fleet tracing disabled (run the coordinator with -fleettrace)"})
-			return
-		}
-		writeJSON(w, c.cfg.Spans.Health())
 	})
 }
 
@@ -512,32 +485,6 @@ func (c *Coordinator) status() Status {
 		})
 	}
 	return st
-}
-
-// publishGauges pushes the fleet snapshot into the observatory registry.
-func (c *Coordinator) publishGauges() {
-	g := c.cfg.Gauges
-	if g == nil {
-		return
-	}
-	st := c.status()
-	g.Gauge("fleet.workers_live").Set(float64(st.WorkersLive))
-	g.Gauge("fleet.workers_total").Set(float64(st.WorkersTotal))
-	g.Gauge("fleet.leases_pending").Set(float64(st.Pending))
-	g.Gauge("fleet.leases_inflight").Set(float64(st.Leased))
-	g.Gauge("fleet.units_done").Set(float64(st.UnitsDone))
-	g.Gauge("fleet.requeues").Set(float64(st.Requeues))
-	g.Gauge("fleet.results_dropped").Set(float64(st.ResultsDropped))
-	for _, t := range st.Targets {
-		g.Gauge("fleet.discovery." + t.Name).Set(float64(t.Signatures))
-	}
-	if c.cfg.Spans.Enabled() {
-		h := c.cfg.Spans.Health()
-		g.Gauge("fleet.health_score").Set(float64(h.Score))
-		g.Gauge("fleet.health_anomalies").Set(float64(len(h.Anomalies)))
-		g.Gauge("fleet.health_recent_requeues").Set(float64(h.RecentRequeues))
-		g.Gauge("fleet.health_time_lost_requeues_ms").Set(h.TimeLostToRequeuesMs)
-	}
 }
 
 // readJSON decodes a request body of at most c.maxBody bytes, answering 413

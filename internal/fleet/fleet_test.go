@@ -418,11 +418,11 @@ func TestWorkerResultRetryTransientThenSuccess(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	metrics := obs.NewRegistry()
+	var rejects obs.Counter
 	err := RunWorker(context.Background(), WorkerOptions{
-		Coordinator: srv.URL,
-		Name:        "retry",
-		Metrics:     metrics,
+		Coordinator:      srv.URL,
+		Name:             "retry",
+		PermanentRejects: &rejects,
 		Execute: func(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 			return UnitResult{Trials: u.Trials}, nil
 		},
@@ -434,13 +434,13 @@ func TestWorkerResultRetryTransientThenSuccess(t *testing.T) {
 	if resultPosts != 3 {
 		t.Errorf("result posts = %d, want 3 (two 500s then success)", resultPosts)
 	}
-	if v := metrics.Counter("results.permanent_reject").Value(); v != 0 {
-		t.Errorf("permanent_reject = %d, want 0 for transient failures", v)
+	if v := rejects.Value(); v != 0 {
+		t.Errorf("permanent rejects = %d, want 0 for transient failures", v)
 	}
 }
 
 // TestWorkerResultPermanentRejectNotRetried: a 410 drop is final — one POST,
-// no retries, one counted results.permanent_reject.
+// no retries, one counted permanent reject.
 func TestWorkerResultPermanentRejectNotRetried(t *testing.T) {
 	var mu sync.Mutex
 	resultPosts := 0
@@ -453,11 +453,11 @@ func TestWorkerResultPermanentRejectNotRetried(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	metrics := obs.NewRegistry()
+	var rejects obs.Counter
 	err := RunWorker(context.Background(), WorkerOptions{
-		Coordinator: srv.URL,
-		Name:        "rejected",
-		Metrics:     metrics,
+		Coordinator:      srv.URL,
+		Name:             "rejected",
+		PermanentRejects: &rejects,
 		Execute: func(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 			return UnitResult{Trials: u.Trials}, nil
 		},
@@ -469,8 +469,8 @@ func TestWorkerResultPermanentRejectNotRetried(t *testing.T) {
 	if resultPosts != 1 {
 		t.Errorf("result posts = %d, want 1 (permanent drops are not retried)", resultPosts)
 	}
-	if v := metrics.Counter("results.permanent_reject").Value(); v != 1 {
-		t.Errorf("permanent_reject = %d, want 1", v)
+	if v := rejects.Value(); v != 1 {
+		t.Errorf("permanent rejects = %d, want 1", v)
 	}
 }
 
@@ -500,185 +500,6 @@ func scriptedControlPlane(t *testing.T, result http.HandlerFunc) *http.ServeMux 
 	})
 	mux.HandleFunc("/fleet/result", result)
 	return mux
-}
-
-// fakeFleetClock is a manually-advanced Clock shared by the coordinator and
-// its span collector in the flight-deck test.
-type fakeFleetClock struct {
-	mu sync.Mutex
-	ns int64
-}
-
-func (c *fakeFleetClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Unix(0, c.ns)
-}
-
-func (c *fakeFleetClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.ns += d.Nanoseconds()
-	c.mu.Unlock()
-}
-
-// TestFleetHealthFlightDeck scripts the acceptance scenario over the real
-// control plane with a fake clock: a healthy round, then a killed worker
-// producing a straggler and a requeue storm visible on /fleet/health (score
-// degrades), then completion and window expiry (score recovers).
-func TestFleetHealthFlightDeck(t *testing.T) {
-	clk := &fakeFleetClock{ns: 1_000_000_000_000}
-	spans := fleetspan.NewCollector(fleetspan.Config{
-		Token:               "deck",
-		Clock:               clk,
-		StragglerFactor:     2,
-		StragglerMinSamples: 3,
-		StormWindow:         30 * time.Second,
-		StormThreshold:      3,
-	})
-	coord := startCoordinator(t, CoordinatorConfig{
-		Store:    corpus.NewStore(),
-		LeaseTTL: time.Second,
-		Clock:    clk,
-		Spans:    spans,
-	})
-	base := "http://" + coord.Addr()
-	client := &http.Client{Timeout: 10 * time.Second}
-	ctx := context.Background()
-
-	var reg RegisterResponse
-	if err := postJSON(ctx, client, base+"/fleet/register", RegisterRequest{Name: "deck-worker"}, &reg); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if !reg.Campaign.Trace {
-		t.Fatal("campaign info does not ask workers to trace")
-	}
-
-	getHealth := func() fleetspan.Health {
-		t.Helper()
-		resp, err := client.Get(base + "/fleet/health")
-		if err != nil {
-			t.Fatalf("GET /fleet/health: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/fleet/health: HTTP %d", resp.StatusCode)
-		}
-		var h fleetspan.Health
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatalf("decode health: %v", err)
-		}
-		return h
-	}
-
-	// leaseUnit retries Wait answers the way a real worker does: ExecuteRound
-	// runs on its own goroutine, so the round's units may not be enqueued yet
-	// when the first lease request arrives.
-	leaseUnit := func(wantID string) LeaseResponse {
-		t.Helper()
-		var lease LeaseResponse
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			lease = LeaseResponse{}
-			if err := postJSON(ctx, client, base+"/fleet/lease",
-				LeaseRequest{WorkerID: reg.WorkerID, Generation: reg.Generation}, &lease); err != nil {
-				t.Fatalf("lease: %v", err)
-			}
-			if !lease.Wait || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if lease.Unit == nil || lease.Unit.ID != wantID {
-			t.Fatalf("leased %+v, want unit %s", lease.Unit, wantID)
-		}
-		return lease
-	}
-	postResultOK := func(id string, epoch int64) {
-		t.Helper()
-		var rr ResultResponse
-		if err := postJSON(ctx, client, base+"/fleet/result", ResultRequest{
-			WorkerID: reg.WorkerID, Generation: reg.Generation,
-			UnitID: id, Epoch: epoch, Result: UnitResult{Trials: 1},
-		}, &rr); err != nil {
-			t.Fatalf("result %s: %v", id, err)
-		}
-	}
-
-	// Round 1: three healthy ~100ms units teach the target's exec profile.
-	round1 := []harness.RoundUnit{
-		{Round: 1, TargetIndex: 0, Target: "figure1", Trials: 1, Seed: 7},
-		{Round: 1, TargetIndex: 1, Target: "figure1", Trials: 1, Seed: 7},
-		{Round: 1, TargetIndex: 2, Target: "figure1", Trials: 1, Seed: 7},
-	}
-	roundDone := make(chan error, 1)
-	go func() { roundDone <- coord.ExecuteRound(round1, func(int) {}, func(int, harness.UnitOutcome) {}) }()
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("r1-t%d", i)
-		lease := leaseUnit(id)
-		clk.advance(100 * time.Millisecond)
-		postResultOK(id, lease.Epoch)
-	}
-	if err := <-roundDone; err != nil {
-		t.Fatalf("round 1: %v", err)
-	}
-	if h := getHealth(); h.Score != 100 || h.UnitsDone != 3 {
-		t.Fatalf("healthy fleet: score %d, done %d: %+v", h.Score, h.UnitsDone, h)
-	}
-
-	// Round 2: the worker takes the unit and dies. The lease runs far past
-	// 2× the target's p95 — a straggler — and then expires repeatedly under
-	// the sweeper — a requeue storm.
-	round2 := []harness.RoundUnit{{Round: 2, TargetIndex: 0, Target: "figure1", Trials: 1, Seed: 9}}
-	go func() { roundDone <- coord.ExecuteRound(round2, func(int) {}, func(int, harness.UnitOutcome) {}) }()
-	lease := leaseUnit("r2-t0")
-	clk.advance(900 * time.Millisecond) // straggling, lease still live
-	h := getHealth()
-	if n := countAnomalies(h, fleetspan.AnomalyStraggler); n != 1 {
-		t.Fatalf("want 1 straggler anomaly, got %d: %+v", n, h.Anomalies)
-	}
-	if h.Score >= 100 {
-		t.Fatalf("straggler did not degrade score: %+v", h)
-	}
-	degraded := h.Score
-
-	for i := 0; i < 3; i++ {
-		clk.advance(2 * time.Second) // expire the lease
-		coord.table.sweep()
-		lease = leaseUnit("r2-t0")
-	}
-	h = getHealth()
-	if countAnomalies(h, fleetspan.AnomalyRequeueStorm) != 1 {
-		t.Fatalf("want a requeue-storm anomaly: %+v", h.Anomalies)
-	}
-	if h.Score >= degraded {
-		t.Fatalf("storm did not degrade score further: %d vs %d", h.Score, degraded)
-	}
-
-	// Recovery: the final lease completes, the round barrier ingests it, and
-	// the storm window slides past.
-	clk.advance(100 * time.Millisecond)
-	postResultOK("r2-t0", lease.Epoch)
-	if err := <-roundDone; err != nil {
-		t.Fatalf("round 2: %v", err)
-	}
-	clk.advance(time.Minute)
-	h = getHealth()
-	if h.Score != 100 || len(h.Anomalies) != 0 {
-		t.Fatalf("fleet did not recover: score %d, anomalies %+v", h.Score, h.Anomalies)
-	}
-	if h.UnitsDone != 4 || h.UnitsInFlight != 0 {
-		t.Errorf("units done %d in flight %d, want 4/0", h.UnitsDone, h.UnitsInFlight)
-	}
-}
-
-func countAnomalies(h fleetspan.Health, kind string) int {
-	n := 0
-	for _, a := range h.Anomalies {
-		if a.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // endlessBody is a request body that never ends: a JSON string that keeps

@@ -37,10 +37,9 @@ type WorkerOptions struct {
 	// Sleep overrides the backoff/wait sleeper (tests); nil sleeps for real,
 	// waking early when ctx ends.
 	Sleep func(ctx context.Context, d time.Duration)
-	// Metrics, when non-nil, receives worker-side counters — notably
-	// results.permanent_reject, counting result submissions the coordinator
-	// dropped for good (stale epoch, duplicate).
-	Metrics *obs.Registry
+	// PermanentRejects, when non-nil, counts result submissions the
+	// coordinator dropped for good (stale epoch, duplicate).
+	PermanentRejects *obs.Counter
 }
 
 // resultMaxAttempts bounds the result POST retry loop for transient
@@ -262,7 +261,7 @@ func postResult(ctx context.Context, o WorkerOptions, reg registration, unit Wor
 			return errReregister{msg: err.Error()}
 		}
 		if isPermanentReject(err) {
-			o.Metrics.Counter("results.permanent_reject").Inc()
+			o.PermanentRejects.Inc()
 			if o.Logf != nil {
 				o.Logf("fleet: result for %s permanently rejected: %v", unit.ID, err)
 			}

@@ -4,41 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Caps keep the collector's memory bounded on long campaigns: these are
-// diagnostic rings, not archives — the full trail lives in fleetspans.jsonl.
-const (
-	maxExecSamplesPerTarget = 256
-	maxLeaseLatPerWorker    = 64
-	maxSparklinePerWorker   = 32
-	maxRequeueEvents        = 1024
-)
-
-// Config parameterizes NewCollector. The zero value works; health-detector
-// knobs default to the documented values.
+// Config parameterizes NewCollector. The zero value works.
 type Config struct {
 	// Token is the campaign's deterministic identity prefix for span IDs
 	// (build commit / tool+label — never a timestamp). "campaign" if empty.
 	Token string
 	// Clock overrides the system clock (tests).
 	Clock Clock
-
-	// StragglerFactor flags an in-flight unit whose lease has been out
-	// longer than Factor × the target's p95 completed exec time (default 4;
-	// needs StragglerMinSamples completed samples for the target, default 3).
-	StragglerFactor     float64
-	StragglerMinSamples int
-	// StormWindow/StormThreshold flag a requeue storm: at least Threshold
-	// requeues (default 3) within the trailing Window (default 60s).
-	StormWindow    time.Duration
-	StormThreshold int
-	// TrendFactor flags a worker whose recent lease-latency mean is at least
-	// Factor × its earlier mean (default 2; needs TrendMinSamples stitched
-	// samples, default 6).
-	TrendFactor     float64
-	TrendMinSamples int
 }
 
 func (c *Config) applyDefaults() {
@@ -47,24 +21,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Clock == nil {
 		c.Clock = systemClock{}
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 4
-	}
-	if c.StragglerMinSamples <= 0 {
-		c.StragglerMinSamples = 3
-	}
-	if c.StormWindow <= 0 {
-		c.StormWindow = time.Minute
-	}
-	if c.StormThreshold <= 0 {
-		c.StormThreshold = 3
-	}
-	if c.TrendFactor <= 0 {
-		c.TrendFactor = 2
-	}
-	if c.TrendMinSamples <= 0 {
-		c.TrendMinSamples = 6
 	}
 }
 
@@ -81,8 +37,7 @@ type attempt struct {
 	trail UnitTrail
 }
 
-// workerState is the collector's per-worker book: the clock-offset estimate
-// and the latency rings the health detectors read.
+// workerState is the collector's per-worker book: the clock-offset estimate.
 type workerState struct {
 	// offsetNs maps worker UnixNano onto coordinator UnixNano
 	// (coord ≈ worker + offset). Minimum over observed one-way deltas —
@@ -90,17 +45,6 @@ type workerState struct {
 	// minimum is the tightest upper bound available without a reverse path.
 	offsetNs int64
 	offsetOK bool
-	// leaseLatNs rings stitched lease latencies (grant → worker receipt).
-	leaseLatNs []int64
-	// execRecentNs rings recent exec durations for the dashboard sparkline.
-	execRecentNs []int64
-	units        int
-}
-
-// requeueEvent is one lease expiry, for storm detection.
-type requeueEvent struct {
-	atNs   int64
-	worker string
 }
 
 // Collector is the coordinator-side flight recorder. All methods are no-ops
@@ -118,13 +62,7 @@ type Collector struct {
 	attemptN map[string]int
 	active   map[string]*attempt
 	workers  map[string]*workerState
-	requeues []requeueEvent
 	trails   []UnitTrail
-
-	execByTarget    map[string][]int64
-	unitsDone       int
-	requeueTotal    int64
-	lostToRequeueNs int64
 }
 
 // NewCollector builds a collector; its creation instant is time zero for
@@ -132,15 +70,14 @@ type Collector struct {
 func NewCollector(cfg Config) *Collector {
 	cfg.applyDefaults()
 	return &Collector{
-		cfg:          cfg,
-		clock:        cfg.Clock,
-		startNs:      cfg.Clock.Now().UnixNano(),
-		units:        make(map[string]unitMeta),
-		queuedAt:     make(map[string]int64),
-		attemptN:     make(map[string]int),
-		active:       make(map[string]*attempt),
-		workers:      make(map[string]*workerState),
-		execByTarget: make(map[string][]int64),
+		cfg:      cfg,
+		clock:    cfg.Clock,
+		startNs:  cfg.Clock.Now().UnixNano(),
+		units:    make(map[string]unitMeta),
+		queuedAt: make(map[string]int64),
+		attemptN: make(map[string]int),
+		active:   make(map[string]*attempt),
+		workers:  make(map[string]*workerState),
 	}
 }
 
@@ -214,8 +151,6 @@ func (c *Collector) unitLeased(unitID, worker string, epoch int64) {
 		QueuedNs:    c.queuedAt[unitID],
 		LeasedNs:    now,
 	}}
-	ws := c.worker(worker)
-	ws.units++
 }
 
 // Heartbeat folds one worker heartbeat in: it refreshes the worker's clock
@@ -255,16 +190,8 @@ func (c *Collector) unitRequeued(unitID string) {
 	if at, ok := c.active[unitID]; ok {
 		at.trail.Outcome = OutcomeRequeued
 		at.trail.EndNs = now
-		if at.trail.LeasedNs > 0 {
-			c.lostToRequeueNs += now - at.trail.LeasedNs
-		}
 		c.trails = append(c.trails, at.trail)
 		delete(c.active, unitID)
-		c.requeueTotal++
-		c.requeues = append(c.requeues, requeueEvent{atNs: now, worker: at.trail.Worker})
-		if len(c.requeues) > maxRequeueEvents {
-			c.requeues = c.requeues[len(c.requeues)-maxRequeueEvents:]
-		}
 	}
 	c.queuedAt[unitID] = now
 }
@@ -317,8 +244,7 @@ func (c *Collector) unitResult(unitID, worker string, epoch int64, accepted bool
 }
 
 // UnitIngested closes the unit's attempt as ingested — the merge into the
-// authoritative corpus happened. Exec-duration books for straggler detection
-// and the worker sparkline are fed here.
+// authoritative corpus happened.
 func (c *Collector) UnitIngested(unitID string) {
 	if c != nil {
 		c.unitIngested(unitID)
@@ -341,16 +267,6 @@ func (c *Collector) unitIngested(unitID string) {
 	}
 	c.trails = append(c.trails, at.trail)
 	delete(c.active, unitID)
-	c.unitsDone++
-
-	exec := at.trail.ExecNs()
-	if exec > 0 {
-		tgt := at.trail.Target
-		c.execByTarget[tgt] = appendCapped(c.execByTarget[tgt], exec, maxExecSamplesPerTarget)
-		if ws, ok := c.workers[at.trail.Worker]; ok {
-			ws.execRecentNs = appendCapped(ws.execRecentNs, exec, maxSparklinePerWorker)
-		}
-	}
 }
 
 // stitchLocked maps the worker's absolute sub-span timestamps onto the
@@ -391,10 +307,6 @@ func (c *Collector) stitchLocked(t *UnitTrail, worker string, spans *WorkerSpans
 	t.ExecStartNs = clamp(mapTs(spans.ExecStartNs))
 	t.ExecEndNs = clamp(mapTs(spans.ExecEndNs))
 	t.PostedNs = clamp(mapTs(spans.PostedNs))
-
-	if ws := c.worker(worker); true {
-		ws.leaseLatNs = appendCapped(ws.leaseLatNs, t.LeaseRecvNs-t.LeasedNs, maxLeaseLatPerWorker)
-	}
 }
 
 // Trails snapshots every closed attempt, sorted by unit coordinates then
@@ -439,15 +351,6 @@ func (w *workerState) observeOffset(deltaNs int64) {
 		w.offsetNs = deltaNs
 		w.offsetOK = true
 	}
-}
-
-// appendCapped appends keeping at most cap trailing samples.
-func appendCapped(s []int64, v int64, capN int) []int64 {
-	s = append(s, v)
-	if len(s) > capN {
-		s = s[len(s)-capN:]
-	}
-	return s
 }
 
 func orUnknown(s string) string {

@@ -1,6 +1,9 @@
 package fleetspan
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // hookSink defeats dead-code elimination in the probe benchmarks.
 var hookSink int64
@@ -87,4 +90,8 @@ func BenchmarkUnitLifecycleDisabled(b *testing.B) {
 		c.UnitResult(id, "w1", int64(i), true, "", nil)
 		c.UnitIngested(id)
 	}
+}
+
+func unitID(round, ti int) string {
+	return fmt.Sprintf("r%d-t%d", round, ti)
 }

@@ -6,7 +6,9 @@
 // result→ingested transitions on its own clock, workers ship their local
 // lease-received→exec→posted sub-spans back piggybacked on the result POST,
 // and the collector stitches the two sides together with per-worker clock
-// offset estimation that never reorders causal edges.
+// offset estimation that never reorders causal edges. The closed trail is
+// saved as fleetspans.jsonl (jsonl.go) and read back by the Perfetto export
+// (perfetto.go) and campaignreport's "Fleet tracing" section.
 //
 // The package follows the repo's nil-safe observability contract: every
 // Collector method is a no-op on a nil receiver, so an untraced campaign
@@ -36,7 +38,7 @@ const (
 	OutcomeDropped = "dropped"
 )
 
-// Clock abstracts time so stitching and health detection are testable with
+// Clock abstracts time so stitching is testable with
 // fake clocks and no sleeps (mirrors fleet.Clock without importing fleet).
 type Clock interface {
 	Now() time.Time

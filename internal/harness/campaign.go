@@ -6,7 +6,6 @@ import (
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/report"
 )
 
@@ -37,10 +36,6 @@ type CampaignOptions struct {
 	// the reallocation; nil runs with a fresh in-memory store (adaptive
 	// within this campaign, nothing persisted).
 	Corpus *corpus.Store
-	// Gauges, when non-nil, receives live campaign-progress gauges
-	// (campaign.round, campaign.round_budget, campaign.targets) for the
-	// observatory's /metrics endpoint.
-	Gauges *obs.Registry
 	// Probes observe every pipeline execution (core.Options.Probes); with
 	// TraceDir set, witnesses are captured for new signatures.
 	core.Probes
@@ -179,14 +174,11 @@ func RunCampaign(names []string, o CampaignOptions) ([]CampaignRow, error) {
 	}
 	// Split the global budget over rounds as evenly as possible (earlier
 	// rounds absorb the remainder), then across targets by discovery weight.
-	o.Gauges.Gauge("campaign.targets").Set(float64(len(names)))
 	for r := 0; r < o.Rounds; r++ {
 		roundBudget := o.Budget / o.Rounds
 		if r < o.Budget%o.Rounds {
 			roundBudget++
 		}
-		o.Gauges.Gauge("campaign.round").Set(float64(r + 1))
-		o.Gauges.Gauge("campaign.round_budget").Set(float64(roundBudget))
 		alloc := corpus.Allocate(roundBudget, states)
 		var units []RoundUnit
 		for i := range names {

@@ -37,11 +37,10 @@ type FindingEvent struct {
 //
 // All methods are safe for concurrent use and on a nil receiver.
 type Broadcast struct {
-	mu      sync.Mutex
-	seq     int64
-	subs    map[*Subscriber]struct{}
-	dropped int64
-	closed  bool
+	mu     sync.Mutex
+	seq    int64
+	subs   map[*Subscriber]struct{}
+	closed bool
 }
 
 // NewBroadcast returns an empty broadcaster.
@@ -88,7 +87,6 @@ func (b *Broadcast) Publish(ev StreamEvent) int64 {
 			delete(b.subs, s)
 			close(s.ch)
 			s.dropped = true
-			b.dropped++
 		}
 	}
 	return ev.Seq
@@ -112,36 +110,6 @@ func (b *Broadcast) Subscribe(buf int) *Subscriber {
 	}
 	b.subs[s] = struct{}{}
 	return s
-}
-
-// Subscribers returns the number of live subscribers.
-func (b *Broadcast) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
-// Dropped returns the number of subscribers evicted for falling behind.
-func (b *Broadcast) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// Events returns the number of events published so far.
-func (b *Broadcast) Events() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
 }
 
 // Close closes every subscriber channel and rejects further publishes.

@@ -1,5 +1,5 @@
 // Package obs is the observability layer for the RaceFuzzer pipeline:
-// dependency-free counters, gauges and fixed-bucket histograms (this file),
+// dependency-free counters and fixed-bucket histograms (this file),
 // per-run scheduler probes (run.go), campaign-level aggregation
 // (campaign.go), structured JSONL run logs (sink.go) and periodic progress
 // reporting (progress.go).
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"racefuzzer/internal/report"
@@ -53,27 +52,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float64. The zero value is ready to use; methods are
-// nil-safe.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the last stored value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket histogram over float64 samples. Bucket i
@@ -253,94 +231,6 @@ func compactFloat(f float64) string {
 		return fmt.Sprintf("%d", int64(f))
 	}
 	return fmt.Sprintf("%g", f)
-}
-
-// Registry is a named collection of metrics. Lookups get-or-create, so
-// instrumentation sites need no registration step. A nil *Registry returns
-// nil metrics from every lookup, and nil metrics no-op — the whole chain is
-// inert when observability is off.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use (nil for a
-// nil registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with bounds on first
-// use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds...)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Snapshot captures every registered metric, sorted by name.
-func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, NamedCounter{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedGauge{Name: name, Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, NamedHistogram{Name: name, Hist: h.Snapshot()})
-	}
-	s.sort()
-	return s
 }
 
 // NamedCounter is one counter in a Snapshot.

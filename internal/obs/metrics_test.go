@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,11 +13,6 @@ func TestCounterGaugeNilSafety(t *testing.T) {
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has value")
-	}
-	var g *Gauge
-	g.Set(3.5)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has value")
 	}
 	real := &Counter{}
 	real.Inc()
@@ -81,39 +77,51 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("runs").Inc()
-	r.Counter("runs").Inc() // same instance
-	r.Gauge("rate").Set(0.5)
-	r.Histogram("steps", 10, 100).Observe(42)
-	s := r.Snapshot()
-	if len(s.Counters) != 1 || s.Counters[0].Name != "runs" || s.Counters[0].Value != 2 {
-		t.Fatalf("counters = %+v", s.Counters)
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram(10, 20, 30)
+	// Empty histogram: quantiles are 0, not NaN.
+	if got := h.Snapshot().Quantile(0.5); got != 0 {
+		t.Errorf("empty histogram q0.5 = %v, want 0", got)
 	}
-	if len(s.Gauges) != 1 || s.Gauges[0].Value != 0.5 {
-		t.Fatalf("gauges = %+v", s.Gauges)
+	for v := 1.0; v <= 100; v++ {
+		h.Observe(v)
 	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Hist.Count != 1 {
-		t.Fatalf("histograms = %+v", s.Histograms)
+	s := h.Snapshot()
+	if got := s.Quantile(0); got != s.Min {
+		t.Errorf("q0 = %v, want Min %v", got, s.Min)
 	}
-
-	// The nil chain: nil registry -> nil metrics -> no-op methods.
-	var nilR *Registry
-	nilR.Counter("x").Inc()
-	nilR.Gauge("y").Set(1)
-	nilR.Histogram("z", 1).Observe(1)
-	if snap := nilR.Snapshot(); len(snap.Counters) != 0 {
-		t.Fatal("nil registry snapshot non-empty")
+	if got := s.Quantile(1); got != s.Max {
+		t.Errorf("q1 = %v, want Max %v", got, s.Max)
+	}
+	// Half the mass is in the overflow bucket (31..100); the median must be
+	// in it, and never exceed the observed Max.
+	if got := s.Quantile(0.9); got > s.Max {
+		t.Errorf("q0.9 = %v exceeds Max %v", got, s.Max)
+	}
+	// q0.05 lands in the first bucket (values 1..10): interpolation keeps it
+	// within the bucket's range.
+	if got := s.Quantile(0.05); got < s.Min || got > 10 {
+		t.Errorf("q0.05 = %v, want within [%v, 10]", got, s.Min)
+	}
+	// Quantiles are monotonic in q.
+	prev := math.Inf(-1)
+	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
+		v := s.Quantile(q)
+		if v < prev {
+			t.Errorf("quantiles not monotonic: q%v = %v < %v", q, v, prev)
+		}
+		prev = v
 	}
 }
 
 func TestSnapshotJSONAndTable(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.count").Add(7)
-	r.Gauge("b.rate").Set(1.25)
-	r.Histogram("c.hist", 5).Observe(3)
-	s := r.Snapshot()
+	h := NewHistogram(5)
+	h.Observe(3)
+	s := Snapshot{
+		Counters:   []NamedCounter{{Name: "a.count", Value: 7}},
+		Gauges:     []NamedGauge{{Name: "b.rate", Value: 1.25}},
+		Histograms: []NamedHistogram{{Name: "c.hist", Hist: h.Snapshot()}},
+	}
 
 	raw, err := json.Marshal(s)
 	if err != nil {

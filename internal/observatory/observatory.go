@@ -3,8 +3,8 @@
 // cmd/benchtable) exposing
 //
 //	/            an embedded HTML dashboard rendering the SSE stream
-//	/metrics     Prometheus text-format exposition of the obs metric state
-//	/events      a Server-Sent-Events stream of run records and findings
+//	/events      a Server-Sent-Events stream: a campaign-counter snapshot,
+//	            then run records and findings
 //	/debug/sched JSON snapshots of live scheduler state (wait-for graph)
 //	/debug/perf  JSON schedprof aggregates (per-op-kind latency quantiles)
 //	/debug/coverage JSON coverage frontier (discovery curve, Chao1 estimate)
@@ -13,7 +13,7 @@
 // Design constraints, in order:
 //
 //   - Zero overhead when off. A nil *Server returns nil from every wiring
-//     accessor (Sink, Introspector, Registry), and nil sinks/introspectors
+//     accessor (Sink, Introspector, Prof), and nil sinks/introspectors
 //     are no-ops all the way down — with -http unset the campaign runs the
 //     byte-for-byte PR-4 code path.
 //   - Never perturb the campaign. The server only consumes immutable
@@ -31,8 +31,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"racefuzzer/internal/obs"
@@ -43,17 +41,14 @@ import (
 //go:embed dashboard.html
 var dashboardHTML []byte
 
-// maxTargetSeries bounds the per-target label cardinality exposed on
-// /metrics; targets beyond the cap are counted, not silently lost.
-const maxTargetSeries = 512
-
 // Config parameterizes New.
 type Config struct {
 	// Addr is the listen address (e.g. ":8080", "127.0.0.1:0").
 	Addr string
 	// Label names the campaign on the dashboard.
 	Label string
-	// Campaign is the aggregator /metrics renders; New creates one when nil.
+	// Campaign is the aggregator the /events snapshot and shutdown frames
+	// carry; New creates one when nil.
 	Campaign *obs.CampaignMetrics
 	// EventBuffer is the per-subscriber event buffer (default 256).
 	EventBuffer int
@@ -62,36 +57,17 @@ type Config struct {
 // Server is the embedded campaign monitor. All methods are safe on a nil
 // receiver, so call sites wire it unconditionally.
 type Server struct {
-	cfg   Config
-	camp  *obs.CampaignMetrics
-	reg   *obs.Registry
-	bc    *obs.Broadcast
-	insp  *sched.Introspector
-	prof  *schedprof.Collector
-	cov   *coverageTracker
-	start time.Time
-
-	mu      sync.Mutex
-	targets map[targetKey]*targetCount
-	skipped int64 // targets beyond maxTargetSeries
-
-	scrapes atomic.Int64
+	cfg  Config
+	camp *obs.CampaignMetrics
+	bc   *obs.Broadcast
+	insp *sched.Introspector
+	prof *schedprof.Collector
+	cov  *coverageTracker
 
 	extra map[string]http.Handler
 
 	srv *http.Server
 	ln  net.Listener
-}
-
-// targetKey identifies one labeled series: the pipeline kind and the
-// rendered target (statement pair / lock pair / atomic block).
-type targetKey struct {
-	label, kind, pair string
-}
-
-// targetCount is the per-target live tally.
-type targetCount struct {
-	runs, confirming int64
 }
 
 // New assembles a server (not yet listening).
@@ -104,16 +80,13 @@ func New(cfg Config) *Server {
 		camp = obs.NewCampaignMetrics()
 	}
 	return &Server{
-		cfg:     cfg,
-		camp:    camp,
-		reg:     obs.NewRegistry(),
-		bc:      obs.NewBroadcast(),
-		insp:    sched.NewIntrospector(),
-		prof:    schedprof.NewCollector(),
-		cov:     newCoverageTracker(),
-		targets: make(map[targetKey]*targetCount),
-		extra:   make(map[string]http.Handler),
-		start:   time.Now(),
+		cfg:   cfg,
+		camp:  camp,
+		bc:    obs.NewBroadcast(),
+		insp:  sched.NewIntrospector(),
+		prof:  schedprof.NewCollector(),
+		cov:   newCoverageTracker(),
+		extra: make(map[string]http.Handler),
 	}
 }
 
@@ -127,21 +100,12 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 	s.extra[pattern] = h
 }
 
-// Campaign returns the aggregator /metrics renders (nil when off).
+// Campaign returns the aggregator the event stream snapshots (nil when off).
 func (s *Server) Campaign() *obs.CampaignMetrics {
 	if s == nil {
 		return nil
 	}
 	return s.camp
-}
-
-// Registry returns the live gauge registry (campaign round/budget gauges);
-// nil when off.
-func (s *Server) Registry() *obs.Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
 }
 
 // Introspector returns the scheduler introspection hook (nil when off).
@@ -161,8 +125,8 @@ func (s *Server) Prof() *schedprof.Collector {
 	return s.prof
 }
 
-// Sink returns the sink that feeds the event stream and the per-target
-// tallies; nil when off, so it composes with obs.MultiSink unconditionally.
+// Sink returns the sink that feeds the event stream and the coverage
+// tracker; nil when off, so it composes with obs.MultiSink unconditionally.
 func (s *Server) Sink() obs.Sink {
 	if s == nil {
 		return nil
@@ -174,29 +138,9 @@ func (s *Server) Sink() obs.Sink {
 // possibly-nil *Server through a non-nil interface.
 type serverSink struct{ s *Server }
 
-// Emit tallies the record's target series and fans it out to subscribers.
+// Emit feeds the coverage tracker and fans the record out to subscribers.
 func (w serverSink) Emit(rec obs.RunRecord) {
 	s := w.s
-	if rec.Phase == 2 {
-		key := targetKey{label: rec.Label, kind: rec.Kind, pair: rec.Pair}
-		s.mu.Lock()
-		tc := s.targets[key]
-		if tc == nil {
-			if len(s.targets) >= maxTargetSeries {
-				s.skipped++
-			} else {
-				tc = &targetCount{}
-				s.targets[key] = tc
-			}
-		}
-		if tc != nil {
-			tc.runs++
-			if rec.RaceCreated || rec.Deadlock {
-				tc.confirming++
-			}
-		}
-		s.mu.Unlock()
-	}
 	s.cov.observe(rec)
 	s.bc.Emit(rec)
 }
@@ -213,7 +157,6 @@ func (s *Server) Start() error {
 	s.ln = ln
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleDashboard)
-	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/debug/sched", s.handleSched)
 	mux.HandleFunc("/debug/perf", s.handlePerf)
@@ -259,65 +202,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(dashboardHTML)
-}
-
-// handleMetrics renders the full Prometheus exposition: campaign
-// aggregates, live registry gauges, per-target series, the observatory's
-// own health, and Go runtime stats.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.scrapes.Add(1)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteProm(w, "racefuzzer", s.camp.Snapshot())
-	obs.WriteProm(w, "racefuzzer", s.reg.Snapshot())
-	s.writeTargetFamilies(w)
-	s.writeSelfFamilies(w)
-	obs.WriteRuntimeProm(w)
-}
-
-// writeTargetFamilies renders the per-pipeline/per-target labeled counters.
-func (s *Server) writeTargetFamilies(w http.ResponseWriter) {
-	s.mu.Lock()
-	runs := make([]obs.PromSample, 0, len(s.targets))
-	confirming := make([]obs.PromSample, 0, len(s.targets))
-	for key, tc := range s.targets {
-		labels := []obs.PromLabel{
-			{Name: "bench", Value: key.label},
-			{Name: "kind", Value: key.kind},
-			{Name: "target", Value: key.pair},
-		}
-		runs = append(runs, obs.PromSample{Labels: labels, Value: float64(tc.runs)})
-		confirming = append(confirming, obs.PromSample{Labels: labels, Value: float64(tc.confirming)})
-	}
-	skipped := s.skipped
-	s.mu.Unlock()
-	obs.SortPromSamples(runs)
-	obs.SortPromSamples(confirming)
-	obs.WritePromFamily(w, "racefuzzer_target_runs_total",
-		"Phase-2 trials per directed target.", "counter", runs...)
-	obs.WritePromFamily(w, "racefuzzer_target_confirming_runs_total",
-		"Trials that reached the directed goal, per target.", "counter", confirming...)
-	obs.WritePromFamily(w, "racefuzzer_target_series_skipped_total",
-		"Targets not exposed because the label-cardinality cap was reached.", "counter",
-		obs.PromSample{Value: float64(skipped)})
-}
-
-// writeSelfFamilies renders the observatory's own meters.
-func (s *Server) writeSelfFamilies(w http.ResponseWriter) {
-	obs.WritePromFamily(w, "racefuzzer_observatory_subscribers",
-		"Live SSE subscribers.", "gauge",
-		obs.PromSample{Value: float64(s.bc.Subscribers())})
-	obs.WritePromFamily(w, "racefuzzer_observatory_events_total",
-		"Events published to the broadcast stream.", "counter",
-		obs.PromSample{Value: float64(s.bc.Events())})
-	obs.WritePromFamily(w, "racefuzzer_observatory_dropped_subscribers_total",
-		"Subscribers evicted for falling behind.", "counter",
-		obs.PromSample{Value: float64(s.bc.Dropped())})
-	obs.WritePromFamily(w, "racefuzzer_observatory_scrapes_total",
-		"Scrapes of this endpoint.", "counter",
-		obs.PromSample{Value: float64(s.scrapes.Load())})
-	obs.WritePromFamily(w, "racefuzzer_observatory_uptime_seconds",
-		"Seconds since the observatory started.", "gauge",
-		obs.PromSample{Value: time.Since(s.start).Seconds()})
 }
 
 // handleEvents serves the SSE stream: an opening "snapshot" event with the

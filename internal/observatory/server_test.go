@@ -84,8 +84,8 @@ func readSSE(r io.Reader, out chan<- sseEvent) {
 
 // TestObservatoryServesLiveCampaign is the end-to-end path: a real
 // two-phase figure2 campaign with a parallel executor feeds the server,
-// while an SSE client watches and /metrics, /debug/sched, / and /healthz
-// are scraped over real HTTP.
+// while an SSE client watches and the opening snapshot of a late client,
+// /debug/sched, / and /healthz are read over real HTTP.
 func TestObservatoryServesLiveCampaign(t *testing.T) {
 	s := startServer(t, Config{Label: "figure2", EventBuffer: 4096})
 	base := "http://" + s.Addr()
@@ -152,33 +152,25 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		t.Fatal("campaign confirmed no races in figure2")
 	}
 
-	// /metrics: the acceptance families, with real values, correct type.
-	body, mresp := httpGet(t, base+"/metrics")
-	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("/metrics Content-Type = %q", ct)
+	// A client that connects now opens on the campaign's counters: the
+	// snapshot frame carries the totals a scraper needs.
+	snap0 := openingSnapshot(t, base)
+	counters := map[string]int64{}
+	for _, c := range snap0.Counters {
+		counters[c.Name] = c.Value
 	}
-	for _, family := range []string{
-		"racefuzzer_trials_total",
-		"racefuzzer_findings_new_total",
-		"racefuzzer_findings_dedup_rate",
-		"racefuzzer_runs_total",
-		"racefuzzer_steps_to_race_bucket",
-		"racefuzzer_target_runs_total{bench=\"figure2\"",
-		"racefuzzer_observatory_subscribers",
-		"go_goroutines",
-	} {
-		if !strings.Contains(body, family) {
-			t.Errorf("/metrics missing %s", family)
-		}
+	if want := int64(len(rep.Potential) * opts.Phase2Trials); counters["trials.total"] != want {
+		t.Errorf("snapshot trials.total = %d, want %d", counters["trials.total"], want)
 	}
-	var trials float64
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "racefuzzer_trials_total ") {
-			fmt.Sscanf(line, "racefuzzer_trials_total %g", &trials) //nolint:errcheck
-		}
+	if counters["findings.new"] == 0 {
+		t.Errorf("snapshot findings.new = 0 after a confirming campaign: %+v", snap0.Counters)
 	}
-	if want := float64(len(rep.Potential) * opts.Phase2Trials); trials != want {
-		t.Errorf("racefuzzer_trials_total = %g, want %g", trials, want)
+	dedupSeen := false
+	for _, g := range snap0.Gauges {
+		dedupSeen = dedupSeen || g.Name == "findings.dedup_rate"
+	}
+	if !dedupSeen {
+		t.Errorf("snapshot has no findings.dedup_rate gauge: %+v", snap0.Gauges)
 	}
 
 	// /debug/sched: completed-run snapshot over HTTP.
@@ -257,9 +249,6 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 	}
 	if !strings.Contains(dash, "/debug/coverage") {
 		t.Error("dashboard does not wire up the coverage panel")
-	}
-	if !strings.Contains(dash, "/fleet/health") {
-		t.Error("dashboard does not wire up the flight-deck panel")
 	}
 	if !strings.Contains(dash, "probeFleet") {
 		t.Error("dashboard does not gate fleet polling behind a probe")
@@ -350,7 +339,7 @@ func TestObservatorySchedEndpointShowsDeadlock(t *testing.T) {
 // sites wire the observatory unconditionally.
 func TestObservatoryNilServerIsInert(t *testing.T) {
 	var s *Server
-	if s.Campaign() != nil || s.Registry() != nil || s.Introspector() != nil || s.Prof() != nil {
+	if s.Campaign() != nil || s.Introspector() != nil || s.Prof() != nil {
 		t.Error("nil server handed out live wiring")
 	}
 	if s.Sink() != nil {
@@ -415,30 +404,9 @@ func TestCoverageTrackerCurveAndEstimate(t *testing.T) {
 	}
 }
 
-// TestObservatoryTargetSeriesCap pins the label-cardinality guard: targets
-// beyond the cap are counted in the skipped series, not exposed.
-func TestObservatoryTargetSeriesCap(t *testing.T) {
-	s := startServer(t, Config{Label: "cap"})
-	sink := s.Sink()
-	for i := 0; i < maxTargetSeries+25; i++ {
-		sink.Emit(obs.RunRecord{
-			Phase: 2, Label: "cap", Kind: "race",
-			Pair: fmt.Sprintf("(stmt%d, stmt%d)", i, i+1),
-		})
-	}
-	body, _ := httpGet(t, "http://"+s.Addr()+"/metrics")
-	if !strings.Contains(body, "racefuzzer_target_series_skipped_total 25") {
-		t.Error("/metrics does not report the 25 skipped series")
-	}
-	if got := strings.Count(body, "racefuzzer_target_runs_total{"); got != maxTargetSeries {
-		t.Errorf("exposed %d target series, want %d", got, maxTargetSeries)
-	}
-}
-
 // TestObservatoryMountsExtraHandlers covers the Handle hook the fleet
 // coordinator uses: a handler mounted before Start is served from the
-// observatory mux, and gauges published into the registry (as the
-// coordinator's fleet gauges are) surface on /metrics.
+// observatory mux.
 func TestObservatoryMountsExtraHandlers(t *testing.T) {
 	cfg := Config{Label: "fleet"}
 	s := New(cfg)
@@ -460,16 +428,55 @@ func TestObservatoryMountsExtraHandlers(t *testing.T) {
 		t.Fatalf("/fleet/status = %d %q, want mounted handler's payload", resp.StatusCode, body)
 	}
 
-	s.Registry().Gauge("fleet.workers_live").Set(2)
-	s.Registry().Gauge("fleet.leases_inflight").Set(3)
-	metrics, _ := httpGet(t, "http://"+s.Addr()+"/metrics")
-	for _, want := range []string{"racefuzzer_fleet_workers_live 2", "racefuzzer_fleet_leases_inflight 3"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
 	// Handle is nil-safe like every other accessor.
 	var nilServer *Server
 	nilServer.Handle("/x", http.NotFoundHandler())
+}
+
+// TestObservatoryRetiredEndpoints pins that the observatory serves no
+// Prometheus exposition and no fleet health report: the counters travel in
+// the /events snapshot and fleet state on /fleet/status.
+func TestObservatoryRetiredEndpoints(t *testing.T) {
+	s := startServer(t, Config{Label: "retired"})
+	for _, path := range []string{"/metrics", "/fleet/health"} {
+		if _, resp := httpGet(t, "http://"+s.Addr()+path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// openingSnapshot connects to /events and returns the campaign snapshot the
+// stream opens with.
+func openingSnapshot(t *testing.T, base string) obs.Snapshot {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /events: %v", err)
+	}
+	frames := make(chan sseEvent, 1)
+	go readSSE(resp.Body, frames)
+	// Hang up and drain, so the reader goroutine exits before we return.
+	defer func() {
+		cancel()
+		resp.Body.Close()
+		for range frames {
+		}
+	}()
+	select {
+	case ev := <-frames:
+		var parsed obs.StreamEvent
+		if ev.name != "snapshot" || json.Unmarshal([]byte(ev.data), &parsed) != nil || parsed.Metrics == nil {
+			t.Fatalf("opening frame = %q %s, want a snapshot with metrics", ev.name, ev.data)
+		}
+		return *parsed.Metrics
+	case <-time.After(5 * time.Second):
+		t.Fatal("no opening snapshot frame")
+	}
+	return obs.Snapshot{}
 }
