@@ -13,17 +13,17 @@
 // phase-2 trial budget split across benchmarks round by round, reweighted
 // toward targets still producing new corpus signatures; -corpusdir persists
 // the findings (and enables cross-run dedup) like cmd/racefuzzer.
+//
+// -json writes the JSONL run log and -http serves the live observatory
+// (/events, /debug/perf, /healthz) like cmd/racefuzzer; SIGINT under -http
+// closes the run log and exits 0.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
@@ -49,7 +49,7 @@ func main() {
 		corpusDir = flag.String("corpusdir", "", "persist confirmed findings (dedup, coverage, witnesses) in this corpus directory")
 		budget    = flag.Int("budget", 0, "run the adaptive campaign instead of Table 1: split this global phase-2 trial budget across the benchmarks")
 		rounds    = flag.Int("rounds", 3, "with -budget: number of adaptive allocation rounds")
-		httpAddr  = flag.String("http", "", "serve the live campaign observatory (dashboard, /events, /debug/sched, /debug/perf, /debug/coverage) on this address, e.g. :8080")
+		httpAddr  = flag.String("http", "", "serve the live campaign observatory (/events, /debug/perf, /healthz) on this address, e.g. :8080")
 
 		jsonLog   = flag.String("json", "", "write a structured JSONL run log to this file (one record per execution), analyzable with cmd/campaignreport")
 		jsonFlush = flag.Int("jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
@@ -72,31 +72,7 @@ func main() {
 	// server returns nil, and nil probes no-op all the way down.
 	var obsv *observatory.Server
 	if *httpAddr != "" {
-		obsv = observatory.New(observatory.Config{Addr: *httpAddr, Label: "benchtable"})
-		if err := obsv.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtable: -http: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchtable: observatory listening on http://%s\n", obsv.Addr())
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigc
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := obsv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtable: observatory shutdown: %v\n", err)
-				os.Exit(1)
-			}
-			os.Exit(0)
-		}()
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := obsv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtable: observatory shutdown: %v\n", err)
-			}
-		}()
+		obsv = observatory.New(observatory.Config{Addr: *httpAddr})
 	}
 
 	var list []string
@@ -136,13 +112,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
 		}
 	}
+	// SIGINT/SIGTERM under -http ends the run: the run log closes on a
+	// whole record, subscribers get a final snapshot, and the exit is 0.
+	stopObsv, err := obsv.Serve("benchtable", closeLog)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtable: -http: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopObsv()
 	defer closeLog()
 	if s := obsv.Sink(); s != nil {
 		sinks = append(sinks, s)
 	}
 	probes := core.Probes{
 		TraceDir: *trDir, PerfDir: *pfDir, Timing: *timing,
-		Metrics: obsv.Campaign(), Introspect: obsv.Introspector(), Prof: obsv.Prof(),
+		Metrics: obsv.Campaign(), Prof: obsv.Prof(),
 	}
 	if len(sinks) > 0 {
 		probes.Sink = sinks

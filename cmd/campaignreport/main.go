@@ -5,7 +5,6 @@
 //	campaignreport -dir campaign/                      # markdown to stdout
 //	campaignreport -dir campaign/ -md report.md -csv report.csv
 //	campaignreport -log run.jsonl -corpusdir corpus -csv report.csv
-//	campaignreport -diff old-campaign/ new-campaign/   # per-metric deltas
 //	campaignreport -checkspans corpus/fleetspans.jsonl # validate a span trail
 //
 // The report covers discovery curves (new signatures / coverage cells vs
@@ -14,7 +13,12 @@
 // bandit audit of allocated budget vs realized yield, and a reconciliation
 // table cross-checking the log against the corpus manifest. Reports are
 // deterministic: byte-identical inputs render byte-identical bytes, so CI
-// can golden-test them (see the report-smoke job).
+// can golden-test them (see the report-smoke job), and two campaigns
+// compare by diffing their reports.
+//
+// The live coverage frontier is -log over the run log of a campaign still
+// running with -json run.jsonl -jsonflush N: the loader skips a torn
+// trailing line, so the report covers every record flushed so far.
 package main
 
 import (
@@ -33,7 +37,6 @@ func main() {
 		corpusDir = flag.String("corpusdir", "", "corpus directory to analyze (alternative to -dir)")
 		csvOut    = flag.String("csv", "", "write the multi-section CSV tables to this file")
 		mdOut     = flag.String("md", "", "write the markdown report to this file (default: stdout when no other output is chosen)")
-		diff      = flag.Bool("diff", false, "compare two campaigns: campaignreport -diff <dirA> <dirB> prints per-metric deltas (B-A) as markdown")
 		checkSpan = flag.String("checkspans", "", "validate a fleetspans.jsonl span trail against the schema (causal order, identity, outcome vocabulary) and print a summary; exits nonzero on any violation")
 	)
 	flag.Parse()
@@ -54,16 +57,6 @@ func main() {
 		}
 		fmt.Printf("campaignreport: %s: %d attempts valid (%d ingested, %d stitched)\n",
 			*checkSpan, len(trails), ingested, stitched)
-		return
-	}
-
-	if *diff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "campaignreport: -diff needs exactly two campaign directories: campaignreport -diff <dirA> <dirB>")
-			os.Exit(2)
-		}
-		a, b := loadReport(flag.Arg(0)), loadReport(flag.Arg(1))
-		fmt.Print(analytics.DiffMarkdown(analytics.Diff(a, b, flag.Arg(0), flag.Arg(1))))
 		return
 	}
 

@@ -29,9 +29,10 @@
 // (JSONL, -jsonflush makes it tail-able), -progress emits periodic campaign
 // progress lines to stderr, and -cpuprofile/-memprofile write pprof
 // profiles of the campaign. -http serves the live campaign observatory (see
-// README "Live monitoring"): an embedded dashboard, an SSE /events
-// stream, /debug/sched scheduler-state snapshots, and /debug/perf
-// scheduler latency aggregates. -perfdir exports a Perfetto
+// README "Live monitoring"): an SSE /events stream and /debug/perf
+// scheduler latency aggregates; SIGINT then closes the -json log and exits
+// 0. The live coverage frontier is cmd/campaignreport -log over a
+// -jsonflush run log. -perfdir exports a Perfetto
 // timeline (Chrome trace-event JSON, open in https://ui.perfetto.dev) of
 // each target's first confirming trial.
 //
@@ -106,7 +107,7 @@ func main() {
 		jsonLog    = flag.String("json", "", "write a structured JSONL run log to this file (one record per execution)")
 		jsonFlush  = flag.Int("jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
 		progress   = flag.Bool("progress", false, "print periodic campaign progress lines to stderr")
-		httpAddr   = flag.String("http", "", "serve the live campaign observatory (dashboard, /events, /debug/sched, /debug/perf, /debug/coverage) on this address, e.g. :8080")
+		httpAddr   = flag.String("http", "", "serve the live campaign observatory (/events, /debug/perf, /healthz; /fleet/status with -coordinate) on this address, e.g. :8080")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
@@ -311,11 +312,7 @@ func main() {
 	// campaign runs the identical unobserved code path.
 	var obsv *observatory.Server
 	if *httpAddr != "" {
-		label := *name
-		if label == "" {
-			label = "campaign"
-		}
-		obsv = observatory.New(observatory.Config{Addr: *httpAddr, Label: label})
+		obsv = observatory.New(observatory.Config{Addr: *httpAddr})
 	}
 	var campaign *obs.CampaignMetrics
 	if *metrics || obsv != nil {
@@ -325,7 +322,6 @@ func main() {
 		}
 		opts.Metrics = campaign
 	}
-	opts.Introspect = obsv.Introspector()
 	// The observatory's perf collector aggregates every execution into
 	// /debug/perf; nil (no -http) profiles nothing, costing one predicted
 	// branch per probe site.
@@ -398,41 +394,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -fleettrace requires -coordinate (the flight recorder traces fleet campaigns)")
 		os.Exit(2)
 	}
-	if obsv != nil {
-		if err := obsv.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "racefuzzer: -http: %v\n", err)
-			os.Exit(1)
+	closeLog := func() {
+		if jsonl == nil {
+			return
 		}
-		fmt.Fprintf(os.Stderr, "racefuzzer: observatory listening on http://%s\n", obsv.Addr())
-		// SIGINT/SIGTERM ends the campaign gracefully: flush a final
-		// snapshot to subscribers, drain the server, exit clean.
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigc
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := obsv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "racefuzzer: observatory shutdown: %v\n", err)
-				os.Exit(1)
-			}
-			os.Exit(0)
-		}()
+		if err := jsonl.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
+		}
+	}
+	// SIGINT/SIGTERM under -http ends the campaign: the run log closes on
+	// a whole record, subscribers get a final snapshot, and the exit is 0.
+	stopObsv, err := obsv.Serve("racefuzzer", closeLog)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "racefuzzer: -http: %v\n", err)
+		os.Exit(1)
 	}
 	finishObservers := func() {
 		prog.Finish()
-		if jsonl != nil {
-			if err := jsonl.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
-			}
-		}
-		if obsv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			if err := obsv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "racefuzzer: observatory shutdown: %v\n", err)
-			}
-			cancel()
-		}
+		closeLog()
+		stopObsv()
 		if *metrics {
 			fmt.Println()
 			fmt.Print(campaign.Snapshot().Table("campaign metrics").Render())

@@ -197,8 +197,8 @@ func TestChao1(t *testing.T) {
 		{100, 10, 5, 100 + 10},
 	}
 	for _, c := range cases {
-		if got := Chao1(c.observed, c.f1, c.f2); got != c.want {
-			t.Errorf("Chao1(%d,%d,%d) = %v, want %v", c.observed, c.f1, c.f2, got, c.want)
+		if got := chao1(c.observed, c.f1, c.f2); got != c.want {
+			t.Errorf("chao1(%d,%d,%d) = %v, want %v", c.observed, c.f1, c.f2, got, c.want)
 		}
 	}
 }
@@ -242,34 +242,6 @@ func TestLoadLogTolerance(t *testing.T) {
 	}
 	if _, _, _, err := LoadLog(bad); err == nil {
 		t.Fatal("mid-file corruption loaded without error")
-	}
-}
-
-func TestDiff(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	writeCampaign(t, dirA, 7)
-	writeCampaign(t, dirB, 7)
-	load := func(dir string) *Report {
-		c, err := LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Analyze(c)
-	}
-	a, b := load(dirA), load(dirB)
-	d := Diff(a, b, "a", "b")
-	for _, m := range d.Metrics {
-		if m.Delta() != 0 {
-			t.Errorf("identical campaigns differ on %s: %v vs %v", m.Name, m.A, m.B)
-		}
-	}
-	md1 := DiffMarkdown(d)
-	md2 := DiffMarkdown(Diff(load(dirA), load(dirB), "a", "b"))
-	if md1 != md2 {
-		t.Error("diff markdown not deterministic")
-	}
-	if !strings.Contains(md1, "new signatures") || !strings.Contains(md1, "Per-target") {
-		t.Fatalf("diff markdown missing rows:\n%s", md1)
 	}
 }
 

@@ -437,17 +437,17 @@ func frontier(c *Campaign) FrontierStats {
 			f.F2++
 		}
 	}
-	f.Chao1 = Chao1(f.Observed, f.F1, f.F2)
+	f.Chao1 = chao1(f.Observed, f.F1, f.F2)
 	return f
 }
 
-// Chao1 is the classic nonparametric species-richness estimator: observed
+// chao1 is the classic nonparametric species-richness estimator: observed
 // richness plus f1²/(2·f2) estimated undiscovered species, where f1 and f2
 // are the singleton and doubleton counts. When no doubletons exist the
 // bias-corrected form f1(f1−1)/2 applies. Intuition: many signatures seen
 // exactly once means the campaign is still skimming a rich frontier; none
 // seen once means the frontier is exhausted and Chao1 ≈ observed.
-func Chao1(observed, f1, f2 int) float64 {
+func chao1(observed, f1, f2 int) float64 {
 	if observed == 0 {
 		return 0
 	}

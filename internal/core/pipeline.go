@@ -62,9 +62,9 @@ type Options struct {
 }
 
 // Probes is everything a campaign can attach to observe itself: captures,
-// telemetry, live introspection and profiling. Every probe is passive —
-// attaching any of them never changes a schedule, a verdict or a report —
-// and the zero value observes nothing. The harness and the CLI build one
+// telemetry and profiling. Every probe is passive — attaching any of them
+// never changes a schedule, a verdict or a report — and the zero value
+// observes nothing. The harness and the CLI build one
 // Probes and hand it down whole.
 type Probes struct {
 	// TraceDir, when non-empty, enables witness auto-capture: the first
@@ -94,11 +94,6 @@ type Probes struct {
 	// Sink, when non-nil, receives one structured record per execution —
 	// the JSONL run log and/or progress reporting.
 	Sink obs.Sink
-	// Introspect, when non-nil, registers every execution with the live
-	// scheduler-state introspector (the observatory's /debug/sched). Costs
-	// one atomic load per scheduling round when attached, one nil check
-	// when not; never perturbs schedules.
-	Introspect *sched.Introspector
 	// Prof, when non-nil, attaches a pooled schedprof trial to every
 	// execution and folds it back campaign-wide: per-op-kind wait/service
 	// latency, enabled-set sizes, decision rounds and phase timings (the

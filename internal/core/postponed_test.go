@@ -76,26 +76,6 @@ func equalThreads(a, b []event.ThreadID) bool {
 	return true
 }
 
-// TestPostponedThreadsIsAFreshCopy pins that introspection's snapshot does
-// not alias the policy's scratch: later Steps must not rewrite it.
-func TestPostponedThreadsIsAFreshCopy(t *testing.T) {
-	p := NewRaceFuzzerPolicy(event.MakeStmtPair(event.StmtFor("pt:a"), event.StmtFor("pt:b")))
-	for _, tid := range []event.ThreadID{1, 3, 4} {
-		p.postponed.add(tid, 0)
-	}
-	snap := p.PostponedThreads()
-	p.postponed.del(3)
-	p.postponed.add(2, 1)
-	p.postponed.sorted()
-	p.postponed.candidates([]event.ThreadID{0, 5, 6})
-	if want := []event.ThreadID{1, 3, 4}; !equalThreads(snap, want) {
-		t.Fatalf("snapshot changed under later set traffic: %v, want %v", snap, want)
-	}
-	if len(snap) > 0 && (&snap[0] == &p.postponed.keys[0] || &snap[0] == &p.postponed.cand[0]) {
-		t.Fatal("PostponedThreads returned policy scratch")
-	}
-}
-
 // allocProbe wraps a directed policy. At the first round where ready holds,
 // it measures the inner Step on that frozen view with testing.AllocsPerRun,
 // then lets the run continue. The view stays valid for the whole probe: all

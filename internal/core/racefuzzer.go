@@ -162,11 +162,6 @@ func (p *RaceFuzzerPolicy) RaceCreated() bool { return len(p.races) > 0 }
 // livelock-monitor releases), used by ablation benchmarks.
 func (p *RaceFuzzerPolicy) Stats() (released, aged int) { return p.released, p.aged }
 
-// PostponedThreads implements sched.PostponedReporter: a fresh copy of the
-// postponed set in ascending thread order, surfaced by live scheduler
-// introspection (/debug/sched). Called under the scheduler lock only.
-func (p *RaceFuzzerPolicy) PostponedThreads() []event.ThreadID { return p.postponed.appendSorted(nil) }
-
 // Tracked returns the number of target-statement encounters — the accesses
 // RaceFuzzer actually had to reason about. The paper's low-overhead claim
 // (§4) is that this is tiny compared to the total memory accesses the hybrid
@@ -198,16 +193,6 @@ func (s *postponedSet) del(t event.ThreadID) {
 	}
 }
 
-// appendSorted appends the members to dst in ascending thread order.
-func (s *postponedSet) appendSorted(dst []event.ThreadID) []event.ThreadID {
-	for tid, step := range s.at {
-		if step >= 0 {
-			dst = append(dst, event.ThreadID(tid))
-		}
-	}
-	return dst
-}
-
 // candidates returns enabled minus the set, in scratch the next call reuses.
 func (s *postponedSet) candidates(enabled []event.ThreadID) []event.ThreadID {
 	s.cand = s.cand[:0]
@@ -222,7 +207,12 @@ func (s *postponedSet) candidates(enabled []event.ThreadID) []event.ThreadID {
 // sorted returns the members in ascending thread order in a scratch buffer
 // that the next call overwrites; deleting members does not disturb it.
 func (s *postponedSet) sorted() []event.ThreadID {
-	s.keys = s.appendSorted(s.keys[:0])
+	s.keys = s.keys[:0]
+	for tid, step := range s.at {
+		if step >= 0 {
+			s.keys = append(s.keys, event.ThreadID(tid))
+		}
+	}
 	return s.keys
 }
 

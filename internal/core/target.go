@@ -135,15 +135,14 @@ func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched
 }
 
 // run executes one campaign run under cfg with the campaign's probes
-// attached: introspection, a profiling trial and, when the campaign
-// observes, a runProbe whose stats read pol's counters.
+// attached: a profiling trial and, when the campaign observes, a runProbe
+// whose stats read pol's counters.
 func (o Options) run(prog Program, cfg sched.Config, pol sched.Policy) (*sched.Result, *obs.RunStats) {
 	var probe *runProbe
 	if o.observing() {
 		probe = &runProbe{enabled: obs.NewEnabledHistogram()}
 		cfg.Observers = append(cfg.Observers, probe)
 	}
-	cfg.Introspect = o.Introspect
 	cfg.Prof = o.Prof.StartTrial(o.Label, cfg.Seed)
 	var start time.Time
 	if probe != nil {
@@ -208,7 +207,7 @@ func Record(prog Program, t Target, seed int64, o Options) (*sched.Result, int, 
 		Seed: seed, Pair: t.String(), MaxSteps: o.MaxSteps,
 	})
 	cfg := trialConfig(t, pol, seed, o)
-	cfg.Observers, cfg.Introspect = []sched.Observer{rec}, o.Introspect
+	cfg.Observers = []sched.Observer{rec}
 	res := sched.Run(prog, cfg)
 	rec.Finish(res)
 	return res, t.outcome(pol, res).hits, rec.Recording()

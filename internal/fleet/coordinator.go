@@ -445,7 +445,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatusHandler serves the /fleet/status snapshot; the observatory mounts it
-// so the dashboard's fleet panel and scripted operators share one endpoint.
+// beside /events and /debug/perf.
 func (c *Coordinator) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.status())

@@ -190,7 +190,7 @@ type TargetStatus struct {
 	Signatures int    `json:"signatures"`
 }
 
-// Status is the /fleet/status snapshot the observatory dashboard polls.
+// Status is the /fleet/status snapshot, served on the observatory mux.
 type Status struct {
 	Generation     string         `json:"generation"`
 	Done           bool           `json:"done"`

@@ -2,51 +2,46 @@
 // embedded net/http server (the -http flag on cmd/racefuzzer and
 // cmd/benchtable) exposing
 //
-//	/            an embedded HTML dashboard rendering the SSE stream
 //	/events      a Server-Sent-Events stream: a campaign-counter snapshot,
-//	            then run records and findings
-//	/debug/sched JSON snapshots of live scheduler state (wait-for graph)
+//	             then run records and findings
 //	/debug/perf  JSON schedprof aggregates (per-op-kind latency quantiles)
-//	/debug/coverage JSON coverage frontier (discovery curve, Chao1 estimate)
 //	/healthz     liveness probe
+//
+// plus whatever the caller mounts with Handle (the fleet coordinator's
+// /fleet/status). The live coverage frontier is campaignreport -log over a
+// -jsonflush run log; what one trial did is its flight recording.
 //
 // Design constraints, in order:
 //
 //   - Zero overhead when off. A nil *Server returns nil from every wiring
-//     accessor (Sink, Introspector, Prof), and nil sinks/introspectors
-//     are no-ops all the way down — with -http unset the campaign runs the
-//     byte-for-byte PR-4 code path.
+//     accessor (Campaign, Sink, Prof), and nil probes are no-ops all the
+//     way down — with -http unset the campaign runs the unobserved path.
 //   - Never perturb the campaign. The server only consumes immutable
 //     snapshots and broadcast events; a slow or stuck HTTP client is
 //     dropped (bounded per-subscriber buffers), never waited on.
 //   - Race-free under -race at any Workers width: all shared state is the
-//     obs/sched packages' locked or atomic structures.
+//     obs/schedprof packages' locked or atomic structures.
 package observatory
 
 import (
 	"context"
-	_ "embed"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"racefuzzer/internal/obs"
-	"racefuzzer/internal/sched"
 	"racefuzzer/internal/schedprof"
 )
-
-//go:embed dashboard.html
-var dashboardHTML []byte
 
 // Config parameterizes New.
 type Config struct {
 	// Addr is the listen address (e.g. ":8080", "127.0.0.1:0").
 	Addr string
-	// Label names the campaign on the dashboard.
-	Label string
 	// Campaign is the aggregator the /events snapshot and shutdown frames
 	// carry; New creates one when nil.
 	Campaign *obs.CampaignMetrics
@@ -60,9 +55,7 @@ type Server struct {
 	cfg  Config
 	camp *obs.CampaignMetrics
 	bc   *obs.Broadcast
-	insp *sched.Introspector
 	prof *schedprof.Collector
-	cov  *coverageTracker
 
 	extra map[string]http.Handler
 
@@ -83,9 +76,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		camp:  camp,
 		bc:    obs.NewBroadcast(),
-		insp:  sched.NewIntrospector(),
 		prof:  schedprof.NewCollector(),
-		cov:   newCoverageTracker(),
 		extra: make(map[string]http.Handler),
 	}
 }
@@ -108,14 +99,6 @@ func (s *Server) Campaign() *obs.CampaignMetrics {
 	return s.camp
 }
 
-// Introspector returns the scheduler introspection hook (nil when off).
-func (s *Server) Introspector() *sched.Introspector {
-	if s == nil {
-		return nil
-	}
-	return s.insp
-}
-
 // Prof returns the scheduler performance collector that feeds /debug/perf
 // (nil when off, and nil collectors hand out nil trials all the way down).
 func (s *Server) Prof() *schedprof.Collector {
@@ -125,24 +108,13 @@ func (s *Server) Prof() *schedprof.Collector {
 	return s.prof
 }
 
-// Sink returns the sink that feeds the event stream and the coverage
-// tracker; nil when off, so it composes with obs.MultiSink unconditionally.
+// Sink returns the sink that feeds the event stream; nil when off, so it
+// composes with obs.MultiSink unconditionally.
 func (s *Server) Sink() obs.Sink {
 	if s == nil {
 		return nil
 	}
-	return serverSink{s}
-}
-
-// serverSink adapts the server to obs.Sink without exposing Emit on a
-// possibly-nil *Server through a non-nil interface.
-type serverSink struct{ s *Server }
-
-// Emit feeds the coverage tracker and fans the record out to subscribers.
-func (w serverSink) Emit(rec obs.RunRecord) {
-	s := w.s
-	s.cov.observe(rec)
-	s.bc.Emit(rec)
+	return s.bc
 }
 
 // Start begins listening and serving in the background. Nil-safe no-op.
@@ -156,11 +128,8 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleDashboard)
 	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/debug/sched", s.handleSched)
 	mux.HandleFunc("/debug/perf", s.handlePerf)
-	mux.HandleFunc("/debug/coverage", s.handleCoverage)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -194,14 +163,41 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// handleDashboard serves the embedded single-file dashboard.
-func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
+// Serve starts the server for a CLI and announces its address on stderr,
+// each line prefixed by tool. SIGINT or SIGTERM then ends the process:
+// closeLog runs first, so the run log keeps only whole records, then the
+// server sends its shutdown frame and drains, and the process exits 0 (1
+// if the drain fails). The returned stop drains the server when the
+// campaign ends normally. On a nil server Serve starts nothing and stop is
+// a no-op.
+func (s *Server) Serve(tool string, closeLog func()) (stop func(), err error) {
+	if s == nil {
+		return func() {}, nil
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Write(dashboardHTML)
+	if err := s.Start(); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: observatory listening on http://%s\n", tool, s.Addr())
+	drain := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err := s.Shutdown(ctx)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: observatory shutdown: %v\n", tool, err)
+		}
+		return err
+	}
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		closeLog()
+		if drain() != nil {
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}()
+	return func() { _ = drain() }, nil
 }
 
 // handleEvents serves the SSE stream: an opening "snapshot" event with the
@@ -250,23 +246,6 @@ func writeSSE(w http.ResponseWriter, ev obs.StreamEvent) error {
 	}
 	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 	return err
-}
-
-// handleSched serves live scheduler-state snapshots.
-func (s *Server) handleSched(w http.ResponseWriter, r *http.Request) {
-	timeout := 150 * time.Millisecond
-	if t := r.URL.Query().Get("timeout"); t != "" {
-		if d, err := time.ParseDuration(t); err == nil && d > 0 && d <= 5*time.Second {
-			timeout = d
-		}
-	}
-	snap := s.insp.Snapshot(timeout)
-	// Present active runs in a stable order for scripted consumers.
-	sort.Slice(snap.Active, func(i, j int) bool { return snap.Active[i].RunID < snap.Active[j].RunID })
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap) //nolint:errcheck // best-effort write to client
 }
 
 // handlePerf serves the schedprof campaign aggregates: per-op-kind

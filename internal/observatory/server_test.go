@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +19,6 @@ import (
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/obs"
-	"racefuzzer/internal/sched"
 	"racefuzzer/internal/schedprof"
 )
 
@@ -85,9 +87,9 @@ func readSSE(r io.Reader, out chan<- sseEvent) {
 // TestObservatoryServesLiveCampaign is the end-to-end path: a real
 // two-phase figure2 campaign with a parallel executor feeds the server,
 // while an SSE client watches and the opening snapshot of a late client,
-// /debug/sched, / and /healthz are read over real HTTP.
+// /debug/perf and /healthz are read over real HTTP.
 func TestObservatoryServesLiveCampaign(t *testing.T) {
-	s := startServer(t, Config{Label: "figure2", EventBuffer: 4096})
+	s := startServer(t, Config{EventBuffer: 4096})
 	base := "http://" + s.Addr()
 
 	// Subscribe over HTTP before the campaign so the stream sees it live.
@@ -131,7 +133,7 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 	}()
 
 	// Run the campaign against the server's wiring accessors, exactly as the
-	// binaries do — parallel executor, corpus dedup, live introspection.
+	// binaries do — parallel executor, corpus dedup, live profiling.
 	b := bench.MustByName("figure2")
 	opts := core.Options{
 		Seed:         1,
@@ -141,7 +143,7 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		Label:        b.Name,
 		Corpus:       corpus.NewStore(),
 		Probes: core.Probes{
-			Metrics: s.Campaign(), Sink: s.Sink(), Introspect: s.Introspector(), Prof: s.Prof(),
+			Metrics: s.Campaign(), Sink: s.Sink(), Prof: s.Prof(),
 		},
 	}
 	rep := core.Analyze(b.New(), opts)
@@ -173,22 +175,6 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		t.Errorf("snapshot has no findings.dedup_rate gauge: %+v", snap0.Gauges)
 	}
 
-	// /debug/sched: completed-run snapshot over HTTP.
-	sbody, sresp := httpGet(t, base+"/debug/sched?timeout=100ms")
-	if ct := sresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/debug/sched Content-Type = %q", ct)
-	}
-	var snap sched.SchedSnapshot
-	if err := json.Unmarshal([]byte(sbody), &snap); err != nil {
-		t.Fatalf("/debug/sched not JSON: %v\n%s", err, sbody)
-	}
-	if snap.LastCompleted == nil {
-		t.Fatal("/debug/sched has no completed run after a whole campaign")
-	}
-	if !snap.LastCompleted.Done || snap.LastCompleted.Policy == "" {
-		t.Errorf("completed snapshot malformed: %+v", snap.LastCompleted)
-	}
-
 	// /debug/perf: live schedprof aggregates with per-op-kind latency
 	// quantiles, covering every execution of the campaign.
 	pbody, presp := httpGet(t, base+"/debug/perf")
@@ -215,44 +201,7 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 		t.Errorf("/debug/perf quantiles all zero: %s", pbody)
 	}
 
-	// /debug/coverage: the live coverage frontier mirrors the campaign —
-	// same trial count, a non-empty discovery curve whose final point equals
-	// the totals, and a Chao1 estimate at or above observed richness.
-	cbody, cresp := httpGet(t, base+"/debug/coverage")
-	if ct := cresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/debug/coverage Content-Type = %q", ct)
-	}
-	var cov CoverageSnapshot
-	if err := json.Unmarshal([]byte(cbody), &cov); err != nil {
-		t.Fatalf("/debug/coverage not JSON: %v\n%s", err, cbody)
-	}
-	if want := int64(len(rep.Potential) * opts.Phase2Trials); cov.Trials != want {
-		t.Errorf("/debug/coverage trials = %d, want %d", cov.Trials, want)
-	}
-	if cov.NewSigs == 0 || cov.NewCells == 0 || len(cov.Curve) == 0 {
-		t.Fatalf("/debug/coverage shows no discovery: %s", cbody)
-	}
-	if f := cov.Curve[len(cov.Curve)-1]; f.Sigs != cov.NewSigs || f.Cells != cov.NewCells {
-		t.Errorf("coverage curve final %+v != totals (sigs %d, cells %d)", f, cov.NewSigs, cov.NewCells)
-	}
-	if cov.Observed == 0 || cov.Chao1 < float64(cov.Observed) {
-		t.Errorf("coverage frontier malformed: observed=%d chao1=%v", cov.Observed, cov.Chao1)
-	}
-
-	// Dashboard and liveness.
-	dash, dresp := httpGet(t, base+"/")
-	if ct := dresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("dashboard Content-Type = %q", ct)
-	}
-	if !strings.Contains(dash, "EventSource") {
-		t.Error("dashboard does not wire up the SSE stream")
-	}
-	if !strings.Contains(dash, "/debug/coverage") {
-		t.Error("dashboard does not wire up the coverage panel")
-	}
-	if !strings.Contains(dash, "probeFleet") {
-		t.Error("dashboard does not gate fleet polling behind a probe")
-	}
+	// Liveness.
 	if _, nf := httpGet(t, base+"/nosuch"); nf.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path status = %d", nf.StatusCode)
 	}
@@ -295,51 +244,12 @@ func TestObservatoryServesLiveCampaign(t *testing.T) {
 	}
 }
 
-// TestObservatorySchedEndpointShowsDeadlock drives a deterministic
-// deadlock through the introspector and reads its wait-for graph back over
-// HTTP — the payload /debug/sched exists for.
-func TestObservatorySchedEndpointShowsDeadlock(t *testing.T) {
-	s := startServer(t, Config{Label: "deadlock"})
-
-	res := sched.Run(func(t *sched.Thread) {
-		lk := t.Scheduler().NewLock("L")
-		t.LockAcquire(lk, 0)
-		w := t.Fork("w", func(c *sched.Thread) {
-			c.LockAcquire(lk, 0)
-			c.LockRelease(lk, 0)
-		})
-		t.Join(w)
-	}, sched.Config{Seed: 2, Introspect: s.Introspector()})
-	if res.Deadlock == nil {
-		t.Fatal("program did not deadlock")
-	}
-
-	body, _ := httpGet(t, "http://"+s.Addr()+"/debug/sched")
-	var snap sched.SchedSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/debug/sched not JSON: %v", err)
-	}
-	last := snap.LastCompleted
-	if last == nil {
-		t.Fatal("no completed snapshot")
-	}
-	if len(last.WaitFor) != 2 {
-		t.Fatalf("wait-for graph over HTTP has %d edges, want 2: %s", len(last.WaitFor), body)
-	}
-	if len(last.Cycles) != 1 {
-		t.Fatalf("cycles over HTTP = %v, want one", last.Cycles)
-	}
-	if len(last.Locks) != 1 || last.Locks[0].Name != "L" {
-		t.Fatalf("held-locks table over HTTP = %+v", last.Locks)
-	}
-}
-
 // TestObservatoryNilServerIsInert pins the zero-overhead contract: every
 // accessor and lifecycle method of a nil *Server is a usable no-op, so call
 // sites wire the observatory unconditionally.
 func TestObservatoryNilServerIsInert(t *testing.T) {
 	var s *Server
-	if s.Campaign() != nil || s.Introspector() != nil || s.Prof() != nil {
+	if s.Campaign() != nil || s.Prof() != nil {
 		t.Error("nil server handed out live wiring")
 	}
 	if s.Sink() != nil {
@@ -358,58 +268,15 @@ func TestObservatoryNilServerIsInert(t *testing.T) {
 	prog := bench.MustByName("figure2")
 	core.DetectPotentialRaces(prog.New(), core.Options{
 		Seed: 1, Phase1Trials: 1,
-		Probes: core.Probes{Metrics: s.Campaign(), Sink: s.Sink(), Introspect: s.Introspector()},
+		Probes: core.Probes{Metrics: s.Campaign(), Sink: s.Sink(), Prof: s.Prof()},
 	})
-}
-
-// TestCoverageTrackerCurveAndEstimate pins the live tracker's bookkeeping:
-// dedup rate, abundance-based Chao1 inputs, and the curve decimation that
-// bounds memory while preserving the envelope (final point == totals).
-func TestCoverageTrackerCurveAndEstimate(t *testing.T) {
-	c := newCoverageTracker()
-	// Every trial confirms a distinct target once: all singletons.
-	for i := 0; i < 3*maxCurvePoints; i++ {
-		c.observe(obs.RunRecord{Phase: 2, Label: "x", Kind: "race", PairIndex: i,
-			RaceCreated: true, Finding: "new", NewCells: 1})
-	}
-	// Plus some re-sightings of target 0 that move no counts.
-	for i := 0; i < 4; i++ {
-		c.observe(obs.RunRecord{Phase: 2, Label: "x", Kind: "race", PairIndex: 0,
-			RaceCreated: true, Finding: "known"})
-	}
-	snap := c.snapshot()
-	total := int64(3 * maxCurvePoints)
-	if snap.Trials != total+4 || snap.NewSigs != total || snap.KnownSigs != 4 || snap.NewCells != total {
-		t.Fatalf("totals = %+v", snap)
-	}
-	if want := 4 / float64(total+4); snap.DedupRate != want {
-		t.Errorf("dedup rate = %v, want %v", snap.DedupRate, want)
-	}
-	if snap.Observed != 3*maxCurvePoints {
-		t.Errorf("observed = %d", snap.Observed)
-	}
-	// Target 0 was sighted 5 times; everything else exactly once.
-	if snap.F1 != snap.Observed-1 || snap.F2 != 0 {
-		t.Errorf("f1=%d f2=%d, want %d and 0", snap.F1, snap.F2, snap.Observed-1)
-	}
-	if snap.Chao1 < float64(snap.Observed) || snap.CompletenessPct <= 0 || snap.CompletenessPct > 100 {
-		t.Errorf("estimate malformed: chao1=%v completeness=%v", snap.Chao1, snap.CompletenessPct)
-	}
-	if len(snap.Curve) >= maxCurvePoints {
-		t.Errorf("curve not decimated: %d points", len(snap.Curve))
-	}
-	f := snap.Curve[len(snap.Curve)-1]
-	if f.Sigs != snap.NewSigs || f.Cells != snap.NewCells {
-		t.Errorf("curve final %+v != totals after decimation", f)
-	}
 }
 
 // TestObservatoryMountsExtraHandlers covers the Handle hook the fleet
 // coordinator uses: a handler mounted before Start is served from the
 // observatory mux.
 func TestObservatoryMountsExtraHandlers(t *testing.T) {
-	cfg := Config{Label: "fleet"}
-	s := New(cfg)
+	s := New(Config{})
 	s.Handle("/fleet/status", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"generation":"g-test","workersLive":2}`)
@@ -433,13 +300,35 @@ func TestObservatoryMountsExtraHandlers(t *testing.T) {
 	nilServer.Handle("/x", http.NotFoundHandler())
 }
 
-// TestObservatoryRetiredEndpoints pins that the observatory serves no
-// Prometheus exposition and no fleet health report: the counters travel in
-// the /events snapshot and fleet state on /fleet/status.
+// TestObservatoryRetiredEndpoints pins the live plane: /events opens on
+// the counter snapshot, /debug/perf, /healthz and a mounted /fleet/status
+// answer, and the retired renderings do not. There is no Prometheus
+// exposition, fleet health report, dashboard, scheduler introspection or
+// live coverage fork: the counters travel in the /events snapshot, fleet
+// state on /fleet/status, a trial's state in its flight recording, and the
+// frontier in campaignreport -log over the run log.
 func TestObservatoryRetiredEndpoints(t *testing.T) {
-	s := startServer(t, Config{Label: "retired"})
-	for _, path := range []string{"/metrics", "/fleet/health"} {
-		if _, resp := httpGet(t, "http://"+s.Addr()+path); resp.StatusCode != http.StatusNotFound {
+	s := New(Config{Addr: "127.0.0.1:0"})
+	s.Handle("/fleet/status", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"generation":"g-live"}`)
+	}))
+	if err := s.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	})
+	base := "http://" + s.Addr()
+	openingSnapshot(t, base)
+	for _, path := range []string{"/debug/perf", "/healthz", "/fleet/status"} {
+		if _, resp := httpGet(t, base+path); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/", "/metrics", "/fleet/health", "/debug/sched", "/debug/coverage"} {
+		if _, resp := httpGet(t, base+path); resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
 		}
 	}
@@ -479,4 +368,91 @@ func openingSnapshot(t *testing.T, base string) obs.Snapshot {
 		t.Fatal("no opening snapshot frame")
 	}
 	return obs.Snapshot{}
+}
+
+// serveChildEnv names the run-log path of the child process
+// TestServeSignalClosesRunLog starts.
+const serveChildEnv = "OBSERVATORY_SERVE_CHILD_LOG"
+
+// TestServeSignalClosesRunLog sends SIGINT to a process that serves an
+// observatory while records sit in its run log's buffer. The process must
+// exit 0 and leave a log in which every line is whole JSON.
+func TestServeSignalClosesRunLog(t *testing.T) {
+	if path := os.Getenv(serveChildEnv); path != "" {
+		serveChild(path)
+		return
+	}
+	log := filepath.Join(t.TempDir(), "runs.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeSignalClosesRunLog$")
+	cmd.Env = append(os.Environ(), serveChildEnv+"="+log)
+	stderr, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	cmd.Stderr = w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(stderr)
+	ready := false
+	for !ready && sc.Scan() {
+		ready = sc.Text() == "ready"
+	}
+	if !ready {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatal("child never reported ready")
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("child after SIGINT: %v, want exit 0", err)
+	}
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		t.Fatalf("run log ends mid-line (%d bytes)", len(data))
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("line %d is not JSON: %q", i+1, line)
+		}
+	}
+	if len(lines) != serveChildRecords {
+		t.Errorf("run log has %d records, want %d", len(lines), serveChildRecords)
+	}
+}
+
+// serveChildRecords is how many records the child emits before it waits
+// for the signal: enough to spill the log's buffer at least once, so the
+// file holds a cut record until the log is closed.
+const serveChildRecords = 500
+
+// serveChild is the child side of TestServeSignalClosesRunLog: it serves
+// an observatory, emits records into an unflushed run log, reports ready
+// and waits for the signal to end it.
+func serveChild(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		panic(err)
+	}
+	jsonl := obs.NewJSONLSink(f)
+	s := New(Config{Addr: "127.0.0.1:0"})
+	if _, err := s.Serve("child", func() { jsonl.Close() }); err != nil {
+		panic(err)
+	}
+	sinks := obs.MultiSink{jsonl, s.Sink()}
+	for i := 0; i < serveChildRecords; i++ {
+		sinks.Emit(obs.RunRecord{Label: "serve", Phase: 2, Trial: i, Seed: int64(i)})
+	}
+	fmt.Fprintln(os.Stderr, "ready")
+	time.Sleep(time.Minute)
+	os.Exit(3)
 }

@@ -86,6 +86,57 @@ func TestDeadlockWithWaitingThreadsUnwinds(t *testing.T) {
 	}
 }
 
+// TestDeadlockInfoShowsJoinCycle: main joins its child while the child
+// joins main, so every schedule deadlocks with both threads blocked on a
+// join and neither on a lock.
+func TestDeadlockInfoShowsJoinCycle(t *testing.T) {
+	res := Run(func(mt *Thread) {
+		a := mt.Fork("a", func(c *Thread) { c.Join(mt) })
+		mt.Join(a)
+	}, Config{Seed: 1})
+	if res.Deadlock == nil {
+		t.Fatal("join cycle did not deadlock")
+	}
+	if len(res.Deadlock.Blocked) != 2 {
+		t.Fatalf("blocked set = %v, want both threads", res.Deadlock)
+	}
+	for _, b := range res.Deadlock.Blocked {
+		if b.Lock != event.NoLock || !strings.HasPrefix(b.Pending, "join ") {
+			t.Errorf("%s blocked on %q (lock %v), want a join", b.Name, b.Pending, b.Lock)
+		}
+	}
+}
+
+// TestDeadlockInfoShowsLockAndJoinEdges: main holds L and joins a child
+// blocked acquiring L. The deadlock names the child's lock and main's join.
+func TestDeadlockInfoShowsLockAndJoinEdges(t *testing.T) {
+	var lk event.LockID
+	res := Run(func(mt *Thread) {
+		lk = mt.Scheduler().NewLock("L")
+		mt.LockAcquire(lk, stmt("dlj:main-acq"))
+		w := mt.Fork("w", func(c *Thread) {
+			c.LockAcquire(lk, stmt("dlj:w-acq"))
+			c.LockRelease(lk, stmt("dlj:w-rel"))
+		})
+		mt.Join(w)
+	}, Config{Seed: 7})
+	if res.Deadlock == nil {
+		t.Fatal("lock/join program did not deadlock")
+	}
+	var sawLock, sawJoin bool
+	for _, b := range res.Deadlock.Blocked {
+		switch {
+		case b.Name == "w" && b.Lock == lk:
+			sawLock = true
+		case b.Name == "main" && b.Lock == event.NoLock && strings.HasPrefix(b.Pending, "join "):
+			sawJoin = true
+		}
+	}
+	if !sawLock || !sawJoin || len(res.Deadlock.Blocked) != 2 {
+		t.Fatalf("deadlock = %v, want w blocked on L and main on its join", res.Deadlock)
+	}
+}
+
 func TestResultCounters(t *testing.T) {
 	var final int
 	res := Run(counterProgram(3, 2, &final), Config{Seed: 8, Name: "counters"})

@@ -74,8 +74,6 @@ func (s *Scheduler) reset(cfg Config) {
 	s.nextLoc = 0
 
 	s.rounds = 0
-	s.inspSlot = nil
-	s.finalSnap = nil
 	s.steps = 0
 	s.aborted = false
 	s.lastGranted = event.NoThread
@@ -101,8 +99,6 @@ func (s *Scheduler) release() {
 	s.policy = nil
 	s.observers, s.deciders, s.actors = s.observers[:0], s.deciders[:0], s.actors[:0]
 	s.prof = nil
-	s.inspSlot = nil
-	s.finalSnap = nil
 	s.exceptions = nil
 	s.deadlock = nil
 	s.crash = nil

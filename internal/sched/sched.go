@@ -72,18 +72,12 @@ type Config struct {
 	MaxSteps int
 	// Name labels the execution in reports.
 	Name string
-	// Introspect, when non-nil, registers the execution for live read-only
-	// state snapshots (the observatory's /debug/sched): the scheduler
-	// checks one atomic flag per round and publishes an immutable
-	// RunSnapshot only when a reader requested one. Nil costs a single nil
-	// check per round and never perturbs the schedule.
-	Introspect *Introspector
 	// Prof, when non-nil, records the run's performance timeline: per-grant
 	// wait and service latency, enabled-set sizes, decision rounds and
 	// phase marks (internal/schedprof). Recording is clock reads plus
 	// writes into the trial's preallocated rings on the granting
 	// goroutine, so it never perturbs the schedule; nil costs one nil check
-	// per probe site, mirroring Introspect.
+	// per probe site.
 	Prof *schedprof.Trial
 }
 
@@ -175,10 +169,8 @@ type Scheduler struct {
 	locs    []locEntry
 	nextLoc event.MemLoc
 
-	prof      *schedprof.Trial
-	rounds    int
-	inspSlot  *runSlot
-	finalSnap *RunSnapshot // captured by finish, before teardown
+	prof   *schedprof.Trial
+	rounds int
 
 	steps       int
 	aborted     bool // shutdown: every thread unwinds at its next grant
@@ -219,18 +211,6 @@ func Run(main func(*Thread), cfg Config) *Result {
 	s := getScheduler()
 	defer putScheduler(s)
 	s.reset(cfg)
-	if cfg.Introspect != nil {
-		s.inspSlot = cfg.Introspect.register()
-		defer func() {
-			// Prefer the snapshot captured by finish: shutdown has since
-			// unwound any blocked threads.
-			final := s.finalSnap
-			if final == nil {
-				final = s.buildSnapshot(true)
-			}
-			cfg.Introspect.unregister(s.inspSlot, final)
-		}()
-	}
 	s.startThread("main", main)
 	if s.prof != nil {
 		s.prof.Mark(schedprof.PhaseLoopEnter)
@@ -372,7 +352,6 @@ func (s *Scheduler) schedule(self *Thread) bool {
 			s.wake(t)
 			return false
 		}
-		s.pollIntrospect()
 		enabled := s.enabledThreads()
 		if len(enabled) == 0 || s.steps >= s.maxSteps {
 			s.finished = true
@@ -415,10 +394,6 @@ func (s *Scheduler) schedule(self *Thread) bool {
 // record a deadlock if live threads remain with none enabled, or abort at
 // the step limit.
 func (s *Scheduler) finish() {
-	// Capture the final introspection snapshot before shutdown: the teardown
-	// unwinds blocked threads, which would erase the very wait-for graph a
-	// deadlock snapshot exists to show.
-	s.finalizeIntrospect()
 	if len(s.enabledThreads()) == 0 {
 		if alive := s.aliveThreads(); len(alive) > 0 {
 			s.recordDeadlock(alive)

@@ -30,22 +30,6 @@ const (
 	tsDead
 )
 
-func (s threadStatus) String() string {
-	switch s {
-	case tsRunning:
-		return "running"
-	case tsParked:
-		return "parked"
-	case tsWaiting:
-		return "waiting"
-	case tsNotified:
-		return "notified"
-	case tsDead:
-		return "dead"
-	}
-	return fmt.Sprintf("status(%d)", int(s))
-}
-
 // abortSentinel is panicked inside model threads when the scheduler shuts an
 // execution down (step limit, external abort); the thread runner recognizes
 // it and does not record it as a model exception.

@@ -3,8 +3,8 @@
 // aggregated post-trial into obs histograms and exportable as a Chrome
 // trace-event file (Perfetto, chrome://tracing).
 //
-// It follows the same two design rules as the obs package and the
-// Introspector (see DESIGN.md, "Observability"):
+// It follows the same two design rules as the obs package (see DESIGN.md,
+// "Scheduler performance observatory"):
 //
 //   - Zero-overhead off switch. internal/sched carries one nil check per
 //     probe site (`if s.prof != nil`); with no Trial attached the hot path
