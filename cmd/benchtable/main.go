@@ -16,7 +16,7 @@
 //
 // -json writes the JSONL run log and -http serves the live observatory
 // (/events, /debug/perf, /healthz) like cmd/racefuzzer; SIGINT under -http
-// closes the run log and exits 0.
+// or -json closes the run log and exits 0.
 package main
 
 import (
@@ -93,7 +93,7 @@ func main() {
 
 	// The JSONL run log and the observatory sink fan in together; the
 	// provenance header leads the log like cmd/racefuzzer's.
-	var jsonl *obs.JSONLSink
+	var closeLog func() // nil without -json
 	var sinks obs.MultiSink
 	if *jsonLog != "" {
 		f, err := os.Create(*jsonLog)
@@ -101,26 +101,25 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
 			os.Exit(1)
 		}
-		jsonl = obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
+		jsonl := obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
 		sinks = append(sinks, jsonl)
-	}
-	closeLog := func() {
-		if jsonl == nil {
-			return
-		}
-		if err := jsonl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
+		closeLog = func() {
+			if err := jsonl.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
+			}
 		}
 	}
-	// SIGINT/SIGTERM under -http ends the run: the run log closes on a
-	// whole record, subscribers get a final snapshot, and the exit is 0.
+	// SIGINT/SIGTERM under -http or -json ends the run: the run log closes
+	// on a whole record, subscribers get a final snapshot, and the exit is 0.
 	stopObsv, err := obsv.Serve("benchtable", closeLog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtable: -http: %v\n", err)
 		os.Exit(1)
 	}
 	defer stopObsv()
-	defer closeLog()
+	if closeLog != nil {
+		defer closeLog()
+	}
 	if s := obsv.Sink(); s != nil {
 		sinks = append(sinks, s)
 	}

@@ -5,7 +5,6 @@
 //	campaignreport -dir campaign/                      # markdown to stdout
 //	campaignreport -dir campaign/ -md report.md -csv report.csv
 //	campaignreport -log run.jsonl -corpusdir corpus -csv report.csv
-//	campaignreport -checkspans corpus/fleetspans.jsonl # validate a span trail
 //
 // The report covers discovery curves (new signatures / coverage cells vs
 // trials), trials-to-first-confirm distributions, per-round dedup trends, a
@@ -27,38 +26,17 @@ import (
 	"os"
 
 	"racefuzzer/internal/analytics"
-	"racefuzzer/internal/fleetspan"
 )
 
 func main() {
 	var (
-		dir       = flag.String("dir", "", "campaign directory holding the run log (run.jsonl, else the first *.jsonl that is not a corpus or span-trail file) and/or the corpus (MANIFEST.json, or a corpus/ subdirectory)")
+		dir       = flag.String("dir", "", "campaign directory holding the run log (run.jsonl, else the first *.jsonl that is not a corpus file) and/or the corpus (MANIFEST.json, or a corpus/ subdirectory)")
 		log       = flag.String("log", "", "JSONL run log to analyze (alternative to -dir)")
 		corpusDir = flag.String("corpusdir", "", "corpus directory to analyze (alternative to -dir)")
 		csvOut    = flag.String("csv", "", "write the multi-section CSV tables to this file")
 		mdOut     = flag.String("md", "", "write the markdown report to this file (default: stdout when no other output is chosen)")
-		checkSpan = flag.String("checkspans", "", "validate a fleetspans.jsonl span trail against the schema (causal order, identity, outcome vocabulary) and print a summary; exits nonzero on any violation")
 	)
 	flag.Parse()
-
-	if *checkSpan != "" {
-		trails, err := fleetspan.LoadTrails(*checkSpan)
-		if err != nil {
-			fatal(err)
-		}
-		ingested, stitched := 0, 0
-		for _, tr := range trails {
-			if tr.Outcome == fleetspan.OutcomeIngested {
-				ingested++
-				if tr.Stitched() {
-					stitched++
-				}
-			}
-		}
-		fmt.Printf("campaignreport: %s: %d attempts valid (%d ingested, %d stitched)\n",
-			*checkSpan, len(trails), ingested, stitched)
-		return
-	}
 
 	var r *analytics.Report
 	switch {

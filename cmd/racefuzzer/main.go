@@ -30,8 +30,8 @@
 // progress lines to stderr, and -cpuprofile/-memprofile write pprof
 // profiles of the campaign. -http serves the live campaign observatory (see
 // README "Live monitoring"): an SSE /events stream and /debug/perf
-// scheduler latency aggregates; SIGINT then closes the -json log and exits
-// 0. The live coverage frontier is cmd/campaignreport -log over a
+// scheduler latency aggregates. SIGINT under -http or -json closes the -json
+// log and exits 0. The live coverage frontier is cmd/campaignreport -log over a
 // -jsonflush run log. -perfdir exports a Perfetto
 // timeline (Chrome trace-event JSON, open in https://ui.perfetto.dev) of
 // each target's first confirming trial.
@@ -41,9 +41,12 @@
 // remote worker processes, which join with -worker <coordinator URL>. All
 // corpus writes stay on the coordinator; workers stream result batches
 // back over leases, so the fleet's corpus and findings match the
-// single-process campaign at the same budget. -version prints this build's
-// provenance — coordinator and workers should run identical builds, since
-// that is what makes leased batches re-executable bit-identically.
+// single-process campaign at the same budget. With -timing the coordinator
+// asks its workers to stamp durationNs on the records they stream back, so
+// a fleet's -json log carries per-run wall time like a local one. -version
+// prints this build's provenance — coordinator and workers should run
+// identical builds, since that is what makes leased batches re-executable
+// bit-identically.
 //
 // Analytics flags (see README "Campaign reports"): -report renders the
 // offline campaign report (markdown) from a directory holding a run log
@@ -59,7 +62,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -71,7 +73,6 @@ import (
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/fleet"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
@@ -111,10 +112,9 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
-		coordAddr  = flag.String("coordinate", "", "with -budget: serve a fleet coordinator on this address (e.g. :7070) and run the campaign on remote -worker processes instead of in-process")
-		fleetTrace = flag.Bool("fleettrace", false, "with -coordinate: record the fleet flight recorder — per-unit lifecycle spans stitched across worker clocks, saved as fleetspans.jsonl + a Perfetto trace next to the corpus")
-		workerURL  = flag.String("worker", "", "run as a fleet worker: pull leased trial batches from the coordinator at this base URL (e.g. http://host:7070) until its campaign completes")
-		version    = flag.Bool("version", false, "print the tool's build provenance (version, commit, toolchain) and exit")
+		coordAddr = flag.String("coordinate", "", "with -budget: serve a fleet coordinator on this address (e.g. :7070) and run the campaign on remote -worker processes instead of in-process")
+		workerURL = flag.String("worker", "", "run as a fleet worker: pull leased trial batches from the coordinator at this base URL (e.g. http://host:7070) until its campaign completes")
+		version   = flag.Bool("version", false, "print the tool's build provenance (version, commit, toolchain) and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -338,15 +338,20 @@ func main() {
 	prov := obs.CollectProvenance("racefuzzer", provLabel, setFlags)
 	store.SetProvenance(prov)
 	var sinks obs.MultiSink
-	var jsonl *obs.JSONLSink
+	var closeLog func() // nil without -json
 	if *jsonLog != "" {
 		f, err := os.Create(*jsonLog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
 			os.Exit(1)
 		}
-		jsonl = obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
+		jsonl := obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
 		sinks = append(sinks, jsonl)
+		closeLog = func() {
+			if err := jsonl.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
+			}
+		}
 	}
 	var prog *obs.Progress
 	if *progress {
@@ -362,20 +367,10 @@ func main() {
 	// Fleet coordinator: created before the observatory starts so its
 	// /fleet/status endpoint rides the observatory mux.
 	var coord *fleet.Coordinator
-	var spans *fleetspan.Collector
 	fleetStore := store
 	if *coordAddr != "" {
 		if fleetStore == nil {
 			fleetStore = corpus.NewStore()
-		}
-		if *fleetTrace {
-			// The span-ID token comes from build provenance: deterministic
-			// across identical builds, distinguishable across versions.
-			token := prov.Commit
-			if token == "" {
-				token = "campaign"
-			}
-			spans = fleetspan.NewCollector(fleetspan.Config{Token: token})
 		}
 		coord = fleet.NewCoordinator(fleet.CoordinatorConfig{
 			Addr:       *coordAddr,
@@ -383,27 +378,17 @@ func main() {
 			Workers:    *workers,
 			Metrics:    campaign,
 			Sink:       opts.Sink,
+			Timing:     opts.Timing,
 			Provenance: prov,
-			Spans:      spans,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "racefuzzer: "+format+"\n", args...)
 			},
 		})
 		obsv.Handle("/fleet/status", coord.StatusHandler())
-	} else if *fleetTrace {
-		fmt.Fprintln(os.Stderr, "racefuzzer: -fleettrace requires -coordinate (the flight recorder traces fleet campaigns)")
-		os.Exit(2)
 	}
-	closeLog := func() {
-		if jsonl == nil {
-			return
-		}
-		if err := jsonl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
-		}
-	}
-	// SIGINT/SIGTERM under -http ends the campaign: the run log closes on
-	// a whole record, subscribers get a final snapshot, and the exit is 0.
+	// SIGINT/SIGTERM under -http or -json ends the campaign: the run log
+	// closes on a whole record, subscribers get a final snapshot, and the
+	// exit is 0.
 	stopObsv, err := obsv.Serve("racefuzzer", closeLog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racefuzzer: -http: %v\n", err)
@@ -411,7 +396,9 @@ func main() {
 	}
 	finishObservers := func() {
 		prog.Finish()
-		closeLog()
+		if closeLog != nil {
+			closeLog()
+		}
 		stopObsv()
 		if *metrics {
 			fmt.Println()
@@ -471,9 +458,6 @@ func main() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			coord.Shutdown(ctx)
 			cancel()
-			if spans != nil {
-				saveFleetTrail(spans, *corpusDir)
-			}
 		} else {
 			rows = harness.RunAdaptiveCampaign(names, copt)
 		}
@@ -586,26 +570,6 @@ func realRace(a flightrec.Action) core.RealRace {
 		Candidate: event.ThreadID(a.Thread), Postponed: postponed,
 		Step: a.Step, CandidateFirst: a.CandidateFirst,
 	}
-}
-
-// saveFleetTrail persists the flight recorder's artifacts next to the
-// corpus findings: the schema-validatable fleetspans.jsonl trail and a
-// Perfetto-loadable trace. Without -corpusdir they land in the working
-// directory — the trail is a side channel, never part of corpus identity.
-func saveFleetTrail(spans *fleetspan.Collector, corpusDir string) {
-	trails := spans.Trails()
-	trailPath := filepath.Join(corpusDir, fleetspan.TrailFile)
-	if err := fleetspan.WriteTrails(trailPath, trails); err != nil {
-		fmt.Fprintf(os.Stderr, "racefuzzer: -fleettrace: %v\n", err)
-		return
-	}
-	perfettoPath := filepath.Join(corpusDir, "fleettrace.json")
-	if err := fleetspan.SaveTrace(perfettoPath, trails); err != nil {
-		fmt.Fprintf(os.Stderr, "racefuzzer: -fleettrace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "racefuzzer: fleet trace: %d unit attempt(s) -> %s, %s (load in https://ui.perfetto.dev)\n",
-		len(trails), trailPath, perfettoPath)
 }
 
 // portOf extracts the port of a host:port listen address (for the join hint

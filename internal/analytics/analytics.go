@@ -33,7 +33,6 @@ import (
 	"sort"
 
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
 )
@@ -69,11 +68,6 @@ type Campaign struct {
 	// Witnesses summarizes the flight recordings archived under the corpus
 	// witnesses directory, keyed by pipeline kind.
 	Witnesses []KindCount
-
-	// Trails is the fleet span trail (fleetspans.jsonl) when the campaign ran
-	// as a traced fleet; SpansName is its display basename.
-	Trails    []fleetspan.UnitTrail
-	SpansName string
 }
 
 // KindCount is a (name, count) pair used for per-kind breakdowns.
@@ -88,8 +82,6 @@ type Source struct {
 	Log string
 	// CorpusDir is the corpus directory ("" = no corpus).
 	CorpusDir string
-	// Spans is the fleet span trail path ("" = untraced / single-process).
-	Spans string
 }
 
 // Load ingests the named artifacts. At least one of Log and CorpusDir must
@@ -112,28 +104,21 @@ func Load(src Source) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	if src.Spans != "" {
-		trails, err := fleetspan.LoadTrails(src.Spans)
-		if err != nil {
-			return nil, fmt.Errorf("analytics: %w", err)
-		}
-		c.Trails = trails
-		c.SpansName = filepath.Base(src.Spans)
-	}
 	return c, nil
 }
 
 // notRunLogs are the JSONL files a corpus directory holds that are not run
-// logs: the corpus's findings and coverage, and the fleet span trail.
+// logs: the corpus's findings and coverage, and the fleet span trail that
+// campaign directories written by older builds still carry.
 var notRunLogs = map[string]bool{
-	"findings.jsonl":    true,
-	"coverage.jsonl":    true,
-	fleetspan.TrailFile: true,
+	"findings.jsonl":   true,
+	"coverage.jsonl":   true,
+	"fleetspans.jsonl": true,
 }
 
 // LoadDir ingests a campaign directory: the run log is <dir>/run.jsonl or,
-// failing that, the lexically first other *.jsonl file in dir that is not a
-// corpus or span-trail file; the corpus is dir itself when it holds a
+// failing that, the lexically first other *.jsonl file in dir that is not
+// listed in notRunLogs; the corpus is dir itself when it holds a
 // MANIFEST.json, else <dir>/corpus if that does. Either artifact may be
 // absent, but not both.
 func LoadDir(dir string) (*Campaign, error) {
@@ -153,13 +138,6 @@ func LoadDir(dir string) (*Campaign, error) {
 		src.CorpusDir = dir
 	} else if _, err := os.Stat(filepath.Join(dir, "corpus", "MANIFEST.json")); err == nil {
 		src.CorpusDir = filepath.Join(dir, "corpus")
-	}
-	// The fleet span trail sits next to the corpus artifacts.
-	for _, d := range []string{dir, filepath.Join(dir, "corpus")} {
-		if _, err := os.Stat(filepath.Join(d, fleetspan.TrailFile)); err == nil {
-			src.Spans = filepath.Join(d, fleetspan.TrailFile)
-			break
-		}
 	}
 	if src.Log == "" && src.CorpusDir == "" {
 		return nil, fmt.Errorf("analytics: %s: no run log (*.jsonl) or corpus (MANIFEST.json) found", dir)

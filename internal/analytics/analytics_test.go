@@ -9,7 +9,6 @@ import (
 
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
@@ -115,7 +114,9 @@ func TestLoadDirSkipsCorpusFiles(t *testing.T) {
 	dir := t.TempDir()
 	writeCampaign(t, dir, 7)
 	corpusDir := filepath.Join(dir, "corpus")
-	if err := os.WriteFile(filepath.Join(corpusDir, fleetspan.TrailFile), nil, 0o644); err != nil {
+	// fleetspans.jsonl: the span trail older fleet campaigns left beside
+	// the corpus.
+	if err := os.WriteFile(filepath.Join(corpusDir, "fleetspans.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := LoadDir(corpusDir)

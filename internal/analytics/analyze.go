@@ -23,8 +23,6 @@ type Report struct {
 	Frontier FrontierStats
 	Audit    []AuditRow
 	Checks   []ReconcileCheck
-	// Fleet is the fleet-tracing section (nil for untraced campaigns).
-	Fleet *FleetStats
 
 	Witnesses []KindCount
 }
@@ -33,7 +31,6 @@ type Report struct {
 type SourceInfo struct {
 	LogName         string
 	CorpusName      string
-	SpansName       string
 	LogTruncated    bool
 	CorpusTruncated bool
 }
@@ -208,7 +205,7 @@ func (r ReconcileCheck) Match() bool { return r.Log == r.Corpus }
 func Analyze(c *Campaign) *Report {
 	r := &Report{
 		Sources: SourceInfo{
-			LogName: c.LogName, CorpusName: c.CorpusName, SpansName: c.SpansName,
+			LogName: c.LogName, CorpusName: c.CorpusName,
 			LogTruncated: c.LogTruncated, CorpusTruncated: c.CorpusTruncated,
 		},
 		Provenance:       c.Provenance,
@@ -221,7 +218,6 @@ func Analyze(c *Campaign) *Report {
 	r.Frontier = frontier(c)
 	r.Audit = banditAudit(c.Records)
 	r.Checks = reconcile(c, r.Totals)
-	r.Fleet = fleetStats(c.Trails)
 	return r
 }
 

@@ -18,7 +18,6 @@ func Markdown(r *Report) string {
 	writeRoundsMD(&b, r)
 	writeFrontierMD(&b, r)
 	writeAuditMD(&b, r)
-	writeFleetMD(&b, r)
 	writeChecksMD(&b, r)
 	return b.String()
 }
@@ -38,9 +37,6 @@ func writeSourcesMD(b *strings.Builder, r *Report) {
 			note = " (truncated final line skipped)"
 		}
 		fmt.Fprintf(b, "- corpus: `%s`%s\n", r.Sources.CorpusName, note)
-	}
-	if r.Sources.SpansName != "" {
-		fmt.Fprintf(b, "- fleet span trail: `%s`\n", r.Sources.SpansName)
 	}
 	if p := r.Provenance; p != nil {
 		fmt.Fprintf(b, "- log provenance: %s\n", p.String())
@@ -157,33 +153,6 @@ func writeAuditMD(b *strings.Builder, r *Report) {
 	b.WriteString("\n")
 }
 
-func writeFleetMD(b *strings.Builder, r *Report) {
-	f := r.Fleet
-	if f == nil {
-		return
-	}
-	b.WriteString("## Fleet tracing\n\n")
-	fmt.Fprintf(b, "| Attempts | Ingested | Requeued | Dropped | Stitched | Clamped | Time lost to requeues |\n|---:|---:|---:|---:|---:|---:|---:|\n| %d | %d | %d | %d | %d | %d | %s |\n\n",
-		f.Attempts, f.Ingested, f.Requeued, f.Dropped, f.Stitched, f.Clamped, durNs(f.TimeLostToRequeuesNs))
-	if len(f.Workers) > 0 {
-		b.WriteString("| Worker | Ingested | Dropped | Lease p50 | Lease p95 | Exec p50 | Exec p95 |\n|---|---:|---:|---:|---:|---:|---:|\n")
-		for _, w := range f.Workers {
-			fmt.Fprintf(b, "| %s | %d | %d | %s | %s | %s | %s |\n",
-				w.Worker, w.Ingested, w.Dropped,
-				durNs(w.LeaseLatP50Ns), durNs(w.LeaseLatP95Ns), durNs(w.ExecP50Ns), durNs(w.ExecP95Ns))
-		}
-		b.WriteString("\n")
-	}
-	if len(f.Waterfall) > 0 {
-		b.WriteString("### Span-phase waterfall (mean ingested attempt)\n\n")
-		b.WriteString("| Phase | Attempts | Mean | Total |\n|---|---:|---:|---:|\n")
-		for _, p := range f.Waterfall {
-			fmt.Fprintf(b, "| %s | %d | %s | %s |\n", p.Phase, p.Count, durNs(p.MeanNs), durNs(p.TotalNs))
-		}
-		b.WriteString("\n")
-	}
-}
-
 func writeChecksMD(b *strings.Builder, r *Report) {
 	if len(r.Checks) == 0 {
 		return
@@ -233,40 +202,11 @@ func CSV(r *Report) string {
 	for _, a := range r.Audit {
 		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%s\n", a.Round, csvField(a.Target), a.Trials, a.NewSigs, a.NewCells, a.Flag)
 	}
-	if f := r.Fleet; f != nil {
-		b.WriteString("\n# fleet\nattempts,ingested,requeued,dropped,stitched,clamped,time_lost_requeues_ns\n")
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d\n", f.Attempts, f.Ingested, f.Requeued, f.Dropped, f.Stitched, f.Clamped, f.TimeLostToRequeuesNs)
-		b.WriteString("\n# fleet_workers\nworker,ingested,dropped,lease_p50_ns,lease_p95_ns,exec_p50_ns,exec_p95_ns\n")
-		for _, w := range f.Workers {
-			fmt.Fprintf(&b, "%s,%d,%d,%d,%d,%d,%d\n", csvField(w.Worker), w.Ingested, w.Dropped,
-				w.LeaseLatP50Ns, w.LeaseLatP95Ns, w.ExecP50Ns, w.ExecP95Ns)
-		}
-		b.WriteString("\n# fleet_waterfall\nphase,count,mean_ns,total_ns\n")
-		for _, p := range f.Waterfall {
-			fmt.Fprintf(&b, "%s,%d,%d,%d\n", csvField(p.Phase), p.Count, p.MeanNs, p.TotalNs)
-		}
-	}
-
 	b.WriteString("\n# reconcile\ncheck,log,corpus,match\n")
 	for _, c := range r.Checks {
 		fmt.Fprintf(&b, "%s,%d,%d,%s\n", csvField(c.Name), c.Log, c.Corpus, yesNo(c.Match()))
 	}
 	return b.String()
-}
-
-// durNs renders a nanosecond duration human-readably and deterministically.
-func durNs(ns int64) string {
-	switch {
-	case ns <= 0:
-		return "-"
-	case ns >= 1e9:
-		return num(float64(ns)/1e9) + "s"
-	case ns >= 1e6:
-		return num(float64(ns)/1e6) + "ms"
-	case ns >= 1e3:
-		return num(float64(ns)/1e3) + "µs"
-	}
-	return fmt.Sprintf("%dns", ns)
 }
 
 // num renders a float deterministically with trailing zeros trimmed (so

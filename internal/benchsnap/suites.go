@@ -31,7 +31,7 @@ func (o SuiteOptions) withDefaults() SuiteOptions {
 }
 
 // Suites names the suites cmd/benchsnap can run.
-func Suites() []string { return []string{"sched", "fleetspan"} }
+func Suites() []string { return []string{"sched"} }
 
 // RunSuite dispatches by suite name. The returned timeline (may be nil) is
 // a Perfetto-exportable sample trial for CI failure artifacts.
@@ -40,8 +40,6 @@ func RunSuite(suite string, o SuiteOptions) (*Snapshot, *schedprof.Timeline, err
 	case "sched":
 		s, tl := SchedSuite(o)
 		return s, tl, nil
-	case "fleetspan":
-		return FleetspanSuite(o), nil, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown suite %q (have %v)", suite, Suites())
 	}

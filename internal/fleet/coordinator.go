@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
@@ -64,11 +63,9 @@ type CoordinatorConfig struct {
 	// stream back, re-emitted in deterministic unit order.
 	Metrics *obs.CampaignMetrics
 	Sink    obs.Sink
-	// Spans, when non-nil, turns on distributed unit-lifecycle tracing: the
-	// collector records every queued→leased→result→ingested transition and
-	// stitches worker sub-spans into the trail saved as fleetspans.jsonl.
-	// Nil is the zero-overhead untraced default.
-	Spans *fleetspan.Collector
+	// Timing asks workers to stamp durationNs on the run records they
+	// stream back (CampaignInfo.Timing), as -timing does in-process.
+	Timing bool
 	// LeaseTTL overrides DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// Clock overrides the system clock (tests).
@@ -126,7 +123,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	return &Coordinator{
 		cfg:      cfg,
 		clock:    clock,
-		table:    newLeaseTable(clock, cfg.LeaseTTL, cfg.Spans),
+		table:    newLeaseTable(clock, cfg.LeaseTTL),
 		gen:      fmt.Sprintf("g-%d-%d", os.Getpid(), time.Now().UnixNano()),
 		maxBody:  maxRequestBytes,
 		workers:  make(map[string]*workerInfo),
@@ -267,7 +264,6 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 		}
 		begin(i)
 		c.mergeResult(res)
-		c.cfg.Spans.UnitIngested(ids[i])
 		done(i, harness.UnitOutcome{Trials: res.Trials, Potential: res.Potential})
 	}
 	return nil
@@ -320,7 +316,7 @@ func (c *Coordinator) campaignInfo() CampaignInfo {
 		Workers:   c.cfg.Workers,
 		Witnesses: c.cfg.Store.WitnessDir() != "",
 		Records:   c.cfg.Metrics != nil || c.cfg.Sink != nil,
-		Trace:     c.cfg.Spans.Enabled(),
+		Timing:    c.cfg.Timing,
 	}
 }
 
@@ -410,8 +406,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !c.touchWorker(w, req.WorkerID, req.Generation) {
 		return
 	}
-	// Even a lost lease's heartbeat teaches the worker's clock offset.
-	c.cfg.Spans.Heartbeat(req.WorkerID, req.UnitID, req.SentUnixNs)
 	ok := c.table.heartbeat(req.WorkerID, req.UnitID, req.Epoch)
 	writeJSON(w, HeartbeatResponse{OK: ok, Lost: !ok})
 }

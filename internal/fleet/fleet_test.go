@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
@@ -45,15 +44,15 @@ func TestFleetCampaignMatchesSingleProcess(t *testing.T) {
 	testFleetMatchesSingleProcess(t, false)
 }
 
-// TestFleetCampaignMatchesSingleProcessTraced re-runs the determinism
-// contract with fleetspan tracing on: span capture must not perturb any
-// campaign artifact, and the trail itself must validate, stitch worker
-// sub-spans, and export to Perfetto.
-func TestFleetCampaignMatchesSingleProcessTraced(t *testing.T) {
+// TestFleetCampaignMatchesSingleProcessTimed re-runs the determinism
+// contract with a run-record sink and Timing on: the coordinator must hand
+// Timing to its workers, so every streamed record carries its wall-clock
+// durationNs, and timing must not perturb any corpus artifact.
+func TestFleetCampaignMatchesSingleProcessTimed(t *testing.T) {
 	testFleetMatchesSingleProcess(t, true)
 }
 
-func testFleetMatchesSingleProcess(t *testing.T, traced bool) {
+func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 	names := []string{"figure1", "vector"}
 	opt := func(store *corpus.Store) harness.CampaignOptions {
 		return harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 2, Corpus: store}
@@ -77,8 +76,9 @@ func testFleetMatchesSingleProcess(t *testing.T, traced bool) {
 		t.Fatal(err)
 	}
 	cfg := CoordinatorConfig{Store: store, LeaseTTL: 5 * time.Second}
-	if traced {
-		cfg.Spans = fleetspan.NewCollector(fleetspan.Config{Token: "e2e"})
+	sink := &recordingSink{}
+	if timed {
+		cfg.Sink, cfg.Timing = sink, true
 	}
 	coord := startCoordinator(t, cfg)
 	coord.SetTargets(names)
@@ -145,35 +145,15 @@ func testFleetMatchesSingleProcess(t *testing.T, traced bool) {
 		t.Fatalf("fleet status after campaign: %+v", st)
 	}
 
-	if traced {
-		// The span trail must cover every unit, validate against the schema
-		// after a disk round trip, carry stitched worker sub-spans, and
-		// export to a loadable Perfetto trace.
-		trailPath := filepath.Join(fleetDir, fleetspan.TrailFile)
-		if err := fleetspan.WriteTrails(trailPath, cfg.Spans.Trails()); err != nil {
-			t.Fatalf("write trail: %v", err)
+	if timed {
+		recs := sink.take()
+		if len(recs) == 0 {
+			t.Fatal("timed fleet campaign streamed no run records")
 		}
-		trails, err := fleetspan.LoadTrails(trailPath)
-		if err != nil {
-			t.Fatalf("trail does not validate: %v", err)
-		}
-		ingested, stitched := 0, 0
-		for _, tr := range trails {
-			if tr.Outcome == fleetspan.OutcomeIngested {
-				ingested++
-				if tr.Stitched() {
-					stitched++
-				}
+		for _, rec := range recs {
+			if rec.DurationNs <= 0 {
+				t.Fatalf("record %s phase %d trial %d has durationNs %d, want > 0", rec.Label, rec.Phase, rec.Trial, rec.DurationNs)
 			}
-		}
-		if ingested != st.UnitsDone {
-			t.Errorf("trail has %d ingested attempts, status says %d units done", ingested, st.UnitsDone)
-		}
-		if stitched != ingested {
-			t.Errorf("only %d/%d ingested attempts carry stitched worker spans", stitched, ingested)
-		}
-		if evs := fleetspan.Events(trails); len(evs) == 0 {
-			t.Error("Perfetto export is empty")
 		}
 	}
 }
@@ -502,15 +482,19 @@ func scriptedControlPlane(t *testing.T, result http.HandlerFunc) *http.ServeMux 
 	return mux
 }
 
-// endlessBody is a request body that never ends: a JSON string that keeps
-// growing. It counts what the server pulled from it.
-type endlessBody struct{ read int64 }
+// endlessBody is a request body that never ends: prefix, then 'a' bytes
+// forever, which never close a JSON value. It counts what the server pulled
+// from it.
+type endlessBody struct {
+	prefix []byte
+	read   int64
+}
 
 func (b *endlessBody) Read(p []byte) (int, error) {
 	for i := range p {
 		p[i] = 'a'
-		if b.read+int64(i) < int64(len(`{"name":"`)) {
-			p[i] = `{"name":"`[b.read+int64(i)]
+		if j := b.read + int64(i); j < int64(len(b.prefix)) {
+			p[i] = b.prefix[j]
 		}
 	}
 	b.read += int64(len(p))
@@ -524,7 +508,7 @@ func TestCoordinatorRejectsOversizeRequests(t *testing.T) {
 	coord := startCoordinator(t, CoordinatorConfig{Store: corpus.NewStore()})
 	coord.maxBody = 4 << 10
 
-	body := &endlessBody{}
+	body := &endlessBody{prefix: []byte(`{"name":"`)}
 	rec := httptest.NewRecorder()
 	coord.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/register", body))
 	if rec.Code != http.StatusRequestEntityTooLarge {

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"racefuzzer/internal/fleetspan"
 )
 
 // Clock abstracts time for the lease table so expiry semantics are testable
@@ -57,10 +55,6 @@ type leaseTable struct {
 	cond  *sync.Cond
 	clock Clock
 	ttl   time.Duration
-	// spans is the campaign flight recorder; nil (the untraced default)
-	// makes every hook below a no-op. The collector has its own lock and
-	// never calls back into the table, so hooks are safe under t.mu.
-	spans *fleetspan.Collector
 
 	epoch   int64
 	units   map[string]*unitState
@@ -72,8 +66,8 @@ type leaseTable struct {
 	dropped  int64
 }
 
-func newLeaseTable(clock Clock, ttl time.Duration, spans *fleetspan.Collector) *leaseTable {
-	t := &leaseTable{clock: clock, ttl: ttl, spans: spans, units: make(map[string]*unitState)}
+func newLeaseTable(clock Clock, ttl time.Duration) *leaseTable {
+	t := &leaseTable{clock: clock, ttl: ttl, units: make(map[string]*unitState)}
 	t.cond = sync.NewCond(&t.mu)
 	return t
 }
@@ -88,7 +82,6 @@ func (t *leaseTable) add(units []WorkUnit) {
 		}
 		t.units[u.ID] = &unitState{unit: u, phase: unitPending}
 		t.queue = append(t.queue, u.ID)
-		t.spans.UnitQueued(u.ID, u.Round, u.TargetIndex, u.Target)
 	}
 	t.cond.Broadcast()
 }
@@ -112,7 +105,6 @@ func (t *leaseTable) lease(worker string) (WorkUnit, int64, bool) {
 	st.epoch = t.epoch
 	st.deadline = t.clock.Now().Add(t.ttl)
 	t.leasedN++
-	t.spans.UnitLeased(id, worker, st.epoch)
 	return st.unit, st.epoch, true
 }
 
@@ -151,12 +143,10 @@ func (t *leaseTable) complete(worker, unitID string, epoch int64, res *UnitResul
 		st.result = res
 		t.leasedN--
 		t.doneN++
-		t.spans.UnitResult(unitID, worker, epoch, true, "", res.Spans)
 		t.cond.Broadcast()
 		return true, ""
 	}
 	t.dropped++
-	t.spans.UnitResult(unitID, worker, epoch, false, reason, nil)
 	return false, reason
 }
 
@@ -175,7 +165,6 @@ func (t *leaseTable) expireLocked(now time.Time) {
 		t.queue = append(t.queue, id)
 		t.leasedN--
 		t.requeues++
-		t.spans.UnitRequeued(id)
 		t.cond.Broadcast() // waiters in lease() poll via awaitDone callers
 	}
 }

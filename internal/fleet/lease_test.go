@@ -44,7 +44,7 @@ func mkUnits(ids ...string) []WorkUnit {
 func TestLeaseHeartbeatAndTimeout(t *testing.T) {
 	clock := newFakeClock()
 	const ttl = 10 * time.Second
-	tbl := newLeaseTable(clock, ttl, nil)
+	tbl := newLeaseTable(clock, ttl)
 	tbl.add(mkUnits("r1-t0"))
 
 	u, epoch, ok := tbl.lease("w1")
@@ -142,7 +142,7 @@ func TestResultAcceptance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
-			tbl := newLeaseTable(clock, ttl, nil)
+			tbl := newLeaseTable(clock, ttl)
 			tbl.add(mkUnits("r1-t0"))
 			unitID, epoch := tc.setup(t, tbl, clock)
 			accepted, reason := tbl.complete("w1", unitID, epoch, &UnitResult{Trials: 1})
@@ -167,7 +167,7 @@ func TestResultAcceptance(t *testing.T) {
 func TestExpiredThenReexecutedUnitCountsOnce(t *testing.T) {
 	clock := newFakeClock()
 	const ttl = 10 * time.Second
-	tbl := newLeaseTable(clock, ttl, nil)
+	tbl := newLeaseTable(clock, ttl)
 	tbl.add(mkUnits("r1-t0", "r1-t1"))
 
 	u1, e1, _ := tbl.lease("w1") // w1 takes r1-t0 and dies
@@ -204,7 +204,7 @@ func TestExpiredThenReexecutedUnitCountsOnce(t *testing.T) {
 // cancellation.
 func TestAwaitDone(t *testing.T) {
 	clock := newFakeClock()
-	tbl := newLeaseTable(clock, time.Minute, nil)
+	tbl := newLeaseTable(clock, time.Minute)
 	tbl.add(mkUnits("a", "b"))
 
 	donec := make(chan error, 1)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/obs"
 )
 
@@ -53,11 +52,11 @@ type CampaignInfo struct {
 	// Records asks workers to stream per-execution obs.RunRecords back so
 	// the coordinator's observatory/run-log sees the whole fleet.
 	Records bool `json:"records"`
-	// Trace asks workers to record lease-received→exec→posted sub-spans and
-	// stamp heartbeats with their local clock, feeding the coordinator's
-	// fleetspan collector. Off, the worker's payloads are byte-identical to
-	// an untraced campaign's.
-	Trace bool `json:"trace,omitempty"`
+	// Timing asks workers to stamp each streamed run record with its
+	// wall-clock durationNs (core.Probes.Timing, the -timing flag). Off, the
+	// registration and the records are byte-identical to an untimed
+	// campaign's.
+	Timing bool `json:"timing,omitempty"`
 }
 
 // RegisterRequest announces a worker to the coordinator.
@@ -113,10 +112,6 @@ type HeartbeatRequest struct {
 	Generation string `json:"generation"`
 	UnitID     string `json:"unitID"`
 	Epoch      int64  `json:"epoch"`
-	// SentUnixNs is the worker's local send time (only when CampaignInfo.Trace
-	// asked for it); the coordinator uses the one-way delta to estimate the
-	// worker's clock offset for span stitching.
-	SentUnixNs int64 `json:"sentUnixNs,omitempty"`
 }
 
 // HeartbeatResponse acknowledges or revokes the lease.
@@ -159,10 +154,6 @@ type UnitResult struct {
 	// Witnesses are captured recordings for batch-locally-new signatures
 	// (only when CampaignInfo.Witnesses asked for them).
 	Witnesses []WitnessPayload `json:"witnesses,omitempty"`
-	// Spans are the worker-local sub-span timestamps (only when
-	// CampaignInfo.Trace asked for them), piggybacked here so tracing adds
-	// no RPC.
-	Spans *fleetspan.WorkerSpans `json:"spans,omitempty"`
 }
 
 // ResultRequest submits a completed batch.

@@ -15,7 +15,6 @@ import (
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/fleetspan"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
@@ -193,12 +192,6 @@ func runLease(ctx context.Context, o WorkerOptions, reg registration, lease Leas
 	if o.Logf != nil {
 		o.Logf("fleet: leased %s (%s, %d trials, seed %d)", unit.ID, unit.Target, unit.Trials, unit.Seed)
 	}
-	// Sub-span recording (lease-received → exec → posted) is on only when the
-	// coordinator asked for tracing; untraced payloads stay byte-identical.
-	var spans *fleetspan.WorkerSpans
-	if reg.info.Trace {
-		spans = &fleetspan.WorkerSpans{LeaseRecvNs: time.Now().UnixNano()}
-	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	var hb sync.WaitGroup
 	hb.Add(1)
@@ -212,9 +205,6 @@ func runLease(ctx context.Context, o WorkerOptions, reg registration, lease Leas
 				return
 			case <-tick.C:
 				req := HeartbeatRequest{WorkerID: reg.workerID, Generation: reg.generation, UnitID: unit.ID, Epoch: lease.Epoch}
-				if reg.info.Trace {
-					req.SentUnixNs = time.Now().UnixNano()
-				}
 				var resp HeartbeatResponse
 				err := postJSON(hbCtx, o.Client, o.Coordinator+"/fleet/heartbeat", req, &resp)
 				if err == nil && resp.Lost && o.Logf != nil {
@@ -223,23 +213,13 @@ func runLease(ctx context.Context, o WorkerOptions, reg registration, lease Leas
 			}
 		}
 	}()
-	if spans != nil {
-		spans.ExecStartNs = time.Now().UnixNano()
-	}
 	res, execErr := o.Execute(unit, reg.info)
-	if spans != nil {
-		spans.ExecEndNs = time.Now().UnixNano()
-	}
 	stopHB()
 	hb.Wait()
 	if execErr != nil {
 		// A batch that cannot execute here (unknown target: registry drift
 		// between builds) cannot execute anywhere better; surface it.
 		return fmt.Errorf("fleet: execute %s: %w", unit.ID, execErr)
-	}
-	if spans != nil {
-		spans.PostedNs = time.Now().UnixNano()
-		res.Spans = spans
 	}
 	return postResult(ctx, o, reg, unit, lease.Epoch, res)
 }
@@ -295,6 +275,7 @@ func ExecuteUnit(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 	}
 	store := corpus.NewStore()
 	o := harness.CampaignOptions{Workers: info.Workers}
+	o.Timing = info.Timing
 	var rec *recordingSink
 	if info.Records {
 		rec = &recordingSink{}

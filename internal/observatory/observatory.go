@@ -168,30 +168,37 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // closeLog runs first, so the run log keeps only whole records, then the
 // server sends its shutdown frame and drains, and the process exits 0 (1
 // if the drain fails). The returned stop drains the server when the
-// campaign ends normally. On a nil server Serve starts nothing and stop is
-// a no-op.
+// campaign ends normally. closeLog is nil when no run log is open. On a
+// nil server Serve starts nothing, but an open run log still gets the same
+// signal path; with neither, the process keeps Go's default signal
+// handling and stop is a no-op.
 func (s *Server) Serve(tool string, closeLog func()) (stop func(), err error) {
-	if s == nil {
+	if s == nil && closeLog == nil {
 		return func() {}, nil
 	}
-	if err := s.Start(); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "%s: observatory listening on http://%s\n", tool, s.Addr())
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := s.Shutdown(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: observatory shutdown: %v\n", tool, err)
+	drain := func() error { return nil }
+	if s != nil {
+		if err := s.Start(); err != nil {
+			return nil, err
 		}
-		return err
+		fmt.Fprintf(os.Stderr, "%s: observatory listening on http://%s\n", tool, s.Addr())
+		drain = func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			err := s.Shutdown(ctx)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: observatory shutdown: %v\n", tool, err)
+			}
+			return err
+		}
 	}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		closeLog()
+		if closeLog != nil {
+			closeLog()
+		}
 		if drain() != nil {
 			os.Exit(1)
 		}

@@ -371,62 +371,76 @@ func openingSnapshot(t *testing.T, base string) obs.Snapshot {
 }
 
 // serveChildEnv names the run-log path of the child process
-// TestServeSignalClosesRunLog starts.
-const serveChildEnv = "OBSERVATORY_SERVE_CHILD_LOG"
+// TestServeSignalClosesRunLog starts; serveChildHTTPEnv, when set, makes
+// the child serve an observatory as well.
+const (
+	serveChildEnv     = "OBSERVATORY_SERVE_CHILD_LOG"
+	serveChildHTTPEnv = "OBSERVATORY_SERVE_CHILD_HTTP"
+)
 
-// TestServeSignalClosesRunLog sends SIGINT to a process that serves an
-// observatory while records sit in its run log's buffer. The process must
-// exit 0 and leave a log in which every line is whole JSON.
+// TestServeSignalClosesRunLog sends SIGINT to a process whose run log holds
+// buffered records, once with an observatory (-http) and once without. The
+// process must exit 0 and leave a log in which every line is whole JSON.
 func TestServeSignalClosesRunLog(t *testing.T) {
 	if path := os.Getenv(serveChildEnv); path != "" {
-		serveChild(path)
+		serveChild(path, os.Getenv(serveChildHTTPEnv) != "")
 		return
 	}
-	log := filepath.Join(t.TempDir(), "runs.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestServeSignalClosesRunLog$")
-	cmd.Env = append(os.Environ(), serveChildEnv+"="+log)
-	stderr, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stderr.Close()
-	cmd.Stderr = w
-	err = cmd.Start()
-	w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(stderr)
-	ready := false
-	for !ready && sc.Scan() {
-		ready = sc.Text() == "ready"
-	}
-	if !ready {
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatal("child never reported ready")
-	}
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("child after SIGINT: %v, want exit 0", err)
-	}
-	data, err := os.ReadFile(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		t.Fatalf("run log ends mid-line (%d bytes)", len(data))
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	for i, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("line %d is not JSON: %q", i+1, line)
-		}
-	}
-	if len(lines) != serveChildRecords {
-		t.Errorf("run log has %d records, want %d", len(lines), serveChildRecords)
+	for _, tc := range []struct {
+		name string
+		http bool
+	}{{"http", true}, {"nohttp", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := filepath.Join(t.TempDir(), "runs.jsonl")
+			cmd := exec.Command(os.Args[0], "-test.run=^TestServeSignalClosesRunLog$")
+			cmd.Env = append(os.Environ(), serveChildEnv+"="+log)
+			if tc.http {
+				cmd.Env = append(cmd.Env, serveChildHTTPEnv+"=1")
+			}
+			stderr, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stderr.Close()
+			cmd.Stderr = w
+			err = cmd.Start()
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := bufio.NewScanner(stderr)
+			ready := false
+			for !ready && sc.Scan() {
+				ready = sc.Text() == "ready"
+			}
+			if !ready {
+				cmd.Process.Kill()
+				cmd.Wait()
+				t.Fatal("child never reported ready")
+			}
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("child after SIGINT: %v, want exit 0", err)
+			}
+			data, err := os.ReadFile(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) == 0 || data[len(data)-1] != '\n' {
+				t.Fatalf("run log ends mid-line (%d bytes)", len(data))
+			}
+			lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+			for i, line := range lines {
+				if !json.Valid([]byte(line)) {
+					t.Fatalf("line %d is not JSON: %q", i+1, line)
+				}
+			}
+			if len(lines) != serveChildRecords {
+				t.Errorf("run log has %d records, want %d", len(lines), serveChildRecords)
+			}
+		})
 	}
 }
 
@@ -436,15 +450,19 @@ func TestServeSignalClosesRunLog(t *testing.T) {
 const serveChildRecords = 500
 
 // serveChild is the child side of TestServeSignalClosesRunLog: it serves
-// an observatory, emits records into an unflushed run log, reports ready
-// and waits for the signal to end it.
-func serveChild(path string) {
+// an observatory when withHTTP is set (a nil server otherwise), emits
+// records into an unflushed run log, reports ready and waits for the
+// signal to end it.
+func serveChild(path string, withHTTP bool) {
 	f, err := os.Create(path)
 	if err != nil {
 		panic(err)
 	}
 	jsonl := obs.NewJSONLSink(f)
-	s := New(Config{Addr: "127.0.0.1:0"})
+	var s *Server
+	if withHTTP {
+		s = New(Config{Addr: "127.0.0.1:0"})
+	}
 	if _, err := s.Serve("child", func() { jsonl.Close() }); err != nil {
 		panic(err)
 	}

@@ -1,6 +1,6 @@
 // Package traceevent holds the Chrome trace-event JSON primitives shared by
-// every Perfetto exporter in the repo (schedprof's per-trial timelines,
-// fleetspan's campaign flight recorder). The format is the JSON-object form
+// every Perfetto exporter in the repo (schedprof's per-trial timelines and
+// campaignbench's span ledger). The format is the JSON-object form
 // of the Chrome trace-event spec, which Perfetto and chrome://tracing load
 // directly: a traceEvents array of "X" complete slices and "M" metadata
 // records, timestamps and durations in microseconds.
