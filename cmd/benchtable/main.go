@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
@@ -32,7 +33,11 @@ import (
 	"racefuzzer/internal/observatory"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status, so every deferred
+// close (the -json run log above all) runs on every path.
+func run() int {
 	var (
 		names      = flag.String("names", "", "comma-separated benchmark names (default: all)")
 		seed       = flag.Int64("seed", 12345, "base seed")
@@ -59,7 +64,7 @@ func main() {
 	flag.Parse()
 	if *version {
 		fmt.Println(obs.CollectProvenance("benchtable", "", nil).String())
-		return
+		return 0
 	}
 
 	// Provenance: build identity plus the explicitly-set flags, stamped into
@@ -86,7 +91,7 @@ func main() {
 		store, err = corpus.Open(*corpusDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: -corpusdir: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	store.SetProvenance(prov)
@@ -99,27 +104,25 @@ func main() {
 		f, err := os.Create(*jsonLog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		jsonl := obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
 		sinks = append(sinks, jsonl)
-		closeLog = func() {
+		closeLog = sync.OnceFunc(func() {
 			if err := jsonl.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "benchtable: -json: %v\n", err)
 			}
-		}
+		})
+		defer closeLog()
 	}
 	// SIGINT/SIGTERM under -http or -json ends the run: the run log closes
 	// on a whole record, subscribers get a final snapshot, and the exit is 0.
 	stopObsv, err := obsv.Serve("benchtable", closeLog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtable: -http: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopObsv()
-	if closeLog != nil {
-		defer closeLog()
-	}
 	if s := obsv.Sink(); s != nil {
 		sinks = append(sinks, s)
 	}
@@ -131,17 +134,18 @@ func main() {
 		probes.Sink = sinks
 	}
 
-	saveCorpus := func() {
+	saveCorpus := func() int {
 		if store == nil {
-			return
+			return 0
 		}
 		n, k := store.Counts()
 		fmt.Printf("\ncorpus: %d new signature(s), %d known re-sighting(s), %d total (%s)\n",
 			n, k, store.Len(), *corpusDir)
 		if err := store.Save(); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: corpus save: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
+		return 0
 	}
 
 	if *budget > 0 {
@@ -153,8 +157,7 @@ func main() {
 			Corpus: store, Probes: probes,
 		})
 		fmt.Println(harness.RenderCampaign(rows))
-		saveCorpus()
-		return
+		return saveCorpus()
 	}
 
 	if !*only {
@@ -168,12 +171,14 @@ func main() {
 			fmt.Println(harness.RenderTable1(rows))
 			fmt.Println(harness.RenderPaperTable(rows))
 		}
-		saveCorpus()
+		if code := saveCorpus(); code != 0 {
+			return code
+		}
 		if *verify {
 			out, ok := harness.VerifyAll(rows)
 			fmt.Print(out)
 			if !ok {
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
@@ -189,4 +194,5 @@ func main() {
 			fmt.Println(harness.RenderNoise(noise))
 		}
 	}
+	return 0
 }

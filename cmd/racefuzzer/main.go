@@ -64,6 +64,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"syscall"
 	"time"
 
@@ -79,7 +80,11 @@ import (
 	"racefuzzer/internal/observatory"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status, so every deferred
+// close (the -json run log above all) runs on every path.
+func run() int {
 	var (
 		list    = flag.Bool("list", false, "list available benchmarks and exit")
 		name    = flag.String("bench", "", "benchmark to analyze (see -list)")
@@ -119,7 +124,7 @@ func main() {
 	flag.Parse()
 	if *version {
 		fmt.Println(obs.CollectProvenance("racefuzzer", "", nil).String())
-		return
+		return 0
 	}
 	// A replay seed of 0 is legitimate (derived seeds can be 0 under negative
 	// base seeds), so "was -replay given" is tracked explicitly rather than
@@ -136,24 +141,24 @@ func main() {
 	// silently ignoring the flag.
 	if *dump && !replaySet {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -trace requires -replay (e.g. -bench figure2 -pair 0 -replay 12345 -trace)")
-		os.Exit(2)
+		return 2
 	}
 	if *explain && !replaySet {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -explain requires -replay (e.g. -bench figure2 -pair 0 -replay 12345 -explain), or use -explaintrace on a saved recording")
-		os.Exit(2)
+		return 2
 	}
 	// -replay replays one race-pipeline run; the deadlock, atomicity and
 	// budget modes would return before reaching it.
 	if replaySet && (*dlMode || *atMode || *budget > 0) {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -replay cannot be combined with -deadlocks, -atomicity or -budget (it replays one race-pipeline run)")
-		os.Exit(2)
+		return 2
 	}
 
 	if *list {
 		for _, b := range bench.All() {
 			fmt.Printf("%-12s %s\n", b.Name, b.Description)
 		}
-		return
+		return 0
 	}
 	// Worker mode needs none of the local campaign flags: the coordinator
 	// sends the execution config with each registration, and all corpus
@@ -175,31 +180,31 @@ func main() {
 		}
 		if err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -worker: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *coordAddr != "" && *budget <= 0 {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -coordinate requires -budget (the fleet runs the adaptive campaign)")
-		os.Exit(2)
+		return 2
 	}
 	if *reportDir != "" {
 		c, err := analytics.LoadDir(*reportDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -report: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(analytics.Markdown(analytics.Analyze(c)))
-		return
+		return 0
 	}
 	if *explTr != "" {
 		rec, err := flightrec.LoadFile(*explTr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -explaintrace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(rec.Explain())
-		return
+		return 0
 	}
 	// Open the corpus before choosing a mode: regress reads it, the adaptive
 	// campaign and the normal pipelines write through it.
@@ -209,7 +214,7 @@ func main() {
 		store, err = corpus.Open(*corpusDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -corpusdir: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if store.Truncated() {
 			fmt.Fprintf(os.Stderr, "racefuzzer: warning: corpus %s ended in a partial record (crash mid-save); it was skipped\n", *corpusDir)
@@ -225,7 +230,7 @@ func main() {
 	if *regress {
 		if store == nil {
 			fmt.Fprintln(os.Stderr, "racefuzzer: -regress requires -corpusdir")
-			os.Exit(2)
+			return 2
 		}
 		results, ok := harness.Regress(store)
 		fmt.Printf("regress: replaying %d stored finding(s) from %s\n", len(results), *corpusDir)
@@ -238,15 +243,15 @@ func main() {
 		}
 		if !ok {
 			fmt.Fprintf(os.Stderr, "racefuzzer: regress: %d of %d finding(s) failed\n", failed, len(results))
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("regress: all %d finding(s) reproduced and matched their witnesses\n", len(results))
-		return
+		return 0
 	}
 
 	if *name == "" && *budget <= 0 {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -bench is required (try -list), or run a campaign with -budget")
-		os.Exit(2)
+		return 2
 	}
 	var b bench.Benchmark
 	if *name != "" {
@@ -254,7 +259,7 @@ func main() {
 		b, ok = bench.ByName(*name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "racefuzzer: unknown benchmark %q (try -list)\n", *name)
-			os.Exit(2)
+			return 2
 		}
 	}
 	opts := core.Options{
@@ -280,11 +285,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -343,15 +348,16 @@ func main() {
 		f, err := os.Create(*jsonLog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		jsonl := obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
 		sinks = append(sinks, jsonl)
-		closeLog = func() {
+		closeLog = sync.OnceFunc(func() {
 			if err := jsonl.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
 			}
-		}
+		})
+		defer closeLog()
 	}
 	var prog *obs.Progress
 	if *progress {
@@ -392,9 +398,9 @@ func main() {
 	stopObsv, err := obsv.Serve("racefuzzer", closeLog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "racefuzzer: -http: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	finishObservers := func() {
+	finishObservers := func() int {
 		prog.Finish()
 		if closeLog != nil {
 			closeLog()
@@ -410,9 +416,10 @@ func main() {
 				n, k, store.Len(), *corpusDir)
 			if err := store.Save(); err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: corpus save: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
+		return 0
 	}
 
 	if *budget > 0 {
@@ -436,7 +443,7 @@ func main() {
 			// TraceDir is irrelevant here.
 			if err := coord.Start(); err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: -coordinate: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "racefuzzer: fleet coordinator listening on http://%s (join with: racefuzzer -worker http://<this-host>:%s)\n",
 				coord.Addr(), portOf(coord.Addr()))
@@ -448,7 +455,7 @@ func main() {
 			coord.Finish()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: fleet campaign: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			// Give live workers a beat to collect their "done" and exit
 			// before the control plane goes away.
@@ -462,8 +469,7 @@ func main() {
 			rows = harness.RunAdaptiveCampaign(names, copt)
 		}
 		fmt.Print(harness.RenderCampaign(rows))
-		finishObservers()
-		return
+		return finishObservers()
 	}
 
 	fmt.Printf("== %s: %s\n", b.Name, b.Description)
@@ -475,8 +481,7 @@ func main() {
 			printWitness(r.TracePath, r.TraceErr)
 			printPerf(r.PerfPath, r.PerfErr)
 		}
-		finishObservers()
-		return
+		return finishObservers()
 	}
 	if *atMode {
 		reps := core.AnalyzeAtomicity(b.New(), opts)
@@ -486,8 +491,7 @@ func main() {
 			printWitness(r.TracePath, r.TraceErr)
 			printPerf(r.PerfPath, r.PerfErr)
 		}
-		finishObservers()
-		return
+		return finishObservers()
 	}
 	pairs := core.DetectPotentialRaces(b.New(), opts)
 	fmt.Printf("phase 1 (hybrid detection, %d observations): %d potential racing pair(s)\n",
@@ -498,7 +502,7 @@ func main() {
 	if replaySet {
 		if *pairIdx < 0 || *pairIdx >= len(pairs) {
 			fmt.Fprintln(os.Stderr, "racefuzzer: -replay needs a valid -pair index")
-			os.Exit(2)
+			return 2
 		}
 		pair := pairs[*pairIdx]
 		fmt.Printf("\nreplaying pair %v with seed %d\n", pair, *replay)
@@ -522,12 +526,10 @@ func main() {
 			fmt.Printf("\nevent trace (most recent %d):\n", traceTail)
 			fmt.Print(rec.Dump(traceTail))
 		}
-		finishObservers()
-		return
+		return finishObservers()
 	}
 	if len(pairs) == 0 {
-		finishObservers()
-		return
+		return finishObservers()
 	}
 
 	fmt.Printf("\nphase 2 (RaceFuzzer, %d runs per pair):\n", opts.Phase2Trials)
@@ -551,7 +553,7 @@ func main() {
 	}
 	fmt.Printf("\nsummary: %d potential, %d real, %d with exceptions (paper row: %d potential, %d real)\n",
 		len(pairs), realCount, excCount, b.Paper.HybridRaces, b.Paper.RealRaces)
-	finishObservers()
+	return finishObservers()
 }
 
 // traceTail is the number of most recent events -trace prints.

@@ -37,10 +37,6 @@ import (
 // DefaultLeaseTTL is the lease expiry workers must heartbeat within.
 const DefaultLeaseTTL = 10 * time.Second
 
-// defaultRetryMillis is the wait the coordinator suggests when no unit is
-// pending.
-const defaultRetryMillis = 200
-
 // maxRequestBytes caps every control-plane request body. The largest
 // legitimate body is a unit result with its run records and witness
 // payloads; the cap matches what workers accept in a response, and keeps a
@@ -66,7 +62,8 @@ type CoordinatorConfig struct {
 	// Timing asks workers to stamp durationNs on the run records they
 	// stream back (CampaignInfo.Timing), as -timing does in-process.
 	Timing bool
-	// LeaseTTL overrides DefaultLeaseTTL.
+	// LeaseTTL overrides DefaultLeaseTTL. Half of it bounds how long a
+	// lease request is held while no unit is pending.
 	LeaseTTL time.Duration
 	// Clock overrides the system clock (tests).
 	Clock Clock
@@ -92,8 +89,13 @@ type Coordinator struct {
 	workers  map[string]*workerInfo
 	nextID   int
 	done     bool
+	finished chan struct{}   // closed by Finish, releasing held lease requests
 	notified map[string]bool // workers that have been told the campaign is done
 	targets  []string        // campaign name list, for /fleet/status
+
+	// holding, when non-nil, is called each time a lease request starts
+	// waiting for a unit (tests).
+	holding func()
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -127,6 +129,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		gen:      fmt.Sprintf("g-%d-%d", os.Getpid(), time.Now().UnixNano()),
 		maxBody:  maxRequestBytes,
 		workers:  make(map[string]*workerInfo),
+		finished: make(chan struct{}),
 		notified: make(map[string]bool),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -195,7 +198,8 @@ func (c *Coordinator) sweepLoop() {
 	}
 }
 
-// Shutdown stops the control plane and cancels any in-flight round barrier.
+// Shutdown stops the control plane and cancels any in-flight round barrier
+// and held lease request.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cancel()
 	if c.srv == nil {
@@ -204,11 +208,14 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return c.srv.Shutdown(ctx)
 }
 
-// Finish marks the campaign complete: from now on every lease request is
-// answered Done, sending workers to a clean exit.
+// Finish marks the campaign complete: from now on every lease request,
+// held ones included, is answered Done, sending workers to a clean exit.
 func (c *Coordinator) Finish() {
 	c.mu.Lock()
-	c.done = true
+	if !c.done {
+		c.done = true
+		close(c.finished)
+	}
 	c.mu.Unlock()
 }
 
@@ -273,13 +280,16 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 // coverage cells through the merge protocol, witness payloads archived for
 // signatures that are new fleet-wide, run records re-emitted to the
 // coordinator's metrics/sink. This is the only place corpus writes happen
-// in a fleet campaign.
+// in a fleet campaign. A record's trace names the worker's deleted scratch
+// file; it is rewritten to the archived witness, or cleared when the
+// coordinator archived none, so the run log depends on the campaign alone.
 func (c *Coordinator) mergeResult(res *UnitResult) {
 	store := c.cfg.Store
 	witnessByCanon := make(map[string]*WitnessPayload, len(res.Witnesses))
 	for i := range res.Witnesses {
 		witnessByCanon[res.Witnesses[i].Sig.Canon()] = &res.Witnesses[i]
 	}
+	archived := make(map[string]string) // witness file name -> archived path
 	for _, f := range res.Findings {
 		f.WitnessTrace = "" // worker-local path; re-archived below when new
 		isNew := store.Ingest(f)
@@ -300,11 +310,15 @@ func (c *Coordinator) mergeResult(res *UnitResult) {
 			continue
 		}
 		store.AttachWitness(f.Sig, path)
+		archived[filepath.Base(path)] = path
 	}
 	for _, cell := range res.Cells {
 		store.IngestCell(cell)
 	}
 	for _, rec := range res.Records {
+		if rec.Trace != "" {
+			rec.Trace = archived[filepath.Base(rec.Trace)]
+		}
 		c.cfg.Metrics.Emit(rec)
 		obs.Emit(c.cfg.Sink, rec)
 	}
@@ -364,8 +378,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleLease grants the next pending unit, asks the worker to wait, or —
-// once the campaign is finished — releases it.
+// handleLease grants the next pending unit or — once the campaign is
+// finished — releases the worker. When nothing is pending it holds the
+// request until units are added or requeued, the campaign finishes, the
+// coordinator shuts down or the client goes away, for at most half the
+// lease TTL; a hold that ends empty is answered Wait and the worker polls
+// again at once.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !c.readJSON(w, r, &req) {
@@ -374,27 +392,48 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !c.touchWorker(w, req.WorkerID, req.Generation) {
 		return
 	}
-	c.mu.Lock()
-	finished := c.done
-	if finished {
-		c.notified[req.WorkerID] = true
+	var hold *time.Timer
+	for {
+		c.mu.Lock()
+		finished := c.done
+		if finished {
+			c.notified[req.WorkerID] = true
+		}
+		c.mu.Unlock()
+		if finished {
+			writeJSON(w, LeaseResponse{Done: true})
+			return
+		}
+		wake := c.table.wakeup()
+		if unit, epoch, ok := c.table.lease(req.WorkerID); ok {
+			c.mu.Lock()
+			if info := c.workers[req.WorkerID]; info != nil {
+				info.leased++
+			}
+			c.mu.Unlock()
+			writeJSON(w, LeaseResponse{Unit: &unit, Epoch: epoch})
+			return
+		}
+		if hold == nil {
+			hold = time.NewTimer(c.cfg.LeaseTTL / 2)
+			defer hold.Stop()
+		}
+		if c.holding != nil {
+			c.holding()
+		}
+		select {
+		case <-wake:
+		case <-c.finished:
+		case <-r.Context().Done():
+			return
+		case <-c.ctx.Done():
+			writeJSON(w, LeaseResponse{Wait: true})
+			return
+		case <-hold.C:
+			writeJSON(w, LeaseResponse{Wait: true})
+			return
+		}
 	}
-	c.mu.Unlock()
-	if finished {
-		writeJSON(w, LeaseResponse{Done: true})
-		return
-	}
-	unit, epoch, ok := c.table.lease(req.WorkerID)
-	if !ok {
-		writeJSON(w, LeaseResponse{Wait: true, RetryMillis: defaultRetryMillis})
-		return
-	}
-	c.mu.Lock()
-	if info := c.workers[req.WorkerID]; info != nil {
-		info.leased++
-	}
-	c.mu.Unlock()
-	writeJSON(w, LeaseResponse{Unit: &unit, Epoch: epoch})
 }
 
 // handleHeartbeat extends a held lease.

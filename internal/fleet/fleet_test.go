@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,36 +83,7 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 		cfg.Sink, cfg.Timing = sink, true
 	}
 	coord := startCoordinator(t, cfg)
-	coord.SetTargets(names)
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerErrs[w] = RunWorker(ctx, WorkerOptions{
-				Coordinator: "http://" + coord.Addr(),
-				Name:        fmt.Sprintf("test-worker-%d", w),
-			})
-		}(w)
-	}
-
-	fleetOpt := opt(store)
-	fleetOpt.Executor = coord
-	rows, err := harness.RunCampaign(names, fleetOpt)
-	if err != nil {
-		t.Fatalf("fleet campaign: %v", err)
-	}
-	coord.Finish()
-	wg.Wait()
-	for w, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", w, werr)
-		}
-	}
+	rows := runFleet(t, coord, names, opt(store), 2, nil)
 
 	if !reflect.DeepEqual(rows, refRows) {
 		t.Fatalf("fleet campaign rows diverge from single-process:\n got: %+v\nwant: %+v", rows, refRows)
@@ -155,6 +128,238 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 				t.Fatalf("record %s phase %d trial %d has durationNs %d, want > 0", rec.Label, rec.Phase, rec.Trial, rec.DurationNs)
 			}
 		}
+	}
+}
+
+// runFleet runs the campaign o over names on coord with n RunWorker loops
+// (sleep, when non-nil, is their backoff sleeper), then finishes it and
+// requires every worker to exit cleanly.
+func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.CampaignOptions, n int, sleep func(context.Context, time.Duration)) []harness.CampaignRow {
+	t.Helper()
+	coord.SetTargets(names)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	workerErrs := make([]error, n)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			workerErrs[w] = RunWorker(ctx, WorkerOptions{
+				Coordinator: "http://" + coord.Addr(),
+				Name:        fmt.Sprintf("test-worker-%d", w),
+				Sleep:       sleep,
+			})
+		}(w)
+	}
+	o.Executor = coord
+	rows, err := harness.RunCampaign(names, o)
+	coord.Finish()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("fleet campaign: %v", err)
+	}
+	for w, werr := range workerErrs {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", w, werr)
+		}
+	}
+	return rows
+}
+
+// TestFleetRunLogIsDeterministic: two same-seed fleet campaigns write
+// byte-identical run logs. Each record's trace names the witness the
+// coordinator archived, never a worker's deleted scratch file.
+func TestFleetRunLogIsDeterministic(t *testing.T) {
+	names := []string{"figure1", "vector"}
+	dir := filepath.Join(t.TempDir(), "corpus")
+	var logs [2]bytes.Buffer
+	for i := range logs {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		store, err := corpus.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := obs.NewJSONLSink(&logs[i])
+		coord := startCoordinator(t, CoordinatorConfig{Store: store, Sink: sink, LeaseTTL: 5 * time.Second})
+		runFleet(t, coord, names, harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 2, Corpus: store}, 2, nil)
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(logs[0].Bytes(), logs[1].Bytes()) {
+		t.Fatalf("same-seed fleet run logs differ:\n%s\n----\n%s", logs[0].Bytes(), logs[1].Bytes())
+	}
+	traces := 0
+	for _, line := range strings.Split(strings.TrimSpace(logs[0].String()), "\n") {
+		var rec obs.RunRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("run log line %q: %v", line, err)
+		}
+		if rec.Trace == "" {
+			continue
+		}
+		traces++
+		if filepath.Dir(rec.Trace) != filepath.Join(dir, "witnesses") {
+			t.Fatalf("record trace %q is not an archived witness", rec.Trace)
+		}
+		if _, err := os.Stat(rec.Trace); err != nil {
+			t.Fatalf("record trace: %v", err)
+		}
+	}
+	if traces == 0 {
+		t.Fatal("no record names a witness; test proves nothing")
+	}
+}
+
+// TestIdleWorkersNeverSleep: across a multi-round campaign in which one of
+// two workers is always idle at the round barrier, no worker calls its
+// sleeper; idle time is spent in held lease requests.
+func TestIdleWorkersNeverSleep(t *testing.T) {
+	var sleeps atomic.Int64
+	store := corpus.NewStore()
+	coord := startCoordinator(t, CoordinatorConfig{Store: store, LeaseTTL: 5 * time.Second})
+	runFleet(t, coord, []string{"figure1"}, harness.CampaignOptions{Seed: 7, Budget: 30, Rounds: 3, Corpus: store}, 2,
+		func(context.Context, time.Duration) { sleeps.Add(1) })
+	if n := sleeps.Load(); n != 0 {
+		t.Fatalf("workers slept %d times, want 0", n)
+	}
+}
+
+// TestHeldLeaseReleases: a lease request that finds nothing pending is
+// held, and each way out of the hold answers it: new units and requeued
+// units are granted, Finish answers Done (and drains the fleet), Shutdown
+// and an expired hold answer Wait, and a client that goes away releases
+// the handler.
+func TestHeldLeaseReleases(t *testing.T) {
+	const ttl = time.Hour // a hold that only its release can end
+	cases := []struct {
+		name    string
+		ttl     time.Duration
+		setup   func(c *Coordinator)
+		release func(c *Coordinator, clock *fakeClock, cancel context.CancelFunc)
+		check   func(t *testing.T, c *Coordinator, rec *httptest.ResponseRecorder)
+	}{
+		{
+			name:    "add grants",
+			release: func(c *Coordinator, _ *fakeClock, _ context.CancelFunc) { c.table.add(mkUnits("r1-t0")) },
+			check:   wantUnit("r1-t0", 1),
+		},
+		{
+			name: "requeue grants",
+			setup: func(c *Coordinator) {
+				c.table.add(mkUnits("r1-t0"))
+				c.table.lease("lost-worker")
+			},
+			release: func(c *Coordinator, clock *fakeClock, _ context.CancelFunc) {
+				clock.Advance(ttl)
+				c.table.sweep()
+			},
+			check: wantUnit("r1-t0", 2),
+		},
+		{
+			name:    "finish answers done",
+			release: func(c *Coordinator, _ *fakeClock, _ context.CancelFunc) { c.Finish() },
+			check: func(t *testing.T, c *Coordinator, rec *httptest.ResponseRecorder) {
+				if got := leaseAnswer(t, rec); !got.Done {
+					t.Fatalf("answer %+v, want Done", got)
+				}
+				if !c.Drained() {
+					t.Fatal("fleet not drained after its only worker was told Done")
+				}
+			},
+		},
+		{
+			name: "shutdown answers wait",
+			release: func(c *Coordinator, _ *fakeClock, _ context.CancelFunc) {
+				c.Shutdown(context.Background()) //nolint:errcheck // never started
+			},
+			check: wantWait,
+		},
+		{
+			name:    "client gone",
+			release: func(_ *Coordinator, _ *fakeClock, cancel context.CancelFunc) { cancel() },
+			check: func(t *testing.T, _ *Coordinator, rec *httptest.ResponseRecorder) {
+				if rec.Body.Len() != 0 {
+					t.Fatalf("answered a departed client: %s", rec.Body)
+				}
+			},
+		},
+		{
+			name:    "expired hold answers wait",
+			ttl:     2 * time.Millisecond,
+			release: func(*Coordinator, *fakeClock, context.CancelFunc) {},
+			check:   wantWait,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			cfg := CoordinatorConfig{Store: corpus.NewStore(), LeaseTTL: ttl, Clock: clock}
+			if tc.ttl > 0 {
+				cfg.LeaseTTL = tc.ttl
+			}
+			c := NewCoordinator(cfg)
+			var reg RegisterResponse
+			if rec := post(c, "/fleet/register", strings.NewReader(`{"name":"held"}`)); json.Unmarshal(rec.Body.Bytes(), &reg) != nil {
+				t.Fatalf("register: HTTP %d: %s", rec.Code, rec.Body)
+			}
+			if tc.setup != nil {
+				tc.setup(c)
+			}
+			held := make(chan struct{}, 1)
+			c.holding = func() {
+				select {
+				case held <- struct{}{}:
+				default:
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			body, _ := json.Marshal(LeaseRequest{WorkerID: reg.WorkerID, Generation: reg.Generation})
+			rec := httptest.NewRecorder()
+			answered := make(chan struct{})
+			go func() {
+				defer close(answered)
+				c.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet/lease", bytes.NewReader(body)).WithContext(ctx))
+			}()
+			<-held
+			tc.release(c, clock, cancel)
+			select {
+			case <-answered:
+			case <-time.After(30 * time.Second):
+				t.Fatal("held lease request not released")
+			}
+			tc.check(t, c, rec)
+		})
+	}
+}
+
+// leaseAnswer decodes a /fleet/lease answer.
+func leaseAnswer(t *testing.T, rec *httptest.ResponseRecorder) LeaseResponse {
+	t.Helper()
+	var resp LeaseResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+		t.Fatalf("lease: HTTP %d: %q", rec.Code, rec.Body)
+	}
+	return resp
+}
+
+// wantUnit checks that a held lease was granted unit id under epoch.
+func wantUnit(id string, epoch int64) func(*testing.T, *Coordinator, *httptest.ResponseRecorder) {
+	return func(t *testing.T, _ *Coordinator, rec *httptest.ResponseRecorder) {
+		if got := leaseAnswer(t, rec); got.Unit == nil || got.Unit.ID != id || got.Epoch != epoch {
+			t.Fatalf("answer %+v, want unit %s under epoch %d", got, id, epoch)
+		}
+	}
+}
+
+// wantWait checks that a held lease ended empty.
+func wantWait(t *testing.T, _ *Coordinator, rec *httptest.ResponseRecorder) {
+	if got := leaseAnswer(t, rec); !got.Wait || got.Unit != nil || got.Done {
+		t.Fatalf("answer %+v, want Wait", got)
 	}
 }
 

@@ -49,10 +49,12 @@ type unitState struct {
 // FIFO, leased units expire back to pending when their holder stops
 // heartbeating, done units hold their accepted result until the round
 // driver collects it. All methods are safe for concurrent use; completion
-// is broadcast so round barriers can wait without polling.
+// is broadcast so round barriers can wait without polling, and new pending
+// units close the wake channel so held lease requests need not poll either.
 type leaseTable struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
+	wake  chan struct{} // closed and replaced whenever units become pending
 	clock Clock
 	ttl   time.Duration
 
@@ -67,9 +69,24 @@ type leaseTable struct {
 }
 
 func newLeaseTable(clock Clock, ttl time.Duration) *leaseTable {
-	t := &leaseTable{clock: clock, ttl: ttl, units: make(map[string]*unitState)}
+	t := &leaseTable{clock: clock, ttl: ttl, units: make(map[string]*unitState), wake: make(chan struct{})}
 	t.cond = sync.NewCond(&t.mu)
 	return t
+}
+
+// wakeup returns the channel the next pending unit closes. A caller takes
+// it before trying lease, so a unit added after a failed attempt is never
+// missed.
+func (t *leaseTable) wakeup() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.wake
+}
+
+// wakeLocked releases every held lease request: units just became pending.
+func (t *leaseTable) wakeLocked() {
+	close(t.wake)
+	t.wake = make(chan struct{})
 }
 
 // add enqueues a round's units.
@@ -84,6 +101,7 @@ func (t *leaseTable) add(units []WorkUnit) {
 		t.queue = append(t.queue, u.ID)
 	}
 	t.cond.Broadcast()
+	t.wakeLocked()
 }
 
 // lease grants the next pending unit to worker, under a fresh epoch and a
@@ -152,9 +170,10 @@ func (t *leaseTable) complete(worker, unitID string, epoch int64, res *UnitResul
 
 // expireLocked moves overdue leases back to the pending queue. Called under
 // t.mu from every entry point, so expiry needs no background timer of its
-// own (the coordinator still runs a coarse sweeper so round barriers notice
-// a silent fleet).
+// own (the coordinator still runs a coarse sweeper so round barriers and
+// held lease requests notice a silent fleet).
 func (t *leaseTable) expireLocked(now time.Time) {
+	requeued := false
 	for _, id := range t.sortedLeasedLocked() {
 		st := t.units[id]
 		if now.Before(st.deadline) {
@@ -165,7 +184,11 @@ func (t *leaseTable) expireLocked(now time.Time) {
 		t.queue = append(t.queue, id)
 		t.leasedN--
 		t.requeues++
-		t.cond.Broadcast() // waiters in lease() poll via awaitDone callers
+		requeued = true
+	}
+	if requeued {
+		t.cond.Broadcast()
+		t.wakeLocked()
 	}
 }
 
@@ -182,8 +205,8 @@ func (t *leaseTable) sortedLeasedLocked() []string {
 	return ids
 }
 
-// sweep runs expiry outside any request, waking round waiters that would
-// otherwise block on a fleet that silently died.
+// sweep runs expiry outside any request, waking round waiters and held
+// lease requests that would otherwise block on a fleet that silently died.
 func (t *leaseTable) sweep() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -233,3 +233,49 @@ func TestAwaitDone(t *testing.T) {
 		t.Fatal("cancelled barrier returned nil")
 	}
 }
+
+// TestWakeupOnAddAndRequeue: the wake channel taken before a failed lease
+// closes when units are added and when expiry requeues a unit, and not
+// before.
+func TestWakeupOnAddAndRequeue(t *testing.T) {
+	clock := newFakeClock()
+	const ttl = 10 * time.Second
+	tbl := newLeaseTable(clock, ttl)
+	closed := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+
+	wake := tbl.wakeup()
+	if _, _, ok := tbl.lease("w1"); ok {
+		t.Fatal("empty table granted a unit")
+	}
+	if closed(wake) {
+		t.Fatal("wake closed with nothing pending")
+	}
+	tbl.add(mkUnits("r1-t0"))
+	if !closed(wake) {
+		t.Fatal("add did not close the wake channel")
+	}
+
+	wake = tbl.wakeup()
+	if _, _, ok := tbl.lease("w1"); !ok {
+		t.Fatal("added unit not granted")
+	}
+	tbl.sweep()
+	if closed(wake) {
+		t.Fatal("wake closed while the only unit is held")
+	}
+	clock.Advance(ttl)
+	tbl.sweep()
+	if !closed(wake) {
+		t.Fatal("requeue did not close the wake channel")
+	}
+	if u, _, ok := tbl.lease("w2"); !ok || u.ID != "r1-t0" {
+		t.Fatalf("requeued unit not granted: (%v,%v)", u, ok)
+	}
+}

@@ -90,7 +90,7 @@ type LeaseRequest struct {
 	Generation string `json:"generation"`
 }
 
-// LeaseResponse grants a unit, asks the worker to wait, or ends it.
+// LeaseResponse grants a unit, reports an empty hold, or ends the worker.
 type LeaseResponse struct {
 	// Unit is the granted batch (nil when Wait or Done).
 	Unit *WorkUnit `json:"unit,omitempty"`
@@ -98,10 +98,9 @@ type LeaseResponse struct {
 	// echo it, and a stale epoch (the lease expired and was re-granted) is
 	// rejected.
 	Epoch int64 `json:"epoch,omitempty"`
-	// Wait reports that no unit is available right now; retry after
-	// RetryMillis.
-	Wait        bool  `json:"wait,omitempty"`
-	RetryMillis int64 `json:"retryMillis,omitempty"`
+	// Wait reports that no unit became pending while the request was held;
+	// the worker polls again at once.
+	Wait bool `json:"wait,omitempty"`
 	// Done reports that the campaign is finished and the worker may exit.
 	Done bool `json:"done,omitempty"`
 }

@@ -33,8 +33,9 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 	// Execute overrides unit execution (tests); nil runs ExecuteUnit.
 	Execute func(u WorkUnit, info CampaignInfo) (UnitResult, error)
-	// Sleep overrides the backoff/wait sleeper (tests); nil sleeps for real,
-	// waking early when ctx ends.
+	// Sleep overrides the error-backoff sleeper (tests); nil sleeps for
+	// real, waking early when ctx ends. An idle worker never sleeps: its
+	// lease request is held by the coordinator instead.
 	Sleep func(ctx context.Context, d time.Duration)
 	// PermanentRejects, when non-nil, counts result submissions the
 	// coordinator dropped for good (stale epoch, duplicate).
@@ -169,12 +170,7 @@ func workLoop(ctx context.Context, o WorkerOptions, reg registration) error {
 		case lease.Done:
 			return nil
 		case lease.Unit == nil:
-			wait := time.Duration(lease.RetryMillis) * time.Millisecond
-			if wait <= 0 {
-				wait = time.Duration(defaultRetryMillis) * time.Millisecond
-			}
-			o.Sleep(ctx, wait)
-			continue
+			continue // the hold ended empty: poll again at once
 		}
 		if err := runLease(ctx, o, reg, lease); err != nil {
 			return err
