@@ -439,8 +439,8 @@ func run() int {
 		if coord != nil {
 			// Fleet mode: the same campaign driver, but every unit executes
 			// on a worker and reaches the corpus through the coordinator's
-			// merge. Witness capture happens worker-side, so the local
-			// TraceDir is irrelevant here.
+			// merge. The coordinator re-records each new finding's witness
+			// into the corpus; TraceDir is not used.
 			if err := coord.Start(); err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: -coordinate: %v\n", err)
 				return 1

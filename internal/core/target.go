@@ -213,6 +213,20 @@ func Record(prog Program, t Target, seed int64, o Options) (*sched.Result, int, 
 	return res, t.outcome(pol, res).hits, rec.Recording()
 }
 
+// CaptureWitness records trial `trial` of t, the target numbered
+// targetIndex, at seed and saves the recording in dir as
+// <label>-<kind>-p<targetIndex>-t<trial>.trace.jsonl; it returns the saved
+// path. The seed is one that confirmed the target, so a recording without
+// a target hit is a determinism failure: it is reported as an error and
+// nothing is saved.
+func CaptureWitness(prog Program, t Target, targetIndex, trial int, seed int64, dir string, o Options) (string, error) {
+	_, hits, rec := Record(prog, t, seed, o)
+	if hits == 0 {
+		return "", fmt.Errorf("determinism failure: seed %d no longer confirms %s target %s", seed, t.Kind(), t)
+	}
+	return save(rec, o.capturePath(dir, t.Kind(), targetIndex, trial, ".trace.jsonl"))
+}
+
 // VerifyReplay records the same (target, seed) twice and returns the first
 // recording, its hit count (as Record) and the first divergence between the
 // two recordings, or a nil divergence when the replay is exact — the
@@ -308,8 +322,7 @@ func (a *tally) add(i int, r trialResult) {
 			// With a corpus attached only new signatures record witnesses:
 			// known ones already have a regression baseline on disk.
 			if o.TraceDir != "" && finding != "known" {
-				_, _, witness := Record(a.prog, a.t, seed, o)
-				tracePath, rep.TraceErr = save(witness, o.capturePath(o.TraceDir, a.t.Kind(), a.index, i, ".trace.jsonl"))
+				tracePath, rep.TraceErr = CaptureWitness(a.prog, a.t, a.index, i, seed, o.TraceDir, o)
 				rep.TracePath = tracePath
 				o.Corpus.AttachWitness(sig, tracePath)
 			}

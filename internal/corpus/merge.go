@@ -1,27 +1,14 @@
 package corpus
 
-// Batch ingestion and store merging: the fleet coordinator's side of the
-// merge protocol. Workers execute leased trial batches against fresh
-// in-memory stores and report their findings and coverage cells back as
-// pre-aggregated batches; the coordinator folds those batches into the one
-// authoritative campaign store. Folding a batch entry whose Hits counts h
+// Batch ingestion: the fleet coordinator's side of the merge protocol.
+// Workers execute leased trial batches against fresh in-memory stores and
+// report their findings and coverage cells back as pre-aggregated batches;
+// the coordinator folds those batches into the one authoritative campaign
+// store. Folding a batch entry whose Hits counts h
 // sightings is equivalent to h sequential Report calls (and likewise for
 // coverage-cell hits), so a fleet campaign's corpus — signatures, hit
 // counts, session new/known tallies — matches the single-process campaign
 // that ran the same trials in the same order.
-
-// MergeStats tallies what one batch (or store) merge contributed.
-type MergeStats struct {
-	// NewSignatures counts signatures first seen in this merge;
-	// KnownSightings counts sightings deduplicated against entries that
-	// already existed (including extra sightings of a signature the same
-	// merge introduced).
-	NewSignatures  int64
-	KnownSightings int64
-	// NewCells and KnownCellHits are the coverage-map equivalents.
-	NewCells      int64
-	KnownCellHits int64
-}
 
 // Ingest folds one pre-aggregated finding into the store and reports whether
 // its signature is new. f.Hits counts the sightings the entry aggregates
@@ -89,47 +76,4 @@ func (s *Store) ingestCellLocked(c CoverageCell) (isNew bool) {
 	s.cov.byKey[k] = &nc
 	s.cov.order = append(s.cov.order, k)
 	return true
-}
-
-// Merge folds every finding and coverage cell of other into s, in other's
-// first-report order, and reports what the merge contributed. Witness-trace
-// paths are resolved against other's directory first, so merged entries keep
-// pointing at real files wherever the source corpus lived. Merge snapshots
-// other before touching s — the two stores are never locked together — so
-// concurrent merges of disjoint batch stores into one target are safe (and
-// exercised under -race).
-func (s *Store) Merge(other *Store) MergeStats {
-	var st MergeStats
-	if s == nil || other == nil {
-		return st
-	}
-	findings := other.Findings()
-	cells := other.Coverage()
-	for i := range findings {
-		f := findings[i]
-		f.WitnessTrace = other.WitnessPath(f)
-		hits := f.Hits
-		if hits < 1 {
-			hits = 1
-		}
-		if s.Ingest(f) {
-			st.NewSignatures++
-			st.KnownSightings += hits - 1
-		} else {
-			st.KnownSightings += hits
-		}
-	}
-	for _, c := range cells {
-		hits := c.Hits
-		if hits < 1 {
-			hits = 1
-		}
-		if s.IngestCell(c) {
-			st.NewCells++
-			st.KnownCellHits += hits - 1
-		} else {
-			st.KnownCellHits += hits
-		}
-	}
-	return st
 }

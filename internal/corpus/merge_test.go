@@ -19,6 +19,23 @@ func mkFinding(kind, locA, locB, bench string, seed int64) Finding {
 	}
 }
 
+// ingest folds batch's findings and coverage cells into coord one entry at
+// a time, as the fleet coordinator folds a worker's result, and reports
+// how many signatures and cells were new.
+func ingest(coord, batch *Store) (newSigs, newCells int) {
+	for _, f := range batch.Findings() {
+		if coord.Ingest(f) {
+			newSigs++
+		}
+	}
+	for _, c := range batch.Coverage() {
+		if coord.IngestCell(c) {
+			newCells++
+		}
+	}
+	return newSigs, newCells
+}
+
 // TestIngestMatchesSequentialReports is the merge protocol's core claim:
 // folding a batch store in is equivalent to replaying its Report/Observe
 // calls sequentially — same findings, same hit counts, same session
@@ -45,7 +62,7 @@ func TestIngestMatchesSequentialReports(t *testing.T) {
 		batch.Observe(f.Sig, "candidate-first")
 	}
 	coord := NewStore()
-	st := coord.Merge(batch)
+	newSigs, newCells := ingest(coord, batch)
 
 	if !reflect.DeepEqual(coord.Findings(), seq.Findings()) {
 		t.Fatalf("merged findings differ from sequential:\n%v\nvs\n%v", coord.Findings(), seq.Findings())
@@ -58,11 +75,11 @@ func TestIngestMatchesSequentialReports(t *testing.T) {
 	if gotNew != wantNew || gotKnown != wantKnown {
 		t.Fatalf("session counters: got (%d,%d), want (%d,%d)", gotNew, gotKnown, wantNew, wantKnown)
 	}
-	if st.NewSignatures != 2 || st.KnownSightings != 2 {
-		t.Fatalf("merge stats: %+v, want 2 new / 2 known", st)
+	if newSigs != 2 || gotKnown != 2 {
+		t.Fatalf("ingest: %d new / %d known signatures, want 2 / 2", newSigs, gotKnown)
 	}
-	if st.NewCells != 2 || st.KnownCellHits != 2 {
-		t.Fatalf("cell stats: %+v, want 2 new cells / 2 known hits", st)
+	if newCells != 2 {
+		t.Fatalf("ingest: %d new cells, want 2", newCells)
 	}
 }
 
@@ -78,9 +95,11 @@ func TestIngestIntoPopulatedStore(t *testing.T) {
 	batch.Report(f)
 	batch.Report(f) // second sighting in the same batch
 
-	st := coord.Merge(batch)
-	if st.NewSignatures != 0 || st.KnownSightings != 2 {
-		t.Fatalf("merge stats: %+v, want 0 new / 2 known", st)
+	if newSigs, _ := ingest(coord, batch); newSigs != 0 {
+		t.Fatalf("ingest: %d new signatures, want 0", newSigs)
+	}
+	if _, known := coord.Counts(); known != 2 {
+		t.Fatalf("ingest: %d known sightings, want 2", known)
 	}
 	got := coord.Findings()
 	if len(got) != 1 {
@@ -100,7 +119,7 @@ func TestIngestIntoPopulatedStore(t *testing.T) {
 	}
 }
 
-// TestConcurrentMerge exercises many goroutines merging disjoint batch
+// TestConcurrentMerge exercises many goroutines ingesting disjoint batch
 // stores (with overlapping signatures) into one coordinator store under
 // -race. The final state must be batch-order independent: every signature
 // present, hits summed across all batches.
@@ -121,7 +140,7 @@ func TestConcurrentMerge(t *testing.T) {
 				batch.Report(f)
 				batch.Observe(f.Sig, "candidate-first")
 			}
-			coord.Merge(batch)
+			ingest(coord, batch)
 		}(b)
 	}
 	wg.Wait()

@@ -24,7 +24,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -38,8 +37,7 @@ import (
 const DefaultLeaseTTL = 10 * time.Second
 
 // maxRequestBytes caps every control-plane request body. The largest
-// legitimate body is a unit result with its run records and witness
-// payloads; the cap matches what workers accept in a response, and keeps a
+// legitimate body is a unit result with its run records; the cap matches what workers accept in a response, and keeps a
 // broken or hostile client from making the coordinator read without bound.
 // Oversize requests are answered 413.
 const maxRequestBytes = 64 << 20
@@ -277,47 +275,60 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 }
 
 // mergeResult folds one batch into the authoritative corpus: findings and
-// coverage cells through the merge protocol, witness payloads archived for
-// signatures that are new fleet-wide, run records re-emitted to the
-// coordinator's metrics/sink. This is the only place corpus writes happen
-// in a fleet campaign. A record's trace names the worker's deleted scratch
-// file; it is rewritten to the archived witness, or cleared when the
-// coordinator archived none, so the run log depends on the campaign alone.
+// coverage cells through the merge protocol, a re-recorded witness
+// archived for each finding that is new fleet-wide, run records re-emitted
+// to the coordinator's metrics/sink. This is the only place corpus writes
+// happen in a fleet campaign. A worker labels its records against its
+// batch-local store; each record is relabeled from the coordinator's own
+// verdicts, so the run log equals the single-process campaign's.
 func (c *Coordinator) mergeResult(res *UnitResult) {
 	store := c.cfg.Store
-	witnessByCanon := make(map[string]*WitnessPayload, len(res.Witnesses))
-	for i := range res.Witnesses {
-		witnessByCanon[res.Witnesses[i].Sig.Canon()] = &res.Witnesses[i]
+	// A finding's first confirming run is the record of the same
+	// (kind, target, trial); only that record carries a verdict.
+	type run struct {
+		kind          string
+		target, trial int
 	}
-	archived := make(map[string]string) // witness file name -> archived path
+	runOf := func(f corpus.Finding) run { return run{f.Sig.Kind, f.TargetIndex, f.WitnessTrial} }
+	known := make(map[run]bool, len(res.Findings))
+	var fresh []corpus.Finding
 	for _, f := range res.Findings {
-		f.WitnessTrace = "" // worker-local path; re-archived below when new
-		isNew := store.Ingest(f)
-		if !isNew {
-			continue
+		f.WitnessTrace = "" // the coordinator archives its own witnesses
+		if store.Ingest(f) {
+			fresh = append(fresh, f)
+		} else {
+			known[runOf(f)] = true
 		}
-		wp := witnessByCanon[f.Sig.Canon()]
-		if wp == nil || store.WitnessDir() == "" {
-			continue
-		}
-		path := filepath.Join(store.WitnessDir(), filepath.Base(wp.Name))
-		if err := os.MkdirAll(store.WitnessDir(), 0o755); err != nil {
-			c.logf("fleet: witness archive: %v", err)
-			continue
-		}
-		if err := os.WriteFile(path, wp.Data, 0o644); err != nil {
-			c.logf("fleet: witness archive: %v", err)
-			continue
-		}
-		store.AttachWitness(f.Sig, path)
-		archived[filepath.Base(path)] = path
 	}
-	for _, cell := range res.Cells {
-		store.IngestCell(cell)
+	paths, errs := harness.ArchiveWitnesses(store, fresh)
+	for _, err := range errs {
+		c.logf("fleet: %v", err)
 	}
+	traces := make(map[run]string, len(fresh))
+	for i, f := range fresh {
+		traces[runOf(f)] = paths[i]
+	}
+	// Cells and the records that first observed them are both in
+	// first-observation order, so they pair up one to one.
+	cellNew := make([]bool, len(res.Cells))
+	for i, cell := range res.Cells {
+		cellNew[i] = store.IngestCell(cell)
+	}
+	next := 0
 	for _, rec := range res.Records {
-		if rec.Trace != "" {
-			rec.Trace = archived[filepath.Base(rec.Trace)]
+		if rec.Finding == "new" {
+			k := run{rec.Kind, rec.PairIndex, rec.Trial}
+			if known[k] {
+				rec.Finding = "known"
+			}
+			rec.Trace = traces[k]
+		}
+		if rec.NewCells > 0 {
+			rec.NewCells = 0
+			if next < len(cellNew) && cellNew[next] {
+				rec.NewCells = 1
+			}
+			next++
 		}
 		c.cfg.Metrics.Emit(rec)
 		obs.Emit(c.cfg.Sink, rec)
@@ -327,10 +338,9 @@ func (c *Coordinator) mergeResult(res *UnitResult) {
 // campaignInfo is the standing config handed to workers at registration.
 func (c *Coordinator) campaignInfo() CampaignInfo {
 	return CampaignInfo{
-		Workers:   c.cfg.Workers,
-		Witnesses: c.cfg.Store.WitnessDir() != "",
-		Records:   c.cfg.Metrics != nil || c.cfg.Sink != nil,
-		Timing:    c.cfg.Timing,
+		Workers: c.cfg.Workers,
+		Records: c.cfg.Metrics != nil || c.cfg.Sink != nil,
+		Timing:  c.cfg.Timing,
 	}
 }
 

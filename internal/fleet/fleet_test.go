@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"racefuzzer/internal/bench"
+	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
@@ -60,20 +63,31 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 		return harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 2, Corpus: store}
 	}
 
-	// The single-process reference, witnesses archived in its corpus.
-	refDir := t.TempDir()
-	ref, err := corpus.Open(refDir)
+	// The single-process reference, witnesses archived in its corpus. Both
+	// campaigns write their corpus at the same path, so the run records'
+	// witness paths agree; the reference corpus is moved aside after its run.
+	base := t.TempDir()
+	dir := filepath.Join(base, "corpus")
+	ref, err := corpus.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refOpt := opt(ref)
 	refOpt.TraceDir = ref.WitnessDir()
+	var refLog, fleetLog bytes.Buffer
+	refSink, fleetSink := obs.NewJSONLSink(&refLog), obs.NewJSONLSink(&fleetLog)
+	if !timed {
+		refOpt.Sink = refSink
+	}
 	refRows := harness.RunAdaptiveCampaign(names, refOpt)
+	refWitnessDir := filepath.Join(base, "ref-witnesses")
+	if err := os.Rename(ref.WitnessDir(), refWitnessDir); err != nil {
+		t.Fatal(err)
+	}
 
 	// The fleet run: same campaign options, but every unit executes on one
 	// of two worker loops and reaches the corpus through the merge protocol.
-	fleetDir := t.TempDir()
-	store, err := corpus.Open(fleetDir)
+	store, err := corpus.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +95,11 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 	sink := &recordingSink{}
 	if timed {
 		cfg.Sink, cfg.Timing = sink, true
+	} else {
+		cfg.Sink = fleetSink
 	}
 	coord := startCoordinator(t, cfg)
-	rows := runFleet(t, coord, names, opt(store), 2, nil)
+	rows := runFleet(t, coord, names, opt(store), 2, WorkerOptions{})
 
 	if !reflect.DeepEqual(rows, refRows) {
 		t.Fatalf("fleet campaign rows diverge from single-process:\n got: %+v\nwant: %+v", rows, refRows)
@@ -96,8 +112,8 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 	}
 
 	// Witness recordings: same file set, same bytes, despite having been
-	// captured on workers and archived by the coordinator.
-	refWitness := listDir(t, ref.WitnessDir())
+	// re-recorded by the coordinator from the workers' findings.
+	refWitness := listDir(t, refWitnessDir)
 	fleetWitness := listDir(t, store.WitnessDir())
 	if !reflect.DeepEqual(refWitness, fleetWitness) {
 		t.Fatalf("witness file sets differ:\n got: %v\nwant: %v", fleetWitness, refWitness)
@@ -106,7 +122,7 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 		t.Fatal("reference campaign archived no witnesses; test proves nothing")
 	}
 	for _, name := range refWitness {
-		want, _ := os.ReadFile(filepath.Join(ref.WitnessDir(), name))
+		want, _ := os.ReadFile(filepath.Join(refWitnessDir, name))
 		got, _ := os.ReadFile(filepath.Join(store.WitnessDir(), name))
 		if string(want) != string(got) {
 			t.Fatalf("witness %s differs between fleet and single-process", name)
@@ -118,7 +134,19 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 		t.Fatalf("fleet status after campaign: %+v", st)
 	}
 
-	if timed {
+	if !timed {
+		// The run logs: every record relabeled from the coordinator's own
+		// verdicts, so the fleet log is the single-process log.
+		if err := errors.Join(refSink.Close(), fleetSink.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if refLog.Len() == 0 {
+			t.Fatal("reference campaign wrote no run log")
+		}
+		if !bytes.Equal(fleetLog.Bytes(), refLog.Bytes()) {
+			t.Fatalf("fleet run log differs from single-process:\n%s", firstDiff(fleetLog.String(), refLog.String()))
+		}
+	} else {
 		recs := sink.take()
 		if len(recs) == 0 {
 			t.Fatal("timed fleet campaign streamed no run records")
@@ -131,10 +159,21 @@ func testFleetMatchesSingleProcess(t *testing.T, timed bool) {
 	}
 }
 
+// firstDiff renders the first line at which two run logs differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
 // runFleet runs the campaign o over names on coord with n RunWorker loops
-// (sleep, when non-nil, is their backoff sleeper), then finishes it and
+// configured as wo (Coordinator and Name filled in), then finishes it and
 // requires every worker to exit cleanly.
-func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.CampaignOptions, n int, sleep func(context.Context, time.Duration)) []harness.CampaignRow {
+func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.CampaignOptions, n int, wo WorkerOptions) []harness.CampaignRow {
 	t.Helper()
 	coord.SetTargets(names)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -145,11 +184,10 @@ func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.Campai
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = RunWorker(ctx, WorkerOptions{
-				Coordinator: "http://" + coord.Addr(),
-				Name:        fmt.Sprintf("test-worker-%d", w),
-				Sleep:       sleep,
-			})
+			wo := wo
+			wo.Coordinator = "http://" + coord.Addr()
+			wo.Name = fmt.Sprintf("test-worker-%d", w)
+			workerErrs[w] = RunWorker(ctx, wo)
 		}(w)
 	}
 	o.Executor = coord
@@ -184,7 +222,7 @@ func TestFleetRunLogIsDeterministic(t *testing.T) {
 		}
 		sink := obs.NewJSONLSink(&logs[i])
 		coord := startCoordinator(t, CoordinatorConfig{Store: store, Sink: sink, LeaseTTL: 5 * time.Second})
-		runFleet(t, coord, names, harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 2, Corpus: store}, 2, nil)
+		runFleet(t, coord, names, harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 2, Corpus: store}, 2, WorkerOptions{})
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -214,6 +252,94 @@ func TestFleetRunLogIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestUnconfirmedWitnessIsNotArchived: the coordinator re-records each new
+// finding's witness from the finding's seeds. A worker whose finding names
+// a witness seed that does not confirm the target (a determinism failure)
+// still has the finding ingested, but no witness is archived, no run record
+// names a trace, and the failure is logged once, naming the signature.
+func TestUnconfirmedWitnessIsNotArchived(t *testing.T) {
+	unit := WorkUnit{ID: "r1-t0", Round: 1, Target: "hedc", Trials: 20, Seed: 7}
+	good, err := ExecuteUnit(unit, CampaignInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, ok := unconfirmedFinding(good.Findings)
+	if !ok {
+		t.Fatalf("every seed confirms every %s finding; test proves nothing", unit.Target)
+	}
+
+	dir := filepath.Join(t.TempDir(), "corpus")
+	store, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	sink := obs.NewJSONLSink(&log)
+	var mu sync.Mutex
+	var lines []string
+	coord := startCoordinator(t, CoordinatorConfig{
+		Store: store, Sink: sink, LeaseTTL: 5 * time.Second,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	execute := func(u WorkUnit, info CampaignInfo) (UnitResult, error) {
+		res, err := ExecuteUnit(u, info)
+		if u != unit {
+			t.Errorf("leased %+v, want %+v", u, unit)
+		}
+		res.Findings = []corpus.Finding{bad}
+		return res, err
+	}
+	runFleet(t, coord, []string{unit.Target}, harness.CampaignOptions{Seed: unit.Seed, Budget: unit.Trials, Rounds: 1, Corpus: store}, 1,
+		WorkerOptions{Execute: execute})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := store.Findings(); len(got) != 1 || got[0].Sig != bad.Sig || got[0].WitnessTrace != "" {
+		t.Fatalf("corpus findings %+v, want only %s without a witness", got, bad.Sig)
+	}
+	if files := listDir(t, store.WitnessDir()); len(files) != 0 {
+		t.Fatalf("archived %v for a witness seed that does not confirm", files)
+	}
+	if strings.Contains(log.String(), `"trace"`) {
+		t.Fatalf("a run record names a trace:\n%s", log.String())
+	}
+	named := 0
+	for _, line := range lines {
+		if strings.Contains(line, bad.Sig.Canon()) {
+			named++
+		}
+	}
+	if named != 1 {
+		t.Fatalf("%d log lines name %s, want 1:\n%s", named, bad.Sig, strings.Join(lines, "\n"))
+	}
+}
+
+// unconfirmedFinding returns the first of findings with its witness seed
+// replaced by one that does not confirm its target.
+func unconfirmedFinding(findings []corpus.Finding) (corpus.Finding, bool) {
+	for _, f := range findings {
+		b, _ := bench.ByName(f.Bench)
+		opts := core.Options{Seed: f.FirstSeenSeed, Phase1Trials: f.Phase1Trials, MaxSteps: f.MaxSteps, Label: f.Bench}
+		for _, target := range core.DetectTargets(f.Sig.Kind, b.New(), opts) {
+			if target.String() != f.Pair {
+				continue
+			}
+			for seed := int64(0); seed < 100; seed++ {
+				if _, hits, _ := core.Record(b.New(), target, seed, opts); hits == 0 {
+					f.WitnessSeed = seed
+					return f, true
+				}
+			}
+		}
+	}
+	return corpus.Finding{}, false
+}
+
 // TestIdleWorkersNeverSleep: across a multi-round campaign in which one of
 // two workers is always idle at the round barrier, no worker calls its
 // sleeper; idle time is spent in held lease requests.
@@ -222,7 +348,7 @@ func TestIdleWorkersNeverSleep(t *testing.T) {
 	store := corpus.NewStore()
 	coord := startCoordinator(t, CoordinatorConfig{Store: store, LeaseTTL: 5 * time.Second})
 	runFleet(t, coord, []string{"figure1"}, harness.CampaignOptions{Seed: 7, Budget: 30, Rounds: 3, Corpus: store}, 2,
-		func(context.Context, time.Duration) { sleeps.Add(1) })
+		WorkerOptions{Sleep: func(context.Context, time.Duration) { sleeps.Add(1) }})
 	if n := sleeps.Load(); n != 0 {
 		t.Fatalf("workers slept %d times, want 0", n)
 	}

@@ -45,10 +45,6 @@ type CampaignInfo struct {
 	// Workers is the per-batch trial executor width each fleet worker should
 	// run with (core.Options.Workers).
 	Workers int `json:"workers"`
-	// Witnesses asks workers to capture witness recordings of first
-	// confirming runs and stream the payload bytes back (set when the
-	// coordinator's corpus is on disk and can archive them).
-	Witnesses bool `json:"witnesses"`
 	// Records asks workers to stream per-execution obs.RunRecords back so
 	// the coordinator's observatory/run-log sees the whole fleet.
 	Records bool `json:"records"`
@@ -122,22 +118,10 @@ type HeartbeatResponse struct {
 	Lost bool `json:"lost,omitempty"`
 }
 
-// WitnessPayload carries one captured witness recording back to the
-// coordinator, which archives it for signatures that are new fleet-wide.
-type WitnessPayload struct {
-	// Sig is the finding the recording witnesses.
-	Sig corpus.Signature `json:"sig"`
-	// Name is the recording's file name (the deterministic
-	// <label>-<kind>-p<target>-t<trial>.trace.jsonl the in-process campaign
-	// would have used, so fleet and single-process corpora match byte for
-	// byte).
-	Name string `json:"name"`
-	// Data is the recording's bytes (base64 over the wire).
-	Data []byte `json:"data"`
-}
-
 // UnitResult is one executed batch's report: the worker-local corpus state
-// the coordinator merges, plus optional telemetry and witness payloads.
+// the coordinator merges, plus optional telemetry. It carries no witness
+// recordings: a witness is a function of its finding, so the coordinator
+// re-records the ones it archives.
 type UnitResult struct {
 	// Trials and Potential mirror harness.UnitOutcome.
 	Trials    int `json:"trials"`
@@ -150,9 +134,6 @@ type UnitResult struct {
 	// Records are the batch's per-execution run records (only when
 	// CampaignInfo.Records asked for them).
 	Records []obs.RunRecord `json:"records,omitempty"`
-	// Witnesses are captured recordings for batch-locally-new signatures
-	// (only when CampaignInfo.Witnesses asked for them).
-	Witnesses []WitnessPayload `json:"witnesses,omitempty"`
 }
 
 // ResultRequest submits a completed batch.

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -261,10 +260,10 @@ func postResult(ctx context.Context, o WorkerOptions, reg registration, unit Wor
 
 // ExecuteUnit runs one leased batch in this process: the standard
 // harness.RunUnit body against a fresh in-memory store, so the batch's
-// findings, coverage cells, records, and witness recordings stream back as
-// a self-contained UnitResult for the coordinator to merge. The unit tuple
-// fully determines the trials executed; only the new/known labeling is
-// batch-local (the coordinator's merge re-deduplicates fleet-wide).
+// findings, coverage cells and records stream back as a self-contained
+// UnitResult for the coordinator to merge. The unit tuple fully determines
+// the trials executed; only the new/known labeling is batch-local (the
+// coordinator's merge re-deduplicates fleet-wide and relabels the records).
 func ExecuteUnit(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 	if _, ok := bench.ByName(u.Target); !ok {
 		return UnitResult{}, fmt.Errorf("unknown target %q (build mismatch with coordinator?)", u.Target)
@@ -277,31 +276,11 @@ func ExecuteUnit(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 		rec = &recordingSink{}
 		o.Sink = rec
 	}
-	if info.Witnesses {
-		dir, err := os.MkdirTemp("", "fleet-witness-")
-		if err != nil {
-			return UnitResult{}, fmt.Errorf("witness scratch dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		o.TraceDir = dir
-	}
 	out := harness.RunUnit(harness.RoundUnit{
 		Round: u.Round, TargetIndex: u.TargetIndex, Target: u.Target,
 		Trials: u.Trials, Seed: u.Seed,
 	}, store, o)
-	res := UnitResult{Trials: out.Trials, Potential: out.Potential}
-	for _, f := range store.Findings() {
-		if p := store.WitnessPath(f); p != "" {
-			if data, err := os.ReadFile(p); err == nil {
-				res.Witnesses = append(res.Witnesses, WitnessPayload{
-					Sig: f.Sig, Name: filepath.Base(p), Data: data,
-				})
-			}
-		}
-		f.WitnessTrace = "" // worker-local scratch path, meaningless remotely
-		res.Findings = append(res.Findings, f)
-	}
-	res.Cells = store.Coverage()
+	res := UnitResult{Trials: out.Trials, Potential: out.Potential, Findings: store.Findings(), Cells: store.Coverage()}
 	if rec != nil {
 		res.Records = rec.take()
 	}

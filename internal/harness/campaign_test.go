@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +131,58 @@ func TestRegressCleanOnFreshCorpus(t *testing.T) {
 	}
 	if witnessed == 0 {
 		t.Fatal("no finding carried an archived witness")
+	}
+}
+
+// TestArchiveWitnessesReproduceCampaignCaptures: re-recording each finding
+// of a campaign corpus from its seeds writes, under the same name, the
+// witness the campaign captured, byte for byte, and attaches it; a store
+// without a witness directory archives nothing.
+func TestArchiveWitnessesReproduceCampaignCaptures(t *testing.T) {
+	ref, err := corpus.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	RunAdaptiveCampaign(campaignBenches, CampaignOptions{
+		Seed: 7, Budget: 40, Rounds: 2, Corpus: ref,
+		Probes: core.Probes{TraceDir: ref.WitnessDir()},
+	})
+	findings := ref.Findings()
+	if len(findings) == 0 {
+		t.Fatal("campaign produced no findings to archive")
+	}
+	store, err := corpus.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		f.WitnessTrace = ""
+		store.Ingest(f)
+	}
+	paths, errs := ArchiveWitnesses(store, findings)
+	if len(errs) > 0 {
+		t.Fatalf("archive: %v", errs)
+	}
+	for i, f := range findings {
+		want, err := os.ReadFile(ref.WitnessPath(f))
+		if err != nil {
+			t.Fatalf("campaign witness of %s: %v", f.Sig, err)
+		}
+		got, err := os.ReadFile(paths[i])
+		if err != nil {
+			t.Fatalf("archived witness of %s: %v", f.Sig, err)
+		}
+		if filepath.Base(paths[i]) != filepath.Base(ref.WitnessPath(f)) || !bytes.Equal(got, want) {
+			t.Fatalf("archived witness %s differs from campaign capture %s", paths[i], ref.WitnessPath(f))
+		}
+	}
+	if !reflect.DeepEqual(store.Findings(), findings) {
+		t.Fatalf("archived findings differ from the campaign's:\n got: %+v\nwant: %+v", store.Findings(), findings)
+	}
+
+	paths, errs = ArchiveWitnesses(corpus.NewStore(), findings)
+	if len(errs) > 0 || slices.ContainsFunc(paths, func(p string) bool { return p != "" }) {
+		t.Fatalf("in-memory store archived %v (errors %v)", paths, errs)
 	}
 }
 

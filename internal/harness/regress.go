@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -72,10 +73,15 @@ type regressCtx struct {
 	lookup func(string) (bench.Benchmark, bool)
 }
 
+// newRegressCtx starts an empty target cache over store.
+func newRegressCtx(store *corpus.Store) *regressCtx {
+	return &regressCtx{store: store, targets: make(map[regressKey][]core.Target), lookup: bench.ByName}
+}
+
 // Regress replays every stored finding and returns the per-finding verdicts
 // plus an overall pass flag.
 func Regress(store *corpus.Store) ([]RegressResult, bool) {
-	ctx := &regressCtx{store: store, targets: make(map[regressKey][]core.Target), lookup: bench.ByName}
+	ctx := newRegressCtx(store)
 	findings := store.Findings()
 	results := make([]RegressResult, 0, len(findings))
 	ok := true
@@ -91,31 +97,13 @@ func Regress(store *corpus.Store) ([]RegressResult, bool) {
 
 func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 	out := RegressResult{Finding: f, Status: RegressOK}
-	b, found := ctx.lookup(f.Bench)
-	if !found {
-		out.Status = RegressBenchMissing
-		out.Detail = fmt.Sprintf("benchmark %q not registered", f.Bench)
+	b, opts, target, err := ctx.resolve(f)
+	var miss *unresolved
+	if errors.As(err, &miss) {
+		out.Status, out.Detail = miss.status, miss.detail
 		return out
 	}
-	opts := core.Options{
-		Seed:         f.FirstSeenSeed,
-		Phase1Trials: f.Phase1Trials,
-		MaxSteps:     f.MaxSteps,
-		Label:        f.Bench,
-	}
-	key := regressKey{f.Bench, f.Sig.Kind, f.FirstSeenSeed, f.Phase1Trials, f.MaxSteps}
-	targets, cached := ctx.targets[key]
-	if !cached {
-		targets = core.DetectTargets(f.Sig.Kind, b.New(), opts)
-		ctx.targets[key] = targets
-	}
-	idx := slices.IndexFunc(targets, func(t core.Target) bool { return t.String() == f.Pair })
-	if idx < 0 {
-		out.Status = RegressTargetMissing
-		out.Detail = fmt.Sprintf("phase 1 no longer reports %s target %s", f.Sig.Kind, f.Pair)
-		return out
-	}
-	fresh, hits, div := core.VerifyReplay(b.New(), targets[idx], f.WitnessSeed, opts)
+	fresh, hits, div := core.VerifyReplay(b.New(), target, f.WitnessSeed, opts)
 	if div != nil {
 		out.Status = RegressDiverged
 		out.Detail = "replay nondeterministic: " + div.String()
@@ -159,4 +147,65 @@ func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 		}
 	}
 	return out
+}
+
+// unresolved says why a finding no longer resolves to a target: a Regress
+// status and its detail.
+type unresolved struct{ status, detail string }
+
+func (u *unresolved) Error() string { return u.detail }
+
+// resolve re-derives the phase-1 target list of f's campaign configuration
+// (once per distinct configuration) and finds f's target in it, returning
+// the benchmark and the options that replay the target's trials. Its
+// error is always an *unresolved.
+func (ctx *regressCtx) resolve(f corpus.Finding) (bench.Benchmark, core.Options, core.Target, error) {
+	b, found := ctx.lookup(f.Bench)
+	if !found {
+		return b, core.Options{}, nil, &unresolved{RegressBenchMissing, fmt.Sprintf("benchmark %q not registered", f.Bench)}
+	}
+	opts := core.Options{
+		Seed:         f.FirstSeenSeed,
+		Phase1Trials: f.Phase1Trials,
+		MaxSteps:     f.MaxSteps,
+		Label:        f.Bench,
+	}
+	key := regressKey{f.Bench, f.Sig.Kind, f.FirstSeenSeed, f.Phase1Trials, f.MaxSteps}
+	targets, cached := ctx.targets[key]
+	if !cached {
+		targets = core.DetectTargets(f.Sig.Kind, b.New(), opts)
+		ctx.targets[key] = targets
+	}
+	idx := slices.IndexFunc(targets, func(t core.Target) bool { return t.String() == f.Pair })
+	if idx < 0 {
+		return b, opts, nil, &unresolved{RegressTargetMissing, fmt.Sprintf("phase 1 no longer reports %s target %s", f.Sig.Kind, f.Pair)}
+	}
+	return b, opts, targets[idx], nil
+}
+
+// ArchiveWitnesses re-records each finding's witness from its seeds (a
+// witness is a function of its finding, the paper's §2.2 replay) into
+// store's witness directory, under the name the in-process campaign gives
+// it, and attaches it to the stored finding. paths[i] is findings[i]'s
+// witness, "" when none was archived; each error names a finding left
+// without one. A store with no witness directory archives nothing.
+func ArchiveWitnesses(store *corpus.Store, findings []corpus.Finding) (paths []string, errs []error) {
+	paths = make([]string, len(findings))
+	dir := store.WitnessDir()
+	if dir == "" {
+		return paths, nil
+	}
+	ctx := newRegressCtx(store)
+	for i, f := range findings {
+		b, opts, target, err := ctx.resolve(f)
+		if err == nil {
+			paths[i], err = core.CaptureWitness(b.New(), target, f.TargetIndex, f.WitnessTrial, f.WitnessSeed, dir, opts)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("witness of %s %s not archived: %w", f.Bench, f.Sig.Canon(), err))
+			continue
+		}
+		store.AttachWitness(f.Sig, paths[i])
+	}
+	return paths, errs
 }
