@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -8,29 +9,47 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/harness"
 )
 
-// exitChildEnv carries the newline-separated arguments the child process of
-// TestExitPathClosesRunLog runs the command with.
-const exitChildEnv = "BENCHTABLE_EXIT_CHILD_ARGS"
+// childEnv carries the newline-separated arguments a child process of
+// these tests runs the command with.
+const childEnv = "BENCHTABLE_EXIT_CHILD_ARGS"
+
+func TestMain(m *testing.M) {
+	if args := os.Getenv(childEnv); args != "" {
+		os.Args = append([]string{"benchtable"}, strings.Split(args, "\n")...)
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+// runChild runs the command with args in a child process and returns its
+// exit status and stderr.
+func runChild(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), childEnv+"="+strings.Join(args, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("child: %v", err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
 
 // TestExitPathClosesRunLog runs a -verify that fails (two trials confirm too
 // little of figure1's ground truth), which exits 1 after the -json log is
 // open. The log must still hold the provenance header and every run record
 // as whole JSON lines.
 func TestExitPathClosesRunLog(t *testing.T) {
-	if args := os.Getenv(exitChildEnv); args != "" {
-		os.Args = append([]string{"benchtable"}, strings.Split(args, "\n")...)
-		os.Exit(run())
-	}
 	log := filepath.Join(t.TempDir(), "v.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestExitPathClosesRunLog$")
-	cmd.Env = append(os.Environ(), exitChildEnv+"="+strings.Join([]string{
-		"-names", "figure1", "-trials", "2", "-verify", "-json", log,
-	}, "\n"))
-	var exit *exec.ExitError
-	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("child: %v, want exit status 1", err)
+	if code, _ := runChild(t, "-names", "figure1", "-trials", "2", "-verify", "-json", log); code != 1 {
+		t.Fatalf("child exit status %d, want 1", code)
 	}
 	data, err := os.ReadFile(log)
 	if err != nil {
@@ -47,5 +66,45 @@ func TestExitPathClosesRunLog(t *testing.T) {
 	}
 	if len(lines) < 2 {
 		t.Fatalf("run log has %d line(s), want the header and run records", len(lines))
+	}
+}
+
+// TestCorpusWitnessesRegress: a Table 1 run with -corpusdir archives a
+// witness for every finding under the corpus, and the corpus passes
+// racefuzzer -regress, every finding compared against its witness. A
+// corpus that ends in a torn record is loaded with a warning.
+func TestCorpusWitnessesRegress(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "c")
+	if code, stderr := runChild(t, "-names", "figure1,figure2", "-trials", "20", "-timing-runs", "1", "-corpusdir", dir); code != 0 {
+		t.Fatalf("child exit status %d: %s", code, stderr)
+	}
+	store, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := store.Findings()
+	if len(findings) == 0 {
+		t.Fatal("no findings archived")
+	}
+	for _, f := range findings {
+		w := store.WitnessPath(f)
+		if w == "" || !strings.HasPrefix(w, store.WitnessDir()) {
+			t.Fatalf("%s: witness %q, want one under %s", f.Sig.Canon(), w, store.WitnessDir())
+		}
+	}
+	results, ok := harness.Regress(store)
+	if !ok || len(results) != len(findings) {
+		t.Fatalf("regress over %d finding(s): ok=%v %v", len(findings), ok, results)
+	}
+
+	f, err := os.OpenFile(filepath.Join(dir, "findings.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"sig":`)
+	f.Close()
+	code, stderr := runChild(t, "-names", "figure1", "-trials", "2", "-timing-runs", "1", "-corpusdir", dir)
+	if code != 0 || !strings.Contains(stderr, "benchtable: warning: corpus "+dir+" ended in a partial record") {
+		t.Fatalf("torn corpus: exit %d, stderr %q, want the truncation warning", code, stderr)
 	}
 }

@@ -26,15 +26,16 @@
 //
 // Observability flags (see README "Observability"): -metrics prints a
 // campaign metrics table, -json writes one structured record per execution
-// (JSONL, -jsonflush makes it tail-able), -progress emits periodic campaign
-// progress lines to stderr, and -cpuprofile/-memprofile write pprof
-// profiles of the campaign. -http serves the live campaign observatory (see
-// README "Live monitoring"): an SSE /events stream and /debug/perf
-// scheduler latency aggregates. SIGINT under -http or -json closes the -json
-// log and exits 0. The live coverage frontier is cmd/campaignreport -log over a
-// -jsonflush run log. -perfdir exports a Perfetto
-// timeline (Chrome trace-event JSON, open in https://ui.perfetto.dev) of
-// each target's first confirming trial.
+// (JSONL, -jsonflush makes it tail-able, -timing adds per-run durationNs),
+// -progress emits periodic campaign progress lines to stderr, and
+// -cpuprofile/-memprofile write pprof profiles of the campaign. -http serves
+// the live campaign observatory (see README "Live monitoring"): an SSE
+// /events stream and /debug/perf scheduler latency aggregates. SIGINT under
+// -http or -json closes the -json log and exits 0. cmd/campaignreport
+// renders the offline report of a run log and/or corpus; its -log over a
+// -jsonflush run log is the live coverage frontier. -perfdir exports a
+// Perfetto timeline (Chrome trace-event JSON, open in
+// https://ui.perfetto.dev) of each target's first confirming trial.
 //
 // Fleet flags (see README "Fleet campaigns"): -coordinate serves the fleet
 // control plane on the given address and runs the -budget campaign on
@@ -48,11 +49,8 @@
 // identical builds, since that is what makes leased batches re-executable
 // bit-identically.
 //
-// Analytics flags (see README "Campaign reports"): -report renders the
-// offline campaign report (markdown) from a directory holding a run log
-// and/or corpus, like cmd/campaignreport; -timing opts into per-run
-// durationNs in -json records (off by default so run logs stay
-// byte-identical across repeat runs).
+// The corpus, run-log, observatory, capture and -version flags, and the
+// wiring behind them, are observatory.CLI, shared with cmd/benchtable.
 package main
 
 import (
@@ -64,11 +62,9 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"syscall"
 	"time"
 
-	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
@@ -85,6 +81,7 @@ func main() { os.Exit(run()) }
 // run is the whole command; it returns the exit status, so every deferred
 // close (the -json run log above all) runs on every path.
 func run() int {
+	cli := observatory.NewCLI("racefuzzer", flag.CommandLine)
 	var (
 		list    = flag.Bool("list", false, "list available benchmarks and exit")
 		name    = flag.String("bench", "", "benchmark to analyze (see -list)")
@@ -96,34 +93,24 @@ func run() int {
 		dump    = flag.Bool("trace", false, "with -replay: dump the replayed event trace")
 		explain = flag.Bool("explain", false, "with -replay: render the race-explanation timeline of the replayed run")
 		explTr  = flag.String("explaintrace", "", "explain a saved flight recording (*.trace.jsonl) and exit")
-		trDir   = flag.String("tracedir", "", "auto-capture a flight recording of each target's first confirming run into this directory")
-		pfDir   = flag.String("perfdir", "", "export a Perfetto timeline (Chrome trace-event JSON) of each target's first confirming trial into this directory")
 		dlMode  = flag.Bool("deadlocks", false, "run the deadlock-directed pipeline instead of races")
 		atMode  = flag.Bool("atomicity", false, "run the atomicity-directed pipeline instead of races")
 		workers = flag.Int("workers", 0, "trial executor workers: 0 or 1 = sequential, N = pool of N, -1 = GOMAXPROCS (reports are identical at any setting)")
 
-		corpusDir = flag.String("corpusdir", "", "persist confirmed findings (dedup, coverage, witnesses) in this corpus directory")
-		budget    = flag.Int("budget", 0, "run the adaptive campaign: split this global phase-2 trial budget across all benchmarks (or just -bench)")
-		rounds    = flag.Int("rounds", 3, "with -budget: number of adaptive allocation rounds")
-		regress   = flag.Bool("regress", false, "with -corpusdir: replay every stored finding and fail on divergence or signature churn")
+		budget  = flag.Int("budget", 0, "run the adaptive campaign: split this global phase-2 trial budget across all benchmarks (or just -bench)")
+		rounds  = flag.Int("rounds", 3, "with -budget: number of adaptive allocation rounds")
+		regress = flag.Bool("regress", false, "with -corpusdir: replay every stored finding and fail on divergence or signature churn")
 
-		timing     = flag.Bool("timing", false, "record per-run wall-clock durations (durationNs) in emitted records; off by default so run logs stay byte-identical across repeat runs")
-		reportDir  = flag.String("report", "", "analyze a campaign directory (run log and/or corpus) offline and print a markdown report, then exit (see cmd/campaignreport for CSV)")
 		metrics    = flag.Bool("metrics", false, "print the campaign metrics table after the run")
-		jsonLog    = flag.String("json", "", "write a structured JSONL run log to this file (one record per execution)")
-		jsonFlush  = flag.Int("jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
 		progress   = flag.Bool("progress", false, "print periodic campaign progress lines to stderr")
-		httpAddr   = flag.String("http", "", "serve the live campaign observatory (/events, /debug/perf, /healthz; /fleet/status with -coordinate) on this address, e.g. :8080")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
 		coordAddr = flag.String("coordinate", "", "with -budget: serve a fleet coordinator on this address (e.g. :7070) and run the campaign on remote -worker processes instead of in-process")
 		workerURL = flag.String("worker", "", "run as a fleet worker: pull leased trial batches from the coordinator at this base URL (e.g. http://host:7070) until its campaign completes")
-		version   = flag.Bool("version", false, "print the tool's build provenance (version, commit, toolchain) and exit")
 	)
 	flag.Parse()
-	if *version {
-		fmt.Println(obs.CollectProvenance("racefuzzer", "", nil).String())
+	if cli.Version() {
 		return 0
 	}
 	// A replay seed of 0 is legitimate (derived seeds can be 0 under negative
@@ -188,15 +175,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -coordinate requires -budget (the fleet runs the adaptive campaign)")
 		return 2
 	}
-	if *reportDir != "" {
-		c, err := analytics.LoadDir(*reportDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racefuzzer: -report: %v\n", err)
-			return 1
-		}
-		fmt.Print(analytics.Markdown(analytics.Analyze(c)))
-		return 0
-	}
 	if *explTr != "" {
 		rec, err := flightrec.LoadFile(*explTr)
 		if err != nil {
@@ -208,24 +186,12 @@ func run() int {
 	}
 	// Open the corpus before choosing a mode: regress reads it, the adaptive
 	// campaign and the normal pipelines write through it.
-	var store *corpus.Store
-	if *corpusDir != "" {
-		var err error
-		store, err = corpus.Open(*corpusDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racefuzzer: -corpusdir: %v\n", err)
-			return 1
-		}
-		if store.Truncated() {
-			fmt.Fprintf(os.Stderr, "racefuzzer: warning: corpus %s ended in a partial record (crash mid-save); it was skipped\n", *corpusDir)
-		}
+	if err := cli.OpenCorpus(); err != nil {
+		fmt.Fprintf(os.Stderr, "racefuzzer: %v\n", err)
+		return 1
 	}
-	// Witness captures belong to the corpus unless the user pointed them
-	// elsewhere explicitly.
-	traceDir := *trDir
-	if traceDir == "" && store != nil {
-		traceDir = store.WitnessDir()
-	}
+	store := cli.Store
+	defer cli.Close()
 
 	if *regress {
 		if store == nil {
@@ -233,7 +199,7 @@ func run() int {
 			return 2
 		}
 		results, ok := harness.Regress(store)
-		fmt.Printf("regress: replaying %d stored finding(s) from %s\n", len(results), *corpusDir)
+		fmt.Printf("regress: replaying %d stored finding(s) from %s\n", len(results), cli.CorpusDir)
 		failed := 0
 		for _, r := range results {
 			if !r.OK() {
@@ -262,25 +228,6 @@ func run() int {
 			return 2
 		}
 	}
-	opts := core.Options{
-		Seed:         *seed,
-		Phase1Trials: *phase1,
-		Phase2Trials: *trials,
-		MaxSteps:     b.MaxSteps,
-		Label:        b.Name,
-		Workers:      *workers,
-		Corpus:       store,
-		// The observability chain below fills in the rest of the probe
-		// set; the pipeline and -budget paths share it.
-		Probes: core.Probes{TraceDir: traceDir, PerfDir: *pfDir, Timing: *timing},
-	}
-	if opts.Phase1Trials == 0 {
-		opts.Phase1Trials = b.Phase1Trials
-	}
-	if opts.Phase1Trials <= 0 {
-		opts.Phase1Trials = 3 // the pipeline default, printed below
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -311,115 +258,42 @@ func run() int {
 		}()
 	}
 
-	// Assemble the observability chain: observatory, campaign metrics, JSONL
-	// log, progress. The observatory rides the same nil-safe probes as the
-	// rest — with -http unset every accessor below returns nil and the
+	// The shared observation chain (run log, campaign metrics, observatory)
+	// plus -progress. With none of them set every probe is nil and the
 	// campaign runs the identical unobserved code path.
-	var obsv *observatory.Server
-	if *httpAddr != "" {
-		obsv = observatory.New(observatory.Config{Addr: *httpAddr})
+	var prog *obs.Progress
+	var extra []obs.Sink
+	if *progress {
+		prog = obs.NewProgress(os.Stderr, 2*time.Second)
+		extra = append(extra, prog)
 	}
-	var campaign *obs.CampaignMetrics
-	if *metrics || obsv != nil {
-		campaign = obsv.Campaign()
-		if campaign == nil {
-			campaign = obs.NewCampaignMetrics()
-		}
-		opts.Metrics = campaign
-	}
-	// The observatory's perf collector aggregates every execution into
-	// /debug/perf; nil (no -http) profiles nothing, costing one predicted
-	// branch per probe site.
-	opts.Prof = obsv.Prof()
-	// Provenance: the explicitly-set flags plus the tool's build identity,
-	// stamped into both artifact trails (run-log header, corpus manifest) so
-	// the offline report can attribute what it analyzes.
 	provLabel := *name
 	if provLabel == "" {
 		provLabel = "campaign"
 	}
-	setFlags := map[string]string{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = f.Value.String() })
-	prov := obs.CollectProvenance("racefuzzer", provLabel, setFlags)
-	store.SetProvenance(prov)
-	var sinks obs.MultiSink
-	var closeLog func() // nil without -json
-	if *jsonLog != "" {
-		f, err := os.Create(*jsonLog)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
-			return 1
-		}
-		jsonl := obs.NewJSONLSink(f).AutoFlush(*jsonFlush).Header(prov)
-		sinks = append(sinks, jsonl)
-		closeLog = sync.OnceFunc(func() {
-			if err := jsonl.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "racefuzzer: -json: %v\n", err)
-			}
-		})
-		defer closeLog()
-	}
-	var prog *obs.Progress
-	if *progress {
-		prog = obs.NewProgress(os.Stderr, 2*time.Second)
-		sinks = append(sinks, prog)
-	}
-	if s := obsv.Sink(); s != nil {
-		sinks = append(sinks, s)
-	}
-	if len(sinks) > 0 {
-		opts.Sink = sinks
-	}
-	// Fleet coordinator: created before the observatory starts so its
-	// /fleet/status endpoint rides the observatory mux.
-	var coord *fleet.Coordinator
-	fleetStore := store
-	if *coordAddr != "" {
-		if fleetStore == nil {
-			fleetStore = corpus.NewStore()
-		}
-		coord = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			Addr:       *coordAddr,
-			Store:      fleetStore,
-			Workers:    *workers,
-			Metrics:    campaign,
-			Sink:       opts.Sink,
-			Timing:     opts.Timing,
-			Provenance: prov,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "racefuzzer: "+format+"\n", args...)
-			},
-		})
-		obsv.Handle("/fleet/status", coord.StatusHandler())
-	}
-	// SIGINT/SIGTERM under -http or -json ends the campaign: the run log
-	// closes on a whole record, subscribers get a final snapshot, and the
-	// exit is 0.
-	stopObsv, err := obsv.Serve("racefuzzer", closeLog)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "racefuzzer: -http: %v\n", err)
+	if err := cli.Start(provLabel, *metrics, extra...); err != nil {
+		fmt.Fprintf(os.Stderr, "racefuzzer: %v\n", err)
 		return 1
 	}
-	finishObservers := func() int {
+	finish := func() int {
 		prog.Finish()
-		if closeLog != nil {
-			closeLog()
-		}
-		stopObsv()
-		if *metrics {
-			fmt.Println()
-			fmt.Print(campaign.Snapshot().Table("campaign metrics").Render())
-		}
-		if store != nil {
-			n, k := store.Counts()
-			fmt.Printf("\ncorpus: %d new signature(s), %d known re-sighting(s), %d total (%s)\n",
-				n, k, store.Len(), *corpusDir)
-			if err := store.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "racefuzzer: corpus save: %v\n", err)
-				return 1
-			}
-		}
-		return 0
+		return cli.Finish()
+	}
+	opts := core.Options{
+		Seed:         *seed,
+		Phase1Trials: *phase1,
+		Phase2Trials: *trials,
+		MaxSteps:     b.MaxSteps,
+		Label:        b.Name,
+		Workers:      *workers,
+		Corpus:       store,
+		Probes:       cli.Probes,
+	}
+	if opts.Phase1Trials == 0 {
+		opts.Phase1Trials = b.Phase1Trials
+	}
+	if opts.Phase1Trials <= 0 {
+		opts.Phase1Trials = 3 // the pipeline default, printed below
 	}
 
 	if *budget > 0 {
@@ -436,11 +310,28 @@ func run() int {
 			Probes:  opts.Probes,
 		}
 		var rows []harness.CampaignRow
-		if coord != nil {
+		if *coordAddr != "" {
 			// Fleet mode: the same campaign driver, but every unit executes
 			// on a worker and reaches the corpus through the coordinator's
 			// merge. The coordinator re-records each new finding's witness
 			// into the corpus; TraceDir is not used.
+			fleetStore := store
+			if fleetStore == nil {
+				fleetStore = corpus.NewStore()
+			}
+			coord := fleet.NewCoordinator(fleet.CoordinatorConfig{
+				Addr:       *coordAddr,
+				Store:      fleetStore,
+				Workers:    *workers,
+				Metrics:    opts.Metrics,
+				Sink:       opts.Sink,
+				Timing:     opts.Timing,
+				Provenance: cli.Prov,
+				Logf: func(format string, args ...any) {
+					fmt.Fprintf(os.Stderr, "racefuzzer: "+format+"\n", args...)
+				},
+			})
+			cli.Server.Handle("/fleet/status", coord.StatusHandler())
 			if err := coord.Start(); err != nil {
 				fmt.Fprintf(os.Stderr, "racefuzzer: -coordinate: %v\n", err)
 				return 1
@@ -469,7 +360,7 @@ func run() int {
 			rows = harness.RunAdaptiveCampaign(names, copt)
 		}
 		fmt.Print(harness.RenderCampaign(rows))
-		return finishObservers()
+		return finish()
 	}
 
 	fmt.Printf("== %s: %s\n", b.Name, b.Description)
@@ -481,7 +372,7 @@ func run() int {
 			printWitness(r.TracePath, r.TraceErr)
 			printPerf(r.PerfPath, r.PerfErr)
 		}
-		return finishObservers()
+		return finish()
 	}
 	if *atMode {
 		reps := core.AnalyzeAtomicity(b.New(), opts)
@@ -491,7 +382,7 @@ func run() int {
 			printWitness(r.TracePath, r.TraceErr)
 			printPerf(r.PerfPath, r.PerfErr)
 		}
-		return finishObservers()
+		return finish()
 	}
 	pairs := core.DetectPotentialRaces(b.New(), opts)
 	fmt.Printf("phase 1 (hybrid detection, %d observations): %d potential racing pair(s)\n",
@@ -526,10 +417,10 @@ func run() int {
 			fmt.Printf("\nevent trace (most recent %d):\n", traceTail)
 			fmt.Print(rec.Dump(traceTail))
 		}
-		return finishObservers()
+		return finish()
 	}
 	if len(pairs) == 0 {
-		return finishObservers()
+		return finish()
 	}
 
 	fmt.Printf("\nphase 2 (RaceFuzzer, %d runs per pair):\n", opts.Phase2Trials)
@@ -553,7 +444,7 @@ func run() int {
 	}
 	fmt.Printf("\nsummary: %d potential, %d real, %d with exceptions (paper row: %d potential, %d real)\n",
 		len(pairs), realCount, excCount, b.Paper.HybridRaces, b.Paper.RealRaces)
-	return finishObservers()
+	return finish()
 }
 
 // traceTail is the number of most recent events -trace prints.

@@ -168,15 +168,20 @@ func counterProgram(workers, iters int) Program {
 	}
 }
 
-// TestRunStatsPopulated checks the per-run probe: scheduler totals from the
-// Result, events by kind and the enabled histogram from the observer stream,
-// and the postponed-set counters from the race-directed policy.
+// TestRunStatsPopulated checks the per-run probe a campaign with Metrics
+// attaches: scheduler totals from the Result, events by kind and the
+// enabled histogram from the observer stream, and the postponed-set
+// counters from the race-directed policy.
 func TestRunStatsPopulated(t *testing.T) {
 	pair := event.MakeStmtPair(event.StmtFor("counter:read"), event.StmtFor("counter:write"))
-	o := Options{Probes: Probes{Sink: &collectSink{}}}
-	res, pol, s := o.trial(counterProgram(3, 10), newRaceTarget(pair), 7)
+	o := Options{Probes: Probes{Metrics: obs.NewCampaignMetrics()}}
+	res, pol, m := o.trial(counterProgram(3, 10), newRaceTarget(pair), 7)
+	s := m.stats
 	if s == nil {
-		t.Fatal("no stats with a sink attached")
+		t.Fatal("no stats with metrics attached")
+	}
+	if m.wall != s.Wall {
+		t.Fatalf("telemetry wall %v, stats wall %v", m.wall, s.Wall)
 	}
 	if s.Steps != res.Steps || s.Switches != res.Switches {
 		t.Fatalf("stats steps/switches = %d/%d, result %d/%d", s.Steps, s.Switches, res.Steps, res.Switches)
@@ -202,7 +207,8 @@ func TestRunStatsPopulated(t *testing.T) {
 	// postponed-set counters must match the actions a flight recording of
 	// the same trial shows.
 	target := newRaceTarget(bench.Fig2Pair)
-	_, _, s = o.trial(bench.Figure2(5), target, 3)
+	_, _, m = o.trial(bench.Figure2(5), target, 3)
+	s = m.stats
 	_, _, rec := Record(bench.Figure2(5), target, 3, Options{})
 	acts := map[string]int{}
 	for _, a := range rec.Actions() {
@@ -215,15 +221,27 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestRunStatsNilWhenMetricsAbsent: without Metrics or Sink a trial builds
-// no stats at all, and phase-1 stats carry no policy counters.
+// TestRunStatsNilWhenMetricsAbsent: Metrics is the one reader of RunStats,
+// so without it a trial builds none — a sink alone gets records without
+// stats, timed only under Timing — and phase-1 stats carry no policy
+// counters.
 func TestRunStatsNilWhenMetricsAbsent(t *testing.T) {
 	pair := event.MakeStmtPair(event.StmtFor("counter:read"), event.StmtFor("counter:write"))
-	if _, _, s := (Options{}).trial(counterProgram(2, 5), newRaceTarget(pair), 7); s != nil {
-		t.Fatalf("stats = %+v without Metrics or Sink", s)
+	if _, _, m := (Options{}).trial(counterProgram(2, 5), newRaceTarget(pair), 7); m.stats != nil || m.wall != 0 {
+		t.Fatalf("telemetry = %+v without Metrics or Timing", m)
+	}
+	for _, timing := range []bool{false, true} {
+		sink := &collectSink{}
+		FuzzPair(counterProgram(2, 5), pair, 0, Options{Seed: 1, Phase2Trials: 3, Probes: Probes{Sink: sink, Timing: timing}})
+		for _, rec := range sink.recs {
+			if rec.Stats != nil || (rec.DurationNs > 0) != timing {
+				t.Fatalf("sink-only record (timing %v): stats %+v, durationNs %d", timing, rec.Stats, rec.DurationNs)
+			}
+		}
 	}
 	sink := &collectSink{}
-	DetectPotentialRaces(counterProgram(2, 5), Options{Seed: 1, Phase1Trials: 2, Probes: Probes{Sink: sink}})
+	DetectPotentialRaces(counterProgram(2, 5), Options{Seed: 1, Phase1Trials: 2,
+		Probes: Probes{Sink: sink, Metrics: obs.NewCampaignMetrics()}})
 	for _, rec := range sink.recs {
 		if rec.Stats == nil || rec.Stats.Steps != rec.Steps || rec.Stats.Decisions != 0 {
 			t.Fatalf("phase-1 record stats = %+v", rec.Stats)

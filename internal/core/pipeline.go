@@ -89,10 +89,13 @@ type Probes struct {
 	// test and the analytics determinism contract rely on.
 	Timing bool
 	// Metrics, when non-nil, aggregates per-run telemetry across the whole
-	// campaign (phase 1 and phase 2).
+	// campaign (phase 1 and phase 2). It is the one reader of a record's
+	// RunStats, so only a campaign with Metrics pays for the per-run probe
+	// that builds them.
 	Metrics *obs.CampaignMetrics
 	// Sink, when non-nil, receives one structured record per execution —
-	// the JSONL run log and/or progress reporting.
+	// the JSONL run log and/or progress reporting. Its records carry no
+	// RunStats unless Metrics is set too.
 	Sink obs.Sink
 	// Prof, when non-nil, attaches a pooled schedprof trial to every
 	// execution and folds it back campaign-wide: per-op-kind wait/service
@@ -102,7 +105,7 @@ type Probes struct {
 	Prof *schedprof.Collector
 }
 
-// observing reports whether per-run telemetry should be collected at all.
+// observing reports whether run records should be built and emitted at all.
 func (o Options) observing() bool { return o.Metrics != nil || o.Sink != nil }
 
 // emit delivers one run record to the campaign aggregator and the sink.
@@ -114,19 +117,19 @@ func (o Options) emit(rec obs.RunRecord) {
 
 // runRecord assembles the common fields of a run record from a scheduler
 // result and the run's telemetry. Phase-1 records carry no exception kinds.
-func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result, stats *obs.RunStats) obs.RunRecord {
+func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result, m telemetry) obs.RunRecord {
 	rec := obs.RunRecord{
 		Phase: phase, Kind: kind, PairIndex: pairIndex, Trial: trial, Round: o.Round,
 		Seed: seed, StepsToRace: -1, Deadlock: res.Deadlock != nil, Aborted: res.Aborted,
-		Steps: res.Steps, Stats: stats,
+		Steps: res.Steps, Stats: m.stats,
 	}
 	if phase == 2 {
 		rec.Exceptions = runExceptionKinds(res)
 	}
 	// Wall time only when the campaign opted into -timing (zeroed otherwise
 	// — see RunRecord.DurationNs).
-	if o.Timing && stats != nil {
-		rec.DurationNs = stats.Wall.Nanoseconds()
+	if o.Timing {
+		rec.DurationNs = m.wall.Nanoseconds()
 	}
 	return rec
 }
@@ -351,13 +354,13 @@ func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 	set := &raceTarget{set: pairs, kind: "race-set", offset: 3_000_000}
 	type setRun struct {
 		res   *sched.Result
-		stats *obs.RunStats
+		m     telemetry
 		races []RealRace
 	}
 	runOrdered(o.workerCount(), o.Phase2Trials,
 		func(i int) setRun {
-			res, pol, stats := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
-			return setRun{res: res, stats: stats, races: pol.(*RaceFuzzerPolicy).Races()}
+			res, pol, m := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
+			return setRun{res: res, m: m, races: pol.(*RaceFuzzerPolicy).Races()}
 		},
 		func(i int, r setRun) {
 			seen := make(map[event.StmtPair]bool)
@@ -372,7 +375,7 @@ func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
 				rep.ExceptionRuns++
 			}
 			if o.observing() {
-				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res, r.stats)
+				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res, r.m)
 				rec.RaceCreated, rec.Races = created, len(r.races)
 				if created {
 					rec.StepsToRace = r.races[0].Step

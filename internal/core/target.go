@@ -93,7 +93,7 @@ func observe[D sched.Observer, T any](prog Program, o Options, kind string, pol 
 	type obsRun struct {
 		found T
 		res   *sched.Result
-		stats *obs.RunStats
+		m     telemetry
 	}
 	runOrdered(workers, o.Phase1Trials,
 		func(i int) obsRun {
@@ -103,15 +103,15 @@ func observe[D sched.Observer, T any](prog Program, o Options, kind string, pol 
 				p = sched.NewRandomPolicy()
 			}
 			// Phase-1 stats carry no policy counters, whatever the policy.
-			res, stats := o.run(prog, sched.Config{
+			res, m := o.run(prog, sched.Config{
 				Seed: o.Seed + int64(i), Policy: p, MaxSteps: o.MaxSteps,
 				Observers: []sched.Observer{det},
 			}, nil)
-			return obsRun{found: query(det), res: res, stats: stats}
+			return obsRun{found: query(det), res: res, m: m}
 		},
 		func(i int, r obsRun) {
 			if o.observing() {
-				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res, r.stats))
+				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res, r.m))
 			}
 			fold(r.found)
 		})
@@ -126,35 +126,46 @@ func trialConfig(t Target, pol sched.Policy, seed int64, o Options) sched.Config
 	return sched.Config{Seed: seed, Policy: pol, MaxSteps: o.MaxSteps, Name: t.configName()}
 }
 
-// trial is one phase-2 execution with the campaign's probes attached. The
-// stats are nil unless the campaign observes.
-func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, *obs.RunStats) {
+// trial is one phase-2 execution with the campaign's probes attached.
+func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, telemetry) {
 	pol := t.policy(o)
-	res, stats := o.run(prog, trialConfig(t, pol, seed, o), pol)
-	return res, pol, stats
+	res, m := o.run(prog, trialConfig(t, pol, seed, o), pol)
+	return res, pol, m
+}
+
+// telemetry is what one run's probes measured: the full stats when the
+// campaign aggregates Metrics (their only reader), and the wall time when
+// the stats or a Timing record need it.
+type telemetry struct {
+	stats *obs.RunStats
+	wall  time.Duration
 }
 
 // run executes one campaign run under cfg with the campaign's probes
-// attached: a profiling trial and, when the campaign observes, a runProbe
-// whose stats read pol's counters.
-func (o Options) run(prog Program, cfg sched.Config, pol sched.Policy) (*sched.Result, *obs.RunStats) {
+// attached: a profiling trial and, when the campaign aggregates Metrics, a
+// runProbe whose stats read pol's counters.
+func (o Options) run(prog Program, cfg sched.Config, pol sched.Policy) (*sched.Result, telemetry) {
 	var probe *runProbe
-	if o.observing() {
+	if o.Metrics != nil {
 		probe = &runProbe{enabled: obs.NewEnabledHistogram()}
 		cfg.Observers = append(cfg.Observers, probe)
 	}
 	cfg.Prof = o.Prof.StartTrial(o.Label, cfg.Seed)
+	timed := probe != nil || o.Timing
 	var start time.Time
-	if probe != nil {
+	if timed {
 		start = time.Now()
 	}
 	res := sched.Run(prog, cfg)
-	var stats *obs.RunStats
+	var m telemetry
+	if timed {
+		m.wall = time.Since(start)
+	}
 	if probe != nil {
-		stats = probe.finish(res, pol, time.Since(start))
+		m.stats = probe.finish(res, pol, m.wall)
 	}
 	o.Prof.FinishTrial(cfg.Prof)
-	return res, stats
+	return res, m
 }
 
 // runProbe is the per-run telemetry probe: a scheduler observer that tallies
@@ -248,8 +259,8 @@ func profile(prog Program, t Target, seed int64, o Options) *schedprof.Timeline 
 
 // trialResult is one grid trial as the tally receives it.
 type trialResult struct {
-	res   *sched.Result
-	stats *obs.RunStats
+	res *sched.Result
+	m   telemetry
 	outcome
 }
 
@@ -269,8 +280,8 @@ func confirm(prog Program, targets []Target, first int, o Options) []PairReport 
 	runOrdered(o.workerCount(), len(targets)*n,
 		func(k int) trialResult {
 			t := targets[k/n]
-			res, pol, stats := o.trial(prog, t, tallies[k/n].seed(k%n))
-			return trialResult{res: res, stats: stats, outcome: t.outcome(pol, res)}
+			res, pol, m := o.trial(prog, t, tallies[k/n].seed(k%n))
+			return trialResult{res: res, m: m, outcome: t.outcome(pol, res)}
 		},
 		func(k int, r trialResult) { tallies[k/n].add(k%n, r) })
 	out := make([]PairReport, len(tallies))
@@ -346,7 +357,7 @@ func (a *tally) add(i int, r trialResult) {
 		}
 	}
 	if o.observing() {
-		rec := o.runRecord(2, a.t.Kind(), a.index, i, seed, res, r.stats)
+		rec := o.runRecord(2, a.t.Kind(), a.index, i, seed, res, r.m)
 		rec.Pair = a.t.String()
 		rec.RaceCreated = r.hits > 0
 		rec.Races = r.hits

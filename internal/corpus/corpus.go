@@ -306,9 +306,11 @@ func (s *Store) Report(f Finding) (isNew bool) {
 	return true
 }
 
-// AttachWitness records the archived witness trace path for sig's finding
-// (a path under the corpus directory is stored relative to it, so the
-// corpus stays relocatable).
+// AttachWitness records the archived witness trace path for sig's finding.
+// A path under the corpus directory is stored relative to it, so the corpus
+// stays relocatable; any other path (a -tracedir outside the corpus) is
+// stored absolute, since WitnessPath resolves relative paths against the
+// corpus directory, not the working directory the capture ran in.
 func (s *Store) AttachWitness(sig Signature, path string) {
 	if s == nil || path == "" {
 		return
@@ -322,6 +324,8 @@ func (s *Store) AttachWitness(sig Signature, path string) {
 	if s.dir != "" {
 		if rel, err := filepath.Rel(s.dir, path); err == nil && !strings.HasPrefix(rel, "..") {
 			path = rel
+		} else if abs, err := filepath.Abs(path); err == nil {
+			path = abs
 		}
 	}
 	f.WitnessTrace = path

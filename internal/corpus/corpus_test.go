@@ -103,6 +103,54 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWitnessOutsideCorpusResolves: a witness archived outside a corpus
+// opened by a relative path (-corpusdir c -tracedir t) must still resolve
+// once the working directory changes; WitnessPath joins relative paths
+// onto the corpus directory, so the store keeps such a path absolute.
+func TestWitnessOutsideCorpusResolves(t *testing.T) {
+	root := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(root); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	witness := filepath.Join("t", "w.trace.jsonl")
+	if err := os.MkdirAll("t", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(witness, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	race := sig("race", "a", "b", "race")
+	s.Report(Finding{Sig: race, Bench: "figure1", WitnessSeed: 1})
+	s.AttachWitness(race, witness)
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Findings()[0]
+	if !filepath.IsAbs(f.WitnessTrace) {
+		t.Fatalf("witness outside the corpus stored relative: %q", f.WitnessTrace)
+	}
+	if err := os.Chdir(wd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(r.WitnessPath(f)); err != nil {
+		t.Fatalf("WitnessPath does not resolve: %v", err)
+	}
+}
+
 func TestLoadSkipsTruncatedFinalLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -64,9 +64,10 @@ func (c *CampaignMetrics) Emit(rec RunRecord) {
 		c.phase1Runs++
 	}
 	c.steps += int64(rec.Steps)
-	// Wall time prefers the in-process RunStats (always populated when
-	// observing); decoded JSONL records carry it in DurationNs when the
-	// campaign opted into -timing.
+	// Wall time prefers the in-process RunStats (populated for the records
+	// of a campaign that aggregates into this CampaignMetrics); decoded
+	// JSONL and fleet records carry it in DurationNs when the campaign opted
+	// into -timing.
 	if rec.Stats != nil {
 		c.wall += rec.Stats.Wall
 	} else {

@@ -74,9 +74,10 @@ type RunRecord struct {
 	// re-sighting). Empty on non-confirming runs and corpus-less campaigns.
 	Finding string `json:"finding,omitempty"`
 
-	// Stats carries the full scheduler telemetry when metrics were attached.
-	// It rides along for in-process consumers (CampaignMetrics, Progress)
-	// and is excluded from the JSONL schema, which stays one flat record.
+	// Stats carries the full scheduler telemetry when the campaign
+	// aggregates metrics (core.Probes.Metrics), nil otherwise. It rides
+	// along for CampaignMetrics, its one reader, and is excluded from the
+	// JSONL schema, which stays one flat record.
 	Stats *RunStats `json:"-"`
 }
 

@@ -11,6 +11,10 @@
 // /fleet/status). The live coverage frontier is campaignreport -log over a
 // -jsonflush run log; what one trial did is its flight recording.
 //
+// The package is also the two commands' one campaign runtime (CLI): the
+// shared flags, provenance, corpus, -json run log and probe wiring, with
+// Serve's signal path behind them.
+//
 // Design constraints, in order:
 //
 //   - Zero overhead when off. A nil *Server returns nil from every wiring
@@ -56,8 +60,7 @@ type Server struct {
 	camp *obs.CampaignMetrics
 	bc   *obs.Broadcast
 	prof *schedprof.Collector
-
-	extra map[string]http.Handler
+	mux  *http.ServeMux
 
 	srv *http.Server
 	ln  net.Listener
@@ -72,23 +75,29 @@ func New(cfg Config) *Server {
 	if camp == nil {
 		camp = obs.NewCampaignMetrics()
 	}
-	return &Server{
-		cfg:   cfg,
-		camp:  camp,
-		bc:    obs.NewBroadcast(),
-		prof:  schedprof.NewCollector(),
-		extra: make(map[string]http.Handler),
+	s := &Server{
+		cfg:  cfg,
+		camp: camp,
+		bc:   obs.NewBroadcast(),
+		prof: schedprof.NewCollector(),
+		mux:  http.NewServeMux(),
 	}
+	s.mux.HandleFunc("/events", s.handleEvents)
+	s.mux.HandleFunc("/debug/perf", s.handlePerf)
+	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	return s
 }
 
 // Handle mounts an extra handler on the observatory's mux (e.g. the fleet
-// coordinator's /fleet/status). Call before Start; nil-safe no-op, so call
-// sites wire it unconditionally like every other accessor.
+// coordinator's /fleet/status), before or after Start. Nil-safe no-op, so
+// call sites wire it unconditionally like every other accessor.
 func (s *Server) Handle(pattern string, h http.Handler) {
 	if s == nil || pattern == "" || h == nil {
 		return
 	}
-	s.extra[pattern] = h
+	s.mux.Handle(pattern, h)
 }
 
 // Campaign returns the aggregator the event stream snapshots (nil when off).
@@ -127,16 +136,7 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	mux := http.NewServeMux()
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/debug/perf", s.handlePerf)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	for pattern, h := range s.extra {
-		mux.Handle(pattern, h)
-	}
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: s.mux}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	return nil
 }
