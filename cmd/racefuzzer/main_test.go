@@ -11,6 +11,7 @@ import (
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/core"
+	"racefuzzer/internal/harness"
 )
 
 // TestRealRaceMatchesPolicy: a replay prints its race lines from the
@@ -42,24 +43,35 @@ func TestRealRaceMatchesPolicy(t *testing.T) {
 	}
 }
 
-// exitChildEnv carries the newline-separated arguments the child process of
-// TestExitPathClosesRunLog runs the command with.
-const exitChildEnv = "RACEFUZZER_EXIT_CHILD_ARGS"
+// childArgsEnv carries the newline-separated arguments a test's child
+// process runs the command with.
+const childArgsEnv = "RACEFUZZER_CHILD_ARGS"
+
+// runIfChild makes a child process started by childCommand run the command
+// and exit with its status; in the parent test it returns.
+func runIfChild() {
+	if args := os.Getenv(childArgsEnv); args != "" {
+		os.Args = append([]string{"racefuzzer"}, strings.Split(args, "\n")...)
+		os.Exit(run())
+	}
+}
+
+// childCommand re-executes the test binary as the command with args; test
+// names the calling test, which must start with runIfChild.
+func childCommand(test string, args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), childArgsEnv+"="+strings.Join(args, "\n"))
+	return cmd
+}
 
 // TestExitPathClosesRunLog runs a replay of a pair index phase 1 never
 // reports, which fails with exit 2 after the -json log is open. The log
 // must still hold the provenance header and the phase-1 records as whole
 // JSON lines.
 func TestExitPathClosesRunLog(t *testing.T) {
-	if args := os.Getenv(exitChildEnv); args != "" {
-		os.Args = append([]string{"racefuzzer"}, strings.Split(args, "\n")...)
-		os.Exit(run())
-	}
+	runIfChild()
 	log := filepath.Join(t.TempDir(), "r.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestExitPathClosesRunLog$")
-	cmd.Env = append(os.Environ(), exitChildEnv+"="+strings.Join([]string{
-		"-bench", "figure1", "-pair", "99", "-replay", "1", "-json", log,
-	}, "\n"))
+	cmd := childCommand("TestExitPathClosesRunLog", "-bench", "figure1", "-pair", "99", "-replay", "1", "-json", log)
 	var exit *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("child: %v, want exit status 2", err)
@@ -79,5 +91,47 @@ func TestExitPathClosesRunLog(t *testing.T) {
 	}
 	if len(lines) < 2 {
 		t.Fatalf("run log has %d line(s), want the header and phase-1 records", len(lines))
+	}
+}
+
+// TestRegressWithoutWitnesses: a corpus whose findings carry no archived
+// witness passes -regress on the replay checks alone, and the output must
+// say so instead of claiming the findings matched their witnesses.
+func TestRegressWithoutWitnesses(t *testing.T) {
+	runIfChild()
+	src := filepath.Join("..", "..", "internal", "corpus", "testdata", "cli")
+	dir := t.TempDir()
+	for _, name := range []string{"MANIFEST.json", "coverage.jsonl", "findings.jsonl"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "findings.jsonl" {
+			var out []string
+			for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+				var f map[string]any
+				if err := json.Unmarshal([]byte(line), &f); err != nil {
+					t.Fatal(err)
+				}
+				delete(f, "witnessTrace")
+				b, _ := json.Marshal(f)
+				out = append(out, string(b))
+			}
+			data = []byte(strings.Join(out, "\n") + "\n")
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := childCommand("TestRegressWithoutWitnesses", "-corpusdir", dir, "-regress").Output()
+	if err != nil {
+		t.Fatalf("regress: %v\n%s", err, out)
+	}
+	got := string(out)
+	if strings.Count(got, ": "+harness.NoWitnessDetail+"\n") != 2 {
+		t.Errorf("want both ok lines to say %q:\n%s", harness.NoWitnessDetail, got)
+	}
+	if strings.Contains(got, "matched their witnesses") || !strings.Contains(got, "2 had no archived witness") {
+		t.Errorf("summary misreports the missing witnesses:\n%s", got)
 	}
 }

@@ -150,7 +150,7 @@ func SchedSuite(o SuiteOptions) (*Snapshot, *schedprof.Timeline) {
 			tr := lat.StartTrial(w.name, o.Seed+int64(i))
 			sched.Run(w.prog(), sched.Config{Seed: o.Seed + int64(i), Policy: sched.NewRandomPolicy(), Prof: tr})
 			if timeline == nil && w.name == schedWorkloads[len(schedWorkloads)-1].name {
-				timeline = tr.Timeline()
+				timeline = schedprof.TimelineOf(tr)
 			}
 			lat.FinishTrial(tr)
 		}

@@ -29,7 +29,8 @@ type DeadlockDirectedPolicy struct {
 	// TargetLocks, when non-nil, restricts postponement to acquisitions of
 	// these two locks.
 	TargetLocks *[2]event.LockID
-	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge).
+	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge,
+	// <0 disables the livelock monitor).
 	MaxPostponeAge int
 
 	postponed postponedSet
@@ -52,11 +53,10 @@ func (p *DeadlockDirectedPolicy) isTargetLock(l event.LockID) bool {
 
 // Step implements sched.Policy.
 func (p *DeadlockDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	maxAge := postponeBound(p.MaxPostponeAge)
 	for _, tid := range p.postponed.sorted() {
 		// Postponed threads that became disabled are already contributing to
 		// a forming cycle; leave them alone. Age out long-stuck enabled ones.
-		if v.Step-p.postponed.at[tid] > maxAge {
+		if p.postponed.expired(tid, v.Step, p.MaxPostponeAge) {
 			p.postponed.del(tid)
 			v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
 				Loc: event.NoLoc, Lock: event.NoLock})
@@ -141,7 +141,8 @@ func (av AtomicityViolation) String() string {
 // resumes — observing the broken invariant if the warning was real.
 type AtomicityDirectedPolicy struct {
 	Target AtomicityTarget
-	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge).
+	// MaxPostponeAge is the livelock-relief bound (0 = DefaultMaxPostponeAge,
+	// <0 disables the livelock monitor).
 	MaxPostponeAge int
 
 	postponed  postponedSet
@@ -161,11 +162,10 @@ func (p *AtomicityDirectedPolicy) Violations() []AtomicityViolation { return p.v
 
 // Step implements sched.Policy.
 func (p *AtomicityDirectedPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	maxAge := postponeBound(p.MaxPostponeAge)
 	// The eviction below draws from this pre-aging snapshot, aged-out included.
 	keys := p.postponed.sorted()
 	for _, tid := range keys {
-		if v.Step-p.postponed.at[tid] > maxAge {
+		if p.postponed.expired(tid, v.Step, p.MaxPostponeAge) {
 			p.postponed.del(tid)
 			v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
 				Loc: event.NoLoc, Lock: event.NoLock})

@@ -29,7 +29,8 @@ type Options struct {
 	Phase2Trials int
 	// MaxSteps bounds each execution (0 = sched.DefaultMaxSteps).
 	MaxSteps int
-	// MaxPostponeAge configures the livelock monitor (see RaceFuzzerPolicy).
+	// MaxPostponeAge configures every directed policy's livelock monitor
+	// (see RaceFuzzerPolicy): 0 means DefaultMaxPostponeAge, <0 turns it off.
 	MaxPostponeAge int
 	// Workers bounds the campaign executor's parallelism: 0 or 1 runs every
 	// trial sequentially on the caller's goroutine, N > 1 fans independent

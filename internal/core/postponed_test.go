@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -219,5 +220,60 @@ func TestAtomicityDirectedStepDoesNotAllocate(t *testing.T) {
 	}})
 	if len(pol.Violations()) != 0 {
 		t.Fatalf("distinct locations cannot violate the block: %v", pol.Violations())
+	}
+}
+
+// actionTally counts a run's policy actions by kind.
+type actionTally map[sched.ActionKind]int
+
+func (actionTally) OnEvent(event.Event)             {}
+func (a actionTally) OnAction(r sched.ActionRecord) { a[r.Kind]++ }
+
+// TestNegativePostponeAgeDisablesLivelockMonitor: MaxPostponeAge < 0 turns
+// the livelock monitor off in every directed policy, so threads postponed
+// along the way are never released by age.
+func TestNegativePostponeAgeDisablesLivelockMonitor(t *testing.T) {
+	target := event.StmtFor("live:target")
+	parkForever := func(mt *sched.Thread) {
+		s := mt.Scheduler()
+		loc, spin := s.NewLoc("x"), s.NewLoc("spin")
+		a := mt.Fork("a", func(c *sched.Thread) { c.MemWrite(loc, target) })
+		b := mt.Fork("b", func(c *sched.Thread) {
+			for i := 0; i < 300; i++ {
+				c.MemWrite(spin, event.StmtFor("live:spin"))
+			}
+		})
+		mt.Join(a)
+		mt.Join(b)
+	}
+	atomicity := DetectAtomicityTargets(lostUpdateProgram(nil), Options{Seed: 8, Phase1Trials: 6})
+	i := slices.IndexFunc(atomicity, func(tg AtomicityTarget) bool { return tg.First == event.StmtFor("lu:read") })
+	if i < 0 {
+		t.Fatalf("lost-update block not inferred; targets = %v", atomicity)
+	}
+	for _, c := range []struct {
+		name   string
+		prog   Program
+		policy func() sched.Policy
+	}{
+		{"racefuzzer", parkForever, func() sched.Policy {
+			return &RaceFuzzerPolicy{Target: event.MakeStmtPair(target, target), MaxPostponeAge: -1}
+		}},
+		{"deadlock", abbaProgram(), func() sched.Policy { return &DeadlockDirectedPolicy{MaxPostponeAge: -1} }},
+		{"atomicity", lostUpdateProgram(nil), func() sched.Policy {
+			return &AtomicityDirectedPolicy{Target: atomicity[i], MaxPostponeAge: -1}
+		}},
+	} {
+		tally := actionTally{}
+		for seed := int64(0); seed < 50; seed++ {
+			sched.Run(c.prog, sched.Config{Seed: seed, Policy: c.policy(), Observers: []sched.Observer{tally}})
+		}
+		if tally[sched.ActPostpone] == 0 {
+			t.Fatalf("%s: no postpones in 50 runs; the check is vacuous", c.name)
+		}
+		if n := tally[sched.ActLivelockBreak]; n != 0 {
+			t.Errorf("%s: %d livelock breaks for %d postpones with the monitor off",
+				c.name, n, tally[sched.ActPostpone])
+		}
 	}
 }

@@ -216,12 +216,15 @@ func (s *postponedSet) sorted() []event.ThreadID {
 	return s.keys
 }
 
-// postponeBound resolves a MaxPostponeAge setting (0 = the default).
-func postponeBound(maxAge int) int {
+// expired is the livelock monitor's test, shared by the directed policies:
+// member t has sat in the set longer than maxAge steps at step. maxAge is a
+// MaxPostponeAge setting: 0 means DefaultMaxPostponeAge, and a negative
+// value turns the monitor off.
+func (s *postponedSet) expired(t event.ThreadID, step, maxAge int) bool {
 	if maxAge == 0 {
-		return DefaultMaxPostponeAge
+		maxAge = DefaultMaxPostponeAge
 	}
-	return maxAge
+	return maxAge > 0 && step-s.at[t] > maxAge
 }
 
 // release evicts tid from the postponed set; its next selection runs.
@@ -235,14 +238,12 @@ func (p *RaceFuzzerPolicy) release(tid event.ThreadID) {
 
 // Step implements sched.Policy; it is one iteration of Algorithm 1's loop.
 func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
-	if maxAge := postponeBound(p.MaxPostponeAge); maxAge > 0 {
-		for _, tid := range p.postponed.sorted() {
-			if v.Step-p.postponed.at[tid] > maxAge {
-				p.release(tid)
-				p.aged++
-				v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
-					Loc: event.NoLoc, Lock: event.NoLock})
-			}
+	for _, tid := range p.postponed.sorted() {
+		if p.postponed.expired(tid, v.Step, p.MaxPostponeAge) {
+			p.release(tid)
+			p.aged++
+			v.Act(sched.ActionRecord{Kind: sched.ActLivelockBreak, Step: v.Step, Thread: tid,
+				Loc: event.NoLoc, Lock: event.NoLock})
 		}
 	}
 

@@ -254,7 +254,7 @@ func profile(prog Program, t Target, seed int64, o Options) *schedprof.Timeline 
 	cfg := trialConfig(t, t.policy(o), seed, o)
 	cfg.Prof = schedprof.NewTrial(o.Label, seed, 0)
 	sched.Run(prog, cfg)
-	return cfg.Prof.Timeline()
+	return schedprof.TimelineOf(cfg.Prof)
 }
 
 // trialResult is one grid trial as the tally receives it.

@@ -36,6 +36,11 @@ const (
 	RegressWitnessError  = "witness-error"  // stored trace unreadable
 )
 
+// NoWitnessDetail is the display Detail of a passing finding that has no
+// archived witness: only checks 1 and 2 ran. Callers test for a witness
+// with Store.WitnessPath, not by comparing this text.
+const NoWitnessDetail = "no archived witness; replay checks only"
+
 // RegressResult is the verdict for one stored finding.
 type RegressResult struct {
 	Finding corpus.Finding
@@ -117,34 +122,37 @@ func (ctx *regressCtx) one(f corpus.Finding) RegressResult {
 
 	// Strongest check: the fresh recording must match the archived witness
 	// record for record. A finding without a witness passes on the replay
-	// checks alone.
-	if wp := ctx.store.WitnessPath(f); wp != "" {
-		if _, err := os.Stat(wp); err != nil {
-			out.Status = RegressWitnessError
-			out.Detail = fmt.Sprintf("stored witness unreadable: %v", err)
-			return out
+	// checks alone, and says so.
+	wp := ctx.store.WitnessPath(f)
+	if wp == "" {
+		out.Detail = NoWitnessDetail
+		return out
+	}
+	if _, err := os.Stat(wp); err != nil {
+		out.Status = RegressWitnessError
+		out.Detail = fmt.Sprintf("stored witness unreadable: %v", err)
+		return out
+	}
+	stored, err := flightrec.LoadFile(wp)
+	if err != nil {
+		out.Status = RegressWitnessError
+		out.Detail = fmt.Sprintf("stored witness unreadable: %v", err)
+		return out
+	}
+	if stored.Truncated {
+		// A torn final line lost the tail of the witness; verify the
+		// fresh recording against the intact prefix only.
+		out.Detail = "stored witness truncated (partial final record skipped)"
+		if len(fresh.Records) > len(stored.Records) {
+			trimmed := *fresh
+			trimmed.Records = fresh.Records[:len(stored.Records)]
+			fresh = &trimmed
 		}
-		stored, err := flightrec.LoadFile(wp)
-		if err != nil {
-			out.Status = RegressWitnessError
-			out.Detail = fmt.Sprintf("stored witness unreadable: %v", err)
-			return out
-		}
-		if stored.Truncated {
-			// A torn final line lost the tail of the witness; verify the
-			// fresh recording against the intact prefix only.
-			out.Detail = "stored witness truncated (partial final record skipped)"
-			if len(fresh.Records) > len(stored.Records) {
-				trimmed := *fresh
-				trimmed.Records = fresh.Records[:len(stored.Records)]
-				fresh = &trimmed
-			}
-		}
-		if div := flightrec.Diverge(fresh, stored); div != nil {
-			out.Status = RegressDiverged
-			out.Detail = div.String()
-			return out
-		}
+	}
+	if div := flightrec.Diverge(fresh, stored); div != nil {
+		out.Status = RegressDiverged
+		out.Detail = div.String()
+		return out
 	}
 	return out
 }

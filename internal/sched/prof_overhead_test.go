@@ -1,17 +1,13 @@
 package sched
 
-import (
-	"testing"
-
-	"racefuzzer/internal/schedprof"
-)
+import "testing"
 
 // profSink defeats dead-code elimination in the probe benchmarks.
 var profSink int64
 
 // profHarness mirrors the scheduler's layout: probes load a possibly-nil
 // trial pointer from a struct field, exactly like s.prof.
-type profHarness struct{ prof *schedprof.Trial }
+type profHarness struct{ prof *ProfTrial }
 
 var disabledHarness profHarness
 
@@ -20,14 +16,14 @@ var disabledHarness profHarness
 // span write — each behind the same `!= nil` guard the scheduler uses.
 func (h *profHarness) probeRound(i int) {
 	if h.prof != nil {
-		profSink += h.prof.Clock() // handlePark stamp
+		profSink += h.prof.clock() // handlePark stamp
 	}
 	if h.prof != nil {
-		h.prof.Round(2, 1)
+		h.prof.round(2, 1)
 	}
 	if h.prof != nil {
-		start := h.prof.Clock()
-		h.prof.Grant(int(OpWrite), 0, i, start, 0, h.prof.Clock()-start)
+		start := h.prof.clock()
+		h.prof.grant(OpWrite, 0, i, start, 0, h.prof.clock()-start)
 	}
 }
 
@@ -89,23 +85,11 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 
 // BenchmarkGrantLoopUnprofiled is the raw grant-loop cost: ns/op divided by
 // the step count gives the per-grant round-trip the ROADMAP's hot-path
-// optimization targets.
+// optimization targets. The profiled twin, BenchmarkGrantLoopProfiled, is
+// in internal/schedprof, which owns the collector it measures.
 func BenchmarkGrantLoopUnprofiled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var final int
 		Run(counterProgram(2, 10, &final), Config{Seed: 42})
-	}
-}
-
-// BenchmarkGrantLoopProfiled is the same workload with a pooled collector
-// trial attached: the cost of profiling when on.
-func BenchmarkGrantLoopProfiled(b *testing.B) {
-	c := schedprof.NewCollector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var final int
-		tr := c.StartTrial("bench", 42)
-		Run(counterProgram(2, 10, &final), Config{Seed: 42, Prof: tr})
-		c.FinishTrial(tr)
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/lockset"
 	"racefuzzer/internal/rng"
-	"racefuzzer/internal/schedprof"
 )
 
 // ErrIllegalMonitorState is thrown (as a model exception) when a thread
@@ -74,11 +73,10 @@ type Config struct {
 	Name string
 	// Prof, when non-nil, records the run's performance timeline: per-grant
 	// wait and service latency, enabled-set sizes, decision rounds and
-	// phase marks (internal/schedprof). Recording is clock reads plus
-	// writes into the trial's preallocated rings on the granting
-	// goroutine, so it never perturbs the schedule; nil costs one nil check
-	// per probe site.
-	Prof *schedprof.Trial
+	// phase marks (prof.go). Recording is clock reads plus writes into the
+	// trial's preallocated rings on the granting goroutine, so it never
+	// perturbs the schedule; nil costs one nil check per probe site.
+	Prof *ProfTrial
 }
 
 // Exception records a model-level exception that killed a thread (the
@@ -169,7 +167,7 @@ type Scheduler struct {
 	locs    []locEntry
 	nextLoc event.MemLoc
 
-	prof   *schedprof.Trial
+	prof   *ProfTrial
 	rounds int
 
 	steps       int
@@ -213,7 +211,7 @@ func Run(main func(*Thread), cfg Config) *Result {
 	s.reset(cfg)
 	s.startThread("main", main)
 	if s.prof != nil {
-		s.prof.Mark(schedprof.PhaseLoopEnter)
+		s.prof.mark(PhaseLoopEnter)
 	}
 	s.handoff(nil)
 	<-s.done
@@ -222,11 +220,11 @@ func Run(main func(*Thread), cfg Config) *Result {
 		panic(s.crash)
 	}
 	if s.prof != nil {
-		s.prof.Mark(schedprof.PhaseLoopExit)
+		s.prof.mark(PhaseLoopExit)
 	}
 	res := s.result()
 	if s.prof != nil {
-		s.prof.Mark(schedprof.PhaseDone)
+		s.prof.mark(PhaseDone)
 	}
 	return res
 }
@@ -282,7 +280,7 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	t.lastStmt = event.NoStmt
 	t.parkedNs = 0
 	if s.prof != nil {
-		t.parkedNs = s.prof.Clock()
+		t.parkedNs = s.prof.clock()
 	}
 	t.openGrant = false
 	t.interruptedFlag = false
@@ -290,7 +288,7 @@ func (s *Scheduler) startThread(name string, body func(*Thread)) *Thread {
 	t.exitMsg = 0
 	t.intrLoc = s.newIntrLoc(idx)
 	if s.prof != nil {
-		s.prof.ThreadName(idx, name)
+		s.prof.threadName(idx, name)
 	}
 	return t
 }
@@ -362,7 +360,7 @@ func (s *Scheduler) schedule(self *Thread) bool {
 		dec := s.policy.Step(&s.view, s.rng)
 		s.recordDecision(enabled, dec.Grants, false)
 		if s.prof != nil {
-			s.prof.Round(len(enabled), len(dec.Grants))
+			s.prof.round(len(enabled), len(dec.Grants))
 		}
 		// The batch may alias policy scratch or s.grantBuf: both are only
 		// rewritten by the next policy.Step, which runs once it is spent.
@@ -381,7 +379,7 @@ func (s *Scheduler) schedule(self *Thread) bool {
 			s.batch = s.grantBuf[:1]
 			s.recordDecision(enabled, s.batch, true)
 			if s.prof != nil {
-				s.prof.ForcedGrant()
+				s.prof.Forced++
 			}
 			s.emptyRounds = 0
 		}
@@ -588,9 +586,9 @@ func (s *Scheduler) applyGrant(t *Thread) {
 		// (handlePark). Wait is park->grant; service is grant->next park
 		// (the op's effect plus the thread's uninstrumented run to its next
 		// yield).
-		now := s.prof.Clock()
+		now := s.prof.clock()
 		t.openGrant = true
-		t.gKind = int(op.Kind)
+		t.gKind = op.Kind
 		t.gStep = s.steps
 		t.gStartNs = now
 		t.gWaitNs = now - t.parkedNs
@@ -601,11 +599,11 @@ func (s *Scheduler) applyGrant(t *Thread) {
 // thread's goroutine.
 func (s *Scheduler) handlePark(t *Thread) {
 	if s.prof != nil {
-		now := s.prof.Clock()
+		now := s.prof.clock()
 		t.parkedNs = now
 		if t.openGrant {
 			t.openGrant = false
-			s.prof.Grant(t.gKind, int(t.id), t.gStep, t.gStartNs, t.gWaitNs, now-t.gStartNs)
+			s.prof.grant(t.gKind, int(t.id), t.gStep, t.gStartNs, t.gWaitNs, now-t.gStartNs)
 		}
 	}
 	if t.exitedFlag {

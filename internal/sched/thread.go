@@ -92,13 +92,13 @@ type Thread struct {
 	// used to attribute exceptions to program points.
 	lastStmt event.Stmt
 
-	// Profiling state (only touched when a schedprof trial is attached).
+	// Profiling state (only touched when a ProfTrial is attached).
 	// parkedNs is the profiler clock at the thread's most recent park; an
 	// open grant carries the granted op's latency record from applyGrant to
 	// the closing handlePark.
 	parkedNs  int64
 	openGrant bool
-	gKind     int
+	gKind     OpKind
 	gStep     int
 	gStartNs  int64
 	gWaitNs   int64

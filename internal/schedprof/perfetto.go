@@ -4,44 +4,43 @@ import (
 	"fmt"
 	"io"
 
+	"racefuzzer/internal/sched"
 	"racefuzzer/internal/traceevent"
 )
 
 // Timeline is an immutable copy of one trial's span ring, unwrapped into
 // chronological order, plus the metadata a trace viewer needs. Build it
-// with Trial.Timeline before handing the trial back to a collector.
+// with TimelineOf before handing the trial back to a collector.
 type Timeline struct {
 	Name    string
 	Seed    int64
 	Threads []string
 	Spans   []Span
-	Phase   [int(numPhases)]int64
+	Phase   [sched.NumPhases]int64
 	Dropped int64
 }
 
-// Timeline snapshots the trial (nil trial: nil timeline). When the ring
+// TimelineOf snapshots trial t (nil trial: nil timeline). When the ring
 // wrapped, the timeline holds the most recent len(ring) spans and Dropped
 // counts the overwritten prefix.
-func (t *Trial) Timeline() *Timeline {
+func TimelineOf(t *Trial) *Timeline {
 	if t == nil {
 		return nil
 	}
-	cap64 := int64(len(t.ring))
-	m := t.n
-	if m > cap64 {
-		m = cap64
-	}
+	ring, n := t.Ring(), t.Spans()
+	cap64 := int64(len(ring))
+	m := min(n, cap64)
 	tl := &Timeline{
-		Name:    t.name,
-		Seed:    t.seed,
-		Threads: append([]string(nil), t.threads...),
+		Name:    t.Name,
+		Seed:    t.Seed,
+		Threads: append([]string(nil), t.Threads...),
 		Spans:   make([]Span, m),
-		Dropped: t.n - m,
+		Phase:   t.Phase,
+		Dropped: n - m,
 	}
-	copy(tl.Phase[:], t.phase[:])
-	first := t.n - m // index of the oldest surviving span
+	first := n - m // index of the oldest surviving span
 	for i := int64(0); i < m; i++ {
-		tl.Spans[i] = t.ring[(first+i)%cap64]
+		tl.Spans[i] = ring[(first+i)%cap64]
 	}
 	return tl
 }
@@ -70,11 +69,11 @@ func (tl *Timeline) Events() []traceevent.Event {
 			map[string]any{"name": fmt.Sprintf("T%d %s", id, name)}))
 		evs = append(evs, traceevent.Meta("thread_sort_index", tracePid, tid, map[string]any{"sort_index": tid}))
 	}
-	if tl.Phase[PhaseDone] > 0 {
+	if tl.Phase[sched.PhaseDone] > 0 {
 		bounds := [][2]int64{
-			{0, tl.Phase[PhaseLoopEnter]},
-			{tl.Phase[PhaseLoopEnter], tl.Phase[PhaseLoopExit]},
-			{tl.Phase[PhaseLoopExit], tl.Phase[PhaseDone]},
+			{0, tl.Phase[sched.PhaseLoopEnter]},
+			{tl.Phase[sched.PhaseLoopEnter], tl.Phase[sched.PhaseLoopExit]},
+			{tl.Phase[sched.PhaseLoopExit], tl.Phase[sched.PhaseDone]},
 		}
 		for p, b := range bounds {
 			evs = append(evs, traceevent.Slice(phaseNames[p], "phase",
@@ -83,7 +82,7 @@ func (tl *Timeline) Events() []traceevent.Event {
 	}
 	for _, sp := range tl.Spans {
 		tid := int(sp.Thread) + 1
-		kind := KindName(int(sp.Kind))
+		kind := sched.OpKind(sp.Kind).String()
 		if sp.WaitNs > 0 {
 			evs = append(evs, traceevent.Slice("wait:"+kind, "wait",
 				tracePid, tid, sp.StartNs-sp.WaitNs, sp.WaitNs,

@@ -8,30 +8,33 @@ import (
 	"path/filepath"
 	"testing"
 
+	"racefuzzer/internal/sched"
 	"racefuzzer/internal/schedprof"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenTimeline builds a fixed, clock-free timeline so the exported trace
-// is byte-stable across runs.
+// goldenTimeline is a fixed, clock-free timeline so the exported trace is
+// byte-stable across runs.
 func goldenTimeline() *schedprof.Timeline {
-	tr := schedprof.NewTrial("figure1", 42, 16)
-	tr.ThreadName(0, "main")
-	tr.ThreadName(1, "worker")
-	// kind ints follow sched's OpKind order: 0 begin, 3 lock, 2 write, 4 unlock.
-	tr.Grant(0, 0, 1, 1_000, 500, 2_000)
-	tr.Grant(9, 0, 2, 4_000, 1_000, 3_000) // fork
-	tr.Grant(0, 1, 3, 8_000, 1_000, 1_500)
-	tr.Grant(3, 1, 4, 10_000, 500, 2_500)
-	tr.Grant(2, 1, 5, 13_000, 0, 1_000)
-	tr.Grant(4, 1, 6, 15_000, 1_000, 1_000)
-	tr.Grant(10, 0, 7, 17_000, 13_000, 2_000) // join
-	tl := tr.Timeline()
-	tl.Phase[schedprof.PhaseLoopEnter] = 800
-	tl.Phase[schedprof.PhaseLoopExit] = 19_500
-	tl.Phase[schedprof.PhaseDone] = 20_000
-	return tl
+	span := func(kind sched.OpKind, thread, step int32, startNs, waitNs, durNs int64) schedprof.Span {
+		return schedprof.Span{StartNs: startNs, WaitNs: waitNs, DurNs: durNs, Thread: thread, Kind: int32(kind), Step: step}
+	}
+	return &schedprof.Timeline{
+		Name:    "figure1",
+		Seed:    42,
+		Threads: []string{"main", "worker"},
+		Spans: []schedprof.Span{
+			span(sched.OpBegin, 0, 1, 1_000, 500, 2_000),
+			span(sched.OpFork, 0, 2, 4_000, 1_000, 3_000),
+			span(sched.OpBegin, 1, 3, 8_000, 1_000, 1_500),
+			span(sched.OpLock, 1, 4, 10_000, 500, 2_500),
+			span(sched.OpWrite, 1, 5, 13_000, 0, 1_000),
+			span(sched.OpUnlock, 1, 6, 15_000, 1_000, 1_000),
+			span(sched.OpJoin, 0, 7, 17_000, 13_000, 2_000),
+		},
+		Phase: [sched.NumPhases]int64{800, 19_500, 20_000},
+	}
 }
 
 func TestPerfettoGolden(t *testing.T) {
