@@ -25,6 +25,7 @@ import (
 	"os"
 	"strings"
 
+	"racefuzzer/internal/bench"
 	"racefuzzer/internal/harness"
 	"racefuzzer/internal/observatory"
 )
@@ -50,6 +51,16 @@ func run() int {
 	if cli.Version() {
 		return 0
 	}
+	var list []string
+	if *names != "" {
+		list = strings.Split(*names, ",")
+		for _, n := range list {
+			if _, ok := bench.ByName(n); !ok {
+				fmt.Fprintf(os.Stderr, "benchtable: unknown benchmark %q (have %s)\n", n, strings.Join(bench.Names(), ", "))
+				return 2
+			}
+		}
+	}
 	if err := cli.OpenCorpus(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
 		return 1
@@ -60,10 +71,6 @@ func run() int {
 		return 1
 	}
 
-	var list []string
-	if *names != "" {
-		list = strings.Split(*names, ",")
-	}
 	if !*only {
 		rows := harness.RunTable1(list, harness.Options{
 			Seed: *seed, Phase2Trials: *trials, BaselineTrials: *trials, TimingRuns: *timingRuns,

@@ -42,6 +42,19 @@ func runChild(t *testing.T, args ...string) (int, string) {
 	return cmd.ProcessState.ExitCode(), stderr.String()
 }
 
+// TestUnknownNameIsUsageError: a -names entry that names no benchmark is a
+// usage error, one line on stderr and exit status 2, not a panic.
+func TestUnknownNameIsUsageError(t *testing.T) {
+	code, stderr := runChild(t, "-names", "figure1,nope")
+	if code != 2 {
+		t.Fatalf("child exit status %d, want 2; stderr:\n%s", code, stderr)
+	}
+	want := `benchtable: unknown benchmark "nope" (have cache4j, `
+	if !strings.HasPrefix(stderr, want) || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
+		t.Fatalf("stderr = %q, want one line starting %q", stderr, want)
+	}
+}
+
 // TestExitPathClosesRunLog runs a -verify that fails (two trials confirm too
 // little of figure1's ground truth), which exits 1 after the -json log is
 // open. The log must still hold the provenance header and every run record

@@ -116,10 +116,13 @@ func run() int {
 	// A replay seed of 0 is legitimate (derived seeds can be 0 under negative
 	// base seeds), so "was -replay given" is tracked explicitly rather than
 	// by comparing against the zero default.
-	replaySet := false
+	replaySet, pairSet := false, false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "replay" {
+		switch f.Name {
+		case "replay":
 			replaySet = true
+		case "pair":
+			pairSet = true
 		}
 	})
 
@@ -138,6 +141,10 @@ func run() int {
 	// budget modes would return before reaching it.
 	if replaySet && (*dlMode || *atMode || *budget > 0) {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -replay cannot be combined with -deadlocks, -atomicity or -budget (it replays one race-pipeline run)")
+		return 2
+	}
+	if pairSet && (*dlMode || *atMode || *budget > 0) {
+		fmt.Fprintln(os.Stderr, "racefuzzer: -pair cannot be combined with -deadlocks, -atomicity or -budget (it selects one phase-1 race pair)")
 		return 2
 	}
 
@@ -396,11 +403,15 @@ func run() int {
 	for i, p := range pairs {
 		fmt.Printf("  [%d] %v\n", i, p)
 	}
-	if replaySet {
-		if *pairIdx < 0 || *pairIdx >= len(pairs) {
+	if (replaySet || pairSet) && (*pairIdx < 0 || *pairIdx >= len(pairs)) {
+		if replaySet {
 			fmt.Fprintln(os.Stderr, "racefuzzer: -replay needs a valid -pair index")
-			return 2
+		} else {
+			fmt.Fprintf(os.Stderr, "racefuzzer: -pair %d is not a phase-1 pair index (found %d pair(s))\n", *pairIdx, len(pairs))
 		}
+		return 2
+	}
+	if replaySet {
 		pair := pairs[*pairIdx]
 		fmt.Printf("\nreplaying pair %v with seed %d\n", pair, *replay)
 		res, _, rec := core.Record(b.New(), core.NewRaceTarget(pair), *replay, opts)

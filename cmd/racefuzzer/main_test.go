@@ -94,6 +94,33 @@ func TestExitPathClosesRunLog(t *testing.T) {
 	}
 }
 
+// TestPairIsChecked: -pair selects one phase-1 race pair, so an index phase
+// 1 never reports, or a pipeline with no race pairs to select from, is a
+// usage error (exit status 2) instead of a run that fuzzes nothing.
+func TestPairIsChecked(t *testing.T) {
+	runIfChild()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "figure1", "-pair", "99"}, "racefuzzer: -pair 99 is not a phase-1 pair index (found 2 pair(s))\n"},
+		{[]string{"-bench", "figure1", "-pair", "0", "-deadlocks"}, "racefuzzer: -pair cannot be combined with"},
+		{[]string{"-bench", "figure1", "-pair", "0", "-atomicity"}, "racefuzzer: -pair cannot be combined with"},
+		{[]string{"-budget", "10", "-pair", "0"}, "racefuzzer: -pair cannot be combined with"},
+	} {
+		cmd := childCommand("TestPairIsChecked", tc.args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: child %v, want exit status 2", tc.args, err)
+		}
+		if !strings.HasPrefix(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr = %q, want it to start %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}
+
 // TestRegressWithoutWitnesses: a corpus whose findings carry no archived
 // witness passes -regress on the replay checks alone, and the output must
 // say so instead of claiming the findings matched their witnesses.

@@ -501,7 +501,6 @@ func init() {
 
 // Sites of the hand-labelled statements inside model threads (the Nop
 // scheduling points and one jigsaw read), interned on first visit only.
-// They sit below every call site so that adding them moved no line label.
 var (
 	cache4jSleeping     = event.Site{Name: "cache4j: sleeping"}
 	hedcFetchPage       = event.Site{Name: "hedc: fetch page"}

@@ -40,15 +40,6 @@ func (l *ArrayList) Add(t *conc.Thread, v int) bool {
 	return true
 }
 
-// Get returns the element at index i.
-func (l *ArrayList) Get(t *conc.Thread, i int) int {
-	n := l.size.GetAt(t, siteArraylist45.Stmt())
-	if i < 0 || i >= n {
-		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
-	}
-	return l.data.GetAt(t, siteArraylist49.Stmt(), i)
-}
-
 // indexOf scans for v, returning -1 when absent.
 func (l *ArrayList) indexOf(t *conc.Thread, v int) int {
 	n := l.size.GetAt(t, siteArraylist54.Stmt())
@@ -78,46 +69,10 @@ func (l *ArrayList) RemoveAt(t *conc.Thread, i int) int {
 	return old
 }
 
-// Remove deletes one occurrence of v.
-func (l *ArrayList) Remove(t *conc.Thread, v int) bool {
-	i := l.indexOf(t, v)
-	if i < 0 {
-		return false
-	}
-	l.RemoveAt(t, i)
-	return true
-}
-
-// Size returns the element count.
-func (l *ArrayList) Size(t *conc.Thread) int { return l.size.GetAt(t, siteArraylist92.Stmt()) }
-
-// Clear removes every element.
-func (l *ArrayList) Clear(t *conc.Thread) {
-	l.modCount.AddAt(t, siteArraylist96.Stmt(), 1)
-	l.size.SetAt(t, siteArraylist97.Stmt(), 0)
-}
-
 // Iterator returns a fail-fast iterator (java.util.AbstractList.Itr).
 func (l *ArrayList) Iterator(t *conc.Thread) Iterator {
 	return &arrayListIter{list: l, expected: l.modCount.GetAt(t, siteArraylist102.Stmt()), lastRet: -1}
 }
-
-// ContainsAll, AddAll, RemoveAll, Equals inherit the AbstractCollection /
-// AbstractList implementations — thread-unsafe iterator use included.
-
-// ContainsAll reports whether every element of c is in l.
-func (l *ArrayList) ContainsAll(t *conc.Thread, c Collection) bool {
-	return AbstractContainsAll(t, l, c)
-}
-
-// AddAll appends every element of c.
-func (l *ArrayList) AddAll(t *conc.Thread, c Collection) bool { return AbstractAddAll(t, l, c) }
-
-// RemoveAll removes every element of c from l.
-func (l *ArrayList) RemoveAll(t *conc.Thread, c Collection) bool { return AbstractRemoveAll(t, l, c) }
-
-// Equals is AbstractList.equals: pairwise comparison.
-func (l *ArrayList) Equals(t *conc.Thread, c List) bool { return AbstractListEquals(t, l, c) }
 
 // arrayListIter is the fail-fast iterator.
 type arrayListIter struct {
@@ -161,46 +116,4 @@ func (it *arrayListIter) Remove(t *conc.Thread) {
 	it.cursor = it.lastRet
 	it.lastRet = -1
 	it.expected = it.list.modCount.GetAt(t, siteArraylist163.Stmt())
-}
-
-// IndexOf returns the first index of v, or -1 (java.util.List.indexOf).
-func (l *ArrayList) IndexOf(t *conc.Thread, v int) int { return l.indexOf(t, v) }
-
-// LastIndexOf returns the last index of v, or -1.
-func (l *ArrayList) LastIndexOf(t *conc.Thread, v int) int {
-	n := l.size.GetAt(t, siteArraylist171.Stmt())
-	for i := n - 1; i >= 0; i-- {
-		if l.data.GetAt(t, siteArraylist173.Stmt(), i) == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// Set replaces the element at index i, returning the old value.
-func (l *ArrayList) Set(t *conc.Thread, i, v int) int {
-	n := l.size.GetAt(t, siteArraylist182.Stmt())
-	if i < 0 || i >= n {
-		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
-	}
-	old := l.data.GetAt(t, siteArraylist186.Stmt(), i)
-	l.data.SetAt(t, siteArraylist187.Stmt(), i, v)
-	return old
-}
-
-// AddAt inserts v at index i, shifting the tail right.
-func (l *ArrayList) AddAt(t *conc.Thread, i, v int) {
-	n := l.size.GetAt(t, siteArraylist193.Stmt())
-	if i < 0 || i > n {
-		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
-	}
-	if n >= l.data.Len() {
-		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, l.name))
-	}
-	l.modCount.AddAt(t, siteArraylist200.Stmt(), 1)
-	for j := n; j > i; j-- {
-		l.data.SetAt(t, siteArraylist202.Stmt(), j, l.data.GetAt(t, siteArraylist202.Stmt(), j-1))
-	}
-	l.data.SetAt(t, siteArraylist204.Stmt(), i, v)
-	l.size.SetAt(t, siteArraylist205.Stmt(), n+1)
 }

@@ -53,43 +53,27 @@ type Iterator interface {
 	Remove(t *conc.Thread)
 }
 
-// Collection is the java.util.Collection slice this model needs.
+// Collection is the java.util.Collection slice the bulk operations need.
 type Collection interface {
 	// Add inserts v; for sets it returns false if v was present.
 	Add(t *conc.Thread, v int) bool
-	// Remove deletes one occurrence of v, reporting whether it was present.
-	Remove(t *conc.Thread, v int) bool
 	// Contains reports membership.
 	Contains(t *conc.Thread, v int) bool
-	// Size returns the element count.
-	Size(t *conc.Thread) int
-	// Clear removes all elements.
-	Clear(t *conc.Thread)
 	// Iterator returns a fail-fast iterator.
 	Iterator(t *conc.Thread) Iterator
 }
 
-// List adds positional access (java.util.List).
+// List is a Collection in insertion order (java.util.List); Equals compares
+// two of them pairwise.
 type List interface {
 	Collection
-	// Get returns the element at index i (IndexOutOfBoundsException
-	// otherwise).
-	Get(t *conc.Thread, i int) int
-	// ContainsAll / AddAll / RemoveAll / Equals are declared on the
-	// interface so synchronized decorators can interpose their lock around
-	// the AbstractCollection default implementations below.
-	ContainsAll(t *conc.Thread, c Collection) bool
-	AddAll(t *conc.Thread, c Collection) bool
-	RemoveAll(t *conc.Thread, c Collection) bool
-	Equals(t *conc.Thread, c List) bool
 }
 
-// Set adds the bulk operations used by the set drivers.
+// Set adds removal by value, which the set drivers' mutator uses.
 type Set interface {
 	Collection
-	ContainsAll(t *conc.Thread, c Collection) bool
-	AddAll(t *conc.Thread, c Collection) bool
-	RemoveAll(t *conc.Thread, c Collection) bool
+	// Remove deletes v, reporting whether it was present.
+	Remove(t *conc.Thread, v int) bool
 }
 
 // The AbstractCollection / AbstractList default implementations. They
@@ -148,17 +132,6 @@ func AbstractListEquals(t *conc.Thread, a List, b List) bool {
 		}
 	}
 	return !ia.HasNext(t) && !ib.HasNext(t)
-}
-
-// ToSlice drains an iterator into a Go slice (test helper; still fully
-// instrumented).
-func ToSlice(t *conc.Thread, c Collection) []int {
-	var out []int
-	it := c.Iterator(t)
-	for it.HasNext(t) {
-		out = append(out, it.Next(t))
-	}
-	return out
 }
 
 // throwCME throws ConcurrentModificationException with context.

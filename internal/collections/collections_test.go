@@ -28,6 +28,16 @@ func noExc(t *testing.T, res *sched.Result) {
 	}
 }
 
+// toSlice drains c's iterator into a Go slice (still fully instrumented).
+func toSlice(t *conc.Thread, c Collection) []int {
+	var out []int
+	it := c.Iterator(t)
+	for it.HasNext(t) {
+		out = append(out, it.Next(t))
+	}
+	return out
+}
+
 // mkList constructors for list-generic tests.
 var listMakers = map[string]func(*conc.Thread, string) List{
 	"arraylist":  func(t *conc.Thread, n string) List { return NewArrayList(t, n) },
@@ -45,15 +55,11 @@ func TestListBasics(t *testing.T) {
 			res := single(t, func(mt *conc.Thread) {
 				l := mk(mt, "l")
 				for i := 0; i < 10; i++ {
-					l.Add(mt, i*i)
-				}
-				if got := l.Size(mt); got != 10 {
-					mt.Throwf("size = %d, want 10", got)
+					if !l.Add(mt, i*i) {
+						mt.Throwf("add(%d) = false", i*i)
+					}
 				}
 				for i := 0; i < 10; i++ {
-					if got := l.Get(mt, i); got != i*i {
-						mt.Throwf("get(%d) = %d, want %d", i, got, i*i)
-					}
 					if !l.Contains(mt, i*i) {
 						mt.Throwf("contains(%d) = false", i*i)
 					}
@@ -61,18 +67,8 @@ func TestListBasics(t *testing.T) {
 				if l.Contains(mt, 999) {
 					mt.Throwf("contains(999) = true")
 				}
-				if !l.Remove(mt, 16) {
-					mt.Throwf("remove(16) = false")
-				}
-				if l.Contains(mt, 16) || l.Size(mt) != 9 {
-					mt.Throwf("remove did not take effect")
-				}
-				if l.Remove(mt, 16) {
-					mt.Throwf("second remove(16) = true")
-				}
-				l.Clear(mt)
-				if l.Size(mt) != 0 {
-					mt.Throwf("clear left %d elements", l.Size(mt))
+				if got := toSlice(mt, l); len(got) != 10 || got[4] != 16 {
+					mt.Throwf("elements = %v, want the 10 squares in order", got)
 				}
 			})
 			noExc(t, res)
@@ -89,7 +85,7 @@ func TestListIteration(t *testing.T) {
 				for _, v := range want {
 					l.Add(mt, v)
 				}
-				got := ToSlice(mt, l)
+				got := toSlice(mt, l)
 				if len(got) != len(want) {
 					mt.Throwf("iterated %d elements, want %d", len(got), len(want))
 				}
@@ -118,10 +114,11 @@ func TestIteratorRemove(t *testing.T) {
 						it.Remove(mt)
 					}
 				}
-				if l.Size(mt) != 4 {
-					mt.Throwf("size after removal = %d, want 4", l.Size(mt))
+				left := toSlice(mt, l)
+				if len(left) != 4 {
+					mt.Throwf("size after removal = %d, want 4", len(left))
 				}
-				for _, v := range ToSlice(mt, l) {
+				for _, v := range left {
 					if v%2 == 0 {
 						mt.Throwf("even element %d survived", v)
 					}
@@ -174,13 +171,20 @@ func TestIteratorRemoveBeforeNextIllegal(t *testing.T) {
 }
 
 func TestIndexOutOfBounds(t *testing.T) {
-	for name, mk := range listMakers {
+	for name, access := range map[string]func(*conc.Thread){
+		"arraylist": func(mt *conc.Thread) {
+			l := NewArrayList(mt, "l")
+			l.Add(mt, 7)
+			l.RemoveAt(mt, 3)
+		},
+		"vector": func(mt *conc.Thread) {
+			v := NewVector(mt, "v")
+			v.AddElement(mt, 7)
+			v.ElementAt(mt, 3)
+		},
+	} {
 		t.Run(name, func(t *testing.T) {
-			res := single(t, func(mt *conc.Thread) {
-				l := mk(mt, "l")
-				l.Add(mt, 7)
-				_ = l.Get(mt, 3)
-			})
+			res := single(t, access)
 			if len(res.Exceptions) != 1 || !errors.Is(res.Exceptions[0].Err, ErrIndexOutOfBounds) {
 				t.Fatalf("exceptions = %v, want IndexOutOfBounds", res.Exceptions)
 			}
@@ -193,11 +197,14 @@ func TestSetBasics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			res := single(t, func(mt *conc.Thread) {
 				s := mk(mt, "s")
+				added := 0
 				for _, v := range []int{5, 3, 8, 3, 5, 13, 1} {
-					s.Add(mt, v)
+					if s.Add(mt, v) {
+						added++
+					}
 				}
-				if got := s.Size(mt); got != 5 {
-					mt.Throwf("size = %d, want 5 (duplicates rejected)", got)
+				if added != 5 {
+					mt.Throwf("added %d, want 5 (duplicates rejected)", added)
 				}
 				for _, v := range []int{1, 3, 5, 8, 13} {
 					if !s.Contains(mt, v) {
@@ -213,7 +220,7 @@ func TestSetBasics(t *testing.T) {
 				if s.Remove(mt, 100) {
 					mt.Throwf("remove(100) returned true")
 				}
-				got := ToSlice(mt, s)
+				got := toSlice(mt, s)
 				sort.Ints(got)
 				want := []int{1, 3, 5, 13}
 				if len(got) != len(want) {
@@ -236,7 +243,7 @@ func TestTreeSetInOrderIteration(t *testing.T) {
 		for _, v := range []int{50, 20, 80, 10, 30, 70, 90, 25, 35} {
 			s.Add(mt, v)
 		}
-		got := ToSlice(mt, s)
+		got := toSlice(mt, s)
 		for i := 1; i < len(got); i++ {
 			if got[i-1] >= got[i] {
 				mt.Throwf("not in order: %v", got)
@@ -262,7 +269,7 @@ func TestTreeSetRemoveShapes(t *testing.T) {
 				mt.Throwf("contains(%d) after remove", v)
 			}
 		}
-		got := ToSlice(mt, s)
+		got := toSlice(mt, s)
 		want := []int{25, 30, 70, 80}
 		if len(got) != len(want) {
 			mt.Throwf("got %v want %v", got, want)
@@ -282,8 +289,8 @@ func TestHashSetManyBucketsAndCollisions(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			s.Add(mt, i)
 		}
-		if s.Size(mt) != 60 {
-			mt.Throwf("size = %d", s.Size(mt))
+		if n := len(toSlice(mt, s)); n != 60 {
+			mt.Throwf("size = %d", n)
 		}
 		for i := 0; i < 60; i++ {
 			if !s.Contains(mt, i) {
@@ -293,12 +300,8 @@ func TestHashSetManyBucketsAndCollisions(t *testing.T) {
 		for i := 0; i < 60; i += 2 {
 			s.Remove(mt, i)
 		}
-		if s.Size(mt) != 30 {
-			mt.Throwf("size after removes = %d", s.Size(mt))
-		}
-		got := ToSlice(mt, s)
-		if len(got) != 30 {
-			mt.Throwf("iterated %d elements", len(got))
+		if n := len(toSlice(mt, s)); n != 30 {
+			mt.Throwf("size after removes = %d", n)
 		}
 	})
 	noExc(t, res)
@@ -343,22 +346,22 @@ func TestAbstractBulkOps(t *testing.T) {
 		for _, v := range []int{2, 4} {
 			l2.Add(mt, v)
 		}
-		if !l1.ContainsAll(mt, l2) {
+		if !AbstractContainsAll(mt, l1, l2) {
 			mt.Throwf("containsAll = false")
 		}
 		l2.Add(mt, 99)
-		if l1.ContainsAll(mt, l2) {
+		if AbstractContainsAll(mt, l1, l2) {
 			mt.Throwf("containsAll = true with 99")
 		}
-		l1.RemoveAll(mt, l2)
-		got := ToSlice(mt, l1)
+		AbstractRemoveAll(mt, l1, l2)
+		got := toSlice(mt, l1)
 		want := []int{1, 3, 5}
 		if len(got) != len(want) {
 			mt.Throwf("removeAll left %v", got)
 		}
-		l1.AddAll(mt, l2)
-		if l1.Size(mt) != 6 {
-			mt.Throwf("addAll size = %d", l1.Size(mt))
+		AbstractAddAll(mt, l1, l2)
+		if n := len(toSlice(mt, l1)); n != 6 {
+			mt.Throwf("addAll size = %d", n)
 		}
 
 		a := NewArrayList(mt, "a")
@@ -367,11 +370,11 @@ func TestAbstractBulkOps(t *testing.T) {
 			a.Add(mt, v)
 			b.Add(mt, v)
 		}
-		if !a.Equals(mt, b) {
+		if !AbstractListEquals(mt, a, b) {
 			mt.Throwf("equals = false on equal lists")
 		}
 		b.Add(mt, 10)
-		if a.Equals(mt, b) {
+		if AbstractListEquals(mt, a, b) {
 			mt.Throwf("equals = true on different lengths")
 		}
 	})
@@ -386,18 +389,27 @@ func TestSynchronizedWrappersSequential(t *testing.T) {
 			l.Add(mt, i)
 			s.Add(mt, i)
 		}
-		if l.Size(mt) != 5 || s.Size(mt) != 5 {
+		if len(toSlice(mt, l)) != 5 || len(toSlice(mt, s)) != 5 {
 			mt.Throwf("sizes wrong")
 		}
 		if !l.ContainsAll(mt, s) || !s.ContainsAll(mt, l) {
 			mt.Throwf("containsAll wrong")
 		}
-		l.Remove(mt, 3)
-		if l.Contains(mt, 3) || l.Size(mt) != 4 {
+		s.Remove(mt, 3)
+		if s.Contains(mt, 3) || !l.Contains(mt, 3) {
 			mt.Throwf("remove wrong")
 		}
-		if l.Get(mt, 3) != 4 {
-			mt.Throwf("get(3) = %d", l.Get(mt, 3))
+		l.RemoveAll(mt, s)
+		if got := toSlice(mt, l); len(got) != 1 || got[0] != 3 {
+			mt.Throwf("removeAll left %v, want [3]", got)
+		}
+		if !s.AddAll(mt, l) || !s.Contains(mt, 3) {
+			mt.Throwf("addAll wrong")
+		}
+		other := NewSynchronizedList(mt, "other", NewLinkedList(mt, "o"))
+		other.Add(mt, 3)
+		if !l.Equals(mt, other) {
+			mt.Throwf("equals = false on equal lists")
 		}
 	})
 	noExc(t, res)

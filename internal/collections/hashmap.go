@@ -67,12 +67,6 @@ func (m *HashMap) Get(t *conc.Thread, key int) (int, bool) {
 	return 0, false
 }
 
-// ContainsKey reports whether key is mapped.
-func (m *HashMap) ContainsKey(t *conc.Thread, key int) bool {
-	_, ok := m.Get(t, key)
-	return ok
-}
-
 // Remove unmaps key, returning the removed value and whether it existed.
 func (m *HashMap) Remove(t *conc.Thread, key int) (int, bool) {
 	b := hashOf(key)
@@ -92,91 +86,4 @@ func (m *HashMap) Remove(t *conc.Thread, key int) (int, bool) {
 		prev = e
 	}
 	return 0, false
-}
-
-// Size returns the number of mappings.
-func (m *HashMap) Size(t *conc.Thread) int { return m.size.GetAt(t, siteHashmap98.Stmt()) }
-
-// Clear removes every mapping.
-func (m *HashMap) Clear(t *conc.Thread) {
-	for b := 0; b < hsBuckets; b++ {
-		m.buckets.SetAt(t, siteHashmap103.Stmt(), b, nil)
-	}
-	m.size.SetAt(t, siteHashmap105.Stmt(), 0)
-	m.modCount.AddAt(t, siteHashmap106.Stmt(), 1)
-}
-
-// Entry is one key/value snapshot produced by iteration.
-type Entry struct{ Key, Val int }
-
-// Entries iterates the map fail-fast, returning entry snapshots; it throws
-// ConcurrentModificationException when the map changes underneath it.
-func (m *HashMap) Entries(t *conc.Thread) []Entry {
-	expected := m.modCount.GetAt(t, siteHashmap115.Stmt())
-	var out []Entry
-	for b := 0; b < hsBuckets; b++ {
-		for e := m.buckets.GetAt(t, siteHashmap118.Stmt(), b); e != nil; e = e.next.GetAt(t, siteHashmap118.Stmt()) {
-			if m.modCount.GetAt(t, siteHashmap119.Stmt()) != expected {
-				throwCME(t, m.name)
-			}
-			out = append(out, Entry{Key: e.key, Val: e.val.GetAt(t, siteHashmap122.Stmt())})
-		}
-	}
-	return out
-}
-
-// Hashtable models java.util.Hashtable (JDK 1.0): every method synchronized
-// on the table's own monitor — the map analogue of Vector.
-type Hashtable struct {
-	mon   *conc.Mutex
-	inner *HashMap
-}
-
-// NewHashtable allocates an empty Hashtable.
-func NewHashtable(t *conc.Thread, name string) *Hashtable {
-	return &Hashtable{
-		mon:   conc.NewMutex(t, name+".monitor"),
-		inner: NewHashMap(t, name),
-	}
-}
-
-// Put maps key to val (synchronized).
-func (h *Hashtable) Put(t *conc.Thread, key, val int) (int, bool) {
-	h.mon.LockAt(t, siteHashmap145.Stmt())
-	old, ok := h.inner.Put(t, key, val)
-	h.mon.UnlockAt(t, siteHashmap147.Stmt())
-	return old, ok
-}
-
-// Get returns key's value (synchronized).
-func (h *Hashtable) Get(t *conc.Thread, key int) (int, bool) {
-	h.mon.LockAt(t, siteHashmap153.Stmt())
-	v, ok := h.inner.Get(t, key)
-	h.mon.UnlockAt(t, siteHashmap155.Stmt())
-	return v, ok
-}
-
-// Remove unmaps key (synchronized).
-func (h *Hashtable) Remove(t *conc.Thread, key int) (int, bool) {
-	h.mon.LockAt(t, siteHashmap161.Stmt())
-	v, ok := h.inner.Remove(t, key)
-	h.mon.UnlockAt(t, siteHashmap163.Stmt())
-	return v, ok
-}
-
-// Size returns the mapping count (synchronized).
-func (h *Hashtable) Size(t *conc.Thread) int {
-	h.mon.LockAt(t, siteHashmap169.Stmt())
-	n := h.inner.Size(t)
-	h.mon.UnlockAt(t, siteHashmap171.Stmt())
-	return n
-}
-
-// Entries snapshots the table (synchronized — unlike Vector's Enumeration,
-// Hashtable's synchronized methods cover whole-table iteration here).
-func (h *Hashtable) Entries(t *conc.Thread) []Entry {
-	h.mon.LockAt(t, siteHashmap178.Stmt())
-	out := h.inner.Entries(t)
-	h.mon.UnlockAt(t, siteHashmap180.Stmt())
-	return out
 }

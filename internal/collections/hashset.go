@@ -90,35 +90,12 @@ func (s *HashSet) Remove(t *conc.Thread, v int) bool {
 	return false
 }
 
-// Size returns the element count.
-func (s *HashSet) Size(t *conc.Thread) int { return s.size.GetAt(t, siteHashset94.Stmt()) }
-
-// Clear empties the set.
-func (s *HashSet) Clear(t *conc.Thread) {
-	for b := 0; b < hsBuckets; b++ {
-		s.buckets.SetAt(t, siteHashset99.Stmt(), b, nil)
-	}
-	s.size.SetAt(t, siteHashset101.Stmt(), 0)
-	s.modCount.AddAt(t, siteHashset102.Stmt(), 1)
-}
-
 // Iterator returns a fail-fast iterator (java.util.HashMap.HashIterator).
 func (s *HashSet) Iterator(t *conc.Thread) Iterator {
 	it := &hashSetIter{set: s, bucket: -1, expected: s.modCount.GetAt(t, siteHashset107.Stmt())}
 	it.advance(t)
 	return it
 }
-
-// ContainsAll reports whether every element of c is in s (AbstractCollection).
-func (s *HashSet) ContainsAll(t *conc.Thread, c Collection) bool {
-	return AbstractContainsAll(t, s, c)
-}
-
-// AddAll inserts every element of c.
-func (s *HashSet) AddAll(t *conc.Thread, c Collection) bool { return AbstractAddAll(t, s, c) }
-
-// RemoveAll removes every element of c from s.
-func (s *HashSet) RemoveAll(t *conc.Thread, c Collection) bool { return AbstractRemoveAll(t, s, c) }
 
 // hashSetIter walks buckets then chains, fail-fast on modCount.
 type hashSetIter struct {

@@ -1,10 +1,6 @@
 package collections
 
-import (
-	"fmt"
-
-	"racefuzzer/internal/conc"
-)
+import "racefuzzer/internal/conc"
 
 // llNode is a doubly-linked node. The value is immutable after creation;
 // next/prev are instrumented because pointer splices are where the races
@@ -19,6 +15,15 @@ func newLLNode(t *conc.Thread, base string, seq, v int) *llNode {
 	next := conc.NewIndexedVar[*llNode](t, base, seq, ".next", nil)
 	prev := conc.NewIndexedVar[*llNode](t, base, seq, ".prev", nil)
 	return &llNode{val: v, next: next, prev: prev}
+}
+
+// newLLHeader allocates the header sentinel, named name.header.next and
+// name.header.prev.
+func newLLHeader(t *conc.Thread, name string) *llNode {
+	return &llNode{
+		next: conc.NewVar[*llNode](t, name+".header.next", nil),
+		prev: conc.NewVar[*llNode](t, name+".header.prev", nil),
+	}
 }
 
 // LinkedList models java.util.LinkedList (JDK 1.4.2): a doubly-linked list
@@ -65,19 +70,6 @@ func (l *LinkedList) Add(t *conc.Thread, v int) bool {
 	return true
 }
 
-// Get returns the element at index i by walking from the header.
-func (l *LinkedList) Get(t *conc.Thread, i int) int {
-	n := l.size.GetAt(t, siteLinkedlist70.Stmt())
-	if i < 0 || i >= n {
-		t.Throw(fmt.Errorf("%w: index %d, size %d", ErrIndexOutOfBounds, i, n))
-	}
-	e := l.header.next.GetAt(t, siteLinkedlist74.Stmt())
-	for j := 0; j < i; j++ {
-		e = e.next.GetAt(t, siteLinkedlist76.Stmt())
-	}
-	return e.val
-}
-
 // Contains walks the list looking for v.
 func (l *LinkedList) Contains(t *conc.Thread, v int) bool {
 	for e := l.header.next.GetAt(t, siteLinkedlist83.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist83.Stmt()) {
@@ -98,48 +90,12 @@ func (l *LinkedList) unlink(t *conc.Thread, e *llNode) {
 	l.modCount.AddAt(t, siteLinkedlist98.Stmt(), 1)
 }
 
-// Remove deletes one occurrence of v.
-func (l *LinkedList) Remove(t *conc.Thread, v int) bool {
-	for e := l.header.next.GetAt(t, siteLinkedlist103.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist103.Stmt()) {
-		if e.val == v {
-			l.unlink(t, e)
-			return true
-		}
-	}
-	return false
-}
-
-// Size returns the element count.
-func (l *LinkedList) Size(t *conc.Thread) int { return l.size.GetAt(t, siteLinkedlist113.Stmt()) }
-
-// Clear empties the list.
-func (l *LinkedList) Clear(t *conc.Thread) {
-	l.header.next.SetAt(t, siteLinkedlist117.Stmt(), l.header)
-	l.header.prev.SetAt(t, siteLinkedlist118.Stmt(), l.header)
-	l.size.SetAt(t, siteLinkedlist119.Stmt(), 0)
-	l.modCount.AddAt(t, siteLinkedlist120.Stmt(), 1)
-}
-
 // Iterator returns a fail-fast iterator (java.util.LinkedList.ListItr).
 func (l *LinkedList) Iterator(t *conc.Thread) Iterator {
 	return &linkedListIter{
 		list: l, next: l.header.next.GetAt(t, siteLinkedlist126.Stmt()), expected: l.modCount.GetAt(t, siteLinkedlist126.Stmt()),
 	}
 }
-
-// ContainsAll reports whether every element of c is in l (AbstractCollection).
-func (l *LinkedList) ContainsAll(t *conc.Thread, c Collection) bool {
-	return AbstractContainsAll(t, l, c)
-}
-
-// AddAll appends every element of c.
-func (l *LinkedList) AddAll(t *conc.Thread, c Collection) bool { return AbstractAddAll(t, l, c) }
-
-// RemoveAll removes every element of c from l.
-func (l *LinkedList) RemoveAll(t *conc.Thread, c Collection) bool { return AbstractRemoveAll(t, l, c) }
-
-// Equals is AbstractList.equals.
-func (l *LinkedList) Equals(t *conc.Thread, c List) bool { return AbstractListEquals(t, l, c) }
 
 // linkedListIter is the fail-fast iterator.
 type linkedListIter struct {
@@ -180,60 +136,4 @@ func (it *linkedListIter) Remove(t *conc.Thread) {
 	it.list.unlink(t, it.lastRet)
 	it.lastRet = nil
 	it.expected = it.list.modCount.GetAt(t, siteLinkedlist182.Stmt())
-}
-
-// IndexOf returns the first index of v, or -1.
-func (l *LinkedList) IndexOf(t *conc.Thread, v int) int {
-	i := 0
-	for e := l.header.next.GetAt(t, siteLinkedlist188.Stmt()); e != l.header; e = e.next.GetAt(t, siteLinkedlist188.Stmt()) {
-		if e.val == v {
-			return i
-		}
-		i++
-	}
-	return -1
-}
-
-// AddFirst prepends v (java.util.LinkedList.addFirst).
-func (l *LinkedList) AddFirst(t *conc.Thread, v int) {
-	n := l.newNode(t, v)
-	first := l.header.next.GetAt(t, siteLinkedlist200.Stmt())
-	n.prev.SetAt(t, siteLinkedlist201.Stmt(), l.header)
-	n.next.SetAt(t, siteLinkedlist202.Stmt(), first)
-	l.header.next.SetAt(t, siteLinkedlist203.Stmt(), n)
-	first.prev.SetAt(t, siteLinkedlist204.Stmt(), n)
-	l.size.AddAt(t, siteLinkedlist205.Stmt(), 1)
-	l.modCount.AddAt(t, siteLinkedlist206.Stmt(), 1)
-}
-
-// RemoveFirst removes and returns the head (NoSuchElementException when
-// empty).
-func (l *LinkedList) RemoveFirst(t *conc.Thread) int {
-	first := l.header.next.GetAt(t, siteLinkedlist212.Stmt())
-	if first == l.header {
-		throwNSE(t, l.name)
-	}
-	l.unlink(t, first)
-	return first.val
-}
-
-// RemoveLast removes and returns the tail (NoSuchElementException when
-// empty).
-func (l *LinkedList) RemoveLast(t *conc.Thread) int {
-	last := l.header.prev.GetAt(t, siteLinkedlist223.Stmt())
-	if last == l.header {
-		throwNSE(t, l.name)
-	}
-	l.unlink(t, last)
-	return last.val
-}
-
-// newLLHeader allocates the header sentinel, named name.header.next and
-// name.header.prev. It sits at the end of the file because the lines above
-// are statement labels (file:line): code inserted above them renames them.
-func newLLHeader(t *conc.Thread, name string) *llNode {
-	return &llNode{
-		next: conc.NewVar[*llNode](t, name+".header.next", nil),
-		prev: conc.NewVar[*llNode](t, name+".header.prev", nil),
-	}
 }

@@ -8,7 +8,7 @@ import "racefuzzer/internal/conc"
 //
 //  1. Iterator returns the BACKING list's iterator and performs NO locking —
 //     the JDK documents "Must be manually synchronized by the user".
-//  2. Bulk operations (ContainsAll, AddAll, RemoveAll, Equals) lock only
+//  2. Bulk operations (ContainsAll, RemoveAll, Equals) lock only
 //     THIS wrapper's mutex and then run the inherited AbstractCollection
 //     implementation, which iterates the argument collection c via c's
 //     (unsynchronized, fail-fast) iterator. When c is another synchronized
@@ -25,23 +25,11 @@ func NewSynchronizedList(t *conc.Thread, name string, inner List) *SynchronizedL
 	return &SynchronizedList{mu: conc.NewMutex(t, name+".mutex"), inner: inner}
 }
 
-// Mutex exposes the wrapper lock (for drivers that iterate correctly by
-// manually synchronizing, mirroring the JDK-documented usage).
-func (s *SynchronizedList) Mutex() *conc.Mutex { return s.mu }
-
 // Add appends v under the wrapper lock.
 func (s *SynchronizedList) Add(t *conc.Thread, v int) bool {
 	s.mu.LockAt(t, siteSynchronized34.Stmt())
 	r := s.inner.Add(t, v)
 	s.mu.UnlockAt(t, siteSynchronized36.Stmt())
-	return r
-}
-
-// Remove deletes one occurrence of v under the wrapper lock.
-func (s *SynchronizedList) Remove(t *conc.Thread, v int) bool {
-	s.mu.LockAt(t, siteSynchronized42.Stmt())
-	r := s.inner.Remove(t, v)
-	s.mu.UnlockAt(t, siteSynchronized44.Stmt())
 	return r
 }
 
@@ -51,29 +39,6 @@ func (s *SynchronizedList) Contains(t *conc.Thread, v int) bool {
 	r := s.inner.Contains(t, v)
 	s.mu.UnlockAt(t, siteSynchronized52.Stmt())
 	return r
-}
-
-// Size returns the element count under the wrapper lock.
-func (s *SynchronizedList) Size(t *conc.Thread) int {
-	s.mu.LockAt(t, siteSynchronized58.Stmt())
-	r := s.inner.Size(t)
-	s.mu.UnlockAt(t, siteSynchronized60.Stmt())
-	return r
-}
-
-// Get returns the i-th element under the wrapper lock.
-func (s *SynchronizedList) Get(t *conc.Thread, i int) int {
-	s.mu.LockAt(t, siteSynchronized66.Stmt())
-	r := s.inner.Get(t, i)
-	s.mu.UnlockAt(t, siteSynchronized68.Stmt())
-	return r
-}
-
-// Clear empties the list under the wrapper lock.
-func (s *SynchronizedList) Clear(t *conc.Thread) {
-	s.mu.LockAt(t, siteSynchronized74.Stmt())
-	s.inner.Clear(t)
-	s.mu.UnlockAt(t, siteSynchronized76.Stmt())
 }
 
 // Iterator returns the backing iterator with NO locking (JDK-faithful).
@@ -87,14 +52,6 @@ func (s *SynchronizedList) ContainsAll(t *conc.Thread, c Collection) bool {
 	s.mu.LockAt(t, siteSynchronized87.Stmt())
 	r := AbstractContainsAll(t, s.inner, c)
 	s.mu.UnlockAt(t, siteSynchronized89.Stmt())
-	return r
-}
-
-// AddAll locks this wrapper only, then iterates c unsynchronized.
-func (s *SynchronizedList) AddAll(t *conc.Thread, c Collection) bool {
-	s.mu.LockAt(t, siteSynchronized95.Stmt())
-	r := AbstractAddAll(t, s.inner, c)
-	s.mu.UnlockAt(t, siteSynchronized97.Stmt())
 	return r
 }
 
@@ -130,9 +87,6 @@ func NewSynchronizedSet(t *conc.Thread, name string, inner Set) *SynchronizedSet
 	return &SynchronizedSet{mu: conc.NewMutex(t, name+".mutex"), inner: inner}
 }
 
-// Mutex exposes the wrapper lock.
-func (s *SynchronizedSet) Mutex() *conc.Mutex { return s.mu }
-
 // Add inserts v under the wrapper lock.
 func (s *SynchronizedSet) Add(t *conc.Thread, v int) bool {
 	s.mu.LockAt(t, siteSynchronized138.Stmt())
@@ -157,21 +111,6 @@ func (s *SynchronizedSet) Contains(t *conc.Thread, v int) bool {
 	return r
 }
 
-// Size returns the element count under the wrapper lock.
-func (s *SynchronizedSet) Size(t *conc.Thread) int {
-	s.mu.LockAt(t, siteSynchronized162.Stmt())
-	r := s.inner.Size(t)
-	s.mu.UnlockAt(t, siteSynchronized164.Stmt())
-	return r
-}
-
-// Clear empties the set under the wrapper lock.
-func (s *SynchronizedSet) Clear(t *conc.Thread) {
-	s.mu.LockAt(t, siteSynchronized170.Stmt())
-	s.inner.Clear(t)
-	s.mu.UnlockAt(t, siteSynchronized172.Stmt())
-}
-
 // Iterator returns the backing iterator with NO locking (JDK-faithful).
 func (s *SynchronizedSet) Iterator(t *conc.Thread) Iterator {
 	return s.inner.Iterator(t)
@@ -194,22 +133,12 @@ func (s *SynchronizedSet) AddAll(t *conc.Thread, c Collection) bool {
 	return r
 }
 
-// RemoveAll locks this wrapper only.
-func (s *SynchronizedSet) RemoveAll(t *conc.Thread, c Collection) bool {
-	s.mu.LockAt(t, siteSynchronized199.Stmt())
-	r := AbstractRemoveAll(t, s.inner, c)
-	s.mu.UnlockAt(t, siteSynchronized201.Stmt())
-	return r
-}
-
 // Interface conformance checks.
 var (
-	_ List       = (*ArrayList)(nil)
-	_ List       = (*LinkedList)(nil)
-	_ List       = (*SynchronizedList)(nil)
-	_ Set        = (*HashSet)(nil)
-	_ Set        = (*TreeSet)(nil)
-	_ Set        = (*SynchronizedSet)(nil)
-	_ Collection = (*Vector)(nil)
-	_ Iterator   = (*VectorEnumeration)(nil)
+	_ List = (*ArrayList)(nil)
+	_ List = (*LinkedList)(nil)
+	_ List = (*SynchronizedList)(nil)
+	_ Set  = (*HashSet)(nil)
+	_ Set  = (*TreeSet)(nil)
+	_ Set  = (*SynchronizedSet)(nil)
 )

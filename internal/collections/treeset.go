@@ -147,33 +147,12 @@ func (s *TreeSet) Remove(t *conc.Thread, v int) bool {
 	return true
 }
 
-// Size returns the element count.
-func (s *TreeSet) Size(t *conc.Thread) int { return s.size.GetAt(t, siteTreeset151.Stmt()) }
-
-// Clear empties the set.
-func (s *TreeSet) Clear(t *conc.Thread) {
-	s.root.SetAt(t, siteTreeset155.Stmt(), nil)
-	s.size.SetAt(t, siteTreeset156.Stmt(), 0)
-	s.modCount.AddAt(t, siteTreeset157.Stmt(), 1)
-}
-
 // Iterator returns a fail-fast in-order iterator.
 func (s *TreeSet) Iterator(t *conc.Thread) Iterator {
 	it := &treeSetIter{set: s, expected: s.modCount.GetAt(t, siteTreeset162.Stmt())}
 	it.pushLefts(t, s.root.GetAt(t, siteTreeset163.Stmt()))
 	return it
 }
-
-// ContainsAll reports whether every element of c is in s (AbstractCollection).
-func (s *TreeSet) ContainsAll(t *conc.Thread, c Collection) bool {
-	return AbstractContainsAll(t, s, c)
-}
-
-// AddAll inserts every element of c.
-func (s *TreeSet) AddAll(t *conc.Thread, c Collection) bool { return AbstractAddAll(t, s, c) }
-
-// RemoveAll removes every element of c from s.
-func (s *TreeSet) RemoveAll(t *conc.Thread, c Collection) bool { return AbstractRemoveAll(t, s, c) }
 
 // treeSetIter does an explicit-stack in-order walk, fail-fast on modCount.
 type treeSetIter struct {

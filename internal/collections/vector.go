@@ -12,7 +12,8 @@ import (
 // all — the JDK 1.1 idiom the paper's vector benchmark exercises, giving
 // real races that are benign (the enumeration bounds every index by the
 // count it just observed, so no exception is ever thrown; it may simply
-// observe a stale snapshot).
+// observe a stale snapshot). Like JDK 1.1's, it is not a Collection: the
+// collections framework came later, and an Enumeration has no remove.
 type Vector struct {
 	name         string
 	mon          *conc.Mutex
@@ -43,12 +44,6 @@ func (v *Vector) AddElement(t *conc.Thread, e int) {
 	v.mon.UnlockAt(t, siteVector43.Stmt())
 }
 
-// Add implements Collection.
-func (v *Vector) Add(t *conc.Thread, e int) bool {
-	v.AddElement(t, e)
-	return true
-}
-
 // RemoveElement deletes one occurrence of e (synchronized).
 func (v *Vector) RemoveElement(t *conc.Thread, e int) bool {
 	v.mon.LockAt(t, siteVector54.Stmt())
@@ -66,9 +61,6 @@ func (v *Vector) RemoveElement(t *conc.Thread, e int) bool {
 	v.mon.UnlockAt(t, siteVector66.Stmt())
 	return false
 }
-
-// Remove implements Collection.
-func (v *Vector) Remove(t *conc.Thread, e int) bool { return v.RemoveElement(t, e) }
 
 // Contains reports membership (synchronized).
 func (v *Vector) Contains(t *conc.Thread, e int) bool {
@@ -105,17 +97,6 @@ func (v *Vector) Size(t *conc.Thread) int {
 	return n
 }
 
-// Clear empties the vector (synchronized).
-func (v *Vector) Clear(t *conc.Thread) {
-	v.mon.LockAt(t, siteVector110.Stmt())
-	v.elementCount.SetAt(t, siteVector111.Stmt(), 0)
-	v.mon.UnlockAt(t, siteVector112.Stmt())
-}
-
-// Iterator implements Collection by returning the unsynchronized
-// Enumeration — matching how pre-1.2 code iterated Vectors.
-func (v *Vector) Iterator(t *conc.Thread) Iterator { return v.Elements(t) }
-
 // Elements returns a JDK 1.1-style Enumeration: it reads elementCount and
 // elementData WITHOUT the vector's monitor. Every such read races with the
 // synchronized mutators (real races), but each index is bounded by the count
@@ -145,66 +126,4 @@ func (e *VectorEnumeration) Next(t *conc.Thread) int {
 	v := e.vec.elementData.GetAt(t, siteVector145.Stmt(), e.cursor)
 	e.cursor++
 	return v
-}
-
-// Remove is unsupported on Enumerations.
-func (e *VectorEnumeration) Remove(t *conc.Thread) {
-	t.Throw(fmt.Errorf("%w: Enumeration does not support remove", ErrIllegalState))
-}
-
-// FirstElement returns element 0 (NoSuchElementException when empty).
-func (v *Vector) FirstElement(t *conc.Thread) int {
-	v.mon.LockAt(t, siteVector157.Stmt())
-	if v.elementCount.GetAt(t, siteVector158.Stmt()) == 0 {
-		v.mon.UnlockAt(t, siteVector159.Stmt())
-		throwNSE(t, v.name)
-	}
-	e := v.elementData.GetAt(t, siteVector162.Stmt(), 0)
-	v.mon.UnlockAt(t, siteVector163.Stmt())
-	return e
-}
-
-// LastElement returns the last element (NoSuchElementException when empty).
-func (v *Vector) LastElement(t *conc.Thread) int {
-	v.mon.LockAt(t, siteVector169.Stmt())
-	n := v.elementCount.GetAt(t, siteVector170.Stmt())
-	if n == 0 {
-		v.mon.UnlockAt(t, siteVector172.Stmt())
-		throwNSE(t, v.name)
-	}
-	e := v.elementData.GetAt(t, siteVector175.Stmt(), n-1)
-	v.mon.UnlockAt(t, siteVector176.Stmt())
-	return e
-}
-
-// SetElementAt replaces element i (synchronized).
-func (v *Vector) SetElementAt(t *conc.Thread, e, i int) {
-	v.mon.LockAt(t, siteVector182.Stmt())
-	n := v.elementCount.GetAt(t, siteVector183.Stmt())
-	if i < 0 || i >= n {
-		v.mon.UnlockAt(t, siteVector185.Stmt())
-		t.Throw(fmt.Errorf("%w: setElementAt(%d), count %d", ErrIndexOutOfBounds, i, n))
-	}
-	v.elementData.SetAt(t, siteVector188.Stmt(), i, e)
-	v.mon.UnlockAt(t, siteVector189.Stmt())
-}
-
-// InsertElementAt inserts e at index i, shifting the tail (synchronized).
-func (v *Vector) InsertElementAt(t *conc.Thread, e, i int) {
-	v.mon.LockAt(t, siteVector194.Stmt())
-	n := v.elementCount.GetAt(t, siteVector195.Stmt())
-	if i < 0 || i > n {
-		v.mon.UnlockAt(t, siteVector197.Stmt())
-		t.Throw(fmt.Errorf("%w: insertElementAt(%d), count %d", ErrIndexOutOfBounds, i, n))
-	}
-	if n >= v.elementData.Len() {
-		v.mon.UnlockAt(t, siteVector201.Stmt())
-		t.Throw(fmt.Errorf("%w: %s", ErrCapacityExceeded, v.name))
-	}
-	for j := n; j > i; j-- {
-		v.elementData.SetAt(t, siteVector205.Stmt(), j, v.elementData.GetAt(t, siteVector205.Stmt(), j-1))
-	}
-	v.elementData.SetAt(t, siteVector207.Stmt(), i, e)
-	v.elementCount.SetAt(t, siteVector208.Stmt(), n+1)
-	v.mon.UnlockAt(t, siteVector209.Stmt())
 }

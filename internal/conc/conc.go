@@ -7,7 +7,7 @@
 //
 // The primitives mirror Java's concurrency vocabulary: shared variables
 // (fields), arrays, reentrant monitor locks with wait/notify, fork/join,
-// plus the barrier and latch idioms the Java Grande benchmarks use.
+// plus the barrier idiom the Java Grande benchmarks use.
 package conc
 
 import (
@@ -25,30 +25,20 @@ type Thread = sched.Thread
 // scheduled — to race.
 type Var[T any] struct {
 	loc event.MemLoc
-	s   *sched.Scheduler
 	val T
 }
 
 // NewVar allocates a shared variable with a debug name and initial value.
 func NewVar[T any](t *Thread, name string, init T) *Var[T] {
-	s := t.Scheduler()
-	return &Var[T]{loc: s.NewLoc(name), s: s, val: init}
+	return &Var[T]{loc: t.Scheduler().NewLoc(name), val: init}
 }
 
 // NewIndexedVar is NewVar for a variable named base, then i in decimal,
 // then suffix (a node's field, such as "list.node" 3 ".next"). The name is
 // built only if something reads it.
 func NewIndexedVar[T any](t *Thread, base string, i int, suffix string, init T) *Var[T] {
-	s := t.Scheduler()
-	return &Var[T]{loc: s.NewLocIndexed(base, i, suffix), s: s, val: init}
+	return &Var[T]{loc: t.Scheduler().NewLocIndexed(base, i, suffix), val: init}
 }
-
-// Loc returns the variable's dynamic memory location.
-func (v *Var[T]) Loc() event.MemLoc { return v.loc }
-
-// Name returns the variable's debug name. Like Loc, it is meaningful only
-// during the run that allocated v.
-func (v *Var[T]) Name() string { return v.s.LocName(v.loc) }
 
 // Get reads the variable; the statement label is the caller's file:line.
 func (v *Var[T]) Get(t *Thread) T { return v.GetAt(t, event.CallerStmt(1)) }
@@ -77,8 +67,7 @@ type IntVar struct{ Var[int] }
 
 // NewIntVar allocates a shared integer.
 func NewIntVar(t *Thread, name string, init int) *IntVar {
-	s := t.Scheduler()
-	return &IntVar{Var[int]{loc: s.NewLoc(name), s: s, val: init}}
+	return &IntVar{Var[int]{loc: t.Scheduler().NewLoc(name), val: init}}
 }
 
 // Add performs v += d as Java compiles it: a read event followed by a write

@@ -31,8 +31,8 @@ func TestVarGetSet(t *testing.T) {
 		if v.Get(mt) != 42 || v.Peek() != 42 {
 			mt.Throwf("after set = %d", v.Get(mt))
 		}
-		if v.Name() != "x" {
-			mt.Throwf("name = %q", v.Name())
+		if name := mt.Scheduler().LocName(v.loc); name != "x" {
+			mt.Throwf("name = %q", name)
 		}
 		s := NewVar(mt, "s", "hello")
 		s.Set(mt, s.Get(mt)+" world")
@@ -127,9 +127,6 @@ func TestMutexSyncRunsBody(t *testing.T) {
 		if !ran {
 			mt.Throwf("Sync body did not run")
 		}
-		if m.Name() != "m" {
-			mt.Throwf("name = %q", m.Name())
-		}
 	})
 }
 
@@ -197,33 +194,6 @@ func TestBarrierIsCyclic(t *testing.T) {
 	}
 }
 
-func TestLatch(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		order := []string{}
-		prog := func(mt *Thread) {
-			l := NewLatch(mt, "latch", 3)
-			waiter := mt.Fork("waiter", func(c *Thread) {
-				l.Await(c)
-				order = append(order, "released")
-			})
-			workers := ForkN(mt, "w", 3, func(c *Thread, i int) {
-				c.Nop(event.StmtFor(fmt.Sprintf("work-%d", i)))
-				order = append(order, "countdown")
-				l.CountDown(c)
-			})
-			JoinAll(mt, workers)
-			mt.Join(waiter)
-		}
-		res := sched.Run(prog, sched.Config{Seed: seed})
-		if res.Deadlock != nil {
-			t.Fatalf("seed %d: deadlock %v", seed, res.Deadlock)
-		}
-		if len(order) != 4 || order[len(order)-1] != "released" {
-			t.Fatalf("seed %d: order = %v", seed, order)
-		}
-	}
-}
-
 func TestForkNIndices(t *testing.T) {
 	runProg(t, 2, func(mt *Thread) {
 		seen := make([]bool, 6)
@@ -245,7 +215,7 @@ func TestForkNIndices(t *testing.T) {
 func TestVarNamesInLocations(t *testing.T) {
 	runProg(t, 1, func(mt *Thread) {
 		v := NewVar(mt, "named", 0)
-		if got := mt.Scheduler().LocName(v.Loc()); got != "named" {
+		if got := mt.Scheduler().LocName(v.loc); got != "named" {
 			mt.Throwf("loc name = %q", got)
 		}
 		a := NewArray[int](mt, "arr", 3)
@@ -274,11 +244,8 @@ func TestNewArrayAllocsIndependentOfLength(t *testing.T) {
 func TestIndexedVarNames(t *testing.T) {
 	runProg(t, 1, func(mt *Thread) {
 		v := NewIndexedVar[*int](mt, "set.node", 12, ".left", nil)
-		if want := fmt.Sprintf("%s.node%d", "set", 12) + ".left"; v.Name() != want {
-			mt.Throwf("indexed var name = %q, want %q", v.Name(), want)
-		}
-		if got := mt.Scheduler().LocName(v.Loc()); got != v.Name() {
-			mt.Throwf("LocName = %q, Name = %q", got, v.Name())
+		if want, got := fmt.Sprintf("%s.node%d", "set", 12)+".left", mt.Scheduler().LocName(v.loc); got != want {
+			mt.Throwf("indexed var name = %q, want %q", got, want)
 		}
 		a := NewArray[int](mt, "buf", 3)
 		for i := 0; i < a.Len(); i++ {

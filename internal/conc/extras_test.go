@@ -69,131 +69,3 @@ func TestRWLockSharedReadersExclusiveWriter(t *testing.T) {
 		}
 	}
 }
-
-func TestSemaphoreBoundsConcurrency(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		maxIn, in := 0, 0
-		prog := func(mt *Thread) {
-			sem := NewSemaphore(mt, "sem", 2)
-			state := NewMutex(mt, "state")
-			workers := ForkN(mt, "w", 5, func(c *Thread, i int) {
-				sem.Acquire(c)
-				state.Lock(c)
-				in++
-				if in > maxIn {
-					maxIn = in
-				}
-				state.Unlock(c)
-				c.Nop(stmt("critical"))
-				state.Lock(c)
-				in--
-				state.Unlock(c)
-				sem.Release(c)
-			})
-			JoinAll(mt, workers)
-		}
-		res := sched.Run(prog, sched.Config{Seed: seed})
-		if res.Deadlock != nil || len(res.Exceptions) != 0 {
-			t.Fatalf("seed %d: %+v", seed, res)
-		}
-		if maxIn > 2 {
-			t.Fatalf("seed %d: %d workers inside a 2-permit semaphore", seed, maxIn)
-		}
-		if maxIn == 0 {
-			t.Fatalf("seed %d: nobody entered", seed)
-		}
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	prog := func(mt *Thread) {
-		sem := NewSemaphore(mt, "sem", 1)
-		if !sem.TryAcquire(mt) {
-			mt.Throwf("first TryAcquire failed")
-		}
-		if sem.TryAcquire(mt) {
-			mt.Throwf("second TryAcquire succeeded with 0 permits")
-		}
-		if sem.Available(mt) != 0 {
-			mt.Throwf("available = %d", sem.Available(mt))
-		}
-		sem.Release(mt)
-		if !sem.TryAcquire(mt) {
-			mt.Throwf("TryAcquire after release failed")
-		}
-	}
-	res := sched.Run(prog, sched.Config{Seed: 1})
-	if len(res.Exceptions) != 0 {
-		t.Fatalf("%v", res.Exceptions)
-	}
-}
-
-func TestBoundedQueueFIFOAndCompleteness(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		var consumed []int
-		prog := func(mt *Thread) {
-			q := NewBoundedQueue(mt, "q", 3)
-			consumer := mt.Fork("consumer", func(c *Thread) {
-				for i := 0; i < 10; i++ {
-					consumed = append(consumed, q.Take(c))
-				}
-			})
-			producer := mt.Fork("producer", func(c *Thread) {
-				for i := 0; i < 10; i++ {
-					q.Put(c, 100+i)
-				}
-			})
-			mt.Join(producer)
-			mt.Join(consumer)
-			if q.Size(mt) != 0 {
-				mt.Throwf("queue not drained: %d", q.Size(mt))
-			}
-		}
-		res := sched.Run(prog, sched.Config{Seed: seed})
-		if res.Deadlock != nil || len(res.Exceptions) != 0 {
-			t.Fatalf("seed %d: %+v", seed, res)
-		}
-		if len(consumed) != 10 {
-			t.Fatalf("seed %d: consumed %d items", seed, len(consumed))
-		}
-		for i, v := range consumed {
-			if v != 100+i {
-				t.Fatalf("seed %d: FIFO violated: %v", seed, consumed)
-			}
-		}
-	}
-}
-
-func TestBoundedQueueMultipleProducersConsumers(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		total := 0
-		prog := func(mt *Thread) {
-			q := NewBoundedQueue(mt, "q", 2)
-			sum := NewIntVar(mt, "sum", 0)
-			sumLock := NewMutex(mt, "sumLock")
-			consumers := ForkN(mt, "c", 2, func(c *Thread, i int) {
-				for k := 0; k < 6; k++ {
-					v := q.Take(c)
-					sumLock.Lock(c)
-					sum.Add(c, v)
-					sumLock.Unlock(c)
-				}
-			})
-			producers := ForkN(mt, "p", 3, func(c *Thread, i int) {
-				for k := 0; k < 4; k++ {
-					q.Put(c, 1)
-				}
-			})
-			JoinAll(mt, producers)
-			JoinAll(mt, consumers)
-			total = sum.Get(mt)
-		}
-		res := sched.Run(prog, sched.Config{Seed: seed})
-		if res.Deadlock != nil || len(res.Exceptions) != 0 {
-			t.Fatalf("seed %d: %+v", seed, res)
-		}
-		if total != 12 {
-			t.Fatalf("seed %d: sum = %d, want 12", seed, total)
-		}
-	}
-}

@@ -27,20 +27,27 @@ var updateLabels = flag.Bool("update", false, "rewrite the model call sites and 
 // that labels itself with event.CallerStmt is spliced, in place, into its
 // *At twin with a package-level event.Site as the statement: the paper's
 // statement IDs, fixed before the program runs instead of found by a stack
-// walk on every execution. A site's name is the string CallerStmt yields
-// for the call (the last two path segments of the file, a colon and the
-// line of the call's opening parenthesis), so no label, statement ID,
-// report or digest changes, and the call stays on its line. A package's
-// sites live in its generated stmtsites.go; site siteApps57 is named
-// "bench/apps.go:57".
+// walk on every execution. A package's sites live in its generated
+// stmtsites.go.
+//
+// A site's label is an ID, fixed when the site is first generated: the
+// string CallerStmt yields for the call at that time (the last two path
+// segments of the file, a colon and the line of the call's opening
+// parenthesis), so site siteApps57 is named "bench/apps.go:57". A call that
+// already passes a site keeps it, and its label, wherever the call moves;
+// stmtsites.go then gives the call's current position in a trailing
+// comment. A new call gets a site named after its line, with a suffix
+// ("collections/arraylist.go:95#2", siteArraylist95x2) if a site already
+// holds that name or label, so no label is ever given twice. A site no call
+// passes any more drops out.
 //
 // Without -update the test fails if a labelled method is called or
-// referenced without a site, a site no longer matches the line of the call
-// it is an argument of, or a stmtsites.go is stale; go generate ./...
-// rewrites the calls and the stmtsites.go files. Calls it cannot rewrite
-// (method values, defer and go statements, arguments that could intern
-// another label before the site does) fail instead, so no site silently
-// falls back to CallerStmt.
+// referenced without a site, a site is passed by calls on two lines (a
+// copy), two sites hold one label, or a stmtsites.go is stale;
+// go generate ./... rewrites the calls and the stmtsites.go files. Calls it
+// cannot rewrite (method values, defer and go statements, arguments that
+// could intern another label before the site does) fail instead, so no
+// site silently falls back to CallerStmt.
 
 // modelPackages are the packages whose call sites carry generated labels,
 // relative to the module root.
@@ -312,8 +319,9 @@ func siteRef(e ast.Expr) *ast.Ident {
 	return nil
 }
 
-// siteName returns the identifier of the Site labelled file:line: "site",
-// the file's base name with its first letter upper-cased, and the line.
+// siteName returns the identifier of a new Site for a call on file:line,
+// before any suffix: "site", the file's base name with its first letter
+// upper-cased, and the line.
 func siteName(file string, line int) (string, error) {
 	base := strings.TrimSuffix(filepath.Base(file), ".go")
 	if !isSiteName("site" + strings.ToUpper(base[:1]) + base[1:] + "0") {
@@ -432,9 +440,59 @@ func (l *loader) labelPackage(pkgPath string) (map[string][]byte, []string, erro
 	problem := func(pos token.Pos, format string, args ...any) {
 		problems = append(problems, fmt.Sprintf("%s: %s", l.rel(l.fset.Position(pos).String()), fmt.Sprintf(format, args...)))
 	}
+	path := filepath.Join(p.dir, sitesFile)
+	held, err := heldSites(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := map[string]string{} // held site identifier -> label
+	holder := map[string]string{} // held label -> site identifier
+	taken := map[string]bool{}    // identifiers and labels a new site may not take
+	for _, h := range held {
+		if prev, ok := holder[h.label]; ok {
+			problem(token.NoPos, "%s: sites %s and %s both hold label %q; delete one there and go generate gives its calls a new site", l.rel(path), prev, h.name, h.label)
+		}
+		labels[h.name], holder[h.label] = h.label, h.name
+		taken[h.name], taken[h.label] = true, true
+	}
 	out := map[string][]byte{}
-	sites := map[string]string{}  // site identifier -> label
-	refs := map[*ast.Ident]bool{} // site references that are call arguments
+	sites := map[string]string{}     // identifier -> label of every site a call passes
+	at := map[string]string{}        // identifier -> file:line of the calls passing it
+	fresh := map[string]string{}     // file:line -> identifier of the new site there
+	newLabels := map[string]string{} // new site identifier -> label
+	refs := map[*ast.Ident]bool{}    // site references that are call arguments
+
+	// position is the label CallerStmt would give a call on file:line.
+	position := func(file *token.File, line int) string {
+		return fmt.Sprintf("%s/%s:%d", filepath.Base(p.dir), filepath.Base(file.Name()), line)
+	}
+	// siteOf returns the site, and its label, that a call passing id (or
+	// no site) resolves to: id itself if stmtsites.go holds it, else the
+	// new site for the call's line, named after the line with the first
+	// free suffix.
+	siteOf := func(file *token.File, call *ast.CallExpr, id *ast.Ident) (string, string, error) {
+		if id != nil {
+			if label, ok := labels[id.Name]; ok {
+				return id.Name, label, nil
+			}
+		}
+		line := file.Line(call.Lparen)
+		pos := position(file, line)
+		if name, ok := fresh[pos]; ok {
+			return name, newLabels[name], nil
+		}
+		base, err := siteName(file.Name(), line)
+		if err != nil {
+			return "", "", err
+		}
+		name, label := base, pos
+		for n := 2; taken[name] || taken[label]; n++ {
+			name, label = fmt.Sprintf("%sx%d", base, n), fmt.Sprintf("%s#%d", pos, n)
+		}
+		taken[name], taken[label] = true, true
+		fresh[pos], newLabels[name] = name, label
+		return name, label, nil
+	}
 
 	for _, f := range p.files {
 		file := l.fset.File(f.Pos())
@@ -453,25 +511,29 @@ func (l *loader) labelPackage(pkgPath string) (map[string][]byte, []string, erro
 			}
 			return true
 		})
-		// site names and records the Site a call is labelled with.
-		site := func(call *ast.CallExpr) (string, bool) {
+		// site names and records the Site a call is labelled with; id is
+		// the site the call passes, or nil.
+		site := func(call *ast.CallExpr, id *ast.Ident) (string, bool) {
 			if deferred[call] {
 				problem(call.Lparen, "a labelled call in a defer or go statement takes its label when the statement runs, not when the call does")
 				return "", false
 			}
-			line := file.Line(call.Lparen)
-			name, err := siteName(file.Name(), line)
+			name, label, err := siteOf(file, call, id)
 			if err != nil {
 				problem(call.Lparen, "%v", err)
 				return "", false
 			}
-			label := fmt.Sprintf("%s/%s:%d", filepath.Base(p.dir), filepath.Base(file.Name()), line)
-			if prev, ok := sites[name]; ok && prev != label {
-				problem(call.Lparen, "site %s would name both %s and %s; rename one of the files", name, prev, label)
+			pos := position(file, file.Line(call.Lparen))
+			if prev, ok := at[name]; ok && prev != pos {
+				problem(call.Lparen, "site %s is passed by calls on %s and %s; write the copy without a site and go generate gives it its own", name, prev, pos)
 				return "", false
 			}
-			sites[name] = label
+			sites[name], at[name] = label, pos
 			return name, true
+		}
+		resolve := func(call *ast.CallExpr, id *ast.Ident) string {
+			name, _, _ := siteOf(file, call, id)
+			return name
 		}
 		var edits []edit
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -480,7 +542,7 @@ func (l *loader) labelPackage(pkgPath string) (map[string][]byte, []string, erro
 				for _, arg := range n.Args {
 					if id := siteRef(arg); id != nil {
 						refs[id] = true
-						if name, ok := site(n); ok && id.Name != name {
+						if name, ok := site(n, id); ok && id.Name != name {
 							edits = append(edits, edit{file.Offset(id.Pos()), file.Offset(id.End()), name})
 						}
 					}
@@ -495,18 +557,17 @@ func (l *loader) labelPackage(pkgPath string) (map[string][]byte, []string, erro
 						problem(n.Sel.Pos(), "%s is referenced without being called; only a call can carry a static label", n.Sel.Name)
 						return true
 					}
-					name, ok := site(call)
+					name, ok := site(call, nil)
 					if !ok {
 						return true
 					}
 					if !tw.last {
-						l.checkOrder(p.info, file, call, call.Args[1:], name, problem)
+						l.checkOrder(p.info, file, call, call.Args[1:], name, resolve, problem)
 					}
 					edits = append(edits, labelEdits(file, n, call, tw, name)...)
 				} else if tw, ok := twins[key]; ok && !tw.last && call != nil && len(call.Args) > 1 {
-					if siteRef(call.Args[1]) != nil {
-						name, _ := siteName(file.Name(), file.Line(call.Lparen))
-						l.checkOrder(p.info, file, call, call.Args[2:], name, problem)
+					if id := siteRef(call.Args[1]); id != nil {
+						l.checkOrder(p.info, file, call, call.Args[2:], resolve(call, id), resolve, problem)
 					}
 				}
 			}
@@ -534,17 +595,75 @@ func (l *loader) labelPackage(pkgPath string) (map[string][]byte, []string, erro
 			problem(id.Pos(), "site %s is not an argument of a call, so no line labels it", id.Name)
 		}
 	}
-	path := filepath.Join(p.dir, sitesFile)
 	if len(sites) == 0 {
 		if _, err := os.Stat(path); err == nil {
 			problem(token.NoPos, "%s labels no call site; delete it", l.rel(path))
 		}
 		return out, problems, nil
 	}
-	if out[path], err = sitesSource(p.pkg.Name(), l.module, sites); err != nil {
+	if out[path], err = sitesSource(p.pkg.Name(), l.module, sites, at); err != nil {
 		return nil, nil, err
 	}
 	return out, problems, nil
+}
+
+// heldSite is a site a package's stmtsites.go declares.
+type heldSite struct{ name, label string }
+
+// heldSites reads the sites of a stmtsites.go in declaration order. The
+// loader type-checks the package without the file, so only the Name of
+// each Site is read; a missing file holds none.
+func heldSites(path string) ([]heldSite, error) {
+	src, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
+	if err != nil {
+		return nil, err
+	}
+	var held []heldSite
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				if i < len(vs.Values) && isSiteName(id.Name) {
+					if label, ok := siteLabel(vs.Values[i]); ok {
+						held = append(held, heldSite{id.Name, label})
+					}
+				}
+			}
+		}
+	}
+	return held, nil
+}
+
+// siteLabel returns the Name of an event.Site{Name: "..."} literal.
+func siteLabel(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return "", false
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		key, ok := kv.Key.(*ast.Ident)
+		val, isLit := kv.Value.(*ast.BasicLit)
+		if ok && key.Name == "Name" && isLit && val.Kind == token.STRING {
+			label, err := strconv.Unquote(val.Value)
+			return label, err == nil
+		}
+	}
+	return "", false
 }
 
 // labelEdits splices a call of a labelled method into its twin with the
@@ -566,10 +685,10 @@ func labelEdits(file *token.File, sel *ast.SelectorExpr, call *ast.CallExpr, tw 
 // evaluates its Site before the later arguments. The first-use numbering
 // of statement IDs stays the same only if those arguments intern nothing
 // but the same site: conversions, builtins, calls that reach no label, and
-// labelled calls on the same line are fine, and a function literal passed
-// to the twin runs after the statement anyway.
-func (l *loader) checkOrder(info *types.Info, file *token.File, call *ast.CallExpr, rest []ast.Expr, name string, problem func(token.Pos, string, ...any)) {
-	line := file.Line(call.Lparen)
+// labelled calls that get the same site are fine, and a function literal
+// passed to the twin runs after the statement anyway. siteOf resolves the
+// site a call passing id (or no site) gets.
+func (l *loader) checkOrder(info *types.Info, file *token.File, call *ast.CallExpr, rest []ast.Expr, name string, siteOf func(*ast.CallExpr, *ast.Ident) string, problem func(token.Pos, string, ...any)) {
 	for _, arg := range rest {
 		if _, ok := arg.(*ast.FuncLit); ok {
 			continue
@@ -580,8 +699,8 @@ func (l *loader) checkOrder(info *types.Info, file *token.File, call *ast.CallEx
 				return true
 			}
 			if id := siteRef(inner); id != nil {
-				if id.Name != name {
-					problem(inner.Pos(), "%s is interned before %s here, unlike with CallerStmt; move the call", name, id.Name)
+				if other := siteOf(inner, id); other != name {
+					problem(inner.Pos(), "%s is interned before %s here, unlike with CallerStmt; move the call", name, other)
 				}
 				return false
 			}
@@ -590,7 +709,7 @@ func (l *loader) checkOrder(info *types.Info, file *token.File, call *ast.CallEx
 			}
 			obj := callee(info, inner.Fun)
 			key := funcKey(obj)
-			if _, ok := labelled[key]; ok && file.Line(inner.Lparen) == line {
+			if _, ok := labelled[key]; ok && siteOf(inner, nil) == name {
 				return true
 			}
 			if _, ok := twins[key]; ok || !l.mayLabel(obj) {
@@ -602,33 +721,49 @@ func (l *loader) checkOrder(info *types.Info, file *token.File, call *ast.CallEx
 	}
 }
 
-// sitesSource renders a package's stmtsites.go.
-func sitesSource(pkg, module string, sites map[string]string) ([]byte, error) {
+// sitesSource renders a package's stmtsites.go, its sites in label order.
+// A site whose label is not the position of its call (it moved, or took a
+// suffix) gives that position in a trailing comment.
+func sitesSource(pkg, module string, sites, at map[string]string) ([]byte, error) {
 	names := make([]string, 0, len(sites))
 	for n := range sites {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		fi, li := splitLabel(sites[names[i]])
-		fj, lj := splitLabel(sites[names[j]])
+		fi, li, si := splitLabel(sites[names[i]])
+		fj, lj, sj := splitLabel(sites[names[j]])
 		if fi != fj {
 			return fi < fj
 		}
-		return li < lj
+		if li != lj {
+			return li < lj
+		}
+		return si < sj
 	})
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by go generate (internal/conc/stmtgen_test.go); DO NOT EDIT.\n\n")
 	fmt.Fprintf(&b, "package %s\n\nimport \"%s/internal/event\"\n\n", pkg, module)
 	fmt.Fprintf(&b, "// The static statement labels of this package's model call sites.\nvar (\n")
 	for _, n := range names {
-		fmt.Fprintf(&b, "\t%s = event.Site{Name: %q}\n", n, sites[n])
+		fmt.Fprintf(&b, "\t%s = event.Site{Name: %q}", n, sites[n])
+		if at[n] != sites[n] {
+			fmt.Fprintf(&b, " // at %s", at[n])
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, ")\n")
 	return format.Source(b.Bytes())
 }
 
-func splitLabel(label string) (string, int) {
+// splitLabel splits a label file:line or file:line#n into its parts; n is
+// 1 without a suffix.
+func splitLabel(label string) (string, int, int) {
 	i := strings.LastIndexByte(label, ':')
-	n, _ := strconv.Atoi(label[i+1:])
-	return label[:i], n
+	pos, n := label[i+1:], 1
+	if j := strings.IndexByte(pos, '#'); j >= 0 {
+		n, _ = strconv.Atoi(pos[j+1:])
+		pos = pos[:j]
+	}
+	line, _ := strconv.Atoi(pos)
+	return label[:i], line, n
 }

@@ -1,34 +1,31 @@
 package conc
 
-import (
-	"racefuzzer/internal/event"
-)
+import "racefuzzer/internal/event"
 
 // Mutex is a reentrant monitor lock with Java semantics: the same object
 // provides mutual exclusion (Lock/Unlock) and a condition wait set
 // (Wait/Notify/NotifyAll), like a Java object's monitor.
 type Mutex struct {
-	id   event.LockID
-	name string
+	id event.LockID
 }
 
 // NewMutex allocates a monitor lock.
 func NewMutex(t *Thread, name string) *Mutex {
-	return &Mutex{id: t.Scheduler().NewLock(name), name: name}
+	return &Mutex{id: t.Scheduler().NewLock(name)}
 }
-
-// ID returns the lock's identity.
-func (m *Mutex) ID() event.LockID { return m.id }
-
-// Name returns the lock's debug name.
-func (m *Mutex) Name() string { return m.name }
 
 // Lock acquires the monitor (reentrant).
 func (m *Mutex) Lock(t *Thread) { m.LockAt(t, event.CallerStmt(1)) }
 
+// LockAt is Lock at an explicit statement label.
+func (m *Mutex) LockAt(t *Thread, stmt event.Stmt) { t.LockAcquire(m.id, stmt) }
+
 // Unlock releases one level of the monitor. Releasing a monitor the thread
 // does not hold throws IllegalMonitorStateException (a model exception).
 func (m *Mutex) Unlock(t *Thread) { m.UnlockAt(t, event.CallerStmt(1)) }
+
+// UnlockAt is Unlock at an explicit statement label.
+func (m *Mutex) UnlockAt(t *Thread, stmt event.Stmt) { t.LockRelease(m.id, stmt) }
 
 // Sync runs body while holding the monitor — Java's synchronized block. The
 // unlock runs even if body throws? No: like Java, an uncaught exception
@@ -45,11 +42,20 @@ func (m *Mutex) Sync(t *Thread, body func()) {
 // model is deterministic); no timeout variant.
 func (m *Mutex) Wait(t *Thread) { m.WaitAt(t, event.CallerStmt(1)) }
 
+// WaitAt is Wait at an explicit statement label.
+func (m *Mutex) WaitAt(t *Thread, stmt event.Stmt) { t.MonitorWait(m.id, stmt) }
+
 // Notify wakes one waiting thread (scheduler-RNG choice), if any.
 func (m *Mutex) Notify(t *Thread) { m.NotifyAt(t, event.CallerStmt(1)) }
 
+// NotifyAt is Notify at an explicit statement label.
+func (m *Mutex) NotifyAt(t *Thread, stmt event.Stmt) { t.MonitorNotify(m.id, stmt) }
+
 // NotifyAll wakes all waiting threads.
 func (m *Mutex) NotifyAll(t *Thread) { m.NotifyAllAt(t, event.CallerStmt(1)) }
+
+// NotifyAllAt is NotifyAll at an explicit statement label.
+func (m *Mutex) NotifyAllAt(t *Thread, stmt event.Stmt) { t.MonitorNotifyAll(m.id, stmt) }
 
 // Barrier is a cyclic barrier in the style of the Java Grande kernels:
 // the last arriving thread releases the others via NotifyAll. Arrival and
@@ -89,39 +95,6 @@ func (b *Barrier) Await(t *Thread) {
 	b.m.UnlockAt(t, siteSync89.Stmt())
 }
 
-// Latch is a CountDownLatch: Await blocks until the count reaches zero.
-type Latch struct {
-	m     *Mutex
-	count *IntVar
-}
-
-// NewLatch allocates a latch with the given initial count.
-func NewLatch(t *Thread, name string, count int) *Latch {
-	return &Latch{
-		m:     NewMutex(t, name+".lock"),
-		count: NewIntVar(t, name+".count", count),
-	}
-}
-
-// CountDown decrements the latch, releasing waiters at zero.
-func (l *Latch) CountDown(t *Thread) {
-	l.m.LockAt(t, siteSync108.Stmt())
-	n := l.count.AddAt(t, siteSync109.Stmt(), -1)
-	if n <= 0 {
-		l.m.NotifyAllAt(t, siteSync111.Stmt())
-	}
-	l.m.UnlockAt(t, siteSync113.Stmt())
-}
-
-// Await blocks until the latch reaches zero.
-func (l *Latch) Await(t *Thread) {
-	l.m.LockAt(t, siteSync118.Stmt())
-	for l.count.GetAt(t, siteSync119.Stmt()) > 0 {
-		l.m.WaitAt(t, siteSync120.Stmt())
-	}
-	l.m.UnlockAt(t, siteSync122.Stmt())
-}
-
 // ForkN forks n children named prefix-i running body(i) and returns their
 // handles; JoinAll joins them. Together they express the ubiquitous
 // fork-join skeleton of the benchmark programs.
@@ -140,21 +113,3 @@ func JoinAll(t *Thread, kids []*Thread) {
 		t.JoinAt(k, siteSync140.Stmt())
 	}
 }
-
-// The explicit-label twins of the Mutex operations live below every call
-// site in this file, so adding them moved no call site and no label.
-
-// LockAt is Lock at an explicit statement label.
-func (m *Mutex) LockAt(t *Thread, stmt event.Stmt) { t.LockAcquire(m.id, stmt) }
-
-// UnlockAt is Unlock at an explicit statement label.
-func (m *Mutex) UnlockAt(t *Thread, stmt event.Stmt) { t.LockRelease(m.id, stmt) }
-
-// WaitAt is Wait at an explicit statement label.
-func (m *Mutex) WaitAt(t *Thread, stmt event.Stmt) { t.MonitorWait(m.id, stmt) }
-
-// NotifyAt is Notify at an explicit statement label.
-func (m *Mutex) NotifyAt(t *Thread, stmt event.Stmt) { t.MonitorNotify(m.id, stmt) }
-
-// NotifyAllAt is NotifyAll at an explicit statement label.
-func (m *Mutex) NotifyAllAt(t *Thread, stmt event.Stmt) { t.MonitorNotifyAll(m.id, stmt) }

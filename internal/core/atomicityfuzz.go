@@ -19,7 +19,7 @@ import (
 func DetectAtomicityTargets(prog Program, o Options) []AtomicityTarget {
 	seen := make(map[[2]event.Stmt]bool)
 	var out []AtomicityTarget
-	observe(prog, o, "atomicity", nil, atomizer.New, (*atomizer.Detector).Candidates, func(cands []atomizer.Candidate) {
+	observe(prog, o, "atomicity", atomizer.New, (*atomizer.Detector).Candidates, func(cands []atomizer.Candidate) {
 		for _, c := range cands {
 			if k := [2]event.Stmt{c.First, c.Second}; !seen[k] {
 				seen[k] = true

@@ -19,19 +19,13 @@ import (
 // deadlock reported by the scheduler is the confirmation.
 
 // DetectPotentialDeadlocks is the deadlock phase 1: observe Phase1Trials
-// random executions with the lock-order-graph detector and union the cycles.
+// random executions with the lock-order-graph detector and union the
+// cycles. The graph analysis is predictive: cycles are found even in
+// executions that never deadlock.
 func DetectPotentialDeadlocks(prog Program, o Options) []deadlock.Cycle {
-	return DetectPotentialDeadlocksWithPolicy(prog, o, nil)
-}
-
-// DetectPotentialDeadlocksWithPolicy is DetectPotentialDeadlocks under an
-// explicit observation policy (nil = random), which makes the trials run
-// sequentially (see observe). The graph analysis is predictive: cycles are
-// found even in executions that never deadlock.
-func DetectPotentialDeadlocksWithPolicy(prog Program, o Options, pol sched.Policy) []deadlock.Cycle {
 	seen := make(map[[2]event.LockID]bool)
 	var out []deadlock.Cycle
-	observe(prog, o, "deadlock", pol, deadlock.New, (*deadlock.Detector).Cycles, func(cycles []deadlock.Cycle) {
+	observe(prog, o, "deadlock", deadlock.New, (*deadlock.Detector).Cycles, func(cycles []deadlock.Cycle) {
 		for _, c := range cycles {
 			if !seen[c.Locks] {
 				seen[c.Locks] = true

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"racefuzzer/internal/deadlock"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/sched"
 )
@@ -100,12 +101,14 @@ func TestDeadlockPhase1NeedsTheBadInterleavingNot(t *testing.T) {
 	// Phase 1 predicts the ABBA cycle even from executions that do NOT
 	// deadlock (that is what makes it predictive): run under the sequential
 	// policy, which always completes, and still find the cycle.
-	det := func() []event.LockID { return nil }
-	_ = det
-	opts := Options{Seed: 3, Phase1Trials: 1}
 	// Sequential runs thread a fully, then b: both edge directions observed,
 	// no deadlock occurs.
-	cycles := DetectPotentialDeadlocksWithPolicy(abbaProgram(), opts, sched.SequentialPolicy{})
+	det := deadlock.New()
+	res := sched.Run(abbaProgram(), sched.Config{Seed: 3, Policy: sched.SequentialPolicy{}, Observers: []sched.Observer{det}})
+	if res.Deadlock != nil {
+		t.Fatalf("the sequential run deadlocked: %v", res.Deadlock)
+	}
+	cycles := det.Cycles()
 	if len(cycles) != 1 {
 		t.Fatalf("cycles from non-deadlocking run = %v", cycles)
 	}

@@ -155,7 +155,7 @@ func pairSeed(base int64, pi, i int) int64 {
 // racing statement pairs over the trials.
 func DetectPotentialRaces(prog Program, o Options) []event.StmtPair {
 	union := make(map[event.StmtPair]bool)
-	observe(prog, o, "race", nil, hybrid.New, (*hybrid.Detector).Pairs, func(pairs []event.StmtPair) {
+	observe(prog, o, "race", hybrid.New, (*hybrid.Detector).Pairs, func(pairs []event.StmtPair) {
 		for _, p := range pairs {
 			union[p] = true
 		}

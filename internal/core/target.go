@@ -79,32 +79,23 @@ func DetectTargets(kind string, prog Program, o Options) []Target {
 }
 
 // observe is phase 1 of every pipeline: Phase1Trials executions, each with
-// a fresh detector from newDet, under the random scheduler or pol. query
-// runs on the trial's worker; fold and the phase-1 record see the results
-// in trial order. An explicit pol is one stateful instance shared by every
-// trial, so it forces the trials to run sequentially.
-func observe[D sched.Observer, T any](prog Program, o Options, kind string, pol sched.Policy,
+// a fresh detector from newDet, under the random scheduler. query runs on
+// the trial's worker; fold and the phase-1 record see the results in trial
+// order.
+func observe[D sched.Observer, T any](prog Program, o Options, kind string,
 	newDet func() D, query func(D) T, fold func(T)) {
 	o = o.withDefaults()
-	workers := o.workerCount()
-	if pol != nil {
-		workers = 1
-	}
 	type obsRun struct {
 		found T
 		res   *sched.Result
 		m     telemetry
 	}
-	runOrdered(workers, o.Phase1Trials,
+	runOrdered(o.workerCount(), o.Phase1Trials,
 		func(i int) obsRun {
 			det := newDet()
-			p := pol
-			if p == nil {
-				p = sched.NewRandomPolicy()
-			}
-			// Phase-1 stats carry no policy counters, whatever the policy.
+			// Phase-1 stats carry no policy counters.
 			res, m := o.run(prog, sched.Config{
-				Seed: o.Seed + int64(i), Policy: p, MaxSteps: o.MaxSteps,
+				Seed: o.Seed + int64(i), Policy: sched.NewRandomPolicy(), MaxSteps: o.MaxSteps,
 				Observers: []sched.Observer{det},
 			}, nil)
 			return obsRun{found: query(det), res: res, m: m}
