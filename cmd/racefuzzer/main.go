@@ -143,8 +143,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -replay cannot be combined with -deadlocks, -atomicity or -budget (it replays one race-pipeline run)")
 		return 2
 	}
-	if pairSet && (*dlMode || *atMode || *budget > 0) {
-		fmt.Fprintln(os.Stderr, "racefuzzer: -pair cannot be combined with -deadlocks, -atomicity or -budget (it selects one phase-1 race pair)")
+	if pairSet && (*dlMode || *atMode || *budget > 0 || *regress) {
+		fmt.Fprintln(os.Stderr, "racefuzzer: -pair cannot be combined with -deadlocks, -atomicity, -budget or -regress (it selects one phase-1 race pair)")
 		return 2
 	}
 

@@ -95,8 +95,9 @@ func TestExitPathClosesRunLog(t *testing.T) {
 }
 
 // TestPairIsChecked: -pair selects one phase-1 race pair, so an index phase
-// 1 never reports, or a pipeline with no race pairs to select from, is a
-// usage error (exit status 2) instead of a run that fuzzes nothing.
+// 1 never reports, or a mode with no race pair to select (another pipeline,
+// the budgeted campaign, or -regress, which replays every finding), is a
+// usage error (exit status 2) instead of a run that ignores it.
 func TestPairIsChecked(t *testing.T) {
 	runIfChild()
 	for _, tc := range []struct {
@@ -107,6 +108,7 @@ func TestPairIsChecked(t *testing.T) {
 		{[]string{"-bench", "figure1", "-pair", "0", "-deadlocks"}, "racefuzzer: -pair cannot be combined with"},
 		{[]string{"-bench", "figure1", "-pair", "0", "-atomicity"}, "racefuzzer: -pair cannot be combined with"},
 		{[]string{"-budget", "10", "-pair", "0"}, "racefuzzer: -pair cannot be combined with"},
+		{[]string{"-corpusdir", t.TempDir(), "-regress", "-pair", "5"}, "racefuzzer: -pair cannot be combined with"},
 	} {
 		cmd := childCommand("TestPairIsChecked", tc.args...)
 		var stderr strings.Builder

@@ -155,7 +155,7 @@ func pairSeed(base int64, pi, i int) int64 {
 // racing statement pairs over the trials.
 func DetectPotentialRaces(prog Program, o Options) []event.StmtPair {
 	union := make(map[event.StmtPair]bool)
-	observe(prog, o, "race", hybrid.New, (*hybrid.Detector).Pairs, func(pairs []event.StmtPair) {
+	observe(prog, o, "race", hybrid.New, releasePairs, func(pairs []event.StmtPair) {
 		for _, p := range pairs {
 			union[p] = true
 		}
@@ -166,6 +166,14 @@ func DetectPotentialRaces(prog Program, o Options) []event.StmtPair {
 	}
 	event.SortStmtPairs(out)
 	return out
+}
+
+// releasePairs reads d's pairs and hands d back to hybrid's pool. It runs on
+// the worker that observed the run, right after the run.
+func releasePairs(d *hybrid.Detector) []event.StmtPair {
+	pairs := d.Pairs()
+	d.Release()
+	return pairs
 }
 
 // raceTarget is the race pipeline's Target: a potentially racing statement

@@ -13,9 +13,10 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,21 +244,19 @@ func (p StmtPair) String() string {
 
 // SortStmtPairs orders pairs deterministically (by interned label text,
 // then numerically) for stable reports.
-func SortStmtPairs(ps []StmtPair) {
-	sort.Slice(ps, func(i, j int) bool {
-		ai, bi := ps[i].A.Name(), ps[i].B.Name()
-		aj, bj := ps[j].A.Name(), ps[j].B.Name()
-		if ai != aj {
-			return ai < aj
-		}
-		if bi != bj {
-			return bi < bj
-		}
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
-		}
-		return ps[i].B < ps[j].B
-	})
+func SortStmtPairs(ps []StmtPair) { slices.SortFunc(ps, compareStmtPairs) }
+
+func compareStmtPairs(x, y StmtPair) int {
+	if c := strings.Compare(x.A.Name(), y.A.Name()); c != 0 {
+		return c
+	}
+	if c := strings.Compare(x.B.Name(), y.B.Name()); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // Kind enumerates the event kinds of the paper's abstract model (§2.1).

@@ -2,6 +2,8 @@ package event
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +212,75 @@ func TestSortStmtPairsDeterministic(t *testing.T) {
 	SortStmtPairs(ps)
 	if ps[0] != MakeStmtPair(a, b) || ps[1] != MakeStmtPair(a, c) || ps[2] != MakeStmtPair(b, c) {
 		t.Fatalf("sorted = %v", ps)
+	}
+}
+
+// sortPairsSlice is SortStmtPairs as it was written on sort.Slice: the
+// reference order the allocation-free sort must keep.
+func sortPairsSlice(ps []StmtPair) {
+	sort.Slice(ps, func(i, j int) bool {
+		ai, bi := ps[i].A.Name(), ps[i].B.Name()
+		aj, bj := ps[j].A.Name(), ps[j].B.Name()
+		if ai != aj {
+			return ai < aj
+		}
+		if bi != bj {
+			return bi < bj
+		}
+		if ps[i].A != ps[j].A {
+			return ps[i].A < ps[j].A
+		}
+		return ps[i].B < ps[j].B
+	})
+}
+
+// sortTestPairs returns every pair over a few labels whose text order and
+// interning order disagree, plus NoStmt and an uninterned Stmt.
+func sortTestPairs() []StmtPair {
+	stmts := []Stmt{NoStmt, Stmt(1 << 30)}
+	for _, name := range []string{"sort2:m", "sort2:b", "sort2:z", "sort2:a", "sort2:b2", "sort2:"} {
+		stmts = append(stmts, StmtFor(name))
+	}
+	var ps []StmtPair
+	for i, a := range stmts {
+		for _, b := range stmts[i:] {
+			ps = append(ps, MakeStmtPair(a, b))
+		}
+	}
+	return ps
+}
+
+func TestSortStmtPairsMatchesSortSlice(t *testing.T) {
+	ps := sortTestPairs()
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		r.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+		got := append([]StmtPair(nil), ps...)
+		want := append([]StmtPair(nil), ps...)
+		SortStmtPairs(got)
+		sortPairsSlice(want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: sorted %v, sort.Slice order %v", round, got, want)
+		}
+	}
+}
+
+func TestSortStmtPairsZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var in []StmtPair
+	for _, p := range sortTestPairs() {
+		if p.B != Stmt(1<<30) { // an uninterned Stmt's name is formatted
+			in = append(in, p)
+		}
+	}
+	ps := make([]StmtPair, len(in))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(ps, in)
+		SortStmtPairs(ps)
+	}); n != 0 {
+		t.Errorf("SortStmtPairs: %.1f allocs per sort, want 0", n)
 	}
 }
 

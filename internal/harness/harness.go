@@ -136,6 +136,7 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 				Observers: []sched.Observer{det},
 			})
 			row.HybridTracked = det.MemEvents()
+			det.Release()
 		}
 	})
 

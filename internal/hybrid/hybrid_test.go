@@ -2,6 +2,7 @@ package hybrid_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"racefuzzer/internal/bench"
@@ -382,5 +383,119 @@ func TestMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("%s: stream has no race to check", tc.name)
 		}
 		compare(tc.name, d, ref)
+	}
+}
+
+// recorder keeps a run's event stream for replay.
+type recorder struct{ evs []event.Event }
+
+func (r *recorder) OnEvent(e event.Event) { r.evs = append(r.evs, e) }
+
+// sameVerdicts fails t unless got and want report the same pairs and the
+// same evidence for each.
+func sameVerdicts(t *testing.T, name string, got, want *hybrid.Detector) {
+	t.Helper()
+	if g, w := fmt.Sprint(got.Pairs()), fmt.Sprint(want.Pairs()); g != w {
+		t.Fatalf("%s: pairs %s, want %s", name, g, w)
+	}
+	if g, w := fmt.Sprintf("%+v", got.Races()), fmt.Sprintf("%+v", want.Races()); g != w {
+		t.Fatalf("%s: races %s, want %s", name, g, w)
+	}
+	if got.MemEvents() != want.MemEvents() {
+		t.Fatalf("%s: %d MEM events, want %d", name, got.MemEvents(), want.MemEvents())
+	}
+}
+
+// TestRecycledMatchesFresh: one detector, recycled after every run across
+// every registry model and 20 seeds, reports exactly what a never-used
+// detector reports on the same run.
+func TestRecycledMatchesFresh(t *testing.T) {
+	rec := hybrid.NewUnpooled()
+	for _, b := range bench.All() {
+		for seed := int64(0); seed < 20; seed++ {
+			fresh := hybrid.NewUnpooled()
+			sched.Run(b.New(), sched.Config{Seed: seed, Observers: []sched.Observer{fresh, rec}, MaxSteps: b.MaxSteps})
+			sameVerdicts(t, fmt.Sprintf("%s seed %d", b.Name, seed), rec, fresh)
+			rec.Recycle()
+		}
+	}
+}
+
+// TestRecycledAfterLargeModelNoBleed: a detector recycled after a large
+// model reports exactly figure1's pairs on figure1 — no clock, history or
+// race of the earlier run survives the recycling.
+func TestRecycledAfterLargeModelNoBleed(t *testing.T) {
+	sor, _ := bench.ByName("sor")
+	fig1, _ := bench.ByName("figure1")
+	d := hybrid.NewUnpooled()
+	sched.Run(sor.New(), sched.Config{Seed: 3, Observers: []sched.Observer{d}, MaxSteps: sor.MaxSteps})
+	if len(d.Pairs()) == 0 {
+		t.Fatal("sor reported no pairs: nothing could bleed")
+	}
+	d.Recycle()
+	fresh := hybrid.NewUnpooled()
+	sched.Run(fig1.New(), sched.Config{Seed: 3, Observers: []sched.Observer{d, fresh}, MaxSteps: fig1.MaxSteps})
+	sameVerdicts(t, "figure1 after sor", d, fresh)
+	if len(fresh.Pairs()) == 0 {
+		t.Fatal("figure1 reported no pairs")
+	}
+}
+
+// TestPoolConcurrentUse: goroutines drawing detectors from New and handing
+// them back with Release each get an empty detector (run with -race).
+func TestPoolConcurrentUse(t *testing.T) {
+	fig1, _ := bench.ByName("figure1")
+	sor, _ := bench.ByName("sor")
+	want := make([]string, 4)
+	for seed := range want {
+		d := hybrid.NewUnpooled()
+		sched.Run(fig1.New(), sched.Config{Seed: int64(seed), Observers: []sched.Observer{d}, MaxSteps: fig1.MaxSteps})
+		want[seed] = fmt.Sprintf("%v %+v", d.Pairs(), d.Races())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				// Interleave a larger model so the pool holds used storage.
+				d := hybrid.New()
+				sched.Run(sor.New(), sched.Config{Seed: int64(i), Observers: []sched.Observer{d}, MaxSteps: sor.MaxSteps})
+				d.Release()
+				seed := (g + i) % len(want)
+				d = hybrid.New()
+				sched.Run(fig1.New(), sched.Config{Seed: int64(seed), Observers: []sched.Observer{d}, MaxSteps: fig1.MaxSteps})
+				if got := fmt.Sprintf("%v %+v", d.Pairs(), d.Races()); got != want[seed] {
+					t.Errorf("goroutine %d run %d: %s, want %s", g, i, got, want[seed])
+				}
+				d.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestRecycledReplayZeroAllocs: a detector that has seen a run once
+// replays the same run, after recycling, without allocating.
+func TestRecycledReplayZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	for _, b := range bench.All() {
+		var r recorder
+		d := hybrid.NewUnpooled()
+		sched.Run(b.New(), sched.Config{Seed: 1, Observers: []sched.Observer{&r, d}, MaxSteps: b.MaxSteps})
+		want := fmt.Sprint(d.Pairs())
+		if n := testing.AllocsPerRun(5, func() {
+			d.Recycle()
+			for _, e := range r.evs {
+				d.OnEvent(e)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocs per replay of %d events, want 0", b.Name, n, len(r.evs))
+		}
+		if got := fmt.Sprint(d.Pairs()); got != want {
+			t.Fatalf("%s: replay reported %s, want %s", b.Name, got, want)
+		}
 	}
 }

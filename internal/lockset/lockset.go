@@ -5,6 +5,8 @@
 //
 // Sets are kept as sorted slices; they are tiny in practice (programs rarely
 // hold more than a handful of locks), so sorted-slice operations beat maps.
+// Most held sets have one member, so the one-member sets of small lock IDs
+// share a static table and building one allocates nothing.
 package lockset
 
 import (
@@ -18,6 +20,25 @@ import (
 // is the empty set.
 type Set struct {
 	ids []event.LockID
+}
+
+// singletons backs the one-member sets {id} for 0 ≤ id < len(singletons):
+// singletons[id] == id. Its slices are read-only and capped at length one,
+// so an append onto a handed-out Members slice copies instead of writing
+// the shared array. Larger IDs allocate their singleton.
+var singletons = func() (a [256]event.LockID) {
+	for i := range a {
+		a[i] = event.LockID(i)
+	}
+	return a
+}()
+
+// singleton returns {id}.
+func singleton(id event.LockID) Set {
+	if id >= 0 && int(id) < len(singletons) {
+		return Set{ids: singletons[id : id+1 : id+1]}
+	}
+	return Set{ids: []event.LockID{id}}
 }
 
 // Empty returns the empty lockset.
@@ -58,6 +79,9 @@ func (s Set) Add(id event.LockID) Set {
 	if i < len(s.ids) && s.ids[i] == id {
 		return s
 	}
+	if len(s.ids) == 0 {
+		return singleton(id)
+	}
 	out := make([]event.LockID, 0, len(s.ids)+1)
 	out = append(out, s.ids[:i]...)
 	out = append(out, id)
@@ -69,6 +93,12 @@ func (s Set) Add(id event.LockID) Set {
 func (s Set) Remove(id event.LockID) Set {
 	for i, x := range s.ids {
 		if x == id {
+			switch len(s.ids) {
+			case 1:
+				return Set{}
+			case 2:
+				return singleton(s.ids[1-i])
+			}
 			out := make([]event.LockID, 0, len(s.ids)-1)
 			out = append(out, s.ids[:i]...)
 			out = append(out, s.ids[i+1:]...)
@@ -123,9 +153,10 @@ func (s Set) Slice() []event.LockID {
 
 // Members returns the set's ids in ascending order WITHOUT copying. The
 // returned slice is the set's internal storage: callers must treat it as
-// read-only. It is safe to retain — Add and Remove build fresh slices, so a
-// handed-out slice is never mutated. This is the allocation-free accessor
-// the scheduler's event emission uses (one per MEM/LOCK event otherwise).
+// read-only. It is safe to retain — Add and Remove build fresh slices or
+// hand out a shared one-member slice, so a handed-out slice is never
+// mutated. This is the allocation-free accessor the scheduler's event
+// emission uses (one per MEM/LOCK event otherwise).
 func (s Set) Members() []event.LockID { return s.ids }
 
 // FromMembers is the inverse of Members: it returns the set of ids, sharing

@@ -166,3 +166,42 @@ func TestQuickFromMembers(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSingletonMembersCapped: a one-member set, built by Add onto the empty
+// set or Remove down to one member, hands out a slice with cap == len, so
+// an append onto it copies and cannot write the shared table.
+func TestSingletonMembersCapped(t *testing.T) {
+	for _, s := range []Set{Empty().Add(7), Of(3, 7).Remove(3), Of(7, 9).Remove(9),
+		Empty().Add(1 << 20), Of(1<<20, 1<<21).Remove(1 << 21)} {
+		m := s.Members()
+		if len(m) != 1 || cap(m) != 1 {
+			t.Fatalf("%v: len %d cap %d, want 1 and 1", s, len(m), cap(m))
+		}
+		want := m[0]
+		_ = append(m, 99)
+		if s.Members()[0] != want || Empty().Add(want).Members()[0] != want {
+			t.Fatalf("%v: append onto Members changed the set", s)
+		}
+	}
+	if s := Of(4, 5).Remove(5).Remove(4); s.Len() != 0 || !s.Equal(Empty()) {
+		t.Fatalf("remove to empty = %v", s)
+	}
+}
+
+func TestSingletonZeroAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	pair := Of(2, 5)
+	var s Set
+	if n := testing.AllocsPerRun(100, func() {
+		s = Empty().Add(5)
+		s = pair.Remove(2)
+		s = s.Remove(5)
+	}); n != 0 {
+		t.Errorf("singleton Add/Remove: %.1f allocs, want 0", n)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("s = %v", s)
+	}
+}

@@ -43,8 +43,16 @@ func (v *VC) Tick(t event.ThreadID) int32 {
 	return v.c[t]
 }
 
+// grow extends v to n components. Inside v's capacity it re-slices and
+// zeroes the new tail, which may hold components from before a Reset.
 func (v *VC) grow(n int) {
 	if n <= len(v.c) {
+		return
+	}
+	if n <= cap(v.c) {
+		old := len(v.c)
+		v.c = v.c[:n]
+		clear(v.c[old:])
 		return
 	}
 	nc := make([]int32, n)
@@ -63,8 +71,16 @@ func (v *VC) Join(o *VC) {
 	}
 }
 
-// Copy returns an independent copy of v. The detectors ship a copy of the
-// sender's clock with each SND (and, in internal/hb, each lock release).
+// Assign sets v to a copy of o, reusing v's storage when it is large
+// enough. The hybrid detector ships the sender's clock with each SND into a
+// recycled message clock this way.
+func (v *VC) Assign(o *VC) { v.c = append(v.c[:0], o.c...) }
+
+// Reset sets v to the all-zeros clock, keeping its storage for reuse.
+func (v *VC) Reset() { v.c = v.c[:0] }
+
+// Copy returns an independent copy of v. internal/hb ships a copy of the
+// sender's clock with each SND and each lock release.
 func (v *VC) Copy() *VC {
 	nc := make([]int32, len(v.c))
 	copy(nc, v.c)

@@ -145,3 +145,36 @@ func TestLenAndGrowth(t *testing.T) {
 		t.Fatalf("join of a shorter clock: %v", v.c)
 	}
 }
+
+// TestResetAndAssignReuseStorage: a reset clock reads all zeros however it
+// grows back inside its old storage, and Assign copies exactly the
+// source's components into that storage without sharing it.
+func TestResetAndAssignReuseStorage(t *testing.T) {
+	v := fromSlice([]int32{3, 5, 7, 9})
+	v.Reset()
+	if v.Get(0) != 0 || v.Get(3) != 0 {
+		t.Fatalf("reset clock = %v", v.c)
+	}
+	v.Tick(2)
+	if v.Get(0) != 0 || v.Get(1) != 0 || v.Get(2) != 1 || v.Get(3) != 0 {
+		t.Fatalf("tick after reset: %v", v.c)
+	}
+	v.Join(fromSlice([]int32{0, 0, 0, 0}))
+	if v.Get(3) != 0 {
+		t.Fatalf("join after reset revived a stale component: %v", v.c)
+	}
+
+	src := fromSlice([]int32{4, 2})
+	dst := fromSlice([]int32{1, 1, 1, 1})
+	dst.Assign(src)
+	if !equal(dst, src) || dst.Get(3) != 0 {
+		t.Fatalf("assign = %v, want %v", dst.c, src.c)
+	}
+	dst.Tick(0)
+	if src.Get(0) != 4 {
+		t.Fatal("Assign shares the source's storage")
+	}
+	if n := testing.AllocsPerRun(100, func() { dst.Assign(src); dst.Reset(); dst.Tick(3) }); n != 0 {
+		t.Errorf("Assign/Reset/Tick within capacity: %.1f allocs, want 0", n)
+	}
+}
