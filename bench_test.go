@@ -385,15 +385,6 @@ func BenchmarkRAPOSBaseline(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(b.N), "race-rate")
 }
 
-// BenchmarkFuzzSetBatched compares the batched multi-pair campaign against
-// per-pair campaigns on figure1 (time per confirmed verdict).
-func BenchmarkFuzzSetBatched(b *testing.B) {
-	pairs := []event.StmtPair{bench.Fig1PairX, bench.Fig1PairZ}
-	for i := 0; i < b.N; i++ {
-		core.FuzzSet(bench.Figure1(), pairs, core.Options{Seed: int64(i), Phase2Trials: 20})
-	}
-}
-
 // BenchmarkAnalyzeParallel measures the campaign executor: the full
 // two-phase pipeline on jigsaw (the registry's widest phase-2 grid, ≥6
 // potential pairs × 50 trials) at increasing worker counts. The reports are

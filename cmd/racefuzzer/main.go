@@ -305,9 +305,7 @@ func run() int {
 	if opts.Phase1Trials == 0 {
 		opts.Phase1Trials = b.Phase1Trials
 	}
-	if opts.Phase1Trials <= 0 {
-		opts.Phase1Trials = 3 // the pipeline default, printed below
-	}
+	opts = opts.WithDefaults() // the trial counts printed below
 
 	if *budget > 0 {
 		names := bench.Names()
@@ -382,8 +380,7 @@ func run() int {
 		fmt.Printf("deadlock pipeline: %d potential lock cycle(s)\n", len(reps))
 		for _, r := range reps {
 			fmt.Printf("  %v\n", r)
-			printWitness(r.TracePath, r.TraceErr)
-			printPerf(r.PerfPath, r.PerfErr)
+			printCapture(r.Capture)
 		}
 		return finish()
 	}
@@ -392,8 +389,7 @@ func run() int {
 		fmt.Printf("atomicity pipeline: %d inferred block(s)\n", len(reps))
 		for _, r := range reps {
 			fmt.Printf("  %v\n", r)
-			printWitness(r.TracePath, r.TraceErr)
-			printPerf(r.PerfPath, r.PerfErr)
+			printCapture(r.Capture)
 		}
 		return finish()
 	}
@@ -455,8 +451,7 @@ func run() int {
 				excCount++
 				fmt.Printf("      replay an exception-throwing run with: -pair %d -replay %d\n", i, rep.FirstExceptionSeed)
 			}
-			printWitness(rep.TracePath, rep.TraceErr)
-			printPerf(rep.PerfPath, rep.PerfErr)
+			printCapture(rep.Capture)
 		}
 	}
 	fmt.Printf("\nsummary: %d potential, %d real, %d with exceptions (paper row: %d potential, %d real)\n",
@@ -491,26 +486,17 @@ func portOf(addr string) string {
 	return addr
 }
 
-// printWitness reports an auto-captured witness recording (or a failed
-// capture attempt) under a target's verdict line.
-func printWitness(path string, err error) {
-	if err != nil {
-		fmt.Printf("      witness capture failed: %v\n", err)
-		return
+// printCapture reports a target's auto-captured witness recording and
+// exported Perfetto timeline (or the failed attempts) under its verdict line.
+func printCapture(c core.Capture) {
+	if c.TraceErr != nil {
+		fmt.Printf("      witness capture failed: %v\n", c.TraceErr)
+	} else if c.TracePath != "" {
+		fmt.Printf("      witness trace: %s (render with -explaintrace %s)\n", c.TracePath, c.TracePath)
 	}
-	if path != "" {
-		fmt.Printf("      witness trace: %s (render with -explaintrace %s)\n", path, path)
-	}
-}
-
-// printPerf reports an exported Perfetto timeline (or a failed export) under
-// a target's verdict line.
-func printPerf(path string, err error) {
-	if err != nil {
-		fmt.Printf("      perf export failed: %v\n", err)
-		return
-	}
-	if path != "" {
-		fmt.Printf("      perf timeline: %s (open in https://ui.perfetto.dev)\n", path)
+	if c.PerfErr != nil {
+		fmt.Printf("      perf export failed: %v\n", c.PerfErr)
+	} else if c.PerfPath != "" {
+		fmt.Printf("      perf timeline: %s (open in https://ui.perfetto.dev)\n", c.PerfPath)
 	}
 }

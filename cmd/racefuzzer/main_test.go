@@ -164,3 +164,83 @@ func TestRegressWithoutWitnesses(t *testing.T) {
 		t.Errorf("summary misreports the missing witnesses:\n%s", got)
 	}
 }
+
+// TestTrialsDefaultPrinted: a non-positive -trials runs the pipeline
+// default, and the phase-2 header must print the count the verdicts under
+// it were measured with.
+func TestTrialsDefaultPrinted(t *testing.T) {
+	runIfChild()
+	out, err := childCommand("TestTrialsDefaultPrinted", "-bench", "figure1", "-trials", "0").Output()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	got := string(out)
+	if !strings.Contains(got, "phase 2 (RaceFuzzer, 100 runs per pair):\n") {
+		t.Errorf("phase-2 header does not print the default trial count:\n%s", got)
+	}
+	if !strings.Contains(got, "/100 runs)") {
+		t.Errorf("verdicts not measured at 100 runs:\n%s", got)
+	}
+}
+
+// TestCaptureLines: with -tracedir and -perfdir every confirmed verdict,
+// race or atomicity, is followed by exactly one witness-trace line and one
+// perf-timeline line, each naming a saved file; unconfirmed verdicts get
+// neither.
+func TestCaptureLines(t *testing.T) {
+	runIfChild()
+	for _, args := range [][]string{
+		{"-bench", "figure1"},
+		{"-bench", "weblech", "-atomicity"},
+	} {
+		traces, perfs := t.TempDir(), t.TempDir()
+		args = append(args, "-tracedir", traces, "-perfdir", perfs)
+		out, err := childCommand("TestCaptureLines", args...).Output()
+		if err != nil {
+			t.Fatalf("%v: child: %v\n%s", args, err, out)
+		}
+		// Group the six-space detail lines under the verdict above them.
+		var verdicts []string
+		details := map[int][]string{}
+		for _, line := range strings.Split(string(out), "\n") {
+			switch {
+			case strings.HasPrefix(line, "      "):
+				details[len(verdicts)-1] = append(details[len(verdicts)-1], strings.TrimSpace(line))
+			case strings.HasPrefix(line, "  "):
+				verdicts = append(verdicts, line)
+			}
+		}
+		confirmed := 0
+		for i, v := range verdicts {
+			isReal := strings.Contains(v, ": REAL ")
+			if isReal {
+				confirmed++
+			}
+			for _, prefix := range []string{"witness trace: ", "perf timeline: "} {
+				var paths []string
+				for _, d := range details[i] {
+					if rest, ok := strings.CutPrefix(d, prefix); ok {
+						path, _, _ := strings.Cut(rest, " (")
+						paths = append(paths, path)
+					}
+				}
+				if !isReal {
+					if len(paths) != 0 {
+						t.Errorf("%v: unconfirmed %q has %q lines %v", args, v, prefix, paths)
+					}
+					continue
+				}
+				if len(paths) != 1 {
+					t.Errorf("%v: confirmed %q has %d %q lines, want 1", args, v, len(paths), prefix)
+					continue
+				}
+				if _, err := os.Stat(paths[0]); err != nil {
+					t.Errorf("%v: %q names a missing file: %v", args, prefix, err)
+				}
+			}
+		}
+		if confirmed == 0 {
+			t.Errorf("%v: no confirmed verdict; the check is vacuous:\n%s", args, out)
+		}
+	}
+}

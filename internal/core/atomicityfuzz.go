@@ -73,8 +73,7 @@ func (t *atomicBlock) signature() corpus.Signature {
 func (t *atomicBlock) report(p PairReport) AtomicityReport {
 	return AtomicityReport{Target: t.block, Trials: p.Trials, ViolationRuns: p.RaceRuns,
 		Probability: p.Probability, IsReal: p.IsReal, ExceptionRuns: p.ExceptionRuns,
-		FirstTrial: p.FirstRaceTrial, FirstSeed: p.FirstRaceSeed,
-		TracePath: p.TracePath, TraceErr: p.TraceErr, PerfPath: p.PerfPath, PerfErr: p.PerfErr, Known: p.Known}
+		FirstTrial: p.FirstRaceTrial, FirstSeed: p.FirstRaceSeed, Capture: p.Capture}
 }
 
 // AtomicityReport is the phase-2 verdict for one target.
@@ -97,18 +96,8 @@ type AtomicityReport struct {
 	FirstTrial int
 	// FirstSeed replays a violating run (meaningful when FirstTrial >= 0).
 	FirstSeed int64
-	// TracePath is the auto-captured witness recording of the first
-	// violating trial ("" unless Options.TraceDir was set and a violation
-	// occurred); TraceErr reports a failed capture attempt.
-	TracePath string
-	TraceErr  error
-	// PerfPath is the Perfetto timeline exported for the first violating
-	// trial (see PairReport.PerfPath); PerfErr reports a failed export.
-	PerfPath string
-	PerfErr  error
-	// Known reports that the confirmed violation's signature was already in
-	// the campaign's corpus (see PairReport.Known).
-	Known bool
+	// Capture holds the first violating trial's captures.
+	Capture
 }
 
 func (a AtomicityReport) String() string {
@@ -121,13 +110,6 @@ func (a AtomicityReport) String() string {
 	}
 	return fmt.Sprintf("block %s..%s: %s, p=%.2f (%d/%d runs, %d threw)",
 		a.Target.First, a.Target.Second, verdict, a.Probability, a.ViolationRuns, a.Trials, a.ExceptionRuns)
-}
-
-// ConfirmAtomicity is the atomicity phase 2. Trials run on the campaign
-// executor and are merged in trial order (see confirm).
-func ConfirmAtomicity(prog Program, target AtomicityTarget, targetIndex int, o Options) AtomicityReport {
-	t := newAtomicBlock(target)
-	return t.report(confirm(prog, []Target{t}, targetIndex, o)[0])
 }
 
 // AnalyzeAtomicity runs the full atomicity pipeline over one (targetIndex,

@@ -43,6 +43,13 @@ func lostUpdateProgram(final *int) Program {
 	}
 }
 
+// confirmAtomicity is the atomicity phase 2 for one block, numbered
+// targetIndex.
+func confirmAtomicity(prog Program, b AtomicityTarget, targetIndex int, o Options) AtomicityReport {
+	t := newAtomicBlock(b)
+	return t.report(confirm(prog, []Target{t}, targetIndex, o)[0])
+}
+
 func TestAtomicityPipelineFindsLostUpdate(t *testing.T) {
 	opts := Options{Seed: 8, Phase1Trials: 6, Phase2Trials: 40}
 	targets := DetectAtomicityTargets(lostUpdateProgram(nil), opts)
@@ -60,7 +67,7 @@ func TestAtomicityPipelineFindsLostUpdate(t *testing.T) {
 		t.Fatalf("lost-update block not inferred; targets = %v", targets)
 	}
 
-	rep := ConfirmAtomicity(lostUpdateProgram(nil), *unlocked, 0, opts)
+	rep := confirmAtomicity(lostUpdateProgram(nil), *unlocked, 0, opts)
 	if !rep.IsReal {
 		t.Fatalf("violation not confirmed: %v", rep)
 	}

@@ -281,55 +281,3 @@ func TestLivelockMonitorReleasesAgedThreads(t *testing.T) {
 		t.Fatal("livelock monitor never released the postponed thread")
 	}
 }
-
-func TestFuzzSetConfirmsOnlyRealPairsInOneCampaign(t *testing.T) {
-	pairs := []event.StmtPair{bench.Fig1PairX, bench.Fig1PairZ}
-	rep := FuzzSet(bench.Figure1(), pairs, Options{Seed: 13, Phase2Trials: 60})
-	confirmed := rep.Confirmed()
-	foundZ, foundX := false, false
-	for _, p := range confirmed {
-		if p == bench.Fig1PairZ {
-			foundZ = true
-		}
-		if p == bench.Fig1PairX {
-			foundX = true
-		}
-	}
-	if !foundZ {
-		t.Fatalf("set campaign missed the real z pair: %v", confirmed)
-	}
-	if foundX {
-		t.Fatalf("set campaign confirmed the false x pair: %v", confirmed)
-	}
-	// Batched mode trades per-pair directedness for breadth: postponing the
-	// x-pair's statement 1 delays thread1's y=1 publication, so in ~half the
-	// runs thread2 dies before a z partner exists. The single-pair campaign
-	// hits 1.0 (TestFigure1RaceFuzzerConfirmsOnlyZ); batched lands ≈0.5 —
-	// which is exactly why the paper fuzzes one pair per invocation.
-	if n := rep.ConfirmedRuns[bench.Fig1PairZ]; n < 15 {
-		t.Fatalf("z confirmed in only %d/60 runs", n)
-	}
-	if rep.ExceptionRuns == 0 {
-		t.Fatal("set campaign never reached ERROR1")
-	}
-}
-
-func TestSetPolicyMatchesSinglePairOnLoneTarget(t *testing.T) {
-	// With a single pair in the set, the set policy must behave like the
-	// single-target policy (same seeds, same races).
-	for i := int64(0); i < 15; i++ {
-		seed := 600 + i
-		single := NewRaceFuzzerPolicy(bench.Fig2Pair)
-		sched.Run(bench.Figure2(20), sched.Config{Seed: seed, Policy: single})
-		set := NewRaceFuzzerSetPolicy([]event.StmtPair{bench.Fig2Pair})
-		sched.Run(bench.Figure2(20), sched.Config{Seed: seed, Policy: set})
-		if len(single.Races()) != len(set.Races()) {
-			t.Fatalf("seed %d: single %d races, set %d races", seed, len(single.Races()), len(set.Races()))
-		}
-		for j := range single.Races() {
-			if single.Races()[j].Step != set.Races()[j].Step {
-				t.Fatalf("seed %d: race %d at different steps", seed, j)
-			}
-		}
-	}
-}

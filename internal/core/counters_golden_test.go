@@ -10,19 +10,12 @@ import (
 )
 
 // TestCampaignCountersGolden pins the campaign telemetry of fixed-seed
-// race, deadlock and atomicity analyses and of FuzzSet campaigns over
-// registry models: every CampaignMetrics counter, the deterministic gauges
-// and both histograms (enabled_threads, steps_to_race). Wall time is the one
-// nondeterministic metric and is left out. Regenerate with
+// race, deadlock and atomicity analyses over registry models: every
+// CampaignMetrics counter, the deterministic gauges and both histograms
+// (enabled_threads, steps_to_race). Wall time is the one nondeterministic
+// metric and is left out. Regenerate with
 // -update-engine-goldens, as for the engine goldens.
 func TestCampaignCountersGolden(t *testing.T) {
-	fuzzSet := func(name string) func(Options) {
-		b := bench.MustByName(name)
-		return func(o Options) {
-			o.MaxSteps = b.MaxSteps
-			FuzzSet(b.New(), DetectPotentialRaces(b.New(), Options{Seed: 3}), o)
-		}
-	}
 	cases := []struct {
 		name string
 		seed int64
@@ -33,9 +26,6 @@ func TestCampaignCountersGolden(t *testing.T) {
 		{"deadlock abba s5", 5, func(o Options) { AnalyzeDeadlocks(goldenAbba(), o) }},
 		{"atomicity weblech s8", 8, func(o Options) { AnalyzeAtomicity(bench.MustByName("weblech").New(), o) }},
 		{"atomicity lostupdate s8", 8, func(o Options) { AnalyzeAtomicity(goldenLostUpdate(), o) }},
-		{"fuzzset figure1 s3", 3, fuzzSet("figure1")},
-		{"fuzzset vector s3", 3, fuzzSet("vector")},
-		{"fuzzset hashset s3", 3, fuzzSet("hashset")},
 	}
 	var out bytes.Buffer
 	for _, tc := range cases {

@@ -96,7 +96,7 @@ func (t *lockCycle) signature() corpus.Signature {
 func (t *lockCycle) report(p PairReport) DeadlockReport {
 	return DeadlockReport{Cycle: t.cycle, Trials: p.Trials, DeadlockRuns: p.RaceRuns,
 		Probability: p.Probability, IsReal: p.IsReal, FirstTrial: p.FirstRaceTrial, FirstSeed: p.FirstRaceSeed,
-		TracePath: p.TracePath, TraceErr: p.TraceErr, PerfPath: p.PerfPath, PerfErr: p.PerfErr, Known: p.Known}
+		Capture: p.Capture}
 }
 
 // DeadlockReport is the phase-2 verdict for one potential cycle.
@@ -117,18 +117,8 @@ type DeadlockReport struct {
 	FirstTrial int
 	// FirstSeed replays a deadlocking run (meaningful when FirstTrial >= 0).
 	FirstSeed int64
-	// TracePath is the auto-captured witness recording of the first
-	// deadlocking trial ("" unless Options.TraceDir was set and a deadlock
-	// occurred); TraceErr reports a failed capture attempt.
-	TracePath string
-	TraceErr  error
-	// PerfPath is the Perfetto timeline exported for the first deadlocking
-	// trial (see PairReport.PerfPath); PerfErr reports a failed export.
-	PerfPath string
-	PerfErr  error
-	// Known reports that the confirmed deadlock's signature was already in
-	// the campaign's corpus (see PairReport.Known).
-	Known bool
+	// Capture holds the first deadlocking trial's captures.
+	Capture
 }
 
 func (d DeadlockReport) String() string {
@@ -141,14 +131,6 @@ func (d DeadlockReport) String() string {
 	}
 	return fmt.Sprintf("locks %s/%s: %s, p=%.2f (%d/%d runs)",
 		d.Cycle.Locks[0], d.Cycle.Locks[1], verdict, d.Probability, d.DeadlockRuns, d.Trials)
-}
-
-// ConfirmDeadlock is the deadlock phase 2: Phase2Trials executions under a
-// DeadlockDirectedPolicy focused on the cycle's lock pair. Trials run on the
-// campaign executor and are merged in trial order (see confirm).
-func ConfirmDeadlock(prog Program, cycle deadlock.Cycle, cycleIndex int, o Options) DeadlockReport {
-	t := newLockCycle(cycle)
-	return t.report(confirm(prog, []Target{t}, cycleIndex, o)[0])
 }
 
 // AnalyzeDeadlocks runs the full deadlock pipeline over one (cycleIndex,

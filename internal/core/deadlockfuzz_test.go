@@ -38,13 +38,20 @@ func gatedAbbaProgram() Program {
 	}
 }
 
+// confirmDeadlock is the deadlock phase 2 for one cycle, numbered
+// cycleIndex.
+func confirmDeadlock(prog Program, c deadlock.Cycle, cycleIndex int, o Options) DeadlockReport {
+	t := newLockCycle(c)
+	return t.report(confirm(prog, []Target{t}, cycleIndex, o)[0])
+}
+
 func TestDeadlockPipelineConfirmsABBA(t *testing.T) {
 	opts := Options{Seed: 5, Phase1Trials: 6, Phase2Trials: 30}
 	cycles := DetectPotentialDeadlocks(abbaProgram(), opts)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v, want 1", cycles)
 	}
-	rep := ConfirmDeadlock(abbaProgram(), cycles[0], 0, opts)
+	rep := confirmDeadlock(abbaProgram(), cycles[0], 0, opts)
 	if !rep.IsReal {
 		t.Fatalf("ABBA not confirmed: %v", rep)
 	}

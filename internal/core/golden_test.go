@@ -131,7 +131,7 @@ func TestEngineGoldenRace(t *testing.T) {
 func TestEngineGoldenRaceTraces(t *testing.T) {
 	for _, seed := range []int64{7, 999, 12345} {
 		res, races, rec := Record(Program(bench.Figure1()), newRaceTarget(bench.Fig1PairZ), seed,
-			Options{Label: "golden-trace"}.withDefaults())
+			Options{Label: "golden-trace"}.WithDefaults())
 		var b bytes.Buffer
 		fmt.Fprintf(&b, "raceCreated=%v races=%d\n", races > 0, races)
 		dumpResult(&b, res)
@@ -146,7 +146,7 @@ func TestEngineGoldenRaceTraces(t *testing.T) {
 func TestEngineGoldenDeadlock(t *testing.T) {
 	prog := goldenAbba()
 	res, _, rec := Record(prog, newLockCycle(deadlock.Cycle{Locks: [2]event.LockID{0, 1}}), 5,
-		Options{Label: "golden-abba"}.withDefaults())
+		Options{Label: "golden-abba"}.WithDefaults())
 	var b bytes.Buffer
 	dumpResult(&b, res)
 	goldenCheck(t, "result_deadlock_abba_s5.txt", b.Bytes())
@@ -172,7 +172,7 @@ func TestEngineGoldenAtomicity(t *testing.T) {
 	}
 	if len(targets) > 0 {
 		res, viols, rec := Record(prog, newAtomicBlock(targets[0]), 8,
-			Options{Label: "golden-atom"}.withDefaults())
+			Options{Label: "golden-atom"}.WithDefaults())
 		fmt.Fprintf(&b, "violations=%d\n", viols)
 		dumpResult(&b, res)
 		goldenCheck(t, "trace_atom_lostupdate_s8.jsonl", recordingBytes(t, rec))

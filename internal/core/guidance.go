@@ -107,7 +107,7 @@ type AtomicityTarget struct {
 	Interferers []event.Stmt
 }
 
-// Contains reports whether s is one of the target's interferer statements.
+// interferer reports whether s is one of the target's interferer statements.
 func (a AtomicityTarget) interferer(s event.Stmt) bool {
 	for _, x := range a.Interferers {
 		if x == s {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"racefuzzer/internal/bench"
-	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
 )
 
@@ -295,23 +294,6 @@ func TestParallelDeterminismAtomicity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(baseLog, log) {
 			t.Errorf("workers=%d: atomicity run log diverged", w)
-		}
-	}
-}
-
-// TestParallelDeterminismFuzzSet cross-checks the batched multi-pair mode.
-func TestParallelDeterminismFuzzSet(t *testing.T) {
-	pairs := []event.StmtPair{bench.Fig1PairX, bench.Fig1PairZ}
-	run := func(workers int) SetReport {
-		return FuzzSet(bench.Figure1(), pairs, Options{Seed: 11, Phase2Trials: 30, Workers: workers})
-	}
-	base := run(workerSweep[0])
-	if len(base.Confirmed()) == 0 {
-		t.Fatal("FuzzSet confirmed nothing; cross-check is vacuous")
-	}
-	for _, w := range workerSweep[1:] {
-		if got := run(w); !reflect.DeepEqual(base, got) {
-			t.Errorf("workers=%d: set report diverged\nseq: %+v\npar: %+v", w, base, got)
 		}
 	}
 }

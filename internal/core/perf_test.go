@@ -114,7 +114,7 @@ func TestDeadlockAndAtomicityPerfExport(t *testing.T) {
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
-	dlRep := ConfirmDeadlock(abbaProgram(), cycles[0], 0, o)
+	dlRep := confirmDeadlock(abbaProgram(), cycles[0], 0, o)
 	if !dlRep.IsReal || dlRep.PerfPath == "" || dlRep.PerfErr != nil {
 		t.Fatalf("deadlock perf timeline not exported: %+v", dlRep)
 	}
@@ -123,7 +123,7 @@ func TestDeadlockAndAtomicityPerfExport(t *testing.T) {
 	targets := DetectAtomicityTargets(lostUpdateProgram(nil), ao)
 	exported := false
 	for i, tg := range targets {
-		rep := ConfirmAtomicity(lostUpdateProgram(nil), tg, i, ao)
+		rep := confirmAtomicity(lostUpdateProgram(nil), tg, i, ao)
 		if rep.IsReal {
 			if rep.PerfPath == "" || rep.PerfErr != nil {
 				t.Fatalf("atomicity perf timeline not exported: %+v", rep)

@@ -135,7 +135,9 @@ func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed in
 	return rec
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults resolves unset (<= 0) trial counts to the defaults every
+// pipeline runs with: 3 phase-1 observations, 100 phase-2 trials per target.
+func (o Options) WithDefaults() Options {
 	if o.Phase1Trials <= 0 {
 		o.Phase1Trials = 3
 	}
@@ -177,12 +179,10 @@ func releasePairs(d *hybrid.Detector) []event.StmtPair {
 }
 
 // raceTarget is the race pipeline's Target: a potentially racing statement
-// pair, or (set non-nil) FuzzSet's union RaceSet.
+// pair.
 type raceTarget struct {
-	pair            event.StmtPair
-	set             []event.StmtPair
-	kind, str, name string
-	offset          int
+	pair      event.StmtPair
+	str, name string
 }
 
 // NewRaceTarget returns the race pipeline's Target for one potentially
@@ -192,16 +192,16 @@ func NewRaceTarget(pair event.StmtPair) Target { return newRaceTarget(pair) }
 
 func newRaceTarget(pair event.StmtPair) *raceTarget {
 	str := pair.String()
-	return &raceTarget{pair: pair, kind: "race", str: str, name: "racefuzzer" + str}
+	return &raceTarget{pair: pair, str: str, name: "racefuzzer" + str}
 }
 
-func (t *raceTarget) Kind() string       { return t.kind }
+func (t *raceTarget) Kind() string       { return "race" }
 func (t *raceTarget) String() string     { return t.str }
-func (t *raceTarget) seedOffset() int    { return t.offset }
+func (t *raceTarget) seedOffset() int    { return 0 }
 func (t *raceTarget) configName() string { return t.name }
 
 func (t *raceTarget) policy(o Options) sched.Policy {
-	return &RaceFuzzerPolicy{Target: t.pair, Targets: t.set, MaxPostponeAge: o.MaxPostponeAge}
+	return &RaceFuzzerPolicy{Target: t.pair, MaxPostponeAge: o.MaxPostponeAge}
 }
 
 func (t *raceTarget) outcome(pol sched.Policy, _ *sched.Result) outcome {
@@ -273,20 +273,8 @@ type PairReport struct {
 	// TotalSteps sums the scheduler steps over the trials. The campaign
 	// telemetry (Options.Metrics) carries the finer counters.
 	TotalSteps int64
-	// TracePath is the auto-captured witness recording of the first
-	// race-creating trial ("" unless Options.TraceDir was set and a race was
-	// created); TraceErr reports a failed capture attempt.
-	TracePath string
-	TraceErr  error
-	// PerfPath is the Perfetto timeline exported for the first race-creating
-	// trial ("" unless Options.PerfDir was set and a race was created);
-	// PerfErr reports a failed export attempt.
-	PerfPath string
-	PerfErr  error
-	// Known reports that the confirmed race's signature was already in the
-	// campaign's corpus (always false without Options.Corpus or when the
-	// pair was not confirmed). Known findings skip witness auto-capture.
-	Known bool
+	// Capture holds the first race-creating trial's captures.
+	Capture
 }
 
 func (p PairReport) String() string {
@@ -326,73 +314,6 @@ func exceptionKind(ex sched.Exception) string {
 		return msg[:i]
 	}
 	return msg
-}
-
-// SetReport aggregates a multi-pair campaign (FuzzSet): one set of runs
-// targeting the union of several warnings at once.
-type SetReport struct {
-	Pairs  []event.StmtPair
-	Trials int
-	// ConfirmedRuns counts, per warning pair, the runs that created a race
-	// attributed to it. Cross-pair races (both statements in the RaceSet but
-	// from different warnings) are tallied under their own synthesized pair.
-	ConfirmedRuns map[event.StmtPair]int
-	// ExceptionRuns counts runs that created some race and then threw.
-	ExceptionRuns int
-}
-
-// Confirmed returns the warning pairs confirmed real, in deterministic order.
-func (s SetReport) Confirmed() []event.StmtPair {
-	var out []event.StmtPair
-	for p, n := range s.ConfirmedRuns {
-		if n > 0 {
-			out = append(out, p)
-		}
-	}
-	event.SortStmtPairs(out)
-	return out
-}
-
-// FuzzSet runs a single campaign whose RaceSet is the union of pairs — the
-// CalFuzzer-style batched mode: cheaper than one campaign per pair, at some
-// loss of per-pair directedness (threads postponed for one warning can
-// perturb another's window).
-func FuzzSet(prog Program, pairs []event.StmtPair, o Options) SetReport {
-	o = o.withDefaults()
-	rep := SetReport{Pairs: pairs, Trials: o.Phase2Trials, ConfirmedRuns: make(map[event.StmtPair]int)}
-	set := &raceTarget{set: pairs, kind: "race-set", offset: 3_000_000}
-	type setRun struct {
-		res   *sched.Result
-		m     telemetry
-		races []RealRace
-	}
-	runOrdered(o.workerCount(), o.Phase2Trials,
-		func(i int) setRun {
-			res, pol, m := o.trial(prog, set, pairSeed(o.Seed, set.offset, i))
-			return setRun{res: res, m: m, races: pol.(*RaceFuzzerPolicy).Races()}
-		},
-		func(i int, r setRun) {
-			seen := make(map[event.StmtPair]bool)
-			for _, rr := range r.races {
-				if !seen[rr.Target] {
-					seen[rr.Target] = true
-					rep.ConfirmedRuns[rr.Target]++
-				}
-			}
-			created := len(r.races) > 0
-			if created && len(r.res.Exceptions) > 0 {
-				rep.ExceptionRuns++
-			}
-			if o.observing() {
-				rec := o.runRecord(2, set.kind, -1, i, pairSeed(o.Seed, set.offset, i), r.res, r.m)
-				rec.RaceCreated, rec.Races = created, len(r.races)
-				if created {
-					rec.StepsToRace = r.races[0].Step
-				}
-				o.emit(rec)
-			}
-		})
-	return rep
 }
 
 // Report is the full two-phase outcome for one program.
@@ -455,7 +376,7 @@ func (r *Report) TotalSteps() int64 {
 // reported pair over one (pairIndex, trial) grid (see confirm), so the
 // report is bit-identical at any worker count.
 func Analyze(prog Program, o Options) *Report {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	rep := &Report{Potential: DetectPotentialRaces(prog, o)}
 	targets := make([]Target, len(rep.Potential))
 	for i, p := range rep.Potential {

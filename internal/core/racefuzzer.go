@@ -83,11 +83,6 @@ const (
 type RaceFuzzerPolicy struct {
 	// Target is the potentially racing statement pair (the RaceSet).
 	Target event.StmtPair
-	// Targets optionally widens the RaceSet to several pairs at once (their
-	// union of statements): one campaign can then confirm many phase-1
-	// warnings, at the cost of more postponement traffic per run. When
-	// non-empty, Target is ignored.
-	Targets []event.StmtPair
 	// MaxPostponeAge bounds postponement (steps); <0 disables the livelock
 	// monitor, 0 means DefaultMaxPostponeAge.
 	MaxPostponeAge int
@@ -113,40 +108,6 @@ type RaceFuzzerPolicy struct {
 // NewRaceFuzzerPolicy returns a policy targeting pair.
 func NewRaceFuzzerPolicy(pair event.StmtPair) *RaceFuzzerPolicy {
 	return &RaceFuzzerPolicy{Target: pair}
-}
-
-// NewRaceFuzzerSetPolicy returns a policy whose RaceSet is the union of the
-// given pairs.
-func NewRaceFuzzerSetPolicy(pairs []event.StmtPair) *RaceFuzzerPolicy {
-	return &RaceFuzzerPolicy{Targets: pairs}
-}
-
-// inRaceSet reports whether s is a statement of the (single or multi) target.
-func (p *RaceFuzzerPolicy) inRaceSet(s event.Stmt) bool {
-	if len(p.Targets) > 0 {
-		for _, tg := range p.Targets {
-			if tg.Contains(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return p.Target.Contains(s)
-}
-
-// targetOf returns a pair from the RaceSet containing both statements, for
-// attribution of a created race (falls back to the raw pair: a race between
-// statements of different warnings is still a real race).
-func (p *RaceFuzzerPolicy) targetOf(a, b event.Stmt) event.StmtPair {
-	if len(p.Targets) == 0 {
-		return p.Target
-	}
-	for _, tg := range p.Targets {
-		if tg.Contains(a) && tg.Contains(b) {
-			return tg
-		}
-	}
-	return event.MakeStmtPair(a, b)
 }
 
 // Name implements sched.Policy.
@@ -269,13 +230,13 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	if int(t) < len(p.justReleased) && p.justReleased[t] {
 		// An evicted thread executes its pending statement unconditionally.
 		p.justReleased[t] = false
-		if op.IsMem() && p.inRaceSet(op.Stmt) {
+		if op.IsMem() && p.Target.Contains(op.Stmt) {
 			p.tracked++
 		}
 		return v.Grant(t)
 	}
 	// if NextStmt(s, t) ∈ RaceSet   (line 6)
-	if op.IsMem() && p.inRaceSet(op.Stmt) {
+	if op.IsMem() && p.Target.Contains(op.Stmt) {
 		// R := Racing(s, t, postponed)   (line 7, Algorithm 2)
 		races := p.racing[:0]
 		for _, tid := range p.postponed.sorted() {
@@ -294,7 +255,7 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 			raced := event.MakeStmtPair(op.Stmt, v.Op(races[0]).Stmt)
 			owned := append([]event.ThreadID(nil), races...)
 			rec := RealRace{
-				Target: p.targetOf(op.Stmt, v.Op(races[0]).Stmt), Pair: raced, Loc: op.Loc,
+				Target: p.Target, Pair: raced, Loc: op.Loc,
 				LocName: v.LocName(op.Loc), Candidate: t, Postponed: owned, Step: v.Step,
 			}
 			candidateFirst := r.Bool() // line 11: the coin is always drawn,

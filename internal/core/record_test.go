@@ -204,7 +204,7 @@ func TestTraceDirCapturesDeadlockAndAtomicityWitnesses(t *testing.T) {
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %v", cycles)
 	}
-	dlRep := ConfirmDeadlock(abbaProgram(), cycles[0], 0, o)
+	dlRep := confirmDeadlock(abbaProgram(), cycles[0], 0, o)
 	if !dlRep.IsReal || dlRep.TracePath == "" || dlRep.TraceErr != nil {
 		t.Fatalf("deadlock witness not captured: %+v", dlRep)
 	}
@@ -223,7 +223,7 @@ func TestTraceDirCapturesDeadlockAndAtomicityWitnesses(t *testing.T) {
 	targets := DetectAtomicityTargets(lostUpdateProgram(nil), ao)
 	var confirmed *AtomicityReport
 	for i, tg := range targets {
-		rep := ConfirmAtomicity(lostUpdateProgram(nil), tg, i, ao)
+		rep := confirmAtomicity(lostUpdateProgram(nil), tg, i, ao)
 		if rep.IsReal {
 			confirmed = &rep
 			break

@@ -25,7 +25,6 @@ func TestPairSeedGoldenValues(t *testing.T) {
 		{42, 0, 1, 7_962},
 		{42, 1, 0, 1_000_046},
 		{42, 2, 3, 2_023_806},
-		{7, 3_000_000, 5, 3_000_009_039_603},           // FuzzSet salt
 		{21, 7_000_000, 0, 7_000_021_000_022},          // deadlock salt, cycle 0
 		{17, 9_000_001, 2, 9_000_028_015_859},          // atomicity salt, target 1
 		{-5, 0, 0, -4},                                 // negative bases stay linear
@@ -98,30 +97,4 @@ func TestAtomicityPipelineSeedDerivationGolden(t *testing.T) {
 	sink := &seedSink{}
 	AnalyzeAtomicity(lostUpdateProgram(nil), Options{Seed: 17, Phase1Trials: 3, Phase2Trials: 4, Probes: Probes{Sink: sink}})
 	checkSeeds(t, sink.recs, 17, 9_000_000)
-}
-
-func TestFuzzSetSeedDerivationGolden(t *testing.T) {
-	sink := &seedSink{}
-	pairs := DetectPotentialRaces(bench.Figure1(), Options{Seed: 13, Phase1Trials: 3})
-	if len(pairs) == 0 {
-		t.Fatal("no potential pairs")
-	}
-	FuzzSet(bench.Figure1(), pairs, Options{Seed: 13, Phase2Trials: 4, Probes: Probes{Sink: sink}})
-	if len(sink.recs) == 0 {
-		t.Fatal("no records emitted")
-	}
-	for _, r := range sink.recs {
-		if r.Phase != 2 {
-			continue
-		}
-		// FuzzSet targets the whole set: PairIndex is -1 and the seed stream
-		// uses the fixed 3_000_000 salt.
-		if r.PairIndex != -1 {
-			t.Fatalf("race-set record has pair index %d", r.PairIndex)
-		}
-		want := int64(13) + 3_000_000*1_000_003 + int64(r.Trial)*7_919 + 1
-		if r.Seed != want {
-			t.Fatalf("race-set trial %d: seed %d, want %d", r.Trial, r.Seed, want)
-		}
-	}
 }

@@ -84,7 +84,7 @@ func DetectTargets(kind string, prog Program, o Options) []Target {
 // order.
 func observe[D sched.Observer, T any](prog Program, o Options, kind string,
 	newDet func() D, query func(D) T, fold func(T)) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	type obsRun struct {
 		found T
 		res   *sched.Result
@@ -248,6 +248,26 @@ func profile(prog Program, t Target, seed int64, o Options) *schedprof.Timeline 
 	return schedprof.TimelineOf(cfg.Prof)
 }
 
+// Capture is what a target's first confirming trial left behind, the same
+// for all three report types: its saved witness recording and perf timeline,
+// and its corpus verdict.
+type Capture struct {
+	// TracePath is the auto-captured witness recording ("" unless
+	// Options.TraceDir was set and the target was confirmed); TraceErr
+	// reports a failed capture attempt.
+	TracePath string
+	TraceErr  error
+	// PerfPath is the exported Perfetto timeline ("" unless Options.PerfDir
+	// was set and the target was confirmed); PerfErr reports a failed
+	// export attempt.
+	PerfPath string
+	PerfErr  error
+	// Known reports that the confirmed finding's signature was already in
+	// the campaign's corpus (always false without Options.Corpus or when the
+	// target was not confirmed). Known findings skip witness auto-capture.
+	Known bool
+}
+
 // trialResult is one grid trial as the tally receives it.
 type trialResult struct {
 	res *sched.Result
@@ -261,7 +281,7 @@ type trialResult struct {
 // trials in trial order, so the tallies are bit-identical at any worker
 // count.
 func confirm(prog Program, targets []Target, first int, o Options) []PairReport {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	n := o.Phase2Trials
 	tallies := make([]tally, len(targets))
 	for j, t := range targets {

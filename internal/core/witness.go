@@ -22,8 +22,7 @@ type RaceWitnessPolicy struct {
 	// Target is the statement pair to watch for.
 	Target event.StmtPair
 
-	hit     bool
-	hitStep int
+	hit bool
 }
 
 // NewRaceWitnessPolicy wraps inner to watch for target.
@@ -36,9 +35,6 @@ func (p *RaceWitnessPolicy) Name() string { return "witness(" + p.Inner.Name() +
 
 // Hit reports whether the race condition was ever created.
 func (p *RaceWitnessPolicy) Hit() bool { return p.hit }
-
-// HitStep returns the step of the first witness (0 if none).
-func (p *RaceWitnessPolicy) HitStep() int { return p.hitStep }
 
 // Step implements sched.Policy.
 func (p *RaceWitnessPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
@@ -56,7 +52,6 @@ func (p *RaceWitnessPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 			for j := i + 1; j < len(ops); j++ {
 				if ops[i].ConflictsWith(ops[j]) {
 					p.hit = true
-					p.hitStep = v.Step
 					break
 				}
 			}

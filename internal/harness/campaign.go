@@ -244,9 +244,6 @@ func RunUnit(u RoundUnit, store *corpus.Store, o CampaignOptions) UnitOutcome {
 		Corpus:       store,
 		Probes:       o.Probes,
 	}
-	if opts.Phase1Trials <= 0 {
-		opts.Phase1Trials = 3
-	}
 	pairs := core.DetectPotentialRaces(b.New(), opts)
 	out := UnitOutcome{Potential: len(pairs)}
 	if len(pairs) == 0 {

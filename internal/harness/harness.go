@@ -176,11 +176,7 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 	rep := core.Analyze(b.New(), opts)
 	pipeNs := time.Since(pipeStart).Nanoseconds()
 	runtime.ReadMemStats(&m1)
-	p1 := opts.Phase1Trials
-	if p1 <= 0 {
-		p1 = 3 // the pipeline default (core.Options.withDefaults)
-	}
-	row.PipelineRuns = p1 + len(rep.Potential)*o.Phase2Trials
+	row.PipelineRuns = opts.WithDefaults().Phase1Trials + len(rep.Potential)*o.Phase2Trials
 	if row.PipelineRuns > 0 {
 		row.PipelineNsPerRun = float64(pipeNs) / float64(row.PipelineRuns)
 		row.PipelineAllocsPerRun = float64(m1.Mallocs-m0.Mallocs) / float64(row.PipelineRuns)
