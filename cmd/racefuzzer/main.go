@@ -147,6 +147,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "racefuzzer: -pair cannot be combined with -deadlocks, -atomicity, -budget or -regress (it selects one phase-1 race pair)")
 		return 2
 	}
+	// 0 selects a default for each count; a negative one would fall through
+	// to core's defaults or to the non-budget path instead.
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"phase1", *phase1}, {"trials", *trials}, {"budget", *budget}, {"rounds", *rounds}} {
+		if c.n < 0 {
+			fmt.Fprintf(os.Stderr, "racefuzzer: -%s %d is negative\n", c.name, c.n)
+			return 2
+		}
+	}
 
 	if *list {
 		for _, b := range bench.All() {

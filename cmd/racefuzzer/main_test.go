@@ -109,6 +109,10 @@ func TestPairIsChecked(t *testing.T) {
 		{[]string{"-bench", "figure1", "-pair", "0", "-atomicity"}, "racefuzzer: -pair cannot be combined with"},
 		{[]string{"-budget", "10", "-pair", "0"}, "racefuzzer: -pair cannot be combined with"},
 		{[]string{"-corpusdir", t.TempDir(), "-regress", "-pair", "5"}, "racefuzzer: -pair cannot be combined with"},
+		{[]string{"-bench", "figure1", "-phase1", "-4"}, "racefuzzer: -phase1 -4 is negative\n"},
+		{[]string{"-bench", "figure1", "-trials", "-5"}, "racefuzzer: -trials -5 is negative\n"},
+		{[]string{"-bench", "figure1", "-budget", "-5"}, "racefuzzer: -budget -5 is negative\n"},
+		{[]string{"-budget", "20", "-rounds", "-2"}, "racefuzzer: -rounds -2 is negative\n"},
 	} {
 		cmd := childCommand("TestPairIsChecked", tc.args...)
 		var stderr strings.Builder

@@ -1,32 +1,20 @@
-// Package benchsnap produces and checks schema-versioned benchmark
-// snapshots (the checked-in BENCH_*.json artifacts). A snapshot records what
-// a suite of measurements cost on a described host — ns/op, allocs/op,
-// scheduler latency quantiles — so CI can hold the current tree against the
-// committed baseline and the repository's perf history stays reviewable in
-// ordinary diffs.
-//
-// The regression policy is split by signal quality (see Compare): wall-clock
-// ns/op is machine- and load-dependent, so drift only warns; allocs/op is a
-// deterministic property of the code under a fixed workload, so growth
-// beyond tolerance is a hard failure.
+// Package benchsnap holds a campaign benchmark snapshot against a baseline.
+// A snapshot is the --out file of campaignbench, the repository's end-to-end
+// benchmark; the checked-in baseline is BENCH_campaign.json. Compare checks
+// each workload's allocs_per_trial, which is a property of the code under a
+// fixed seed, not of the machine's load, so it can gate CI where wall clock
+// cannot. It checks nothing else.
 package benchsnap
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
-	"time"
-
-	"racefuzzer/internal/schedprof"
 )
-
-// SchemaVersion identifies the snapshot layout. Compare refuses to check a
-// snapshot against a baseline with a different schema — regenerate the
-// baseline instead of guessing at field semantics.
-const SchemaVersion = 1
 
 // Host describes the machine a snapshot was measured on. Numbers from
 // different hosts are not comparable; the host block makes a baseline's
@@ -66,57 +54,48 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
-// Result is one measured benchmark within a suite.
-type Result struct {
-	Name string `json:"name"`
-	// Iters is the number of iterations the calibrated measurement ran.
-	Iters int `json:"iters"`
-	// NsPerOp is wall-clock nanoseconds per iteration (warn-only in Compare).
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is heap allocations per iteration (hard-fail in Compare).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics carries suite-specific extras (steps/op, real races, …).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
+// AllocsBound is the fractional allocs_per_trial growth over the baseline
+// that fails Compare: the allocs_per_trial bound of BENCHMARK.json.
+const AllocsBound = 0.05
 
-// Snapshot is one suite's measurement artifact — the JSON schema of the
-// checked-in BENCH_*.json files.
+// Snapshot is the part of a campaignbench snapshot that Compare reads.
 type Snapshot struct {
-	Schema      int      `json:"schema"`
-	Suite       string   `json:"suite"`
-	Description string   `json:"description"`
-	Date        string   `json:"date"`
-	Host        Host     `json:"host"`
-	Benchtime   string   `json:"benchtime"`
-	Results     []Result `json:"results"`
-	// SchedSummary is the sched suite's per-op-kind latency aggregate
-	// (wait/service quantiles), measured by a schedprof.Collector attached to
-	// a profiled campaign.
-	SchedSummary *schedprof.Summary `json:"sched_summary,omitempty"`
-	Note         string             `json:"note,omitempty"`
+	Schema     int  `json:"schema"`
+	Host       Host `json:"host"`
+	Provenance struct {
+		Go     string `json:"go"`
+		Commit string `json:"commit"`
+	} `json:"provenance"`
+	Runs []Run `json:"runs"`
 }
 
-// Stamp fills in the environment-dependent header fields (date, host) that
-// the suites leave blank so their measurement logic stays deterministic.
-func (s *Snapshot) Stamp(now time.Time) {
-	s.Date = now.UTC().Format("2006-01-02")
-	s.Host = CurrentHost()
+// Run is one workload's run within a snapshot.
+type Run struct {
+	Workload string `json:"workload"`
+	// Width is the executor width the run measured at (the host's CPU count
+	// as the process saw it).
+	Width   int `json:"width"`
+	Metrics []struct {
+		Name  string  `json:"name"`
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
-// Save writes the snapshot as indented JSON, the checked-in artifact format.
-func (s *Snapshot) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
+// allocs returns the run's allocs_per_trial.
+func (r Run) allocs() (float64, bool) {
+	for _, m := range r.Metrics {
+		if m.Name == "allocs_per_trial" {
+			return m.Value, true
+		}
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return 0, false
 }
 
-// maxSnapshotBytes caps what Load reads. Checked-in snapshots are a few
-// KiB; anything past the cap is refused rather than read whole.
+// maxSnapshotBytes caps what Load reads. Snapshots are a few KiB; anything
+// past the cap is refused rather than read whole.
 const maxSnapshotBytes = 1 << 20
 
-// Load reads a snapshot written by Save.
+// Load reads a snapshot.
 func Load(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -130,7 +109,9 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// decode parses one snapshot, reading at most maxSnapshotBytes of r.
+// decode parses one snapshot, reading at most maxSnapshotBytes of r. It
+// refuses a workload named twice, a width below 1 and a metric that is
+// negative or not finite.
 func decode(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBytes+1))
 	if err != nil {
@@ -143,51 +124,62 @@ func decode(r io.Reader) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
+	seen := make(map[string]bool, len(s.Runs))
+	for _, r := range s.Runs {
+		if seen[r.Workload] {
+			return nil, fmt.Errorf("workload %q appears twice", r.Workload)
+		}
+		seen[r.Workload] = true
+		if r.Width < 1 {
+			return nil, fmt.Errorf("%s: width %d", r.Workload, r.Width)
+		}
+		for _, m := range r.Metrics {
+			if m.Value < 0 || math.IsInf(m.Value, 0) || math.IsNaN(m.Value) {
+				return nil, fmt.Errorf("%s: %s = %v", r.Workload, m.Name, m.Value)
+			}
+		}
+	}
 	return &s, nil
 }
 
-// measureCapIters bounds calibration growth against pathological clocks.
-const measureCapIters = 1 << 20
-
-// Measure times fn with a calibrating iteration loop, growing the count
-// until one timed batch spans at least minTime (testing.B's strategy, inside
-// a library so cmd/benchsnap needs no test binary). Allocations are the
-// process-wide Mallocs delta across the batch divided by iterations: the
-// scheduler's worker goroutines allocate on behalf of the run, and a
-// per-goroutine counter would miss them.
-func Measure(name string, minTime time.Duration, fn func()) Result {
-	fn() // warm-up: first-use initialization should not be charged
-	n := 1
-	for {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			fn()
-		}
-		dur := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if dur >= minTime || n >= measureCapIters {
-			return Result{
-				Name:        name,
-				Iters:       n,
-				NsPerOp:     float64(dur.Nanoseconds()) / float64(n),
-				AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
-			}
-		}
-		// Predict the iteration count that lands past minTime, with 20%
-		// headroom, bounded to [n+1, 100n] like the stdlib harness.
-		next := n + 1
-		if dur > 0 {
-			next = int(1.2 * float64(n) * float64(minTime) / float64(dur))
-		}
-		if next < n+1 {
-			next = n + 1
-		}
-		if next > 100*n {
-			next = 100 * n
-		}
-		n = next
+// Compare holds cur against base, workload by workload. margins has one
+// line per workload within the bound; failures has one per workload over
+// it, missing from cur or without allocs_per_trial, or a single line when
+// the schemas differ. A workload that cur measured at another width than
+// base is not compared at all: width moves allocs_per_trial by several
+// percent, so Compare returns an error instead of a verdict.
+func Compare(base, cur *Snapshot) (margins, failures []string, err error) {
+	if base.Schema != cur.Schema {
+		return nil, []string{fmt.Sprintf("schema %d, baseline schema %d", cur.Schema, base.Schema)}, nil
 	}
+	byName := make(map[string]Run, len(cur.Runs))
+	for _, r := range cur.Runs {
+		byName[r.Workload] = r
+	}
+	for _, b := range base.Runs {
+		if c, ok := byName[b.Workload]; ok && c.Width != b.Width {
+			return nil, nil, fmt.Errorf("%s measured at width %d, baseline at width %d", b.Workload, c.Width, b.Width)
+		}
+	}
+	for _, b := range base.Runs {
+		c, ok := byName[b.Workload]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: not measured", b.Workload))
+			continue
+		}
+		bv, bok := b.allocs()
+		cv, cok := c.allocs()
+		if !bok || !cok {
+			failures = append(failures, fmt.Sprintf("%s: no allocs_per_trial", b.Workload))
+			continue
+		}
+		line := fmt.Sprintf("%s (width %d): allocs_per_trial %.2f, baseline %.2f, %+.2f%% (bound +%.0f%%)",
+			b.Workload, b.Width, cv, bv, 100*(cv/bv-1), 100*AllocsBound)
+		if cv > bv*(1+AllocsBound) {
+			failures = append(failures, line)
+		} else {
+			margins = append(margins, line)
+		}
+	}
+	return margins, failures, nil
 }

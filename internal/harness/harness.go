@@ -86,8 +86,8 @@ type Row struct {
 	// Pipeline cost columns: the full two-phase campaign's wall-clock and
 	// heap-allocation cost, normalized per executed trial (phase-1
 	// observations + every phase-2 run). Wall clock is machine-local;
-	// allocs/run is a property of the code and is what CI's perf-smoke gates
-	// on (see internal/benchsnap).
+	// allocs/run is a property of the code. Neither is gated: CI's
+	// perf-smoke gates campaignbench's allocs_per_trial (internal/benchsnap).
 	PipelineRuns         int
 	PipelineNsPerRun     float64
 	PipelineAllocsPerRun float64

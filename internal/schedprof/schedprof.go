@@ -170,7 +170,8 @@ type PhaseSummary struct {
 }
 
 // Summary is the collector's JSON-ready aggregate view: the payload of the
-// observatory's /debug/perf and of benchsnap's latency_ns block.
+// observatory's /debug/perf and the source of a traced campaignbench run's
+// sched.* metrics.
 type Summary struct {
 	Trials       int64          `json:"trials"`
 	Grants       int64          `json:"grants"`
