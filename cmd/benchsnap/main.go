@@ -2,14 +2,15 @@
 // checked-in baseline:
 //
 //	bash campaignbench/run.sh --workload all --seed 1 --seconds 1 --out cur.json
-//	go run ./cmd/benchsnap BENCH_campaign.json cur.json
+//	go build ./cmd/benchsnap && ./benchsnap BENCH_campaign.json cur.json
 //
 // It prints each snapshot's Go version, commit and host, then each
 // workload's allocs_per_trial against the baseline's. It exits 1 when a
 // workload is over the bound (internal/benchsnap.AllocsBound), missing or
 // without the metric, or when the schemas differ; and 2 when it cannot
 // compare: a wrong argument count, an unreadable snapshot, or a workload
-// measured at another executor width than the baseline's.
+// measured at another executor width than the baseline's. Run the built
+// binary to see these statuses: `go run` reports every failure as 1.
 package main
 
 import (

@@ -74,7 +74,8 @@ type CoordinatorConfig struct {
 
 // Coordinator is the fleet control plane plus the campaign-side
 // harness.RoundExecutor: harness.RunCampaign drives rounds, the coordinator
-// leases each round's units to the pool and merges results back in order.
+// leases each round's units to the pool and merges each result back as soon
+// as every unit before it is merged.
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	clock Clock
@@ -182,7 +183,8 @@ func (c *Coordinator) Addr() string {
 }
 
 // sweepLoop expires overdue leases even when no worker traffic arrives, so
-// a round barrier eventually requeues a silently-dead fleet's units.
+// a round waiting on a unit eventually requeues a silently-dead fleet's
+// units.
 func (c *Coordinator) sweepLoop() {
 	tick := time.NewTicker(c.cfg.LeaseTTL / 2)
 	defer tick.Stop()
@@ -196,8 +198,9 @@ func (c *Coordinator) sweepLoop() {
 	}
 }
 
-// Shutdown stops the control plane and cancels any in-flight round barrier
-// and held lease request.
+// Shutdown stops the control plane and cancels the in-flight round and any
+// held lease request. The round folds the units already done up to its
+// first outstanding one, then returns the cancellation.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.cancel()
 	if c.srv == nil {
@@ -242,11 +245,13 @@ func (c *Coordinator) SetTargets(names []string) {
 }
 
 // ExecuteRound implements harness.RoundExecutor: enqueue the round's units,
-// wait for the pool to complete them all, then fold each unit's batch into
-// the corpus in unit order inside the driver's begin/done accounting window.
+// then fold each unit's batch into the corpus in unit order inside the
+// driver's begin/done accounting window as soon as it and every unit before
+// it are done, so the fold of early units overlaps the execution of later
+// ones. When the coordinator shuts down mid-round, the units done up to the
+// first outstanding one are folded and the round returns the error.
 func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int), done func(i int, out harness.UnitOutcome)) error {
 	wus := make([]WorkUnit, len(units))
-	ids := make([]string, len(units))
 	for i, u := range units {
 		wus[i] = WorkUnit{
 			ID:          fmt.Sprintf("r%d-t%d", u.Round, u.TargetIndex),
@@ -256,16 +261,12 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 			Trials:      u.Trials,
 			Seed:        u.Seed,
 		}
-		ids[i] = wus[i].ID
 	}
 	c.table.add(wus)
-	if err := c.table.awaitDone(c.ctx, ids); err != nil {
-		return fmt.Errorf("fleet: round barrier: %w", err)
-	}
-	for i := range units {
-		res := c.table.takeResult(ids[i])
-		if res == nil {
-			return fmt.Errorf("fleet: unit %s completed without a result", ids[i])
+	for i, wu := range wus {
+		res, err := c.table.awaitResult(c.ctx, wu.ID)
+		if err != nil {
+			return fmt.Errorf("fleet: unit %s: %w", wu.ID, err)
 		}
 		begin(i)
 		c.mergeResult(res)

@@ -172,7 +172,8 @@ func firstDiff(got, want string) string {
 
 // runFleet runs the campaign o over names on coord with n RunWorker loops
 // configured as wo (Coordinator and Name filled in), then finishes it and
-// requires every worker to exit cleanly.
+// requires every worker to exit cleanly. o.Executor, when set, must pass
+// rounds on to coord.
 func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.CampaignOptions, n int, wo WorkerOptions) []harness.CampaignRow {
 	t.Helper()
 	coord.SetTargets(names)
@@ -190,7 +191,9 @@ func runFleet(t *testing.T, coord *Coordinator, names []string, o harness.Campai
 			workerErrs[w] = RunWorker(ctx, wo)
 		}(w)
 	}
-	o.Executor = coord
+	if o.Executor == nil {
+		o.Executor = coord
+	}
 	rows, err := harness.RunCampaign(names, o)
 	coord.Finish()
 	wg.Wait()
@@ -341,7 +344,8 @@ func unconfirmedFinding(findings []corpus.Finding) (corpus.Finding, bool) {
 }
 
 // TestIdleWorkersNeverSleep: across a multi-round campaign in which one of
-// two workers is always idle at the round barrier, no worker calls its
+// two workers is always idle while the other runs the round's last unit
+// (round r+1 is allocated only once round r is folded), no worker calls its
 // sleeper; idle time is spent in held lease requests.
 func TestIdleWorkersNeverSleep(t *testing.T) {
 	var sleeps atomic.Int64
@@ -351,6 +355,309 @@ func TestIdleWorkersNeverSleep(t *testing.T) {
 		WorkerOptions{Sleep: func(context.Context, time.Duration) { sleeps.Add(1) }})
 	if n := sleeps.Load(); n != 0 {
 		t.Fatalf("workers slept %d times, want 0", n)
+	}
+}
+
+// foldRecorder is a harness.RoundExecutor that passes each round to exec
+// and logs the begin/done callbacks exec makes, calling onDone, when set,
+// after each done.
+type foldRecorder struct {
+	exec   harness.RoundExecutor
+	onDone func(i int)
+
+	mu    sync.Mutex
+	calls []string
+}
+
+func (f *foldRecorder) ExecuteRound(units []harness.RoundUnit, begin func(i int), done func(i int, out harness.UnitOutcome)) error {
+	return f.exec.ExecuteRound(units,
+		func(i int) {
+			f.note("begin", i)
+			begin(i)
+		},
+		func(i int, out harness.UnitOutcome) {
+			done(i, out)
+			f.note("done", i)
+			if f.onDone != nil {
+				f.onDone(i)
+			}
+		})
+}
+
+func (f *foldRecorder) note(what string, i int) {
+	f.mu.Lock()
+	f.calls = append(f.calls, fmt.Sprintf("%s(%d)", what, i))
+	f.mu.Unlock()
+}
+
+// log returns the callbacks made so far.
+func (f *foldRecorder) log() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.calls...)
+}
+
+// foldLog is the callback log of folding units 0..n-1 in order.
+func foldLog(n int) []string {
+	var calls []string
+	for i := 0; i < n; i++ {
+		calls = append(calls, fmt.Sprintf("begin(%d)", i), fmt.Sprintf("done(%d)", i))
+	}
+	return calls
+}
+
+// TestFoldDoesNotWaitForLaterUnits: a round folds unit 0 (begin, merge,
+// done) as soon as unit 0 is done, while unit 1 is still executing on a
+// worker, and the corpus then holds unit 0's findings.
+func TestFoldDoesNotWaitForLaterUnits(t *testing.T) {
+	names := []string{"figure1", "vector"}
+	opt := func(store *corpus.Store) harness.CampaignOptions {
+		return harness.CampaignOptions{Seed: 7, Budget: 40, Rounds: 1, Corpus: store}
+	}
+	ref := corpus.NewStore()
+	refRows := harness.RunAdaptiveCampaign(names, opt(ref))
+	var want0 []corpus.Finding
+	for _, f := range ref.Findings() {
+		if f.Bench == names[0] {
+			want0 = append(want0, f)
+		}
+	}
+	if len(want0) == 0 {
+		t.Fatalf("%s found nothing; test proves nothing", names[0])
+	}
+
+	store := corpus.NewStore()
+	coord := startCoordinator(t, CoordinatorConfig{Store: store, LeaseTTL: 5 * time.Second})
+	release := make(chan struct{}) // unit 1's result is held until unit 0 is folded
+	rec := &foldRecorder{exec: coord}
+	rec.onDone = func(i int) {
+		if i != 0 {
+			return
+		}
+		defer close(release)
+		if got := rec.log(); !reflect.DeepEqual(got, foldLog(1)) {
+			t.Errorf("callbacks at done(0) = %v, want %v", got, foldLog(1))
+		}
+		if st := coord.status(); st.UnitsDone != 1 {
+			t.Errorf("unit 0 folded with %d units done, want 1: the fold waited for unit 1", st.UnitsDone)
+		}
+		if got := store.Findings(); !reflect.DeepEqual(got, want0) {
+			t.Errorf("corpus at done(0):\n got: %+v\nwant: %+v", got, want0)
+		}
+	}
+	execute := func(u WorkUnit, info CampaignInfo) (UnitResult, error) {
+		if u.TargetIndex == 1 {
+			select {
+			case <-release:
+			case <-time.After(20 * time.Second):
+			}
+		}
+		return ExecuteUnit(u, info)
+	}
+	o := opt(store)
+	o.Executor = rec
+	rows := runFleet(t, coord, names, o, 2, WorkerOptions{Execute: execute})
+
+	if got := rec.log(); !reflect.DeepEqual(got, foldLog(2)) {
+		t.Fatalf("callbacks = %v, want %v", got, foldLog(2))
+	}
+	if !reflect.DeepEqual(rows, refRows) || !reflect.DeepEqual(store.Findings(), ref.Findings()) {
+		t.Fatalf("campaign diverges from single-process:\n got: %+v\nwant: %+v", rows, refRows)
+	}
+}
+
+// leaseRound leases every unit of the round coord's driver is about to
+// enqueue, in lease order, as worker w.
+func leaseRound(t *testing.T, coord *Coordinator, n int) (units []WorkUnit, epochs []int64) {
+	t.Helper()
+	timeout := time.After(30 * time.Second)
+	for len(units) < n {
+		wake := coord.table.wakeup()
+		if u, epoch, ok := coord.table.lease("w"); ok {
+			units, epochs = append(units, u), append(epochs, epoch)
+			continue
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			t.Fatalf("leased %d of %d units", len(units), n)
+		}
+	}
+	return units, epochs
+}
+
+// completeUnit executes unit u as a worker would and completes it on the
+// lease table.
+func completeUnit(t *testing.T, coord *Coordinator, u WorkUnit, epoch int64) {
+	t.Helper()
+	res, err := ExecuteUnit(u, coord.campaignInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := coord.table.complete("w", u.ID, epoch, &res); !ok {
+		t.Fatalf("result for %s dropped: %s", u.ID, reason)
+	}
+}
+
+// TestFoldOrderUnderReverseCompletion: results that arrive in reverse unit
+// order are still folded 0, 1, 2, none before unit 0 arrives, and leave the
+// corpus and run log the single-process campaign writes, byte for byte.
+func TestFoldOrderUnderReverseCompletion(t *testing.T) {
+	names := []string{"figure1", "vector", "hedc"}
+	opt := func(store *corpus.Store) harness.CampaignOptions {
+		return harness.CampaignOptions{Seed: 7, Budget: 60, Rounds: 1, Corpus: store}
+	}
+	// Both campaigns write their corpus at the same path, so the run logs'
+	// witness paths agree; the reference corpus is moved aside after its run.
+	base := t.TempDir()
+	dir, refDir := filepath.Join(base, "corpus"), filepath.Join(base, "ref")
+	ref, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refLog, fleetLog bytes.Buffer
+	refSink := obs.NewJSONLSink(&refLog)
+	refOpt := opt(ref)
+	refOpt.TraceDir, refOpt.Sink = ref.WitnessDir(), refSink
+	refRows := harness.RunAdaptiveCampaign(names, refOpt)
+	if err := errors.Join(refSink.Close(), ref.Save(), os.Rename(dir, refDir)); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewJSONLSink(&fleetLog)
+	coord := NewCoordinator(CoordinatorConfig{Store: store, Sink: sink})
+	defer coord.Shutdown(context.Background()) //nolint:errcheck // never started
+	rec := &foldRecorder{exec: coord}
+	o := opt(store)
+	o.Executor = rec
+	type outcome struct {
+		rows []harness.CampaignRow
+		err  error
+	}
+	campaign := make(chan outcome, 1)
+	go func() {
+		rows, err := harness.RunCampaign(names, o)
+		campaign <- outcome{rows, err}
+	}()
+
+	units, epochs := leaseRound(t, coord, len(names))
+	for i := len(units) - 1; i >= 0; i-- {
+		if i == 0 {
+			if got := rec.log(); len(got) != 0 {
+				t.Fatalf("folded %v before unit 0 arrived", got)
+			}
+		}
+		completeUnit(t, coord, units[i], epochs[i])
+	}
+	got := <-campaign
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if calls := rec.log(); !reflect.DeepEqual(calls, foldLog(len(names))) {
+		t.Fatalf("callbacks = %v, want %v", calls, foldLog(len(names)))
+	}
+	if !reflect.DeepEqual(got.rows, refRows) {
+		t.Fatalf("rows diverge from single-process:\n got: %+v\nwant: %+v", got.rows, refRows)
+	}
+	if err := errors.Join(sink.Close(), store.Save()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fleetLog.Bytes(), refLog.Bytes()) {
+		t.Fatalf("run log differs from single-process:\n%s", firstDiff(fleetLog.String(), refLog.String()))
+	}
+	sameTree(t, dir, refDir)
+}
+
+// sameTree requires the files under got to be those under want, byte for
+// byte, and want to hold at least one witness.
+func sameTree(t *testing.T, got, want string) {
+	t.Helper()
+	read := func(root string) map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(root, path)
+			files[rel] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	g, w := read(got), read(want)
+	witnesses := 0
+	for name := range w {
+		if filepath.Dir(name) == "witnesses" {
+			witnesses++
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("reference corpus has no witnesses; test proves nothing")
+	}
+	if !reflect.DeepEqual(g, w) {
+		for name := range w {
+			if g[name] != w[name] {
+				t.Errorf("%s differs from the single-process corpus", name)
+			}
+		}
+		for name := range g {
+			if _, ok := w[name]; !ok {
+				t.Errorf("%s is not in the single-process corpus", name)
+			}
+		}
+		t.FailNow()
+	}
+}
+
+// TestShutdownFoldsTheDonePrefix: a coordinator shut down mid-round folds
+// the units done before the first outstanding one, and only those: the
+// round returns the cancellation, done ran for that prefix alone, and the
+// corpus holds exactly those units' findings, none of a later unit that
+// was also done.
+func TestShutdownFoldsTheDonePrefix(t *testing.T) {
+	names := []string{"figure1", "vector", "hedc"}
+	store := corpus.NewStore()
+	coord := NewCoordinator(CoordinatorConfig{Store: store})
+	defer coord.Shutdown(context.Background()) //nolint:errcheck // never started
+	rec := &foldRecorder{exec: coord}
+	campaign := make(chan error, 1)
+	go func() {
+		_, err := harness.RunCampaign(names, harness.CampaignOptions{Seed: 7, Budget: 60, Rounds: 1, Corpus: store, Executor: rec})
+		campaign <- err
+	}()
+
+	// Unit 2 and unit 0 are done, unit 1 is still out when the coordinator
+	// shuts down.
+	units, epochs := leaseRound(t, coord, len(names))
+	completeUnit(t, coord, units[2], epochs[2])
+	completeUnit(t, coord, units[0], epochs[0])
+	coord.Shutdown(context.Background()) //nolint:errcheck // never started
+	if err := <-campaign; !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted campaign returned %v, want %v", err, context.Canceled)
+	}
+	if calls := rec.log(); !reflect.DeepEqual(calls, foldLog(1)) {
+		t.Fatalf("callbacks = %v, want %v", calls, foldLog(1))
+	}
+	want, err := ExecuteUnit(units[0], CampaignInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Findings) == 0 {
+		t.Fatalf("%s found nothing; test proves nothing", units[0].Target)
+	}
+	if got := store.Findings(); !reflect.DeepEqual(got, want.Findings) {
+		t.Fatalf("corpus after shutdown:\n got: %+v\nwant %s's: %+v", got, units[0].ID, want.Findings)
+	}
+	if !reflect.DeepEqual(store.Coverage(), want.Cells) {
+		t.Fatalf("coverage after shutdown is not %s's alone", units[0].ID)
 	}
 }
 

@@ -20,7 +20,7 @@ func (systemClock) Now() time.Time { return time.Now() }
 
 // unitPhase is a unit's position in the lease state machine:
 //
-//	pending --lease--> leased --result(epoch match)--> done
+//	pending --lease--> leased --result(epoch match)--> done --fold--> (removed)
 //	   ^                  |
 //	   +---expiry/requeue-+
 //
@@ -48,9 +48,10 @@ type unitState struct {
 // leaseTable is the coordinator's work queue: pending units are granted
 // FIFO, leased units expire back to pending when their holder stops
 // heartbeating, done units hold their accepted result until the round
-// driver collects it. All methods are safe for concurrent use; completion
-// is broadcast so round barriers can wait without polling, and new pending
-// units close the wake channel so held lease requests need not poll either.
+// driver takes it to fold, which removes them. All methods are safe for
+// concurrent use; completion is broadcast so the driver waits for each unit
+// in turn without polling, and new pending units close the wake channel so
+// held lease requests need not poll either.
 type leaseTable struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -95,7 +96,7 @@ func (t *leaseTable) add(units []WorkUnit) {
 	defer t.mu.Unlock()
 	for _, u := range units {
 		if _, ok := t.units[u.ID]; ok {
-			continue // a unit ID is enqueued once
+			continue // a unit ID in the table is enqueued once
 		}
 		t.units[u.ID] = &unitState{unit: u, phase: unitPending}
 		t.queue = append(t.queue, u.ID)
@@ -141,9 +142,9 @@ func (t *leaseTable) heartbeat(worker, unitID string, epoch int64) bool {
 }
 
 // complete submits a result. It is accepted only when the unit is still
-// leased under exactly this epoch; a duplicate (unit already done) or a
-// stale epoch (lease expired, possibly re-granted) is dropped, so a retried
-// batch can never double-count. Acceptance is broadcast to round waiters.
+// leased under exactly this epoch; a duplicate (unit already done, or
+// already folded and so unknown) or a stale epoch (lease expired, possibly
+// re-granted) is dropped, so a retried batch can never double-count. Acceptance is broadcast to the round driver.
 func (t *leaseTable) complete(worker, unitID string, epoch int64, res *UnitResult) (accepted bool, reason string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -170,8 +171,8 @@ func (t *leaseTable) complete(worker, unitID string, epoch int64, res *UnitResul
 
 // expireLocked moves overdue leases back to the pending queue. Called under
 // t.mu from every entry point, so expiry needs no background timer of its
-// own (the coordinator still runs a coarse sweeper so round barriers and
-// held lease requests notice a silent fleet).
+// own (the coordinator still runs a coarse sweeper so a round waiting on a
+// unit and held lease requests notice a silent fleet).
 func (t *leaseTable) expireLocked(now time.Time) {
 	requeued := false
 	for _, id := range t.sortedLeasedLocked() {
@@ -205,7 +206,7 @@ func (t *leaseTable) sortedLeasedLocked() []string {
 	return ids
 }
 
-// sweep runs expiry outside any request, waking round waiters and held
+// sweep runs expiry outside any request, waking the round driver and held
 // lease requests that would otherwise block on a fleet that silently died.
 func (t *leaseTable) sweep() {
 	t.mu.Lock()
@@ -213,8 +214,13 @@ func (t *leaseTable) sweep() {
 	t.expireLocked(t.clock.Now())
 }
 
-// awaitDone blocks until every listed unit is done or ctx is cancelled.
-func (t *leaseTable) awaitDone(ctx context.Context, ids []string) error {
+// awaitResult blocks until unit id is done, then hands over its accepted
+// result and drops the unit from the table, so the result is handed over
+// exactly once and a later submission for the unit is dropped as unknown.
+// A done unit is handed over even after ctx is cancelled, so a cancelled
+// round still folds every unit that was already done; a unit not yet done
+// returns ctx's error.
+func (t *leaseTable) awaitResult(ctx context.Context, id string) (*UnitResult, error) {
 	stop := context.AfterFunc(ctx, func() {
 		t.mu.Lock()
 		t.cond.Broadcast()
@@ -224,34 +230,15 @@ func (t *leaseTable) awaitDone(ctx context.Context, ids []string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		all := true
-		for _, id := range ids {
-			if st, ok := t.units[id]; !ok || st.phase != unitDone {
-				all = false
-				break
-			}
-		}
-		if all {
-			return nil
+		if st, ok := t.units[id]; ok && st.phase == unitDone {
+			delete(t.units, id)
+			return st.result, nil
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		t.cond.Wait()
 	}
-}
-
-// takeResult returns (and releases) a done unit's result.
-func (t *leaseTable) takeResult(unitID string) *UnitResult {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.units[unitID]
-	if !ok || st.phase != unitDone {
-		return nil
-	}
-	res := st.result
-	st.result = nil
-	return res
 }
 
 // counts snapshots the table's phase tallies.

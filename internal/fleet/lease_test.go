@@ -195,42 +195,62 @@ func TestExpiredThenReexecutedUnitCountsOnce(t *testing.T) {
 	if done != 2 || requeues != 1 || dropped != 1 {
 		t.Fatalf("done/requeues/dropped = %d/%d/%d, want 2/1/1", done, requeues, dropped)
 	}
-	if res := tbl.takeResult(u1.ID); res == nil || res.Trials != 5 {
-		t.Fatalf("takeResult = %+v, want the single accepted batch", res)
+	if res, err := tbl.awaitResult(context.Background(), u1.ID); err != nil || res.Trials != 5 {
+		t.Fatalf("awaitResult = %+v, %v, want the single accepted batch", res, err)
 	}
 }
 
-// TestAwaitDone: the round barrier wakes on the last completion and honors
+// TestAwaitResult: waiting on a unit wakes on its completion, not on
+// another unit's, hands its result over exactly once, and honors
 // cancellation.
-func TestAwaitDone(t *testing.T) {
+func TestAwaitResult(t *testing.T) {
 	clock := newFakeClock()
 	tbl := newLeaseTable(clock, time.Minute)
 	tbl.add(mkUnits("a", "b"))
 
-	donec := make(chan error, 1)
-	go func() {
-		donec <- tbl.awaitDone(context.Background(), []string{"a", "b"})
-	}()
+	type answer struct {
+		res *UnitResult
+		err error
+	}
+	answers := make(chan answer, 1)
+	await := func(ctx context.Context, id string) {
+		res, err := tbl.awaitResult(ctx, id)
+		answers <- answer{res, err}
+	}
+	go await(context.Background(), "b")
 	ua, ea, _ := tbl.lease("w1")
 	ub, eb, _ := tbl.lease("w1")
-	tbl.complete("w1", ua.ID, ea, &UnitResult{})
+	tbl.complete("w1", ua.ID, ea, &UnitResult{Trials: 1})
 	select {
-	case err := <-donec:
-		t.Fatalf("barrier released with one unit outstanding: %v", err)
+	case got := <-answers:
+		t.Fatalf("released while its unit is outstanding: %+v", got)
 	default:
 	}
-	tbl.complete("w1", ub.ID, eb, &UnitResult{})
-	if err := <-donec; err != nil {
-		t.Fatalf("awaitDone: %v", err)
+	tbl.complete("w1", ub.ID, eb, &UnitResult{Trials: 2})
+	if got := <-answers; got.err != nil || got.res == nil || got.res.Trials != 2 {
+		t.Fatalf("awaitResult(b) = %+v, want b's result", got)
+	}
+	if res, err := tbl.awaitResult(context.Background(), "a"); err != nil || res == nil || res.Trials != 1 {
+		t.Fatalf("awaitResult(a) = %+v, %v, want a's result", res, err)
+	}
+	// Handed over once: the units are gone, so waiting on them again only
+	// ends with its context, and a late result for one is unknown.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"a", "b"} {
+		if res, err := tbl.awaitResult(cancelled, id); err == nil || res != nil {
+			t.Fatalf("second awaitResult(%s) = %+v, %v, want no result", id, res, err)
+		}
+	}
+	if ok, reason := tbl.complete("w1", ub.ID, eb, &UnitResult{}); ok || reason != "unknown unit" {
+		t.Fatalf("result after hand-over: accepted %v (%q), want dropped as unknown", ok, reason)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		donec <- tbl.awaitDone(ctx, []string{"never-added"})
-	}()
+	go await(ctx, "never-added")
 	cancel()
-	if err := <-donec; err == nil {
-		t.Fatal("cancelled barrier returned nil")
+	if got := <-answers; got.err == nil || got.res != nil {
+		t.Fatalf("cancelled wait = %+v, want an error", got)
 	}
 }
 
