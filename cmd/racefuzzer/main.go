@@ -5,7 +5,7 @@
 //	racefuzzer -bench figure1                 # full two-phase analysis
 //	racefuzzer -bench cache4j -trials 200     # more fuzzing per pair
 //	racefuzzer -bench figure2 -pair 0 -replay 12345 -trace
-//	racefuzzer -bench figure1 -metrics -json runs.jsonl -progress
+//	racefuzzer -bench figure1 -metrics -json runs.jsonl
 //	racefuzzer -bench figure1 -corpusdir corpus   # dedup against prior runs
 //	racefuzzer -corpusdir corpus -budget 600      # adaptive campaign, all benches
 //	racefuzzer -corpusdir corpus -regress         # replay every stored witness
@@ -26,15 +26,13 @@
 //
 // Observability flags (see README "Observability"): -metrics prints a
 // campaign metrics table, -json writes one structured record per execution
-// (JSONL, -jsonflush makes it tail-able, -timing adds per-run durationNs),
-// -progress emits periodic campaign progress lines to stderr, and
-// -cpuprofile/-memprofile write pprof profiles of the campaign. -http serves
-// the live campaign observatory (see README "Live monitoring"): an SSE
-// /events stream and /debug/perf scheduler latency aggregates. SIGINT under
-// -http or -json closes the -json log and exits 0. cmd/campaignreport
-// renders the offline report of a run log and/or corpus; its -log over a
-// -jsonflush run log is the live coverage frontier. -perfdir exports a
-// Perfetto timeline (Chrome trace-event JSON, open in
+// (JSONL, -jsonflush N flushes it every N records so cmd/campaignreport -log
+// reads the campaign's counters and coverage frontier while it runs,
+// -timing adds per-run durationNs), and -cpuprofile/-memprofile write pprof
+// profiles of the campaign. -http serves the live campaign observatory (see
+// README "Live monitoring"): /debug/perf scheduler latency aggregates and
+// /healthz. SIGINT under -http or -json closes the -json log and exits 0.
+// -perfdir exports a Perfetto timeline (Chrome trace-event JSON, open in
 // https://ui.perfetto.dev) of each target's first confirming trial.
 //
 // Fleet flags (see README "Fleet campaigns"): -coordinate serves the fleet
@@ -62,6 +60,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -102,7 +101,6 @@ func run() int {
 		regress = flag.Bool("regress", false, "with -corpusdir: replay every stored finding and fail on divergence or signature churn")
 
 		metrics    = flag.Bool("metrics", false, "print the campaign metrics table after the run")
-		progress   = flag.Bool("progress", false, "print periodic campaign progress lines to stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
@@ -171,7 +169,7 @@ func run() int {
 	if *workerURL != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		var rejects obs.Counter
+		var rejects atomic.Int64
 		err := fleet.RunWorker(ctx, fleet.WorkerOptions{
 			Coordinator:      *workerURL,
 			Provenance:       obs.CollectProvenance("racefuzzer", "worker", nil),
@@ -180,7 +178,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "racefuzzer: "+format+"\n", args...)
 			},
 		})
-		if n := rejects.Value(); n > 0 {
+		if n := rejects.Load(); n > 0 {
 			fmt.Fprintf(os.Stderr, "racefuzzer: -worker: %d result batch(es) permanently rejected (requeued elsewhere; no work lost)\n", n)
 		}
 		if err != nil && ctx.Err() == nil {
@@ -282,26 +280,16 @@ func run() int {
 		}()
 	}
 
-	// The shared observation chain (run log, campaign metrics, observatory)
-	// plus -progress. With none of them set every probe is nil and the
-	// campaign runs the identical unobserved code path.
-	var prog *obs.Progress
-	var extra []obs.Sink
-	if *progress {
-		prog = obs.NewProgress(os.Stderr, 2*time.Second)
-		extra = append(extra, prog)
-	}
+	// The shared observation chain (run log, campaign metrics, observatory).
+	// With none of them set every probe is nil and the campaign runs the
+	// identical unobserved code path.
 	provLabel := *name
 	if provLabel == "" {
 		provLabel = "campaign"
 	}
-	if err := cli.Start(provLabel, *metrics, extra...); err != nil {
+	if err := cli.Start(provLabel, *metrics); err != nil {
 		fmt.Fprintf(os.Stderr, "racefuzzer: %v\n", err)
 		return 1
-	}
-	finish := func() int {
-		prog.Finish()
-		return cli.Finish()
 	}
 	opts := core.Options{
 		Seed:         *seed,
@@ -382,7 +370,7 @@ func run() int {
 			rows = harness.RunAdaptiveCampaign(names, copt)
 		}
 		fmt.Print(harness.RenderCampaign(rows))
-		return finish()
+		return cli.Finish()
 	}
 
 	fmt.Printf("== %s: %s\n", b.Name, b.Description)
@@ -393,7 +381,7 @@ func run() int {
 			fmt.Printf("  %v\n", r)
 			printCapture(r.Capture)
 		}
-		return finish()
+		return cli.Finish()
 	}
 	if *atMode {
 		reps := core.AnalyzeAtomicity(b.New(), opts)
@@ -402,7 +390,7 @@ func run() int {
 			fmt.Printf("  %v\n", r)
 			printCapture(r.Capture)
 		}
-		return finish()
+		return cli.Finish()
 	}
 	pairs := core.DetectPotentialRaces(b.New(), opts)
 	fmt.Printf("phase 1 (hybrid detection, %d observations): %d potential racing pair(s)\n",
@@ -441,10 +429,10 @@ func run() int {
 			fmt.Printf("\nevent trace (most recent %d):\n", traceTail)
 			fmt.Print(rec.Dump(traceTail))
 		}
-		return finish()
+		return cli.Finish()
 	}
 	if len(pairs) == 0 {
-		return finish()
+		return cli.Finish()
 	}
 
 	fmt.Printf("\nphase 2 (RaceFuzzer, %d runs per pair):\n", opts.Phase2Trials)
@@ -467,7 +455,7 @@ func run() int {
 	}
 	fmt.Printf("\nsummary: %d potential, %d real, %d with exceptions (paper row: %d potential, %d real)\n",
 		len(pairs), realCount, excCount, b.Paper.HybridRaces, b.Paper.RealRaces)
-	return finish()
+	return cli.Finish()
 }
 
 // traceTail is the number of most recent events -trace prints.

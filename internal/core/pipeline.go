@@ -95,8 +95,8 @@ type Probes struct {
 	// that builds them.
 	Metrics *obs.CampaignMetrics
 	// Sink, when non-nil, receives one structured record per execution —
-	// the JSONL run log and/or progress reporting. Its records carry no
-	// RunStats unless Metrics is set too.
+	// the JSONL run log. Its records carry no RunStats unless Metrics is
+	// set too.
 	Sink obs.Sink
 	// Prof, when non-nil, attaches a pooled schedprof trial to every
 	// execution and folds it back campaign-wide: per-op-kind wait/service

@@ -489,7 +489,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatusHandler serves the /fleet/status snapshot; the observatory mounts it
-// beside /events and /debug/perf.
+// beside /debug/perf.
 func (c *Coordinator) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.status())

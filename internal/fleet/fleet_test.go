@@ -1036,7 +1036,7 @@ func TestWorkerResultRetryTransientThenSuccess(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	var rejects obs.Counter
+	var rejects atomic.Int64
 	err := RunWorker(context.Background(), WorkerOptions{
 		Coordinator:      srv.URL,
 		Name:             "retry",
@@ -1052,7 +1052,7 @@ func TestWorkerResultRetryTransientThenSuccess(t *testing.T) {
 	if resultPosts != 3 {
 		t.Errorf("result posts = %d, want 3 (two 500s then success)", resultPosts)
 	}
-	if v := rejects.Value(); v != 0 {
+	if v := rejects.Load(); v != 0 {
 		t.Errorf("permanent rejects = %d, want 0 for transient failures", v)
 	}
 }
@@ -1071,7 +1071,7 @@ func TestWorkerResultPermanentRejectNotRetried(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	var rejects obs.Counter
+	var rejects atomic.Int64
 	err := RunWorker(context.Background(), WorkerOptions{
 		Coordinator:      srv.URL,
 		Name:             "rejected",
@@ -1087,7 +1087,7 @@ func TestWorkerResultPermanentRejectNotRetried(t *testing.T) {
 	if resultPosts != 1 {
 		t.Errorf("result posts = %d, want 1 (permanent drops are not retried)", resultPosts)
 	}
-	if v := rejects.Value(); v != 1 {
+	if v := rejects.Load(); v != 1 {
 		t.Errorf("permanent rejects = %d, want 1", v)
 	}
 }

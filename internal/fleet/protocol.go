@@ -46,7 +46,7 @@ type CampaignInfo struct {
 	// run with (core.Options.Workers).
 	Workers int `json:"workers"`
 	// Records asks workers to stream per-execution obs.RunRecords back so
-	// the coordinator's observatory/run-log sees the whole fleet.
+	// the coordinator's run log and metrics see the whole fleet.
 	Records bool `json:"records"`
 	// Timing asks workers to stamp each streamed run record with its
 	// wall-clock durationNs (core.Probes.Timing, the -timing flag). Off, the

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"racefuzzer/internal/bench"
@@ -38,7 +39,7 @@ type WorkerOptions struct {
 	Sleep func(ctx context.Context, d time.Duration)
 	// PermanentRejects, when non-nil, counts result submissions the
 	// coordinator dropped for good (stale epoch, duplicate).
-	PermanentRejects *obs.Counter
+	PermanentRejects *atomic.Int64
 }
 
 // resultMaxAttempts bounds the result POST retry loop for transient
@@ -236,7 +237,9 @@ func postResult(ctx context.Context, o WorkerOptions, reg registration, unit Wor
 			return errReregister{msg: err.Error()}
 		}
 		if isPermanentReject(err) {
-			o.PermanentRejects.Inc()
+			if o.PermanentRejects != nil {
+				o.PermanentRejects.Add(1)
+			}
 			if o.Logf != nil {
 				o.Logf("fleet: result for %s permanently rejected: %v", unit.ID, err)
 			}

@@ -15,7 +15,6 @@ import (
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/hybrid"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/report"
 	"racefuzzer/internal/sched"
 )
@@ -140,11 +139,7 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 		}
 	})
 
-	// Phase 1 + phase 2. A per-benchmark aggregator always rides along so the
-	// row can report campaign-level counters (first confirming run, archived
-	// traces); the caller's cross-benchmark metrics and sink are fanned in
-	// behind it.
-	perBench := obs.NewCampaignMetrics()
+	// Phase 1 + phase 2.
 	opts := core.Options{
 		Seed:         o.Seed,
 		Phase1Trials: b.Phase1Trials,
@@ -154,17 +149,6 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 		Workers:      o.Workers,
 		Corpus:       o.Corpus,
 		Probes:       o.Probes,
-	}
-	opts.Metrics = perBench
-	var sinks obs.MultiSink
-	if o.Metrics != nil {
-		sinks = append(sinks, o.Metrics)
-	}
-	if o.Sink != nil {
-		sinks = append(sinks, o.Sink)
-	}
-	if len(sinks) > 0 {
-		opts.Sink = sinks
 	}
 	// The pipeline's cost columns: wall clock and heap allocations across the
 	// whole campaign, divided by executed trials. Mallocs is read
@@ -186,8 +170,19 @@ func RunBenchmark(b bench.Benchmark, o Options) Row {
 	row.ExceptionPairs = rep.ExceptionPairCount()
 	row.Probability = rep.MeanProbability()
 	row.Pairs = rep.Pairs
-	row.FirstRaceRun = perBench.FirstRaceRun()
-	row.TraceCaptures = perBench.TraceCaptures()
+	// Runs are emitted phase 1 first, then each pair's trials in pair
+	// order, so the first confirming run's index follows from the report.
+	row.FirstRaceRun = -1
+	run := int64(opts.WithDefaults().Phase1Trials)
+	for _, p := range rep.Pairs {
+		if p.TracePath != "" {
+			row.TraceCaptures++
+		}
+		if p.IsReal && row.FirstRaceRun < 0 {
+			row.FirstRaceRun = run + int64(p.FirstRaceTrial)
+		}
+		run += int64(p.Trials)
+	}
 
 	// Column 5: RaceFuzzer runtime, averaged over runs targeting the first
 	// pair (matching the paper: RaceFuzzer instruments only the racing pair

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"racefuzzer/internal/bench"
+	"racefuzzer/internal/core"
+	"racefuzzer/internal/obs"
 )
 
 func TestRunBenchmarkFigure1Row(t *testing.T) {
@@ -27,6 +29,25 @@ func TestRunBenchmarkFigure1Row(t *testing.T) {
 	}
 	if row.SimpleExceptions < 0 || row.SimpleExceptions > 40 {
 		t.Fatalf("baseline exceptions out of range: %d", row.SimpleExceptions)
+	}
+}
+
+// TestRowCampaignColumns: the FirstRace and Traces columns, read from the
+// report, agree with a campaign aggregator that saw every run record.
+func TestRowCampaignColumns(t *testing.T) {
+	for _, name := range []string{"figure1", "figure2"} {
+		metrics := obs.NewCampaignMetrics()
+		row := RunBenchmark(bench.MustByName(name), Options{
+			Seed: 3, Phase2Trials: 20, BaselineTrials: 1, TimingRuns: 1,
+			Probes: core.Probes{Metrics: metrics, TraceDir: t.TempDir()},
+		})
+		if row.FirstRaceRun != metrics.FirstRaceRun() || row.TraceCaptures != metrics.TraceCaptures() {
+			t.Errorf("%s: FirstRace %d, Traces %d; aggregator saw %d, %d", name,
+				row.FirstRaceRun, row.TraceCaptures, metrics.FirstRaceRun(), metrics.TraceCaptures())
+		}
+		if row.FirstRaceRun < 0 || row.TraceCaptures != int64(row.Real) {
+			t.Errorf("%s: FirstRace %d, Traces %d for %d real pair(s)", name, row.FirstRaceRun, row.TraceCaptures, row.Real)
+		}
 	}
 }
 

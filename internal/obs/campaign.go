@@ -14,8 +14,7 @@ var stepsToRaceBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 1
 
 // CampaignMetrics aggregates run records (and their attached RunStats) over
 // a whole campaign: phase-1 observations plus every phase-2 directed run
-// across all targets. It implements Sink, so it can be used alone or fanned
-// together with a JSONL log and a progress reporter.
+// across all targets. It implements Sink.
 //
 // All methods are nil-safe; a nil *CampaignMetrics records nothing.
 type CampaignMetrics struct {
@@ -25,6 +24,10 @@ type CampaignMetrics struct {
 	raceRuns, exceptionRuns   int64
 	deadlockRuns, abortedRuns int64
 
+	// statsRuns counts the records that carried RunStats; the rows derived
+	// from them are measured only when it is non-zero (fleet records arrive
+	// without RunStats).
+	statsRuns                          int64
 	steps, switches, decisions         int64
 	postpones, resumes, livelockBreaks int64
 	events                             [event.KindCount]int64
@@ -101,6 +104,7 @@ func (c *CampaignMetrics) Emit(rec RunRecord) {
 		c.findingsKnown++
 	}
 	if rs := rec.Stats; rs != nil {
+		c.statsRuns++
 		c.switches += int64(rs.Switches)
 		c.decisions += int64(rs.Decisions)
 		c.postpones += int64(rs.Postpones)
@@ -171,17 +175,9 @@ func (c *CampaignMetrics) Snapshot() Snapshot {
 		{Name: "runs.deadlock", Value: c.deadlockRuns},
 		{Name: "runs.aborted", Value: c.abortedRuns},
 		{Name: "sched.steps", Value: c.steps},
-		{Name: "sched.switches", Value: c.switches},
-		{Name: "policy.decisions", Value: c.decisions},
-		{Name: "policy.postpones", Value: c.postpones},
-		{Name: "policy.resumes", Value: c.resumes},
-		{Name: "policy.livelock_breaks", Value: c.livelockBreaks},
 		{Name: "traces.captured", Value: c.traceCaptures},
 		{Name: "findings.new", Value: c.findingsNew},
 		{Name: "findings.known", Value: c.findingsKnown},
-	}
-	for k := event.Kind(0); k < event.KindCount; k++ {
-		s.Counters = append(s.Counters, NamedCounter{Name: "events." + k.String(), Value: c.events[k]})
 	}
 	s.Gauges = []NamedGauge{
 		{Name: "race.first_run", Value: float64(c.firstRaceRun)},
@@ -191,16 +187,25 @@ func (c *CampaignMetrics) Snapshot() Snapshot {
 		s.Gauges = append(s.Gauges,
 			NamedGauge{Name: "race.hit_rate", Value: float64(c.raceRuns) / float64(c.runs)})
 	}
-	// dedup_rate is emitted unconditionally (0 before any sighting) so live
-	// scrapers see a stable metric set from the first scrape on.
+	// dedup_rate is emitted unconditionally (0 before any sighting), so a
+	// corpus-less campaign's table has the same rows as a corpus campaign's.
 	dedup := 0.0
 	if sightings := c.findingsNew + c.findingsKnown; sightings > 0 {
 		dedup = float64(c.findingsKnown) / float64(sightings)
 	}
 	s.Gauges = append(s.Gauges, NamedGauge{Name: "findings.dedup_rate", Value: dedup})
-	s.Histograms = []NamedHistogram{
-		{Name: "steps_to_race", Hist: c.stepsToRace.Snapshot()},
-		{Name: "enabled_threads", Hist: c.enabled.Snapshot()},
+	s.Histograms = []NamedHistogram{{Name: "steps_to_race", Hist: c.stepsToRace.Snapshot()}}
+	if c.statsRuns > 0 {
+		s.Counters = append(s.Counters,
+			NamedCounter{Name: "sched.switches", Value: c.switches},
+			NamedCounter{Name: "policy.decisions", Value: c.decisions},
+			NamedCounter{Name: "policy.postpones", Value: c.postpones},
+			NamedCounter{Name: "policy.resumes", Value: c.resumes},
+			NamedCounter{Name: "policy.livelock_breaks", Value: c.livelockBreaks})
+		for k := event.Kind(0); k < event.KindCount; k++ {
+			s.Counters = append(s.Counters, NamedCounter{Name: "events." + k.String(), Value: c.events[k]})
+		}
+		s.Histograms = append(s.Histograms, NamedHistogram{Name: "enabled_threads", Hist: c.enabled.Snapshot()})
 	}
 	s.sort()
 	return s

@@ -1,8 +1,8 @@
 // Package obs is the observability layer for the RaceFuzzer pipeline:
-// dependency-free counters and fixed-bucket histograms (this file),
-// per-run scheduler probes (run.go), campaign-level aggregation
-// (campaign.go), structured JSONL run logs (sink.go) and periodic progress
-// reporting (progress.go).
+// dependency-free fixed-bucket histograms and metric snapshots (this
+// file), per-run scheduler statistics (run.go), campaign-level aggregation
+// (campaign.go), structured JSONL run logs (sink.go) and build provenance
+// (provenance.go).
 //
 // Two properties shape the design:
 //
@@ -21,38 +21,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"racefuzzer/internal/report"
 )
-
-// Counter is a monotonically increasing int64. The zero value is ready to
-// use; all methods are nil-safe no-ops so callers need no guards.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Histogram is a fixed-bucket histogram over float64 samples. Bucket i
 // counts samples v with v <= Bounds[i] (and > Bounds[i-1]); one overflow

@@ -116,44 +116,30 @@ func TestCampaignMetricsAggregation(t *testing.T) {
 	}
 }
 
-func TestProgress(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf, time.Second)
-	clock := time.Unix(0, 0)
-	p.now = func() time.Time { return clock }
-
-	p.Emit(RunRecord{Pair: "(a, b)"}) // starts the clock; no line yet
-	if buf.Len() != 0 {
-		t.Fatalf("premature output: %q", buf.String())
+// TestCampaignMetricsWithoutStats: records that carry no RunStats (a fleet
+// worker's, which cross the wire without them) leave the rows measured from
+// RunStats out of the snapshot instead of reporting them as zero.
+func TestCampaignMetricsWithoutStats(t *testing.T) {
+	c := NewCampaignMetrics()
+	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1})
+	c.Emit(RunRecord{Phase: 2, Steps: 20, RaceCreated: true, StepsToRace: 7})
+	s := c.Snapshot()
+	names := map[string]bool{}
+	for _, nc := range s.Counters {
+		names[nc.Name] = true
+		if strings.HasPrefix(nc.Name, "policy.") || strings.HasPrefix(nc.Name, "events.") || nc.Name == "sched.switches" {
+			t.Errorf("snapshot reports %s = %d without any RunStats", nc.Name, nc.Value)
+		}
 	}
-	clock = clock.Add(500 * time.Millisecond)
-	p.Emit(RunRecord{RaceCreated: true})
-	if buf.Len() != 0 {
-		t.Fatalf("rate limit broken: %q", buf.String())
+	for _, nh := range s.Histograms {
+		names[nh.Name] = true
+		if nh.Name == "enabled_threads" {
+			t.Errorf("snapshot reports enabled_threads without any RunStats")
+		}
 	}
-	clock = clock.Add(600 * time.Millisecond) // 1.1s elapsed: due
-	p.Emit(RunRecord{Exceptions: []string{"NPE"}, Deadlock: true})
-	out := buf.String()
-	if !strings.Contains(out, "runs=3") || !strings.Contains(out, "races=1") ||
-		!strings.Contains(out, "exceptions=1") || !strings.Contains(out, "deadlocks=1") ||
-		!strings.Contains(out, "target=(a, b)") {
-		t.Fatalf("progress line = %q", out)
-	}
-	buf.Reset()
-	p.Finish()
-	if !strings.Contains(buf.String(), "runs=3") {
-		t.Fatalf("finish line = %q", buf.String())
-	}
-
-	// Nil progress is a no-op sink.
-	var nilP *Progress
-	nilP.Emit(RunRecord{})
-	nilP.Finish()
-
-	// A progress with no runs prints nothing on Finish.
-	var quiet bytes.Buffer
-	NewProgress(&quiet, 0).Finish()
-	if quiet.Len() != 0 {
-		t.Fatalf("empty finish printed: %q", quiet.String())
+	for _, want := range []string{"runs.total", "sched.steps", "steps_to_race"} {
+		if !names[want] {
+			t.Errorf("snapshot lacks %s", want)
+		}
 	}
 }

@@ -47,8 +47,8 @@ func NewCLI(tool string, fs *flag.FlagSet) *CLI {
 	fs.StringVar(&c.Probes.PerfDir, "perfdir", "", "export a Perfetto timeline (Chrome trace-event JSON) of each target's first confirming trial into this directory")
 	fs.BoolVar(&c.Probes.Timing, "timing", false, "record per-run wall-clock durations (durationNs) in emitted records; off by default so run logs stay byte-identical across repeat runs")
 	fs.StringVar(&c.jsonLog, "json", "", "write a structured JSONL run log to this file (one record per execution), analyzable with cmd/campaignreport")
-	fs.IntVar(&c.jsonFlush, "jsonflush", 0, "with -json: flush the log every N records so tail -f sees them live (0 = flush only at close)")
-	fs.StringVar(&c.httpAddr, "http", "", "serve the live campaign observatory (/events, /debug/perf, /healthz; /fleet/status with racefuzzer -coordinate) on this address, e.g. :8080")
+	fs.IntVar(&c.jsonFlush, "jsonflush", 0, "with -json: flush the log every N records so tail -f and campaignreport -log see them live (0 = flush only at close)")
+	fs.StringVar(&c.httpAddr, "http", "", "serve the live campaign observatory (/debug/perf, /healthz; /fleet/status with racefuzzer -coordinate) on this address, e.g. :8080")
 	fs.BoolVar(&c.version, "version", false, "print the tool's build provenance (version, commit, toolchain) and exit")
 	return c
 }
@@ -85,44 +85,35 @@ func (c *CLI) OpenCorpus() error {
 
 // Start wires and starts the campaign's observation. It stamps provenance
 // (the set flags, under label) on the corpus manifest and the run-log
-// header, opens the -json log, and fans the log, the extra sinks and the
-// observatory into Probes.Sink. Probes.Metrics is the observatory's
-// aggregator, or a fresh one when metrics asks for the end-of-run table.
-// Then it serves the observatory, and SIGINT closes the run log and exits
-// 0 (Server.Serve).
-func (c *CLI) Start(label string, metrics bool, extra ...obs.Sink) error {
+// header, and opens the -json log as Probes.Sink. Probes.Metrics is a
+// fresh aggregator when metrics asks for the end-of-run table, and
+// Probes.Prof the observatory's collector. Then it serves the observatory,
+// and SIGINT closes the run log and exits 0 (Server.Serve).
+func (c *CLI) Start(label string, metrics bool) error {
 	if c.httpAddr != "" {
-		c.Server = New(Config{Addr: c.httpAddr})
+		c.Server = New(c.httpAddr)
 	}
 	c.metrics = metrics
-	c.Probes.Metrics, c.Probes.Prof = c.Server.Campaign(), c.Server.Prof()
-	if metrics && c.Probes.Metrics == nil {
+	if metrics {
 		c.Probes.Metrics = obs.NewCampaignMetrics()
 	}
+	c.Probes.Prof = c.Server.Prof()
 	set := map[string]string{}
 	c.flags.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
 	c.Prov = obs.CollectProvenance(c.tool, label, set)
 	c.Store.SetProvenance(c.Prov)
-	var sinks obs.MultiSink
 	if c.jsonLog != "" {
 		f, err := os.Create(c.jsonLog)
 		if err != nil {
 			return fmt.Errorf("-json: %w", err)
 		}
 		jsonl := obs.NewJSONLSink(f).AutoFlush(c.jsonFlush).Header(c.Prov)
-		sinks = append(sinks, jsonl)
+		c.Probes.Sink = jsonl
 		c.closeLog = sync.OnceFunc(func() {
 			if err := jsonl.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: -json: %v\n", c.tool, err)
 			}
 		})
-	}
-	sinks = append(sinks, extra...)
-	if s := c.Server.Sink(); s != nil {
-		sinks = append(sinks, s)
-	}
-	if len(sinks) > 0 {
-		c.Probes.Sink = sinks
 	}
 	stop, err := c.Server.Serve(c.tool, c.closeLog)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // the capture flags land in the probes, the corpus lends witness capture
 // its directory, the run log opens on the provenance of the set flags, the
 // corpus manifest carries the same provenance, metrics are attached only
-// with -http or on request, and Finish closes the log and saves the corpus.
+// on request (not by -http), and Finish closes the log and saves the corpus.
 func TestCLIWiring(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -47,10 +47,10 @@ func TestCLIWiring(t *testing.T) {
 			if err := c.Start("label", tc.metrics); err != nil {
 				t.Fatal(err)
 			}
-			if c.Probes.Sink == nil || (c.Server != nil) != (tc.args != nil) || (c.Probes.Metrics != nil) != (tc.metrics || c.Server != nil) {
+			if c.Probes.Sink == nil || (c.Server != nil) != (tc.args != nil) || (c.Probes.Metrics != nil) != tc.metrics {
 				t.Fatalf("wiring: sink %v, server %v, metrics %v", c.Probes.Sink, c.Server, c.Probes.Metrics)
 			}
-			if c.Server != nil && (c.Probes.Metrics != c.Server.Campaign() || c.Probes.Prof != c.Server.Prof()) {
+			if c.Probes.Prof != c.Server.Prof() || (c.Server != nil) != (c.Probes.Prof != nil) {
 				t.Fatal("probes do not feed the observatory")
 			}
 			core.DetectPotentialRaces(bench.MustByName("figure1").New(), core.Options{Seed: 1, Phase1Trials: 2, Probes: c.Probes})
