@@ -98,6 +98,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadEventsRejectsUnsupportedVersion feeds a bare version header, with
+// no other header field and no events, and wants the version named in the
+// error.
+func TestLoadEventsRejectsUnsupportedVersion(t *testing.T) {
+	_, err := Load(strings.NewReader(`{"v":99}` + "\n"))
+	if err == nil {
+		t.Fatal("version 99 accepted")
+	}
+	if !strings.Contains(err.Error(), "unsupported trace version 99") {
+		t.Fatalf("unhelpful version error: %v", err)
+	}
+}
+
 func TestSaveWritesVersionHeaderFirst(t *testing.T) {
 	_, saved := recorded(t)
 	first, _, found := bytes.Cut(saved, []byte("\n"))
