@@ -24,8 +24,8 @@
 // across targets toward the ones still discovering; -regress replays every
 // stored witness and fails (exit 1) on any divergence or signature churn.
 //
-// Observability flags (see README "Observability"): -metrics prints a
-// campaign metrics table, -json writes one structured record per execution
+// Observability flags (see README "Observability"): -metrics prints the
+// campaign metrics and scheduler profile tables, -json writes one structured record per execution
 // (JSONL, -jsonflush N flushes it every N records so cmd/campaignreport -log
 // reads the campaign's counters and coverage frontier while it runs,
 // -timing adds per-run durationNs), and -cpuprofile/-memprofile write pprof
@@ -100,7 +100,7 @@ func run() int {
 		rounds  = flag.Int("rounds", 3, "with -budget: number of adaptive allocation rounds")
 		regress = flag.Bool("regress", false, "with -corpusdir: replay every stored finding and fail on divergence or signature churn")
 
-		metrics    = flag.Bool("metrics", false, "print the campaign metrics table after the run")
+		metrics    = flag.Bool("metrics", false, "print the campaign metrics and scheduler profile tables after the run")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at campaign end to this file")
 
@@ -333,7 +333,6 @@ func run() int {
 				Addr:       *coordAddr,
 				Store:      fleetStore,
 				Workers:    *workers,
-				Metrics:    opts.Metrics,
 				Sink:       opts.Sink,
 				Timing:     opts.Timing,
 				Provenance: cli.Prov,

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -246,5 +248,112 @@ func TestCaptureLines(t *testing.T) {
 		if confirmed == 0 {
 			t.Errorf("%v: no confirmed verdict; the check is vacuous:\n%s", args, out)
 		}
+	}
+}
+
+// metricRows indexes the "name value" rows of the metric table titled
+// title in out (empty when out has no such table).
+func metricRows(out, title string) map[string]string {
+	rows := map[string]string{}
+	_, table, found := strings.Cut(out, "\n"+title+"\n")
+	if !found {
+		return rows
+	}
+	lines := strings.Split(table, "\n")
+	for _, line := range lines[2:] { // past the header and the rule
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			break
+		}
+		rows[fields[0]] = strings.Join(fields[1:], " ")
+	}
+	return rows
+}
+
+// TestMetricsTables: -metrics prints the campaign metrics table folded
+// from the run records and the scheduler profile's count table, whose
+// switches and per-kind action rows are the figure 1 campaign's (the
+// counters golden in internal/core pins the same numbers). Without
+// -timing the run records carry no wall time, so only the scheduler table
+// reports wall.seconds.
+func TestMetricsTables(t *testing.T) {
+	runIfChild()
+	out, err := childCommand("TestMetricsTables", "-bench", "figure1", "-phase1", "3", "-trials", "20", "-seed", "7", "-metrics").Output()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	campaign, sched := metricRows(string(out), "campaign metrics"), metricRows(string(out), "scheduler profile")
+	for name, want := range map[string]string{"runs.total": "43", "sched.steps": "710", "runs.race": "20"} {
+		if campaign[name] != want {
+			t.Errorf("campaign metrics %s = %q, want %q:\n%s", name, campaign[name], want, out)
+		}
+	}
+	for name, want := range map[string]string{
+		"trials": "43", "rounds": "790", "grants": "710", "switches": "241",
+		"actions.postpone": "52", "actions.resume": "40", "actions.livelock-break": "0",
+		"actions.race": "20", "actions.violation": "0",
+	} {
+		if sched[name] != want {
+			t.Errorf("scheduler profile %s = %q, want %q:\n%s", name, sched[name], want, out)
+		}
+	}
+	if _, ok := campaign["wall.seconds"]; ok {
+		t.Errorf("campaign metrics report wall.seconds without -timing:\n%s", out)
+	}
+	if w, ok := sched["wall.seconds"]; !ok || w == "0" {
+		t.Errorf("scheduler profile wall.seconds = %q:\n%s", w, out)
+	}
+}
+
+// TestFleetMetricsWithoutSchedulerTable: a fleet coordinator runs no trial
+// itself and its workers' records carry no wall time without -timing, so
+// its -metrics output is the campaign metrics table alone, with no
+// scheduler table and no wall.seconds row.
+func TestFleetMetricsWithoutSchedulerTable(t *testing.T) {
+	runIfChild()
+	coord := childCommand("TestFleetMetricsWithoutSchedulerTable",
+		"-bench", "figure1", "-budget", "40", "-rounds", "1", "-seed", "3", "-metrics", "-coordinate", "127.0.0.1:0")
+	var stdout strings.Builder
+	coord.Stdout = &stdout
+	stderr, err := coord.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Process.Kill() //nolint:errcheck // already exited on the success path
+	var logged strings.Builder
+	sc := bufio.NewScanner(stderr)
+	addr := ""
+	for addr == "" && sc.Scan() {
+		logged.WriteString(sc.Text() + "\n")
+		if _, rest, ok := strings.Cut(sc.Text(), "listening on "); ok {
+			addr, _, _ = strings.Cut(rest, " ")
+		}
+	}
+	if addr == "" {
+		t.Fatalf("coordinator printed no address:\n%s", logged.String())
+	}
+	drained := make(chan struct{})
+	go func() {
+		io.Copy(&logged, stderr) //nolint:errcheck // diagnostics only
+		close(drained)
+	}()
+	worker := childCommand("TestFleetMetricsWithoutSchedulerTable", "-worker", addr)
+	if out, err := worker.CombinedOutput(); err != nil {
+		t.Fatalf("worker: %v\n%s", err, out)
+	}
+	<-drained
+	if err := coord.Wait(); err != nil {
+		t.Fatalf("coordinator: %v\n%s", err, logged.String())
+	}
+	out := stdout.String()
+	campaign := metricRows(out, "campaign metrics")
+	if campaign["runs.total"] == "" || campaign["runs.total"] == "0" {
+		t.Fatalf("no campaign metrics table:\n%s", out)
+	}
+	if strings.Contains(out, "scheduler profile") || strings.Contains(out, "wall.seconds") {
+		t.Errorf("fleet coordinator prints a scheduler table or wall.seconds:\n%s", out)
 	}
 }

@@ -24,8 +24,6 @@
 package analytics
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -160,38 +158,26 @@ func LoadLog(path string) ([]obs.RunRecord, *obs.Provenance, bool, error) {
 		prov  *obs.Provenance
 		first = true
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineno++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, nil, false, pendingErr
-		}
+	torn, err := obs.ReadJSONL(f, filepath.Base(path), func(line []byte) error {
 		if first {
 			first = false
 			if p, ok := obs.ParseProvenanceLine(line); ok {
 				prov = p
-				continue
+				return nil
 			}
 		}
 		var rec obs.RunRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			pendingErr = fmt.Errorf("analytics: %s: line %d: %w", filepath.Base(path), lineno, err)
-			continue
+			return err
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, false, fmt.Errorf("analytics: %s: %w", filepath.Base(path), err)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("analytics: %w", err)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	return recs, prov, pendingErr != nil, nil
+	return recs, prov, torn, nil
 }
 
 // loadCorpus folds a corpus directory into the model.

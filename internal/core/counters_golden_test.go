@@ -7,14 +7,17 @@ import (
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/obs"
+	"racefuzzer/internal/schedprof"
 )
 
-// TestCampaignCountersGolden pins the campaign telemetry of fixed-seed
-// race, deadlock and atomicity analyses over registry models: every
-// CampaignMetrics counter, the deterministic gauges and both histograms
-// (enabled_threads, steps_to_race). Wall time is the one nondeterministic
-// metric and is left out. Regenerate with
-// -update-engine-goldens, as for the engine goldens.
+// TestCampaignCountersGolden pins the telemetry -metrics prints for
+// fixed-seed race, deadlock and atomicity analyses over registry models:
+// every CampaignMetrics counter, its deterministic gauges and its
+// steps_to_race histogram, then the scheduler table (schedprof.Summary):
+// rounds, grants by op kind, switches, policy actions by kind and the
+// enabled-set mean and max. Wall time is the one nondeterministic metric
+// and is left out. Regenerate with -update-engine-goldens, as for the
+// engine goldens.
 func TestCampaignCountersGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,17 +32,17 @@ func TestCampaignCountersGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	for _, tc := range cases {
-		campaign := obs.NewCampaignMetrics()
-		o := Options{Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20}
-		o.Metrics = campaign
-		tc.run(o)
+		campaign, prof := obs.NewCampaignMetrics(), schedprof.NewCollector()
+		tc.run(Options{Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20, Probes: Probes{Sink: campaign, Prof: prof}})
 		fmt.Fprintf(&out, "== %s\n", tc.name)
 		writeCounters(&out, campaign.Snapshot())
+		fmt.Fprintf(&out, "-- scheduler\n")
+		writeCounters(&out, prof.Summary().Snapshot())
 	}
 	goldenCheck(t, "counters_campaign.txt", out.Bytes())
 }
 
-// writeCounters renders a campaign snapshot without its wall-clock gauge.
+// writeCounters renders a snapshot without its wall-clock gauge.
 func writeCounters(b *bytes.Buffer, s obs.Snapshot) {
 	for _, c := range s.Counters {
 		fmt.Fprintf(b, "%s %d\n", c.Name, c.Value)

@@ -7,6 +7,7 @@ import (
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
+	"racefuzzer/internal/schedprof"
 )
 
 // TestFirstRaceSeedZeroIsUsable pins the zero-seed sentinel fix: with base
@@ -53,17 +54,19 @@ func (c *collectSink) Emit(rec obs.RunRecord) { c.recs = append(c.recs, rec) }
 
 func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
 	campaign := obs.NewCampaignMetrics()
+	prof := schedprof.NewCollector()
 	sink := &collectSink{}
 	trials := 8
 	rep := FuzzPair(bench.Figure2(5), bench.Fig2Pair, 0, Options{
 		Seed: 3, Phase2Trials: trials, Label: "fig2",
-		Probes: Probes{Metrics: campaign, Sink: sink},
+		Probes: Probes{Sink: obs.MultiSink{campaign, sink}, Prof: prof},
 	})
 	if len(sink.recs) != trials {
 		t.Fatalf("emitted %d records, want %d", len(sink.recs), trials)
 	}
-	if campaign.Runs() != int64(trials) {
-		t.Fatalf("campaign aggregated %d runs, want %d", campaign.Runs(), trials)
+	c := counterMap(campaign.Snapshot())
+	if c["runs.total"] != int64(trials) {
+		t.Fatalf("campaign aggregated %d runs, want %d", c["runs.total"], trials)
 	}
 	for i, rec := range sink.recs {
 		if rec.Label != "fig2" || rec.Phase != 2 || rec.Kind != "race" {
@@ -72,23 +75,21 @@ func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
 		if rec.Trial != i || rec.Seed != pairSeed(3, 0, i) {
 			t.Fatalf("record %d trial/seed = %d/%d", i, rec.Trial, rec.Seed)
 		}
-		if rec.Stats == nil {
-			t.Fatalf("record %d missing stats", i)
-		}
 		if rec.RaceCreated && rec.StepsToRace < 0 {
 			t.Fatalf("record %d created a race but StepsToRace = %d", i, rec.StepsToRace)
 		}
 	}
-	// The campaign counters aggregate the per-run stats.
-	snap := campaign.Snapshot()
-	c := counterMap(snap)
-	if c["policy.decisions"] <= 0 || c["sched.switches"] <= 0 || c["policy.postpones"] <= 0 {
-		t.Fatalf("aggregates empty: %v", c)
-	}
 	if c["sched.steps"] != rep.TotalSteps {
 		t.Fatalf("sched.steps = %d, report TotalSteps = %d", c["sched.steps"], rep.TotalSteps)
 	}
-	for _, h := range snap.Histograms {
+	// The scheduler profile counts the same grants, and the policy's
+	// postponed-set traffic.
+	s := prof.Summary()
+	if s.Grants != rep.TotalSteps || s.Rounds <= 0 || s.Switches <= 0 || s.Actions["postpone"] <= 0 ||
+		s.Actions["race"] != int64(rep.RaceRuns) {
+		t.Fatalf("scheduler profile %+v for report %+v", s, rep)
+	}
+	for _, h := range campaign.Snapshot().Histograms {
 		if h.Name == "steps_to_race" && int(h.Hist.Count) != rep.RaceRuns {
 			t.Fatalf("steps-to-race count %d != race runs %d", h.Hist.Count, rep.RaceRuns)
 		}
@@ -106,12 +107,10 @@ func counterMap(s obs.Snapshot) map[string]int64 {
 
 func TestAnalyzeAggregatesCampaignMetrics(t *testing.T) {
 	campaign := obs.NewCampaignMetrics()
-	o := Options{Seed: 1, Phase1Trials: 4, Phase2Trials: 10, Probes: Probes{Metrics: campaign}}
+	prof := schedprof.NewCollector()
+	o := Options{Seed: 1, Phase1Trials: 4, Phase2Trials: 10, Probes: Probes{Sink: campaign, Prof: prof}}
 	rep := Analyze(bench.Figure1(), o)
 	wantRuns := int64(o.Phase1Trials + o.Phase2Trials*len(rep.Potential))
-	if campaign.Runs() != wantRuns {
-		t.Fatalf("campaign runs = %d, want %d", campaign.Runs(), wantRuns)
-	}
 	counters := counterMap(campaign.Snapshot())
 	if rep.TotalSteps() <= 0 || counters["sched.steps"] <= rep.TotalSteps() {
 		t.Fatalf("report steps %d, campaign steps %d (phase 1 included)",
@@ -120,19 +119,19 @@ func TestAnalyzeAggregatesCampaignMetrics(t *testing.T) {
 	if counters["runs.total"] != wantRuns || counters["runs.phase1"] != int64(o.Phase1Trials) {
 		t.Fatalf("counters = %v", counters)
 	}
-	if counters["sched.steps"] <= 0 || counters["policy.decisions"] <= 0 {
-		t.Fatalf("scheduler counters empty: %v", counters)
+	if s := prof.Summary(); s.Trials != wantRuns || s.Grants != counters["sched.steps"] || s.Rounds <= 0 {
+		t.Fatalf("scheduler profile %+v, campaign counters %v", s, counters)
 	}
 }
 
-// TestObservationDoesNotChangeVerdicts: attaching metrics must not perturb
-// any schedule — identical seeds yield identical reports with and without
-// observation.
+// TestObservationDoesNotChangeVerdicts: attaching metrics and the
+// scheduler profile must not perturb any schedule — identical seeds yield
+// identical reports with and without observation.
 func TestObservationDoesNotChangeVerdicts(t *testing.T) {
 	plain := FuzzPair(bench.Figure1(), bench.Fig1PairZ, 0, Options{Seed: 5, Phase2Trials: 20})
 	observed := FuzzPair(bench.Figure1(), bench.Fig1PairZ, 0, Options{
 		Seed: 5, Phase2Trials: 20,
-		Probes: Probes{Metrics: obs.NewCampaignMetrics()},
+		Probes: Probes{Sink: obs.NewCampaignMetrics(), Prof: schedprof.NewCollector()},
 	})
 	if plain.RaceRuns != observed.RaceRuns ||
 		plain.ExceptionRuns != observed.ExceptionRuns ||
@@ -168,83 +167,73 @@ func counterProgram(workers, iters int) Program {
 	}
 }
 
-// TestRunStatsPopulated checks the per-run probe a campaign with Metrics
-// attaches: scheduler totals from the Result, events by kind and the
-// enabled histogram from the observer stream, and the postponed-set
-// counters from the race-directed policy.
-func TestRunStatsPopulated(t *testing.T) {
+// TestProfCountsMatchResultAndRecording: one trial's scheduler profile
+// agrees with its Result (grants, switches, policy and forced rounds) and
+// with the actions a flight recording of the same trial shows, for the
+// race, deadlock and atomicity policies alike.
+func TestProfCountsMatchResultAndRecording(t *testing.T) {
 	pair := event.MakeStmtPair(event.StmtFor("counter:read"), event.StmtFor("counter:write"))
-	o := Options{Probes: Probes{Metrics: obs.NewCampaignMetrics()}}
-	res, pol, m := o.trial(counterProgram(3, 10), newRaceTarget(pair), 7)
-	s := m.stats
-	if s == nil {
-		t.Fatal("no stats with metrics attached")
+	cases := []struct {
+		name   string
+		prog   func() Program
+		target func() Target
+		seed   int64
+	}{
+		{"race counter", func() Program { return counterProgram(3, 10) }, func() Target { return newRaceTarget(pair) }, 7},
+		{"race figure2", func() Program { return bench.Figure2(5) }, func() Target { return newRaceTarget(bench.Fig2Pair) }, 3},
+		{"deadlock abba", abbaProgram, func() Target {
+			return DetectTargets("deadlock", abbaProgram(), Options{Seed: 5, Phase1Trials: 6})[0]
+		}, 1},
+		{"atomicity lostupdate", func() Program { return lostUpdateProgram(nil) }, func() Target {
+			return DetectTargets("atomicity", lostUpdateProgram(nil), Options{Seed: 8, Phase1Trials: 6})[0]
+		}, 0},
 	}
-	if m.wall != s.Wall {
-		t.Fatalf("telemetry wall %v, stats wall %v", m.wall, s.Wall)
-	}
-	if s.Steps != res.Steps || s.Switches != res.Switches {
-		t.Fatalf("stats steps/switches = %d/%d, result %d/%d", s.Steps, s.Switches, res.Steps, res.Switches)
-	}
-	// Three workers interleaving under one lock must context-switch at least
-	// twice (one entry per worker) but never more than once per step.
-	if s.Switches < 2 || s.Switches >= s.Steps {
-		t.Fatalf("switches = %d (steps %d)", s.Switches, s.Steps)
-	}
-	// 3 workers x 10 iterations x (acquire, read, write, release).
-	if s.Events[event.KindLock] != 30 || s.Events[event.KindUnlock] != 30 || s.Events[event.KindMem] != 60 {
-		t.Fatalf("events = %v", s.Events)
-	}
-	// Every round the policy decided observes the enabled-set size; forced
-	// grants do not.
-	if want := int64(res.Rounds - res.PolicyStalls); s.Enabled.Count != want || s.Enabled.Max < 2 {
-		t.Fatalf("enabled histogram = %+v, want %d samples", s.Enabled, want)
-	}
-	if s.Decisions != pol.(*RaceFuzzerPolicy).steps || s.Decisions == 0 || s.Wall <= 0 {
-		t.Fatalf("decisions/wall: %+v", s)
-	}
-	// On figure 2 races are created, so postpones outnumber resumes; the
-	// postponed-set counters must match the actions a flight recording of
-	// the same trial shows.
-	target := newRaceTarget(bench.Fig2Pair)
-	_, _, m = o.trial(bench.Figure2(5), target, 3)
-	s = m.stats
-	_, _, rec := Record(bench.Figure2(5), target, 3, Options{})
-	acts := map[string]int{}
-	for _, a := range rec.Actions() {
-		acts[a.Kind]++
-	}
-	if s.Postpones != acts["postpone"] || s.Resumes != acts["resume"] || s.LivelockBreaks != acts["livelock-break"] ||
-		acts["race"] == 0 {
-		t.Fatalf("postpones/resumes/breaks = %d/%d/%d, recorded actions %v",
-			s.Postpones, s.Resumes, s.LivelockBreaks, acts)
+	for _, tc := range cases {
+		prof := schedprof.NewCollector()
+		res, _, _ := Options{Probes: Probes{Prof: prof}}.trial(tc.prog(), tc.target(), tc.seed)
+		s := prof.Summary()
+		if s.Grants != int64(res.Steps) || s.Switches != int64(res.Switches) ||
+			s.Rounds != int64(res.Rounds-res.PolicyStalls) || s.ForcedGrants != int64(res.PolicyStalls) {
+			t.Fatalf("%s: profile grants/switches/rounds/forced = %d/%d/%d/%d, result %+v",
+				tc.name, s.Grants, s.Switches, s.Rounds, s.ForcedGrants, res)
+		}
+		if s.WallNs <= 0 {
+			t.Fatalf("%s: profile wall time %d", tc.name, s.WallNs)
+		}
+		_, _, rec := Record(tc.prog(), tc.target(), tc.seed, Options{})
+		acts := map[string]int64{}
+		for _, a := range rec.Actions() {
+			acts[a.Kind]++
+		}
+		for kind, n := range s.Actions {
+			if n != acts[kind] {
+				t.Fatalf("%s: profile counts %d %s actions, recording %d", tc.name, n, kind, acts[kind])
+			}
+		}
+		if len(acts) == 0 {
+			t.Fatalf("%s: recording shows no policy action; cross-check is vacuous", tc.name)
+		}
 	}
 }
 
-// TestRunStatsNilWhenMetricsAbsent: Metrics is the one reader of RunStats,
-// so without it a trial builds none — a sink alone gets records without
-// stats, timed only under Timing — and phase-1 stats carry no policy
-// counters.
+// TestRunStatsNilWhenMetricsAbsent: a run is timed only under Timing, so
+// a record carries durationNs only with -timing.
 func TestRunStatsNilWhenMetricsAbsent(t *testing.T) {
 	pair := event.MakeStmtPair(event.StmtFor("counter:read"), event.StmtFor("counter:write"))
-	if _, _, m := (Options{}).trial(counterProgram(2, 5), newRaceTarget(pair), 7); m.stats != nil || m.wall != 0 {
-		t.Fatalf("telemetry = %+v without Metrics or Timing", m)
+	if _, _, wall := (Options{}).trial(counterProgram(2, 5), newRaceTarget(pair), 7); wall != 0 {
+		t.Fatalf("wall = %v without Timing", wall)
 	}
 	for _, timing := range []bool{false, true} {
 		sink := &collectSink{}
 		FuzzPair(counterProgram(2, 5), pair, 0, Options{Seed: 1, Phase2Trials: 3, Probes: Probes{Sink: sink, Timing: timing}})
-		for _, rec := range sink.recs {
-			if rec.Stats != nil || (rec.DurationNs > 0) != timing {
-				t.Fatalf("sink-only record (timing %v): stats %+v, durationNs %d", timing, rec.Stats, rec.DurationNs)
-			}
+		DetectPotentialRaces(counterProgram(2, 5), Options{Seed: 1, Phase1Trials: 2, Probes: Probes{Sink: sink, Timing: timing}})
+		if len(sink.recs) != 5 {
+			t.Fatalf("timing %v: %d records, want 5", timing, len(sink.recs))
 		}
-	}
-	sink := &collectSink{}
-	DetectPotentialRaces(counterProgram(2, 5), Options{Seed: 1, Phase1Trials: 2,
-		Probes: Probes{Sink: sink, Metrics: obs.NewCampaignMetrics()}})
-	for _, rec := range sink.recs {
-		if rec.Stats == nil || rec.Stats.Steps != rec.Steps || rec.Stats.Decisions != 0 {
-			t.Fatalf("phase-1 record stats = %+v", rec.Stats)
+		for _, rec := range sink.recs {
+			if (rec.DurationNs > 0) != timing {
+				t.Fatalf("record (timing %v): durationNs %d", timing, rec.DurationNs)
+			}
 		}
 	}
 }

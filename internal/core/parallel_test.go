@@ -13,6 +13,7 @@ import (
 
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/obs"
+	"racefuzzer/internal/schedprof"
 )
 
 // workerSweep is the acceptance grid: sequential (0 and 1 are both the
@@ -167,17 +168,13 @@ func decodeRunLogRaw(t *testing.T, raw []byte) []obs.RunRecord {
 	return recs
 }
 
-// campaignCounters snapshots a campaign's metrics with the wall-clock gauge
-// dropped (the only nondeterministic metric).
-func campaignCounters(c *obs.CampaignMetrics) obs.Snapshot {
+// campaignCounters snapshots a campaign's metrics and appends the
+// scheduler profile's exact counts (its rounds, grants, switches and
+// actions; its latencies and wall time are nondeterministic). The metrics
+// carry no wall-clock gauge without Timing.
+func campaignCounters(c *obs.CampaignMetrics, prof *schedprof.Collector) obs.Snapshot {
 	snap := c.Snapshot()
-	gauges := snap.Gauges[:0]
-	for _, g := range snap.Gauges {
-		if g.Name != "wall.seconds" {
-			gauges = append(gauges, g)
-		}
-	}
-	snap.Gauges = gauges
+	snap.Counters = append(snap.Counters, prof.Summary().Snapshot().Counters...)
 	return snap
 }
 
@@ -188,6 +185,7 @@ func analyzeOnce(t *testing.T, bm bench.Benchmark, workers int) (*Report, []obs.
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONLSink(&buf)
 	metrics := obs.NewCampaignMetrics()
+	prof := schedprof.NewCollector()
 	rep := Analyze(bm.New(), Options{
 		Seed:         7,
 		Phase1Trials: bm.Phase1Trials,
@@ -195,12 +193,12 @@ func analyzeOnce(t *testing.T, bm bench.Benchmark, workers int) (*Report, []obs.
 		MaxSteps:     bm.MaxSteps,
 		Label:        bm.Name,
 		Workers:      workers,
-		Probes:       Probes{Metrics: metrics, Sink: jsonl},
+		Probes:       Probes{Sink: obs.MultiSink{jsonl, metrics}, Prof: prof},
 	})
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return rep, decodeRunLog(t, buf.Bytes()), campaignCounters(metrics)
+	return rep, decodeRunLog(t, buf.Bytes()), campaignCounters(metrics, prof)
 }
 
 // TestParallelDeterminismRace is the cross-check the ISSUE's acceptance

@@ -23,7 +23,7 @@ func TestPerfDirExportsTimeline(t *testing.T) {
 	dir := t.TempDir()
 	sink := &collectPerfSink{}
 	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2",
-		Probes: Probes{PerfDir: dir, Metrics: obs.NewCampaignMetrics(), Sink: sink}}
+		Probes: Probes{PerfDir: dir, Sink: obs.MultiSink{obs.NewCampaignMetrics(), sink}}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
 	if !rep.IsReal {
 		t.Fatalf("race not confirmed: %v", rep)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/event"
@@ -89,40 +90,35 @@ type Probes struct {
 	// bit-identical across repeat runs — the invariant CI's golden report
 	// test and the analytics determinism contract rely on.
 	Timing bool
-	// Metrics, when non-nil, aggregates per-run telemetry across the whole
-	// campaign (phase 1 and phase 2). It is the one reader of a record's
-	// RunStats, so only a campaign with Metrics pays for the per-run probe
-	// that builds them.
-	Metrics *obs.CampaignMetrics
-	// Sink, when non-nil, receives one structured record per execution —
-	// the JSONL run log. Its records carry no RunStats unless Metrics is
-	// set too.
+	// Sink, when non-nil, receives one structured record per execution:
+	// the JSONL run log, a CampaignMetrics fold, or both (obs.MultiSink).
+	// It is a campaign's only record channel.
 	Sink obs.Sink
 	// Prof, when non-nil, attaches a pooled schedprof trial to every
-	// execution and folds it back campaign-wide: per-op-kind wait/service
-	// latency, enabled-set sizes, decision rounds and phase timings (the
-	// observatory's /debug/perf). Costs one nil check per probe site when
-	// absent and never perturbs schedules.
+	// execution and folds it back campaign-wide: decision rounds, grants,
+	// switches and policy actions by kind, enabled-set sizes, per-op-kind
+	// wait/service latency and phase timings (the observatory's
+	// /debug/perf and -metrics' scheduler table). Costs one nil check per
+	// probe site when absent and never perturbs schedules.
 	Prof *schedprof.Collector
 }
 
 // observing reports whether run records should be built and emitted at all.
-func (o Options) observing() bool { return o.Metrics != nil || o.Sink != nil }
+func (o Options) observing() bool { return o.Sink != nil }
 
-// emit delivers one run record to the campaign aggregator and the sink.
+// emit delivers one run record, labelled, to the sink.
 func (o Options) emit(rec obs.RunRecord) {
 	rec.Label = o.Label
-	o.Metrics.Emit(rec)
-	obs.Emit(o.Sink, rec)
+	o.Sink.Emit(rec)
 }
 
 // runRecord assembles the common fields of a run record from a scheduler
-// result and the run's telemetry. Phase-1 records carry no exception kinds.
-func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result, m telemetry) obs.RunRecord {
+// result and the run's wall time. Phase-1 records carry no exception kinds.
+func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed int64, res *sched.Result, wall time.Duration) obs.RunRecord {
 	rec := obs.RunRecord{
 		Phase: phase, Kind: kind, PairIndex: pairIndex, Trial: trial, Round: o.Round,
 		Seed: seed, StepsToRace: -1, Deadlock: res.Deadlock != nil, Aborted: res.Aborted,
-		Steps: res.Steps, Stats: m.stats,
+		Steps: res.Steps,
 	}
 	if phase == 2 {
 		rec.Exceptions = runExceptionKinds(res)
@@ -130,7 +126,7 @@ func (o Options) runRecord(phase int, kind string, pairIndex, trial int, seed in
 	// Wall time only when the campaign opted into -timing (zeroed otherwise
 	// — see RunRecord.DurationNs).
 	if o.Timing {
-		rec.DurationNs = m.wall.Nanoseconds()
+		rec.DurationNs = wall.Nanoseconds()
 	}
 	return rec
 }
@@ -270,8 +266,8 @@ type PairReport struct {
 	// index is >= 0.
 	FirstRaceSeed      int64
 	FirstExceptionSeed int64
-	// TotalSteps sums the scheduler steps over the trials. The campaign
-	// telemetry (Options.Metrics) carries the finer counters.
+	// TotalSteps sums the scheduler steps over the trials. The scheduler
+	// profile (Options.Prof) carries the finer counters.
 	TotalSteps int64
 	// Capture holds the first race-creating trial's captures.
 	Capture

@@ -100,9 +100,7 @@ type RaceFuzzerPolicy struct {
 	races        []RealRace
 	released     int // threads released by the postponed==enabled rule (line 26)
 	aged         int // threads released by the livelock monitor
-	postpones    int // threads entering the postponed set (lines 14 and 21)
 	tracked      int // executed target-statement accesses (RaceFuzzer's tracked work)
-	steps        int // scheduling decisions taken
 }
 
 // NewRaceFuzzerPolicy returns a policy targeting pair.
@@ -226,7 +224,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 	t := cand[r.Intn(len(cand))]
 	op := v.Op(t)
 
-	p.steps++
 	if int(t) < len(p.justReleased) && p.justReleased[t] {
 		// An evicted thread executes its pending statement unconditionally.
 		p.justReleased[t] = false
@@ -279,7 +276,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 				return v.Grant(t) // line 12
 			}
 			p.postponed.add(t, v.Step) // line 14
-			p.postpones++
 			v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 				Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 			for _, tid := range races {
@@ -290,7 +286,6 @@ func (p *RaceFuzzerPolicy) Step(v *sched.View, r *rng.Rand) sched.Decision {
 		}
 		// Wait for a race to happen (line 21).
 		p.postponed.add(t, v.Step)
-		p.postpones++
 		v.Act(sched.ActionRecord{Kind: sched.ActPostpone, Step: v.Step, Thread: t,
 			Stmt: op.Stmt, Loc: op.Loc, Lock: event.NoLock})
 		return sched.Decision{}

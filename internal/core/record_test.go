@@ -149,7 +149,7 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	dir := witnessDir(t)
 	metrics := obs.NewCampaignMetrics()
 	sink := &collectTraceSink{}
-	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", Probes: Probes{TraceDir: dir, Metrics: metrics, Sink: sink}}
+	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", Probes: Probes{TraceDir: dir, Sink: obs.MultiSink{metrics, sink}}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
 	if !rep.IsReal {
 		t.Fatalf("race not confirmed: %v", rep)
@@ -168,8 +168,8 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	if sink.recs[0].Trial != rep.FirstRaceTrial || sink.recs[0].Seed != rep.FirstRaceSeed {
 		t.Fatalf("witness attached to wrong trial: %+v", sink.recs[0])
 	}
-	if metrics.TraceCaptures() != 1 {
-		t.Fatalf("traces.captured = %d, want 1", metrics.TraceCaptures())
+	if n := counterMap(metrics.Snapshot())["traces.captured"]; n != 1 {
+		t.Fatalf("traces.captured = %d, want 1", n)
 	}
 
 	// The archived witness reloads, confirms the race, and replays exactly.

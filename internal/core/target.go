@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"racefuzzer/internal/corpus"
-	"racefuzzer/internal/event"
 	"racefuzzer/internal/flightrec"
-	"racefuzzer/internal/obs"
 	"racefuzzer/internal/sched"
 	"racefuzzer/internal/schedprof"
 )
@@ -88,21 +86,20 @@ func observe[D sched.Observer, T any](prog Program, o Options, kind string,
 	type obsRun struct {
 		found T
 		res   *sched.Result
-		m     telemetry
+		wall  time.Duration
 	}
 	runOrdered(o.workerCount(), o.Phase1Trials,
 		func(i int) obsRun {
 			det := newDet()
-			// Phase-1 stats carry no policy counters.
-			res, m := o.run(prog, sched.Config{
+			res, wall := o.run(prog, sched.Config{
 				Seed: o.Seed + int64(i), Policy: sched.NewRandomPolicy(), MaxSteps: o.MaxSteps,
 				Observers: []sched.Observer{det},
-			}, nil)
-			return obsRun{found: query(det), res: res, m: m}
+			})
+			return obsRun{found: query(det), res: res, wall: wall}
 		},
 		func(i int, r obsRun) {
 			if o.observing() {
-				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res, r.m))
+				o.emit(o.runRecord(1, kind, -1, i, o.Seed+int64(i), r.res, r.wall))
 			}
 			fold(r.found)
 		})
@@ -118,83 +115,28 @@ func trialConfig(t Target, pol sched.Policy, seed int64, o Options) sched.Config
 }
 
 // trial is one phase-2 execution with the campaign's probes attached.
-func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, telemetry) {
+func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, time.Duration) {
 	pol := t.policy(o)
-	res, m := o.run(prog, trialConfig(t, pol, seed, o), pol)
-	return res, pol, m
+	res, wall := o.run(prog, trialConfig(t, pol, seed, o))
+	return res, pol, wall
 }
 
-// telemetry is what one run's probes measured: the full stats when the
-// campaign aggregates Metrics (their only reader), and the wall time when
-// the stats or a Timing record need it.
-type telemetry struct {
-	stats *obs.RunStats
-	wall  time.Duration
-}
-
-// run executes one campaign run under cfg with the campaign's probes
-// attached: a profiling trial and, when the campaign aggregates Metrics, a
-// runProbe whose stats read pol's counters.
-func (o Options) run(prog Program, cfg sched.Config, pol sched.Policy) (*sched.Result, telemetry) {
-	var probe *runProbe
-	if o.Metrics != nil {
-		probe = &runProbe{enabled: obs.NewEnabledHistogram()}
-		cfg.Observers = append(cfg.Observers, probe)
-	}
+// run executes one campaign run under cfg with the campaign's profiling
+// trial attached. It returns the run's wall time when the campaign's
+// records carry it (Timing), 0 otherwise.
+func (o Options) run(prog Program, cfg sched.Config) (*sched.Result, time.Duration) {
 	cfg.Prof = o.Prof.StartTrial(o.Label, cfg.Seed)
-	timed := probe != nil || o.Timing
 	var start time.Time
-	if timed {
+	if o.Timing {
 		start = time.Now()
 	}
 	res := sched.Run(prog, cfg)
-	var m telemetry
-	if timed {
-		m.wall = time.Since(start)
-	}
-	if probe != nil {
-		m.stats = probe.finish(res, pol, m.wall)
+	var wall time.Duration
+	if o.Timing {
+		wall = time.Since(start)
 	}
 	o.Prof.FinishTrial(cfg.Prof)
-	return res, m
-}
-
-// runProbe is the per-run telemetry probe: a scheduler observer that tallies
-// events by kind and the enabled-set size of every policy round, then
-// builds the run's obs.RunStats from them, the Result and the policy's own
-// counters.
-type runProbe struct {
-	stats   obs.RunStats
-	enabled *obs.Histogram
-}
-
-// OnEvent implements sched.Observer.
-func (p *runProbe) OnEvent(e event.Event) {
-	if e.Kind >= 0 && e.Kind < event.KindCount {
-		p.stats.Events[e.Kind]++
-	}
-}
-
-// OnDecision counts the enabled set of every round the policy decided;
-// forced grants are the scheduler's, not the policy's.
-func (p *runProbe) OnDecision(d sched.DecisionRecord) {
-	if !d.Forced {
-		p.enabled.Observe(float64(len(d.Enabled)))
-	}
-}
-
-// finish completes the stats of a finished run. Only the race-directed
-// policy keeps postponed-set counters; every other policy reports zero.
-// The stats outlive the run in sinks, so the probe lets go of the live
-// histogram once it is snapshotted.
-func (p *runProbe) finish(res *sched.Result, pol sched.Policy, wall time.Duration) *obs.RunStats {
-	s := &p.stats
-	s.Steps, s.Switches, s.Wall = res.Steps, res.Switches, wall
-	s.Enabled, p.enabled = p.enabled.Snapshot(), nil
-	if rf, ok := pol.(*RaceFuzzerPolicy); ok {
-		s.Decisions, s.Postpones, s.Resumes, s.LivelockBreaks = rf.steps, rf.postpones, rf.released, rf.aged
-	}
-	return s
+	return res, wall
 }
 
 // Record is one phase-2 trial of t with a flight recorder attached: it
@@ -270,8 +212,8 @@ type Capture struct {
 
 // trialResult is one grid trial as the tally receives it.
 type trialResult struct {
-	res *sched.Result
-	m   telemetry
+	res  *sched.Result
+	wall time.Duration
 	outcome
 }
 
@@ -291,8 +233,8 @@ func confirm(prog Program, targets []Target, first int, o Options) []PairReport 
 	runOrdered(o.workerCount(), len(targets)*n,
 		func(k int) trialResult {
 			t := targets[k/n]
-			res, pol, m := o.trial(prog, t, tallies[k/n].seed(k%n))
-			return trialResult{res: res, m: m, outcome: t.outcome(pol, res)}
+			res, pol, wall := o.trial(prog, t, tallies[k/n].seed(k%n))
+			return trialResult{res: res, wall: wall, outcome: t.outcome(pol, res)}
 		},
 		func(k int, r trialResult) { tallies[k/n].add(k%n, r) })
 	out := make([]PairReport, len(tallies))
@@ -368,7 +310,7 @@ func (a *tally) add(i int, r trialResult) {
 		}
 	}
 	if o.observing() {
-		rec := o.runRecord(2, a.t.Kind(), a.index, i, seed, res, r.m)
+		rec := o.runRecord(2, a.t.Kind(), a.index, i, seed, res, r.wall)
 		rec.Pair = a.t.String()
 		rec.RaceCreated = r.hits > 0
 		rec.Races = r.hits

@@ -19,7 +19,6 @@
 package corpus
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -200,10 +199,10 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// loadJSONL reads a newline-delimited JSON record file. A missing file is
-// an empty load. A record that fails to parse mid-file is an error; a
-// partial *final* line — the footprint of a crash mid-write — is skipped,
-// reported through the second return value.
+// loadJSONL reads a newline-delimited JSON record file (obs.ReadJSONL). A
+// missing file is an empty load. A record that fails to parse mid-file is
+// an error; a partial *final* line — the footprint of a crash mid-write —
+// is skipped, reported through the second return value.
 func loadJSONL[T any](path string) ([]T, bool, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -214,33 +213,18 @@ func loadJSONL[T any](path string) ([]T, bool, error) {
 	}
 	defer f.Close()
 	var out []T
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineno++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// The bad line was not the final one after all.
-			return nil, false, pendingErr
-		}
+	torn, err := obs.ReadJSONL(f, filepath.Base(path), func(line []byte) error {
 		var rec T
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// Defer the verdict: if no further line follows, this was a
-			// truncated final record and is skipped instead of failing.
-			pendingErr = fmt.Errorf("corpus: load: %s: line %d: %w", filepath.Base(path), lineno, err)
-			continue
+			return err
 		}
 		out = append(out, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("corpus: load: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("corpus: load: %s: %w", filepath.Base(path), err)
-	}
-	return out, pendingErr != nil, nil
+	return out, torn, nil
 }
 
 // Dir returns the corpus directory ("" for a purely in-memory store).

@@ -53,10 +53,9 @@ type CoordinatorConfig struct {
 	// Workers is the trial-executor width each fleet worker runs batches
 	// with (core.Options.Workers).
 	Workers int
-	// Metrics and Sink, when non-nil, receive the run records workers
-	// stream back, re-emitted in deterministic unit order.
-	Metrics *obs.CampaignMetrics
-	Sink    obs.Sink
+	// Sink, when non-nil, receives the run records workers stream back,
+	// re-emitted in deterministic unit order (core.Probes.Sink).
+	Sink obs.Sink
 	// Timing asks workers to stamp durationNs on the run records they
 	// stream back (CampaignInfo.Timing), as -timing does in-process.
 	Timing bool
@@ -278,7 +277,7 @@ func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int),
 // mergeResult folds one batch into the authoritative corpus: findings and
 // coverage cells through the merge protocol, a re-recorded witness
 // archived for each finding that is new fleet-wide, run records re-emitted
-// to the coordinator's metrics/sink. This is the only place corpus writes
+// to the coordinator's sink. This is the only place corpus writes
 // happen in a fleet campaign. A worker labels its records against its
 // batch-local store; each record is relabeled from the coordinator's own
 // verdicts, so the run log equals the single-process campaign's.
@@ -331,7 +330,6 @@ func (c *Coordinator) mergeResult(res *UnitResult) {
 			}
 			next++
 		}
-		c.cfg.Metrics.Emit(rec)
 		obs.Emit(c.cfg.Sink, rec)
 	}
 }
@@ -340,7 +338,7 @@ func (c *Coordinator) mergeResult(res *UnitResult) {
 func (c *Coordinator) campaignInfo() CampaignInfo {
 	return CampaignInfo{
 		Workers: c.cfg.Workers,
-		Records: c.cfg.Metrics != nil || c.cfg.Sink != nil,
+		Records: c.cfg.Sink != nil,
 		Timing:  c.cfg.Timing,
 	}
 }

@@ -39,8 +39,8 @@ type Options struct {
 	// Corpus, when non-nil, receives every confirmed finding for dedup
 	// against prior campaigns (core.Options.Corpus).
 	Corpus *corpus.Store
-	// Probes observe every pipeline execution (core.Options.Probes). Metrics
-	// aggregates across every benchmark this harness invocation measures.
+	// Probes observe every pipeline execution (core.Options.Probes): the
+	// Sink and Prof see every benchmark this harness invocation measures.
 	core.Probes
 }
 

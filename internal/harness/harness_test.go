@@ -39,11 +39,24 @@ func TestRowCampaignColumns(t *testing.T) {
 		metrics := obs.NewCampaignMetrics()
 		row := RunBenchmark(bench.MustByName(name), Options{
 			Seed: 3, Phase2Trials: 20, BaselineTrials: 1, TimingRuns: 1,
-			Probes: core.Probes{Metrics: metrics, TraceDir: t.TempDir()},
+			Probes: core.Probes{Sink: metrics, TraceDir: t.TempDir()},
 		})
-		if row.FirstRaceRun != metrics.FirstRaceRun() || row.TraceCaptures != metrics.TraceCaptures() {
-			t.Errorf("%s: FirstRace %d, Traces %d; aggregator saw %d, %d", name,
-				row.FirstRaceRun, row.TraceCaptures, metrics.FirstRaceRun(), metrics.TraceCaptures())
+		snap := metrics.Snapshot()
+		var firstRun float64
+		var captured int64
+		for _, g := range snap.Gauges {
+			if g.Name == "race.first_run" {
+				firstRun = g.Value
+			}
+		}
+		for _, c := range snap.Counters {
+			if c.Name == "traces.captured" {
+				captured = c.Value
+			}
+		}
+		if float64(row.FirstRaceRun) != firstRun || row.TraceCaptures != captured {
+			t.Errorf("%s: FirstRace %d, Traces %d; aggregator saw %v, %d", name,
+				row.FirstRaceRun, row.TraceCaptures, firstRun, captured)
 		}
 		if row.FirstRaceRun < 0 || row.TraceCaptures != int64(row.Real) {
 			t.Errorf("%s: FirstRace %d, Traces %d for %d real pair(s)", name, row.FirstRaceRun, row.TraceCaptures, row.Real)

@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"time"
-
-	"racefuzzer/internal/event"
 )
 
 // stepsToRaceBounds buckets the scheduler step at which a directed run
@@ -12,9 +10,11 @@ import (
 // meet" distribution behind the paper's probability claims.
 var stepsToRaceBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000}
 
-// CampaignMetrics aggregates run records (and their attached RunStats) over
-// a whole campaign: phase-1 observations plus every phase-2 directed run
-// across all targets. It implements Sink.
+// CampaignMetrics folds run records over a whole campaign: phase-1
+// observations plus every phase-2 directed run across all targets. It
+// implements Sink, so a campaign attaches it beside its run log. The
+// scheduler's own counts (rounds, grants, switches, policy actions) are
+// the schedprof collector's, not this fold's.
 //
 // All methods are nil-safe; a nil *CampaignMetrics records nothing.
 type CampaignMetrics struct {
@@ -23,15 +23,12 @@ type CampaignMetrics struct {
 	runs, phase1Runs          int64
 	raceRuns, exceptionRuns   int64
 	deadlockRuns, abortedRuns int64
+	steps                     int64
 
-	// statsRuns counts the records that carried RunStats; the rows derived
-	// from them are measured only when it is non-zero (fleet records arrive
-	// without RunStats).
-	statsRuns                          int64
-	steps, switches, decisions         int64
-	postpones, resumes, livelockBreaks int64
-	events                             [event.KindCount]int64
-	wall                               time.Duration
+	// wall sums the records' DurationNs; timed reports that one carried it
+	// (-timing), the only case in which the wall.seconds gauge is measured.
+	wall  time.Duration
+	timed bool
 
 	// firstRaceRun is the campaign-wide run index of the first race-creating
 	// run (-1 until one happens): "how many runs did confirmation cost".
@@ -43,7 +40,6 @@ type CampaignMetrics struct {
 	findingsNew, findingsKnown int64
 
 	stepsToRace *Histogram
-	enabled     *Histogram
 }
 
 // NewCampaignMetrics returns an empty aggregator.
@@ -51,7 +47,6 @@ func NewCampaignMetrics() *CampaignMetrics {
 	return &CampaignMetrics{
 		firstRaceRun: -1,
 		stepsToRace:  NewHistogram(stepsToRaceBounds...),
-		enabled:      NewHistogram(enabledBounds...),
 	}
 }
 
@@ -67,14 +62,9 @@ func (c *CampaignMetrics) Emit(rec RunRecord) {
 		c.phase1Runs++
 	}
 	c.steps += int64(rec.Steps)
-	// Wall time prefers the in-process RunStats (populated for the records
-	// of a campaign that aggregates into this CampaignMetrics); decoded
-	// JSONL and fleet records carry it in DurationNs when the campaign opted
-	// into -timing.
-	if rec.Stats != nil {
-		c.wall += rec.Stats.Wall
-	} else {
+	if rec.DurationNs > 0 {
 		c.wall += time.Duration(rec.DurationNs)
+		c.timed = true
 	}
 	if rec.RaceCreated {
 		c.raceRuns++
@@ -103,59 +93,6 @@ func (c *CampaignMetrics) Emit(rec RunRecord) {
 	case "known":
 		c.findingsKnown++
 	}
-	if rs := rec.Stats; rs != nil {
-		c.statsRuns++
-		c.switches += int64(rs.Switches)
-		c.decisions += int64(rs.Decisions)
-		c.postpones += int64(rs.Postpones)
-		c.resumes += int64(rs.Resumes)
-		c.livelockBreaks += int64(rs.LivelockBreaks)
-		for k, n := range rs.Events {
-			c.events[k] += n
-		}
-		c.mergeEnabledLocked(rs.Enabled)
-	}
-}
-
-// mergeEnabledLocked folds one run's enabled-count histogram into the
-// campaign's. Both use enabledBounds, so counts add index-wise.
-func (c *CampaignMetrics) mergeEnabledLocked(s HistogramSnapshot) {
-	if s.Count == 0 {
-		return
-	}
-	o := &Histogram{bounds: s.Bounds, counts: s.Counts, count: s.Count, sum: s.Sum, min: s.Min, max: s.Max}
-	c.enabled.Merge(o)
-}
-
-// Runs returns the number of aggregated runs.
-func (c *CampaignMetrics) Runs() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
-// FirstRaceRun returns the campaign-wide index of the first confirming run
-// (-1 when no run confirmed its target).
-func (c *CampaignMetrics) FirstRaceRun() int64 {
-	if c == nil {
-		return -1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.firstRaceRun
-}
-
-// TraceCaptures returns the number of archived flight recordings.
-func (c *CampaignMetrics) TraceCaptures() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traceCaptures
 }
 
 // Snapshot captures the campaign's metrics under stable names.
@@ -179,9 +116,9 @@ func (c *CampaignMetrics) Snapshot() Snapshot {
 		{Name: "findings.new", Value: c.findingsNew},
 		{Name: "findings.known", Value: c.findingsKnown},
 	}
-	s.Gauges = []NamedGauge{
-		{Name: "race.first_run", Value: float64(c.firstRaceRun)},
-		{Name: "wall.seconds", Value: c.wall.Seconds()},
+	s.Gauges = []NamedGauge{{Name: "race.first_run", Value: float64(c.firstRaceRun)}}
+	if c.timed {
+		s.Gauges = append(s.Gauges, NamedGauge{Name: "wall.seconds", Value: c.wall.Seconds()})
 	}
 	if c.runs > 0 {
 		s.Gauges = append(s.Gauges,
@@ -195,18 +132,6 @@ func (c *CampaignMetrics) Snapshot() Snapshot {
 	}
 	s.Gauges = append(s.Gauges, NamedGauge{Name: "findings.dedup_rate", Value: dedup})
 	s.Histograms = []NamedHistogram{{Name: "steps_to_race", Hist: c.stepsToRace.Snapshot()}}
-	if c.statsRuns > 0 {
-		s.Counters = append(s.Counters,
-			NamedCounter{Name: "sched.switches", Value: c.switches},
-			NamedCounter{Name: "policy.decisions", Value: c.decisions},
-			NamedCounter{Name: "policy.postpones", Value: c.postpones},
-			NamedCounter{Name: "policy.resumes", Value: c.resumes},
-			NamedCounter{Name: "policy.livelock_breaks", Value: c.livelockBreaks})
-		for k := event.Kind(0); k < event.KindCount; k++ {
-			s.Counters = append(s.Counters, NamedCounter{Name: "events." + k.String(), Value: c.events[k]})
-		}
-		s.Histograms = append(s.Histograms, NamedHistogram{Name: "enabled_threads", Hist: c.enabled.Snapshot()})
-	}
 	s.sort()
 	return s
 }

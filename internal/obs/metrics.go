@@ -1,8 +1,9 @@
 // Package obs is the observability layer for the RaceFuzzer pipeline:
 // dependency-free fixed-bucket histograms and metric snapshots (this
-// file), per-run scheduler statistics (run.go), campaign-level aggregation
-// (campaign.go), structured JSONL run logs (sink.go) and build provenance
-// (provenance.go).
+// file), campaign-level aggregation of run records (campaign.go),
+// structured JSONL run logs and their torn-tail reader (sink.go) and build
+// provenance (provenance.go). Per-run scheduler counts are the scheduler's
+// own profile (sched.ProfTrial), aggregated by internal/schedprof.
 //
 // Two properties shape the design:
 //
@@ -28,8 +29,8 @@ import (
 // Histogram is a fixed-bucket histogram over float64 samples. Bucket i
 // counts samples v with v <= Bounds[i] (and > Bounds[i-1]); one overflow
 // bucket counts samples above the last bound. Observe on a nil histogram is
-// a no-op. A Histogram is not goroutine-safe; each run owns its own and
-// campaign merging happens on one goroutine.
+// a no-op. A Histogram is not goroutine-safe; its owner serializes
+// Observe and Snapshot.
 type Histogram struct {
 	bounds []float64
 	counts []int64
@@ -61,33 +62,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-}
-
-// Merge adds another histogram's samples into h. The two must have equal
-// bounds (as produced by the same constructor call); Merge panics otherwise.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || o.count == 0 {
-		return
-	}
-	if len(h.bounds) != len(o.bounds) {
-		panic("obs: merging histograms with different buckets")
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			panic("obs: merging histograms with different buckets")
-		}
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // Snapshot returns an immutable copy of the histogram's state.

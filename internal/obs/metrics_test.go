@@ -40,28 +40,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(10, 100)
-	b := NewHistogram(10, 100)
-	a.Observe(5)
-	b.Observe(50)
-	b.Observe(500)
-	a.Merge(b)
-	s := a.Snapshot()
-	if s.Count != 3 || s.Counts[0] != 1 || s.Counts[1] != 1 || s.Counts[2] != 1 {
-		t.Fatalf("merged = %+v", s)
-	}
-	if s.Min != 5 || s.Max != 500 {
-		t.Fatalf("merged min/max = %v/%v", s.Min, s.Max)
-	}
-	// Merging into an empty histogram adopts min/max.
-	c := NewHistogram(10, 100)
-	c.Merge(b)
-	if cs := c.Snapshot(); cs.Min != 50 || cs.Max != 500 {
-		t.Fatalf("empty-merge min/max = %v/%v", cs.Min, cs.Max)
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram(10, 20, 30)
 	// Empty histogram: quantiles are 0, not NaN.

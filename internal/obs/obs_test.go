@@ -6,16 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"racefuzzer/internal/event"
 )
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
 	s.Emit(RunRecord{Label: "demo", Phase: 2, Kind: "race", PairIndex: 1, Trial: 3,
-		Seed: 42, RaceCreated: true, Races: 2, StepsToRace: 17, Steps: 90,
-		Stats: &RunStats{Steps: 90}})
+		Seed: 42, RaceCreated: true, Races: 2, StepsToRace: 17, Steps: 90})
 	s.Emit(RunRecord{Label: "demo", Phase: 1, PairIndex: -1, StepsToRace: -1})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -31,10 +28,6 @@ func TestJSONLSink(t *testing.T) {
 	if rec["label"] != "demo" || rec["seed"] != float64(42) || rec["raceCreated"] != true {
 		t.Fatalf("record = %v", rec)
 	}
-	// Stats rides along in-process only — never serialized.
-	if _, ok := rec["Stats"]; ok {
-		t.Fatal("Stats leaked into JSONL")
-	}
 	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
 		t.Fatalf("line 1 not valid JSON: %v", err)
 	}
@@ -47,99 +40,132 @@ func TestMultiSinkAndNilEmit(t *testing.T) {
 	a, b := NewCampaignMetrics(), NewCampaignMetrics()
 	m := MultiSink{a, nil, b}
 	m.Emit(RunRecord{Phase: 2})
-	if a.Runs() != 1 || b.Runs() != 1 {
-		t.Fatalf("fan-out failed: %d %d", a.Runs(), b.Runs())
+	if na, nb := counters(a.Snapshot())["runs.total"], counters(b.Snapshot())["runs.total"]; na != 1 || nb != 1 {
+		t.Fatalf("fan-out failed: %d %d", na, nb)
 	}
 	Emit(nil, RunRecord{}) // must not panic
 	var nilC *CampaignMetrics
 	nilC.Emit(RunRecord{})
-	if nilC.Runs() != 0 {
-		t.Fatal("nil campaign recorded")
-	}
 	if snap := nilC.Snapshot(); len(snap.Counters) != 0 {
 		t.Fatal("nil campaign snapshot non-empty")
 	}
 }
 
+// counters indexes a snapshot's counters by name.
+func counters(s Snapshot) map[string]int64 {
+	m := map[string]int64{}
+	for _, nc := range s.Counters {
+		m[nc.Name] = nc.Value
+	}
+	return m
+}
+
+// gauges indexes a snapshot's gauges by name.
+func gauges(s Snapshot) map[string]float64 {
+	m := map[string]float64{}
+	for _, ng := range s.Gauges {
+		m[ng.Name] = ng.Value
+	}
+	return m
+}
+
 func TestCampaignMetricsAggregation(t *testing.T) {
 	c := NewCampaignMetrics()
-	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1,
-		Stats: &RunStats{Steps: 10, Switches: 2, Decisions: 11}})
-	c.Emit(RunRecord{Phase: 2, Steps: 20, StepsToRace: -1, Aborted: true,
-		Stats: &RunStats{Steps: 20, Switches: 5, Decisions: 21, Postpones: 3}})
-	enabled := NewEnabledHistogram()
-	enabled.Observe(2)
-	st := &RunStats{Enabled: enabled.Snapshot(), Wall: 500 * time.Millisecond}
-	st.Events[event.KindMem] = 2
+	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1})
+	c.Emit(RunRecord{Phase: 2, Steps: 20, StepsToRace: -1, Aborted: true})
 	c.Emit(RunRecord{Phase: 2, Steps: 30, RaceCreated: true, StepsToRace: 120,
-		Races: 1, Exceptions: []string{"NPE"}, Stats: st})
+		Races: 1, Exceptions: []string{"NPE"}, Trace: "w.trace.jsonl", Finding: "new",
+		DurationNs: int64(500 * time.Millisecond)})
 
 	s := c.Snapshot()
-	counters := map[string]int64{}
-	for _, nc := range s.Counters {
-		counters[nc.Name] = nc.Value
-	}
+	got := counters(s)
 	want := map[string]int64{
-		"runs.total": 3, "runs.phase1": 1, "runs.race": 1,
+		"runs.total": 3, "trials.total": 2, "runs.phase1": 1, "runs.race": 1,
 		"runs.exception": 1, "runs.aborted": 1, "runs.deadlock": 0,
-		"sched.steps": 60, "sched.switches": 7,
-		"policy.decisions": 32, "policy.postpones": 3,
-		"events." + event.KindMem.String(): 2,
+		"sched.steps": 60, "traces.captured": 1, "findings.new": 1, "findings.known": 0,
 	}
 	for name, w := range want {
-		if counters[name] != w {
-			t.Fatalf("%s = %d, want %d", name, counters[name], w)
+		if got[name] != w {
+			t.Fatalf("%s = %d, want %d", name, got[name], w)
 		}
 	}
-	gauges := map[string]float64{}
-	for _, ng := range s.Gauges {
-		gauges[ng.Name] = ng.Value
+	g := gauges(s)
+	if g["race.first_run"] != 2 {
+		t.Fatalf("race.first_run = %v", g["race.first_run"])
 	}
-	if gauges["race.first_run"] != 2 {
-		t.Fatalf("race.first_run = %v", gauges["race.first_run"])
+	if g["race.hit_rate"] != 1.0/3.0 {
+		t.Fatalf("race.hit_rate = %v", g["race.hit_rate"])
 	}
-	if gauges["race.hit_rate"] != 1.0/3.0 {
-		t.Fatalf("race.hit_rate = %v", gauges["race.hit_rate"])
+	if g["wall.seconds"] != 0.5 {
+		t.Fatalf("wall.seconds = %v", g["wall.seconds"])
 	}
-	if gauges["wall.seconds"] != 0.5 {
-		t.Fatalf("wall.seconds = %v", gauges["wall.seconds"])
+	if len(s.Histograms) != 1 || s.Histograms[0].Name != "steps_to_race" {
+		t.Fatalf("histograms = %+v", s.Histograms)
 	}
-	hists := map[string]HistogramSnapshot{}
-	for _, nh := range s.Histograms {
-		hists[nh.Name] = nh.Hist
-	}
-	if h := hists["steps_to_race"]; h.Count != 1 || h.Min != 120 {
+	if h := s.Histograms[0].Hist; h.Count != 1 || h.Min != 120 {
 		t.Fatalf("steps_to_race = %+v", h)
-	}
-	if h := hists["enabled_threads"]; h.Count != 1 || h.Min != 2 {
-		t.Fatalf("enabled_threads = %+v", h)
 	}
 }
 
-// TestCampaignMetricsWithoutStats: records that carry no RunStats (a fleet
-// worker's, which cross the wire without them) leave the rows measured from
-// RunStats out of the snapshot instead of reporting them as zero.
+// TestCampaignMetricsWithoutStats: records that carry no durationNs (a
+// campaign without -timing, in-process or a fleet worker's) leave the
+// wall.seconds gauge out of the snapshot instead of reporting a zero that
+// was never measured; the other rows stay.
 func TestCampaignMetricsWithoutStats(t *testing.T) {
 	c := NewCampaignMetrics()
 	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1})
 	c.Emit(RunRecord{Phase: 2, Steps: 20, RaceCreated: true, StepsToRace: 7})
 	s := c.Snapshot()
+	if w, ok := gauges(s)["wall.seconds"]; ok {
+		t.Errorf("snapshot reports wall.seconds = %v without any durationNs", w)
+	}
 	names := map[string]bool{}
 	for _, nc := range s.Counters {
 		names[nc.Name] = true
-		if strings.HasPrefix(nc.Name, "policy.") || strings.HasPrefix(nc.Name, "events.") || nc.Name == "sched.switches" {
-			t.Errorf("snapshot reports %s = %d without any RunStats", nc.Name, nc.Value)
-		}
+	}
+	for name := range gauges(s) {
+		names[name] = true
 	}
 	for _, nh := range s.Histograms {
 		names[nh.Name] = true
-		if nh.Name == "enabled_threads" {
-			t.Errorf("snapshot reports enabled_threads without any RunStats")
-		}
 	}
-	for _, want := range []string{"runs.total", "sched.steps", "steps_to_race"} {
+	for _, want := range []string{"runs.total", "sched.steps", "race.first_run", "race.hit_rate", "steps_to_race"} {
 		if !names[want] {
 			t.Errorf("snapshot lacks %s", want)
 		}
+	}
+}
+
+// TestReadJSONL: blank lines are skipped, a bad final line is skipped and
+// reported torn, and a bad line with another after it is an error naming
+// the input and the line.
+func TestReadJSONL(t *testing.T) {
+	read := func(in string) ([]string, bool, error) {
+		var got []string
+		torn, err := ReadJSONL(strings.NewReader(in), "x.jsonl", func(line []byte) error {
+			var v struct{ N string }
+			if err := json.Unmarshal(line, &v); err != nil {
+				return err
+			}
+			got = append(got, v.N)
+			return nil
+		})
+		return got, torn, err
+	}
+	got, torn, err := read(`{"n":"a"}` + "\n\n  \n" + `{"n":"b"}` + "\r\n")
+	if err != nil || torn || strings.Join(got, ",") != "a,b" {
+		t.Fatalf("whole input: %v torn=%v err=%v", got, torn, err)
+	}
+	got, torn, err = read(`{"n":"a"}` + "\n" + `{"n":"b`)
+	if err != nil || !torn || strings.Join(got, ",") != "a" {
+		t.Fatalf("torn tail: %v torn=%v err=%v", got, torn, err)
+	}
+	_, _, err = read(`{"n":"a"}` + "\n" + `{"n":` + "\n\n" + `{"n":"c"}` + "\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "x.jsonl: line 2: ") {
+		t.Fatalf("mid-file damage: err = %v", err)
+	}
+	_, _, err = read(strings.Repeat("x", 16*1024*1024+1))
+	if err == nil || !strings.HasPrefix(err.Error(), "x.jsonl: ") {
+		t.Fatalf("oversized line: err = %v", err)
 	}
 }

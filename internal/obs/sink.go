@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -73,12 +75,6 @@ type RunRecord struct {
 	// corpus: "new" (signature never seen before) or "known" (deduplicated
 	// re-sighting). Empty on non-confirming runs and corpus-less campaigns.
 	Finding string `json:"finding,omitempty"`
-
-	// Stats carries the full scheduler telemetry when the campaign
-	// aggregates metrics (core.Probes.Metrics), nil otherwise. It rides
-	// along for CampaignMetrics, its one reader, and is excluded from the
-	// JSONL schema, which stays one flat record.
-	Stats *RunStats `json:"-"`
 }
 
 // Sink consumes run records. The campaign pipelines emit from a single
@@ -91,7 +87,9 @@ type Sink interface {
 	Emit(rec RunRecord)
 }
 
-// MultiSink fans records out to several sinks.
+// MultiSink fans records out to several sinks; nil entries are skipped.
+// The CLI's -metrics attaches its CampaignMetrics beside the -json run log
+// this way.
 type MultiSink []Sink
 
 // Emit implements Sink.
@@ -195,4 +193,37 @@ func (s *JSONLSink) Close() error {
 		}
 	}
 	return ferr
+}
+
+// ReadJSONL reads newline-delimited JSON — a run log, a corpus record file
+// — from r and hands each non-blank line, trimmed, to each; a line may be
+// at most 16 MiB. A line each rejects is an error only when another
+// non-blank line follows it: a rejected final line, the footprint of a
+// crash mid-write, is skipped and reported as torn. Errors name the input
+// ("<name>: line <n>: ..."); callers prefix their package.
+func ReadJSONL(r io.Reader, name string, each func(line []byte) error) (torn bool, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineno := 0
+	var pending error
+	for sc.Scan() {
+		lineno++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if pending != nil {
+			// The bad line was not the final one after all.
+			return false, pending
+		}
+		if err := each(line); err != nil {
+			// Defer the verdict: if no further line follows, this was a
+			// torn final record and is skipped instead of failing.
+			pending = fmt.Errorf("%s: line %d: %w", name, lineno, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return false, fmt.Errorf("%s: %w", name, err)
+	}
+	return pending != nil, nil
 }

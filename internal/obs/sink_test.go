@@ -140,8 +140,8 @@ func TestJSONLSinkConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestMultiSinkConcurrentEmit: the fan-out path used by campaigns (metrics +
-// JSONL + progress) must also hold up under concurrent emitters.
+// TestMultiSinkConcurrentEmit: the fan-out -json and -metrics share (run
+// log + campaign metrics) must also hold up under concurrent emitters.
 func TestMultiSinkConcurrentEmit(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := NewJSONLSink(&buf)
@@ -162,8 +162,8 @@ func TestMultiSinkConcurrentEmit(t *testing.T) {
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Runs() != n {
-		t.Fatalf("metrics aggregated %d runs, want %d", metrics.Runs(), n)
+	if runs := counters(metrics.Snapshot())["runs.total"]; runs != n {
+		t.Fatalf("metrics aggregated %d runs, want %d", runs, n)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != n {
 		t.Fatalf("jsonl wrote %d lines, want %d", got, n)

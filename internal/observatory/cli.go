@@ -9,6 +9,7 @@ import (
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/obs"
+	"racefuzzer/internal/schedprof"
 )
 
 // CLI is the campaign runtime cmd/racefuzzer and cmd/benchtable share: the
@@ -25,7 +26,8 @@ type CLI struct {
 	CorpusDir string
 	Store     *corpus.Store
 	// Probes carries -tracedir, -perfdir and -timing from the flags; Start
-	// adds the run-log sink, the campaign metrics and the prof collector.
+	// adds the sink (run log, campaign metrics or both) and the prof
+	// collector.
 	Probes core.Probes
 	// Prov is the provenance Start stamped on the run log and the corpus.
 	Prov obs.Provenance
@@ -34,8 +36,10 @@ type CLI struct {
 
 	jsonLog, httpAddr string
 	jsonFlush         int
-	version, metrics  bool
-	closeLog, stop    func()
+	version           bool
+	// metrics is the -metrics fold of the run records (nil without it).
+	metrics        *obs.CampaignMetrics
+	closeLog, stop func()
 }
 
 // NewCLI registers the shared campaign flags on fs for the command tool,
@@ -85,19 +89,23 @@ func (c *CLI) OpenCorpus() error {
 
 // Start wires and starts the campaign's observation. It stamps provenance
 // (the set flags, under label) on the corpus manifest and the run-log
-// header, and opens the -json log as Probes.Sink. Probes.Metrics is a
-// fresh aggregator when metrics asks for the end-of-run table, and
-// Probes.Prof the observatory's collector. Then it serves the observatory,
-// and SIGINT closes the run log and exits 0 (Server.Serve).
+// header, and opens the -json log as Probes.Sink. When metrics asks for
+// the end-of-run tables, a fresh CampaignMetrics joins the sink beside the
+// log and Probes.Prof is the observatory's collector or, without -http, a
+// fresh one; otherwise Probes.Prof is the observatory's collector alone.
+// Then it serves the observatory, and SIGINT closes the run log and exits
+// 0 (Server.Serve).
 func (c *CLI) Start(label string, metrics bool) error {
 	if c.httpAddr != "" {
 		c.Server = New(c.httpAddr)
 	}
-	c.metrics = metrics
-	if metrics {
-		c.Probes.Metrics = obs.NewCampaignMetrics()
-	}
 	c.Probes.Prof = c.Server.Prof()
+	if metrics {
+		c.metrics = obs.NewCampaignMetrics()
+		if c.Probes.Prof == nil {
+			c.Probes.Prof = schedprof.NewCollector()
+		}
+	}
 	set := map[string]string{}
 	c.flags.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
 	c.Prov = obs.CollectProvenance(c.tool, label, set)
@@ -114,6 +122,9 @@ func (c *CLI) Start(label string, metrics bool) error {
 				fmt.Fprintf(os.Stderr, "%s: -json: %v\n", c.tool, err)
 			}
 		})
+	}
+	if c.metrics != nil {
+		c.Probes.Sink = obs.MultiSink{c.Probes.Sink, c.metrics}
 	}
 	stop, err := c.Server.Serve(c.tool, c.closeLog)
 	if err != nil {
@@ -133,14 +144,20 @@ func (c *CLI) Close() {
 	}
 }
 
-// Finish ends the campaign: Close, the campaign metrics table when Start
-// was asked for it, and the corpus summary line and save. It returns the
-// exit status, 1 when the save fails.
+// Finish ends the campaign: Close, the campaign metrics table and the
+// scheduler table when Start was asked for them, and the corpus summary
+// line and save. It returns the exit status, 1 when the save fails. The
+// scheduler table needs profiled trials, so a fleet coordinator, whose
+// trials run on its workers, prints none.
 func (c *CLI) Finish() int {
 	c.Close()
-	if c.metrics {
+	if c.metrics != nil {
 		fmt.Println()
-		fmt.Print(c.Probes.Metrics.Snapshot().Table("campaign metrics").Render())
+		fmt.Print(c.metrics.Snapshot().Table("campaign metrics").Render())
+		if c.Probes.Prof.Trials() > 0 {
+			fmt.Println()
+			fmt.Print(c.Probes.Prof.Summary().Snapshot().Table("scheduler profile").Render())
+		}
 	}
 	if c.Store == nil {
 		return 0

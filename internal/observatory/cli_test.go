@@ -16,8 +16,10 @@ import (
 // TestCLIWiring drives the shared campaign runtime the way a command does:
 // the capture flags land in the probes, the corpus lends witness capture
 // its directory, the run log opens on the provenance of the set flags, the
-// corpus manifest carries the same provenance, metrics are attached only
-// on request (not by -http), and Finish closes the log and saves the corpus.
+// corpus manifest carries the same provenance, metrics join the run log's
+// sink only on request (not by -http) and profile into the observatory's
+// collector when there is one, and Finish closes the log and saves the
+// corpus.
 func TestCLIWiring(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -27,6 +29,7 @@ func TestCLIWiring(t *testing.T) {
 		{"plain", nil, false},
 		{"metrics", nil, true},
 		{"http", []string{"-http", "127.0.0.1:0"}, false},
+		{"metrics http", []string{"-http", "127.0.0.1:0"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -47,10 +50,11 @@ func TestCLIWiring(t *testing.T) {
 			if err := c.Start("label", tc.metrics); err != nil {
 				t.Fatal(err)
 			}
-			if c.Probes.Sink == nil || (c.Server != nil) != (tc.args != nil) || (c.Probes.Metrics != nil) != tc.metrics {
-				t.Fatalf("wiring: sink %v, server %v, metrics %v", c.Probes.Sink, c.Server, c.Probes.Metrics)
+			_, fanned := c.Probes.Sink.(obs.MultiSink)
+			if c.Probes.Sink == nil || (c.Server != nil) != (tc.args != nil) || fanned != tc.metrics {
+				t.Fatalf("wiring: sink %T, server %v", c.Probes.Sink, c.Server)
 			}
-			if c.Probes.Prof != c.Server.Prof() || (c.Server != nil) != (c.Probes.Prof != nil) {
+			if (c.Server != nil || tc.metrics) != (c.Probes.Prof != nil) || (c.Server != nil && c.Probes.Prof != c.Server.Prof()) {
 				t.Fatal("probes do not feed the observatory")
 			}
 			core.DetectPotentialRaces(bench.MustByName("figure1").New(), core.Options{Seed: 1, Phase1Trials: 2, Probes: c.Probes})

@@ -76,6 +76,10 @@ const (
 	ActViolation
 )
 
+// NumActionKinds is the number of action kinds, ActPostpone through
+// ActViolation.
+const NumActionKinds = int(ActViolation) + 1
+
 func (k ActionKind) String() string {
 	switch k {
 	case ActPostpone:

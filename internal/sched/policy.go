@@ -46,14 +46,17 @@ func (v *View) HeldLocks(t event.ThreadID) []event.LockID { return v.sched.threa
 func (v *View) LocName(loc event.MemLoc) string { return v.sched.LocName(loc) }
 
 // Act reports one policy action (postpone/resume/livelock-break, race or
-// violation hit) to the execution's action observers, if any. Policies call
-// it unconditionally; without an action observer it is a length check. Act
-// fills LocName from Loc (unless Loc is NoLoc) for the observers, so
-// policies never build names a run does not record. Actions must be emitted
-// at deterministic points only — they become part of the replay-compared
-// record.
+// violation hit) to the execution's profile and action observers, if any:
+// the profile counts it by kind. Policies call it unconditionally; without
+// either it is a nil check and a length check. Act fills LocName from Loc
+// (unless Loc is NoLoc) for the observers, so policies never build names a
+// run does not record. Actions must be emitted at deterministic points only
+// — they become part of the replay-compared record.
 func (v *View) Act(a ActionRecord) {
 	s := v.sched
+	if s.prof != nil {
+		s.prof.Actions[a.Kind]++
+	}
 	if len(s.actors) == 0 {
 		return
 	}

@@ -71,6 +71,12 @@ type ProfCounts struct {
 	// Rounds counts decision rounds, Empty those that granted nothing, and
 	// Forced the stall-breaking grants the scheduler forced past them.
 	Rounds, Empty, Forced int64
+	// Switches counts grants whose thread differed from the previous
+	// grant: the run's context switches (Result.Switches).
+	Switches int64
+	// Actions counts the policy's actions by kind (View.Act): postpones,
+	// resumes, livelock breaks, races and violations.
+	Actions [NumActionKinds]int64
 }
 
 // Add adds o's totals to c.
@@ -83,9 +89,13 @@ func (c *ProfCounts) Add(o *ProfCounts) {
 	for i, n := range o.Enabled {
 		c.Enabled[i] += n
 	}
+	for k, n := range o.Actions {
+		c.Actions[k] += n
+	}
 	c.Rounds += o.Rounds
 	c.Empty += o.Empty
 	c.Forced += o.Forced
+	c.Switches += o.Switches
 }
 
 // ProfTrial is one run's performance profile: a fixed-size ring of the most

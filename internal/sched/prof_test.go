@@ -1,6 +1,11 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"racefuzzer/internal/event"
+	"racefuzzer/internal/rng"
+)
 
 // profRing is the span-ring capacity of the tests' trials: larger than any
 // of their runs, so nothing wraps.
@@ -18,6 +23,9 @@ func TestProfCapturesEveryGrant(t *testing.T) {
 	}
 	if got := tr.Spans(); got != int64(res.Steps) {
 		t.Fatalf("profiled %d spans, scheduler ran %d steps", got, res.Steps)
+	}
+	if tr.Switches != int64(res.Switches) || tr.Switches == 0 {
+		t.Fatalf("profiled %d switches, result counts %d", tr.Switches, res.Switches)
 	}
 	if len(tr.Threads) != res.Threads {
 		t.Fatalf("profile has %d threads, run created %d", len(tr.Threads), res.Threads)
@@ -161,5 +169,36 @@ func TestProfProbesRecordExactTotals(t *testing.T) {
 	tr.Reset("again", 4)
 	if tr.Spans() != 0 || tr.ProfCounts != (ProfCounts{}) || tr.Phase != [NumPhases]int64{} || tr.Name != "again" {
 		t.Fatalf("Reset left state behind: spans %d, counts %+v, phase %v", tr.Spans(), tr.ProfCounts, tr.Phase)
+	}
+}
+
+// actEveryRound is the random policy that also reports one action per
+// round, cycling through the action kinds.
+type actEveryRound struct{ n int }
+
+func (*actEveryRound) Name() string { return "act-every-round" }
+
+func (p *actEveryRound) Step(v *View, r *rng.Rand) Decision {
+	v.Act(ActionRecord{Kind: ActionKind(p.n % NumActionKinds), Step: v.Step, Loc: event.NoLoc, Lock: event.NoLock})
+	p.n++
+	return v.Grant(v.Enabled[r.Intn(len(v.Enabled))])
+}
+
+// TestProfCountsActions: View.Act counts every policy action by kind into
+// the attached profile, with no action observer attached.
+func TestProfCountsActions(t *testing.T) {
+	var final int
+	tr := NewProfTrial("acts", 2, profRing)
+	pol := &actEveryRound{}
+	Run(counterProgram(2, 5, &final), Config{Seed: 2, Policy: pol, Prof: tr})
+	var total int64
+	for k, n := range tr.Actions {
+		total += n
+		if want := int64((pol.n + NumActionKinds - 1 - k) / NumActionKinds); n != want {
+			t.Errorf("%v actions = %d, want %d", ActionKind(k), n, want)
+		}
+	}
+	if total != int64(pol.n) || total != tr.Rounds {
+		t.Fatalf("counted %d actions over %d rounds, policy acted %d times", total, tr.Rounds, pol.n)
 	}
 }

@@ -224,6 +224,7 @@ func Run(main func(*Thread), cfg Config) *Result {
 	}
 	res := s.result()
 	if s.prof != nil {
+		s.prof.Switches = int64(s.switches)
 		s.prof.mark(PhaseDone)
 	}
 	return res

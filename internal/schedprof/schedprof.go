@@ -1,8 +1,10 @@
-// Package schedprof aggregates the scheduler's per-run performance profiles
-// (sched.ProfTrial, attached as sched.Config.Prof) campaign-wide into obs
-// histograms, and exports one run's timeline as a Chrome trace-event file
-// (Perfetto, chrome://tracing). See DESIGN.md, "Scheduler performance
-// observatory".
+// Package schedprof aggregates the scheduler's per-run profiles
+// (sched.ProfTrial, attached as sched.Config.Prof) campaign-wide into exact
+// counts and obs histograms, and exports one run's timeline as a Chrome
+// trace-event file (Perfetto, chrome://tracing). It is the one per-run
+// scheduler plane: the observatory's /debug/perf and the CLI's -metrics
+// scheduler table both read a Collector's Summary. See DESIGN.md,
+// "Scheduler performance observatory".
 //
 // A nil *Collector hands out nil trials, and the scheduler guards every
 // probe site with one nil check, so a campaign with profiling off pays
@@ -66,6 +68,7 @@ type Collector struct {
 	trials  int64
 	sampled int64
 	dropped int64
+	wallNs  int64
 	counts  sched.ProfCounts
 	wait    [sched.NumOpKinds]*obs.Histogram
 	svc     [sched.NumOpKinds]*obs.Histogram
@@ -118,6 +121,7 @@ func (c *Collector) FinishTrial(t *Trial) {
 		c.svc[sp.Kind].Observe(float64(sp.DurNs))
 	}
 	if ph := t.Phase; ph[sched.PhaseDone] > 0 {
+		c.wallNs += ph[sched.PhaseDone]
 		c.phases[0].Observe(float64(ph[sched.PhaseLoopEnter]))
 		c.phases[1].Observe(float64(ph[sched.PhaseLoopExit] - ph[sched.PhaseLoopEnter]))
 		c.phases[2].Observe(float64(ph[sched.PhaseDone] - ph[sched.PhaseLoopExit]))
@@ -170,20 +174,26 @@ type PhaseSummary struct {
 }
 
 // Summary is the collector's JSON-ready aggregate view: the payload of the
-// observatory's /debug/perf and the source of a traced campaignbench run's
-// sched.* metrics.
+// observatory's /debug/perf, the source of -metrics' scheduler table
+// (Snapshot) and of a traced campaignbench run's sched.* metrics.
 type Summary struct {
-	Trials       int64          `json:"trials"`
-	Grants       int64          `json:"grants"`
-	Rounds       int64          `json:"rounds"`
-	EmptyRounds  int64          `json:"emptyRounds"`
-	ForcedGrants int64          `json:"forcedGrants"`
-	SampledSpans int64          `json:"sampledSpans"`
-	DroppedSpans int64          `json:"droppedSpans"`
-	EnabledMean  float64        `json:"enabledMean"`
-	EnabledMax   int            `json:"enabledMax"`
-	Ops          []OpSummary    `json:"ops"`
-	Phases       []PhaseSummary `json:"phases,omitempty"`
+	Trials       int64   `json:"trials"`
+	Grants       int64   `json:"grants"`
+	Rounds       int64   `json:"rounds"`
+	EmptyRounds  int64   `json:"emptyRounds"`
+	ForcedGrants int64   `json:"forcedGrants"`
+	Switches     int64   `json:"switches"`
+	SampledSpans int64   `json:"sampledSpans"`
+	DroppedSpans int64   `json:"droppedSpans"`
+	EnabledMean  float64 `json:"enabledMean"`
+	EnabledMax   int     `json:"enabledMax"`
+	// WallNs sums the trials' exact run times (sched.PhaseDone).
+	WallNs int64 `json:"wallNs"`
+	// Actions counts policy actions (postpone, resume, livelock-break,
+	// race, violation) by kind name.
+	Actions map[string]int64 `json:"actions"`
+	Ops     []OpSummary      `json:"ops"`
+	Phases  []PhaseSummary   `json:"phases,omitempty"`
 }
 
 // Summary builds the aggregate view; ops with no samples are omitted. Nil
@@ -199,8 +209,14 @@ func (c *Collector) Summary() Summary {
 		Rounds:       c.counts.Rounds,
 		EmptyRounds:  c.counts.Empty,
 		ForcedGrants: c.counts.Forced,
+		Switches:     c.counts.Switches,
 		SampledSpans: c.sampled,
 		DroppedSpans: c.dropped,
+		WallNs:       c.wallNs,
+		Actions:      make(map[string]int64, sched.NumActionKinds),
+	}
+	for k, n := range c.counts.Actions {
+		out.Actions[sched.ActionKind(k).String()] = n
 	}
 	for k, n := range c.counts.Count {
 		out.Grants += n
@@ -239,6 +255,36 @@ func (c *Collector) Summary() Summary {
 			P99:    s.Quantile(0.99),
 			MaxNs:  s.Max,
 		})
+	}
+	return out
+}
+
+// Snapshot renders the summary's exact counts as a metric set, in report
+// order: trials, rounds, grants (in total, by op kind and forced),
+// switches, policy actions by kind, then the enabled-set mean and max and
+// the summed run time.
+func (s Summary) Snapshot() obs.Snapshot {
+	var out obs.Snapshot
+	count := func(name string, v int64) {
+		out.Counters = append(out.Counters, obs.NamedCounter{Name: name, Value: v})
+	}
+	count("trials", s.Trials)
+	count("rounds", s.Rounds)
+	count("rounds.empty", s.EmptyRounds)
+	count("grants", s.Grants)
+	for _, op := range s.Ops {
+		count("grants."+op.Kind, op.Count)
+	}
+	count("grants.forced", s.ForcedGrants)
+	count("switches", s.Switches)
+	for k := 0; k < sched.NumActionKinds; k++ {
+		name := sched.ActionKind(k).String()
+		count("actions."+name, s.Actions[name])
+	}
+	out.Gauges = []obs.NamedGauge{
+		{Name: "enabled.mean", Value: s.EnabledMean},
+		{Name: "enabled.max", Value: float64(s.EnabledMax)},
+		{Name: "wall.seconds", Value: float64(s.WallNs) / 1e9},
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package schedprof_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,10 +127,12 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 	c := schedprof.NewCollector()
 	var sums sched.ProfCounts
+	var wallNs int64
 	for trial := 0; trial < 3; trial++ {
 		tr := c.StartTrial("agg", int64(trial))
 		sched.Run(prog, sched.Config{Seed: int64(trial), Policy: stallFirst{}, Prof: tr})
 		sums.Add(&tr.ProfCounts)
+		wallNs += tr.Phase[sched.PhaseDone]
 		c.FinishTrial(tr)
 	}
 	s := c.Summary()
@@ -165,6 +168,25 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 	if len(s.Phases) != 3 || s.Phases[0].Phase != "startup" || s.Phases[1].Count != 3 {
 		t.Fatalf("Phases = %+v", s.Phases)
+	}
+	if s.Switches != sums.Switches || s.Switches == 0 || s.WallNs != wallNs || wallNs <= 0 {
+		t.Fatalf("Switches/WallNs = %d/%d, want %d/%d", s.Switches, s.WallNs, sums.Switches, wallNs)
+	}
+	// The scheduler table: the exact counts in report order (only the op
+	// kinds granted), then the enabled-set and wall-time gauges.
+	snap := s.Snapshot()
+	var rows []string
+	for _, c := range snap.Counters {
+		rows = append(rows, fmt.Sprintf("%s=%d", c.Name, c.Value))
+	}
+	for _, g := range snap.Gauges {
+		rows = append(rows, g.Name)
+	}
+	want := fmt.Sprintf("trials=3 rounds=72 rounds.empty=57 grants=18 grants.begin=6 grants.fork=3 grants.join=3 grants.nop=6 "+
+		"grants.forced=3 switches=%d actions.postpone=0 actions.resume=0 actions.livelock-break=0 actions.race=0 "+
+		"actions.violation=0 enabled.mean enabled.max wall.seconds", s.Switches)
+	if got := strings.Join(rows, " "); got != want {
+		t.Fatalf("scheduler table rows:\n got %s\nwant %s", got, want)
 	}
 }
 
