@@ -3,6 +3,8 @@ package analytics
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"time"
 
 	"racefuzzer/internal/obs"
 )
@@ -35,7 +37,8 @@ type SourceInfo struct {
 	CorpusTruncated bool
 }
 
-// Totals are the campaign-wide tallies.
+// Totals are the campaign-wide tallies: the one fold of run records,
+// behind both the report's Totals and the live -metrics table (Live).
 type Totals struct {
 	Runs       int
 	Phase1     int
@@ -48,10 +51,126 @@ type Totals struct {
 	Deadlocks  int
 	Aborted    int
 	Steps      int64
-	// WallNs sums per-run durations; zero (Timed=false) when the campaign
-	// ran without -timing.
+	// WallNs sums per-run durations; zero when the campaign ran without
+	// -timing.
 	WallNs int64
-	Timed  bool
+	// FirstConfirm counts the runs up to and including the first
+	// confirming one (0 when none confirmed): how many runs confirmation
+	// cost.
+	FirstConfirm int
+	// Traces counts runs that carry an archived flight recording.
+	Traces int
+	// StepsToRace buckets the scheduler step at which each confirming run
+	// created its goal (nil until one did).
+	StepsToRace *obs.Histogram
+}
+
+// stepsToRaceBounds buckets Totals.StepsToRace — the "how deep into the
+// execution does the pair meet" distribution behind the paper's
+// probability claims.
+var stepsToRaceBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000}
+
+// add folds one run record into the totals.
+func (t *Totals) add(rec obs.RunRecord) {
+	t.Runs++
+	t.Steps += int64(rec.Steps)
+	t.WallNs += rec.DurationNs
+	if len(rec.Exceptions) > 0 {
+		t.Exceptions++
+	}
+	if rec.Deadlock {
+		t.Deadlocks++
+	}
+	if rec.Aborted {
+		t.Aborted++
+	}
+	if rec.Trace != "" {
+		t.Traces++
+	}
+	if rec.Phase == 1 {
+		t.Phase1++
+		return
+	}
+	t.Phase2++
+	switch rec.Finding {
+	case "new":
+		t.NewSigs++
+	case "known":
+		t.KnownSigs++
+	}
+	if rec.RaceCreated {
+		t.Confirming++
+		if t.FirstConfirm == 0 {
+			t.FirstConfirm = t.Runs
+		}
+		if rec.StepsToRace >= 0 {
+			if t.StepsToRace == nil {
+				t.StepsToRace = obs.NewHistogram(stepsToRaceBounds...)
+			}
+			t.StepsToRace.Observe(float64(rec.StepsToRace))
+		}
+	}
+	t.NewCells += rec.NewCells
+}
+
+// Timed reports whether any run carried its wall time (-timing).
+func (t Totals) Timed() bool { return t.WallNs > 0 }
+
+// Snapshot renders the totals as the "campaign metrics" table -metrics
+// prints, rows in name order. wall.seconds appears only when Timed.
+func (t Totals) Snapshot() obs.Snapshot {
+	s := obs.Snapshot{
+		Counters: []obs.NamedCounter{
+			{Name: "findings.known", Value: int64(t.KnownSigs)},
+			{Name: "findings.new", Value: int64(t.NewSigs)},
+			{Name: "runs.aborted", Value: int64(t.Aborted)},
+			{Name: "runs.deadlock", Value: int64(t.Deadlocks)},
+			{Name: "runs.exception", Value: int64(t.Exceptions)},
+			{Name: "runs.phase1", Value: int64(t.Phase1)},
+			{Name: "runs.race", Value: int64(t.Confirming)},
+			{Name: "runs.total", Value: int64(t.Runs)},
+			{Name: "sched.steps", Value: t.Steps},
+			{Name: "traces.captured", Value: int64(t.Traces)},
+			{Name: "trials.total", Value: int64(t.Phase2)},
+		},
+		// dedup_rate is emitted unconditionally (0 before any sighting), so
+		// a corpus-less campaign's table has the same rows as a corpus
+		// campaign's.
+		Gauges: []obs.NamedGauge{
+			{Name: "findings.dedup_rate", Value: t.DedupRate()},
+			{Name: "race.first_run", Value: float64(t.FirstConfirm - 1)},
+		},
+		Histograms: []obs.NamedHistogram{{Name: "steps_to_race", Hist: t.StepsToRace.Snapshot()}},
+	}
+	if t.Runs > 0 {
+		s.Gauges = append(s.Gauges, obs.NamedGauge{Name: "race.hit_rate", Value: float64(t.Confirming) / float64(t.Runs)})
+	}
+	if t.Timed() {
+		s.Gauges = append(s.Gauges, obs.NamedGauge{Name: "wall.seconds", Value: time.Duration(t.WallNs).Seconds()})
+	}
+	return s
+}
+
+// Live is the -metrics sink: it folds run records into Totals as they are
+// emitted. A Sink may see concurrent Emit calls, so the fold is locked.
+type Live struct {
+	mu sync.Mutex
+	t  Totals
+}
+
+// Emit implements obs.Sink.
+func (l *Live) Emit(rec obs.RunRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.t.add(rec)
+}
+
+// Totals returns the fold so far. Its StepsToRace histogram is the sink's
+// own, so read it once the campaign has stopped emitting.
+func (l *Live) Totals() Totals {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.t
 }
 
 // DedupRate is known/(new+known) sightings, 0 when none confirmed.
@@ -231,7 +350,7 @@ func tallyRuns(recs []obs.RunRecord) (Totals, []TargetStats, DiscoveryCurve) {
 	var global curveBuilder
 	perTarget := map[string]*curveBuilder{}
 	for _, rec := range recs {
-		t.Runs++
+		t.add(rec)
 		ts := byLabel[rec.Label]
 		if ts == nil {
 			ts = &TargetStats{Label: rec.Label}
@@ -240,43 +359,25 @@ func tallyRuns(recs []obs.RunRecord) (Totals, []TargetStats, DiscoveryCurve) {
 			perTarget[rec.Label] = &curveBuilder{}
 		}
 		ts.Runs++
-		t.Steps += int64(rec.Steps)
-		t.WallNs += rec.DurationNs
-		if len(rec.Exceptions) > 0 {
-			t.Exceptions++
-		}
-		if rec.Deadlock {
-			t.Deadlocks++
-		}
-		if rec.Aborted {
-			t.Aborted++
-		}
 		if rec.Phase == 1 {
-			t.Phase1++
 			continue
 		}
-		t.Phase2++
 		ts.Phase2++
 		newSig := 0
 		switch rec.Finding {
 		case "new":
-			t.NewSigs++
 			ts.NewSigs++
 			newSig = 1
 		case "known":
-			t.KnownSigs++
 			ts.KnownSigs++
 		}
 		if rec.RaceCreated {
-			t.Confirming++
 			ts.Confirming++
 		}
-		t.NewCells += rec.NewCells
 		ts.NewCells += rec.NewCells
 		global.add(newSig, rec.NewCells)
 		perTarget[rec.Label].add(newSig, rec.NewCells)
 	}
-	t.Timed = t.WallNs > 0
 	out := make([]TargetStats, 0, len(order))
 	for _, label := range order {
 		ts := byLabel[label]

@@ -62,7 +62,7 @@ func writeTotalsMD(b *strings.Builder, r *Report) {
 	fmt.Fprintf(b, "| %d | %d | %d | %d | %d | %d | %d | %s | %d | %d | %d |\n\n",
 		t.Runs, t.Phase1, t.Phase2, t.Confirming, t.NewSigs, t.KnownSigs, t.NewCells,
 		pct(t.DedupRate()), t.Exceptions, t.Deadlocks, t.Aborted)
-	if t.Timed {
+	if t.Timed() {
 		fmt.Fprintf(b, "Wall clock (timed runs): %.3fs across %d runs.\n\n",
 			float64(t.WallNs)/1e9, t.Runs)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/schedprof"
@@ -12,8 +13,8 @@ import (
 
 // TestCampaignCountersGolden pins the telemetry -metrics prints for
 // fixed-seed race, deadlock and atomicity analyses over registry models:
-// every CampaignMetrics counter, its deterministic gauges and its
-// steps_to_race histogram, then the scheduler table (schedprof.Summary):
+// every campaign-metrics counter folded by analytics.Totals, its
+// deterministic gauges and its steps_to_race histogram, then the scheduler table (schedprof.Summary):
 // rounds, grants by op kind, switches, policy actions by kind and the
 // enabled-set mean and max. Wall time is the one nondeterministic metric
 // and is left out. Regenerate with -update-engine-goldens, as for the
@@ -32,10 +33,10 @@ func TestCampaignCountersGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	for _, tc := range cases {
-		campaign, prof := obs.NewCampaignMetrics(), schedprof.NewCollector()
+		campaign, prof := &analytics.Live{}, schedprof.NewCollector()
 		tc.run(Options{Seed: tc.seed, Phase1Trials: 3, Phase2Trials: 20, Probes: Probes{Sink: campaign, Prof: prof}})
 		fmt.Fprintf(&out, "== %s\n", tc.name)
-		writeCounters(&out, campaign.Snapshot())
+		writeCounters(&out, campaign.Totals().Snapshot())
 		fmt.Fprintf(&out, "-- scheduler\n")
 		writeCounters(&out, prof.Summary().Snapshot())
 	}

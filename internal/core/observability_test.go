@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/event"
 	"racefuzzer/internal/obs"
@@ -53,7 +54,7 @@ type collectSink struct{ recs []obs.RunRecord }
 func (c *collectSink) Emit(rec obs.RunRecord) { c.recs = append(c.recs, rec) }
 
 func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
-	campaign := obs.NewCampaignMetrics()
+	campaign := &analytics.Live{}
 	prof := schedprof.NewCollector()
 	sink := &collectSink{}
 	trials := 8
@@ -64,9 +65,9 @@ func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
 	if len(sink.recs) != trials {
 		t.Fatalf("emitted %d records, want %d", len(sink.recs), trials)
 	}
-	c := counterMap(campaign.Snapshot())
-	if c["runs.total"] != int64(trials) {
-		t.Fatalf("campaign aggregated %d runs, want %d", c["runs.total"], trials)
+	tot := campaign.Totals()
+	if tot.Runs != trials {
+		t.Fatalf("campaign aggregated %d runs, want %d", tot.Runs, trials)
 	}
 	for i, rec := range sink.recs {
 		if rec.Label != "fig2" || rec.Phase != 2 || rec.Kind != "race" {
@@ -79,8 +80,8 @@ func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
 			t.Fatalf("record %d created a race but StepsToRace = %d", i, rec.StepsToRace)
 		}
 	}
-	if c["sched.steps"] != rep.TotalSteps {
-		t.Fatalf("sched.steps = %d, report TotalSteps = %d", c["sched.steps"], rep.TotalSteps)
+	if tot.Steps != rep.TotalSteps {
+		t.Fatalf("sched.steps = %d, report TotalSteps = %d", tot.Steps, rep.TotalSteps)
 	}
 	// The scheduler profile counts the same grants, and the policy's
 	// postponed-set traffic.
@@ -89,38 +90,27 @@ func TestFuzzPairEmitsOneRecordPerTrial(t *testing.T) {
 		s.Actions["race"] != int64(rep.RaceRuns) {
 		t.Fatalf("scheduler profile %+v for report %+v", s, rep)
 	}
-	for _, h := range campaign.Snapshot().Histograms {
-		if h.Name == "steps_to_race" && int(h.Hist.Count) != rep.RaceRuns {
-			t.Fatalf("steps-to-race count %d != race runs %d", h.Hist.Count, rep.RaceRuns)
-		}
+	if h := tot.StepsToRace.Snapshot(); int(h.Count) != rep.RaceRuns {
+		t.Fatalf("steps-to-race count %d != race runs %d", h.Count, rep.RaceRuns)
 	}
 }
 
-// counterMap indexes a snapshot's counters by name.
-func counterMap(s obs.Snapshot) map[string]int64 {
-	m := map[string]int64{}
-	for _, nc := range s.Counters {
-		m[nc.Name] = nc.Value
-	}
-	return m
-}
-
-func TestAnalyzeAggregatesCampaignMetrics(t *testing.T) {
-	campaign := obs.NewCampaignMetrics()
+func TestAnalyzeAggregatesCampaignTotals(t *testing.T) {
+	campaign := &analytics.Live{}
 	prof := schedprof.NewCollector()
 	o := Options{Seed: 1, Phase1Trials: 4, Phase2Trials: 10, Probes: Probes{Sink: campaign, Prof: prof}}
 	rep := Analyze(bench.Figure1(), o)
-	wantRuns := int64(o.Phase1Trials + o.Phase2Trials*len(rep.Potential))
-	counters := counterMap(campaign.Snapshot())
-	if rep.TotalSteps() <= 0 || counters["sched.steps"] <= rep.TotalSteps() {
+	wantRuns := o.Phase1Trials + o.Phase2Trials*len(rep.Potential)
+	tot := campaign.Totals()
+	if rep.TotalSteps() <= 0 || tot.Steps <= rep.TotalSteps() {
 		t.Fatalf("report steps %d, campaign steps %d (phase 1 included)",
-			rep.TotalSteps(), counters["sched.steps"])
+			rep.TotalSteps(), tot.Steps)
 	}
-	if counters["runs.total"] != wantRuns || counters["runs.phase1"] != int64(o.Phase1Trials) {
-		t.Fatalf("counters = %v", counters)
+	if tot.Runs != wantRuns || tot.Phase1 != o.Phase1Trials {
+		t.Fatalf("totals = %+v", tot)
 	}
-	if s := prof.Summary(); s.Trials != wantRuns || s.Grants != counters["sched.steps"] || s.Rounds <= 0 {
-		t.Fatalf("scheduler profile %+v, campaign counters %v", s, counters)
+	if s := prof.Summary(); s.Trials != int64(wantRuns) || s.Grants != tot.Steps || s.Rounds <= 0 {
+		t.Fatalf("scheduler profile %+v, campaign totals %+v", s, tot)
 	}
 }
 
@@ -131,7 +121,7 @@ func TestObservationDoesNotChangeVerdicts(t *testing.T) {
 	plain := FuzzPair(bench.Figure1(), bench.Fig1PairZ, 0, Options{Seed: 5, Phase2Trials: 20})
 	observed := FuzzPair(bench.Figure1(), bench.Fig1PairZ, 0, Options{
 		Seed: 5, Phase2Trials: 20,
-		Probes: Probes{Sink: obs.NewCampaignMetrics(), Prof: schedprof.NewCollector()},
+		Probes: Probes{Sink: &analytics.Live{}, Prof: schedprof.NewCollector()},
 	})
 	if plain.RaceRuns != observed.RaceRuns ||
 		plain.ExceptionRuns != observed.ExceptionRuns ||

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/schedprof"
@@ -172,8 +173,8 @@ func decodeRunLogRaw(t *testing.T, raw []byte) []obs.RunRecord {
 // scheduler profile's exact counts (its rounds, grants, switches and
 // actions; its latencies and wall time are nondeterministic). The metrics
 // carry no wall-clock gauge without Timing.
-func campaignCounters(c *obs.CampaignMetrics, prof *schedprof.Collector) obs.Snapshot {
-	snap := c.Snapshot()
+func campaignCounters(c *analytics.Live, prof *schedprof.Collector) obs.Snapshot {
+	snap := c.Totals().Snapshot()
 	snap.Counters = append(snap.Counters, prof.Summary().Snapshot().Counters...)
 	return snap
 }
@@ -184,7 +185,7 @@ func analyzeOnce(t *testing.T, bm bench.Benchmark, workers int) (*Report, []obs.
 	t.Helper()
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONLSink(&buf)
-	metrics := obs.NewCampaignMetrics()
+	metrics := &analytics.Live{}
 	prof := schedprof.NewCollector()
 	rep := Analyze(bm.New(), Options{
 		Seed:         7,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/obs"
 	"racefuzzer/internal/schedprof"
@@ -23,7 +24,7 @@ func TestPerfDirExportsTimeline(t *testing.T) {
 	dir := t.TempDir()
 	sink := &collectPerfSink{}
 	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2",
-		Probes: Probes{PerfDir: dir, Sink: obs.MultiSink{obs.NewCampaignMetrics(), sink}}}
+		Probes: Probes{PerfDir: dir, Sink: obs.MultiSink{&analytics.Live{}, sink}}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
 	if !rep.IsReal {
 		t.Fatalf("race not confirmed: %v", rep)

@@ -91,7 +91,8 @@ type Probes struct {
 	// test and the analytics determinism contract rely on.
 	Timing bool
 	// Sink, when non-nil, receives one structured record per execution:
-	// the JSONL run log, a CampaignMetrics fold, or both (obs.MultiSink).
+	// the JSONL run log, the -metrics fold (analytics.Live), or both
+	// (obs.MultiSink).
 	// It is a campaign's only record channel.
 	Sink obs.Sink
 	// Prof, when non-nil, attaches a pooled schedprof trial to every

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/flightrec"
 	"racefuzzer/internal/obs"
@@ -147,7 +148,7 @@ func (c *collectTraceSink) Emit(rec obs.RunRecord) {
 
 func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	dir := witnessDir(t)
-	metrics := obs.NewCampaignMetrics()
+	metrics := &analytics.Live{}
 	sink := &collectTraceSink{}
 	o := Options{Seed: 11, Phase2Trials: 20, Label: "fig2", Probes: Probes{TraceDir: dir, Sink: obs.MultiSink{metrics, sink}}}
 	rep := FuzzPair(bench.Figure2(20), bench.Fig2Pair, 0, o)
@@ -168,7 +169,7 @@ func TestTraceDirCapturesRaceWitness(t *testing.T) {
 	if sink.recs[0].Trial != rep.FirstRaceTrial || sink.recs[0].Seed != rep.FirstRaceSeed {
 		t.Fatalf("witness attached to wrong trial: %+v", sink.recs[0])
 	}
-	if n := counterMap(metrics.Snapshot())["traces.captured"]; n != 1 {
+	if n := metrics.Totals().Traces; n != 1 {
 		t.Fatalf("traces.captured = %d, want 1", n)
 	}
 

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/bench"
 	"racefuzzer/internal/core"
-	"racefuzzer/internal/obs"
 )
 
 func TestRunBenchmarkFigure1Row(t *testing.T) {
@@ -36,25 +36,14 @@ func TestRunBenchmarkFigure1Row(t *testing.T) {
 // report, agree with a campaign aggregator that saw every run record.
 func TestRowCampaignColumns(t *testing.T) {
 	for _, name := range []string{"figure1", "figure2"} {
-		metrics := obs.NewCampaignMetrics()
+		metrics := &analytics.Live{}
 		row := RunBenchmark(bench.MustByName(name), Options{
 			Seed: 3, Phase2Trials: 20, BaselineTrials: 1, TimingRuns: 1,
 			Probes: core.Probes{Sink: metrics, TraceDir: t.TempDir()},
 		})
-		snap := metrics.Snapshot()
-		var firstRun float64
-		var captured int64
-		for _, g := range snap.Gauges {
-			if g.Name == "race.first_run" {
-				firstRun = g.Value
-			}
-		}
-		for _, c := range snap.Counters {
-			if c.Name == "traces.captured" {
-				captured = c.Value
-			}
-		}
-		if float64(row.FirstRaceRun) != firstRun || row.TraceCaptures != captured {
+		tot := metrics.Totals()
+		firstRun, captured := int64(tot.FirstConfirm-1), int64(tot.Traces)
+		if row.FirstRaceRun != firstRun || row.TraceCaptures != captured {
 			t.Errorf("%s: FirstRace %d, Traces %d; aggregator saw %v, %d", name,
 				row.FirstRaceRun, row.TraceCaptures, firstRun, captured)
 		}

@@ -1,9 +1,10 @@
 // Package obs is the observability layer for the RaceFuzzer pipeline:
 // dependency-free fixed-bucket histograms and metric snapshots (this
-// file), campaign-level aggregation of run records (campaign.go),
-// structured JSONL run logs and their torn-tail reader (sink.go) and build
-// provenance (provenance.go). Per-run scheduler counts are the scheduler's
-// own profile (sched.ProfTrial), aggregated by internal/schedprof.
+// file), structured JSONL run logs and their torn-tail reader (sink.go)
+// and build provenance (provenance.go). Run records are folded into
+// campaign totals by internal/analytics, live (-metrics) or from a saved
+// log; per-run scheduler counts are the scheduler's own profile
+// (sched.ProfTrial), aggregated by internal/schedprof.
 //
 // Two properties shape the design:
 //
@@ -202,12 +203,6 @@ type Snapshot struct {
 	Counters   []NamedCounter   `json:"counters,omitempty"`
 	Gauges     []NamedGauge     `json:"gauges,omitempty"`
 	Histograms []NamedHistogram `json:"histograms,omitempty"`
-}
-
-func (s *Snapshot) sort() {
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 }
 
 // Table renders the snapshot as an aligned metric/value table.

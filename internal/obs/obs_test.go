@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestJSONLSink(t *testing.T) {
@@ -33,106 +32,6 @@ func TestJSONLSink(t *testing.T) {
 	}
 	if rec["stepsToRace"] != float64(-1) {
 		t.Fatalf("sentinel lost: %v", rec["stepsToRace"])
-	}
-}
-
-func TestMultiSinkAndNilEmit(t *testing.T) {
-	a, b := NewCampaignMetrics(), NewCampaignMetrics()
-	m := MultiSink{a, nil, b}
-	m.Emit(RunRecord{Phase: 2})
-	if na, nb := counters(a.Snapshot())["runs.total"], counters(b.Snapshot())["runs.total"]; na != 1 || nb != 1 {
-		t.Fatalf("fan-out failed: %d %d", na, nb)
-	}
-	Emit(nil, RunRecord{}) // must not panic
-	var nilC *CampaignMetrics
-	nilC.Emit(RunRecord{})
-	if snap := nilC.Snapshot(); len(snap.Counters) != 0 {
-		t.Fatal("nil campaign snapshot non-empty")
-	}
-}
-
-// counters indexes a snapshot's counters by name.
-func counters(s Snapshot) map[string]int64 {
-	m := map[string]int64{}
-	for _, nc := range s.Counters {
-		m[nc.Name] = nc.Value
-	}
-	return m
-}
-
-// gauges indexes a snapshot's gauges by name.
-func gauges(s Snapshot) map[string]float64 {
-	m := map[string]float64{}
-	for _, ng := range s.Gauges {
-		m[ng.Name] = ng.Value
-	}
-	return m
-}
-
-func TestCampaignMetricsAggregation(t *testing.T) {
-	c := NewCampaignMetrics()
-	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1})
-	c.Emit(RunRecord{Phase: 2, Steps: 20, StepsToRace: -1, Aborted: true})
-	c.Emit(RunRecord{Phase: 2, Steps: 30, RaceCreated: true, StepsToRace: 120,
-		Races: 1, Exceptions: []string{"NPE"}, Trace: "w.trace.jsonl", Finding: "new",
-		DurationNs: int64(500 * time.Millisecond)})
-
-	s := c.Snapshot()
-	got := counters(s)
-	want := map[string]int64{
-		"runs.total": 3, "trials.total": 2, "runs.phase1": 1, "runs.race": 1,
-		"runs.exception": 1, "runs.aborted": 1, "runs.deadlock": 0,
-		"sched.steps": 60, "traces.captured": 1, "findings.new": 1, "findings.known": 0,
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Fatalf("%s = %d, want %d", name, got[name], w)
-		}
-	}
-	g := gauges(s)
-	if g["race.first_run"] != 2 {
-		t.Fatalf("race.first_run = %v", g["race.first_run"])
-	}
-	if g["race.hit_rate"] != 1.0/3.0 {
-		t.Fatalf("race.hit_rate = %v", g["race.hit_rate"])
-	}
-	if g["wall.seconds"] != 0.5 {
-		t.Fatalf("wall.seconds = %v", g["wall.seconds"])
-	}
-	if len(s.Histograms) != 1 || s.Histograms[0].Name != "steps_to_race" {
-		t.Fatalf("histograms = %+v", s.Histograms)
-	}
-	if h := s.Histograms[0].Hist; h.Count != 1 || h.Min != 120 {
-		t.Fatalf("steps_to_race = %+v", h)
-	}
-}
-
-// TestCampaignMetricsWithoutStats: records that carry no durationNs (a
-// campaign without -timing, in-process or a fleet worker's) leave the
-// wall.seconds gauge out of the snapshot instead of reporting a zero that
-// was never measured; the other rows stay.
-func TestCampaignMetricsWithoutStats(t *testing.T) {
-	c := NewCampaignMetrics()
-	c.Emit(RunRecord{Phase: 1, Steps: 10, StepsToRace: -1})
-	c.Emit(RunRecord{Phase: 2, Steps: 20, RaceCreated: true, StepsToRace: 7})
-	s := c.Snapshot()
-	if w, ok := gauges(s)["wall.seconds"]; ok {
-		t.Errorf("snapshot reports wall.seconds = %v without any durationNs", w)
-	}
-	names := map[string]bool{}
-	for _, nc := range s.Counters {
-		names[nc.Name] = true
-	}
-	for name := range gauges(s) {
-		names[name] = true
-	}
-	for _, nh := range s.Histograms {
-		names[nh.Name] = true
-	}
-	for _, want := range []string{"runs.total", "sched.steps", "race.first_run", "race.hit_rate", "steps_to_race"} {
-		if !names[want] {
-			t.Errorf("snapshot lacks %s", want)
-		}
 	}
 }
 

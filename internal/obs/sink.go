@@ -11,7 +11,7 @@ import (
 
 // RunRecord is one structured log record: a single execution of the
 // pipeline (one phase-1 observation or one phase-2 directed run). It is the
-// JSONL schema written by JSONLSink and the unit CampaignMetrics aggregates.
+// JSONL schema written by JSONLSink and the unit analytics.Totals folds.
 type RunRecord struct {
 	// Seq is the record's monotonic emission index (0-based), stamped by
 	// JSONLSink under its lock as records arrive. The campaign pipelines
@@ -88,8 +88,8 @@ type Sink interface {
 }
 
 // MultiSink fans records out to several sinks; nil entries are skipped.
-// The CLI's -metrics attaches its CampaignMetrics beside the -json run log
-// this way.
+// The CLI's -metrics attaches its analytics.Live fold beside the -json run
+// log this way.
 type MultiSink []Sink
 
 // Emit implements Sink.

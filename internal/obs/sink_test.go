@@ -139,33 +139,3 @@ func TestJSONLSinkConcurrentEmit(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiSinkConcurrentEmit: the fan-out -json and -metrics share (run
-// log + campaign metrics) must also hold up under concurrent emitters.
-func TestMultiSinkConcurrentEmit(t *testing.T) {
-	var buf bytes.Buffer
-	jsonl := NewJSONLSink(&buf)
-	metrics := NewCampaignMetrics()
-	m := MultiSink{metrics, jsonl}
-	const n = 100
-	var wg sync.WaitGroup
-	wg.Add(4)
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n/4; i++ {
-				m.Emit(RunRecord{Phase: 2, StepsToRace: -1, Steps: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if err := jsonl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if runs := counters(metrics.Snapshot())["runs.total"]; runs != n {
-		t.Fatalf("metrics aggregated %d runs, want %d", runs, n)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != n {
-		t.Fatalf("jsonl wrote %d lines, want %d", got, n)
-	}
-}

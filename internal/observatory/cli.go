@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 
+	"racefuzzer/internal/analytics"
 	"racefuzzer/internal/core"
 	"racefuzzer/internal/corpus"
 	"racefuzzer/internal/obs"
@@ -38,7 +39,7 @@ type CLI struct {
 	jsonFlush         int
 	version           bool
 	// metrics is the -metrics fold of the run records (nil without it).
-	metrics        *obs.CampaignMetrics
+	metrics        *analytics.Live
 	closeLog, stop func()
 }
 
@@ -90,8 +91,8 @@ func (c *CLI) OpenCorpus() error {
 // Start wires and starts the campaign's observation. It stamps provenance
 // (the set flags, under label) on the corpus manifest and the run-log
 // header, and opens the -json log as Probes.Sink. When metrics asks for
-// the end-of-run tables, a fresh CampaignMetrics joins the sink beside the
-// log and Probes.Prof is the observatory's collector or, without -http, a
+// the end-of-run tables, a fresh analytics.Live fold joins the sink beside
+// the log and Probes.Prof is the observatory's collector or, without -http, a
 // fresh one; otherwise Probes.Prof is the observatory's collector alone.
 // Then it serves the observatory, and SIGINT closes the run log and exits
 // 0 (Server.Serve).
@@ -101,7 +102,7 @@ func (c *CLI) Start(label string, metrics bool) error {
 	}
 	c.Probes.Prof = c.Server.Prof()
 	if metrics {
-		c.metrics = obs.NewCampaignMetrics()
+		c.metrics = &analytics.Live{}
 		if c.Probes.Prof == nil {
 			c.Probes.Prof = schedprof.NewCollector()
 		}
@@ -153,7 +154,7 @@ func (c *CLI) Finish() int {
 	c.Close()
 	if c.metrics != nil {
 		fmt.Println()
-		fmt.Print(c.metrics.Snapshot().Table("campaign metrics").Render())
+		fmt.Print(c.metrics.Totals().Snapshot().Table("campaign metrics").Render())
 		if c.Probes.Prof.Trials() > 0 {
 			fmt.Println()
 			fmt.Print(c.Probes.Prof.Summary().Snapshot().Table("scheduler profile").Render())
