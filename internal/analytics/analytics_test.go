@@ -358,7 +358,7 @@ func TestLiveTotalsAggregation(t *testing.T) {
 	if g["race.first_run"] != 2 {
 		t.Fatalf("race.first_run = %v", g["race.first_run"])
 	}
-	if g["race.hit_rate"] != 1.0/3.0 {
+	if g["race.hit_rate"] != 1.0/2.0 {
 		t.Fatalf("race.hit_rate = %v", g["race.hit_rate"])
 	}
 	if g["wall.seconds"] != 0.5 {
@@ -398,5 +398,23 @@ func TestLiveTotalsWithoutStats(t *testing.T) {
 		if !names[want] {
 			t.Errorf("snapshot lacks %s", want)
 		}
+	}
+}
+
+// TestLiveTotalsHitRatePerTrial: race.hit_rate counts confirming runs per
+// phase-2 trial, so phase-1 observations neither lower it nor, alone,
+// produce the row.
+func TestLiveTotalsHitRatePerTrial(t *testing.T) {
+	c := &Live{}
+	for i := 0; i < 3; i++ {
+		c.Emit(obs.RunRecord{Phase: 1, StepsToRace: -1})
+	}
+	if r, ok := gauges(c.Totals().Snapshot())["race.hit_rate"]; ok {
+		t.Fatalf("race.hit_rate = %v before any trial", r)
+	}
+	c.Emit(obs.RunRecord{Phase: 2, RaceCreated: true, StepsToRace: 5})
+	c.Emit(obs.RunRecord{Phase: 2, StepsToRace: -1})
+	if r := gauges(c.Totals().Snapshot())["race.hit_rate"]; r != 0.5 {
+		t.Fatalf("race.hit_rate = %v, want 0.5", r)
 	}
 }

@@ -142,8 +142,10 @@ func (t Totals) Snapshot() obs.Snapshot {
 		},
 		Histograms: []obs.NamedHistogram{{Name: "steps_to_race", Hist: t.StepsToRace.Snapshot()}},
 	}
-	if t.Runs > 0 {
-		s.Gauges = append(s.Gauges, obs.NamedGauge{Name: "race.hit_rate", Value: float64(t.Confirming) / float64(t.Runs)})
+	// The hit rate is per directed trial: phase-1 observations never
+	// confirm, so counting them would sink the rate as -phase1 grows.
+	if t.Phase2 > 0 {
+		s.Gauges = append(s.Gauges, obs.NamedGauge{Name: "race.hit_rate", Value: float64(t.Confirming) / float64(t.Phase2)})
 	}
 	if t.Timed() {
 		s.Gauges = append(s.Gauges, obs.NamedGauge{Name: "wall.seconds", Value: time.Duration(t.WallNs).Seconds()})
