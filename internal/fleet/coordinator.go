@@ -252,14 +252,7 @@ func (c *Coordinator) SetTargets(names []string) {
 func (c *Coordinator) ExecuteRound(units []harness.RoundUnit, begin func(i int), done func(i int, out harness.UnitOutcome)) error {
 	wus := make([]WorkUnit, len(units))
 	for i, u := range units {
-		wus[i] = WorkUnit{
-			ID:          fmt.Sprintf("r%d-t%d", u.Round, u.TargetIndex),
-			Round:       u.Round,
-			TargetIndex: u.TargetIndex,
-			Target:      u.Target,
-			Trials:      u.Trials,
-			Seed:        u.Seed,
-		}
+		wus[i] = WorkUnit{ID: fmt.Sprintf("r%d-t%d", u.Round, u.TargetIndex), RoundUnit: u}
 	}
 	c.table.add(wus)
 	for i, wu := range wus {

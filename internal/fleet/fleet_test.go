@@ -261,7 +261,7 @@ func TestFleetRunLogIsDeterministic(t *testing.T) {
 // still has the finding ingested, but no witness is archived, no run record
 // names a trace, and the failure is logged once, naming the signature.
 func TestUnconfirmedWitnessIsNotArchived(t *testing.T) {
-	unit := WorkUnit{ID: "r1-t0", Round: 1, Target: "hedc", Trials: 20, Seed: 7}
+	unit := WorkUnit{ID: "r1-t0", RoundUnit: harness.RoundUnit{Round: 1, Target: "hedc", Trials: 20, Seed: 7}}
 	good, err := ExecuteUnit(unit, CampaignInfo{})
 	if err != nil {
 		t.Fatal(err)
@@ -953,7 +953,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 		mu.Unlock()
 		if n == 1 {
 			writeJSON(w, LeaseResponse{
-				Unit:  &WorkUnit{ID: "r1-t0", Target: "figure1", Trials: 1, Seed: 7},
+				Unit:  &WorkUnit{ID: "r1-t0", RoundUnit: harness.RoundUnit{Target: "figure1", Trials: 1, Seed: 7}},
 				Epoch: 1,
 			})
 			return
@@ -1108,7 +1108,7 @@ func scriptedControlPlane(t *testing.T, result http.HandlerFunc) *http.ServeMux 
 		n := leases
 		mu.Unlock()
 		if n == 1 {
-			writeJSON(w, LeaseResponse{Unit: &WorkUnit{ID: "r1-t0", Target: "figure1", Trials: 1, Seed: 7}, Epoch: 1})
+			writeJSON(w, LeaseResponse{Unit: &WorkUnit{ID: "r1-t0", RoundUnit: harness.RoundUnit{Target: "figure1", Trials: 1, Seed: 7}}, Epoch: 1})
 			return
 		}
 		writeJSON(w, LeaseResponse{Done: true})

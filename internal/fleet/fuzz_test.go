@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/harness"
 )
 
 // post serves one POST through c's control-plane mux.
@@ -27,7 +28,7 @@ func leasedResultBody(f *testing.F, c *Coordinator) []byte {
 	if err := json.Unmarshal(rec.Body.Bytes(), &reg); err != nil || rec.Code != http.StatusOK {
 		f.Fatalf("register: HTTP %d: %s", rec.Code, rec.Body)
 	}
-	c.table.add([]WorkUnit{{ID: "r1-t0", Round: 1, Target: "figure1", Trials: 2, Seed: 7}})
+	c.table.add([]WorkUnit{{ID: "r1-t0", RoundUnit: harness.RoundUnit{Round: 1, Target: "figure1", Trials: 2, Seed: 7}}})
 	lreq, _ := json.Marshal(LeaseRequest{WorkerID: reg.WorkerID, Generation: reg.Generation})
 	var lease LeaseResponse
 	rec = post(c, "/fleet/lease", bytes.NewReader(lreq))

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"racefuzzer/internal/harness"
 )
 
 // fakeClock is a hand-advanced Clock so lease expiry is tested without
@@ -33,7 +35,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 func mkUnits(ids ...string) []WorkUnit {
 	units := make([]WorkUnit, len(ids))
 	for i, id := range ids {
-		units[i] = WorkUnit{ID: id, Target: "figure1", Trials: 1, Seed: 7}
+		units[i] = WorkUnit{ID: id, RoundUnit: harness.RoundUnit{Target: "figure1", Trials: 1, Seed: 7}}
 	}
 	return units
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"racefuzzer/internal/corpus"
+	"racefuzzer/internal/harness"
 	"racefuzzer/internal/obs"
 )
 
@@ -17,25 +18,17 @@ import (
 //	POST /fleet/result     ResultRequest    -> ResultResponse
 //	GET  /fleet/status                      -> Status
 
-// WorkUnit is one leased batch: the deterministic (target, seed-range,
-// config) tuple of the ROADMAP. Round and Seed pin the allocation round's
-// derived seed stream, Trials is the phase-2 budget; any worker running the
-// same build re-executes the batch bit-identically, which is what makes
-// lease retries and duplicate results safe to reconcile.
+// WorkUnit is one leased batch: a harness.RoundUnit under a stable ID.
+// Round and Seed pin the allocation round's derived seed stream, Trials is
+// the phase-2 budget; any worker running the same build re-executes the
+// batch bit-identically, which is what makes lease retries and duplicate
+// results safe to reconcile. On the wire the ID precedes the unit's own
+// keys.
 type WorkUnit struct {
 	// ID is the unit's stable identity ("r<round>-t<targetIndex>");
 	// idempotent result ingestion is keyed by it.
 	ID string `json:"id"`
-	// Round is the campaign's 1-based allocation round.
-	Round int `json:"round"`
-	// TargetIndex is the target's index in the campaign's name list.
-	TargetIndex int `json:"targetIndex"`
-	// Target is the registry benchmark name.
-	Target string `json:"target"`
-	// Trials is the phase-2 trial budget the unit spends.
-	Trials int `json:"trials"`
-	// Seed is the round's base seed.
-	Seed int64 `json:"seed"`
+	harness.RoundUnit
 }
 
 // CampaignInfo is the coordinator's standing configuration, sent once at

@@ -279,10 +279,7 @@ func ExecuteUnit(u WorkUnit, info CampaignInfo) (UnitResult, error) {
 		rec = &recordingSink{}
 		o.Sink = rec
 	}
-	out := harness.RunUnit(harness.RoundUnit{
-		Round: u.Round, TargetIndex: u.TargetIndex, Target: u.Target,
-		Trials: u.Trials, Seed: u.Seed,
-	}, store, o)
+	out := harness.RunUnit(u.RoundUnit, store, o)
 	res := UnitResult{Trials: out.Trials, Potential: out.Potential, Findings: store.Findings(), Cells: store.Coverage()}
 	if rec != nil {
 		res.Records = rec.take()
