@@ -1,7 +1,6 @@
 package analytics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -37,8 +36,9 @@ type SourceInfo struct {
 	CorpusTruncated bool
 }
 
-// Totals are the campaign-wide tallies: the one fold of run records,
-// behind both the report's Totals and the live -metrics table (Live).
+// Totals are the tallies of a set of run records, and add is the one fold
+// of run records: the campaign totals behind the report and the live
+// -metrics table (Live), and every per-target, per-round and audit row.
 type Totals struct {
 	Runs       int
 	Phase1     int
@@ -186,14 +186,9 @@ func (t Totals) DedupRate() float64 {
 // TargetStats is one campaign label's (benchmark's) slice of the totals,
 // plus its own discovery curve.
 type TargetStats struct {
-	Label      string
-	Runs       int
-	Phase2     int
-	Confirming int
-	NewSigs    int
-	KnownSigs  int
-	NewCells   int
-	Curve      DiscoveryCurve
+	Label string
+	Totals
+	Curve DiscoveryCurve
 }
 
 // DiscoveryCurve is cumulative discovery against phase-2 trials spent. A
@@ -209,6 +204,33 @@ type CurvePoint struct {
 	Trials int
 	Sigs   int
 	Cells  int
+}
+
+// point is the discovery state t has reached.
+func point(t *Totals) CurvePoint {
+	return CurvePoint{Trials: t.Phase2, Sigs: t.NewSigs, Cells: t.NewCells}
+}
+
+// mark samples t after it folded a phase-2 record, keeping the point only
+// when a cumulative count moved.
+func (c *DiscoveryCurve) mark(t *Totals) {
+	var last CurvePoint
+	if n := len(c.Points); n > 0 {
+		last = c.Points[n-1]
+	}
+	if p := point(t); p.Sigs != last.Sigs || p.Cells != last.Cells {
+		c.Points = append(c.Points, p)
+	}
+}
+
+// close adds t's final trial when the last kept point is not already it.
+func (c *DiscoveryCurve) close(t *Totals) {
+	if t.Phase2 == 0 {
+		return
+	}
+	if p, n := point(t), len(c.Points); n == 0 || c.Points[n-1] != p {
+		c.Points = append(c.Points, p)
+	}
 }
 
 // TTFCStats is the trials-to-first-confirm distribution: for every phase-2
@@ -244,21 +266,11 @@ func (t TTFCStats) Median() float64 {
 	return float64(t.Samples[n/2-1]+t.Samples[n/2]) / 2
 }
 
-// RoundTrend is one adaptive-allocation round's dedup trend.
+// RoundTrend is one adaptive-allocation round's slice of the phase-2
+// totals: the per-round dedup trend.
 type RoundTrend struct {
-	Round    int
-	Runs     int
-	NewSigs  int
-	Known    int
-	NewCells int
-}
-
-// DedupRate is the round's known/(new+known) fraction.
-func (r RoundTrend) DedupRate() float64 {
-	if r.NewSigs+r.Known == 0 {
-		return 0
-	}
-	return float64(r.Known) / float64(r.NewSigs+r.Known)
+	Round int
+	Totals
 }
 
 // FrontierStats summarizes the interleaving-coverage frontier and estimates
@@ -293,13 +305,11 @@ func (f FrontierStats) Completeness() float64 {
 }
 
 // AuditRow is one (round, target) cell of the bandit audit: the trials the
-// allocator granted against the discovery yield they returned.
+// allocator granted (Phase2) against the discovery yield they returned.
 type AuditRow struct {
-	Round    int
-	Target   string
-	Trials   int
-	NewSigs  int
-	NewCells int
+	Round  int
+	Target string
+	Totals
 	// Flag is "starved" (well under the round's average allocation yet still
 	// yielding — the allocator under-fed a productive target), "dry" (over
 	// the average yet yielding nothing — budget burned on a plateaued
@@ -333,157 +343,131 @@ func Analyze(c *Campaign) *Report {
 		CorpusProvenance: c.CorpusProvenance,
 		Witnesses:        c.Witnesses,
 	}
-	r.Totals, r.Targets, r.Global = tallyRuns(c.Records)
-	r.TTFC = ttfc(c.Records)
-	r.Rounds = roundTrends(c.Records)
-	r.Frontier = frontier(c)
-	r.Audit = banditAudit(c.Records)
+	pairs := r.foldLog(c.Records)
+	r.TTFC = ttfc(pairs)
+	r.Frontier = frontier(c, pairs)
 	r.Checks = reconcile(c, r.Totals)
 	return r
 }
 
-// tallyRuns folds the run log into totals, per-target stats and the global
-// discovery curve. Targets are ordered by first appearance in the log (the
-// log's own deterministic order).
-func tallyRuns(recs []obs.RunRecord) (Totals, []TargetStats, DiscoveryCurve) {
-	var t Totals
-	byLabel := map[string]*TargetStats{}
-	var order []string
-	var global curveBuilder
-	perTarget := map[string]*curveBuilder{}
+// pairKey names one phase-2 target, (label, kind, pair index), across
+// every round that directed trials at it.
+type pairKey struct {
+	label, kind string
+	pair        int
+}
+
+// pairStats is one phase-2 target's slice of the log; firstTrial is the
+// 1-based trial index of its first confirming run, 0 while none has.
+type pairStats struct {
+	Totals
+	firstTrial int
+}
+
+// foldLog is the one pass over the run log behind every log table. Each
+// record enters the campaign totals and its target's; a directed trial
+// also enters its round's, its (round, target) audit row's and its pair's.
+// Every table counts through Totals.add. Targets keep their first
+// appearance in the log, rounds ascend, and audit rows keep their first
+// appearance within each round.
+func (r *Report) foldLog(recs []obs.RunRecord) map[pairKey]*pairStats {
+	type auditKey struct {
+		round  int
+		target string
+	}
+	targets := map[string]int{}
+	rounds := map[int]*RoundTrend{}
+	audit := map[auditKey]int{}
+	pairs := map[pairKey]*pairStats{}
 	for _, rec := range recs {
-		t.add(rec)
-		ts := byLabel[rec.Label]
-		if ts == nil {
-			ts = &TargetStats{Label: rec.Label}
-			byLabel[rec.Label] = ts
-			order = append(order, rec.Label)
-			perTarget[rec.Label] = &curveBuilder{}
+		r.Totals.add(rec)
+		i, ok := targets[rec.Label]
+		if !ok {
+			i = len(r.Targets)
+			targets[rec.Label] = i
+			r.Targets = append(r.Targets, TargetStats{Label: rec.Label})
 		}
-		ts.Runs++
+		ts := &r.Targets[i]
+		ts.add(rec)
 		if rec.Phase == 1 {
 			continue
 		}
-		ts.Phase2++
-		newSig := 0
-		switch rec.Finding {
-		case "new":
-			ts.NewSigs++
-			newSig = 1
-		case "known":
-			ts.KnownSigs++
+		r.Global.mark(&r.Totals)
+		ts.Curve.mark(&ts.Totals)
+
+		rt := rounds[rec.Round]
+		if rt == nil {
+			rt = &RoundTrend{Round: rec.Round}
+			rounds[rec.Round] = rt
 		}
-		if rec.RaceCreated {
-			ts.Confirming++
+		rt.add(rec)
+
+		ak := auditKey{rec.Round, rec.Label}
+		j, ok := audit[ak]
+		if !ok {
+			j = len(r.Audit)
+			audit[ak] = j
+			r.Audit = append(r.Audit, AuditRow{Round: rec.Round, Target: rec.Label})
 		}
-		ts.NewCells += rec.NewCells
-		global.add(newSig, rec.NewCells)
-		perTarget[rec.Label].add(newSig, rec.NewCells)
+		r.Audit[j].add(rec)
+
+		pk := pairKey{rec.Label, rec.Kind, rec.PairIndex}
+		ps := pairs[pk]
+		if ps == nil {
+			ps = &pairStats{}
+			pairs[pk] = ps
+		}
+		ps.add(rec)
+		if rec.RaceCreated && ps.firstTrial == 0 {
+			ps.firstTrial = rec.Trial + 1
+		}
 	}
-	out := make([]TargetStats, 0, len(order))
-	for _, label := range order {
-		ts := byLabel[label]
-		ts.Curve = perTarget[label].curve()
-		out = append(out, *ts)
+	r.Global.close(&r.Totals)
+	for i := range r.Targets {
+		r.Targets[i].Curve.close(&r.Targets[i].Totals)
 	}
-	return t, out, global.curve()
+	for _, rt := range rounds {
+		r.Rounds = append(r.Rounds, *rt)
+	}
+	sort.Slice(r.Rounds, func(i, j int) bool { return r.Rounds[i].Round < r.Rounds[j].Round })
+	sort.SliceStable(r.Audit, func(i, j int) bool { return r.Audit[i].Round < r.Audit[j].Round })
+	flagAudit(r.Audit, rounds)
+	return pairs
 }
 
-// curveBuilder accumulates a discovery curve, keeping only trials where a
-// cumulative count moved (plus the final trial).
-type curveBuilder struct {
-	trials, sigs, cells int
-	points              []CurvePoint
+// flagAudit flags each audit row against its round's average allocation.
+// "starved" = under half the average trials yet still yielding (the
+// allocator under-fed a productive target); "dry" = over the average yet
+// yielding nothing (budget burned on a plateaued target).
+func flagAudit(rows []AuditRow, rounds map[int]*RoundTrend) {
+	targets := map[int]int{}
+	for _, a := range rows {
+		targets[a.Round]++
+	}
+	for i := range rows {
+		a := &rows[i]
+		avg := float64(rounds[a.Round].Phase2) / float64(targets[a.Round])
+		switch {
+		case float64(a.Phase2) < avg/2 && a.Yield() > 0:
+			a.Flag = "starved"
+		case float64(a.Phase2) > avg && a.Yield() == 0:
+			a.Flag = "dry"
+		}
+	}
 }
 
-func (b *curveBuilder) add(dSigs, dCells int) {
-	b.trials++
-	if dSigs == 0 && dCells == 0 {
-		return
-	}
-	b.sigs += dSigs
-	b.cells += dCells
-	b.points = append(b.points, CurvePoint{Trials: b.trials, Sigs: b.sigs, Cells: b.cells})
-}
-
-func (b *curveBuilder) curve() DiscoveryCurve {
-	pts := b.points
-	if b.trials > 0 {
-		last := CurvePoint{Trials: b.trials, Sigs: b.sigs, Cells: b.cells}
-		if len(pts) == 0 || pts[len(pts)-1] != last {
-			pts = append(pts, last)
-		}
-	}
-	return DiscoveryCurve{Points: pts}
-}
-
-// ttfc extracts the trials-to-first-confirm distribution: for every distinct
-// phase-2 target — (label, kind, pairIndex) — the 1-based trial index of its
-// first confirming run, or an Unconfirmed tick.
-func ttfc(recs []obs.RunRecord) TTFCStats {
-	type key struct {
-		label, kind string
-		pair        int
-	}
-	first := map[key]int{}
-	var order []key
-	for _, rec := range recs {
-		if rec.Phase != 2 {
-			continue
-		}
-		k := key{rec.Label, rec.Kind, rec.PairIndex}
-		if _, ok := first[k]; !ok {
-			first[k] = -1
-			order = append(order, k)
-		}
-		if rec.RaceCreated && first[k] < 0 {
-			first[k] = rec.Trial + 1
-		}
-	}
+// ttfc is the trials-to-first-confirm distribution over the phase-2
+// targets.
+func ttfc(pairs map[pairKey]*pairStats) TTFCStats {
 	var out TTFCStats
-	for _, k := range order {
-		if first[k] < 0 {
+	for _, ps := range pairs {
+		if ps.firstTrial == 0 {
 			out.Unconfirmed++
 		} else {
-			out.Samples = append(out.Samples, first[k])
+			out.Samples = append(out.Samples, ps.firstTrial)
 		}
 	}
 	sort.Ints(out.Samples)
-	return out
-}
-
-// roundTrends groups phase-2 runs by adaptive-allocation round. Logs from
-// non-adaptive campaigns have Round 0 everywhere and produce a single
-// "round 0" row, which the renderers present as "whole campaign".
-func roundTrends(recs []obs.RunRecord) []RoundTrend {
-	byRound := map[int]*RoundTrend{}
-	for _, rec := range recs {
-		if rec.Phase != 2 {
-			continue
-		}
-		rt := byRound[rec.Round]
-		if rt == nil {
-			rt = &RoundTrend{Round: rec.Round}
-			byRound[rec.Round] = rt
-		}
-		rt.Runs++
-		switch rec.Finding {
-		case "new":
-			rt.NewSigs++
-		case "known":
-			rt.Known++
-		}
-		rt.NewCells += rec.NewCells
-	}
-	rounds := make([]int, 0, len(byRound))
-	for r := range byRound {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	out := make([]RoundTrend, 0, len(rounds))
-	for _, r := range rounds {
-		out = append(out, *byRound[r])
-	}
 	return out
 }
 
@@ -492,7 +476,7 @@ func roundTrends(recs []obs.RunRecord) []RoundTrend {
 // spans all campaigns); a log-only analysis falls back to confirming-run
 // counts per target, which undercounts cross-campaign sightings but keeps
 // the estimator available.
-func frontier(c *Campaign) FrontierStats {
+func frontier(c *Campaign, pairs map[pairKey]*pairStats) FrontierStats {
 	var f FrontierStats
 	byKind := map[string]int{}
 	byBranch := map[string]int{}
@@ -512,19 +496,10 @@ func frontier(c *Campaign) FrontierStats {
 		}
 	} else {
 		f.AbundanceSource = "log"
-		counts := map[string]int64{}
-		for _, rec := range c.Records {
-			if rec.Phase == 2 && rec.RaceCreated {
-				counts[fmt.Sprintf("%s|%s|%d", rec.Label, rec.Kind, rec.PairIndex)]++
+		for _, ps := range pairs {
+			if ps.Confirming > 0 {
+				abundance = append(abundance, int64(ps.Confirming))
 			}
-		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			abundance = append(abundance, counts[k])
 		}
 	}
 	f.Observed = len(abundance)
@@ -554,61 +529,6 @@ func chao1(observed, f1, f2 int) float64 {
 		return float64(observed) + float64(f1*f1)/(2*float64(f2))
 	}
 	return float64(observed) + float64(f1*(f1-1))/2
-}
-
-// banditAudit builds the per-round budget audit from the log: each (round,
-// target) row's realized trials and discovery yield, flagged against the
-// round's average allocation. "starved" = under half the round's average
-// trials yet still yielding (the allocator under-fed a productive target);
-// "dry" = over the average yet yielding nothing (budget burned on a
-// plateaued target). Rows keep the log's target order within ascending
-// rounds.
-func banditAudit(recs []obs.RunRecord) []AuditRow {
-	type key struct {
-		round  int
-		target string
-	}
-	cells := map[key]*AuditRow{}
-	var order []key
-	for _, rec := range recs {
-		if rec.Phase != 2 {
-			continue
-		}
-		k := key{rec.Round, rec.Label}
-		row := cells[k]
-		if row == nil {
-			row = &AuditRow{Round: rec.Round, Target: rec.Label}
-			cells[k] = row
-			order = append(order, k)
-		}
-		row.Trials++
-		if rec.Finding == "new" {
-			row.NewSigs++
-		}
-		row.NewCells += rec.NewCells
-	}
-	// Stable: ascending round, then first-appearance target order.
-	sort.SliceStable(order, func(i, j int) bool { return order[i].round < order[j].round })
-	// Per-round average trials, for the flag thresholds.
-	roundTrials := map[int]int{}
-	roundTargets := map[int]int{}
-	for _, k := range order {
-		roundTrials[k.round] += cells[k].Trials
-		roundTargets[k.round]++
-	}
-	out := make([]AuditRow, 0, len(order))
-	for _, k := range order {
-		row := *cells[k]
-		avg := float64(roundTrials[k.round]) / float64(roundTargets[k.round])
-		switch {
-		case float64(row.Trials) < avg/2 && row.Yield() > 0:
-			row.Flag = "starved"
-		case float64(row.Trials) > avg && row.Yield() == 0:
-			row.Flag = "dry"
-		}
-		out = append(out, row)
-	}
-	return out
 }
 
 // reconcile cross-checks the log's discovery totals against the corpus

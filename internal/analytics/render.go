@@ -113,7 +113,7 @@ func writeRoundsMD(b *strings.Builder, r *Report) {
 	b.WriteString("| Round | Runs | New sigs | Known | New cells | Dedup rate |\n|---|---:|---:|---:|---:|---:|\n")
 	for _, rt := range r.Rounds {
 		fmt.Fprintf(b, "| %s | %d | %d | %d | %d | %s |\n",
-			roundName(rt.Round), rt.Runs, rt.NewSigs, rt.Known, rt.NewCells, pct(rt.DedupRate()))
+			roundName(rt.Round), rt.Phase2, rt.NewSigs, rt.KnownSigs, rt.NewCells, pct(rt.DedupRate()))
 	}
 	b.WriteString("\n")
 }
@@ -148,7 +148,7 @@ func writeAuditMD(b *strings.Builder, r *Report) {
 	b.WriteString("| Round | Target | Trials | New sigs | New cells | Flag |\n|---|---|---:|---:|---:|---|\n")
 	for _, a := range r.Audit {
 		fmt.Fprintf(b, "| %s | %s | %d | %d | %d | %s |\n",
-			roundName(a.Round), a.Target, a.Trials, a.NewSigs, a.NewCells, dash(a.Flag))
+			roundName(a.Round), a.Target, a.Phase2, a.NewSigs, a.NewCells, dash(a.Flag))
 	}
 	b.WriteString("\n")
 }
@@ -191,7 +191,7 @@ func CSV(r *Report) string {
 
 	b.WriteString("\n# rounds\nround,runs,new_sigs,known_sigs,new_cells,dedup_rate\n")
 	for _, rt := range r.Rounds {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%s\n", rt.Round, rt.Runs, rt.NewSigs, rt.Known, rt.NewCells, num(rt.DedupRate()))
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%s\n", rt.Round, rt.Phase2, rt.NewSigs, rt.KnownSigs, rt.NewCells, num(rt.DedupRate()))
 	}
 	b.WriteString("\n# frontier\ncells,observed,f1,f2,chao1,completeness_pct,abundance_source\n")
 	f := r.Frontier
@@ -200,7 +200,7 @@ func CSV(r *Report) string {
 
 	b.WriteString("\n# audit\nround,target,trials,new_sigs,new_cells,flag\n")
 	for _, a := range r.Audit {
-		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%s\n", a.Round, csvField(a.Target), a.Trials, a.NewSigs, a.NewCells, a.Flag)
+		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%s\n", a.Round, csvField(a.Target), a.Phase2, a.NewSigs, a.NewCells, a.Flag)
 	}
 	b.WriteString("\n# reconcile\ncheck,log,corpus,match\n")
 	for _, c := range r.Checks {
