@@ -49,7 +49,7 @@ type Target interface {
 // outcome is what one directed trial did to its target: hits counts races
 // created or violations (1 for a deadlock on the target's locks; 0 = not
 // confirmed), step is the scheduler step of the first hit and branch its
-// interleaving-coverage branch (corpus.Observe).
+// interleaving-coverage branch (corpus.CoverageCell).
 type outcome struct {
 	hits, step int
 	branch     string
@@ -275,7 +275,7 @@ func (a *tally) add(i int, r trialResult) {
 		var sig corpus.Signature
 		if o.Corpus != nil {
 			sig = a.t.signature()
-			if o.Corpus.Observe(sig, r.branch) {
+			if o.Corpus.IngestCell(corpus.CoverageCell{Sig: sig, Branch: r.branch, Hits: 1}) {
 				newCells++
 			}
 		}
@@ -341,10 +341,10 @@ func (o Options) reportFinding(sig corpus.Signature, pairStr string, targetIndex
 	if o.Corpus == nil {
 		return ""
 	}
-	isNew := o.Corpus.Report(corpus.Finding{
+	isNew := o.Corpus.Ingest(corpus.Finding{
 		Sig: sig, Bench: o.Label, Pair: pairStr, TargetIndex: targetIndex,
-		FirstSeenSeed: o.Seed, Phase1Trials: o.Phase1Trials, MaxSteps: o.MaxSteps,
-		WitnessSeed: witnessSeed, WitnessTrial: trial, Exceptions: exceptions,
+		FirstSeenSeed: o.Seed, LastSeenSeed: o.Seed, Phase1Trials: o.Phase1Trials, MaxSteps: o.MaxSteps,
+		WitnessSeed: witnessSeed, WitnessTrial: trial, Hits: 1, Exceptions: exceptions,
 	})
 	if isNew {
 		return "new"

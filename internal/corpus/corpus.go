@@ -131,7 +131,7 @@ const (
 )
 
 // Store is the in-memory working set of one corpus directory. Open loads
-// it, Report/Observe mutate it, Save persists it atomically.
+// it, Ingest/IngestCell mutate it, Save persists it atomically.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -139,9 +139,10 @@ type Store struct {
 	byCanon map[string]*Finding
 	order   []string // canonical keys in first-report order
 
-	cov *Coverage
+	cells     map[string]*CoverageCell
+	cellOrder []string // cell keys in first-observation order
 
-	// newSigs counts signatures first reported through this Store instance
+	// newSigs counts signatures first ingested through this Store instance
 	// (as opposed to loaded from disk) — the campaign-level "new findings"
 	// number.
 	newSigs   int64
@@ -160,7 +161,8 @@ type Store struct {
 // Open loads the corpus at dir, creating an empty store when the directory
 // or its files do not exist yet.
 func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, byCanon: make(map[string]*Finding), cov: NewCoverage()}
+	s := NewStore()
+	s.dir = dir
 	mpath := filepath.Join(dir, manifestFile)
 	mb, err := os.ReadFile(mpath)
 	if os.IsNotExist(err) {
@@ -194,7 +196,15 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cov.load(cells)
+	for i := range cells {
+		c := cells[i]
+		k := c.key()
+		if _, ok := s.cells[k]; ok {
+			continue // first occurrence wins, as for findings
+		}
+		s.cells[k] = &c
+		s.cellOrder = append(s.cellOrder, k)
+	}
 	s.truncated = trunc1 || trunc2
 	return s, nil
 }
@@ -259,34 +269,40 @@ func (s *Store) WitnessDir() string {
 // on it is a no-op. Tests and single-shot campaigns use it for dedup
 // without persistence.
 func NewStore() *Store {
-	return &Store{byCanon: make(map[string]*Finding), cov: NewCoverage()}
+	return &Store{byCanon: make(map[string]*Finding), cells: make(map[string]*CoverageCell)}
 }
 
-// Report records one confirmed sighting of f.Sig and reports whether the
-// signature is new to the corpus. For a known signature the stored entry's
-// Hits, LastSeenSeed and Exceptions are updated; the original witness is
-// kept (it is the regression baseline).
-func (s *Store) Report(f Finding) (isNew bool) {
+// Ingest folds f, which stands for f.Hits confirmed sightings of f.Sig
+// (clamped to at least one), into the store and reports whether the
+// signature is new to the corpus. It is the one finding fold: a
+// single-process campaign ingests each sighting as a batch of one, and the
+// fleet coordinator ingests a worker's per-unit aggregate, so both leave
+// the same findings, hit counts and session new/known tallies. For a known
+// signature the stored entry's Hits grow, LastSeenSeed advances and
+// Exceptions are unioned; the original witness is kept (it is the
+// regression baseline).
+func (s *Store) Ingest(f Finding) (isNew bool) {
 	if s == nil {
 		return true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	hits := max(f.Hits, 1)
 	k := f.Sig.Canon()
 	if old, ok := s.byCanon[k]; ok {
-		old.Hits++
-		old.LastSeenSeed = f.FirstSeenSeed
+		old.Hits += hits
+		old.LastSeenSeed = f.LastSeenSeed
 		old.Exceptions = mergeSorted(old.Exceptions, f.Exceptions)
-		s.knownSigs++
+		s.knownSigs += hits
 		return false
 	}
 	nf := f
-	nf.Hits = 1
-	nf.LastSeenSeed = f.FirstSeenSeed
+	nf.Hits = hits
 	nf.Exceptions = mergeSorted(nil, f.Exceptions)
 	s.byCanon[k] = &nf
 	s.order = append(s.order, k)
 	s.newSigs++
+	s.knownSigs += hits - 1
 	return true
 }
 
@@ -325,17 +341,6 @@ func (s *Store) WitnessPath(f Finding) string {
 		return f.WitnessTrace
 	}
 	return filepath.Join(s.dir, f.WitnessTrace)
-}
-
-// Known reports whether sig is already in the corpus.
-func (s *Store) Known(sig Signature) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.byCanon[sig.Canon()]
-	return ok
 }
 
 // Findings returns the corpus entries in first-report order (loaded entries
@@ -417,39 +422,6 @@ func (s *Store) BenchSignatures(bench string) int {
 	return n
 }
 
-// Observe folds one confirmed-outcome coverage cell — (signature,
-// resolution branch) — into the interleaving-coverage map and reports
-// whether the cell is new. See Coverage.
-func (s *Store) Observe(sig Signature, branch string) (isNew bool) {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cov.observe(sig, branch)
-}
-
-// Coverage returns a snapshot of the interleaving-coverage cells in
-// first-observation order.
-func (s *Store) Coverage() []CoverageCell {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cov.cells()
-}
-
-// CoverageLen returns the number of distinct coverage cells.
-func (s *Store) CoverageLen() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cov.order)
-}
-
 // Save persists the store to its directory: findings.jsonl, coverage.jsonl
 // and the versioned manifest, each written to a temp file and renamed, so a
 // crash leaves either the old or the new state, never a torn one. Save on a
@@ -475,8 +447,8 @@ func (s *Store) Save() error {
 	}
 	var cbuf bytes.Buffer
 	enc = json.NewEncoder(&cbuf)
-	for _, c := range s.cov.cells() {
-		if err := enc.Encode(c); err != nil {
+	for _, k := range s.cellOrder {
+		if err := enc.Encode(s.cells[k]); err != nil {
 			return fmt.Errorf("corpus: save: %w", err)
 		}
 	}
@@ -484,7 +456,7 @@ func (s *Store) Save() error {
 		return err
 	}
 	mb, err := json.MarshalIndent(manifest{
-		V: FormatVersion, Findings: len(s.order), Coverage: len(s.cov.order),
+		V: FormatVersion, Findings: len(s.order), Coverage: len(s.cellOrder),
 		Provenance: s.prov,
 	}, "", "  ")
 	if err != nil {

@@ -14,6 +14,18 @@ import (
 
 func sig(kind, a, b, outcome string) Signature { return MakeSignature(kind, a, b, outcome) }
 
+// sight ingests one confirmed sighting of f by the campaign seeded
+// f.FirstSeenSeed, as a single-process campaign's tally does.
+func sight(s *Store, f Finding) bool {
+	f.Hits, f.LastSeenSeed = 1, f.FirstSeenSeed
+	return s.Ingest(f)
+}
+
+// observe ingests one observation of the cell (sig, branch).
+func observe(s *Store, sig Signature, branch string) bool {
+	return s.IngestCell(CoverageCell{Sig: sig, Branch: branch, Hits: 1})
+}
+
 func TestSignatureNormalization(t *testing.T) {
 	a := sig("race", "f.go:10", "f.go:3", "race")
 	b := sig("race", "f.go:3", "f.go:10", "race")
@@ -31,13 +43,13 @@ func TestSignatureNormalization(t *testing.T) {
 func TestReportDedupAndHits(t *testing.T) {
 	s := NewStore()
 	f := Finding{Sig: sig("race", "a", "b", "race"), Bench: "figure1", FirstSeenSeed: 1, Exceptions: []string{"BOOM"}}
-	if !s.Report(f) {
+	if !sight(s, f) {
 		t.Fatal("first report not new")
 	}
 	f2 := f
 	f2.FirstSeenSeed = 99
 	f2.Exceptions = []string{"BANG"}
-	if s.Report(f2) {
+	if sight(s, f2) {
 		t.Fatal("second report of same signature reported new")
 	}
 	fs := s.Findings()
@@ -62,11 +74,11 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Report(Finding{Sig: sig("race", "a", "b", "race"), Bench: "figure1", FirstSeenSeed: 7, WitnessSeed: 12, Phase1Trials: 3})
-	s.Report(Finding{Sig: sig("deadlock", "c", "d", "deadlock"), Bench: "dl", FirstSeenSeed: 7, WitnessSeed: 44})
-	s.Observe(sig("race", "a", "b", "race"), "candidate-first")
-	s.Observe(sig("race", "a", "b", "race"), "postponed-first")
-	s.Observe(sig("race", "a", "b", "race"), "candidate-first")
+	sight(s, Finding{Sig: sig("race", "a", "b", "race"), Bench: "figure1", FirstSeenSeed: 7, WitnessSeed: 12, Phase1Trials: 3})
+	sight(s, Finding{Sig: sig("deadlock", "c", "d", "deadlock"), Bench: "dl", FirstSeenSeed: 7, WitnessSeed: 44})
+	observe(s, sig("race", "a", "b", "race"), "candidate-first")
+	observe(s, sig("race", "a", "b", "race"), "postponed-first")
+	observe(s, sig("race", "a", "b", "race"), "candidate-first")
 	s.AttachWitness(sig("race", "a", "b", "race"), filepath.Join(dir, "witnesses", "w.trace.jsonl"))
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
@@ -95,7 +107,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("WitnessPath = %q, want %q", got, want)
 	}
 	// A re-reported known signature keeps its witness baseline.
-	if r.Report(Finding{Sig: sig("race", "a", "b", "race"), FirstSeenSeed: 1000}) {
+	if sight(r, Finding{Sig: sig("race", "a", "b", "race"), FirstSeenSeed: 1000}) {
 		t.Fatal("loaded signature reported new")
 	}
 	if n, k := r.Counts(); n != 0 || k != 1 {
@@ -129,7 +141,7 @@ func TestWitnessOutsideCorpusResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	race := sig("race", "a", "b", "race")
-	s.Report(Finding{Sig: race, Bench: "figure1", WitnessSeed: 1})
+	sight(s, Finding{Sig: race, Bench: "figure1", WitnessSeed: 1})
 	s.AttachWitness(race, witness)
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
@@ -157,8 +169,8 @@ func TestLoadSkipsTruncatedFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Report(Finding{Sig: sig("race", "a", "b", "race"), Bench: "x", FirstSeenSeed: 1})
-	s.Report(Finding{Sig: sig("race", "c", "d", "race"), Bench: "x", FirstSeenSeed: 1})
+	sight(s, Finding{Sig: sig("race", "a", "b", "race"), Bench: "x", FirstSeenSeed: 1})
+	sight(s, Finding{Sig: sig("race", "c", "d", "race"), Bench: "x", FirstSeenSeed: 1})
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +234,11 @@ func TestConcurrentReportSameSignature(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if s.Report(Finding{Sig: sig("race", "a", "b", "race"), Bench: "x", FirstSeenSeed: int64(i)}) {
+				if sight(s, Finding{Sig: sig("race", "a", "b", "race"), Bench: "x", FirstSeenSeed: int64(i)}) {
 					newCount[w]++
 				}
-				s.Observe(sig("race", "a", "b", "race"), "candidate-first")
-				s.Known(sig("race", "a", "b", "race"))
+				observe(s, sig("race", "a", "b", "race"), "candidate-first")
+				s.Len()
 				s.Findings()
 				s.Coverage()
 			}
@@ -255,12 +267,12 @@ func TestConcurrentReportSameSignature(t *testing.T) {
 
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
-	if !s.Report(Finding{Sig: sig("race", "a", "b", "race")}) {
-		t.Fatal("nil store Report should report new (no dedup)")
+	if !sight(s, Finding{Sig: sig("race", "a", "b", "race")}) {
+		t.Fatal("nil store Ingest should report new (no dedup)")
 	}
 	s.AttachWitness(sig("race", "a", "b", "race"), "p")
-	s.Observe(sig("race", "a", "b", "race"), "x")
-	if s.Known(sig("race", "a", "b", "race")) || s.Len() != 0 || s.CoverageLen() != 0 {
+	observe(s, sig("race", "a", "b", "race"), "x")
+	if s.Len() != 0 || s.CoverageLen() != 0 || s.Findings() != nil {
 		t.Fatal("nil store should be empty")
 	}
 	if err := s.Save(); err != nil {
@@ -274,9 +286,9 @@ func TestCoverageReloadSurvivesTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(sig("race", "a", "b", "race"), "candidate-first")
-	s.Observe(sig("race", "a", "b", "race"), "postponed-first")
-	s.Observe(sig("deadlock", "c", "d", "deadlock"), "deadlock")
+	observe(s, sig("race", "a", "b", "race"), "candidate-first")
+	observe(s, sig("race", "a", "b", "race"), "postponed-first")
+	observe(s, sig("deadlock", "c", "d", "deadlock"), "deadlock")
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +318,10 @@ func TestCoverageReloadSurvivesTornFinalLine(t *testing.T) {
 	}
 	// The surviving cells keep their identity: re-observing them is a dup,
 	// while the torn-away cell is rediscovered as new.
-	if r.Observe(sig("race", "a", "b", "race"), "candidate-first") {
+	if observe(r, sig("race", "a", "b", "race"), "candidate-first") {
 		t.Fatal("surviving cell re-observed as new")
 	}
-	if !r.Observe(sig("deadlock", "c", "d", "deadlock"), "deadlock") {
+	if !observe(r, sig("deadlock", "c", "d", "deadlock"), "deadlock") {
 		t.Fatal("torn-away cell not rediscovered as new")
 	}
 }
@@ -333,7 +345,7 @@ func TestObserveDedupMatchesReloadedStore(t *testing.T) {
 	}
 	var fresh []bool
 	for _, c := range calls {
-		fresh = append(fresh, s.Observe(c.sig, c.branch))
+		fresh = append(fresh, observe(s, c.sig, c.branch))
 	}
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
@@ -348,7 +360,7 @@ func TestObserveDedupMatchesReloadedStore(t *testing.T) {
 	// Replaying the same observations against the reloaded store must dedup
 	// every one: each cell is already on disk.
 	for i, c := range calls {
-		if r.Observe(c.sig, c.branch) {
+		if observe(r, c.sig, c.branch) {
 			t.Fatalf("call %d (%v/%s) new against reloaded store (fresh run said %v)",
 				i, c.sig, c.branch, fresh[i])
 		}
@@ -374,7 +386,7 @@ func TestManifestProvenanceRoundtrip(t *testing.T) {
 	if s.Provenance() != nil {
 		t.Fatal("fresh store has provenance")
 	}
-	s.Report(Finding{Sig: sig("race", "a", "b", "race"), Bench: "x"})
+	sight(s, Finding{Sig: sig("race", "a", "b", "race"), Bench: "x"})
 	s.SetProvenance(obs.Provenance{Tool: "racefuzzer", Label: "nightly", Config: "seed=1"})
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
@@ -411,9 +423,9 @@ func TestLoadToleratesCRLF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Report(Finding{Sig: sig("race", "a", "b", "race"), Bench: "figure1", FirstSeenSeed: 7})
-	s.Report(Finding{Sig: sig("deadlock", "c", "d", "deadlock"), Bench: "dl", FirstSeenSeed: 9})
-	s.Observe(sig("race", "a", "b", "race"), "candidate-first")
+	sight(s, Finding{Sig: sig("race", "a", "b", "race"), Bench: "figure1", FirstSeenSeed: 7})
+	sight(s, Finding{Sig: sig("deadlock", "c", "d", "deadlock"), Bench: "dl", FirstSeenSeed: 9})
+	observe(s, sig("race", "a", "b", "race"), "candidate-first")
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,50 +20,49 @@ type CoverageCell struct {
 // key identifies the cell.
 func (c CoverageCell) key() string { return c.Sig.Canon() + "|" + c.Branch }
 
-// Coverage is the in-memory cell map. It is not self-locking — the Store
-// guards it.
-type Coverage struct {
-	byKey map[string]*CoverageCell
-	order []string
-}
-
-// NewCoverage returns an empty map.
-func NewCoverage() *Coverage {
-	return &Coverage{byKey: make(map[string]*CoverageCell)}
-}
-
-// observe folds one outcome in; reports whether the cell is new.
-func (c *Coverage) observe(sig Signature, branch string) bool {
-	cell := CoverageCell{Sig: sig, Branch: branch}
-	k := cell.key()
-	if old, ok := c.byKey[k]; ok {
-		old.Hits++
+// IngestCell folds c, which stands for c.Hits observations of the cell
+// (clamped to at least one), into the interleaving-coverage map and reports
+// whether the cell is new. It is the one cell fold, for a single sighting
+// and a fleet unit's aggregate alike.
+func (s *Store) IngestCell(c CoverageCell) (isNew bool) {
+	if s == nil {
 		return false
 	}
-	cell.Hits = 1
-	c.byKey[k] = &cell
-	c.order = append(c.order, k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hits := max(c.Hits, 1)
+	k := c.key()
+	if old, ok := s.cells[k]; ok {
+		old.Hits += hits
+		return false
+	}
+	c.Hits = hits
+	s.cells[k] = &c
+	s.cellOrder = append(s.cellOrder, k)
 	return true
 }
 
-// load seeds the map from persisted cells (first occurrence wins).
-func (c *Coverage) load(cells []CoverageCell) {
-	for i := range cells {
-		cell := cells[i]
-		k := cell.key()
-		if _, ok := c.byKey[k]; ok {
-			continue
-		}
-		c.byKey[k] = &cell
-		c.order = append(c.order, k)
+// Coverage returns a snapshot of the interleaving-coverage cells in
+// first-observation order.
+func (s *Store) Coverage() []CoverageCell {
+	if s == nil {
+		return nil
 	}
-}
-
-// cells snapshots the map in first-observation order.
-func (c *Coverage) cells() []CoverageCell {
-	out := make([]CoverageCell, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, *c.byKey[k])
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]CoverageCell, 0, len(s.cellOrder))
+	for _, k := range s.cellOrder {
+		out = append(out, *s.cells[k])
 	}
 	return out
+}
+
+// CoverageLen returns the number of distinct coverage cells.
+func (s *Store) CoverageLen() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cellOrder)
 }

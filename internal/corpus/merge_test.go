@@ -37,11 +37,11 @@ func ingest(coord, batch *Store) (newSigs, newCells int) {
 }
 
 // TestIngestMatchesSequentialReports is the merge protocol's core claim:
-// folding a batch store in is equivalent to replaying its Report/Observe
-// calls sequentially — same findings, same hit counts, same session
+// folding a batch store's aggregates in is equivalent to ingesting its
+// sightings one at a time — same findings, same hit counts, same session
 // new/known tallies.
 func TestIngestMatchesSequentialReports(t *testing.T) {
-	// The sequential reference: every sighting reported directly.
+	// The sequential reference: every sighting ingested as a batch of one.
 	seq := NewStore()
 	sightings := []Finding{
 		mkFinding("race", "a.go:1", "a.go:2", "alpha", 10),
@@ -50,16 +50,16 @@ func TestIngestMatchesSequentialReports(t *testing.T) {
 		mkFinding("race", "a.go:1", "a.go:2", "alpha", 13),
 	}
 	for _, f := range sightings {
-		seq.Report(f)
-		seq.Observe(f.Sig, "candidate-first")
+		sight(seq, f)
+		observe(seq, f.Sig, "candidate-first")
 	}
 
 	// The batched path: the same sightings folded into a worker-local store,
 	// then merged into a fresh coordinator store.
 	batch := NewStore()
 	for _, f := range sightings {
-		batch.Report(f)
-		batch.Observe(f.Sig, "candidate-first")
+		sight(batch, f)
+		observe(batch, f.Sig, "candidate-first")
 	}
 	coord := NewStore()
 	newSigs, newCells := ingest(coord, batch)
@@ -87,13 +87,13 @@ func TestIngestMatchesSequentialReports(t *testing.T) {
 // signature the coordinator already holds must only grow hit counts.
 func TestIngestIntoPopulatedStore(t *testing.T) {
 	coord := NewStore()
-	coord.Report(mkFinding("race", "x.go:1", "x.go:2", "alpha", 1))
+	sight(coord, mkFinding("race", "x.go:1", "x.go:2", "alpha", 1))
 
 	batch := NewStore()
 	f := mkFinding("race", "x.go:1", "x.go:2", "beta", 99)
 	f.Exceptions = []string{"NullPointerException"}
-	batch.Report(f)
-	batch.Report(f) // second sighting in the same batch
+	sight(batch, f)
+	sight(batch, f) // second sighting in the same batch
 
 	if newSigs, _ := ingest(coord, batch); newSigs != 0 {
 		t.Fatalf("ingest: %d new signatures, want 0", newSigs)
@@ -135,10 +135,10 @@ func TestConcurrentMerge(t *testing.T) {
 			batch := NewStore()
 			for i := 0; i < perBatch; i++ {
 				// "shared" collides across every batch; the rest are unique.
-				batch.Report(mkFinding("race", "shared.go:1", "shared.go:2", "alpha", int64(b)))
+				sight(batch, mkFinding("race", "shared.go:1", "shared.go:2", "alpha", int64(b)))
 				f := mkFinding("race", fmt.Sprintf("u%d.go:%d", b, i), fmt.Sprintf("u%d.go:%d", b, i+1), "alpha", int64(b))
-				batch.Report(f)
-				batch.Observe(f.Sig, "candidate-first")
+				sight(batch, f)
+				observe(batch, f.Sig, "candidate-first")
 			}
 			ingest(coord, batch)
 		}(b)

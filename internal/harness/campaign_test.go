@@ -188,7 +188,7 @@ func TestArchiveWitnessesReproduceCampaignCaptures(t *testing.T) {
 
 func TestRegressDetectsMissingBench(t *testing.T) {
 	store := corpus.NewStore()
-	store.Report(corpus.Finding{
+	store.Ingest(corpus.Finding{
 		Sig:   corpus.MakeSignature("race", "a:1", "b:2", "race"),
 		Bench: "no-such-bench", Pair: "(a:1, b:2)",
 	})

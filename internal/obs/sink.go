@@ -63,7 +63,7 @@ type RunRecord struct {
 	DurationNs int64 `json:"durationNs,omitempty"`
 	// NewCells is the number of interleaving-coverage cells this run added
 	// to the campaign corpus (0 without a corpus or when every observed
-	// cell was already known). See corpus.Store.Observe.
+	// cell was already known). See corpus.Store.IngestCell.
 	NewCells int `json:"newCells,omitempty"`
 	// Trace is the path of the flight recording auto-captured for this run
 	// (set on the first confirming run of a target when capture is enabled).
