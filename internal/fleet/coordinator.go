@@ -84,7 +84,7 @@ type Coordinator struct {
 	maxBody int64
 
 	mu       sync.Mutex
-	workers  map[string]*workerInfo
+	lastSeen map[string]time.Time // registered workers by ID
 	nextID   int
 	done     bool
 	finished chan struct{}   // closed by Finish, releasing held lease requests
@@ -100,14 +100,6 @@ type Coordinator struct {
 
 	srv *http.Server
 	ln  net.Listener
-}
-
-// workerInfo is the registry's view of one worker.
-type workerInfo struct {
-	name     string
-	lastSeen time.Time
-	leased   int64
-	results  int64
 }
 
 // NewCoordinator assembles a coordinator (not yet listening).
@@ -126,7 +118,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		table:    newLeaseTable(clock, cfg.LeaseTTL),
 		gen:      fmt.Sprintf("g-%d-%d", os.Getpid(), time.Now().UnixNano()),
 		maxBody:  maxRequestBytes,
-		workers:  make(map[string]*workerInfo),
+		lastSeen: make(map[string]time.Time),
 		finished: make(chan struct{}),
 		notified: make(map[string]bool),
 		ctx:      ctx,
@@ -228,8 +220,8 @@ func (c *Coordinator) Drained() bool {
 		return false
 	}
 	cutoff := c.clock.Now().Add(-3 * c.cfg.LeaseTTL)
-	for id, w := range c.workers {
-		if w.lastSeen.After(cutoff) && !c.notified[id] {
+	for id, seen := range c.lastSeen {
+		if seen.After(cutoff) && !c.notified[id] {
 			return false
 		}
 	}
@@ -341,9 +333,8 @@ func (c *Coordinator) campaignInfo() CampaignInfo {
 // stale — the one error workers must react to.
 func (c *Coordinator) touchWorker(w http.ResponseWriter, workerID, generation string) bool {
 	c.mu.Lock()
-	info, ok := c.workers[workerID]
-	if ok && generation == c.gen {
-		info.lastSeen = c.clock.Now()
+	if _, ok := c.lastSeen[workerID]; ok && generation == c.gen {
+		c.lastSeen[workerID] = c.clock.Now()
 		c.mu.Unlock()
 		return true
 	}
@@ -364,7 +355,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.nextID++
 	id := fmt.Sprintf("w%d", c.nextID)
-	c.workers[id] = &workerInfo{name: req.Name, lastSeen: c.clock.Now()}
+	c.lastSeen[id] = c.clock.Now()
 	c.mu.Unlock()
 	c.logf("fleet: worker %s registered (%s, %s)", id, req.Name, req.Provenance.String())
 	if req.Provenance.Commit != c.cfg.Provenance.Commit || req.Provenance.Go != c.cfg.Provenance.Go {
@@ -408,11 +399,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		wake := c.table.wakeup()
 		if unit, epoch, ok := c.table.lease(req.WorkerID); ok {
-			c.mu.Lock()
-			if info := c.workers[req.WorkerID]; info != nil {
-				info.leased++
-			}
-			c.mu.Unlock()
 			writeJSON(w, LeaseResponse{Unit: &unit, Epoch: epoch})
 			return
 		}
@@ -471,11 +457,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSONStatus(w, http.StatusGone, errorBody{Error: reason, Code: codeRejected})
 		return
 	}
-	c.mu.Lock()
-	if info := c.workers[req.WorkerID]; info != nil {
-		info.results++
-	}
-	c.mu.Unlock()
 	writeJSON(w, ResultResponse{Accepted: true})
 }
 
@@ -493,8 +474,8 @@ func (c *Coordinator) status() Status {
 	c.mu.Lock()
 	cutoff := c.clock.Now().Add(-3 * c.cfg.LeaseTTL)
 	live := 0
-	for _, info := range c.workers {
-		if info.lastSeen.After(cutoff) {
+	for _, seen := range c.lastSeen {
+		if seen.After(cutoff) {
 			live++
 		}
 	}
@@ -502,7 +483,7 @@ func (c *Coordinator) status() Status {
 		Generation:     c.gen,
 		Done:           c.done,
 		WorkersLive:    live,
-		WorkersTotal:   len(c.workers),
+		WorkersTotal:   len(c.lastSeen),
 		Pending:        pending,
 		Leased:         leased,
 		UnitsDone:      doneN,
