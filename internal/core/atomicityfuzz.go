@@ -46,10 +46,8 @@ func (t *atomicBlock) String() string     { return t.str }
 func (t *atomicBlock) seedOffset() int    { return 9_000_000 }
 func (t *atomicBlock) configName() string { return "" }
 
-func (t *atomicBlock) policy(o Options) sched.Policy {
-	pol := NewAtomicityDirectedPolicy(t.block)
-	pol.MaxPostponeAge = o.MaxPostponeAge
-	return pol
+func (t *atomicBlock) policy() sched.Policy {
+	return NewAtomicityDirectedPolicy(t.block)
 }
 
 // outcome branches on whether the violating run threw.

@@ -53,8 +53,8 @@ func (t *lockCycle) String() string     { return t.str }
 func (t *lockCycle) seedOffset() int    { return 7_000_000 }
 func (t *lockCycle) configName() string { return "" }
 
-func (t *lockCycle) policy(o Options) sched.Policy {
-	return &DeadlockDirectedPolicy{TargetLocks: &t.cycle.Locks, MaxPostponeAge: o.MaxPostponeAge}
+func (t *lockCycle) policy() sched.Policy {
+	return &DeadlockDirectedPolicy{TargetLocks: &t.cycle.Locks}
 }
 
 func (t *lockCycle) outcome(_ sched.Policy, res *sched.Result) outcome {

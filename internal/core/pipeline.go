@@ -30,9 +30,6 @@ type Options struct {
 	Phase2Trials int
 	// MaxSteps bounds each execution (0 = sched.DefaultMaxSteps).
 	MaxSteps int
-	// MaxPostponeAge configures every directed policy's livelock monitor
-	// (see RaceFuzzerPolicy): 0 means DefaultMaxPostponeAge, <0 turns it off.
-	MaxPostponeAge int
 	// Workers bounds the campaign executor's parallelism: 0 or 1 runs every
 	// trial sequentially on the caller's goroutine, N > 1 fans independent
 	// trials across N workers, and any negative value uses runtime.NumCPU().
@@ -197,8 +194,8 @@ func (t *raceTarget) String() string     { return t.str }
 func (t *raceTarget) seedOffset() int    { return 0 }
 func (t *raceTarget) configName() string { return t.name }
 
-func (t *raceTarget) policy(o Options) sched.Policy {
-	return &RaceFuzzerPolicy{Target: t.pair, MaxPostponeAge: o.MaxPostponeAge}
+func (t *raceTarget) policy() sched.Policy {
+	return &RaceFuzzerPolicy{Target: t.pair}
 }
 
 func (t *raceTarget) outcome(pol sched.Policy, _ *sched.Result) outcome {

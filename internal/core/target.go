@@ -35,7 +35,7 @@ type Target interface {
 	// configName is the trial's sched.Config.Name.
 	configName() string
 	// policy builds a fresh directed policy for one trial.
-	policy(o Options) sched.Policy
+	policy() sched.Policy
 	// outcome reads what a finished trial did to the target.
 	outcome(pol sched.Policy, res *sched.Result) outcome
 	// signature is the target's canonical corpus identity. It is built
@@ -116,7 +116,7 @@ func trialConfig(t Target, pol sched.Policy, seed int64, o Options) sched.Config
 
 // trial is one phase-2 execution with the campaign's probes attached.
 func (o Options) trial(prog Program, t Target, seed int64) (*sched.Result, sched.Policy, time.Duration) {
-	pol := t.policy(o)
+	pol := t.policy()
 	res, wall := o.run(prog, trialConfig(t, pol, seed, o))
 	return res, pol, wall
 }
@@ -145,7 +145,7 @@ func (o Options) run(prog Program, cfg sched.Config) (*sched.Result, time.Durati
 // confirmed) and the complete causal recording. Witness auto-capture
 // archives exactly these recordings.
 func Record(prog Program, t Target, seed int64, o Options) (*sched.Result, int, *flightrec.Recording) {
-	pol := t.policy(o)
+	pol := t.policy()
 	rec := flightrec.NewRecorder(flightrec.Header{
 		Label: o.Label, Policy: pol.Name(), Kind: t.Kind(),
 		Seed: seed, Pair: t.String(), MaxSteps: o.MaxSteps,
@@ -184,7 +184,7 @@ func VerifyReplay(prog Program, t Target, seed int64, o Options) (*flightrec.Rec
 // profile is one phase-2 trial of t with a standalone schedprof trial
 // attached; it returns the trial's timeline for Perfetto export.
 func profile(prog Program, t Target, seed int64, o Options) *schedprof.Timeline {
-	cfg := trialConfig(t, t.policy(o), seed, o)
+	cfg := trialConfig(t, t.policy(), seed, o)
 	cfg.Prof = schedprof.NewTrial(o.Label, seed, 0)
 	sched.Run(prog, cfg)
 	return schedprof.TimelineOf(cfg.Prof)
