@@ -96,16 +96,6 @@ func (k ActionKind) String() string {
 	return fmt.Sprintf("action(%d)", int(k))
 }
 
-// ActionKindFor is the inverse of ActionKind.String, for trace loading.
-func ActionKindFor(s string) (ActionKind, bool) {
-	for k := ActPostpone; k <= ActViolation; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // ActionRecord describes one policy action. Which fields are meaningful
 // depends on Kind:
 //
