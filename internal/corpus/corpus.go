@@ -102,8 +102,9 @@ type Finding struct {
 	// ("" when capture was disabled), relative to the corpus directory when
 	// stored inside it.
 	WitnessTrace string `json:"witnessTrace,omitempty"`
-	// Hits counts confirmed sightings across all campaigns (one per
-	// campaign that re-confirmed the signature, not one per trial).
+	// Hits counts confirmed sightings across all campaigns: one per
+	// target run whose trials confirmed the signature (each round of an
+	// adaptive campaign runs its targets afresh), not one per trial.
 	Hits int64 `json:"hits"`
 	// Exceptions lists distinct model-exception kinds observed on
 	// confirming runs.
